@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from .core import (
     EPS,
@@ -60,42 +62,98 @@ def _status_name(status: int) -> str:
     return "unbounded_guard"
 
 
+def _bound_term(bound: np.ndarray, mu: np.ndarray, what: str) -> float:
+    finite = np.isfinite(bound)
+    if np.abs(mu[~finite]).max(initial=0.0) > LP_TOL:
+        raise InvariantError(f"{what}: nonzero multiplier on an infinite bound")
+    return float(bound[finite] @ mu[finite])
+
+
+def _certify_optimal(res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what: str) -> None:
+    """Dual certificate of an optimal HiGHS result (Huangfu & Hall, Math. Prog.
+    Comp. 2018) for min c.x s.t. A_ub x <= b_ub, l <= x <= u.
+
+    scipy reports marginals as d fun / d rhs, so dual feasibility means
+    lambda <= 0 on the A_ub rows, mu_u <= 0 on upper bounds, mu_l >= 0 on lower
+    bounds and c - A_ub^T lambda - mu_u - mu_l = 0; optimality means the dual
+    objective b_ub.lambda + u.mu_u + l.mu_l equals fun.
+    """
+    lam = res.ineqlin.marginals
+    mu_u = res.upper.marginals
+    mu_l = res.lower.marginals
+    wrong_sign = max(lam.max(initial=0.0), mu_u.max(initial=0.0), -mu_l.min(initial=0.0))
+    if wrong_sign > LP_TOL:
+        raise InvariantError(f"{what}: dual multiplier of the wrong sign ({wrong_sign:.3g})")
+    reduced = cost - a_ub.T @ lam - mu_u - mu_l
+    residual = float(np.abs(reduced).max(initial=0.0))
+    if residual > LP_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
+        raise InvariantError(f"{what}: reduced costs do not vanish ({residual:.3g})")
+    dual = float(b_ub @ lam) + _bound_term(bounds[:, 1], mu_u, what) + _bound_term(bounds[:, 0], mu_l, what)
+    gap = abs(res.fun - dual)
+    if gap > LP_TOL * (1.0 + abs(res.fun)):
+        raise InvariantError(f"{what}: duality gap {gap:.3g} exceeds tolerance")
+
+
+def _flatten(bit_tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths of the tuples and their concatenated entries, as index arrays."""
+    lens = np.fromiter(map(len, bit_tuples), dtype=np.intp, count=len(bit_tuples))
+    return lens, np.fromiter(chain.from_iterable(bit_tuples), dtype=np.intp, count=int(lens.sum()))
+
+
+def _candidate_types(inst: Instance) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Distinct candidate types in first-arrival order, their multiplicities,
+    and the type id of every candidate in arrival order."""
+    ids: dict[tuple[int, ...], int] = {}
+    type_of = np.fromiter(
+        (ids.setdefault(cand.bits, len(ids)) for cand in inst.all_candidates()),
+        dtype=np.intp,
+        count=inst.total_candidates,
+    )
+    return list(ids), np.bincount(type_of, minlength=len(ids)), type_of
+
+
 def solve_fluid(inst: Instance) -> LPResult:
-    """Maximize the least utility subject to sum(x) <= K and 0 <= x <= 1."""
+    """Maximize the least utility subject to sum(x) <= K and 0 <= x <= 1.
+
+    Candidates of one type are interchangeable, so the LP runs over distinct
+    types with the type's mass bounded by its multiplicity; x* spreads each
+    type's mass evenly over its copies.
+    """
     n_cands = inst.total_candidates
     if n_cands > MAX_CANDIDATES:
         raise SizeError(f"{n_cands} candidates exceeds the LP cap {MAX_CANDIDATES}")
-    phi = marginals(inst)
-    if n_cands == 0 or min(phi) == 0 or inst.capacity == 0:
+    types, mult, type_of = _candidate_types(inst)
+    n_types, d = len(types), inst.d
+    lens, bits = _flatten(types)
+    if n_cands == 0 or inst.capacity == 0 or np.bincount(bits, minlength=d).min() == 0:
         # Some dimension can never be served: the optimum is 0 (x = 0 allowed).
         zero = solution_from_rows([[0.0] * len(r) for r in inst.rounds])
         return LPResult(value=0.0, solution=zero, status="optimal", degenerate_zero=True)
 
-    # Variables: x_1..x_N, t.  max t  s.t.  sum x <= K,  t - c_k (T x)_k <= 0.
-    n_vars = n_cands + 1
-    cost = np.zeros(n_vars)
-    cost[-1] = -1.0
-    a_ub = np.zeros((1 + inst.d, n_vars))
-    b_ub = np.zeros(1 + inst.d)
-    a_ub[0, :n_cands] = 1.0
+    # Variables: X_1..X_T (mass per type), t.
+    # max t  s.t.  sum X <= K,  t - c_k sum_{types with k} X <= 0,  0 <= X <= mult.
+    c = np.asarray(inst.c)
+    row_idx = np.concatenate([np.zeros(n_types, dtype=np.intp), 1 + bits, 1 + np.arange(d)])
+    col_idx = np.concatenate([np.arange(n_types), np.repeat(np.arange(n_types), lens), np.full(d, n_types)])
+    vals = np.concatenate([np.ones(n_types), -c[bits], np.ones(d)])
+    a_ub = csr_matrix((vals, (row_idx, col_idx)), shape=(1 + d, n_types + 1))
+    b_ub = np.zeros(1 + d)
     b_ub[0] = float(inst.capacity)
-    col = 0
-    for rnd in inst.rounds:
-        for cand in rnd:
-            for k in cand.bits:
-                a_ub[1 + k, col] = -inst.c[k]
-            col += 1
-    a_ub[1:, -1] = 1.0
-    bounds = [(0.0, 1.0)] * n_cands + [(0.0, None)]
+    cost = np.zeros(n_types + 1)
+    cost[-1] = -1.0
+    bounds = np.zeros((n_types + 1, 2))
+    bounds[:n_types, 1] = mult
+    bounds[-1, 1] = np.inf
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         return LPResult(value=float("nan"), solution=None, status=_status_name(res.status))
+    _certify_optimal(res, cost, a_ub, b_ub, bounds, "fluid LP")
 
     value = float(res.x[-1])
+    flat = (np.clip(res.x[:n_types], 0.0, mult) / mult)[type_of].tolist()
     rows, col = [], 0
     for rnd in inst.rounds:
-        row = [min(max(float(res.x[col + j]), 0.0), 1.0) for j in range(len(rnd))]
-        rows.append(row)
+        rows.append(flat[col : col + len(rnd)])
         col += len(rnd)
     sol = solution_from_rows(rows)
     lu, _ = least_utility(inst, sol)
@@ -118,14 +176,16 @@ def opt_bounds_from_marginals(
     return under, over
 
 
-def _core_contributions(inst: Instance, prefix_rounds: int) -> list[float]:
-    contrib = [0.0] * inst.d
-    for rnd in inst.rounds[:prefix_rounds]:
-        for cand in rnd:
-            if is_core(cand, inst.d):
-                for k in cand.bits:
-                    contrib[k] += 1.0
-    return contrib
+def _round_and_core_counts(inst: Instance, tau: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-round arrival counts (n x d) and per-dimension arrival counts of
+    core candidates in the first ``tau`` rounds."""
+    d = inst.d
+    lens, bits = _flatten([cand.bits for cand in inst.all_candidates()])
+    cand_round = np.repeat(np.arange(inst.n), [len(rnd) for rnd in inst.rounds])
+    bit_round = np.repeat(cand_round, lens)
+    counts = np.bincount(bit_round * d + bits, minlength=inst.n * d).reshape(inst.n, d)
+    in_core = np.repeat(lens * lens >= d, lens) & (bit_round < tau)  # is_core, per bit
+    return counts, np.bincount(bits[in_core], minlength=d).astype(float)
 
 
 def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPResult, IntSolution]:
@@ -144,52 +204,42 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
     if tau * inst.d > MAX_CANDIDATES * 10:
         raise SizeError(f"{tau * inst.d} z-variables exceeds the LP cap")
 
-    a = inst.per_round_capacity
-    budget = math.sqrt(inst.d) * a
-    counts = [rnd.attribute_counts(inst.d) for rnd in inst.rounds]
-    core_part = _core_contributions(inst, tau)
+    d = inst.d
+    budget = math.sqrt(d) * inst.per_round_capacity
+    counts, core_part = _round_and_core_counts(inst, tau)
+    c = np.asarray(inst.c)
 
     # Variables: z_{ik} for i < tau (row-major), then t.
-    n_z = tau * inst.d
+    # max t  s.t.  sum_k z_ik <= budget,  t - c_k sum_i z_ik <= c_k core_k,  0 <= z_ik <= counts_ik.
+    n_z = tau * d
+    z = np.arange(n_z)
+    dim = z % d
+    row_idx = np.concatenate([z // d, tau + dim, tau + np.arange(d)])
+    col_idx = np.concatenate([z, z, np.full(d, n_z)])
+    vals = np.concatenate([np.ones(n_z), -c[dim], np.ones(d)])
+    a_ub = csr_matrix((vals, (row_idx, col_idx)), shape=(tau + d, n_z + 1))
+    b_ub = np.concatenate([np.full(tau, budget), c * core_part])
     cost = np.zeros(n_z + 1)
     cost[-1] = -1.0
-    a_ub = np.zeros((tau + inst.d, n_z + 1))
-    b_ub = np.zeros(tau + inst.d)
-    for i in range(tau):
-        a_ub[i, i * inst.d : (i + 1) * inst.d] = 1.0
-        b_ub[i] = budget
-    for k in range(inst.d):
-        row = tau + k
-        for i in range(tau):
-            a_ub[row, i * inst.d + k] = -inst.c[k]
-        a_ub[row, -1] = 1.0
-        b_ub[row] = inst.c[k] * core_part[k]
-    bounds = [(0.0, float(counts[i][k])) for i in range(tau) for k in range(inst.d)]
-    bounds.append((0.0, None))
+    bounds = np.zeros((n_z + 1, 2))
+    bounds[:n_z, 1] = counts[:tau].ravel()
+    bounds[-1, 1] = np.inf
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         return (
             LPResult(value=float("nan"), solution=None, status=_status_name(res.status)),
             IntSolution(y=(), z=()),
         )
+    _certify_optimal(res, cost, a_ub, b_ub, bounds, "intermediate LP")
 
     value = float(res.x[-1])
     y_rows = []
     for i, rnd in enumerate(inst.rounds):
         y_rows.append(
-            tuple(1.0 if i < tau and is_core(cand, inst.d) else 0.0 for cand in rnd)
+            tuple(1.0 if i < tau and is_core(cand, d) else 0.0 for cand in rnd)
         )
-    z_rows = []
-    for i in range(inst.n):
-        if i < tau:
-            z_rows.append(
-                tuple(
-                    min(max(float(res.x[i * inst.d + k]), 0.0), float(counts[i][k]))
-                    for k in range(inst.d)
-                )
-            )
-        else:
-            z_rows.append(tuple(0.0 for _ in range(inst.d)))
+    z_top = np.clip(res.x[:n_z].reshape(tau, d), 0.0, counts[:tau])
+    z_rows = [tuple(row) for row in z_top.tolist()] + [(0.0,) * d] * (inst.n - tau)
     sol = IntSolution(y=tuple(y_rows), z=tuple(z_rows))
     achieved = int_objective(inst, sol)
     if achieved < value - LP_TOL:
@@ -244,10 +294,13 @@ def solve_adjustment_lp(
         a_ub[1 + k, k] = -c[k]
         a_ub[1 + k, -1] = 1.0
         b_ub[1 + k] = u[k]
-    bounds = [(0.0, float(caps[k])) for k in range(d)] + [(None, None)]
+    bounds = np.zeros((d + 1, 2))
+    bounds[:d, 1] = caps
+    bounds[-1] = (-np.inf, np.inf)
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         raise InvariantError(f"adjustment LP unexpectedly {_status_name(res.status)}")
+    _certify_optimal(res, cost, a_ub, b_ub, bounds, "adjustment LP")
     return float(res.x[-1]), [float(v) for v in res.x[:d]]
 
 
@@ -277,13 +330,6 @@ def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:
     sizes = [groups[t] for t in types]
     q = grid_steps
     budget_units = min(inst.capacity * q, sum(sizes) * q)
-
-    def utility(totals_units: tuple[int, ...]) -> float:
-        acc = [0] * inst.d
-        for t_bits, units in zip(types, totals_units):
-            for k in t_bits:
-                acc[k] += units
-        return min(inst.c[k] * acc[k] / q for k in range(inst.d))
 
     best = 0.0
     caps = [s * q for s in sizes]

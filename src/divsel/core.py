@@ -84,6 +84,8 @@ class Instance:
             raise InvariantError("d must be a positive integer")
         if len(self.c) != self.d:
             raise InvariantError("c must have length d")
+        if not all(math.isfinite(ck) for ck in self.c):
+            raise InvariantError("c entries must be finite")
         if any(ck <= 0 for ck in self.c):
             raise InvariantError("c entries must be positive")
         if abs(min(self.c) - 1.0) > EPS:

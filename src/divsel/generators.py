@@ -11,19 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
 
 from .core import AttributeVector, Instance, Round
 from .errors import DimensionError
-
-
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    family: str  # fhc | fcs | random
-    d: int
-    member_index: Optional[int] = None
-    seed: Optional[int] = None
 
 
 def _prefix_type(k: int) -> AttributeVector:
@@ -185,12 +175,3 @@ def gen_random(
         per_round_capacity=a,
     )
 
-
-def generate_family(descriptor: FamilyDescriptor, **random_params) -> list[Instance]:
-    if descriptor.family == "fhc":
-        return gen_fhc(descriptor.d)
-    if descriptor.family == "fcs":
-        return gen_fcs(descriptor.d)
-    if descriptor.family == "random":
-        return [gen_random(d=descriptor.d, seed=descriptor.seed or 0, **random_params)]
-    raise DimensionError(f"unknown family {descriptor.family!r}")

@@ -14,6 +14,7 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -614,10 +615,14 @@ def policy_bound(inst: Instance, policy_name: str, opt: float) -> tuple[str, Opt
     return "none", None
 
 
+def _fluid_value(inst: Instance) -> float:
+    return solve_fluid(inst).value
+
+
 def _eval_row(args) -> dict:
-    instance_id, inst, policy_name, seed, topup = args
+    instance_id, inst, policy_name, seed, topup, opt = args
     report, _ = evaluate_policy(
-        inst, policy_name, seed, instance_id=instance_id, topup=topup
+        inst, policy_name, seed, instance_id=instance_id, topup=topup, opt_value=opt
     )
     bound_name, bound_value = policy_bound(inst, policy_name, report.opt)
     satisfied = True if bound_value is None else report.ratio >= bound_value - EPS
@@ -663,17 +668,19 @@ def competitive_report(
     family_min: Optional[str] = None,
 ) -> str:
     """Deterministic CSV/JSON report, one row per (instance, policy) in sorted
-    order; optionally one family-min impossibility row per policy."""
-    tasks = [
-        (instance_id, inst, policy, seed, topup)
-        for instance_id, inst in sorted(instances, key=lambda p: p[0])
-        for policy in policies
-    ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eval_row, tasks))
-    else:
-        rows = [_eval_row(t) for t in tasks]
+    order; optionally one family-min impossibility row per policy.  The fluid
+    optimum is solved once per instance and shared by its policy rows."""
+    ordered = sorted(instances, key=lambda p: p[0])
+    parallel = jobs > 1 and len(ordered) * len(policies) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        mapper = pool.map if parallel else map
+        opts = list(mapper(_fluid_value, [inst for _, inst in ordered]))
+        tasks = [
+            (instance_id, inst, policy, seed, topup, opt)
+            for (instance_id, inst), opt in zip(ordered, opts)
+            for policy in policies
+        ]
+        rows = list(mapper(_eval_row, tasks))
 
     if family_min is not None and rows:
         d = rows[0]["d"]

@@ -43,13 +43,6 @@ class RounderState:
     _acc: _KahanSum = field(default_factory=_KahanSum, repr=False)
     _round_index: int = 0
 
-    def copy(self) -> "RounderState":
-        clone = RounderState(pos=self.pos, sum=self.sum, selected=list(self.selected))
-        clone._acc.value = self._acc.value
-        clone._acc._comp = self._acc._comp
-        clone._round_index = self._round_index
-        return clone
-
 
 def new_rounder(seed: int) -> RounderState:
     """Fresh rounder with pos drawn from a seeded uniform generator."""

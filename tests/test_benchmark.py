@@ -1,8 +1,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import divsel.benchmark as benchmark
 from divsel.benchmark import (
     IntSolution,
     enumerate_g,
@@ -18,6 +21,82 @@ from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 
 from conftest import make_instance
+
+
+def dense_fluid_value(inst):
+    """Reference fluid LP with one dense column per candidate."""
+    n_cands = inst.total_candidates
+    cost = np.zeros(n_cands + 1)
+    cost[-1] = -1.0
+    a_ub = np.zeros((1 + inst.d, n_cands + 1))
+    b_ub = np.zeros(1 + inst.d)
+    a_ub[0, :n_cands] = 1.0
+    b_ub[0] = float(inst.capacity)
+    for col, cand in enumerate(inst.all_candidates()):
+        for k in cand.bits:
+            a_ub[1 + k, col] = -inst.c[k]
+    a_ub[1:, -1] = 1.0
+    bounds = [(0.0, 1.0)] * n_cands + [(0.0, None)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0
+    return float(res.x[-1])
+
+
+def dense_int_value(inst, tau):
+    """Reference intermediate LP (z block, y = 1 on core candidates), dense."""
+    d, budget = inst.d, math.sqrt(inst.d) * inst.per_round_capacity
+    core = [0.0] * d
+    for rnd in inst.rounds[:tau]:
+        for cand in rnd:
+            if cand.popcount**2 >= d:
+                for k in cand.bits:
+                    core[k] += 1.0
+    cost = np.zeros(tau * d + 1)
+    cost[-1] = -1.0
+    a_ub = np.zeros((tau + d, tau * d + 1))
+    b_ub = np.zeros(tau + d)
+    for i in range(tau):
+        a_ub[i, i * d : (i + 1) * d] = 1.0
+        b_ub[i] = budget
+    for k in range(d):
+        for i in range(tau):
+            a_ub[tau + k, i * d + k] = -inst.c[k]
+        a_ub[tau + k, -1] = 1.0
+        b_ub[tau + k] = inst.c[k] * core[k]
+    bounds = [(0.0, float(rnd.attribute_counts(d)[k])) for rnd in inst.rounds[:tau] for k in range(d)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds + [(0.0, None)], method="highs")
+    assert res.status == 0
+    return float(res.x[-1])
+
+
+def repetitive_random(seed):
+    """Random instance whose candidates mostly repeat a few types."""
+    return gen_random(d=3, n=30, a=2, density=0.3, min_arrivals=1, c_max=2.5, seed=seed)
+
+
+def assert_rel_close(value, reference, rel=1e-9):
+    assert abs(value - reference) <= rel * max(1.0, abs(reference))
+
+
+def perturbing_linprog(monkeypatch, perturb):
+    """Route benchmark's linprog through ``perturb(res)`` before returning."""
+
+    def patched(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        perturb(res)
+        return res
+
+    monkeypatch.setattr(benchmark, "linprog", patched)
+
+
+def understate_optimum(res):
+    # A suboptimal primal point: the level t, and with it fun, falls by 10%.
+    res.x[-1] *= 0.9
+    res.fun *= 0.9
+
+
+def flip_row_duals(res):
+    res.ineqlin.marginals = -res.ineqlin.marginals
 
 
 class TestSolveFluid:
@@ -46,6 +125,44 @@ class TestSolveFluid:
         lu, _ = least_utility(inst, lp.solution)
         assert lu >= lp.value - 1e-7
         assert lp.solution.total() <= inst.capacity + 1e-7
+
+
+class TestFluidTypeAggregation:
+    def family_and_random_instances(self):
+        return gen_fhc(27) + gen_fcs(27) + [repetitive_random(seed) for seed in range(6)]
+
+    def test_random_instances_repeat_types(self):
+        for seed in range(6):
+            inst = repetitive_random(seed)
+            n_types = len({cand.bits for cand in inst.all_candidates()})
+            assert n_types <= inst.total_candidates // 4
+
+    def test_value_matches_dense_per_candidate_lp(self):
+        for inst in self.family_and_random_instances():
+            assert_rel_close(solve_fluid(inst).value, dense_fluid_value(inst))
+
+    def test_x_star_is_constant_within_each_type(self):
+        for inst in self.family_and_random_instances():
+            sol = solve_fluid(inst).solution
+            by_type = {}
+            for row, rnd in zip(sol.x, inst.rounds):
+                for xj, cand in zip(row, rnd):
+                    assert 0.0 <= xj <= 1.0
+                    by_type.setdefault(cand.bits, set()).add(xj)
+            assert all(len(values) == 1 for values in by_type.values())
+            assert sol.total() <= inst.capacity * (1.0 + 1e-9)
+
+    def test_certificate_rejects_understated_optimum(self, monkeypatch):
+        inst = repetitive_random(1)
+        perturbing_linprog(monkeypatch, understate_optimum)
+        with pytest.raises(InvariantError, match="duality gap"):
+            solve_fluid(inst)
+
+    def test_certificate_rejects_wrong_sign_duals(self, monkeypatch):
+        inst = repetitive_random(2)
+        perturbing_linprog(monkeypatch, flip_row_duals)
+        with pytest.raises(InvariantError, match="wrong sign"):
+            solve_fluid(inst)
 
 
 class TestOptBounds:
@@ -98,6 +215,24 @@ class TestSolveInt:
         inst = make_instance(1, [[(0,)]], capacity=1, a=1)
         with pytest.raises(InvariantError):
             solve_int(inst, 2)
+
+
+    def test_value_matches_dense_lp(self):
+        instances = [
+            gen_fcs(8)[0],
+            gen_random(d=5, n=8, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=11),
+            repetitive_random(3),
+        ]
+        for inst in instances:
+            for tau in sorted({1, 2, inst.n // 2, inst.n}):
+                lp, _ = solve_int(inst, tau)
+                assert_rel_close(lp.value, dense_int_value(inst, tau))
+
+    def test_certificate_rejects_understated_optimum(self, monkeypatch):
+        inst = gen_random(d=4, n=6, a=1, density=0.4, min_arrivals=1, c_max=2.0, seed=5)
+        perturbing_linprog(monkeypatch, understate_optimum)
+        with pytest.raises(InvariantError, match="duality gap"):
+            solve_int(inst)
 
 
 class TestIntObjective:
@@ -187,3 +322,8 @@ class TestAdjustmentLP:
     def test_cap_limits_value(self):
         value, _ = solve_adjustment_lp([0.0, 0.0], [0.5, 10.0], 10.0, [1.0, 1.0])
         assert value == pytest.approx(0.5, abs=1e-9)
+
+    def test_certificate_rejects_wrong_sign_duals(self, monkeypatch):
+        perturbing_linprog(monkeypatch, flip_row_duals)
+        with pytest.raises(InvariantError, match="wrong sign"):
+            solve_adjustment_lp([0.0, 2.0], [5.0, 5.0], 2.0, [1.0, 1.5])

@@ -8,9 +8,12 @@ import pytest
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
 from divsel.core import parse_instance, serialize_instance, solution_from_rows
+from divsel import harness
 from divsel.errors import ContractError
 from divsel.generators import gen_fcs, gen_random
 from divsel.harness import (
+    CSV_COLUMNS,
+    POLICY_NAMES,
     competitive_report,
     evaluate_policy,
     monte_carlo,
@@ -185,6 +188,38 @@ class TestReport:
         parallel = competitive_report(instances, ["uc-myopic"], seed=0, jobs=2)
         assert serial == parallel
 
+    def test_one_fluid_solve_per_instance(self, monkeypatch):
+        instances = [
+            ("s1", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=21)),
+            ("s2", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=22)),
+        ]
+        # Reference: every row solves its own fluid LP (opt=None in the task).
+        rows = [
+            harness._eval_row((iid, inst, policy, 3, False, None))
+            for iid, inst in instances
+            for policy in POLICY_NAMES
+        ]
+        for row in rows:
+            row.pop("_ratio_raw")
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        expected = {"csv": buf.getvalue(), "json": json.dumps(rows, indent=2) + "\n"}
+
+        solved = []
+
+        def counting_solve(inst):
+            solved.append(inst)
+            return solve_fluid(inst)
+
+        monkeypatch.setattr(harness, "solve_fluid", counting_solve)
+        for fmt_name in ("csv", "json"):
+            solved.clear()
+            text = competitive_report(instances, POLICY_NAMES, seed=3, fmt_name=fmt_name)
+            assert solved == [inst for _, inst in instances]
+            assert text == expected[fmt_name]
+
 
 class TestCLI:
     def test_gen_offline_run_verify_report(self, tmp_path, capsys):
@@ -268,6 +303,20 @@ class TestCLI:
         rc = main(["run", "--instance", str(path), "--policy", "uc-hybrid"])
         assert rc == 3
         assert "error" in capsys.readouterr().err
+
+    def test_nan_weight_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"d": 2, "c": [1.0, NaN], "K": 1, "a": null, "rounds": [[[0], [1]]]}')
+        rc = main(["offline", "--instance", str(path)])
+        assert rc == 3
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_weight_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text('{"d": 2, "c": [1.0, Infinity], "K": 1, "a": null, "rounds": [[[0], [1]]]}')
+        rc = main(["offline", "--instance", str(path)])
+        assert rc == 3
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_file_is_io_error(self, capsys):
         rc = main(["offline", "--instance", "/nonexistent/file.json"])
