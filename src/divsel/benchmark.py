@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -23,6 +22,7 @@ from .core import (
     MAX_CANDIDATES,
     FractionalSolution,
     Instance,
+    flatten_bits,
     is_core,
     least_utility,
     marginals,
@@ -94,12 +94,6 @@ def _certify_optimal(res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what
         raise InvariantError(f"{what}: duality gap {gap:.3g} exceeds tolerance")
 
 
-def _flatten(bit_tuples: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths of the tuples and their concatenated entries, as index arrays."""
-    lens = np.fromiter(map(len, bit_tuples), dtype=np.intp, count=len(bit_tuples))
-    return lens, np.fromiter(chain.from_iterable(bit_tuples), dtype=np.intp, count=int(lens.sum()))
-
-
 def _candidate_types(inst: Instance) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
     """Distinct candidate types in first-arrival order, their multiplicities,
     and the type id of every candidate in arrival order."""
@@ -124,7 +118,7 @@ def solve_fluid(inst: Instance) -> LPResult:
         raise SizeError(f"{n_cands} candidates exceeds the LP cap {MAX_CANDIDATES}")
     types, mult, type_of = _candidate_types(inst)
     n_types, d = len(types), inst.d
-    lens, bits = _flatten(types)
+    lens, bits = flatten_bits(types)
     if n_cands == 0 or inst.capacity == 0 or np.bincount(bits, minlength=d).min() == 0:
         # Some dimension can never be served: the optimum is 0 (x = 0 allowed).
         zero = solution_from_rows([[0.0] * len(r) for r in inst.rounds])
@@ -180,7 +174,7 @@ def _round_and_core_counts(inst: Instance, tau: int) -> tuple[np.ndarray, np.nda
     """Per-round arrival counts (n x d) and per-dimension arrival counts of
     core candidates in the first ``tau`` rounds."""
     d = inst.d
-    lens, bits = _flatten([cand.bits for cand in inst.all_candidates()])
+    lens, bits = flatten_bits([cand.bits for cand in inst.all_candidates()])
     cand_round = np.repeat(np.arange(inst.n), [len(rnd) for rnd in inst.rounds])
     bit_round = np.repeat(cand_round, lens)
     counts = np.bincount(bit_round * d + bits, minlength=inst.n * d).reshape(inst.n, d)

@@ -9,7 +9,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import ContractError, DegenerateError, InvariantError, SchemaError, ShapeError
 
@@ -62,6 +65,56 @@ class Round:
             for k in cand.bits:
                 counts[k] += 1
         return counts
+
+
+@dataclass(frozen=True)
+class RoundIncidence:
+    """One round as index arrays: per-dimension arrival ``counts``, every
+    candidate's attributes concatenated in arrival order (``bits``), and each
+    candidate's attribute count and offset into ``bits`` (``lens``,
+    ``starts``).
+
+    Built on demand by ``round_incidence`` and never stored on a ``Round``,
+    so a streamed horizon keeps no per-round arrays alive.
+    """
+
+    counts: np.ndarray
+    bits: np.ndarray
+    lens: np.ndarray
+    starts: np.ndarray
+
+
+def flatten_bits(bit_tuples: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths of the tuples and their concatenated entries, as index arrays."""
+    lens = np.fromiter(map(len, bit_tuples), dtype=np.intp, count=len(bit_tuples))
+    return lens, np.fromiter(chain.from_iterable(bit_tuples), dtype=np.intp, count=int(lens.sum()))
+
+
+def round_incidence(rnd: Round, d: int) -> RoundIncidence:
+    """Index arrays of one round over ``d`` dimensions."""
+    lens, bits = flatten_bits([cand.bits for cand in rnd.candidates])
+    return RoundIncidence(
+        counts=np.bincount(bits, minlength=d),
+        bits=bits,
+        lens=lens,
+        starts=np.cumsum(lens) - lens,
+    )
+
+
+def max_over_attributes(values, inc: RoundIncidence) -> np.ndarray:
+    """Each candidate's maximum of a per-dimension ``values`` vector (or of
+    every row of an agents x d matrix) over its own attributes; 0.0 for a
+    candidate with no attributes.
+
+    ``reduceat`` returns an element rather than an empty reduction for a
+    zero-length segment, so candidates without attributes are left out of it.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape[:-1] + inc.lens.shape)
+    nonempty = inc.lens > 0
+    if inc.bits.size:
+        out[..., nonempty] = np.maximum.reduceat(values[..., inc.bits], inc.starts[nonempty], axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -235,6 +288,8 @@ def parse_solution(text: str, inst: Instance) -> FractionalSolution:
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise SchemaError("solution must be a list of per-round lists")
     sol = FractionalSolution(tuple(tuple(float(v) for v in row) for row in doc))
+    if not all(math.isfinite(v) for row in sol.x for v in row):
+        raise SchemaError("solution entries must be finite")
     _check_shape(inst, sol)
     return sol
 
@@ -297,7 +352,9 @@ def feasibility_report(
     violations = []
     for i, row in enumerate(sol.x):
         for j, xj in enumerate(row):
-            if xj < -eps or xj > 1.0 + eps:
+            if not math.isfinite(xj):
+                violations.append(f"x[{i}][{j}]={xj!r} is not finite")
+            elif xj < -eps or xj > 1.0 + eps:
                 violations.append(f"x[{i}][{j}]={xj!r} outside [0,1]")
     total = sol.total()
     if total > inst.capacity + eps:

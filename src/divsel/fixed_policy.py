@@ -8,6 +8,9 @@ per-round fraction; the principal emits the across-agent average.
 
 Both "continuous increase" processes are piecewise linear, so they are
 realized here as exact closed-form event computations, never time-stepped.
+The greedy pass is sequential in arrival order and runs agent by agent; the
+minimalist and combine steps are closed forms per dimension and per
+candidate, and run for all agents at once on arrays.
 """
 
 from __future__ import annotations
@@ -16,8 +19,19 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .benchmark import opt_bounds_from_marginals
-from .core import EPS, Instance, Round, min_count_at_least_sqrt_d, solution_from_rows
+from .core import (
+    EPS,
+    Instance,
+    Round,
+    RoundIncidence,
+    max_over_attributes,
+    min_count_at_least_sqrt_d,
+    round_incidence,
+    solution_from_rows,
+)
 from .errors import DimensionError
 
 
@@ -43,28 +57,27 @@ def guess_count(under: float, over: float) -> int:
 
 @dataclass
 class AgentState:
-    """Per-guess running state across the horizon."""
+    """Per-guess running state across the horizon.
+
+    Stage 1 reads and updates ``v`` and ``y_used`` one candidate at a time.
+    The per-dimension stage-2 totals of all agents are one agents x d array
+    on the principal (``FixedPolicy.z_acc``).  ``rows`` and ``y_rows`` hold
+    one array per round.
+    """
 
     gamma: float
     d: int
     c: tuple[float, ...]
     capacity: int
-    phi_total: tuple[int, ...]
     y_used: float = 0.0
     z_used: float = 0.0
     v: list[float] = field(default_factory=list)  # c_k * sum of y on dim k
-    z_acc: list[float] = field(default_factory=list)  # sum over past rounds of z_ik
-    consumed_marginal: list[int] = field(default_factory=list)  # arrivals seen so far
-    rows: list[list[float]] = field(default_factory=list)
-    y_rows: list[list[float]] = field(default_factory=list)
+    rows: list[np.ndarray] = field(default_factory=list)
+    y_rows: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.v:
             self.v = [0.0] * self.d
-        if not self.z_acc:
-            self.z_acc = [0.0] * self.d
-        if not self.consumed_marginal:
-            self.consumed_marginal = [0] * self.d
 
 
 def controlled_greedy_round(agent: AgentState, rnd: Round, order: list[int]) -> list[float]:
@@ -101,41 +114,50 @@ def controlled_greedy_round(agent: AgentState, rnd: Round, order: list[int]) -> 
     return y_i
 
 
-def continuous_minimalist_round(agent: AgentState, rnd: Round) -> list[float]:
-    """Stage 2: per-dimension utility adjustments, in index order.
+def continuous_minimalist_round(
+    agents: list[AgentState],
+    z_acc: np.ndarray,
+    unseen: np.ndarray,
+    inc: RoundIncidence,
+) -> np.ndarray:
+    """Stage 2 of every agent at once: per-dimension utility adjustments, in
+    index order; returns them as an agents x d array.
 
     Requires stage 1 of this round to be applied already (the accumulated
-    utility w counts y through the current round, z only before it).  The
-    adjustment stops when the dimension's maximal achievable end-of-horizon
-    utility reaches the scaled guess, at the round arrival count, or at the
-    capacity, in closed form.
+    utility w = v + c z_acc counts y through the current round, z only before
+    it).  ``z_acc`` holds each agent's adjustments of past rounds and gains
+    this round's; ``unseen`` is phi_k minus the arrivals through this round.
+    The adjustment stops when the dimension's maximal achievable
+    end-of-horizon utility reaches the scaled guess, at the round arrival
+    count, or at the capacity, in closed form.  All agents share d, c and K.
     """
-    target = agent.gamma / math.sqrt(agent.d)
-    counts = rnd.attribute_counts(agent.d)
-    z_i = [0.0] * agent.d
-    for k in range(agent.d):
-        w = agent.v[k] + agent.c[k] * agent.z_acc[k]
-        res = agent.c[k] * (agent.phi_total[k] - agent.consumed_marginal[k])
-        room = min(float(counts[k]), max(0.0, agent.capacity - agent.z_used))
-        z = (target - w - res) / agent.c[k]
-        z = min(max(z, 0.0), room)
-        z_i[k] = z
-        agent.z_used += z
-        agent.z_acc[k] += z
-    return z_i
+    first = agents[0]
+    c = np.asarray(first.c)
+    target = np.array([agent.gamma / math.sqrt(first.d) for agent in agents])
+    w = np.array([agent.v for agent in agents]) + c * z_acc
+    res = c * unseen
+    z = np.minimum(np.maximum((target[:, None] - w - res) / c, 0.0), inc.counts)
+    # Only the capacity clip depends on index order.  A zero entry would add
+    # 0.0 and leave z and z_used as they are, so the nonzero ones suffice.
+    rows, cols = np.nonzero(z)
+    clipped = []
+    for a, zk in zip(rows.tolist(), z[rows, cols].tolist()):
+        agent = agents[a]
+        zk = min(zk, max(0.0, first.capacity - agent.z_used))
+        agent.z_used += zk
+        clipped.append(zk)
+    z[rows, cols] = clipped
+    z_acc += z
+    return z
 
 
-def combine_agent_round(y_i: list[float], z_i: list[float], rnd: Round, d: int) -> list[float]:
-    """Stage 3: x_j = [y_j + max_k z_ik t_jk / phi_k(R_i)] / 2 (0/0 -> 0)."""
-    counts = rnd.attribute_counts(d)
-    x_i = []
-    for j, cand in enumerate(rnd):
-        adj = 0.0
-        for k in cand.bits:
-            if counts[k] > 0:
-                adj = max(adj, z_i[k] / counts[k])
-        x_i.append((y_i[j] + adj) / 2.0)
-    return x_i
+def combine_agent_round(y, z, inc: RoundIncidence) -> np.ndarray:
+    """Stage 3: x_j = [y_j + max_k z_k t_jk / phi_k(R_i)] / 2 (0/0 -> 0), for
+    one agent's vectors or every agent's rows at once."""
+    # A dimension without arrivals belongs to no candidate, so its quotient
+    # is never read; dividing it by 1 keeps it finite.
+    share = np.asarray(z, dtype=float) / np.maximum(inc.counts, 1)
+    return (np.asarray(y, dtype=float) + max_over_attributes(share, inc)) / 2.0
 
 
 @dataclass
@@ -150,6 +172,8 @@ class FixedPolicy:
     under: float = field(init=False)
     over: float = field(init=False)
     agents: list[AgentState] = field(init=False)
+    z_acc: np.ndarray = field(init=False)  # agents x d: sum over past rounds of z_ik
+    consumed: np.ndarray = field(init=False)  # arrivals seen so far, per dimension
     round_index: int = 0
     rows: list[list[float]] = field(default_factory=list)
 
@@ -161,15 +185,11 @@ class FixedPolicy:
         )
         count = guess_count(self.under, self.over)
         self.agents = [
-            AgentState(
-                gamma=(2.0**r) * self.under,
-                d=self.d,
-                c=self.c,
-                capacity=self.capacity,
-                phi_total=self.phi_total,
-            )
+            AgentState(gamma=(2.0**r) * self.under, d=self.d, c=self.c, capacity=self.capacity)
             for r in range(count)
         ]
+        self.z_acc = np.zeros((count, self.d))
+        self.consumed = np.zeros(self.d, dtype=np.int64)
 
     def process_round(self, rnd: Round) -> list[float]:
         # One shuffle per round, shared by all agents; replay is exact given
@@ -182,19 +202,20 @@ class FixedPolicy:
             x_avg = [0.0] * len(rnd)
             self.rows.append(x_avg)
             return x_avg
-        counts = rnd.attribute_counts(self.d)
-        per_agent = []
-        for agent in self.agents:
-            for k in range(self.d):
-                agent.consumed_marginal[k] += counts[k]
-            y_i = controlled_greedy_round(agent, rnd, order)
-            z_i = continuous_minimalist_round(agent, rnd)
-            x_i = combine_agent_round(y_i, z_i, rnd, self.d)
-            agent.rows.append(x_i)
-            agent.y_rows.append([y_i[j] for j in range(len(rnd))])
-            per_agent.append(x_i)
-        denom = float(len(self.agents))
-        x_avg = [sum(col) / denom for col in zip(*per_agent)] if len(rnd) else []
+        inc = round_incidence(rnd, self.d)
+        self.consumed += inc.counts
+        y = np.array(
+            [controlled_greedy_round(agent, rnd, order) for agent in self.agents]
+        ).reshape(len(self.agents), len(rnd))
+        z = continuous_minimalist_round(
+            self.agents, self.z_acc, np.subtract(self.phi_total, self.consumed), inc
+        )
+        x = combine_agent_round(y, z, inc)
+        for agent, x_row, y_row in zip(self.agents, x, y):
+            agent.rows.append(x_row)
+            agent.y_rows.append(y_row)
+        # Python's sum adds the agents' rows one after another, in agent order.
+        x_avg = (sum(x) / float(len(self.agents))).tolist()
         self.rows.append(x_avg)
         return x_avg
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -485,6 +486,18 @@ def verify_instance(
     elif uc_requested and not has_a:
         for name in ("Lemma3i", "Lemma3ii", "Lemma4i", "Lemma4ii", "Thm3-composite", "WF-optimality"):
             verdicts.append(_unmet(name, "instance carries no a"))
+    elif uc_requested:  # a is given but there are no rounds, so no stats
+        for name in (
+            "Lemma3i",
+            "Lemma3ii",
+            "Lemma4i",
+            "Lemma4ii",
+            "Thm3-composite",
+            "WF-optimality",
+            "INT-achieved-vs-opt",
+            "Topup-dominance",
+        ):
+            verdicts.append(_unmet(name, "instance has no rounds"))
 
     return verdicts
 
@@ -671,8 +684,11 @@ def competitive_report(
     order; optionally one family-min impossibility row per policy.  The fluid
     optimum is solved once per instance and shared by its policy rows."""
     ordered = sorted(instances, key=lambda p: p[0])
-    parallel = jobs > 1 and len(ordered) * len(policies) > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+    # A forked pool starts every worker up front, so never ask for more
+    # workers than there are tasks or processors.
+    workers = max(1, min(jobs, len(ordered) * len(policies), os.cpu_count() or 1))
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         opts = list(mapper(_fluid_value, [inst for _, inst in ordered]))
         tasks = [

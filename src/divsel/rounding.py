@@ -38,7 +38,6 @@ class RounderState:
     """Single-owner state; rounds must be fed sequentially."""
 
     pos: float
-    sum: float = 0.0
     selected: list = field(default_factory=list)
     _acc: _KahanSum = field(default_factory=_KahanSum, repr=False)
     _round_index: int = 0
@@ -78,7 +77,6 @@ def process_round(state: RounderState, x_i: list[float]) -> list[int]:
             picked.append(j)
             state.selected.append((state._round_index, j))
         state._acc.add(xj)
-        state.sum = state._acc.value
     state._round_index += 1
     return picked
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import Instance, Round, is_core, solution_from_rows
+import numpy as np
+
+from .core import Instance, Round, is_core, max_over_attributes, round_incidence, solution_from_rows
 from .errors import ContractError, ShapeError
 
 
@@ -27,16 +29,13 @@ def myopic_round(d: int, c: tuple[float, ...], a: int, rnd: Round) -> list[float
     """
     if not rnd.candidates:
         return []
-    counts = rnd.attribute_counts(d)
-    if min(counts) == 0:
+    inc = round_incidence(rnd, d)
+    if inc.counts.min() == 0:
         return [0.0] * len(rnd)
+    c_arr = np.asarray(c)
     inv_c_sum = math.fsum(1.0 / ck for ck in c)
-    alpha = min(min(c[k] * counts[k] for k in range(d)), a / inv_c_sum)
-    out = []
-    for cand in rnd:
-        share = max((alpha / c[k]) / counts[k] for k in cand.bits) if cand.bits else 0.0
-        out.append(share)
-    return out
+    alpha = min(float((c_arr * inc.counts).min()), a / inv_c_sum)
+    return max_over_attributes((alpha / c_arr) / inc.counts, inc).tolist()
 
 
 def core_set(rnd: Round, d: int) -> list[int]:
@@ -160,28 +159,24 @@ def forward_round(
     the accumulators only after the fraction is formed.
     """
     d, c, a = state.d, state.c, state.a
-    counts = rnd.attribute_counts(d)
-    cores = set(core_set(rnd, d))
-    y_i = [1.0 if j in cores else 0.0 for j in range(len(rnd))]
-    for j in cores:
+    inc = round_incidence(rnd, d)
+    core_mask = inc.lens * inc.lens >= d  # popcount^2 >= d, exact in integers
+    y_i = [1.0 if is_core_j else 0.0 for is_core_j in core_mask.tolist()]
+    for j in np.flatnonzero(core_mask).tolist():
         for k in rnd.candidates[j].bits:
             state.u[k] += c[k]
 
     budget = math.sqrt(d) * a
-    z_i = water_fill(state.u, [float(v) for v in counts], budget, list(c), continue_after_cap)
+    z_i = water_fill(state.u, inc.counts.astype(float).tolist(), budget, list(c), continue_after_cap)
     state.f_history.append(fill_value(state.u, z_i, list(c)))
 
-    total_count = sum(counts)
+    total_count = len(inc.bits)
     y_scale = min(1.0, a / (total_count / math.sqrt(d))) if total_count > 0 else 0.0
     two_sqrt_d = 2.0 * math.sqrt(d)
-    x_i = []
-    for j, cand in enumerate(rnd):
-        y_part = (y_i[j] / 2.0) * y_scale
-        z_part = 0.0
-        for k in cand.bits:
-            if counts[k] > 0:
-                z_part = max(z_part, z_i[k] / counts[k])
-        x_i.append(y_part + z_part / two_sqrt_d)
+    # A dimension without arrivals belongs to no candidate, so its quotient
+    # is never read; dividing it by 1 keeps it finite.
+    z_part = max_over_attributes(np.asarray(z_i) / np.maximum(inc.counts, 1), inc)
+    x_i = ((np.asarray(y_i) / 2.0) * y_scale + z_part / two_sqrt_d).tolist()
 
     for k in range(d):
         state.u[k] += c[k] * z_i[k]
@@ -221,7 +216,7 @@ def _equal_increment_topup(x_i: list[float], budget: float) -> list[float]:
     return result
 
 
-def leftover_topup(policy: "UnknownPolicy", rnd: Round, x_i: list[float]) -> list[float]:
+def leftover_topup(policy: "UnknownPolicy", x_i: list[float]) -> list[float]:
     """Second agent: distribute the accumulated unused capacity over the
     current round's candidates, never reducing an entry.
 
@@ -271,7 +266,7 @@ class UnknownPolicy:
         else:
             x_i = hybrid_round(x_bar, x_hat)
         if self.topup_enabled:
-            x_i = leftover_topup(self, rnd, x_i)
+            x_i = leftover_topup(self, x_i)
         self.emitted_total += math.fsum(x_i)
         self.rows.append(x_i)
         return x_i

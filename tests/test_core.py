@@ -197,6 +197,20 @@ class TestFeasibility:
         inst = make_instance(1, [[(0,)]], capacity=5)
         assert not validate_feasibility(inst, solution_from_rows([[1.5]]), "total")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry(self, bad):
+        inst = make_instance(1, [[(0,), (0,)]], capacity=5, a=5)
+        sol = solution_from_rows([[0.5, bad]])
+        for mode in ("total", "per_round_prefix"):
+            assert not validate_feasibility(inst, sol, mode)
+            assert any("x[0][1]" in v and "not finite" in v for v in feasibility_report(inst, sol, mode))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_parse_solution_rejects_non_finite(self, token):
+        inst = make_instance(1, [[(0,), (0,)]], capacity=5)
+        with pytest.raises(SchemaError, match="finite"):
+            parse_solution(f"[[0.5, {token}]]", inst)
+
 
 class TestInstanceStats:
     def test_fcs_family_statistics(self):

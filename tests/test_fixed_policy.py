@@ -1,9 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from divsel.benchmark import solve_fluid
-from divsel.core import AttributeVector, Round, least_utility, marginals, validate_feasibility
+from divsel.core import (
+    AttributeVector,
+    Round,
+    least_utility,
+    marginals,
+    round_incidence,
+    validate_feasibility,
+)
 from divsel.errors import DimensionError
 from divsel.fixed_policy import (
     AgentState,
@@ -24,14 +32,24 @@ from divsel.generators import gen_fcs, gen_random
 from conftest import make_instance
 
 
-def make_agent(gamma, d, capacity, phi_total, c=None):
+def make_agent(gamma, d, capacity, c=None):
     return AgentState(
         gamma=gamma,
         d=d,
         c=tuple(c) if c else tuple(1.0 for _ in range(d)),
         capacity=capacity,
-        phi_total=tuple(phi_total),
     )
+
+
+def minimalist(agent, rnd, phi_total, consumed):
+    """Stage 2 of a single agent with no past adjustments; its row of z."""
+    unseen = np.subtract(phi_total, consumed)
+    z = continuous_minimalist_round([agent], np.zeros((1, agent.d)), unseen, round_incidence(rnd, agent.d))
+    return z[0].tolist()
+
+
+def combine(y_i, z_i, rnd, d):
+    return combine_agent_round(y_i, z_i, round_incidence(rnd, d)).tolist()
 
 
 class TestGuessSet:
@@ -64,7 +82,7 @@ class TestControlledGreedy:
     def test_three_attribute_candidate_hand_trace(self):
         # gamma/sqrt(d) = 2; three thresholds at 2 each, m = 2, so the raise
         # stops at min(1, ., 2) = 1.
-        agent = make_agent(gamma=4.0, d=4, capacity=100, phi_total=[10] * 4)
+        agent = make_agent(gamma=4.0, d=4, capacity=100)
         rnd = Round((AttributeVector((0, 1, 2)),))
         y = controlled_greedy_round(agent, rnd, [0])
         assert y == [1.0]
@@ -76,20 +94,20 @@ class TestControlledGreedy:
         assert y2 == [1.0]
 
     def test_single_attribute_never_raised(self):
-        agent = make_agent(gamma=4.0, d=4, capacity=100, phi_total=[10] * 4)
+        agent = make_agent(gamma=4.0, d=4, capacity=100)
         rnd = Round((AttributeVector((2,)),))
         assert controlled_greedy_round(agent, rnd, [0]) == [0.0]
 
     def test_partial_raise_stops_at_threshold(self):
         # v = (1.5, 1.5) from a previous raise: thresholds at 0.5, so y = 0.5.
-        agent = make_agent(gamma=2.0 * math.sqrt(2.0), d=2, capacity=100, phi_total=[10] * 2)
+        agent = make_agent(gamma=2.0 * math.sqrt(2.0), d=2, capacity=100)
         rnd = Round((AttributeVector((0, 1)), AttributeVector((0, 1))))
         y = controlled_greedy_round(agent, rnd, [0, 1])
         assert y[0] == 1.0
         assert y[1] == pytest.approx(1.0, abs=1e-12)  # threshold 2 - 1 = 1
 
     def test_capacity_exhaustion_stops_raise(self):
-        agent = make_agent(gamma=40.0, d=4, capacity=1, phi_total=[100] * 4)
+        agent = make_agent(gamma=40.0, d=4, capacity=1)
         rnd = Round((AttributeVector((0, 1, 2, 3)), AttributeVector((0, 1, 2, 3))))
         y = controlled_greedy_round(agent, rnd, [0, 1])
         assert y == [1.0, 0.0]
@@ -101,53 +119,49 @@ class TestContinuousMinimalist:
         # gamma/sqrt(d) = 2 against w = 0.5 and Res = 0.5: the maximal
         # utility reaches the scaled guess after a raise of exactly 1 in
         # utility terms, well inside the round cap and the capacity.
-        agent = make_agent(gamma=2.0, d=1, capacity=100, phi_total=[7], c=[0.5])
+        agent = make_agent(gamma=2.0, d=1, capacity=100, c=[0.5])
         agent.v[0] = 0.5  # w = v + c*z_acc = 0.5
-        agent.consumed_marginal[0] = 6  # Res = 0.5 * (7 - 6) = 0.5
         rnd = Round((AttributeVector((0,)),) * 3)
-        z = continuous_minimalist_round(agent, rnd)
+        z = minimalist(agent, rnd, phi_total=[7], consumed=[6])  # Res = 0.5 * (7 - 6) = 0.5
         assert z == [pytest.approx((2.0 - 0.5 - 0.5) / 0.5)]
         assert z[0] <= rnd.attribute_counts(1)[0]
         assert agent.z_used == pytest.approx(z[0])
 
     def test_immediate_stop_when_maximal_utility_high(self):
-        agent = make_agent(gamma=2.0, d=1, capacity=100, phi_total=[5])
-        agent.consumed_marginal[0] = 2
+        agent = make_agent(gamma=2.0, d=1, capacity=100)
         rnd = Round((AttributeVector((0,)), AttributeVector((0,))))
         # w = 0, Res = 5 - 2 = 3 >= gamma/sqrt(d) = 2 -> z = 0.
-        assert continuous_minimalist_round(agent, rnd) == [0.0]
+        assert minimalist(agent, rnd, phi_total=[5], consumed=[2]) == [0.0]
 
     def test_capacity_induced_stop(self):
-        agent = make_agent(gamma=20.0, d=1, capacity=0, phi_total=[2])
-        agent.consumed_marginal[0] = 2
+        agent = make_agent(gamma=20.0, d=1, capacity=0)
         rnd = Round((AttributeVector((0,)), AttributeVector((0,))))
-        assert continuous_minimalist_round(agent, rnd) == [0.0]
+        assert minimalist(agent, rnd, phi_total=[2], consumed=[2]) == [0.0]
 
     def test_round_cap_clamps(self):
         # Gap of 5 in utility terms but only phi_k(R_i) = 2 to hand out.
-        agent = make_agent(gamma=5.0, d=1, capacity=100, phi_total=[2])
-        agent.consumed_marginal[0] = 2
+        agent = make_agent(gamma=5.0, d=1, capacity=100)
         rnd = Round((AttributeVector((0,)), AttributeVector((0,))))
-        assert continuous_minimalist_round(agent, rnd) == [2.0]
+        assert minimalist(agent, rnd, phi_total=[2], consumed=[2]) == [2.0]
 
 
 class TestCombine:
     def test_pure_y(self):
         rnd = Round((AttributeVector((0,)),))
-        assert combine_agent_round([1.0], [0.0, 0.0], rnd, 2) == [0.5]
+        assert combine([1.0], [0.0, 0.0], rnd, 2) == [0.5]
 
     def test_full_adjustment_halved(self):
         # z at the round count: every holder gets share 1, halved to 0.5.
         rnd = Round((AttributeVector((1,)), AttributeVector((1,))))
-        assert combine_agent_round([0.0, 0.0], [0.0, 2.0], rnd, 2) == [0.5, 0.5]
+        assert combine([0.0, 0.0], [0.0, 2.0], rnd, 2) == [0.5, 0.5]
 
     def test_full_adjustment_single_candidate(self):
         rnd = Round((AttributeVector((1,)),))
-        assert combine_agent_round([0.0], [0.0, 1.0], rnd, 2) == [0.5]
+        assert combine([0.0], [0.0, 1.0], rnd, 2) == [0.5]
 
     def test_max_then_average(self):
         rnd = Round((AttributeVector((0, 1)),))
-        x = combine_agent_round([0.4], [0.3, 0.5], rnd, 2)
+        x = combine([0.4], [0.3, 0.5], rnd, 2)
         assert x == [pytest.approx((0.4 + 0.5) / 2.0)]
 
 

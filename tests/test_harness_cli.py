@@ -120,6 +120,23 @@ class TestVerify:
         assert by_name["Lemma3ii"] == "precondition_unmet"
         assert by_name["Prop2-capacity"] == "pass"
 
+    def test_zero_rounds_report_unmet(self):
+        inst = make_instance(2, [], capacity=0, a=1)
+        verdicts = verify_instance(inst, ["uc-hybrid"], seed=1)
+        assert all(v.status != "fail" for v in verdicts)
+        unmet = {v.name: v.detail for v in verdicts if v.status == "precondition_unmet"}
+        for name in (
+            "Lemma3i",
+            "Lemma3ii",
+            "Lemma4i",
+            "Lemma4ii",
+            "Thm3-composite",
+            "WF-optimality",
+            "INT-achieved-vs-opt",
+            "Topup-dominance",
+        ):
+            assert unmet.get(name) == "instance has no rounds"
+
     def test_missing_a_reports_unmet(self):
         inst = make_instance(2, [[(0,), (1,)]], capacity=2)
         verdicts = verify_instance(inst, ["uc-hybrid"], seed=0)
@@ -187,6 +204,34 @@ class TestReport:
         serial = competitive_report(instances, ["uc-myopic"], seed=0, jobs=1)
         parallel = competitive_report(instances, ["uc-myopic"], seed=0, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs, expected", [(10_000, 4), (3, 3), (-5, None), (1, None)])
+    def test_jobs_clamped_to_tasks_and_cpus(self, monkeypatch, jobs, expected):
+        # A recorder stands in for the pool: it keeps max_workers and maps
+        # serially, so no process is started.
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+        instances = [
+            (f"j{i}", gen_random(d=3, n=3, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=i))
+            for i in range(2)
+        ]
+        text = competitive_report(instances, ["uc-myopic", "uc-forward"], seed=0, jobs=jobs)
+        assert text == competitive_report(instances, ["uc-myopic", "uc-forward"], seed=0, jobs=1)
+        assert requested == ([] if expected is None else [expected])
 
     def test_one_fluid_solve_per_instance(self, monkeypatch):
         instances = [
@@ -317,6 +362,19 @@ class TestCLI:
         rc = main(["offline", "--instance", str(path)])
         assert rc == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_mc_rejects_non_finite_solution(self, tmp_path, capsys, token):
+        inst = make_instance(2, [[(0,), (1,)]], capacity=2)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(serialize_instance(inst), encoding="utf-8")
+        x_path = tmp_path / "x.json"
+        x_path.write_text(f"[[0.5, {token}]]", encoding="utf-8")
+        rc = main(["mc", "--instance", str(inst_path), "--x", str(x_path), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "finite" in err
+        assert "Traceback" not in err
 
     def test_missing_file_is_io_error(self, capsys):
         rc = main(["offline", "--instance", "/nonexistent/file.json"])

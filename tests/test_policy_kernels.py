@@ -1,0 +1,295 @@
+"""The array kernels of both online policies against the per-agent,
+per-candidate scalar loops they replace, kept here verbatim as the reference.
+
+Every comparison is exact (``==``): the kernels perform the same IEEE-754
+operations in the same order as the loops.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from divsel.benchmark import opt_bounds_from_marginals
+from divsel.core import (
+    AttributeVector,
+    Round,
+    marginals,
+    max_over_attributes,
+    min_count_at_least_sqrt_d,
+    round_incidence,
+)
+from divsel.fixed_policy import guess_count, run_fixed_policy
+from divsel.generators import gen_fcs, gen_fhc, gen_random
+from divsel.unknown_policy import (
+    ForwardState,
+    UnknownPolicy,
+    core_set,
+    fill_value,
+    forward_round,
+    hybrid_round,
+    myopic_round,
+    water_fill,
+)
+
+from conftest import make_instance
+
+# ---------------------------------------------------------------------------
+# Reference: the scalar loops, one agent and one candidate at a time.
+
+
+class RefAgent:
+    def __init__(self, gamma, d, c, capacity, phi_total):
+        self.gamma, self.d, self.c, self.capacity, self.phi_total = gamma, d, c, capacity, phi_total
+        self.y_used = 0.0
+        self.z_used = 0.0
+        self.v = [0.0] * d
+        self.z_acc = [0.0] * d
+        self.consumed_marginal = [0] * d
+        self.rows = []
+        self.y_rows = []
+
+
+def ref_greedy(agent, rnd, order):
+    target = agent.gamma / math.sqrt(agent.d)
+    m = min_count_at_least_sqrt_d(agent.d)
+    y_i = [0.0] * len(rnd)
+    for pos in order:
+        cand = rnd.candidates[pos]
+        thresholds = []
+        for k in cand.bits:
+            tau = (target - agent.v[k]) / agent.c[k]
+            if tau > 0.0:
+                thresholds.append(tau)
+        if len(thresholds) < m:
+            y_stop = 0.0
+        else:
+            thresholds.sort(reverse=True)
+            y_stop = thresholds[m - 1]
+        y = min(1.0, max(0.0, agent.capacity - agent.y_used), y_stop)
+        y_i[pos] = y
+        if y > 0.0:
+            agent.y_used += y
+            for k in cand.bits:
+                agent.v[k] += agent.c[k] * y
+    return y_i
+
+
+def ref_minimalist(agent, rnd):
+    target = agent.gamma / math.sqrt(agent.d)
+    counts = rnd.attribute_counts(agent.d)
+    z_i = [0.0] * agent.d
+    for k in range(agent.d):
+        w = agent.v[k] + agent.c[k] * agent.z_acc[k]
+        res = agent.c[k] * (agent.phi_total[k] - agent.consumed_marginal[k])
+        room = min(float(counts[k]), max(0.0, agent.capacity - agent.z_used))
+        z = (target - w - res) / agent.c[k]
+        z = min(max(z, 0.0), room)
+        z_i[k] = z
+        agent.z_used += z
+        agent.z_acc[k] += z
+    return z_i
+
+
+def ref_combine(y_i, z_i, rnd, d):
+    counts = rnd.attribute_counts(d)
+    x_i = []
+    for j, cand in enumerate(rnd):
+        adj = 0.0
+        for k in cand.bits:
+            if counts[k] > 0:
+                adj = max(adj, z_i[k] / counts[k])
+        x_i.append((y_i[j] + adj) / 2.0)
+    return x_i
+
+
+def ref_fixed(inst, seed):
+    phi = tuple(marginals(inst))
+    under, over = opt_bounds_from_marginals(inst.d, inst.c, inst.capacity, list(phi))
+    agents = [
+        RefAgent((2.0**r) * under, inst.d, inst.c, inst.capacity, phi)
+        for r in range(guess_count(under, over))
+    ]
+    rows = []
+    for index, rnd in enumerate(inst.rounds):
+        order = list(range(len(rnd)))
+        random.Random((seed * 1_000_003 + index) & 0xFFFFFFFFFFFFFFFF).shuffle(order)
+        if not agents:
+            rows.append([0.0] * len(rnd))
+            continue
+        counts = rnd.attribute_counts(inst.d)
+        per_agent = []
+        for agent in agents:
+            for k in range(inst.d):
+                agent.consumed_marginal[k] += counts[k]
+            y_i = ref_greedy(agent, rnd, order)
+            z_i = ref_minimalist(agent, rnd)
+            x_i = ref_combine(y_i, z_i, rnd, inst.d)
+            agent.rows.append(x_i)
+            agent.y_rows.append(list(y_i))
+            per_agent.append(x_i)
+        denom = float(len(agents))
+        rows.append([sum(col) / denom for col in zip(*per_agent)] if len(rnd) else [])
+    return rows, agents
+
+
+def ref_myopic(d, c, a, rnd):
+    if not rnd.candidates:
+        return []
+    counts = rnd.attribute_counts(d)
+    if min(counts) == 0:
+        return [0.0] * len(rnd)
+    inv_c_sum = math.fsum(1.0 / ck for ck in c)
+    alpha = min(min(c[k] * counts[k] for k in range(d)), a / inv_c_sum)
+    out = []
+    for cand in rnd:
+        share = max((alpha / c[k]) / counts[k] for k in cand.bits) if cand.bits else 0.0
+        out.append(share)
+    return out
+
+
+def ref_forward(state, rnd):
+    d, c, a = state.d, state.c, state.a
+    counts = rnd.attribute_counts(d)
+    cores = set(core_set(rnd, d))
+    y_i = [1.0 if j in cores else 0.0 for j in range(len(rnd))]
+    for j in cores:
+        for k in rnd.candidates[j].bits:
+            state.u[k] += c[k]
+    budget = math.sqrt(d) * a
+    z_i = water_fill(state.u, [float(v) for v in counts], budget, list(c))
+    state.f_history.append(fill_value(state.u, z_i, list(c)))
+    total_count = sum(counts)
+    y_scale = min(1.0, a / (total_count / math.sqrt(d))) if total_count > 0 else 0.0
+    two_sqrt_d = 2.0 * math.sqrt(d)
+    x_i = []
+    for j, cand in enumerate(rnd):
+        y_part = (y_i[j] / 2.0) * y_scale
+        z_part = 0.0
+        for k in cand.bits:
+            if counts[k] > 0:
+                z_part = max(z_part, z_i[k] / counts[k])
+        x_i.append(y_part + z_part / two_sqrt_d)
+    for k in range(d):
+        state.u[k] += c[k] * z_i[k]
+    state.y_history.append(tuple(y_i))
+    state.z_history.append(tuple(z_i))
+    state.round_index += 1
+    return y_i, z_i, x_i
+
+
+# ---------------------------------------------------------------------------
+# Instances.
+
+
+def _edge_instance():
+    """An empty round and candidates without attributes, next to ordinary ones."""
+    return make_instance(
+        3,
+        [[(0, 1), (), (2,)], [], [(0,), (1, 2), ()], [(0, 1, 2), (0, 1, 2)], [()]],
+        capacity=5,
+        c=[1.0, 1.5, 2.5],
+        a=1,
+    )
+
+
+def _capacity_one_instance():
+    """K = 1: stage 2 of one agent uses up K in the last round after raising
+    dimension 1 and while raising dimension 2."""
+    return make_instance(3, [[(1,)], [(), ()], [(0,)], [(1,), (2,)]], capacity=1, c=[1.0, 1.57, 1.04])
+
+
+INSTANCES = {
+    **{f"random-d64-seed{s}": gen_random(d=64, n=25, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=s)
+       for s in (1, 2)},
+    **{f"fcs27-{i}": inst for i, inst in enumerate(gen_fcs(27))},
+    **{f"fhc27-{i}": inst for i, inst in enumerate(gen_fhc(27))},
+    "edge": _edge_instance(),
+    "capacity-one": _capacity_one_instance(),
+}
+
+
+# ---------------------------------------------------------------------------
+# Tests.
+
+
+class TestMaxOverAttributes:
+    def test_vector(self):
+        rnd = Round((AttributeVector((0, 2)), AttributeVector(()), AttributeVector((1,)), AttributeVector(())))
+        out = max_over_attributes([1.0, 5.0, 3.0], round_incidence(rnd, 3))
+        assert out.tolist() == [3.0, 0.0, 5.0, 0.0]
+
+    def test_matrix_rows_are_independent(self):
+        rnd = Round((AttributeVector(()), AttributeVector((0, 1)), AttributeVector((2,))))
+        values = np.array([[1.0, 5.0, 3.0], [4.0, 0.5, 0.25]])
+        out = max_over_attributes(values, round_incidence(rnd, 3))
+        assert out.tolist() == [[0.0, 5.0, 3.0], [0.0, 4.0, 0.25]]
+
+    def test_empty_round(self):
+        inc = round_incidence(Round(()), 4)
+        assert inc.counts.tolist() == [0, 0, 0, 0]
+        assert max_over_attributes(np.ones(4), inc).shape == (0,)
+        assert max_over_attributes(np.ones((3, 4)), inc).shape == (3, 0)
+
+    def test_only_attributeless_candidates(self):
+        inc = round_incidence(Round((AttributeVector(()),) * 2), 2)
+        assert max_over_attributes([7.0, 8.0], inc).tolist() == [0.0, 0.0]
+
+    def test_incidence_layout(self):
+        rnd = Round((AttributeVector((1, 3)), AttributeVector(()), AttributeVector((0, 1, 3))))
+        inc = round_incidence(rnd, 4)
+        assert inc.counts.tolist() == rnd.attribute_counts(4) == [1, 2, 0, 2]
+        assert inc.bits.tolist() == [1, 3, 0, 1, 3]
+        assert inc.lens.tolist() == [2, 0, 3]
+        assert inc.starts.tolist() == [0, 2, 2]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_fixed_policy_matches_scalar_loops(name):
+    inst = INSTANCES[name]
+    for seed in (0, 5):
+        policy = run_fixed_policy(inst, seed)
+        rows, agents = ref_fixed(inst, seed)
+        assert policy.rows == rows
+        assert len(policy.agents) == len(agents)
+        for got, want in zip(policy.agents, agents):
+            assert got.gamma == want.gamma
+            assert (got.y_used, got.z_used) == (want.y_used, want.z_used)
+            assert [row.tolist() for row in got.rows] == want.rows
+            assert [row.tolist() for row in got.y_rows] == want.y_rows
+            assert got.v == want.v
+
+
+def test_capacity_runs_out_inside_a_round():
+    """The capacity-one instance exercises the order-dependent clip of stage 2."""
+    inst = INSTANCES["capacity-one"]
+    _, agents = ref_fixed(inst, 0)
+    last = [agent.z_acc for agent in agents if agent.z_used == inst.capacity]
+    assert last and all(0.0 < z_k for z_k in last[0][1:])
+
+
+def test_zero_agents_emit_zeros():
+    inst = make_instance(2, [[(0,), (0,)], [(0,)]], capacity=2)  # phi_1 = 0
+    policy = run_fixed_policy(inst, 3)
+    assert policy.agents == []
+    assert policy.rows == ref_fixed(inst, 3)[0] == [[0.0, 0.0], [0.0]]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, inst in INSTANCES.items() if inst.per_round_capacity))
+def test_unknown_policy_matches_scalar_loops(name):
+    inst = INSTANCES[name]
+    d, c, a = inst.d, inst.c, inst.per_round_capacity
+    state, ref_state = ForwardState(d=d, c=c, a=a), ForwardState(d=d, c=c, a=a)
+    policy = UnknownPolicy(d=d, c=c, a=a, variant="hybrid")
+    for rnd in inst.rounds:
+        x_bar = ref_myopic(d, c, a, rnd)
+        assert myopic_round(d, c, a, rnd) == x_bar
+        _, _, x_hat = ref_forward(ref_state, rnd)
+        assert forward_round(state, rnd) == (list(ref_state.y_history[-1]), list(ref_state.z_history[-1]), x_hat)
+        assert policy.process_round(rnd) == hybrid_round(x_bar, x_hat)
+    for st in (state, policy.forward):
+        assert st.y_history == ref_state.y_history
+        assert st.z_history == ref_state.z_history
+        assert st.f_history == ref_state.f_history
+        assert st.u == ref_state.u
