@@ -35,7 +35,6 @@ from .harness import (
     evaluate_policy,
     monte_carlo,
     verify_family,
-    verify_inequalities,
     verify_instance,
 )
 from .rounding import RounderState, new_rounder, process_round, select_offline
@@ -80,7 +79,6 @@ __all__ = [
     "solve_int",
     "validate_feasibility",
     "verify_family",
-    "verify_inequalities",
     "verify_instance",
     "water_fill",
 ]

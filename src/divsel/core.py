@@ -215,6 +215,30 @@ def _check_shape(inst: Instance, sol: FractionalSolution) -> None:
             raise ShapeError(f"round {i}: {len(row)} entries for {len(rnd)} candidates")
 
 
+def _load_json(text: str):
+    """JSON document; malformed, too deeply nested or oversize-integer
+    input is a SchemaError."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer over Python's digit limit
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+
+
+def _numbers(values, message: str) -> tuple[float, ...]:
+    """A JSON list of numbers as floats.  Anything else, booleans included,
+    is a SchemaError, and so is an integer beyond float range."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise SchemaError(message)
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError as exc:
+        raise SchemaError(f"{message}: {exc}") from exc
+
+
 def parse_instance(text: str) -> Instance:
     """Parse and validate the JSON instance document.
 
@@ -222,10 +246,7 @@ def parse_instance(text: str) -> Instance:
     "rounds": [[[int, ...], ...], ...]}`` with each candidate given as a
     sorted list of attribute indices.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise SchemaError("top-level document must be an object")
     for field in ("d", "c", "K", "rounds"):
@@ -234,9 +255,7 @@ def parse_instance(text: str) -> Instance:
     d = doc["d"]
     if not isinstance(d, int) or isinstance(d, bool):
         raise SchemaError("d must be an integer")
-    c = doc["c"]
-    if not isinstance(c, list) or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in c):
-        raise SchemaError("c must be a list of numbers")
+    c = _numbers(doc["c"], "c must be a list of numbers")
     cap = doc["K"]
     if not isinstance(cap, int) or isinstance(cap, bool):
         raise SchemaError("K must be an integer")
@@ -260,7 +279,7 @@ def parse_instance(text: str) -> Instance:
         rounds.append(Round(tuple(cands)))
     return Instance(
         d=d,
-        c=tuple(float(v) for v in c),
+        c=c,
         capacity=cap,
         rounds=tuple(rounds),
         per_round_capacity=a,
@@ -281,13 +300,10 @@ def serialize_instance(inst: Instance) -> str:
 
 def parse_solution(text: str, inst: Instance) -> FractionalSolution:
     """Parse a fractional solution (nested lists mirroring ``rounds``)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise SchemaError("solution must be a list of per-round lists")
-    sol = FractionalSolution(tuple(tuple(float(v) for v in row) for row in doc))
+    sol = FractionalSolution(tuple(_numbers(row, "solution entries must be numbers") for row in doc))
     if not all(math.isfinite(v) for row in sol.x for v in row):
         raise SchemaError("solution entries must be finite")
     _check_shape(inst, sol)

@@ -61,8 +61,8 @@ class AgentState:
 
     Stage 1 reads and updates ``v`` and ``y_used`` one candidate at a time.
     The per-dimension stage-2 totals of all agents are one agents x d array
-    on the principal (``FixedPolicy.z_acc``).  ``rows`` and ``y_rows`` hold
-    one array per round.
+    on the principal (``FixedPolicy.z_acc``); the per-round rows of all
+    agents are in the principal's trace.
     """
 
     gamma: float
@@ -72,8 +72,6 @@ class AgentState:
     y_used: float = 0.0
     z_used: float = 0.0
     v: list[float] = field(default_factory=list)  # c_k * sum of y on dim k
-    rows: list[np.ndarray] = field(default_factory=list)
-    y_rows: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.v:
@@ -160,9 +158,21 @@ def combine_agent_round(y, z, inc: RoundIncidence) -> np.ndarray:
     return (np.asarray(y, dtype=float) + max_over_attributes(share, inc)) / 2.0
 
 
+@dataclass(frozen=True, slots=True)
+class FixedRound:
+    """What one round of the fixed-capacity principal computed: every
+    agent's combined row ``x`` and stage-1 row ``y`` (agents x n_i) and the
+    emitted across-agent average."""
+
+    x: np.ndarray
+    y: np.ndarray
+    emitted: np.ndarray
+
+
 @dataclass
 class FixedPolicy:
-    """Principal driving all agents; emits the per-round across-agent average."""
+    """Principal driving all agents; emits the per-round across-agent average
+    and keeps one ``FixedRound`` per processed round in ``trace``."""
 
     d: int
     c: tuple[float, ...]
@@ -174,8 +184,7 @@ class FixedPolicy:
     agents: list[AgentState] = field(init=False)
     z_acc: np.ndarray = field(init=False)  # agents x d: sum over past rounds of z_ik
     consumed: np.ndarray = field(init=False)  # arrivals seen so far, per dimension
-    round_index: int = 0
-    rows: list[list[float]] = field(default_factory=list)
+    trace: list[FixedRound] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.phi_total) != self.d:
@@ -193,15 +202,14 @@ class FixedPolicy:
 
     def process_round(self, rnd: Round) -> list[float]:
         # One shuffle per round, shared by all agents; replay is exact given
-        # (seed, round index).
+        # (seed, round index), and the trace holds one record per past round.
         order = list(range(len(rnd)))
-        mix = (self.seed * 1_000_003 + self.round_index) & 0xFFFFFFFFFFFFFFFF
+        mix = (self.seed * 1_000_003 + len(self.trace)) & 0xFFFFFFFFFFFFFFFF
         random.Random(mix).shuffle(order)
-        self.round_index += 1
         if not self.agents:
-            x_avg = [0.0] * len(rnd)
-            self.rows.append(x_avg)
-            return x_avg
+            none = np.zeros((0, len(rnd)))
+            self.trace.append(FixedRound(none, none, np.zeros(len(rnd))))
+            return [0.0] * len(rnd)
         inc = round_incidence(rnd, self.d)
         self.consumed += inc.counts
         y = np.array(
@@ -211,13 +219,10 @@ class FixedPolicy:
             self.agents, self.z_acc, np.subtract(self.phi_total, self.consumed), inc
         )
         x = combine_agent_round(y, z, inc)
-        for agent, x_row, y_row in zip(self.agents, x, y):
-            agent.rows.append(x_row)
-            agent.y_rows.append(y_row)
         # Python's sum adds the agents' rows one after another, in agent order.
-        x_avg = (sum(x) / float(len(self.agents))).tolist()
-        self.rows.append(x_avg)
-        return x_avg
+        x_avg = sum(x) / float(len(self.agents))
+        self.trace.append(FixedRound(x, y, x_avg))
+        return x_avg.tolist()
 
 
 def new_fixed_policy(
@@ -245,15 +250,15 @@ def run_fixed_policy(inst: Instance, seed: int) -> FixedPolicy:
 
 
 def policy_solution(policy: FixedPolicy):
-    return solution_from_rows(policy.rows)
+    return solution_from_rows([rec.emitted for rec in policy.trace])
 
 
 def agent_solution(policy: FixedPolicy, index: int):
-    return solution_from_rows(policy.agents[index].rows)
+    return solution_from_rows([rec.x[index] for rec in policy.trace])
 
 
 def agent_y_solution(policy: FixedPolicy, index: int):
-    return solution_from_rows(policy.agents[index].y_rows)
+    return solution_from_rows([rec.y[index] for rec in policy.trace])
 
 
 def best_guess_index(policy: FixedPolicy, opt_value: float) -> int | None:

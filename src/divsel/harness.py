@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fixed_policy as fp
 from . import unknown_policy as up
-from .benchmark import LP_TOL, int_objective, solve_adjustment_lp, solve_fluid, solve_int
+from .benchmark import LP_TOL, IntSolution, int_objective, opt_bounds, solve_adjustment_lp, solve_fluid, solve_int
 from .core import (
     EPS,
     FractionalSolution,
@@ -307,8 +307,6 @@ def verify_instance(
     verdicts: list[VerificationVerdict] = []
     lp = solve_fluid(inst)
     opt = lp.value
-    from .benchmark import opt_bounds
-
     under, over = opt_bounds(inst)
     verdicts.append(_lower("Lemma1-under", opt, under, max(eps, LP_TOL), detail=instance_id))
     verdicts.append(_upper("Lemma1-over", opt, over, max(eps, LP_TOL), detail=instance_id))
@@ -316,15 +314,24 @@ def verify_instance(
     has_a = inst.per_round_capacity is not None
     stats = instance_stats(inst) if has_a and inst.n > 0 else None
 
+    # Every unknown-capacity variant comes from one hybrid+top-up pass: its
+    # myopic and forward rows never see the top-up.
+    uc_requested = [n for n in policies if n.startswith("uc-")]
+    uc_pol, uc_solutions = None, {}
+    if uc_requested and has_a:
+        _, uc_pol = run_policy(inst, "uc-hybrid", seed, topup=True)
+        uc_solutions = _variant_solutions(uc_pol)
+
     solutions: dict[str, FractionalSolution] = {}
-    policy_objs: dict[str, object] = {}
     for name in policies:
         if name.startswith("uc-") and not has_a:
             verdicts.append(_unmet(f"feasibility[{name}]", "instance carries no a"))
             continue
-        sol, pol = run_policy(inst, name, seed)
+        if name in uc_solutions:
+            sol = uc_solutions[name]
+        else:
+            sol, fixed_pol = run_policy(inst, name, seed)
         solutions[name] = sol
-        policy_objs[name] = pol
         mode = scenario_mode(name)
         ok = validate_feasibility(inst, sol, mode, eps)
         verdicts.append(
@@ -339,18 +346,17 @@ def verify_instance(
 
     # Fixed-capacity guarantees.
     if "fixed" in solutions:
-        pol = policy_objs["fixed"]
         lu_hat, _ = least_utility(inst, solutions["fixed"])
         if opt > EPS:
             verdicts.append(
                 _lower("Thm2-bound", lu_hat / opt, thm2_factor(inst.d), eps, detail=instance_id)
             )
-            r_star = fp.best_guess_index(pol, opt)
+            r_star = fp.best_guess_index(fixed_pol, opt)
             if r_star is None:
                 verdicts.append(_unmet("Lemma2-bestguess", "no guess at or below OPT"))
             else:
-                agent = pol.agents[r_star]
-                lu_r, _ = least_utility(inst, fp.agent_solution(pol, r_star))
+                agent = fixed_pol.agents[r_star]
+                lu_r, _ = least_utility(inst, fp.agent_solution(fixed_pol, r_star))
                 verdicts.append(
                     _lower(
                         "Lemma2-bestguess",
@@ -361,7 +367,7 @@ def verify_instance(
                     )
                 )
                 if agent.y_used >= inst.capacity - eps:
-                    lu_y, _ = least_utility(inst, fp.agent_y_solution(pol, r_star))
+                    lu_y, _ = least_utility(inst, fp.agent_y_solution(fixed_pol, r_star))
                     verdicts.append(
                         _lower(
                             "Lemma2-depleted",
@@ -374,27 +380,13 @@ def verify_instance(
         else:
             verdicts.append(_unmet("Thm2-bound", "OPT = 0"))
 
-    # Unknown-capacity guarantees.  The forward/myopic machinery is cheap, so
-    # the sub-policies a check needs are run on demand even when only the
-    # hybrid was requested.
-    uc_requested = [n for n in policies if n.startswith("uc-")]
+    # Unknown-capacity guarantees.
     if uc_requested and has_a and stats is not None:
-
-        def uc_solution(name: str):
-            if name not in solutions:
-                sol, pol = run_policy(inst, name, seed)
-                solutions[name] = sol
-                policy_objs[name] = pol
-            return solutions[name], policy_objs[name]
-
-        fwd_sol, fwd_pol = uc_solution("uc-forward")
-        forward_state = fwd_pol.forward
-        verdicts.extend(_water_fill_checks(inst, forward_state, instance_id))
-
-        from .benchmark import IntSolution
-
+        trace = uc_pol.trace
+        verdicts.append(_water_fill_check(inst, trace, instance_id))
         int_sol = IntSolution(
-            y=tuple(forward_state.y_history), z=tuple(forward_state.z_history)
+            y=tuple(tuple(rec.y.tolist()) for rec in trace),
+            z=tuple(tuple(rec.z.tolist()) for rec in trace),
         )
         int_val = int_objective(inst, int_sol)
         g_n = solve_int(inst)[0].value
@@ -417,7 +409,7 @@ def verify_instance(
         if stats.b_bar == 0:
             verdicts.append(_unmet("Lemma3ii", "no candidate ever arrives"))
         else:
-            lu_fwd, _ = least_utility(inst, fwd_sol)
+            lu_fwd, _ = least_utility(inst, uc_solutions["uc-forward"])
             a = inst.per_round_capacity
             factor = min(1.0, a / stats.b_bar) / (2.0 * math.sqrt(inst.d))
             verdicts.append(
@@ -442,7 +434,7 @@ def verify_instance(
                 _lower("Lemma4ii", int_val, rhs, max(eps, LP_TOL), detail=instance_id)
             )
 
-        lu_bar, _ = least_utility(inst, uc_solution("uc-myopic")[0])
+        lu_bar, _ = least_utility(inst, uc_solutions["uc-myopic"])
         if stats.frak_b is None:
             verdicts.append(_unmet("Lemma4i", "fluctuation ratio undefined"))
         elif not stats.loosely_capacitated:
@@ -458,7 +450,7 @@ def verify_instance(
                 )
             )
 
-        lu_tilde, _ = least_utility(inst, uc_solution("uc-hybrid")[0])
+        lu_tilde, _ = least_utility(inst, uc_solutions["uc-hybrid"])
         factor = composite_factor(inst, stats)
         if factor is None:
             verdicts.append(
@@ -469,8 +461,8 @@ def verify_instance(
                 _lower("Thm3-composite", lu_tilde, opt * factor, eps, detail=instance_id)
             )
 
-        # Top-up dominance on the same seed.
-        sol_topup, _ = run_policy(inst, "uc-hybrid", seed, topup=True)
+        # Top-up dominance on the same pass.
+        sol_topup = up.policy_solution(uc_pol)
         lu_topup, _ = least_utility(inst, sol_topup)
         ok = validate_feasibility(inst, sol_topup, "per_round_prefix", eps)
         verdicts.append(
@@ -483,127 +475,87 @@ def verify_instance(
         verdicts.append(
             _lower("Topup-dominance", lu_topup, lu_tilde, eps, detail=instance_id)
         )
-    elif uc_requested and not has_a:
-        for name in ("Lemma3i", "Lemma3ii", "Lemma4i", "Lemma4ii", "Thm3-composite", "WF-optimality"):
-            verdicts.append(_unmet(name, "instance carries no a"))
-    elif uc_requested:  # a is given but there are no rounds, so no stats
-        for name in (
-            "Lemma3i",
-            "Lemma3ii",
-            "Lemma4i",
-            "Lemma4ii",
-            "Thm3-composite",
-            "WF-optimality",
-            "INT-achieved-vs-opt",
-            "Topup-dominance",
-        ):
-            verdicts.append(_unmet(name, "instance has no rounds"))
+    elif uc_requested:
+        names = ["Lemma3i", "Lemma3ii", "Lemma4i", "Lemma4ii", "Thm3-composite", "WF-optimality"]
+        reason = "instance carries no a"
+        if has_a:  # a is given but there are no rounds, so no stats
+            names += ["INT-achieved-vs-opt", "Topup-dominance"]
+            reason = "instance has no rounds"
+        verdicts.extend(_unmet(name, reason) for name in names)
 
     return verdicts
 
 
-def _water_fill_checks(inst: Instance, forward: up.ForwardState, instance_id: str):
+def _variant_solutions(pol: up.UnknownPolicy) -> dict[str, FractionalSolution]:
+    """The plain solution of every unknown-capacity policy, keyed by name,
+    read from one pass's trace."""
+    return {f"uc-{variant}": up.variant_solution(pol, variant) for variant in up.VARIANTS}
+
+
+def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance_id: str):
     """Round-by-round comparison of the water-filled value against the
     adjustment LP optimum (dual-route check, 1e-7 tolerance)."""
     a = inst.per_round_capacity
     budget = math.sqrt(inst.d) * a
     u = [0.0] * inst.d
     worst = 0.0
-    for i, rnd in enumerate(inst.rounds):
+    for rnd, rec in zip(inst.rounds, trace):
         counts = rnd.attribute_counts(inst.d)
-        for j, yj in enumerate(forward.y_history[i]):
+        for j, yj in enumerate(rec.y.tolist()):
             if yj:
                 for k in rnd.candidates[j].bits:
                     u[k] += inst.c[k] * yj
         lp_val, _ = solve_adjustment_lp(u, [float(v) for v in counts], budget, list(inst.c))
-        worst = max(worst, abs(lp_val - forward.f_history[i]))
+        worst = max(worst, abs(lp_val - rec.f))
+        z = rec.z.tolist()
         for k in range(inst.d):
-            u[k] += inst.c[k] * forward.z_history[i][k]
-    return [
-        _upper(
-            "WF-optimality",
-            worst,
-            LP_TOL,
-            0.0,
-            detail=f"{instance_id} max |f_i - LP| over {inst.n} rounds",
-        )
-    ]
-
-
-def verify_inequalities(
-    target,
-    policies: Sequence[str],
-    seed: int,
-    eps: float = EPS,
-    d: Optional[int] = None,
-) -> list[VerificationVerdict]:
-    """Dispatch: an Instance gets the per-instance checks, a family name
-    ("fhc"/"fcs", with d) gets the whole-family impossibility checks."""
-    if isinstance(target, Instance):
-        return verify_instance(target, policies, seed, eps)
-    if isinstance(target, str):
-        if d is None:
-            raise ContractError("family verification needs d")
-        return verify_family(target, d, policies, seed, eps)
-    raise ContractError(f"cannot verify {target!r}")
+            u[k] += inst.c[k] * z[k]
+    return _upper(
+        "WF-optimality",
+        worst,
+        LP_TOL,
+        0.0,
+        detail=f"{instance_id} max |f_i - LP| over {inst.n} rounds",
+    )
 
 
 def verify_family(
     family: str, d: int, policies: Sequence[str], seed: int, eps: float = EPS
 ) -> list[VerificationVerdict]:
-    """Family-level impossibility witnesses (need every member)."""
-    verdicts: list[VerificationVerdict] = []
+    """Family-level impossibility witnesses (need every member).  The fhc
+    ratio bound concerns the hybrid policy alone."""
     if family == "fhc":
-        members = gen_fhc(d)
-        opts = [solve_fluid(m).value for m in members]
-        verdicts.append(
-            _lower("FHC-OPT", min(opts), float(d), max(eps, LP_TOL), detail=f"fhc d={d} min over members")
-        )
-        ratios = []
-        for inst, opt in zip(members, opts):
-            sol, _ = run_policy(inst, "uc-hybrid", seed)
+        members, opt_name, opt_floor = gen_fhc(d), "FHC-OPT", float(d)
+        policies, ratio_name, ratio_cap = ["uc-hybrid"], "FHC-2/d", 2.0 / d
+    elif family == "fcs":
+        members, opt_name, opt_floor = gen_fcs(d), "FCS-OPT", d / (8.0 * fcs_kappa(d))
+        ratio_name, ratio_cap = "FCS-512", 512.0 * d ** (-1.0 / 3.0)
+    else:
+        raise ContractError(f"unknown family {family!r}")
+    opts = [solve_fluid(m).value for m in members]
+    verdicts = [
+        _lower(opt_name, min(opts), opt_floor, max(eps, LP_TOL), detail=f"{family} d={d} min over members")
+    ]
+    ratios = {name: [] for name in policies}
+    for inst, opt in zip(members, opts):
+        uc_solutions = {}
+        if any(name.startswith("uc-") for name in policies):
+            uc_solutions = _variant_solutions(run_policy(inst, "uc-hybrid", seed)[1])
+        for name in ratios:
+            sol = uc_solutions[name] if name in uc_solutions else run_policy(inst, name, seed)[0]
             lu, _ = least_utility(inst, sol)
-            ratios.append(1.0 if opt <= EPS else lu / opt)
+            ratios[name].append(1.0 if opt <= EPS else lu / opt)
+    for name in policies:
         verdicts.append(
             _upper(
-                "FHC-2/d",
-                min(ratios),
-                2.0 / d,
+                ratio_name,
+                min(ratios[name]),
+                ratio_cap,
                 eps,
-                detail=f"fhc d={d} family-min ratio of uc-hybrid",
+                detail=f"{family} d={d} family-min ratio of {name}",
             )
         )
-        return verdicts
-    if family == "fcs":
-        members = gen_fcs(d)
-        kappa = fcs_kappa(d)
-        opts = [solve_fluid(m).value for m in members]
-        verdicts.append(
-            _lower(
-                "FCS-OPT",
-                min(opts),
-                d / (8.0 * kappa),
-                max(eps, LP_TOL),
-                detail=f"fcs d={d} min over members",
-            )
-        )
-        for name in policies:
-            ratios = []
-            for inst, opt in zip(members, opts):
-                sol, _ = run_policy(inst, name, seed)
-                lu, _ = least_utility(inst, sol)
-                ratios.append(1.0 if opt <= EPS else lu / opt)
-            verdicts.append(
-                _upper(
-                    "FCS-512",
-                    min(ratios),
-                    512.0 * d ** (-1.0 / 3.0),
-                    eps,
-                    detail=f"fcs d={d} family-min ratio of {name}",
-                )
-            )
-        return verdicts
-    raise ContractError(f"unknown family {family!r}")
+    return verdicts
 
 
 def policy_bound(inst: Instance, policy_name: str, opt: float) -> tuple[str, Optional[float]]:

@@ -5,6 +5,8 @@ a forward-looking pass (core candidates at full tendency, then water-filled
 utility adjustments under a sqrt(d)*a budget, scaled into a feasible
 fraction), and the hybrid average of the two.  An optional second agent tops
 unused capacity back up without ever influencing the first agent's state.
+Every round computes both the myopic and the forward row and keeps them in
+one trace record, so a single pass yields every variant.
 
 The policy reads only (d, c, a); it never sees K, n, or marginal information.
 """
@@ -16,26 +18,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, Round, is_core, max_over_attributes, round_incidence, solution_from_rows
+from .core import (
+    Instance, Round, RoundIncidence, is_core, max_over_attributes, round_incidence, solution_from_rows
+)
 from .errors import ContractError, ShapeError
 
 
-def myopic_round(d: int, c: tuple[float, ...], a: int, rnd: Round) -> list[float]:
+def myopic_round(c: tuple[float, ...], a: int, inc: RoundIncidence) -> np.ndarray:
     """Equal-improvement allocation of the fresh capacity a.
 
     The common utility raise is alpha = min(min_k c_k phi_k, a / sum_k 1/c_k);
     each candidate takes the largest per-dimension share it is needed for.
     A dimension with no arrivals this round forces alpha = 0.
     """
-    if not rnd.candidates:
-        return []
-    inc = round_incidence(rnd, d)
-    if inc.counts.min() == 0:
-        return [0.0] * len(rnd)
+    if not inc.lens.size or inc.counts.min() == 0:
+        return np.zeros(inc.lens.size)
     c_arr = np.asarray(c)
     inv_c_sum = math.fsum(1.0 / ck for ck in c)
     alpha = min(float((c_arr * inc.counts).min()), a / inv_c_sum)
-    return max_over_attributes((alpha / c_arr) / inc.counts, inc).tolist()
+    return max_over_attributes((alpha / c_arr) / inc.counts, inc)
 
 
 def core_set(rnd: Round, d: int) -> list[int]:
@@ -101,9 +102,10 @@ def water_fill(
         return [min(caps[k], max(0.0, (level - u[k]) / c[k])) for k in range(d)]
 
     # Opt-in variant: freeze each capped dimension and keep raising the rest.
+    # A pass that freezes nothing has stopped at the budget, so at most d
+    # passes run.
     frozen: set[int] = set()
-    level = min(u)
-    while True:
+    for _ in range(d):
         active = [k for k in range(d) if k not in frozen]
         if not active:
             break
@@ -115,10 +117,12 @@ def water_fill(
                 z[k] = min(caps[k], (level - u[k]) / c[k])
         if lb <= next_cap + 1e-15 and consumption(level, frozen, z) >= budget - 1e-12:
             break
-        for k in active:
-            if ceilings[k] <= level + 1e-15:
-                frozen.add(k)
-                z[k] = caps[k]
+        capped = [k for k in active if ceilings[k] <= level + 1e-15]
+        if not capped:
+            break
+        for k in capped:
+            frozen.add(k)
+            z[k] = caps[k]
     return z
 
 
@@ -129,16 +133,12 @@ def fill_value(u: list[float], z: list[float], c: list[float]) -> float:
 
 @dataclass
 class ForwardState:
-    """Running accumulators of the forward-looking pass."""
+    """Running utilities u of the forward-looking pass."""
 
     d: int
     c: tuple[float, ...]
     a: int
     u: list[float] = field(default_factory=list)
-    round_index: int = 0
-    y_history: list[tuple[float, ...]] = field(default_factory=list)
-    z_history: list[tuple[float, ...]] = field(default_factory=list)
-    f_history: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.u:
@@ -147,28 +147,27 @@ class ForwardState:
 
 def forward_round(
     state: ForwardState,
-    rnd: Round,
+    inc: RoundIncidence,
     continue_after_cap: bool = False,
-) -> tuple[list[float], list[float], list[float]]:
-    """One round of the forward-looking pass: returns (y_i, z_i, x_i).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """One round of the forward-looking pass: returns (y_i, z_i, x_i, f_i).
 
     Stage 1 marks core candidates (tendency 1) and enters them into the
     accumulated utilities immediately; stage 2 water-fills the adjustments
-    against the current utilities; stage 3 scales both into a fraction that
-    consumes at most a/2 + a/2 of the fresh capacity.  The adjustments enter
-    the accumulators only after the fraction is formed.
+    against the current utilities, reaching the water level f_i; stage 3
+    scales both into a fraction that consumes at most a/2 + a/2 of the fresh
+    capacity.  The adjustments enter the accumulators only after the
+    fraction is formed.
     """
     d, c, a = state.d, state.c, state.a
-    inc = round_incidence(rnd, d)
     core_mask = inc.lens * inc.lens >= d  # popcount^2 >= d, exact in integers
-    y_i = [1.0 if is_core_j else 0.0 for is_core_j in core_mask.tolist()]
-    for j in np.flatnonzero(core_mask).tolist():
-        for k in rnd.candidates[j].bits:
-            state.u[k] += c[k]
+    y_i = core_mask.astype(float)
+    for k in inc.bits[np.repeat(core_mask, inc.lens)].tolist():
+        state.u[k] += c[k]
 
     budget = math.sqrt(d) * a
     z_i = water_fill(state.u, inc.counts.astype(float).tolist(), budget, list(c), continue_after_cap)
-    state.f_history.append(fill_value(state.u, z_i, list(c)))
+    f_i = fill_value(state.u, z_i, list(c))
 
     total_count = len(inc.bits)
     y_scale = min(1.0, a / (total_count / math.sqrt(d))) if total_count > 0 else 0.0
@@ -176,20 +175,26 @@ def forward_round(
     # A dimension without arrivals belongs to no candidate, so its quotient
     # is never read; dividing it by 1 keeps it finite.
     z_part = max_over_attributes(np.asarray(z_i) / np.maximum(inc.counts, 1), inc)
-    x_i = ((np.asarray(y_i) / 2.0) * y_scale + z_part / two_sqrt_d).tolist()
+    x_i = (y_i / 2.0) * y_scale + z_part / two_sqrt_d
 
     for k in range(d):
         state.u[k] += c[k] * z_i[k]
-    state.y_history.append(tuple(y_i))
-    state.z_history.append(tuple(z_i))
-    state.round_index += 1
-    return y_i, z_i, x_i
+    return y_i, np.asarray(z_i), x_i, f_i
 
 
-def hybrid_round(x_bar: list[float], x_hat: list[float]) -> list[float]:
+def hybrid_round(x_bar, x_hat) -> np.ndarray:
     if len(x_bar) != len(x_hat):
         raise ShapeError(f"hybrid inputs differ in length: {len(x_bar)} vs {len(x_hat)}")
-    return [(b + h) / 2.0 for b, h in zip(x_bar, x_hat)]
+    return (np.asarray(x_bar, dtype=float) + np.asarray(x_hat, dtype=float)) / 2.0
+
+
+def _variant_row(variant: str, x_bar: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """One variant's plain (not topped-up) row from the myopic and forward rows."""
+    if variant == "myopic":
+        return x_bar
+    if variant == "forward":
+        return x_hat
+    return hybrid_round(x_bar, x_hat)
 
 
 def _equal_increment_topup(x_i: list[float], budget: float) -> list[float]:
@@ -229,9 +234,26 @@ def leftover_topup(policy: "UnknownPolicy", x_i: list[float]) -> list[float]:
     return _equal_increment_topup(x_i, budget)
 
 
+@dataclass(frozen=True, slots=True)
+class UnknownRound:
+    """One round of the unknown-capacity pass.  The myopic and forward parts
+    never depend on the configured variant or the top-up."""
+
+    x_bar: np.ndarray  # myopic row
+    x_hat: np.ndarray  # forward row
+    y: np.ndarray  # forward core tendencies
+    z: np.ndarray  # forward adjustments, per dimension
+    f: float  # forward water level
+    emitted: np.ndarray  # the returned row: the variant's, topped up when enabled
+
+
+VARIANTS = ("hybrid", "myopic", "forward")
+
+
 @dataclass
 class UnknownPolicy:
-    """Sequential per-round driver for the unknown-capacity scenario."""
+    """Sequential per-round driver for the unknown-capacity scenario; keeps
+    one ``UnknownRound`` per processed round in ``trace``."""
 
     d: int
     c: tuple[float, ...]
@@ -242,33 +264,27 @@ class UnknownPolicy:
     forward: ForwardState = field(init=False)
     emitted_total: float = 0.0
     round_index: int = 0
-    rows: list[list[float]] = field(default_factory=list)
+    trace: list[UnknownRound] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.a < 1:
             raise ContractError("unknown-capacity policies require a >= 1")
-        if self.variant not in ("hybrid", "myopic", "forward"):
+        if self.variant not in VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r}")
         self.forward = ForwardState(d=self.d, c=self.c, a=self.a)
 
-    @property
-    def leftover(self) -> float:
-        return self.round_index * self.a - self.emitted_total
-
     def process_round(self, rnd: Round) -> list[float]:
         self.round_index += 1
-        x_bar = myopic_round(self.d, self.c, self.a, rnd)
-        _, _, x_hat = forward_round(self.forward, rnd, self.continue_after_cap)
-        if self.variant == "myopic":
-            x_i = x_bar
-        elif self.variant == "forward":
-            x_i = x_hat
-        else:
-            x_i = hybrid_round(x_bar, x_hat)
+        inc = round_incidence(rnd, self.d)
+        x_bar = myopic_round(self.c, self.a, inc)
+        y, z, x_hat, f = forward_round(self.forward, inc, self.continue_after_cap)
+        row = _variant_row(self.variant, x_bar, x_hat)
+        x_i = row.tolist()
         if self.topup_enabled:
             x_i = leftover_topup(self, x_i)
+            row = np.array(x_i)
         self.emitted_total += math.fsum(x_i)
-        self.rows.append(x_i)
+        self.trace.append(UnknownRound(x_bar, x_hat, y, z, f, row))
         return x_i
 
 
@@ -295,4 +311,12 @@ def run_unknown_policy(
 
 
 def policy_solution(policy: UnknownPolicy):
-    return solution_from_rows(policy.rows)
+    """The rows the policy emitted."""
+    return solution_from_rows([rec.emitted for rec in policy.trace])
+
+
+def variant_solution(policy: UnknownPolicy, variant: str):
+    """A variant's plain rows (no top-up), read from any pass's trace."""
+    if variant not in VARIANTS:
+        raise ContractError(f"unknown variant {variant!r}")
+    return solution_from_rows([_variant_row(variant, rec.x_bar, rec.x_hat) for rec in policy.trace])

@@ -199,19 +199,19 @@ def test_criterion_5_water_filling_optimality(random_pool):
         reps = [inst for _, inst in random_pool[:4]] + [gen_fcs(8)[0], gen_fcs(27)[1]]
         for inst in reps:
             _, pol = run_policy(inst, "uc-forward", seed=3)
-            state = pol.forward
+            trace = pol.trace
             budget = math.sqrt(inst.d) * inst.per_round_capacity
             u = [0.0] * inst.d
             for i, rnd in enumerate(inst.rounds):
                 counts = rnd.attribute_counts(inst.d)
-                for j, yj in enumerate(state.y_history[i]):
+                for j, yj in enumerate(trace[i].y.tolist()):
                     if yj:
                         for k in rnd.candidates[j].bits:
                             u[k] += inst.c[k] * yj
                 lp_value, _ = solve_adjustment_lp(u, [float(v) for v in counts], budget, list(inst.c))
-                assert abs(state.f_history[i] - lp_value) <= 1e-7
+                assert abs(trace[i].f - lp_value) <= 1e-7
                 for k in range(inst.d):
-                    u[k] += inst.c[k] * state.z_history[i][k]
+                    u[k] += inst.c[k] * trace[i].z[k]
 
 
 def test_criterion_6_impossibility_witnesses():

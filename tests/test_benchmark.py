@@ -270,7 +270,10 @@ class TestIntObjective:
 
         inst = gen_random(d=5, n=5, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=13)
         pol = run_unknown_policy(inst, variant="forward")
-        sol = IntSolution(y=tuple(pol.forward.y_history), z=tuple(pol.forward.z_history))
+        sol = IntSolution(
+            y=tuple(tuple(rec.y.tolist()) for rec in pol.trace),
+            z=tuple(tuple(rec.z.tolist()) for rec in pol.trace),
+        )
         value = int_objective(inst, sol)  # must not raise
         assert value >= 0.0
         g_n, _ = solve_int(inst)

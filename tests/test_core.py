@@ -22,6 +22,7 @@ from divsel.core import (
 from divsel.errors import (
     ContractError,
     DegenerateError,
+    DivselError,
     InvariantError,
     SchemaError,
     ShapeError,
@@ -276,3 +277,49 @@ class TestTypes:
         assert min_count_at_least_sqrt_d(1) == 1
         assert min_count_at_least_sqrt_d(16) == 4
         assert min_count_at_least_sqrt_d(17) == 5
+
+
+# Any JSON value, including huge integers and non-finite floats.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["d", "c", "K", "a", "rounds", "x"]), inner, max_size=6),
+    max_leaves=20,
+)
+small_ints = st.integers(min_value=-2, max_value=4) | json_values
+# Documents close to a valid instance, so the checks past the top level run.
+near_instances = st.fixed_dictionaries(
+    {
+        "d": small_ints,
+        "c": st.lists(st.sampled_from([1.0, 2.0, 1]) | json_values, max_size=4) | json_values,
+        "K": small_ints,
+        "rounds": st.lists(st.lists(st.lists(small_ints, max_size=4), max_size=3), max_size=3) | json_values,
+    },
+    optional={"a": small_ints},
+)
+near_solutions = st.lists(st.lists(st.floats(0.0, 1.0) | json_values, max_size=3), max_size=3)
+
+
+class TestHostileInput:
+    """Whatever the text, parsing ends in a result or a DivselError."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(json_values, near_instances).map(json.dumps) | st.text(max_size=30))
+    def test_parse_instance(self, text):
+        try:
+            parse_instance(text)
+        except DivselError:
+            pass
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.one_of(json_values, near_solutions).map(json.dumps) | st.text(max_size=30))
+    def test_parse_solution(self, text):
+        inst = make_instance(2, [[(0,), (1,)], [(0, 1)]], capacity=2)
+        try:
+            parse_solution(text, inst)
+        except DivselError:
+            pass

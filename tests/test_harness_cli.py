@@ -7,8 +7,8 @@ import pytest
 
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
-from divsel.core import parse_instance, serialize_instance, solution_from_rows
-from divsel import harness
+from divsel.core import parse_instance, round_incidence, serialize_instance, solution_from_rows
+from divsel import harness, unknown_policy
 from divsel.errors import ContractError
 from divsel.generators import gen_fcs, gen_random
 from divsel.harness import (
@@ -30,7 +30,7 @@ class TestEvaluatePolicy:
     def test_myopic_single_round_lu_is_alpha(self):
         inst = make_instance(2, [[(0,), (0,), (1,)]], capacity=2, a=2)
         report, sol = evaluate_policy(inst, "uc-myopic", seed=0)
-        x = myopic_round(inst.d, inst.c, 2, inst.rounds[0])
+        x = myopic_round(inst.c, 2, round_incidence(inst.rounds[0], inst.d)).tolist()
         assert sol.x[0] == tuple(x)
         # LU equals the equal-improvement level alpha_1 = min(1, 2/2) = 1.
         assert report.lu == pytest.approx(1.0)
@@ -143,6 +143,25 @@ class TestVerify:
         unmet = [v for v in verdicts if v.status == "precondition_unmet"]
         assert any(v.name == "Thm3-composite" for v in unmet)
         assert all(v.status != "fail" for v in verdicts)
+
+    def test_one_unknown_capacity_pass(self, monkeypatch):
+        """All unknown-capacity variants and checks read one pass: n forward
+        rounds per instance and per fcs member, not one pass per variant."""
+        calls = []
+        forward_round = unknown_policy.forward_round
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return forward_round(*args, **kwargs)
+
+        monkeypatch.setattr(unknown_policy, "forward_round", counting_forward)
+        inst = gen_random(d=5, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
+        verdicts = verify_instance(inst, POLICY_NAMES, seed=2)
+        assert len(calls) == inst.n
+        assert "Topup-dominance" in {v.name for v in verdicts}
+        calls.clear()
+        verify_family("fcs", 8, POLICY_NAMES, seed=0)
+        assert len(calls) == sum(member.n for member in gen_fcs(8))
 
     def test_family_checks(self):
         fhc = verify_family("fhc", 4, ["uc-hybrid"], seed=0)
@@ -374,6 +393,40 @@ class TestCLI:
         err = capsys.readouterr().err
         assert rc == 3
         assert "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "x_text",
+        ["[[null, 0.5]]", "[[{}, 0.5]]", "[[[0.5], 0.5]]", '[[true, "0.5"]]', '[[0.5, "0.5"]]']
+        + ["[[" + "9" * 400 + ", 0.5]]", "[" * 100_000 + "]" * 100_000],
+        ids=["null", "object", "list", "bool", "string", "overflow-int", "deep"],
+    )
+    def test_mc_rejects_malformed_solution(self, tmp_path, capsys, x_text):
+        inst = make_instance(2, [[(0,), (1,)]], capacity=2)
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(serialize_instance(inst), encoding="utf-8")
+        x_path = tmp_path / "x.json"
+        x_path.write_text(x_text, encoding="utf-8")
+        rc = main(["mc", "--instance", str(inst_path), "--x", str(x_path), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "inst_text",
+        ["[" * 100_000 + "]" * 100_000, '{"d": 1, "c": [' + "9" * 400 + '], "K": 0, "rounds": []}'],
+        ids=["deep", "overflow-weight"],
+    )
+    def test_mc_rejects_malformed_instance(self, tmp_path, capsys, inst_text):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(inst_text, encoding="utf-8")
+        x_path = tmp_path / "x.json"
+        x_path.write_text("[]", encoding="utf-8")
+        rc = main(["mc", "--instance", str(inst_path), "--x", str(x_path), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
     def test_missing_file_is_io_error(self, capsys):

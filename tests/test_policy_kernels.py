@@ -30,6 +30,8 @@ from divsel.unknown_policy import (
     forward_round,
     hybrid_round,
     myopic_round,
+    run_unknown_policy,
+    variant_solution,
     water_fill,
 )
 
@@ -149,6 +151,15 @@ def ref_myopic(d, c, a, rnd):
     return out
 
 
+class RefForward:
+    def __init__(self, d, c, a):
+        self.d, self.c, self.a = d, c, a
+        self.u = [0.0] * d
+        self.y_history = []
+        self.z_history = []
+        self.f_history = []
+
+
 def ref_forward(state, rnd):
     d, c, a = state.d, state.c, state.a
     counts = rnd.attribute_counts(d)
@@ -175,7 +186,6 @@ def ref_forward(state, rnd):
         state.u[k] += c[k] * z_i[k]
     state.y_history.append(tuple(y_i))
     state.z_history.append(tuple(z_i))
-    state.round_index += 1
     return y_i, z_i, x_i
 
 
@@ -251,13 +261,13 @@ def test_fixed_policy_matches_scalar_loops(name):
     for seed in (0, 5):
         policy = run_fixed_policy(inst, seed)
         rows, agents = ref_fixed(inst, seed)
-        assert policy.rows == rows
+        assert [rec.emitted.tolist() for rec in policy.trace] == rows
         assert len(policy.agents) == len(agents)
-        for got, want in zip(policy.agents, agents):
+        for index, (got, want) in enumerate(zip(policy.agents, agents)):
             assert got.gamma == want.gamma
             assert (got.y_used, got.z_used) == (want.y_used, want.z_used)
-            assert [row.tolist() for row in got.rows] == want.rows
-            assert [row.tolist() for row in got.y_rows] == want.y_rows
+            assert [rec.x[index].tolist() for rec in policy.trace] == want.rows
+            assert [rec.y[index].tolist() for rec in policy.trace] == want.y_rows
             assert got.v == want.v
 
 
@@ -273,23 +283,46 @@ def test_zero_agents_emit_zeros():
     inst = make_instance(2, [[(0,), (0,)], [(0,)]], capacity=2)  # phi_1 = 0
     policy = run_fixed_policy(inst, 3)
     assert policy.agents == []
-    assert policy.rows == ref_fixed(inst, 3)[0] == [[0.0, 0.0], [0.0]]
+    assert [rec.emitted.tolist() for rec in policy.trace] == ref_fixed(inst, 3)[0] == [[0.0, 0.0], [0.0]]
 
 
-@pytest.mark.parametrize("name", sorted(n for n, inst in INSTANCES.items() if inst.per_round_capacity))
+UC_INSTANCES = sorted(n for n, inst in INSTANCES.items() if inst.per_round_capacity)
+
+
+@pytest.mark.parametrize("name", UC_INSTANCES)
 def test_unknown_policy_matches_scalar_loops(name):
     inst = INSTANCES[name]
     d, c, a = inst.d, inst.c, inst.per_round_capacity
-    state, ref_state = ForwardState(d=d, c=c, a=a), ForwardState(d=d, c=c, a=a)
+    state, ref_state = ForwardState(d=d, c=c, a=a), RefForward(d, c, a)
     policy = UnknownPolicy(d=d, c=c, a=a, variant="hybrid")
     for rnd in inst.rounds:
+        inc = round_incidence(rnd, d)
         x_bar = ref_myopic(d, c, a, rnd)
-        assert myopic_round(d, c, a, rnd) == x_bar
+        assert myopic_round(c, a, inc).tolist() == x_bar
         _, _, x_hat = ref_forward(ref_state, rnd)
-        assert forward_round(state, rnd) == (list(ref_state.y_history[-1]), list(ref_state.z_history[-1]), x_hat)
-        assert policy.process_round(rnd) == hybrid_round(x_bar, x_hat)
+        y, z, x, f = forward_round(state, inc)
+        assert (y.tolist(), z.tolist(), x.tolist(), f) == (
+            list(ref_state.y_history[-1]),
+            list(ref_state.z_history[-1]),
+            x_hat,
+            ref_state.f_history[-1],
+        )
+        assert policy.process_round(rnd) == hybrid_round(x_bar, x_hat).tolist()
+    assert [tuple(rec.y.tolist()) for rec in policy.trace] == ref_state.y_history
+    assert [tuple(rec.z.tolist()) for rec in policy.trace] == ref_state.z_history
+    assert [rec.f for rec in policy.trace] == ref_state.f_history
     for st in (state, policy.forward):
-        assert st.y_history == ref_state.y_history
-        assert st.z_history == ref_state.z_history
-        assert st.f_history == ref_state.f_history
         assert st.u == ref_state.u
+
+
+@pytest.mark.parametrize("name", UC_INSTANCES)
+def test_one_pass_yields_every_variant(name):
+    """The plain rows in the trace of a top-up pass are the rows of separate
+    passes without top-up: the top-up never feeds back."""
+    inst = INSTANCES[name]
+    one_pass = run_unknown_policy(inst, variant="hybrid", topup=True)
+    for variant in ("myopic", "forward", "hybrid"):
+        separate = run_unknown_policy(inst, variant=variant)
+        assert variant_solution(one_pass, variant).x == tuple(
+            tuple(rec.emitted.tolist()) for rec in separate.trace
+        )
