@@ -26,12 +26,18 @@ from .core import (
     is_core,
     least_utility,
     marginals,
+    round_counts,
     solution_from_rows,
 )
 from .errors import ContractError, InvariantError, SizeError
 
 #: Constraint/value re-validation tolerance for LP results.
 LP_TOL = 1e-7
+
+#: Rows per batched adjustment LP (``solve_adjustment_lps``): 100 rounds at
+#: d = 32.  One HiGHS call per round costs ~2 ms of overhead each; one LP for
+#: a whole 1,000-round horizon adds ~58 MB of solver memory.
+ADJUSTMENT_LP_ROWS = 3300
 
 
 @dataclass(frozen=True)
@@ -62,21 +68,28 @@ def _status_name(status: int) -> str:
     return "unbounded_guard"
 
 
-def _bound_term(bound: np.ndarray, mu: np.ndarray, what: str) -> float:
+def _bound_term(bound: np.ndarray, mu: np.ndarray, what: str) -> np.ndarray:
     finite = np.isfinite(bound)
     if np.abs(mu[~finite]).max(initial=0.0) > LP_TOL:
         raise InvariantError(f"{what}: nonzero multiplier on an infinite bound")
-    return float(bound[finite] @ mu[finite])
+    return np.where(finite, bound, 0.0) * mu
 
 
-def _certify_optimal(res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what: str) -> None:
+def _certify_optimal(
+    res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what: str,
+    block_names: Optional[list[str]] = None,
+) -> None:
     """Dual certificate of an optimal HiGHS result (Huangfu & Hall, Math. Prog.
     Comp. 2018) for min c.x s.t. A_ub x <= b_ub, l <= x <= u.
 
     scipy reports marginals as d fun / d rhs, so dual feasibility means
     lambda <= 0 on the A_ub rows, mu_u <= 0 on upper bounds, mu_l >= 0 on lower
     bounds and c - A_ub^T lambda - mu_u - mu_l = 0; optimality means the dual
-    objective b_ub.lambda + u.mu_u + l.mu_l equals fun.
+    objective b_ub.lambda + u.mu_u + l.mu_l equals c.x.
+
+    With ``block_names`` the LP is that many independent LPs laid out as equal
+    consecutive blocks of rows and of variables, and each block must close its
+    own duality gap, named in the error.
     """
     lam = res.ineqlin.marginals
     mu_u = res.upper.marginals
@@ -88,10 +101,16 @@ def _certify_optimal(res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what
     residual = float(np.abs(reduced).max(initial=0.0))
     if residual > LP_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
         raise InvariantError(f"{what}: reduced costs do not vanish ({residual:.3g})")
-    dual = float(b_ub @ lam) + _bound_term(bounds[:, 1], mu_u, what) + _bound_term(bounds[:, 0], mu_l, what)
-    gap = abs(res.fun - dual)
-    if gap > LP_TOL * (1.0 + abs(res.fun)):
-        raise InvariantError(f"{what}: duality gap {gap:.3g} exceeds tolerance")
+    names = [what] if block_names is None else block_names
+    blocks = len(names)
+    bound_terms = _bound_term(bounds[:, 1], mu_u, what) + _bound_term(bounds[:, 0], mu_l, what)
+    primal = (cost * res.x).reshape(blocks, -1).sum(axis=1)
+    dual = (b_ub * lam).reshape(blocks, -1).sum(axis=1) + bound_terms.reshape(blocks, -1).sum(axis=1)
+    gap = np.abs(primal - dual)
+    tol = LP_TOL * (1.0 + np.abs(primal))
+    worst = int(np.argmax(gap - tol))
+    if gap[worst] > tol[worst]:
+        raise InvariantError(f"{names[worst]}: duality gap {gap[worst]:.3g} exceeds tolerance")
 
 
 def _candidate_types(inst: Instance) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
@@ -170,16 +189,12 @@ def opt_bounds_from_marginals(
     return under, over
 
 
-def _round_and_core_counts(inst: Instance, tau: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-round arrival counts (n x d) and per-dimension arrival counts of
-    core candidates in the first ``tau`` rounds."""
-    d = inst.d
-    lens, bits = flatten_bits([cand.bits for cand in inst.all_candidates()])
-    cand_round = np.repeat(np.arange(inst.n), [len(rnd) for rnd in inst.rounds])
-    bit_round = np.repeat(cand_round, lens)
-    counts = np.bincount(bit_round * d + bits, minlength=inst.n * d).reshape(inst.n, d)
-    in_core = np.repeat(lens * lens >= d, lens) & (bit_round < tau)  # is_core, per bit
-    return counts, np.bincount(bits[in_core], minlength=d).astype(float)
+def _core_counts(inst: Instance, tau: int) -> np.ndarray:
+    """Per-dimension arrival counts of core candidates in the first ``tau``
+    rounds."""
+    core = [cand.bits for rnd in inst.rounds[:tau] for cand in rnd if is_core(cand, inst.d)]
+    _, bits = flatten_bits(core)
+    return np.bincount(bits, minlength=inst.d).astype(float)
 
 
 def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPResult, IntSolution]:
@@ -188,7 +203,8 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
 
     Presolve: the objective is nondecreasing in every y_j and nothing else
     constrains y, so y_j = 1 on all core candidates is optimal; only the z
-    block is handed to the LP.
+    block is handed to the LP.  HiGHS solves it by interior point followed by
+    crossover to a vertex, several times faster than simplex on long horizons.
     """
     if inst.per_round_capacity is None:
         raise ContractError("solve_int requires per-round capacity a")
@@ -200,7 +216,8 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
 
     d = inst.d
     budget = math.sqrt(d) * inst.per_round_capacity
-    counts, core_part = _round_and_core_counts(inst, tau)
+    counts = round_counts(inst)
+    core_part = _core_counts(inst, tau)
     c = np.asarray(inst.c)
 
     # Variables: z_{ik} for i < tau (row-major), then t.
@@ -218,7 +235,7 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
     bounds = np.zeros((n_z + 1, 2))
     bounds[:n_z, 1] = counts[:tau].ravel()
     bounds[-1, 1] = np.inf
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ipm")
     if res.status != 0:
         return (
             LPResult(value=float("nan"), solution=None, status=_status_name(res.status)),
@@ -250,10 +267,10 @@ def int_objective(inst: Instance, sol: IntSolution, eps: float = EPS) -> float:
         raise ContractError("int_objective requires per-round capacity a")
     budget = math.sqrt(inst.d) * a
     acc = [0.0] * inst.d
-    for i, (rnd, y_row, z_row) in enumerate(zip(inst.rounds, sol.y, sol.z)):
+    all_counts = round_counts(inst).tolist()
+    for i, (rnd, y_row, z_row, counts) in enumerate(zip(inst.rounds, sol.y, sol.z, all_counts)):
         if len(y_row) != len(rnd) or len(z_row) != inst.d:
             raise InvariantError(f"round {i}: IntSolution row shape mismatch")
-        counts = rnd.attribute_counts(inst.d)
         for j, (yj, cand) in enumerate(zip(y_row, rnd)):
             if is_core(cand, inst.d):
                 if yj < -eps or yj > 1.0 + eps:
@@ -277,25 +294,66 @@ def solve_adjustment_lp(
     """One-round utility-adjustment LP: max min_k (c_k z_k + u_k) subject to
     sum z <= budget and 0 <= z_k <= caps_k.  Oracle side of the water-filling
     dual-route check."""
-    d = len(u)
-    cost = np.zeros(d + 1)
-    cost[-1] = -1.0
-    a_ub = np.zeros((1 + d, d + 1))
-    b_ub = np.zeros(1 + d)
-    a_ub[0, :d] = 1.0
-    b_ub[0] = budget
-    for k in range(d):
-        a_ub[1 + k, k] = -c[k]
-        a_ub[1 + k, -1] = 1.0
-        b_ub[1 + k] = u[k]
-    bounds = np.zeros((d + 1, 2))
-    bounds[:d, 1] = caps
-    bounds[-1] = (-np.inf, np.inf)
+    values, z = _adjustment_block(np.array([u], dtype=float), np.array([caps], dtype=float), budget, c, None)
+    return float(values[0]), z[0].tolist()
+
+
+def solve_adjustment_lps(
+    u: np.ndarray, caps: np.ndarray, budget: float, c: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The adjustment LP of every round at once: row i of the n x d arrays
+    ``u`` and ``caps`` is round i's input to ``solve_adjustment_lp``.  Returns
+    the n optima and the n x d maximizers.
+
+    Consecutive rounds share one block-diagonal LP of about
+    ``ADJUSTMENT_LP_ROWS`` rows, and each round's optimum is certified on its
+    own.
+    """
+    u = np.asarray(u, dtype=float)
+    caps = np.asarray(caps, dtype=float)
+    n, d = u.shape
+    per_lp = max(1, ADJUSTMENT_LP_ROWS // (d + 1))
+    values, z = np.empty(n), np.empty((n, d))
+    for first in range(0, n, per_lp):
+        block = slice(first, min(first + per_lp, n))
+        values[block], z[block] = _adjustment_block(u[block], caps[block], budget, c, first)
+    return values, z
+
+
+def _adjustment_block(
+    u: np.ndarray, caps: np.ndarray, budget: float, c: list[float], first_round: Optional[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjustment LPs of consecutive rounds as one block-diagonal LP; a round
+    is named in a certificate failure when ``first_round`` is given.
+
+    Per round, variables z_1..z_d, t and rows sum z <= budget,
+    t - c_k z_k <= u_k."""
+    rounds, d = u.shape
+    width = d + 1
+    k = np.arange(d)
+    one_rows = np.concatenate([np.zeros(d, dtype=np.intp), 1 + k, 1 + k])
+    one_cols = np.concatenate([k, k, np.full(d, d)])
+    one_vals = np.concatenate([np.ones(d), -np.asarray(c, dtype=float), np.ones(d)])
+    offset = (np.arange(rounds) * width)[:, None]
+    a_ub = csr_matrix(
+        (np.tile(one_vals, rounds), ((offset + one_rows).ravel(), (offset + one_cols).ravel())),
+        shape=(rounds * width, rounds * width),
+    )
+    b_ub = np.column_stack([np.full(rounds, budget), u]).ravel()
+    cost = np.zeros((rounds, width))
+    cost[:, d] = -1.0
+    cost = cost.ravel()
+    bounds = np.zeros((rounds, width, 2))
+    bounds[:, :d, 1] = caps
+    bounds[:, d] = (-np.inf, np.inf)
+    bounds = bounds.reshape(-1, 2)
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         raise InvariantError(f"adjustment LP unexpectedly {_status_name(res.status)}")
-    _certify_optimal(res, cost, a_ub, b_ub, bounds, "adjustment LP")
-    return float(res.x[-1]), [float(v) for v in res.x[:d]]
+    names = None if first_round is None else [f"adjustment LP, round {first_round + i}" for i in range(rounds)]
+    _certify_optimal(res, cost, a_ub, b_ub, bounds, "adjustment LP", names)
+    x = res.x.reshape(rounds, width)
+    return x[:, d], x[:, :d]
 
 
 def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:

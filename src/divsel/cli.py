@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import core, harness
 from .benchmark import opt_bounds, solve_fluid
-from .errors import DivselError
+from .errors import DivselError, SchemaError
 from .generators import gen_fcs, gen_fhc, gen_random
 from .harness import fmt
 
@@ -29,8 +29,16 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
+def _read_json_text(path: str) -> str:
+    """A JSON document's text; a file that is not UTF-8 is a SchemaError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _load_instance(path: str) -> core.Instance:
-    return core.parse_instance(Path(path).read_text(encoding="utf-8"))
+    return core.parse_instance(_read_json_text(path))
 
 
 def _cmd_gen(args) -> int:
@@ -113,7 +121,7 @@ def _cmd_run(args) -> int:
 def _cmd_mc(args) -> int:
     inst = _load_instance(args.instance)
     if args.x:
-        sol = core.parse_solution(Path(args.x).read_text(encoding="utf-8"), inst)
+        sol = core.parse_solution(_read_json_text(args.x), inst)
     else:
         lp = solve_fluid(inst)
         sol = lp.solution

@@ -387,8 +387,14 @@ def feasibility_report(
     return violations
 
 
-def _round_counts(inst: Instance) -> list[list[int]]:
-    return [rnd.attribute_counts(inst.d) for rnd in inst.rounds]
+def round_counts(inst: Instance) -> np.ndarray:
+    """Per-round arrival counts as one n x d integer matrix: row i is round
+    i's ``attribute_counts``."""
+    lens, bits = flatten_bits([cand.bits for cand in inst.all_candidates()])
+    sizes = np.fromiter(map(len, inst.rounds), dtype=np.intp, count=inst.n)
+    cand_round = np.repeat(np.arange(inst.n), sizes)
+    bit_round = np.repeat(cand_round, lens)
+    return np.bincount(bit_round * inst.d + bits, minlength=inst.n * inst.d).reshape(inst.n, inst.d)
 
 
 def instance_stats(inst: Instance, strict: bool = False) -> InstanceStats:
@@ -403,9 +409,9 @@ def instance_stats(inst: Instance, strict: bool = False) -> InstanceStats:
     if inst.n == 0:
         raise DegenerateError("instance has no rounds")
     a = inst.per_round_capacity
-    counts = _round_counts(inst)
-    b_up = tuple(max(row[k] for row in counts) for k in range(inst.d))
-    b_lo = tuple(min(row[k] for row in counts) for k in range(inst.d))
+    counts = round_counts(inst)
+    b_up = tuple(counts.max(axis=0).tolist())
+    b_lo = tuple(counts.min(axis=0).tolist())
     degenerate = tuple(k for k in range(inst.d) if b_lo[k] == 0)
     if degenerate and strict:
         raise DegenerateError(f"dimensions {list(degenerate)} have a round with no arrivals")

@@ -23,22 +23,24 @@ import numpy as np
 
 from . import fixed_policy as fp
 from . import unknown_policy as up
-from .benchmark import LP_TOL, IntSolution, int_objective, opt_bounds, solve_adjustment_lp, solve_fluid, solve_int
+from .benchmark import LP_TOL, IntSolution, int_objective, opt_bounds, solve_adjustment_lps, solve_fluid, solve_int
 from .core import (
     EPS,
     FractionalSolution,
     Instance,
+    InstanceStats,
     instance_stats,
     least_utility,
+    round_counts,
     validate_feasibility,
 )
 from .errors import ContractError
 from .generators import fcs_kappa, gen_fcs, gen_fhc
-from .rounding import interval_measures
+from .rounding import interval_measures, max_selection_count, offset_selections
 
 POLICY_NAMES = ("fixed", "uc-hybrid", "uc-myopic", "uc-forward")
 
-#: pos-grid resolution for the hard-capacity check.
+#: Resolution of ``grid_capacity_counts``.
 GRID_POINTS = 10_000
 
 
@@ -159,12 +161,8 @@ def grid_capacity_counts(sol: FractionalSolution, grid: int = GRID_POINTS) -> np
     the rounder's covering predicate)."""
     pos = (np.arange(grid) + 0.5) / grid
     counts = np.zeros(grid, dtype=np.int64)
-    s = 0.0
-    for xj in sol.flat():
-        xj = min(max(xj, 0.0), 1.0)
-        if xj > 0.0:
-            counts += np.ceil(s - pos) < s + xj - pos
-        s += xj
+    for _, sel in offset_selections(sol.flat(), pos):
+        counts += sel
     return counts
 
 
@@ -175,20 +173,16 @@ def monte_carlo(
     maximum realized selection count, and per-dimension empirical utilities."""
     rng = np.random.Generator(np.random.PCG64(seed))
     pos = rng.random(trials)
-    x_flat = [min(max(v, 0.0), 1.0) for v in sol.flat()]
+    x_flat = sol.flat()
     freqs = np.zeros(len(x_flat))
     counts = np.zeros(trials, dtype=np.int64)
     dim_utils = np.zeros((inst.d, trials))
-    s = 0.0
     cands = [cand for rnd in inst.rounds for cand in rnd]
-    for j, xj in enumerate(x_flat):
-        if xj > 0.0:
-            sel = np.ceil(s - pos) < s + xj - pos
-            freqs[j] = sel.mean()
-            counts += sel
-            for k in cands[j].bits:
-                dim_utils[k] += inst.c[k] * sel
-        s += xj
+    for j, sel in offset_selections(x_flat, pos):
+        freqs[j] = sel.mean()
+        counts += sel
+        for k in cands[j].bits:
+            dim_utils[k] += inst.c[k] * sel
     return {
         "trials": trials,
         "frequencies": freqs.tolist(),
@@ -227,6 +221,13 @@ def _upper(name: str, lhs: float, rhs: float, eps: float, detail: str = "") -> V
 
 def _unmet(name: str, detail: str) -> VerificationVerdict:
     return VerificationVerdict(name=name, status="precondition_unmet", detail=detail)
+
+
+def _stats_if_defined(inst: Instance) -> Optional[InstanceStats]:
+    """Instance statistics, or None when the instance has no a or no rounds."""
+    if inst.per_round_capacity is None or inst.n == 0:
+        return None
+    return instance_stats(inst)
 
 
 def composite_factor(inst: Instance, stats) -> Optional[float]:
@@ -276,15 +277,14 @@ def marginal_exactness_verdict(
             detail=f"{label} max |measure - x_j| over {len(x_flat)} candidates",
         )
     ]
-    counts = grid_capacity_counts(sol)
-    max_count = int(counts.max()) if counts.size else 0
+    max_count, _ = max_selection_count(x_flat)
     out.append(
         _upper(
             "Prop2-capacity",
             float(max_count),
             float(inst.capacity),
             0.0,
-            detail=f"{label} max |A| over {GRID_POINTS}-point pos grid",
+            detail=f"{label} max |A| exact over all offsets",
         )
     )
     return out
@@ -312,7 +312,7 @@ def verify_instance(
     verdicts.append(_upper("Lemma1-over", opt, over, max(eps, LP_TOL), detail=instance_id))
 
     has_a = inst.per_round_capacity is not None
-    stats = instance_stats(inst) if has_a and inst.n > 0 else None
+    stats = _stats_if_defined(inst)
 
     # Every unknown-capacity variant comes from one hybrid+top-up pass: its
     # myopic and forward rows never see the top-up.
@@ -494,22 +494,24 @@ def _variant_solutions(pol: up.UnknownPolicy) -> dict[str, FractionalSolution]:
 
 def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance_id: str):
     """Round-by-round comparison of the water-filled value against the
-    adjustment LP optimum (dual-route check, 1e-7 tolerance)."""
+    adjustment LP optimum (dual-route check, 1e-7 tolerance).  The utilities
+    are replayed round by round; the LPs are solved in batches."""
     a = inst.per_round_capacity
     budget = math.sqrt(inst.d) * a
     u = [0.0] * inst.d
-    worst = 0.0
-    for rnd, rec in zip(inst.rounds, trace):
-        counts = rnd.attribute_counts(inst.d)
+    u_rows = np.empty((inst.n, inst.d))
+    for i, (rnd, rec) in enumerate(zip(inst.rounds, trace)):
         for j, yj in enumerate(rec.y.tolist()):
             if yj:
                 for k in rnd.candidates[j].bits:
                     u[k] += inst.c[k] * yj
-        lp_val, _ = solve_adjustment_lp(u, [float(v) for v in counts], budget, list(inst.c))
-        worst = max(worst, abs(lp_val - rec.f))
+        u_rows[i] = u
         z = rec.z.tolist()
         for k in range(inst.d):
             u[k] += inst.c[k] * z[k]
+    lp_vals, _ = solve_adjustment_lps(u_rows, round_counts(inst), budget, list(inst.c))
+    f = np.array([rec.f for rec in trace])
+    worst = float(np.abs(lp_vals - f).max(initial=0.0))
     return _upper(
         "WF-optimality",
         worst,
@@ -558,15 +560,17 @@ def verify_family(
     return verdicts
 
 
-def policy_bound(inst: Instance, policy_name: str, opt: float) -> tuple[str, Optional[float]]:
-    """The applicable proven ratio floor for one (instance, policy) row."""
+def policy_bound(
+    inst: Instance, policy_name: str, opt: float, stats: Optional[InstanceStats]
+) -> tuple[str, Optional[float]]:
+    """The applicable proven ratio floor for one (instance, policy) row, given
+    the instance's statistics (None when it has no a or no rounds)."""
     if policy_name == "fixed":
         if opt <= EPS:
             return "none", None
         return "Thm2", thm2_factor(inst.d)
-    if inst.per_round_capacity is None or inst.n == 0:
+    if stats is None:
         return "none", None
-    stats = instance_stats(inst)
     if policy_name == "uc-hybrid":
         factor = composite_factor(inst, stats)
         return ("Thm3-composite", factor) if factor is not None else ("none", None)
@@ -585,11 +589,11 @@ def _fluid_value(inst: Instance) -> float:
 
 
 def _eval_row(args) -> dict:
-    instance_id, inst, policy_name, seed, topup, opt = args
+    instance_id, inst, policy_name, seed, topup, opt, stats = args
     report, _ = evaluate_policy(
         inst, policy_name, seed, instance_id=instance_id, topup=topup, opt_value=opt
     )
-    bound_name, bound_value = policy_bound(inst, policy_name, report.opt)
+    bound_name, bound_value = policy_bound(inst, policy_name, report.opt, stats)
     satisfied = True if bound_value is None else report.ratio >= bound_value - EPS
     return {
         "instance": instance_id,
@@ -634,7 +638,8 @@ def competitive_report(
 ) -> str:
     """Deterministic CSV/JSON report, one row per (instance, policy) in sorted
     order; optionally one family-min impossibility row per policy.  The fluid
-    optimum is solved once per instance and shared by its policy rows."""
+    optimum and the instance statistics are computed once per instance and
+    shared by its policy rows."""
     ordered = sorted(instances, key=lambda p: p[0])
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or processors.
@@ -643,9 +648,10 @@ def competitive_report(
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         opts = list(mapper(_fluid_value, [inst for _, inst in ordered]))
+        stats = [_stats_if_defined(inst) for _, inst in ordered]
         tasks = [
-            (instance_id, inst, policy, seed, topup, opt)
-            for (instance_id, inst), opt in zip(ordered, opts)
+            (instance_id, inst, policy, seed, topup, opt, inst_stats)
+            for (instance_id, inst), opt, inst_stats in zip(ordered, opts, stats)
             for policy in policies
         ]
         rows = list(mapper(_eval_row, tasks))

@@ -2,9 +2,10 @@
 
 A rounder draws a single offset ``pos`` uniformly from [0, 1) and lays the
 incoming fractions end to end on a line.  Candidate j, occupying the interval
-[sum, sum + x_j), is selected iff the interval contains a point l + pos for
-some integer l >= 0.  Selections are irrevocable and the realized count never
-exceeds ceil(sum of x); marginals are exactly x_j over the draw of pos.
+[s_j, s_{j+1}) between consecutive values of a compensated running sum, is
+selected iff the interval contains a point l + pos for some integer l >= 0.
+Selections are irrevocable and the realized count never exceeds ceil(sum of
+x); marginals are exactly x_j over the draw of pos.
 """
 
 from __future__ import annotations
@@ -12,25 +13,37 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
+
+import numpy as np
 
 from .core import EPS, FractionalSolution, Instance
-from .errors import DomainError, FeasibilityError
+from .errors import DomainError, FeasibilityError, InvariantError
 
 
 class _KahanSum:
-    """Compensated accumulator; marginal exactness is this module's contract."""
+    """Compensated running sum whose ``value`` never steps back.
 
-    __slots__ = ("value", "_comp")
+    Marginal exactness is this module's contract, so the sum is compensated;
+    the hard capacity needs candidates' intervals not to overlap, so
+    ``value`` holds the largest sum so far (Kahan's correction can move the
+    sum down by an ulp).
+    """
+
+    __slots__ = ("value", "_sum", "_comp")
 
     def __init__(self) -> None:
         self.value = 0.0
+        self._sum = 0.0
         self._comp = 0.0
 
     def add(self, x: float) -> None:
         y = x - self._comp
-        t = self.value + y
-        self._comp = (t - self.value) - y
-        self.value = t
+        t = self._sum + y
+        self._comp = (t - self._sum) - y
+        self._sum = t
+        if t > self.value:
+            self.value = t
 
 
 @dataclass
@@ -56,27 +69,31 @@ def rounder_at(pos: float) -> RounderState:
     return RounderState(pos=pos)
 
 
-def _covers_point(start: float, x: float, pos: float) -> bool:
-    # Is there an integer l >= 0 with l + pos in [start, start + x)?
-    # start >= 0 and pos < 1 imply ceil(start - pos) >= 0, so the smallest
-    # admissible l is ceil(start - pos); the half-open right end is strict.
-    if x <= 0.0:
-        return False
-    return math.ceil(start - pos) < start + x - pos
+def _covers_point(start: float, end: float, pos: float) -> bool:
+    # Is there an integer l >= 0 with l + pos in [start, end)?  A candidate's
+    # end is the next one's start and ends never decrease, so the picks
+    # telescope to at most ceil(total - pos).  (Testing l + pos < start + x
+    # instead lets two candidates claim the same point when the next start
+    # lies an ulp below fl(start + x).)
+    return math.ceil(end - pos) > math.ceil(start - pos)
 
 
 def process_round(state: RounderState, x_i: list[float]) -> list[int]:
-    """Process one round of fractions; returns selected positions within it."""
+    """Process one round of fractions; returns selected positions within it.
+    A fraction of 0 owns no part of the line and is never selected."""
     for xj in x_i:
         if xj < -EPS or xj > 1.0 + EPS:
             raise DomainError(f"fraction {xj!r} outside [0,1]")
     picked = []
+    acc = state._acc
     for j, xj in enumerate(x_i):
-        xj = min(max(xj, 0.0), 1.0)
-        if _covers_point(state._acc.value, xj, state.pos):
+        if xj <= 0.0:
+            continue
+        start = acc.value
+        acc.add(min(xj, 1.0))
+        if _covers_point(start, acc.value, state.pos):
             picked.append(j)
             state.selected.append((state._round_index, j))
-        state._acc.add(xj)
     state._round_index += 1
     return picked
 
@@ -106,14 +123,14 @@ def selection_intervals(x_flat: list[float]) -> list[list[tuple[float, float]]]:
         xj = min(max(xj, 0.0), 1.0)
         if xj <= 0.0:
             out.append([])
+            continue
+        start = acc.value
+        lo = start - math.floor(start)
+        hi = lo + xj
+        if hi <= 1.0:
+            out.append([(lo, hi)])
         else:
-            start = acc.value
-            lo = start - math.floor(start)
-            hi = lo + xj
-            if hi <= 1.0:
-                out.append([(lo, hi)])
-            else:
-                out.append([(lo, 1.0), (0.0, hi - 1.0)])
+            out.append([(lo, 1.0), (0.0, hi - 1.0)])
         acc.add(xj)
     return out
 
@@ -138,3 +155,123 @@ def count_bounds(x_flat: list[float]) -> tuple[int, int]:
     """The only two counts any offset can realize: floor and ceil of sum(x)."""
     total = math.fsum(min(max(x, 0.0), 1.0) for x in x_flat)
     return math.floor(total), math.ceil(total)
+
+
+def accumulator_path(x_flat: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped fractions and the rounder's line boundaries: candidate j owns
+    [path[j], path[j+1]) (length N + 1, nondecreasing), from the rounder's
+    own additions."""
+    acc = _KahanSum()
+    x = [min(max(v, 0.0), 1.0) for v in x_flat]
+    path = [0.0]
+    for xj in x:
+        if xj > 0.0:
+            acc.add(xj)
+        path.append(acc.value)
+    return np.array(x, dtype=float), np.array(path)
+
+
+def offset_selections(x_flat: list[float], pos: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """The rounder's picks at many offsets at once: ``(j, mask over pos)`` for
+    every candidate with x_j > 0, from the same predicate and boundaries as
+    ``process_round``."""
+    x, path = accumulator_path(x_flat)
+    ends = path[1:].tolist()
+    prev = np.ceil(0.0 - pos)
+    for j, xj in enumerate(x.tolist()):
+        if xj > 0.0:  # a zero fraction leaves the boundary where it is
+            cur = np.ceil(ends[j] - pos)
+            yield j, cur > prev
+            prev = cur
+
+
+#: Bit pattern of 1.0; nonnegative doubles order like their bit patterns, so
+#: [0, _ONE_BITS) enumerates every float offset in [0, 1) in order.
+_ONE_BITS = int(np.float64(1.0).view(np.int64))
+
+
+def _first_offset_at_most(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """For each (v, level): the smallest float pos in [0, 1) with
+    ceil(v - pos) <= level, or 1.0 when there is none.
+
+    fl(v - pos) never increases as pos grows, so the predicate flips at most
+    once; a bisection over bit patterns finds the exact float in at most 62
+    halvings, for all entries at once.
+    """
+    lo = np.zeros(values.shape, dtype=np.int64)
+    hi = np.full(values.shape, _ONE_BITS, dtype=np.int64)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        hit = np.ceil(values - mid.view(np.float64)) <= levels
+        hi = np.where(hit, mid, hi)
+        lo = np.where(hit, lo, np.minimum(mid + 1, hi))
+    return lo.view(np.float64)
+
+
+def _drop_offsets(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where ceil(v - pos) falls as pos sweeps [0, 1), for every accumulator
+    value v: the offsets of its first and second unit drop (1.0 when absent).
+    v - pos spans less than one unit, so even with rounding it drops at most
+    twice."""
+    top = np.ceil(path)
+    bottom = np.ceil(path - np.nextafter(1.0, 0.0))
+    drops = []
+    for step in (1, 2):
+        at = np.ones_like(path)
+        has = top - bottom >= step
+        at[has] = _first_offset_at_most(path[has], top[has] - step)
+        drops.append(at)
+    return drops[0], drops[1]
+
+
+def capacity_sweep(x_flat: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Exact selection count of the rounder at every float offset.
+
+    Returns sorted segment left ends ``offsets`` (the first is 0.0) and
+    ``counts``: the rounder picks exactly ``counts[i]`` candidates at every
+    pos in [offsets[i], offsets[i+1]) (the last segment ends at 1.0).
+
+    Candidate j is picked iff ceil(s_{j+1} - pos) > ceil(s_j - pos), two
+    float expressions that never increase with pos.  So its pick set changes
+    only where one of them drops; those offsets are found exactly, and one
+    sorted sweep over them gives the count on every segment.
+    """
+    x, path = accumulator_path(x_flat)
+    first, second = _drop_offsets(path)
+    top = np.ceil(path)
+    live = np.flatnonzero(x > 0.0)
+    # Per picked-able candidate: the drops of its end (minus) and start (plus).
+    cuts = np.stack([first[live + 1], second[live + 1], first[live], second[live]], axis=1)
+    signs = np.array([-1.0, -1.0, 1.0, 1.0])
+    margin0 = top[live + 1] - top[live]
+
+    def picked(at: np.ndarray) -> np.ndarray:
+        return margin0 + ((at[:, None] >= cuts) * signs).sum(axis=1) > 0
+
+    # Walk each candidate's cuts in order; a change of its pick is an event.
+    # No drop happens at pos = 0 (ceil(v - 0) = ceil(v)), so no event does.
+    ordered = np.sort(cuts, axis=1)
+    before = at_zero = picked(np.zeros(len(live)))
+    event_pos, event_delta = [], []
+    for at in ordered.T:
+        now = picked(at)
+        change = (now != before) & (at < 1.0)
+        event_pos.append(at[change])
+        event_delta.append(now[change].astype(np.int64) - before[change])
+        before = now
+    offsets, inverse = np.unique(np.concatenate(event_pos), return_inverse=True)
+    steps = np.bincount(inverse, weights=np.concatenate(event_delta), minlength=len(offsets))
+    counts = int(at_zero.sum()) + np.concatenate([[0.0], np.cumsum(steps)])
+    return np.concatenate([[0.0], offsets]), counts.astype(np.int64)
+
+
+def max_selection_count(x_flat: list[float]) -> tuple[int, float]:
+    """The largest number of candidates the rounder picks at any offset, and
+    the smallest offset that realizes it, checked by replaying the rounder."""
+    offsets, counts = capacity_sweep(x_flat)
+    best = int(np.argmax(counts))
+    count, pos = int(counts[best]), float(offsets[best])
+    replay = selection_count(x_flat, pos)
+    if replay != count:
+        raise InvariantError(f"capacity sweep reads {count} at pos={pos!r}, the rounder picks {replay}")
+    return count, pos

@@ -13,12 +13,14 @@ from divsel.benchmark import (
     int_objective,
     opt_bounds,
     solve_adjustment_lp,
+    solve_adjustment_lps,
     solve_fluid,
     solve_int,
 )
 from divsel.core import instance_stats, least_utility, marginals
 from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
+from divsel.harness import run_policy
 
 from conftest import make_instance
 
@@ -330,3 +332,55 @@ class TestAdjustmentLP:
         perturbing_linprog(monkeypatch, flip_row_duals)
         with pytest.raises(InvariantError, match="wrong sign"):
             solve_adjustment_lp([0.0, 2.0], [5.0, 5.0], 2.0, [1.0, 1.5])
+
+
+def criterion_5_instances():
+    """The per-round instances of acceptance criterion 5."""
+    pool = []
+    for d in (4, 8):
+        pool.append(gen_random(d=d, n=6, a=1, density=0.3, min_arrivals=1, c_max=2.0, seed=100 + d))
+        a_loose = max(1, math.ceil(2.0 * math.sqrt(d)) + 1)
+        pool.append(gen_random(d=d, n=5, a=a_loose, density=0.4, min_arrivals=1, c_max=1.5, seed=200 + d))
+    return pool + [gen_fcs(8)[0], gen_fcs(27)[1]]
+
+
+def adjustment_inputs(inst):
+    """Every round's adjustment LP input (u, caps) along a uc-forward pass,
+    as n x d arrays, plus the budget and weights."""
+    _, pol = run_policy(inst, "uc-forward", seed=3)
+    u, u_rows = [0.0] * inst.d, []
+    for rnd, rec in zip(inst.rounds, pol.trace):
+        for yj, cand in zip(rec.y.tolist(), rnd):
+            for k in cand.bits:
+                u[k] += inst.c[k] * yj
+        u_rows.append(list(u))
+        for k in range(inst.d):
+            u[k] += inst.c[k] * rec.z[k]
+    caps = [rnd.attribute_counts(inst.d) for rnd in inst.rounds]
+    budget = math.sqrt(inst.d) * inst.per_round_capacity
+    return np.array(u_rows), np.array(caps, dtype=float), budget, list(inst.c)
+
+
+class TestBatchedAdjustmentLP:
+    def test_matches_per_round_lps(self, monkeypatch):
+        for inst in criterion_5_instances():
+            u, caps, budget, c = adjustment_inputs(inst)
+            expected = np.array(
+                [solve_adjustment_lp(list(u_i), list(caps_i), budget, c)[0] for u_i, caps_i in zip(u, caps)]
+            )
+            for per_lp in (1, 2, 4, inst.n):
+                monkeypatch.setattr(benchmark, "ADJUSTMENT_LP_ROWS", per_lp * (inst.d + 1))
+                values, z = solve_adjustment_lps(u, caps, budget, c)
+                assert np.abs(values - expected).max() <= 1e-9
+                assert (z >= -1e-9).all() and (z <= caps + 1e-9).all()
+                assert (z.sum(axis=1) <= budget + 1e-9).all()
+                assert np.abs((np.asarray(c) * z + u).min(axis=1) - values).max() <= 1e-9
+
+    def test_certificate_names_the_round(self, monkeypatch):
+        inst = criterion_5_instances()[0]
+        u, caps, budget, c = adjustment_inputs(inst)
+        # Rounds 0-3 share the first LP; its last variable is round 3's level.
+        monkeypatch.setattr(benchmark, "ADJUSTMENT_LP_ROWS", 4 * (inst.d + 1))
+        perturbing_linprog(monkeypatch, understate_optimum)
+        with pytest.raises(InvariantError, match="adjustment LP, round 3: duality gap"):
+            solve_adjustment_lps(u, caps, budget, c)

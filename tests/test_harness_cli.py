@@ -7,8 +7,8 @@ import pytest
 
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
-from divsel.core import parse_instance, round_incidence, serialize_instance, solution_from_rows
-from divsel import harness, unknown_policy
+from divsel.core import instance_stats, parse_instance, round_incidence, serialize_instance, solution_from_rows
+from divsel import benchmark, harness, unknown_policy
 from divsel.errors import ContractError
 from divsel.generators import gen_fcs, gen_random
 from divsel.harness import (
@@ -163,6 +163,26 @@ class TestVerify:
         verify_family("fcs", 8, POLICY_NAMES, seed=0)
         assert len(calls) == sum(member.n for member in gen_fcs(8))
 
+    @pytest.mark.parametrize("rounds_per_lp", [None, 5])
+    def test_adjustment_lps_are_batched(self, monkeypatch, rounds_per_lp):
+        inst = gen_random(d=5, n=12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
+        if rounds_per_lp is not None:
+            monkeypatch.setattr(benchmark, "ADJUSTMENT_LP_ROWS", rounds_per_lp * (inst.d + 1))
+        per_lp = benchmark.ADJUSTMENT_LP_ROWS // (inst.d + 1)
+        calls = []
+        real = benchmark.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "linprog", counting_linprog)
+        verdicts = verify_instance(inst, POLICY_NAMES, seed=2)
+        assert {v.name: v.status for v in verdicts}["WF-optimality"] == "pass"
+        # The fluid LP, the intermediate LP and the adjustment LPs (n + 2 = 14
+        # calls with one LP per round).
+        assert len(calls) == math.ceil(inst.n / per_lp) + 2
+
     def test_family_checks(self):
         fhc = verify_family("fhc", 4, ["uc-hybrid"], seed=0)
         assert [v.status for v in fhc] == ["pass", "pass"]
@@ -257,9 +277,10 @@ class TestReport:
             ("s1", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=21)),
             ("s2", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=22)),
         ]
-        # Reference: every row solves its own fluid LP (opt=None in the task).
+        # Reference: every row solves its own fluid LP (opt=None in the task)
+        # and gets its own statistics.
         rows = [
-            harness._eval_row((iid, inst, policy, 3, False, None))
+            harness._eval_row((iid, inst, policy, 3, False, None, instance_stats(inst)))
             for iid, inst in instances
             for policy in POLICY_NAMES
         ]
@@ -277,11 +298,21 @@ class TestReport:
             solved.append(inst)
             return solve_fluid(inst)
 
+        stats_of = []
+
+        def counting_stats(inst):
+            stats_of.append(inst)
+            return instance_stats(inst)
+
         monkeypatch.setattr(harness, "solve_fluid", counting_solve)
+        monkeypatch.setattr(harness, "instance_stats", counting_stats)
         for fmt_name in ("csv", "json"):
             solved.clear()
+            stats_of.clear()
             text = competitive_report(instances, POLICY_NAMES, seed=3, fmt_name=fmt_name)
             assert solved == [inst for _, inst in instances]
+            # Once per instance, not once per unknown-capacity row (6 calls).
+            assert stats_of == [inst for _, inst in instances]
             assert text == expected[fmt_name]
 
 
@@ -427,6 +458,22 @@ class TestCLI:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["instance", "x"])
+    def test_non_utf8_input_is_schema_error(self, tmp_path, capsys, bad):
+        paths = {"instance": tmp_path / "inst.json", "x": tmp_path / "x.json"}
+        paths["instance"].write_text(serialize_instance(make_instance(2, [[(0,), (1,)]], capacity=2)))
+        paths["x"].write_text("[[0.5, 0.5]]")
+        paths[bad].write_bytes(b"\xff\xfe" + paths[bad].read_bytes())
+        if bad == "instance":
+            argv = ["offline", "--instance", str(paths["instance"])]
+        else:
+            argv = ["mc", "--instance", str(paths["instance"]), "--x", str(paths["x"]), "--trials", "10"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "not UTF-8" in err
         assert "Traceback" not in err
 
     def test_missing_file_is_io_error(self, capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import numpy as np
@@ -5,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from divsel.benchmark import solve_fluid
 from divsel.core import solution_from_rows
 from divsel.errors import DomainError, FeasibilityError
+from divsel.generators import gen_fcs, gen_fhc, gen_random
+from divsel.harness import GRID_POINTS, grid_capacity_counts, run_policy
 from divsel.rounding import (
+    accumulator_path,
+    capacity_sweep,
     count_bounds,
     interval_measures,
+    max_selection_count,
     new_rounder,
+    offset_selections,
     pos_selects,
     process_round,
     rounder_at,
@@ -18,6 +27,7 @@ from divsel.rounding import (
     selection_count,
     selection_intervals,
 )
+from divsel.unknown_policy import variant_solution
 
 from conftest import make_instance, random_feasible_x
 
@@ -147,3 +157,129 @@ def test_hard_capacity_and_count_property(xs, pos):
     lo, hi = count_bounds(xs)
     count = selection_count(xs, pos)
     assert lo <= count <= hi
+
+
+def picks_row_by_row(sol, pos):
+    """Selections of one rounder fed the solution round by round."""
+    state = rounder_at(pos)
+    for row in sol.x:
+        process_round(state, list(row))
+    return len(state.selected)
+
+
+def segment_points(offsets):
+    """Each sweep segment's left end and a float inside it near the middle."""
+    ends = np.append(offsets[1:], 1.0)
+    mids = offsets + (ends - offsets) / 2
+    return offsets, np.where(mids < ends, mids, offsets)
+
+
+def assert_sweep_matches_rounder(x_flat):
+    offsets, counts = capacity_sweep(x_flat)
+    assert offsets[0] == 0.0 and np.all(np.diff(offsets) > 0) and offsets[-1] < 1.0
+    for lo, mid, count in zip(*segment_points(offsets), counts):
+        assert selection_count(x_flat, float(lo)) == count, lo
+        assert selection_count(x_flat, float(mid)) == count, mid
+    return counts
+
+
+def criterion_1_solutions():
+    """The instances and fractional solutions of acceptance criterion 1."""
+    for i in range(50):
+        d = 2 + (i * 7) % 15
+        inst = gen_random(
+            d=d, n=2 + i % 5, a=2, density=0.35, min_arrivals=2 if i % 3 == 0 else 1,
+            c_max=2.0, seed=1000 + i,
+        )
+        yield inst, random_feasible_x(inst, seed=i)
+
+
+def family_optima(dims):
+    for d in dims:
+        for inst in gen_fhc(d) + gen_fcs(d):
+            yield inst, solve_fluid(inst).solution
+
+
+class TestCapacitySweep:
+    def test_segments_match_rounder(self):
+        for inst, sol in itertools.chain(criterion_1_solutions(), family_optima((8, 27))):
+            x_flat = sol.flat()
+            counts = assert_sweep_matches_rounder(x_flat)
+            assert counts.max() <= math.ceil(accumulator_path(x_flat)[1][-1])
+            assert counts.max() >= grid_capacity_counts(sol, GRID_POINTS).max()
+
+    def test_family_optima_never_exceed_ceil_of_total(self):
+        for inst, sol in family_optima((27, 64)):
+            count, _ = max_selection_count(sol.flat())
+            assert count <= count_bounds(sol.flat())[1] <= inst.capacity
+
+    @pytest.mark.parametrize(
+        "x_flat",
+        [
+            [0.1] * 100,
+            [0.2] * 60 + [0.0, 0.7] * 5,
+            [1.0 / 3.0] * 31,
+            [1.0] * 4000 + [0.3] * 7,  # offsets near 1 round v - pos at large v
+            [],
+            [0.0, 0.0],
+        ],
+    )
+    def test_segments_match_rounder_on_repeated_fractions(self, x_flat):
+        counts = assert_sweep_matches_rounder(x_flat)
+        assert counts.max() <= count_bounds(x_flat)[1]
+
+    def test_maximum_is_realized_at_its_offset(self):
+        x_flat = [0.45, 0.3, 0.9, 0.35, 0.6, 0.25, 0.7]  # total 3.55
+        count, pos = max_selection_count(x_flat)
+        assert count == 4
+        assert selection_count(x_flat, pos) == 4
+        assert all(selection_count(x_flat, (t + 0.5) / 1000) <= 4 for t in range(1000))
+
+
+class TestRounderNeverExceedsCeilOfTotal:
+    """Regression: two candidates used to claim the same point l + pos where
+    the compensated start of the next one lies an ulp below fl(start + x)."""
+
+    def test_fcs_optimum(self):
+        inst = gen_fcs(64)[1]
+        sol = solve_fluid(inst).solution
+        assert sol.total() == 64.0 == inst.capacity
+        assert picks_row_by_row(sol, 0.3025210084033567) == 64  # was 74
+        # The vectorized predicate of the grid and Monte Carlo agrees.
+        pos = np.array([0.3025210084033567])
+        assert sum(int(sel[0]) for _, sel in offset_selections(sol.flat(), pos)) == 64
+
+    def test_zero_fraction_after_a_rounded_up_sum(self):
+        # Kahan's correction on the zero entry moved the running sum an ulp
+        # back, so the next candidate claimed its predecessor's point again:
+        # 13 picks with K = 12.
+        inst, sol = next(itertools.islice(criterion_1_solutions(), 9, None))
+        assert sol.total() == 12.0 == inst.capacity
+        assert selection_count(sol.flat(), 0.6896087692494697) == 12
+
+    def test_tiny_fraction_after_a_rounded_up_sum(self):
+        # 0.1 + 1/3 rounds up; adding 1e-30 applies the correction and moves
+        # the sum an ulp back, below the point the 1/3 candidate claimed.
+        x_flat = [0.1, 1.0 / 3.0, 1e-30, 0.5]
+        assert selection_count(x_flat, 0.4333333333333333) == 1  # was 2
+        assert max_selection_count(x_flat)[0] == 1
+
+    @pytest.fixture(scope="class")
+    def random_verify_instance(self):
+        return gen_random(d=32, n=1000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
+
+    def test_random_instance_optimum(self, random_verify_instance):
+        inst = random_verify_instance
+        sol = solve_fluid(inst).solution
+        assert picks_row_by_row(sol, 0.1886326752825198) == 4000 == inst.capacity  # was 4001
+
+    def test_random_instance_policies(self, random_verify_instance):
+        inst = random_verify_instance
+        _, pol = run_policy(inst, "uc-hybrid", seed=1)
+        solutions = {"fixed": run_policy(inst, "fixed", seed=1)[0]}
+        solutions.update({f"uc-{v}": variant_solution(pol, v) for v in ("hybrid", "myopic", "forward")})
+        # Exact maxima were 245 / 1430 / 1446 / 1415.
+        expected = {"fixed": 239, "uc-hybrid": 1429, "uc-myopic": 1445, "uc-forward": 1414}
+        for name, sol in solutions.items():
+            count, _ = max_selection_count(sol.flat())
+            assert count == count_bounds(sol.flat())[1] == expected[name], name
