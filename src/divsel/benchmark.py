@@ -14,22 +14,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .core import (
     EPS,
     MAX_CANDIDATES,
     FractionalSolution,
     Instance,
-    flatten_bits,
-    is_core,
+    core_mask,
     least_utility,
     marginals,
     round_counts,
-    solution_from_rows,
 )
 from .errors import ContractError, InvariantError, SizeError
+from .rounding import accumulator_path
 
 #: Constraint/value re-validation tolerance for LP results.
 LP_TOL = 1e-7
@@ -38,6 +35,14 @@ LP_TOL = 1e-7
 #: d = 32.  One HiGHS call per round costs ~2 ms of overhead each; one LP for
 #: a whole 1,000-round horizon adds ~58 MB of solver memory.
 ADJUSTMENT_LP_ROWS = 3300
+
+
+def linprog(*args, **kwargs):
+    """scipy's HiGHS ``linprog``; scipy.optimize is imported on the first
+    solve, so the commands and streams that solve no LP never load it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -113,16 +118,53 @@ def _certify_optimal(
         raise InvariantError(f"{names[worst]}: duality gap {gap[worst]:.3g} exceeds tolerance")
 
 
-def _candidate_types(inst: Instance) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
-    """Distinct candidate types in first-arrival order, their multiplicities,
-    and the type id of every candidate in arrival order."""
-    ids: dict[tuple[int, ...], int] = {}
-    type_of = np.fromiter(
-        (ids.setdefault(cand.bits, len(ids)) for cand in inst.all_candidates()),
-        dtype=np.intp,
-        count=inst.total_candidates,
-    )
-    return list(ids), np.bincount(type_of, minlength=len(ids)), type_of
+def _candidate_types(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct candidate types in first-arrival order: the index of each
+    type's first candidate, the types' multiplicities, and the type id of
+    every candidate in arrival order.
+
+    Two candidates have the same type iff their attribute sets are equal, so
+    each candidate is keyed by its attribute set packed into 64-bit words.
+    A candidate's attributes are distinct, so adding their bits is OR-ing
+    them; ``reduceat`` skips candidates without attributes (key 0).
+    """
+    n_cands, words = inst.total_candidates, (inst.d + 63) // 64
+    keys = np.zeros((n_cands, words), dtype=np.uint64)
+    nonempty = inst.cand_lens > 0
+    if inst.bits.size:
+        ones = np.left_shift(np.uint64(1), (inst.bits % 64).astype(np.uint64))
+        word = inst.bits // 64
+        for w in range(words):
+            in_word = np.where(word == w, ones, np.uint64(0))
+            keys[nonempty, w] = np.add.reduceat(in_word, inst.cand_ptr[:-1][nonempty])
+    if words == 1:
+        keys = keys.reshape(-1)
+    else:
+        keys = keys.view(np.dtype((np.void, 8 * words))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # sorted keys -> first-arrival order
+    type_of = np.argsort(order)[inverse.reshape(-1)]
+    return first[order], np.bincount(type_of, minlength=order.size), type_of
+
+
+def _capacity_safe(x: np.ndarray, capacity: int) -> np.ndarray:
+    """``x`` with trailing positive entries lowered until the rounder's final
+    line boundary is at most K, so no offset can pick more than K candidates
+    (the picks telescope to at most the ceiling of that boundary).  An exact
+    sum clearly below K, with room for the rounding of a running sum, skips
+    the replay."""
+    if math.fsum(x.tolist()) <= capacity * (1.0 - 1e-12):
+        return x
+    x = x.copy()
+    for j in np.flatnonzero(x > 0.0)[::-1].tolist():
+        step = accumulator_path(x.tolist())[1][-1] - capacity
+        while step > 0.0 and x[j] > 0.0:
+            x[j] = max(0.0, x[j] - step)
+            excess = accumulator_path(x.tolist())[1][-1] - capacity
+            step = 2.0 * step if excess > 0.0 else 0.0
+        if step <= 0.0:
+            break
+    return x
 
 
 def solve_fluid(inst: Instance) -> LPResult:
@@ -130,18 +172,25 @@ def solve_fluid(inst: Instance) -> LPResult:
 
     Candidates of one type are interchangeable, so the LP runs over distinct
     types with the type's mass bounded by its multiplicity; x* spreads each
-    type's mass evenly over its copies.
+    type's mass evenly over its copies and is then made capacity-safe for the
+    rounder (``_capacity_safe``).
     """
     n_cands = inst.total_candidates
     if n_cands > MAX_CANDIDATES:
         raise SizeError(f"{n_cands} candidates exceeds the LP cap {MAX_CANDIDATES}")
-    types, mult, type_of = _candidate_types(inst)
-    n_types, d = len(types), inst.d
-    lens, bits = flatten_bits(types)
+    first, mult, type_of = _candidate_types(inst)
+    n_types, d = len(first), inst.d
+    # The first candidates of the types, in arrival order, are the type table.
+    is_first = np.zeros(n_cands, dtype=bool)
+    is_first[first] = True
+    lens = inst.cand_lens[first]
+    bits = inst.bits[np.repeat(is_first, inst.cand_lens)]
     if n_cands == 0 or inst.capacity == 0 or np.bincount(bits, minlength=d).min() == 0:
         # Some dimension can never be served: the optimum is 0 (x = 0 allowed).
-        zero = solution_from_rows([[0.0] * len(r) for r in inst.rounds])
+        zero = FractionalSolution(np.zeros(n_cands), inst.round_ptr)
         return LPResult(value=0.0, solution=zero, status="optimal", degenerate_zero=True)
+
+    from scipy.sparse import csr_matrix
 
     # Variables: X_1..X_T (mass per type), t.
     # max t  s.t.  sum X <= K,  t - c_k sum_{types with k} X <= 0,  0 <= X <= mult.
@@ -163,12 +212,8 @@ def solve_fluid(inst: Instance) -> LPResult:
     _certify_optimal(res, cost, a_ub, b_ub, bounds, "fluid LP")
 
     value = float(res.x[-1])
-    flat = (np.clip(res.x[:n_types], 0.0, mult) / mult)[type_of].tolist()
-    rows, col = [], 0
-    for rnd in inst.rounds:
-        rows.append(flat[col : col + len(rnd)])
-        col += len(rnd)
-    sol = solution_from_rows(rows)
+    x = (np.clip(res.x[:n_types], 0.0, mult) / mult)[type_of]
+    sol = FractionalSolution(_capacity_safe(x, inst.capacity), inst.round_ptr)
     lu, _ = least_utility(inst, sol)
     if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
         raise InvariantError("fluid LP solution failed re-validation")
@@ -192,9 +237,10 @@ def opt_bounds_from_marginals(
 def _core_counts(inst: Instance, tau: int) -> np.ndarray:
     """Per-dimension arrival counts of core candidates in the first ``tau``
     rounds."""
-    core = [cand.bits for rnd in inst.rounds[:tau] for cand in rnd if is_core(cand, inst.d)]
-    _, bits = flatten_bits(core)
-    return np.bincount(bits, minlength=inst.d).astype(float)
+    end = inst.cand_ptr[inst.round_ptr[tau]]
+    lens = inst.cand_lens
+    core = np.repeat(core_mask(lens, inst.d), lens)[:end]
+    return np.bincount(inst.bits[:end][core], minlength=inst.d).astype(float)
 
 
 def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPResult, IntSolution]:
@@ -213,6 +259,7 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
         raise InvariantError(f"prefix_rounds must be in [1, {inst.n}]")
     if tau * inst.d > MAX_CANDIDATES * 10:
         raise SizeError(f"{tau * inst.d} z-variables exceeds the LP cap")
+    from scipy.sparse import csr_matrix
 
     d = inst.d
     budget = math.sqrt(d) * inst.per_round_capacity
@@ -244,11 +291,9 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
     _certify_optimal(res, cost, a_ub, b_ub, bounds, "intermediate LP")
 
     value = float(res.x[-1])
-    y_rows = []
-    for i, rnd in enumerate(inst.rounds):
-        y_rows.append(
-            tuple(1.0 if i < tau and is_core(cand, d) else 0.0 for cand in rnd)
-        )
+    y = core_mask(inst.cand_lens, d).astype(float)
+    y[inst.round_ptr[tau] :] = 0.0
+    y_rows = FractionalSolution(y, inst.round_ptr).x
     z_top = np.clip(res.x[:n_z].reshape(tau, d), 0.0, counts[:tau])
     z_rows = [tuple(row) for row in z_top.tolist()] + [(0.0,) * d] * (inst.n - tau)
     sol = IntSolution(y=tuple(y_rows), z=tuple(z_rows))
@@ -265,27 +310,37 @@ def int_objective(inst: Instance, sol: IntSolution, eps: float = EPS) -> float:
     a = inst.per_round_capacity
     if a is None:
         raise ContractError("int_objective requires per-round capacity a")
-    budget = math.sqrt(inst.d) * a
-    acc = [0.0] * inst.d
-    all_counts = round_counts(inst).tolist()
-    for i, (rnd, y_row, z_row, counts) in enumerate(zip(inst.rounds, sol.y, sol.z, all_counts)):
-        if len(y_row) != len(rnd) or len(z_row) != inst.d:
+    n, d = inst.n, inst.d
+    budget = math.sqrt(d) * a
+    all_counts = round_counts(inst)
+    core = core_mask(inst.cand_lens, d).tolist()
+    pos = 0
+    for i, (y_row, z_row, counts, size) in enumerate(
+        zip(sol.y, sol.z, all_counts.tolist(), np.diff(inst.round_ptr).tolist())
+    ):
+        if len(y_row) != size or len(z_row) != d:
             raise InvariantError(f"round {i}: IntSolution row shape mismatch")
-        for j, (yj, cand) in enumerate(zip(y_row, rnd)):
-            if is_core(cand, inst.d):
+        for j, yj in enumerate(y_row):
+            if core[pos + j]:
                 if yj < -eps or yj > 1.0 + eps:
                     raise InvariantError(f"y[{i}][{j}]={yj!r} outside [0,1]")
             elif abs(yj) > eps:
                 raise InvariantError(f"y[{i}][{j}] nonzero on a regular candidate")
-            for k in cand.bits:
-                acc[k] += yj
+        pos += size
         if math.fsum(z_row) > budget + eps:
             raise InvariantError(f"round {i}: sum_k z exceeds sqrt(d)*a")
         for k, zik in enumerate(z_row):
             if zik < -eps or zik > counts[k] + eps:
                 raise InvariantError(f"z[{i}][{k}]={zik!r} outside [0, phi_k(R_i)]")
-            acc[k] += zik
-    return min(inst.c[k] * acc[k] for k in range(inst.d))
+    # Per dimension, round i adds its candidates' y (arrival order) and then
+    # z_ik; a stable sort on (round, y before z) gives bincount that order.
+    y = np.repeat(np.array([v for row in sol.y for v in row], dtype=float), inst.cand_lens)
+    bit_round = np.repeat(np.arange(n), np.diff(inst.cand_ptr[inst.round_ptr]))
+    order = np.argsort(np.concatenate([2 * bit_round, 2 * np.repeat(np.arange(n), d) + 1]), kind="stable")
+    dims = np.concatenate([inst.bits, np.tile(np.arange(d), n)])[order]
+    terms = np.concatenate([y, np.array(sol.z, dtype=float).reshape(-1)])[order]
+    acc = np.bincount(dims, weights=terms, minlength=d).tolist()
+    return min(inst.c[k] * acc[k] for k in range(d))
 
 
 def solve_adjustment_lp(
@@ -328,6 +383,8 @@ def _adjustment_block(
 
     Per round, variables z_1..z_d, t and rows sum z <= budget,
     t - c_k z_k <= u_k."""
+    from scipy.sparse import csr_matrix
+
     rounds, d = u.shape
     width = d + 1
     k = np.arange(d)
@@ -425,7 +482,3 @@ def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:
     dfs(0, budget_units, [0] * inst.d)
     return best
 
-
-def enumerate_g(inst: Instance) -> list[float]:
-    """g(tau) for tau = 1..n; used by monotonicity and prefix checks."""
-    return [solve_int(inst, tau)[0].value for tau in range(1, inst.n + 1)]

@@ -9,6 +9,7 @@ Exit codes: 0 success / all checks pass, 2 some verification check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from .benchmark import opt_bounds, solve_fluid
 from .errors import DivselError, SchemaError
 from .generators import gen_fcs, gen_fhc, gen_random
 from .harness import fmt
+from .rounding import max_selection_count
 
 POLICIES = list(harness.POLICY_NAMES)
 
@@ -80,7 +82,8 @@ def _cmd_offline(args) -> int:
     }
     print(json.dumps(payload, indent=2))
     if args.emit_x and lp.solution is not None:
-        Path(args.emit_x).write_text(core.serialize_solution(lp.solution), encoding="utf-8")
+        # Every digit, so the file holds exactly the capacity-safe x*.
+        Path(args.emit_x).write_text(core.serialize_solution(lp.solution, digits=17), encoding="utf-8")
     return 0
 
 
@@ -133,11 +136,13 @@ def _cmd_mc(args) -> int:
         dev = abs(freq - xj)
         bound = harness._se_bound(xj, args.trials)
         worst = max(worst, dev - bound)
+    max_exact, _ = max_selection_count(flat)
     payload = {
         "trials": result["trials"],
         "max_selected": result["max_selected"],
+        "max_selected_exact": max_exact,
         "K": inst.capacity,
-        "capacity_respected": result["max_selected"] <= inst.capacity,
+        "capacity_respected": max_exact <= inst.capacity,
         "worst_marginal_excess_over_5se": float(fmt(worst)),
         "dimension_utilities": [float(fmt(u)) for u in result["dimension_utilities"]],
     }
@@ -170,10 +175,12 @@ def _cmd_verify(args) -> int:
                 inst, args.policy, args.seed, args.epsilon, instance_id=Path(path).stem
             )
         )
-    failed = False
+    failed = any(v.status == "fail" for v in verdicts)
+    if args.format == "json":
+        print(json.dumps([dataclasses.asdict(v) for v in verdicts], indent=2))
+        return 2 if failed else 0
     for verdict in verdicts:
         print(verdict.line())
-        failed = failed or verdict.status == "fail"
     counts = {
         "pass": sum(v.status == "pass" for v in verdicts),
         "fail": sum(v.status == "fail" for v in verdicts),

@@ -1,16 +1,22 @@
 """Domain types, instance (de)serialization, utility evaluation, and diagnostics.
 
-All types are immutable after construction and the operations are pure
-functions, so instances can be evaluated in parallel without shared state.
+An instance is held once, as compressed sparse rows (CSR): ``round_ptr``
+marks where each round's candidates start, ``cand_ptr`` where each
+candidate's attributes start, and ``bits`` holds every attribute in one int32
+array.  Every layer reads these arrays; ``Round`` and ``AttributeVector`` are
+thin views for callers that want objects.  All types are immutable after
+construction and the operations are pure functions, so instances can be
+evaluated in parallel without shared state.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -46,25 +52,81 @@ class AttributeVector:
         return k in self.bits
 
 
-@dataclass(frozen=True)
-class Round:
-    """One arrival batch; candidate order is the arrival/serialization order."""
+def _vector(bits: tuple[int, ...]) -> AttributeVector:
+    """An AttributeVector of bits an instance has already validated."""
+    vec = object.__new__(AttributeVector)
+    object.__setattr__(vec, "bits", bits)
+    return vec
 
-    candidates: tuple[AttributeVector, ...]
+
+def _offsets(sizes) -> np.ndarray:
+    """CSR pointer of consecutive blocks of the given sizes (length + 1)."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=ptr[1:])
+    return ptr
+
+
+def _pack(bit_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR form of a list of integer sequences: the pointer and the
+    concatenated entries, both int64."""
+    ptr = _offsets(np.fromiter(map(len, bit_lists), dtype=np.int64, count=len(bit_lists)))
+    return ptr, np.fromiter(chain.from_iterable(bit_lists), dtype=np.int64, count=int(ptr[-1]))
+
+
+def _split(flat: list, ptr: np.ndarray) -> list[list]:
+    """``flat`` cut at the offsets of a CSR pointer (relative to its start)."""
+    offsets = (ptr - ptr[0]).tolist()
+    return [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
+class Round:
+    """One arrival batch; candidate order is the arrival/serialization order.
+
+    A view of CSR arrays: candidate j holds ``bits[ptr[j]:ptr[j+1]]``.  Built
+    from ``AttributeVector`` candidates it packs arrays of its own; taken from
+    ``Instance.rounds`` it shares the instance's arrays.
+    """
+
+    __slots__ = ("_ptr", "_bits")
+
+    def __init__(self, candidates: Iterable[AttributeVector] = ()) -> None:
+        self._ptr, self._bits = _pack([cand.bits for cand in candidates])
+
+    @classmethod
+    def _view(cls, ptr: np.ndarray, bits: np.ndarray) -> Round:
+        rnd = cls.__new__(cls)
+        rnd._ptr, rnd._bits = ptr, bits
+        return rnd
+
+    def _flat_bits(self) -> np.ndarray:
+        return self._bits[self._ptr[0] : self._ptr[-1]]
+
+    def bit_lists(self) -> list[list[int]]:
+        """Each candidate's attributes as a list of ints, in arrival order."""
+        return _split(self._flat_bits().tolist(), self._ptr)
+
+    @property
+    def candidates(self) -> tuple[AttributeVector, ...]:
+        return tuple(_vector(tuple(bits)) for bits in self.bit_lists())
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self._ptr) - 1
 
     def __iter__(self) -> Iterator[AttributeVector]:
         return iter(self.candidates)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Round):
+            return NotImplemented
+        return self.bit_lists() == other.bit_lists()
+
+    def __repr__(self) -> str:
+        return f"Round({self.bit_lists()!r})"
+
     def attribute_counts(self, d: int) -> list[int]:
         """Per-dimension arrival counts of this batch."""
-        counts = [0] * d
-        for cand in self.candidates:
-            for k in cand.bits:
-                counts[k] += 1
-        return counts
+        return np.bincount(self._flat_bits(), minlength=d).tolist()
 
 
 @dataclass(frozen=True)
@@ -74,8 +136,9 @@ class RoundIncidence:
     candidate's attribute count and offset into ``bits`` (``lens``,
     ``starts``).
 
-    Built on demand by ``round_incidence`` and never stored on a ``Round``,
-    so a streamed horizon keeps no per-round arrays alive.
+    Built on demand by ``round_incidence`` from slices of the instance's
+    arrays and never stored, so a streamed horizon keeps no per-round arrays
+    alive.
     """
 
     counts: np.ndarray
@@ -84,20 +147,15 @@ class RoundIncidence:
     starts: np.ndarray
 
 
-def flatten_bits(bit_tuples: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths of the tuples and their concatenated entries, as index arrays."""
-    lens = np.fromiter(map(len, bit_tuples), dtype=np.intp, count=len(bit_tuples))
-    return lens, np.fromiter(chain.from_iterable(bit_tuples), dtype=np.intp, count=int(lens.sum()))
-
-
 def round_incidence(rnd: Round, d: int) -> RoundIncidence:
     """Index arrays of one round over ``d`` dimensions."""
-    lens, bits = flatten_bits([cand.bits for cand in rnd.candidates])
+    ptr = rnd._ptr
+    bits = rnd._flat_bits()
     return RoundIncidence(
         counts=np.bincount(bits, minlength=d),
         bits=bits,
-        lens=lens,
-        starts=np.cumsum(lens) - lens,
+        lens=ptr[1:] - ptr[:-1],
+        starts=ptr[:-1] - ptr[0],
     )
 
 
@@ -117,65 +175,230 @@ def max_over_attributes(values, inc: RoundIncidence) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Instance:
-    """Full problem data for one selection instance.
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
-    ``capacity`` is the total number of slots.  ``per_round_capacity`` is
-    present only for instances meant for the unknown-capacity scenario and
-    must then satisfy ``capacity == n * per_round_capacity`` exactly.
+
+class _Rounds(Sequence):
+    """An instance's rounds as ``Round`` views, each built when accessed."""
+
+    __slots__ = ("_inst",)
+
+    def __init__(self, inst: Instance) -> None:
+        self._inst = inst
+
+    def __len__(self) -> int:
+        return self._inst.n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = i + n if i < 0 else i
+        if not 0 <= i < n:
+            raise IndexError("round index out of range")
+        inst = self._inst
+        lo, hi = inst.round_ptr[i : i + 2].tolist()
+        return Round._view(inst.cand_ptr[lo : hi + 1], inst.bits)
+
+    def __iter__(self) -> Iterator[Round]:
+        inst = self._inst
+        ptr = inst.round_ptr.tolist()
+        for lo, hi in zip(ptr, ptr[1:]):
+            yield Round._view(inst.cand_ptr[lo : hi + 1], inst.bits)
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Instance:
+    """Full problem data for one selection instance, as CSR arrays.
+
+    Round i holds candidates ``round_ptr[i]:round_ptr[i+1]`` (arrival order)
+    and candidate j the attributes ``bits[cand_ptr[j]:cand_ptr[j+1]]``,
+    strictly increasing.  ``capacity`` is the total number of slots.
+    ``per_round_capacity`` is present only for instances meant for the
+    unknown-capacity scenario and must then satisfy
+    ``capacity == n * per_round_capacity`` exactly.
+
+    ``Instance(d, c, capacity, rounds, per_round_capacity)`` packs ``Round``s
+    (or sequences of ``AttributeVector``s); ``from_bit_lists`` and
+    ``from_arrays`` build the arrays without per-candidate objects.
     """
 
     d: int
     c: tuple[float, ...]
     capacity: int
-    rounds: tuple[Round, ...]
+    round_ptr: np.ndarray
+    cand_ptr: np.ndarray
+    bits: np.ndarray
     per_round_capacity: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __init__(
+        self,
+        d: int,
+        c: Sequence[float],
+        capacity: int,
+        rounds: Iterable = (),
+        per_round_capacity: Optional[int] = None,
+    ) -> None:
+        rounds = [rnd if isinstance(rnd, Round) else Round(rnd) for rnd in rounds]
+        empty = [np.zeros(0, dtype=np.int64)]
+        round_ptr = _offsets([len(rnd) for rnd in rounds])
+        cand_ptr = _offsets(np.concatenate([np.diff(rnd._ptr) for rnd in rounds] + empty))
+        bits = np.concatenate([rnd._flat_bits() for rnd in rounds] + empty)
+        self._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        d: int,
+        c: Sequence[float],
+        capacity: int,
+        round_ptr,
+        cand_ptr,
+        bits,
+        per_round_capacity: Optional[int] = None,
+    ) -> Instance:
+        inst = cls.__new__(cls)
+        inst._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits)
+        return inst
+
+    @classmethod
+    def from_bit_lists(
+        cls,
+        d: int,
+        c: Sequence[float],
+        capacity: int,
+        rounds: Sequence[Sequence[Sequence[int]]],
+        per_round_capacity: Optional[int] = None,
+    ) -> Instance:
+        """Instance from rounds given as lists of attribute-index sequences."""
+        round_ptr = _offsets([len(rnd) for rnd in rounds])
+        cand_ptr, bits = _pack(list(chain.from_iterable(rounds)))
+        return cls.from_arrays(d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity)
+
+    def _set(self, d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits) -> None:
+        """Validate the fields and store them, the arrays read-only."""
+        round_ptr = np.asarray(round_ptr, dtype=np.int64)
+        cand_ptr = np.asarray(cand_ptr, dtype=np.int64)
+        bits = np.asarray(bits, dtype=np.int64)
+        if not (
+            round_ptr.ndim == cand_ptr.ndim == bits.ndim == 1
+            and round_ptr.size >= 1 and round_ptr[0] == 0 and round_ptr[-1] == cand_ptr.size - 1
+            and cand_ptr[0] == 0 and cand_ptr[-1] == bits.size
+            and (np.diff(round_ptr) >= 0).all() and (np.diff(cand_ptr) >= 0).all()
+        ):
+            raise InvariantError("round_ptr, cand_ptr and bits do not form CSR arrays")
+        # Consecutive entries of one candidate must increase; the pairs that
+        # straddle a candidate boundary are exempt.
+        within = np.ones(max(bits.size - 1, 0), dtype=bool)
+        starts = cand_ptr[(cand_ptr > 0) & (cand_ptr < bits.size)]
+        within[starts - 1] = False
+        if (np.diff(bits)[within] <= 0).any():
+            raise InvariantError("bits must be strictly increasing")
+        if bits.size and bits.min() < 0:
+            raise InvariantError("bits must be nonnegative")
+        c = tuple(c)
+        if d < 1:
             raise InvariantError("d must be a positive integer")
-        if len(self.c) != self.d:
+        if len(c) != d:
             raise InvariantError("c must have length d")
-        if not all(math.isfinite(ck) for ck in self.c):
+        if not all(math.isfinite(ck) for ck in c):
             raise InvariantError("c entries must be finite")
-        if any(ck <= 0 for ck in self.c):
+        if any(ck <= 0 for ck in c):
             raise InvariantError("c entries must be positive")
-        if abs(min(self.c) - 1.0) > EPS:
+        if abs(min(c) - 1.0) > EPS:
             raise InvariantError("min c must equal 1")
-        if self.capacity < 0:
+        if capacity < 0:
             raise InvariantError("K must be nonnegative")
-        if self.per_round_capacity is not None:
-            if self.per_round_capacity < 1:
+        if per_round_capacity is not None:
+            if per_round_capacity < 1:
                 raise InvariantError("a must be a positive integer")
-            if self.capacity != len(self.rounds) * self.per_round_capacity:
+            if capacity != (round_ptr.size - 1) * per_round_capacity:
                 raise InvariantError("K != n*a")
-        for rnd in self.rounds:
-            for cand in rnd:
-                if cand.bits and cand.bits[-1] >= self.d:
-                    raise InvariantError("candidate attribute index must be < d")
+        if bits.size and bits.max() >= d:
+            raise InvariantError("candidate attribute index must be < d")
+        for name, value in (
+            ("d", d),
+            ("c", c),
+            ("capacity", capacity),
+            ("per_round_capacity", per_round_capacity),
+            ("round_ptr", _frozen(round_ptr, np.int64)),
+            ("cand_ptr", _frozen(cand_ptr, np.int64)),
+            ("bits", _frozen(bits, np.int32)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (self.d, self.c, self.capacity, self.per_round_capacity) == (
+            other.d, other.c, other.capacity, other.per_round_capacity
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("round_ptr", "cand_ptr", "bits")
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Instance(d={self.d}, n={self.n}, candidates={self.total_candidates}, "
+            f"capacity={self.capacity}, per_round_capacity={self.per_round_capacity})"
+        )
+
+    @property
+    def rounds(self) -> _Rounds:
+        return _Rounds(self)
 
     @property
     def n(self) -> int:
-        return len(self.rounds)
+        return self.round_ptr.size - 1
 
     @property
     def total_candidates(self) -> int:
-        return sum(len(r) for r in self.rounds)
+        return self.cand_ptr.size - 1
+
+    @property
+    def cand_lens(self) -> np.ndarray:
+        """Attribute count of every candidate, in arrival order."""
+        return np.diff(self.cand_ptr)
 
     def all_candidates(self) -> Iterator[AttributeVector]:
-        for rnd in self.rounds:
-            yield from rnd
+        for bits in _split(self.bits.tolist(), self.cand_ptr):
+            yield _vector(tuple(bits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSolution:
-    """Per-(round, candidate-position) ex-ante selection probabilities."""
+    """Per-(round, candidate-position) ex-ante selection probabilities: one
+    float64 entry per candidate in arrival order (``values``), cut into
+    rounds by ``round_ptr``.  ``x`` gives the rows as tuples."""
 
-    x: tuple[tuple[float, ...], ...]
+    values: np.ndarray
+    round_ptr: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = _frozen(self.values, float)
+        round_ptr = _frozen(self.round_ptr, np.int64)
+        if not (
+            values.ndim == round_ptr.ndim == 1 and round_ptr.size >= 1
+            and round_ptr[0] == 0 and round_ptr[-1] == values.size and (np.diff(round_ptr) >= 0).all()
+        ):
+            raise ShapeError("round_ptr does not cut values into rounds")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "round_ptr", round_ptr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FractionalSolution):
+            return NotImplemented
+        return np.array_equal(self.round_ptr, other.round_ptr) and np.array_equal(self.values, other.values)
+
+    @property
+    def x(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(tuple, _split(self.flat(), self.round_ptr)))
 
     def flat(self) -> list[float]:
-        return [v for row in self.x for v in row]
+        return self.values.tolist()
 
     def total(self) -> float:
         return math.fsum(self.flat())
@@ -208,11 +431,13 @@ class InstanceStats:
 
 
 def _check_shape(inst: Instance, sol: FractionalSolution) -> None:
-    if len(sol.x) != inst.n:
-        raise ShapeError(f"solution has {len(sol.x)} rounds, instance has {inst.n}")
-    for i, (row, rnd) in enumerate(zip(sol.x, inst.rounds)):
-        if len(row) != len(rnd):
-            raise ShapeError(f"round {i}: {len(row)} entries for {len(rnd)} candidates")
+    if np.array_equal(sol.round_ptr, inst.round_ptr):
+        return
+    if sol.round_ptr.size != inst.round_ptr.size:
+        raise ShapeError(f"solution has {sol.round_ptr.size - 1} rounds, instance has {inst.n}")
+    got, want = np.diff(sol.round_ptr), np.diff(inst.round_ptr)
+    i = int(np.flatnonzero(got != want)[0])
+    raise ShapeError(f"round {i}: {got[i]} entries for {want[i]} candidates")
 
 
 def _load_json(text: str):
@@ -237,6 +462,22 @@ def _numbers(values, message: str) -> tuple[float, ...]:
         return tuple(float(v) for v in values)
     except OverflowError as exc:
         raise SchemaError(f"{message}: {exc}") from exc
+
+
+def _check_candidate_lists(raw_rounds: list) -> None:
+    """Every round a list of candidates and every candidate a list of
+    integers (booleans excluded), else a SchemaError naming the first
+    offender; set comprehensions over the types keep the common case fast."""
+    if {type(raw_round) for raw_round in raw_rounds} <= {list}:
+        cands = list(chain.from_iterable(raw_rounds))
+        if {type(cand) for cand in cands} <= {list} and set(map(type, chain.from_iterable(cands))) <= {int}:
+            return
+    for i, raw_round in enumerate(raw_rounds):
+        if not isinstance(raw_round, list):
+            raise SchemaError(f"round {i} must be a list of candidates")
+        for j, raw_cand in enumerate(raw_round):
+            if not isinstance(raw_cand, list) or not all(type(b) is int for b in raw_cand):
+                raise SchemaError(f"round {i} candidate {j} must be a list of integers")
 
 
 def parse_instance(text: str) -> Instance:
@@ -265,25 +506,15 @@ def parse_instance(text: str) -> Instance:
     raw_rounds = doc["rounds"]
     if not isinstance(raw_rounds, list):
         raise SchemaError("rounds must be a list")
-    rounds = []
-    for i, raw_round in enumerate(raw_rounds):
-        if not isinstance(raw_round, list):
-            raise SchemaError(f"round {i} must be a list of candidates")
-        cands = []
-        for j, raw_cand in enumerate(raw_round):
-            if not isinstance(raw_cand, list) or not all(
-                isinstance(b, int) and not isinstance(b, bool) for b in raw_cand
-            ):
-                raise SchemaError(f"round {i} candidate {j} must be a list of integers")
-            cands.append(AttributeVector(tuple(raw_cand)))
-        rounds.append(Round(tuple(cands)))
-    return Instance(
-        d=d,
-        c=c,
-        capacity=cap,
-        rounds=tuple(rounds),
-        per_round_capacity=a,
-    )
+    _check_candidate_lists(raw_rounds)
+    try:
+        return Instance.from_bit_lists(d, c, cap, raw_rounds, a)
+    except OverflowError:
+        # An attribute index beyond int64: the per-candidate checks still
+        # come first, and no instance has that many dimensions.
+        for cand in chain.from_iterable(raw_rounds):
+            AttributeVector(tuple(cand))
+        raise InvariantError("candidate attribute index must be < d") from None
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -293,7 +524,7 @@ def serialize_instance(inst: Instance) -> str:
         "c": list(inst.c),
         "K": inst.capacity,
         "a": inst.per_round_capacity,
-        "rounds": [[list(cand.bits) for cand in rnd] for rnd in inst.rounds],
+        "rounds": _split(_split(inst.bits.tolist(), inst.cand_ptr), inst.round_ptr),
     }
     return json.dumps(doc)
 
@@ -303,40 +534,33 @@ def parse_solution(text: str, inst: Instance) -> FractionalSolution:
     doc = _load_json(text)
     if not isinstance(doc, list) or not all(isinstance(row, list) for row in doc):
         raise SchemaError("solution must be a list of per-round lists")
-    sol = FractionalSolution(tuple(_numbers(row, "solution entries must be numbers") for row in doc))
-    if not all(math.isfinite(v) for row in sol.x for v in row):
+    sol = solution_from_rows([_numbers(row, "solution entries must be numbers") for row in doc])
+    if not np.isfinite(sol.values).all():
         raise SchemaError("solution entries must be finite")
     _check_shape(inst, sol)
     return sol
 
 
 def serialize_solution(sol: FractionalSolution, digits: int = 12) -> str:
-    return json.dumps([[float(f"{v:.{digits}g}") for v in row] for row in sol.x])
+    flat = [float(f"{v:.{digits}g}") for v in sol.flat()]
+    return json.dumps(_split(flat, sol.round_ptr))
 
 
 def marginals(inst: Instance) -> list[int]:
     """Per-dimension counts of arriving candidates over the whole horizon."""
-    counts = [0] * inst.d
-    for cand in inst.all_candidates():
-        for k in cand.bits:
-            counts[k] += 1
-    return counts
+    return np.bincount(inst.bits, minlength=inst.d).tolist()
 
 
 def least_utility(inst: Instance, sol: FractionalSolution) -> tuple[float, UtilityVector]:
     """Least utility across dimensions plus the full per-dimension utilities.
 
-    u_k = c_k * sum_j x_j t_jk, lu = min_k u_k.
+    u_k = c_k * sum_j x_j t_jk, lu = min_k u_k.  ``bincount`` adds each
+    dimension's terms one by one in arrival order, as a loop over the
+    candidates would.
     """
     _check_shape(inst, sol)
-    acc = [0.0] * inst.d
-    for row, rnd in zip(sol.x, inst.rounds):
-        for xj, cand in zip(row, rnd):
-            if xj == 0.0:
-                continue
-            for k in cand.bits:
-                acc[k] += xj
-    u = [inst.c[k] * acc[k] for k in range(inst.d)]
+    acc = np.bincount(inst.bits, weights=np.repeat(sol.values, inst.cand_lens), minlength=inst.d)
+    u = (np.asarray(inst.c) * acc).tolist()
     return min(u), u
 
 
@@ -366,12 +590,13 @@ def feasibility_report(
         raise ValueError(f"unknown mode {mode!r}")
     _check_shape(inst, sol)
     violations = []
-    for i, row in enumerate(sol.x):
-        for j, xj in enumerate(row):
-            if not math.isfinite(xj):
-                violations.append(f"x[{i}][{j}]={xj!r} is not finite")
-            elif xj < -eps or xj > 1.0 + eps:
-                violations.append(f"x[{i}][{j}]={xj!r} outside [0,1]")
+    v = sol.values
+    bad = np.flatnonzero(~np.isfinite(v) | (v < -eps) | (v > 1.0 + eps))
+    rounds = np.searchsorted(sol.round_ptr, bad, side="right") - 1
+    for j, i in zip(bad.tolist(), rounds.tolist()):
+        xj = float(v[j])
+        where = f"x[{i}][{j - int(sol.round_ptr[i])}]={xj!r}"
+        violations.append(f"{where} is not finite" if not math.isfinite(xj) else f"{where} outside [0,1]")
     total = sol.total()
     if total > inst.capacity + eps:
         violations.append(f"sum(x)={total!r} exceeds K={inst.capacity}")
@@ -380,7 +605,7 @@ def feasibility_report(
             raise ContractError("per_round_prefix mode requires per-round capacity a")
         a = inst.per_round_capacity
         prefix = 0.0
-        for i, row in enumerate(sol.x):
+        for i, row in enumerate(_split(sol.flat(), sol.round_ptr)):
             prefix = math.fsum([prefix, *row])
             if prefix > (i + 1) * a + eps:
                 violations.append(f"prefix sum through round {i} is {prefix!r} > {(i + 1) * a}")
@@ -390,11 +615,8 @@ def feasibility_report(
 def round_counts(inst: Instance) -> np.ndarray:
     """Per-round arrival counts as one n x d integer matrix: row i is round
     i's ``attribute_counts``."""
-    lens, bits = flatten_bits([cand.bits for cand in inst.all_candidates()])
-    sizes = np.fromiter(map(len, inst.rounds), dtype=np.intp, count=inst.n)
-    cand_round = np.repeat(np.arange(inst.n), sizes)
-    bit_round = np.repeat(cand_round, lens)
-    return np.bincount(bit_round * inst.d + bits, minlength=inst.n * inst.d).reshape(inst.n, inst.d)
+    bit_round = np.repeat(np.arange(inst.n), np.diff(inst.cand_ptr[inst.round_ptr]))
+    return np.bincount(bit_round * inst.d + inst.bits, minlength=inst.n * inst.d).reshape(inst.n, inst.d)
 
 
 def instance_stats(inst: Instance, strict: bool = False) -> InstanceStats:
@@ -447,11 +669,18 @@ def is_core(cand: AttributeVector, d: int) -> bool:
     return cand.popcount * cand.popcount >= d
 
 
+def core_mask(lens: np.ndarray, d: int) -> np.ndarray:
+    """``is_core`` of every candidate from its attribute count."""
+    return lens * lens >= d
+
+
 def min_count_at_least_sqrt_d(d: int) -> int:
     """Smallest integer m with m*m >= d (exact integer arithmetic)."""
     r = math.isqrt(d)
     return r if r * r == d else r + 1
 
 
-def solution_from_rows(rows: Sequence[Iterable[float]]) -> FractionalSolution:
-    return FractionalSolution(tuple(tuple(float(v) for v in row) for row in rows))
+def solution_from_rows(rows: Sequence[Sequence[float]]) -> FractionalSolution:
+    """A solution from per-round rows (lists, tuples or float arrays)."""
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    return FractionalSolution(np.concatenate(rows + [np.zeros(0)]), _offsets([row.size for row in rows]))

@@ -27,6 +27,7 @@ from .core import (
     Instance,
     Round,
     RoundIncidence,
+    marginals,
     max_over_attributes,
     min_count_at_least_sqrt_d,
     round_incidence,
@@ -78,7 +79,9 @@ class AgentState:
             self.v = [0.0] * self.d
 
 
-def controlled_greedy_round(agent: AgentState, rnd: Round, order: list[int]) -> list[float]:
+def controlled_greedy_round(
+    agent: AgentState, rnd: Round | list[list[int]], order: list[int]
+) -> list[float]:
     """Stage 1: raise each candidate's fraction while it still benefits at
     least sqrt(d) underrepresented dimensions.
 
@@ -86,15 +89,17 @@ def controlled_greedy_round(agent: AgentState, rnd: Round, order: list[int]) -> 
     attributes with v_k below the scaled guess are the exits from the
     underrepresented set; the raise stops at the m-th largest threshold
     (m = least integer with m^2 >= d), at 1, or at the capacity, whichever is
-    smallest.
+    smallest.  ``rnd`` is a Round or its ``bit_lists()``, which the principal
+    builds once per round for all agents.
     """
+    cand_bits = rnd.bit_lists() if isinstance(rnd, Round) else rnd
     target = agent.gamma / math.sqrt(agent.d)
     m = min_count_at_least_sqrt_d(agent.d)
-    y_i = [0.0] * len(rnd)
+    y_i = [0.0] * len(cand_bits)
     for pos in order:
-        cand = rnd.candidates[pos]
+        bits = cand_bits[pos]
         thresholds = []
-        for k in cand.bits:
+        for k in bits:
             tau = (target - agent.v[k]) / agent.c[k]
             if tau > 0.0:
                 thresholds.append(tau)
@@ -107,7 +112,7 @@ def controlled_greedy_round(agent: AgentState, rnd: Round, order: list[int]) -> 
         y_i[pos] = y
         if y > 0.0:
             agent.y_used += y
-            for k in cand.bits:
+            for k in bits:
                 agent.v[k] += agent.c[k] * y
     return y_i
 
@@ -212,8 +217,9 @@ class FixedPolicy:
             return [0.0] * len(rnd)
         inc = round_incidence(rnd, self.d)
         self.consumed += inc.counts
+        cand_bits = rnd.bit_lists()
         y = np.array(
-            [controlled_greedy_round(agent, rnd, order) for agent in self.agents]
+            [controlled_greedy_round(agent, cand_bits, order) for agent in self.agents]
         ).reshape(len(self.agents), len(rnd))
         z = continuous_minimalist_round(
             self.agents, self.z_acc, np.subtract(self.phi_total, self.consumed), inc
@@ -241,8 +247,6 @@ def run_fixed_policy(inst: Instance, seed: int) -> FixedPolicy:
     The marginal counts are granted by the scenario's information contract
     and are computed here from the instance itself.
     """
-    from .core import marginals
-
     policy = new_fixed_policy(inst.d, inst.c, inst.capacity, marginals(inst), seed)
     for rnd in inst.rounds:
         policy.process_round(rnd)

@@ -12,18 +12,10 @@ from __future__ import annotations
 import math
 import random
 
-from .core import AttributeVector, Instance, Round
+import numpy as np
+
+from .core import Instance
 from .errors import DimensionError
-
-
-def _prefix_type(k: int) -> AttributeVector:
-    """Type with ones in dimensions 1..k (0-indexed: 0..k-1)."""
-    return AttributeVector(tuple(range(k)))
-
-
-def _suffix_type(k: int, d: int) -> AttributeVector:
-    """Complement type with ones in dimensions k+1..d (0-indexed: k..d-1)."""
-    return AttributeVector(tuple(range(k, d)))
 
 
 def gen_fhc(d: int) -> list[Instance]:
@@ -34,25 +26,33 @@ def gen_fhc(d: int) -> list[Instance]:
     rounds are empty (emitted explicitly so K = n*a stays exact).  Members
     therefore agree on rounds 1..min(m, m'), and each member's optimum is d:
     take the round-m batch plus its complement batch.
+
+    Each member is built directly as CSR arrays: candidate j of length L_j
+    starting at attribute s_j holds s_j, ..., s_j + L_j - 1.
     """
     if d < 1:
         raise DimensionError("gen_fhc requires d >= 1")
     members = []
     for m in range(1, d + 1):
-        rounds = []
-        for i in range(1, d + 1):
-            if i <= m:
-                rounds.append(Round(tuple(_prefix_type(i) for _ in range(d))))
-            elif i == m + 1:
-                rounds.append(Round(tuple(_suffix_type(m, d) for _ in range(d))))
-            else:
-                rounds.append(Round(()))
+        # (0-indexed) prefix types 0..i-1 for i = 1..m, then the suffix m..d-1.
+        lens = np.repeat(np.append(np.arange(1, m + 1), d - m), d)
+        first = np.repeat(np.append(np.zeros(m, dtype=np.int64), m), d)
+        if m == d:
+            lens, first = lens[:-d], first[:-d]
+        cand_ptr = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=cand_ptr[1:])
+        bits = np.arange(cand_ptr[-1]) - np.repeat(cand_ptr[:-1] - first, lens)
+        sizes = [d] * min(m + 1, d) + [0] * (d - m - 1)
+        round_ptr = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum(sizes, out=round_ptr[1:])
         members.append(
-            Instance(
+            Instance.from_arrays(
                 d=d,
-                c=tuple(1.0 for _ in range(d)),
+                c=(1.0,) * d,
                 capacity=2 * d,
-                rounds=tuple(rounds),
+                round_ptr=round_ptr,
+                cand_ptr=cand_ptr,
+                bits=bits,
                 per_round_capacity=2,
             )
         )
@@ -93,14 +93,12 @@ def gen_fcs(d: int) -> list[Instance]:
     def collection(m: int) -> list[tuple[int, ...]]:
         return [subsets[l - 1] for l in range((m - 1) * kappa + 1, m * kappa + 1)]
 
-    def early_round(mprime: int) -> Round:
+    def early_round(mprime: int) -> list[tuple[int, ...]]:
         coll = collection(mprime)
         covered = set()
         for sub in coll:
             covered.update(sub)
-        cands = [AttributeVector(sub) for sub in coll]
-        cands += [AttributeVector((k,)) for k in range(d) if k not in covered]
-        return Round(tuple(cands))
+        return list(coll) + [(k,) for k in range(d) if k not in covered]
 
     members = []
     for m in range(1, kappa + 1):
@@ -108,19 +106,18 @@ def gen_fcs(d: int) -> list[Instance]:
         for sub in collection(m):
             covered_m.update(sub)
         complement = tuple(k for k in range(d) if k not in covered_m)
-        late_cands = [AttributeVector(complement)] if complement else []
-        late_cands += [AttributeVector((k,)) for k in sorted(covered_m)]
-        late = Round(tuple(late_cands))
+        late = [complement] if complement else []
+        late += [(k,) for k in sorted(covered_m)]
         rounds = []
         for mprime in range(1, kappa + 1):
             rounds.extend([early_round(mprime)] * eta)
         rounds.extend([late] * (d - kappa * eta))
         members.append(
-            Instance(
+            Instance.from_bit_lists(
                 d=d,
                 c=tuple(1.0 for _ in range(d)),
                 capacity=d,
-                rounds=tuple(rounds),
+                rounds=rounds,
                 per_round_capacity=1,
             )
         )
@@ -155,19 +152,19 @@ def gen_random(
         cands = []
         counts = [0] * d
         for _ in range(base):
-            bits = tuple(k for k in range(d) if rng.random() < density)
-            cands.append(AttributeVector(bits))
+            bits = [k for k in range(d) if rng.random() < density]
+            cands.append(bits)
             for k in bits:
                 counts[k] += 1
         for k in range(d):
             while counts[k] < min_arrivals:
-                cands.append(AttributeVector((k,)))
+                cands.append([k])
                 counts[k] += 1
         rng.shuffle(cands)
-        rounds.append(Round(tuple(cands)))
+        rounds.append(cands)
     c = [1.0 + (c_max - 1.0) * rng.random() for _ in range(d)]
     c[rng.randrange(d)] = 1.0
-    return Instance(
+    return Instance.from_bit_lists(
         d=d,
         c=tuple(c),
         capacity=n * a,

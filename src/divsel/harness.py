@@ -32,6 +32,7 @@ from .core import (
     instance_stats,
     least_utility,
     round_counts,
+    round_incidence,
     validate_feasibility,
 )
 from .errors import ContractError
@@ -39,9 +40,6 @@ from .generators import fcs_kappa, gen_fcs, gen_fhc
 from .rounding import interval_measures, max_selection_count, offset_selections
 
 POLICY_NAMES = ("fixed", "uc-hybrid", "uc-myopic", "uc-forward")
-
-#: Resolution of ``grid_capacity_counts``.
-GRID_POINTS = 10_000
 
 
 def fmt(x: float) -> str:
@@ -156,38 +154,38 @@ def evaluate_policy(
     return report, sol
 
 
-def grid_capacity_counts(sol: FractionalSolution, grid: int = GRID_POINTS) -> np.ndarray:
-    """Selection counts over a pos grid (midpoint offsets, vectorized form of
-    the rounder's covering predicate)."""
-    pos = (np.arange(grid) + 0.5) / grid
-    counts = np.zeros(grid, dtype=np.int64)
-    for _, sel in offset_selections(sol.flat(), pos):
-        counts += sel
-    return counts
-
-
 def monte_carlo(
     inst: Instance, sol: FractionalSolution, trials: int, seed: int
 ) -> dict:
     """Independent rounders, one per trial; reports empirical marginals, the
-    maximum realized selection count, and per-dimension empirical utilities."""
+    maximum realized selection count, and per-dimension empirical utilities.
+
+    A trial's utility on dimension k is c_k added once per selected candidate
+    with attribute k; it is read from a table of those running sums
+    (``cumsum`` adds them one after another), indexed by the trial's count.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
     pos = rng.random(trials)
-    x_flat = sol.flat()
-    freqs = np.zeros(len(x_flat))
+    freqs = np.zeros(inst.total_candidates)
     counts = np.zeros(trials, dtype=np.int64)
-    dim_utils = np.zeros((inst.d, trials))
-    cands = [cand for rnd in inst.rounds for cand in rnd]
-    for j, sel in offset_selections(x_flat, pos):
+    dim_counts = np.zeros((inst.d, trials), dtype=np.int64)
+    ptr = inst.cand_ptr.tolist()
+    for j, sel in offset_selections(sol.flat(), pos):
         freqs[j] = sel.mean()
         counts += sel
-        for k in cands[j].bits:
-            dim_utils[k] += inst.c[k] * sel
+        dim_counts[inst.bits[ptr[j] : ptr[j + 1]]] += sel
+    if not trials:
+        dim_utils = [0.0] * inst.d
+    else:
+        steps = np.repeat(np.asarray(inst.c)[:, None], int(dim_counts.max()) + 1, axis=1)
+        steps[:, 0] = 0.0
+        sums = np.cumsum(steps, axis=1)
+        dim_utils = np.take_along_axis(sums, dim_counts, axis=1).mean(axis=1).tolist()
     return {
         "trials": trials,
         "frequencies": freqs.tolist(),
         "max_selected": int(counts.max()) if trials else 0,
-        "dimension_utilities": dim_utils.mean(axis=1).tolist() if trials else [0.0] * inst.d,
+        "dimension_utilities": dim_utils,
     }
 
 
@@ -498,17 +496,14 @@ def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance
     are replayed round by round; the LPs are solved in batches."""
     a = inst.per_round_capacity
     budget = math.sqrt(inst.d) * a
-    u = [0.0] * inst.d
+    c = np.asarray(inst.c)
+    u = np.zeros(inst.d)
     u_rows = np.empty((inst.n, inst.d))
     for i, (rnd, rec) in enumerate(zip(inst.rounds, trace)):
-        for j, yj in enumerate(rec.y.tolist()):
-            if yj:
-                for k in rnd.candidates[j].bits:
-                    u[k] += inst.c[k] * yj
+        inc = round_incidence(rnd, inst.d)
+        np.add.at(u, inc.bits, c[inc.bits] * np.repeat(rec.y, inc.lens))
         u_rows[i] = u
-        z = rec.z.tolist()
-        for k in range(inst.d):
-            u[k] += inst.c[k] * z[k]
+        u += c * rec.z
     lp_vals, _ = solve_adjustment_lps(u_rows, round_counts(inst), budget, list(inst.c))
     f = np.array([rec.f for rec in trace])
     worst = float(np.abs(lp_vals - f).max(initial=0.0))

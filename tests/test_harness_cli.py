@@ -3,15 +3,17 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
 from divsel.core import instance_stats, parse_instance, round_incidence, serialize_instance, solution_from_rows
-from divsel import benchmark, harness, unknown_policy
+from divsel import benchmark, core, harness, unknown_policy
 from divsel.errors import ContractError
 from divsel.generators import gen_fcs, gen_random
 from divsel.harness import (
+    VerificationVerdict,
     CSV_COLUMNS,
     POLICY_NAMES,
     competitive_report,
@@ -21,6 +23,7 @@ from divsel.harness import (
     verify_family,
     verify_instance,
 )
+from divsel.rounding import accumulator_path
 from divsel.unknown_policy import myopic_round
 
 from conftest import make_instance, random_feasible_x
@@ -91,15 +94,16 @@ class TestMonteCarlo:
         assert result["dimension_utilities"][1] == pytest.approx(0.25, abs=0.02)
 
     def test_vectorized_counts_agree_with_sequential_rounder(self):
-        from divsel.harness import grid_capacity_counts
-        from divsel.rounding import selection_count
+        from divsel.rounding import capacity_sweep, offset_selections, selection_count
 
         inst = make_instance(3, [[(0,), (1, 2), (0, 2)], [(1,), (0, 1, 2)]], capacity=3)
         sol = random_feasible_x(inst, seed=5)
-        counts = grid_capacity_counts(sol, 257)
+        pos = (np.arange(257) + 0.5) / 257
+        counts = sum(sel.astype(np.int64) for _, sel in offset_selections(sol.flat(), pos))
+        offsets, swept = capacity_sweep(sol.flat())
+        swept = swept[np.searchsorted(offsets, pos, side="right") - 1]
         for t in range(257):
-            pos = (t + 0.5) / 257
-            assert counts[t] == selection_count(sol.flat(), pos)
+            assert counts[t] == swept[t] == selection_count(sol.flat(), pos[t])
 
 
 class TestVerify:
@@ -390,6 +394,53 @@ class TestCLI:
         assert len(rows) == 3  # 2 members + family-min row
         assert rows[-1]["instance"] == "fcs:family-min"
         assert rows[-1]["satisfied"] == "true"
+
+    def test_emitted_fluid_x_never_exceeds_capacity(self, tmp_path, capsys):
+        """Regression: this instance's x* summed to 900.0000000000001 with
+        K = 900, and the rounder picked 901 at pos 0 while the sampled check
+        of ``mc`` read 900."""
+        inst = gen_random(d=16, n=300, a=3, density=0.3, min_arrivals=1, c_max=1.0, seed=4)
+        path, x_path = tmp_path / "inst.json", tmp_path / "x.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        assert main(["offline", "--instance", str(path), "--emit-x", str(x_path)]) == 0
+        capsys.readouterr()
+        emitted = core.parse_solution(x_path.read_text(encoding="utf-8"), inst)
+        assert emitted == solve_fluid(inst).solution
+        assert accumulator_path(emitted.flat())[1][-1] <= inst.capacity
+        outputs = []
+        for extra in (["--x", str(x_path)], []):
+            rc = main(["mc", "--instance", str(path), "--trials", "2000", "--seed", "1", *extra])
+            payload = json.loads(capsys.readouterr().out)
+            assert rc == 0
+            assert payload["max_selected_exact"] == 900 == payload["K"]
+            assert payload["max_selected"] <= 900 and payload["capacity_respected"]
+            outputs.append(payload)
+        assert outputs[0] == outputs[1]
+
+    def test_mc_capacity_reads_the_exact_maximum(self, tmp_path, capsys):
+        # sum(x) = 2 + 2 ulp: the offsets below ~4e-16 pick 3 > K = 2, which
+        # no sampled offset is likely to hit.
+        inst = make_instance(1, [[(0,)] * 4], capacity=2)
+        path, x_path = tmp_path / "inst.json", tmp_path / "x.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        x_path.write_text(json.dumps([[0.5, 0.5, 0.5, 0.5000000000000004]]), encoding="utf-8")
+        rc = main(["mc", "--instance", str(path), "--x", str(x_path), "--trials", "1000"])
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["max_selected"], payload["max_selected_exact"]) == (2, 3)
+        assert not payload["capacity_respected"] and rc == 2
+
+    def test_verify_json_format(self, capsys):
+        argv = ["verify", "--family", "fhc", "--d", "4", "--per-instance", "--policy", "uc-hybrid"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--format", "json"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)
+        assert [set(v) for v in verdicts] == [{"name", "status", "lhs", "rhs", "slack", "detail"}] * len(verdicts)
+        assert [VerificationVerdict(**v).line() for v in verdicts] == lines[:-1]
+        statuses = [v["status"] for v in verdicts]
+        assert lines[-1] == (
+            f"# {statuses.count('pass')} pass, 0 fail, {statuses.count('precondition_unmet')} unmet"
+        )
 
     def test_run_without_a_is_contract_error(self, tmp_path, capsys):
         inst = make_instance(2, [[(0,), (1,)]], capacity=2)

@@ -15,6 +15,7 @@ from divsel.benchmark import opt_bounds_from_marginals
 from divsel.core import (
     AttributeVector,
     Round,
+    is_core,
     marginals,
     max_over_attributes,
     min_count_at_least_sqrt_d,
@@ -25,7 +26,6 @@ from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.unknown_policy import (
     ForwardState,
     UnknownPolicy,
-    core_set,
     fill_value,
     forward_round,
     hybrid_round,
@@ -134,6 +134,11 @@ def ref_fixed(inst, seed):
         denom = float(len(agents))
         rows.append([sum(col) / denom for col in zip(*per_agent)] if len(rnd) else [])
     return rows, agents
+
+
+def core_set(rnd, d):
+    """Positions of core candidates (popcount^2 >= d, exact integer test)."""
+    return [j for j, cand in enumerate(rnd) if is_core(cand, d)]
 
 
 def ref_myopic(d, c, a, rnd):
@@ -326,3 +331,39 @@ def test_one_pass_yields_every_variant(name):
         assert variant_solution(one_pass, variant).x == tuple(
             tuple(rec.emitted.tolist()) for rec in separate.trace
         )
+
+
+def test_core_update_adds_one_attribute_at_a_time(monkeypatch):
+    """``forward_round`` enters core candidates into u with ``np.add.at``:
+    c_k once per core attribute, in arrival order, as the scalar loop does.
+    Adding count * c_k at once would differ here in the last bits."""
+    from divsel import unknown_policy
+
+    c = (1.0, 1.1, 1.3, 1.7)
+    state, ref_state = ForwardState(d=4, c=c, a=1), RefForward(4, c, 1)
+    first = Round((AttributeVector((0, 1)), AttributeVector((1, 2, 3))))
+    forward_round(state, round_incidence(first, 4))
+    ref_forward(ref_state, first)
+    u0 = list(state.u)
+    rnd = Round((AttributeVector((1, 2, 3)),) * 5 + (AttributeVector((0,)),) + (AttributeVector((0, 1, 3)),) * 3)
+    sequential = list(u0)
+    for cand in rnd:
+        if len(cand.bits) ** 2 >= 4:
+            for k in cand.bits:
+                sequential[k] += c[k]
+    counts = [3, 8, 5, 8]
+    assert sequential != [u0[k] + counts[k] * c[k] for k in range(4)]
+
+    seen = []
+    real = unknown_policy.water_fill
+
+    def recording(u, *args, **kwargs):
+        seen.append(list(u))
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(unknown_policy, "water_fill", recording)
+    y, _, _, _ = forward_round(state, round_incidence(rnd, 4))
+    assert seen == [sequential]
+    assert y.tolist() == [1.0] * 5 + [0.0] + [1.0] * 3
+    ref_forward(ref_state, rnd)
+    assert state.u == ref_state.u

@@ -11,16 +11,14 @@ from divsel.benchmark import solve_fluid
 from divsel.core import solution_from_rows
 from divsel.errors import DomainError, FeasibilityError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
-from divsel.harness import GRID_POINTS, grid_capacity_counts, run_policy
+from divsel.harness import run_policy
 from divsel.rounding import (
     accumulator_path,
     capacity_sweep,
-    count_bounds,
     interval_measures,
     max_selection_count,
     new_rounder,
     offset_selections,
-    pos_selects,
     process_round,
     rounder_at,
     select_offline,
@@ -30,6 +28,35 @@ from divsel.rounding import (
 from divsel.unknown_policy import variant_solution
 
 from conftest import make_instance, random_feasible_x
+
+# Test-only oracles.
+
+
+def pos_selects(pieces, pos):
+    """Whether the interval-arithmetic pieces of one candidate contain pos."""
+    return any(lo <= pos < hi for lo, hi in pieces)
+
+
+def count_bounds(x_flat):
+    """The only two counts any offset can realize: floor and ceil of sum(x)."""
+    total = math.fsum(min(max(x, 0.0), 1.0) for x in x_flat)
+    return math.floor(total), math.ceil(total)
+
+
+def grid_counts(x_flat, grid):
+    """Selection counts of the vectorized predicate at the midpoints of a
+    ``grid``-point pos grid."""
+    pos = (np.arange(grid) + 0.5) / grid
+    counts = np.zeros(grid, dtype=np.int64)
+    for _, sel in offset_selections(x_flat, pos):
+        counts += sel
+    return pos, counts
+
+
+def sweep_counts_at(x_flat, pos):
+    """The capacity sweep's count at each offset in ``pos``."""
+    offsets, counts = capacity_sweep(x_flat)
+    return counts[np.searchsorted(offsets, pos, side="right") - 1]
 
 
 class TestRounderInit:
@@ -206,7 +233,8 @@ class TestCapacitySweep:
             x_flat = sol.flat()
             counts = assert_sweep_matches_rounder(x_flat)
             assert counts.max() <= math.ceil(accumulator_path(x_flat)[1][-1])
-            assert counts.max() >= grid_capacity_counts(sol, GRID_POINTS).max()
+            pos, on_grid = grid_counts(x_flat, 10_000)
+            assert np.array_equal(sweep_counts_at(x_flat, pos), on_grid)
 
     def test_family_optima_never_exceed_ceil_of_total(self):
         for inst, sol in family_optima((27, 64)):

@@ -5,13 +5,14 @@ import pytest
 
 from divsel.benchmark import solve_adjustment_lp
 from divsel import unknown_policy
-from divsel.core import AttributeVector, Round, least_utility, round_incidence, validate_feasibility
+from divsel.core import (
+    AttributeVector, Round, core_mask, least_utility, round_incidence, validate_feasibility
+)
 from divsel.errors import ContractError, ShapeError
 from divsel.generators import gen_fcs, gen_random
 from divsel.unknown_policy import (
     ForwardState,
     UnknownPolicy,
-    core_set,
     fill_value,
     forward_round,
     hybrid_round,
@@ -64,17 +65,25 @@ class TestMyopic:
 
 
 class TestCoreSet:
+    """Core candidates (popcount^2 >= d) get the forward pass's tendency 1."""
+
+    @staticmethod
+    def core_positions(rnd, d):
+        y, _, _ = forward(ForwardState(d=d, c=(1.0,) * d, a=1), rnd)
+        assert core_mask(round_incidence(rnd, d).lens, d).tolist() == [v == 1.0 for v in y]
+        return [j for j, v in enumerate(y) if v == 1.0]
+
     def test_two_of_three_attributes_is_core(self):
         rnd = Round((AttributeVector((0, 1)),))
-        assert core_set(rnd, 3) == [0]
+        assert self.core_positions(rnd, 3) == [0]
 
     def test_one_of_four_is_regular(self):
         rnd = Round((AttributeVector((2,)),))
-        assert core_set(rnd, 4) == []
+        assert self.core_positions(rnd, 4) == []
 
     def test_boundary_equality_included(self):
         rnd = Round((AttributeVector((0, 3)),))
-        assert core_set(rnd, 4) == [0]
+        assert self.core_positions(rnd, 4) == [0]
 
 
 class TestWaterFill:
