@@ -26,7 +26,7 @@ from .core import (
     round_counts,
 )
 from .errors import ContractError, InvariantError, SizeError
-from .rounding import accumulator_path
+from .rounding import capacity_safe
 
 #: Constraint/value re-validation tolerance for LP results.
 LP_TOL = 1e-7
@@ -147,33 +147,13 @@ def _candidate_types(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return first[order], np.bincount(type_of, minlength=order.size), type_of
 
 
-def _capacity_safe(x: np.ndarray, capacity: int) -> np.ndarray:
-    """``x`` with trailing positive entries lowered until the rounder's final
-    line boundary is at most K, so no offset can pick more than K candidates
-    (the picks telescope to at most the ceiling of that boundary).  An exact
-    sum clearly below K, with room for the rounding of a running sum, skips
-    the replay."""
-    if math.fsum(x.tolist()) <= capacity * (1.0 - 1e-12):
-        return x
-    x = x.copy()
-    for j in np.flatnonzero(x > 0.0)[::-1].tolist():
-        step = accumulator_path(x.tolist())[1][-1] - capacity
-        while step > 0.0 and x[j] > 0.0:
-            x[j] = max(0.0, x[j] - step)
-            excess = accumulator_path(x.tolist())[1][-1] - capacity
-            step = 2.0 * step if excess > 0.0 else 0.0
-        if step <= 0.0:
-            break
-    return x
-
-
 def solve_fluid(inst: Instance) -> LPResult:
     """Maximize the least utility subject to sum(x) <= K and 0 <= x <= 1.
 
     Candidates of one type are interchangeable, so the LP runs over distinct
     types with the type's mass bounded by its multiplicity; x* spreads each
     type's mass evenly over its copies and is then made capacity-safe for the
-    rounder (``_capacity_safe``).
+    rounder (``rounding.capacity_safe``).
     """
     n_cands = inst.total_candidates
     if n_cands > MAX_CANDIDATES:
@@ -213,7 +193,7 @@ def solve_fluid(inst: Instance) -> LPResult:
 
     value = float(res.x[-1])
     x = (np.clip(res.x[:n_types], 0.0, mult) / mult)[type_of]
-    sol = FractionalSolution(_capacity_safe(x, inst.capacity), inst.round_ptr)
+    sol = FractionalSolution(capacity_safe(x, inst.capacity), inst.round_ptr)
     lu, _ = least_utility(inst, sol)
     if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
         raise InvariantError("fluid LP solution failed re-validation")

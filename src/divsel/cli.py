@@ -17,7 +17,7 @@ from pathlib import Path
 from . import core, harness
 from .benchmark import opt_bounds, solve_fluid
 from .errors import DivselError, SchemaError
-from .generators import gen_fcs, gen_fhc, gen_random
+from .generators import gen_random
 from .harness import fmt
 from .rounding import max_selection_count
 
@@ -46,11 +46,7 @@ def _load_instance(path: str) -> core.Instance:
 def _cmd_gen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.family == "fhc":
-        members = gen_fhc(args.d)
-    elif args.family == "fcs":
-        members = gen_fcs(args.d)
-    else:
+    if args.family == "random":
         members = [
             gen_random(
                 d=args.d,
@@ -62,6 +58,8 @@ def _cmd_gen(args) -> int:
                 seed=args.seed,
             )
         ]
+    else:
+        members = harness.family_members(args.family, args.d)
     for m, inst in enumerate(members, start=1):
         path = out / f"{args.family}_d{args.d}_m{m}.json"
         path.write_text(core.serialize_instance(inst), encoding="utf-8")
@@ -153,11 +151,11 @@ def _cmd_mc(args) -> int:
 def _cmd_verify(args) -> int:
     verdicts = []
     if args.family:
+        members = harness.family_members(args.family, args.d)
         verdicts.extend(
-            harness.verify_family(args.family, args.d, args.policy, args.seed, args.epsilon)
+            harness.verify_family(args.family, args.d, args.policy, args.seed, args.epsilon, members)
         )
         if args.per_instance:
-            members = gen_fhc(args.d) if args.family == "fhc" else gen_fcs(args.d)
             for m, inst in enumerate(members, start=1):
                 verdicts.extend(
                     harness.verify_instance(

@@ -368,6 +368,38 @@ class Instance:
             yield _vector(tuple(bits))
 
 
+def _first_difference(x: np.ndarray, y: np.ndarray) -> int:
+    """Index of the first unequal entry of two equal-length arrays, or their
+    length when they are equal."""
+    diff = np.flatnonzero(x != y)
+    return int(diff[0]) if diff.size else x.size
+
+
+def common_prefix_rounds(a: Instance, b: Instance) -> int:
+    """Number of leading rounds two instances hold identically (same
+    candidates with the same attributes, in the same order), read from the
+    CSR arrays.
+
+    Up to the first round whose size differs, both instances place their
+    candidates at the same offsets; up to the first of those candidates whose
+    length differs, they place their attributes at the same offsets.  The
+    prefix ends at the round holding the first differing size, length or
+    attribute.
+    """
+    n = min(a.n, b.n)
+    rounds = _first_difference(np.diff(a.round_ptr[: n + 1]), np.diff(b.round_ptr[: n + 1]))
+    cands = int(a.round_ptr[rounds])
+    bad = _first_difference(a.cand_lens[:cands], b.cand_lens[:cands])
+    width = int(a.cand_ptr[bad])
+    bit = _first_difference(a.bits[:width], b.bits[:width])
+    if bit < width:
+        bad = int(np.searchsorted(a.cand_ptr, bit, side="right")) - 1
+    if bad == cands:
+        return rounds
+    # The last round starting at or before the candidate is the one holding it.
+    return int(np.searchsorted(a.round_ptr, bad, side="right")) - 1
+
+
 @dataclass(frozen=True, eq=False)
 class FractionalSolution:
     """Per-(round, candidate-position) ex-ante selection probabilities: one

@@ -17,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -516,16 +517,39 @@ def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance
     )
 
 
-def verify_family(
-    family: str, d: int, policies: Sequence[str], seed: int, eps: float = EPS
-) -> list[VerificationVerdict]:
-    """Family-level impossibility witnesses (need every member).  The fhc
-    ratio bound concerns the hybrid policy alone."""
+def family_members(family: str, d: int) -> list[Instance]:
+    """The members of a hard family, in order."""
     if family == "fhc":
-        members, opt_name, opt_floor = gen_fhc(d), "FHC-OPT", float(d)
+        return gen_fhc(d)
+    if family == "fcs":
+        return gen_fcs(d)
+    raise ContractError(f"unknown family {family!r}")
+
+
+def verify_family(
+    family: str,
+    d: int,
+    policies: Sequence[str],
+    seed: int,
+    eps: float = EPS,
+    members: Optional[Sequence[Instance]] = None,
+) -> list[VerificationVerdict]:
+    """Family-level impossibility witnesses (need every member; pass
+    ``members`` to reuse ones already generated).  The fhc ratio bound
+    concerns the hybrid policy alone.
+
+    The unknown-capacity rows of all members come from one forked pass
+    (``unknown_policy.unknown_family_passes``): the rounds that consecutive
+    members share are processed once, and each member continues from a copy
+    of the policy's state after them.
+    """
+    if members is None:
+        members = family_members(family, d)
+    if family == "fhc":
+        opt_name, opt_floor = "FHC-OPT", float(d)
         policies, ratio_name, ratio_cap = ["uc-hybrid"], "FHC-2/d", 2.0 / d
     elif family == "fcs":
-        members, opt_name, opt_floor = gen_fcs(d), "FCS-OPT", d / (8.0 * fcs_kappa(d))
+        opt_name, opt_floor = "FCS-OPT", d / (8.0 * fcs_kappa(d))
         ratio_name, ratio_cap = "FCS-512", 512.0 * d ** (-1.0 / 3.0)
     else:
         raise ContractError(f"unknown family {family!r}")
@@ -533,11 +557,11 @@ def verify_family(
     verdicts = [
         _lower(opt_name, min(opts), opt_floor, max(eps, LP_TOL), detail=f"{family} d={d} min over members")
     ]
+    uc_names = [name for name in policies if name.startswith("uc-")]
+    uc_passes = up.unknown_family_passes(members) if uc_names else repeat(None)
     ratios = {name: [] for name in policies}
-    for inst, opt in zip(members, opts):
-        uc_solutions = {}
-        if any(name.startswith("uc-") for name in policies):
-            uc_solutions = _variant_solutions(run_policy(inst, "uc-hybrid", seed)[1])
+    for inst, opt, uc_pol in zip(members, opts, uc_passes):
+        uc_solutions = {name: up.variant_solution(uc_pol, name[3:]) for name in uc_names}
         for name in ratios:
             sol = uc_solutions[name] if name in uc_solutions else run_policy(inst, name, seed)[0]
             lu, _ = least_utility(inst, sol)
@@ -583,13 +607,10 @@ def _fluid_value(inst: Instance) -> float:
     return solve_fluid(inst).value
 
 
-def _eval_row(args) -> dict:
-    instance_id, inst, policy_name, seed, topup, opt, stats = args
-    report, _ = evaluate_policy(
-        inst, policy_name, seed, instance_id=instance_id, topup=topup, opt_value=opt
-    )
-    bound_name, bound_value = policy_bound(inst, policy_name, report.opt, stats)
-    satisfied = True if bound_value is None else report.ratio >= bound_value - EPS
+def _report_row(instance_id: str, inst: Instance, policy_name: str, lu: float, opt: float, stats) -> dict:
+    ratio = 1.0 if opt <= EPS else lu / opt
+    bound_name, bound_value = policy_bound(inst, policy_name, opt, stats)
+    satisfied = True if bound_value is None else ratio >= bound_value - EPS
     return {
         "instance": instance_id,
         "d": inst.d,
@@ -597,14 +618,47 @@ def _eval_row(args) -> dict:
         "K": inst.capacity,
         "a": "" if inst.per_round_capacity is None else inst.per_round_capacity,
         "policy": policy_name,
-        "LU": fmt(report.lu),
-        "OPT": fmt(report.opt),
-        "ratio": fmt(report.ratio),
+        "LU": fmt(lu),
+        "OPT": fmt(opt),
+        "ratio": fmt(ratio),
         "bound_name": bound_name,
         "bound_value": "" if bound_value is None else fmt(bound_value),
         "satisfied": "true" if satisfied else "false",
-        "_ratio_raw": report.ratio,
+        "_ratio_raw": ratio,
     }
+
+
+def _eval_row(args) -> dict:
+    """One report row from its own policy pass."""
+    instance_id, inst, policy_name, seed, topup, opt, stats = args
+    report, _ = evaluate_policy(
+        inst, policy_name, seed, instance_id=instance_id, topup=topup, opt_value=opt
+    )
+    return _report_row(instance_id, inst, policy_name, report.lu, report.opt, stats)
+
+
+def _eval_rows(args) -> dict[str, dict]:
+    """The report rows of one instance for a group of policies, keyed by
+    policy.  A group of plain unknown-capacity policies reads all of them
+    from one pass; any other group holds a single policy."""
+    instance_id, inst, group, seed, topup, opt, stats = args
+    if topup or not group[0].startswith("uc-"):
+        return {name: _eval_row((instance_id, inst, name, seed, topup, opt, stats)) for name in group}
+    pol = run_policy(inst, group[0], seed)[1]
+    rows = {}
+    for name in group:
+        lu, _ = least_utility(inst, up.variant_solution(pol, name[3:]))
+        rows[name] = _report_row(instance_id, inst, name, lu, opt, stats)
+    return rows
+
+
+def _policy_groups(policies: Sequence[str], topup: bool) -> list[list[str]]:
+    """Policies that share one pass.  Without top-up every unknown-capacity
+    variant reads the same pass; with it, each variant's top-up reads its own
+    emitted total, so each runs alone."""
+    shared = [] if topup else [name for name in policies if name.startswith("uc-")]
+    return ([shared] if shared else []) + [[name] for name in policies if name not in shared]
+
 
 CSV_COLUMNS = [
     "instance",
@@ -634,22 +688,30 @@ def competitive_report(
     """Deterministic CSV/JSON report, one row per (instance, policy) in sorted
     order; optionally one family-min impossibility row per policy.  The fluid
     optimum and the instance statistics are computed once per instance and
-    shared by its policy rows."""
+    shared by its policy rows.  Without top-up, one pass per instance gives
+    every unknown-capacity row."""
     ordered = sorted(instances, key=lambda p: p[0])
+    groups = _policy_groups(policies, topup)
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or processors.
-    workers = max(1, min(jobs, len(ordered) * len(policies), os.cpu_count() or 1))
+    workers = max(1, min(jobs, len(ordered) * len(groups), os.cpu_count() or 1))
     parallel = workers > 1
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         opts = list(mapper(_fluid_value, [inst for _, inst in ordered]))
         stats = [_stats_if_defined(inst) for _, inst in ordered]
         tasks = [
-            (instance_id, inst, policy, seed, topup, opt, inst_stats)
+            (instance_id, inst, group, seed, topup, opt, inst_stats)
             for (instance_id, inst), opt, inst_stats in zip(ordered, opts, stats)
-            for policy in policies
+            for group in groups
         ]
-        rows = list(mapper(_eval_row, tasks))
+        done = iter(mapper(_eval_rows, tasks))
+        rows = []
+        for _ in ordered:
+            by_policy = {}
+            for _ in groups:
+                by_policy.update(next(done))
+            rows.extend(by_policy[policy] for policy in policies)
 
     if family_min is not None and rows:
         d = rows[0]["d"]

@@ -99,13 +99,20 @@ def process_round(state: RounderState, x_i: list[float]) -> list[int]:
 
 
 def select_offline(inst: Instance, sol: FractionalSolution, seed: int) -> list[tuple[int, int]]:
-    """Feed all rounds through one rounder; returns (round, position) pairs."""
+    """Feed all rounds through one rounder; returns (round, position) pairs.
+
+    A solution may exceed K by up to the feasibility tolerance, and then the
+    rounder's final line boundary can pass K; the row is first made
+    capacity-safe (``capacity_safe``), so no offset picks more than K.
+    """
     total = sol.total()
     if total > inst.capacity + EPS:
         raise FeasibilityError(f"sum(x)={total!r} exceeds K={inst.capacity}")
+    x_flat = capacity_safe(sol.values, inst.capacity).tolist()
     state = new_rounder(seed)
-    for row in sol.x:
-        process_round(state, list(row))
+    ptr = sol.round_ptr.tolist()
+    for lo, hi in zip(ptr, ptr[1:]):
+        process_round(state, x_flat[lo:hi])
     return list(state.selected)
 
 
@@ -165,6 +172,26 @@ def accumulator_path(x_flat: list[float]) -> tuple[np.ndarray, np.ndarray]:
                 top = t
         path.append(top)
     return x, np.array(path)
+
+
+def capacity_safe(x: np.ndarray, capacity: int) -> np.ndarray:
+    """``x`` with trailing positive entries lowered until the rounder's final
+    line boundary is at most K, so no offset can pick more than K candidates
+    (the picks telescope to at most the ceiling of that boundary).  An exact
+    sum clearly below K, with room for the rounding of a running sum, skips
+    the replay."""
+    if math.fsum(x.tolist()) <= capacity * (1.0 - 1e-12):
+        return x
+    x = x.copy()
+    for j in np.flatnonzero(x > 0.0)[::-1].tolist():
+        step = accumulator_path(x.tolist())[1][-1] - capacity
+        while step > 0.0 and x[j] > 0.0:
+            x[j] = max(0.0, x[j] - step)
+            excess = accumulator_path(x.tolist())[1][-1] - capacity
+            step = 2.0 * step if excess > 0.0 else 0.0
+        if step <= 0.0:
+            break
+    return x
 
 
 def offset_selections(x_flat: list[float], pos: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

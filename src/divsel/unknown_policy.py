@@ -13,13 +13,23 @@ The policy reads only (d, c, a); it never sees K, n, or marginal information.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import (
-    Instance, Round, RoundIncidence, core_mask, max_over_attributes, round_incidence, solution_from_rows
+    Instance,
+    Round,
+    RoundIncidence,
+    common_prefix_rounds,
+    core_mask,
+    max_over_attributes,
+    round_incidence,
+    solution_from_rows,
 )
 from .errors import ContractError, ShapeError
 
@@ -153,8 +163,13 @@ def forward_round(
     scales both into a fraction that consumes at most a/2 + a/2 of the fresh
     capacity.  The adjustments enter the accumulators only after the
     fraction is formed.
+
+    A round without candidates has no core and no caps: z_i = 0, the level
+    is min(u) and u stays as it is, so it returns at once in O(d).
     """
     d, c, a = state.d, state.c, state.a
+    if not inc.lens.size:
+        return np.zeros(0), np.zeros(d), np.zeros(0), min(state.u)
     c_arr = np.asarray(c)
     core = core_mask(inc.lens, d)
     y_i = core.astype(float)
@@ -273,6 +288,15 @@ class UnknownPolicy:
             raise ContractError(f"unknown variant {self.variant!r}")
         self.forward = ForwardState(d=self.d, c=self.c, a=self.a)
 
+    def fork(self) -> UnknownPolicy:
+        """An independent copy of the policy in its current state, to feed a
+        different continuation of the rounds seen so far.  The trace records
+        are immutable and shared with the original."""
+        twin = copy.copy(self)
+        twin.forward = dataclasses.replace(self.forward, u=list(self.forward.u))
+        twin.trace = list(self.trace)
+        return twin
+
     def process_round(self, rnd: Round) -> list[float]:
         self.round_index += 1
         inc = round_incidence(rnd, self.d)
@@ -288,16 +312,10 @@ class UnknownPolicy:
         return x_i
 
 
-def run_unknown_policy(
-    inst: Instance,
-    variant: str = "hybrid",
-    topup: bool = False,
-    continue_after_cap: bool = False,
-) -> UnknownPolicy:
-    """Stream all rounds of an instance through a fresh policy."""
+def _new_policy(inst: Instance, variant: str, topup: bool, continue_after_cap: bool) -> UnknownPolicy:
     if inst.per_round_capacity is None:
         raise ContractError("instance carries no per-round capacity a")
-    policy = UnknownPolicy(
+    return UnknownPolicy(
         d=inst.d,
         c=inst.c,
         a=inst.per_round_capacity,
@@ -305,9 +323,62 @@ def run_unknown_policy(
         topup_enabled=topup,
         continue_after_cap=continue_after_cap,
     )
+
+
+def run_unknown_policy(
+    inst: Instance,
+    variant: str = "hybrid",
+    topup: bool = False,
+    continue_after_cap: bool = False,
+) -> UnknownPolicy:
+    """Stream all rounds of an instance through a fresh policy."""
+    policy = _new_policy(inst, variant, topup, continue_after_cap)
     for rnd in inst.rounds:
         policy.process_round(rnd)
     return policy
+
+
+def unknown_family_passes(
+    members: Sequence[Instance],
+    variant: str = "hybrid",
+    topup: bool = False,
+    continue_after_cap: bool = False,
+) -> Iterator[UnknownPolicy]:
+    """``run_unknown_policy`` of every member, in order, each yielded as soon
+    as it is complete, with the rounds that members share processed once.
+
+    The policy is deterministic and reads only (d, c, a), so two members with
+    the same (d, c, a) that agree on their first r rounds reach the same state
+    after them.  Member j agrees with member j - 1 on ``common_prefix_rounds``
+    rounds and continues, from there, a fork of the pass of the latest earlier
+    member that starts at or before that round: every member in between starts
+    later, so it agrees with both on those rounds.  A member whose (d, c, a)
+    differs from its predecessor's starts a fresh pass.
+    """
+    starts = [0] * len(members)
+    forks: dict[tuple[int, int], list[int]] = {}  # (member, round) -> members forked there
+    # Members with nondecreasing starts, the latest last.  A fresh pass starts
+    # at 0, so no later member's search goes past it.
+    chain = [0]
+    for j in range(1, len(members)):
+        prev, inst = members[j - 1], members[j]
+        if (prev.d, prev.c, prev.per_round_capacity) == (inst.d, inst.c, inst.per_round_capacity):
+            starts[j] = common_prefix_rounds(prev, inst)
+            while starts[chain[-1]] > starts[j]:
+                chain.pop()
+            forks.setdefault((chain[-1], starts[j]), []).append(j)
+        chain.append(j)
+
+    pending: dict[int, UnknownPolicy] = {}
+    for i, inst in enumerate(members):
+        policy = pending.pop(i, None) or _new_policy(inst, variant, topup, continue_after_cap)
+        rounds = inst.rounds
+        for r in range(starts[i], inst.n + 1):
+            for j in forks.get((i, r), ()):
+                pending[j] = policy.fork()
+            if r < inst.n:
+                policy.process_round(rounds[r])
+        yield policy
 
 
 def policy_solution(policy: UnknownPolicy):

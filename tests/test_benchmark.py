@@ -21,7 +21,7 @@ from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
 
-from divsel.rounding import accumulator_path, max_selection_count
+from divsel.rounding import accumulator_path, capacity_safe, max_selection_count
 
 from conftest import make_instance, random_feasible_x
 
@@ -118,12 +118,12 @@ class TestSolveFluid:
         inst = gen_random(d=9, n=3, a=2, density=0.35, min_arrivals=1, c_max=2.0, seed=1001)
         x = np.array(random_feasible_x(inst, seed=1).flat())
         assert accumulator_path(x.tolist())[1][-1] > inst.capacity
-        safe = benchmark._capacity_safe(x, inst.capacity)
+        safe = capacity_safe(x, inst.capacity)
         assert accumulator_path(safe.tolist())[1][-1] <= inst.capacity
         changed = np.flatnonzero(safe != x)
         assert changed.size and np.all(x[changed.min() :] - safe[changed.min() :] <= 1e-14)
         assert np.all(x[changed.max() + 1 :] == 0.0)  # only zeros after the last change
-        assert np.array_equal(benchmark._capacity_safe(safe, inst.capacity), safe)
+        assert np.array_equal(capacity_safe(safe, inst.capacity), safe)
 
     def test_capacity_binds(self):
         inst = make_instance(1, [[(0,), (0,), (0,)]], capacity=2)

@@ -12,6 +12,7 @@ from divsel.core import (
     FractionalSolution,
     Instance,
     Round,
+    common_prefix_rounds,
     round_counts,
     round_incidence,
     instance_stats,
@@ -454,6 +455,58 @@ class TestArrayLayout:
         assert sol == FractionalSolution(np.array([0.25, 1.0, 0.5]), [0, 2, 2, 3])
         with pytest.raises(ShapeError):
             FractionalSolution([0.5], [0, 2])
+
+
+def ref_common_prefix_rounds(a, b):
+    """Leading rounds with equal ``bit_lists()``, compared one by one."""
+    shared = 0
+    for ra, rb in zip(a.rounds, b.rounds):
+        if ra.bit_lists() != rb.bit_lists():
+            break
+        shared += 1
+    return shared
+
+
+class TestCommonPrefixRounds:
+    @settings(max_examples=200, deadline=None)
+    @given(rounds_of, st.data())
+    def test_matches_round_by_round_comparison(self, d_rounds, data):
+        # The second instance keeps a prefix of the first one's rounds, then
+        # continues with fresh rounds drawn from the same small alphabet, so
+        # rounds that differ only in one late attribute, in one candidate's
+        # length, or in their size all occur (empty rounds and candidates
+        # without attributes included).
+        d, rounds = d_rounds
+        keep = data.draw(st.integers(0, len(rounds)), label="keep")
+        candidate = st.lists(st.integers(0, d - 1), unique=True, max_size=d).map(sorted)
+        tail = data.draw(st.lists(st.lists(candidate, max_size=4), max_size=4), label="tail")
+        a = Instance.from_bit_lists(d, (1.0,) * d, 0, rounds)
+        b = Instance.from_bit_lists(d, (1.0,) * d, 0, rounds[:keep] + tail)
+        want = ref_common_prefix_rounds(a, b)
+        assert want >= keep
+        assert common_prefix_rounds(a, b) == common_prefix_rounds(b, a) == want
+        assert common_prefix_rounds(a, a) == a.n
+
+    @pytest.mark.parametrize("rounds_a, rounds_b, shared", [
+        ([], [], 0),
+        ([[]], [], 0),
+        ([[], [[0]]], [[], [[0]], []], 2),
+        ([[[0, 1]], [[1]]], [[[0, 1]], [[0]]], 1),  # same lengths, one attribute differs
+        ([[[0, 1]], [[1]]], [[[0, 1]], [[0, 1]]], 1),  # a length differs
+        ([[[0], []], [[1]]], [[[0], []], [[1], []]], 1),  # a round's size differs
+        ([[[0], []]], [[[0]], [[]]], 0),  # same candidates, cut into other rounds
+        ([[], [], [[1]]], [[], [], [[0]]], 2),
+    ])
+    def test_hand_made(self, rounds_a, rounds_b, shared):
+        a = Instance.from_bit_lists(2, (1.0, 1.0), 0, rounds_a)
+        b = Instance.from_bit_lists(2, (1.0, 1.0), 0, rounds_b)
+        assert common_prefix_rounds(a, b) == common_prefix_rounds(b, a) == shared
+
+    def test_hard_families(self):
+        fhc = gen_fhc(9)
+        assert [common_prefix_rounds(a, b) for a, b in zip(fhc, fhc[1:])] == list(range(1, 9))
+        fcs = gen_fcs(64)
+        assert [common_prefix_rounds(a, b) for a, b in zip(fcs, fcs[1:])] == [32] * 3
 
 
 class TestParseErrors:

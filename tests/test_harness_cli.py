@@ -150,7 +150,8 @@ class TestVerify:
 
     def test_one_unknown_capacity_pass(self, monkeypatch):
         """All unknown-capacity variants and checks read one pass: n forward
-        rounds per instance and per fcs member, not one pass per variant."""
+        rounds per instance, not one pass per variant.  An fcs member adds
+        only the rounds after its common prefix with the previous member."""
         calls = []
         forward_round = unknown_policy.forward_round
 
@@ -165,7 +166,10 @@ class TestVerify:
         assert "Topup-dominance" in {v.name for v in verdicts}
         calls.clear()
         verify_family("fcs", 8, POLICY_NAMES, seed=0)
-        assert len(calls) == sum(member.n for member in gen_fcs(8))
+        members = gen_fcs(8)
+        shared = [core.common_prefix_rounds(a, b) for a, b in zip(members, members[1:])]
+        assert shared == [4]
+        assert len(calls) == sum(member.n for member in members) - sum(shared) == 12
 
     @pytest.mark.parametrize("rounds_per_lp", [None, 5])
     def test_adjustment_lps_are_batched(self, monkeypatch, rounds_per_lp):
@@ -186,6 +190,45 @@ class TestVerify:
         # The fluid LP, the intermediate LP and the adjustment LPs (n + 2 = 14
         # calls with one LP per round).
         assert len(calls) == math.ceil(inst.n / per_lp) + 2
+
+    @pytest.mark.parametrize("family, forward_rounds, full_rounds", [
+        ("fhc", 2080, 127),  # 4,096 and 2,143 with a fresh pass per member
+        ("fcs", 160, 160),  # 256 and 256
+    ])
+    def test_family_shares_the_common_prefix(self, monkeypatch, capsys, family, forward_rounds, full_rounds):
+        """``verify --family`` at d = 64 processes each round that members
+        share once, and an empty round never reaches the water fill."""
+        forward_calls, fills = [], []
+        real_forward, real_fill = unknown_policy.forward_round, unknown_policy.water_fill
+
+        def counting_forward(*args, **kwargs):
+            forward_calls.append(1)
+            return real_forward(*args, **kwargs)
+
+        def counting_fill(*args, **kwargs):
+            fills.append(1)
+            return real_fill(*args, **kwargs)
+
+        monkeypatch.setattr(unknown_policy, "forward_round", counting_forward)
+        monkeypatch.setattr(unknown_policy, "water_fill", counting_fill)
+        assert main(["verify", "--family", family, "--d", "64", "--policy", "uc-hybrid"]) == 0
+        assert "0 fail" in capsys.readouterr().out
+        assert (len(forward_calls), len(fills)) == (forward_rounds, full_rounds)
+
+    def test_per_instance_generates_members_once(self, monkeypatch, capsys):
+        generated = []
+        real = harness.gen_fcs
+
+        def counting_gen(d):
+            generated.append(d)
+            return real(d)
+
+        monkeypatch.setattr(harness, "gen_fcs", counting_gen)
+        argv = ["verify", "--family", "fcs", "--d", "8", "--per-instance", "--policy", "uc-hybrid"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert generated == [8]
+        assert out.count("fcs_d8_m") > 0 and out.splitlines()[0].startswith("PASS FCS-OPT")
 
     def test_family_checks(self):
         fhc = verify_family("fhc", 4, ["uc-hybrid"], seed=0)
@@ -272,9 +315,42 @@ class TestReport:
             (f"j{i}", gen_random(d=3, n=3, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=i))
             for i in range(2)
         ]
-        text = competitive_report(instances, ["uc-myopic", "uc-forward"], seed=0, jobs=jobs)
-        assert text == competitive_report(instances, ["uc-myopic", "uc-forward"], seed=0, jobs=1)
+        # Two tasks per instance: the fixed policy, and one shared pass for
+        # both unknown-capacity policies.
+        policies = ["fixed", "uc-myopic", "uc-forward"]
+        text = competitive_report(instances, policies, seed=0, jobs=jobs)
+        assert text == competitive_report(instances, policies, seed=0, jobs=1)
         assert requested == ([] if expected is None else [expected])
+
+    @pytest.mark.parametrize("topup, passes", [(False, 2), (True, 6)])
+    def test_one_unknown_capacity_pass_per_instance(self, monkeypatch, topup, passes):
+        """Without top-up, one pass per instance gives every uc-* row; each
+        top-up variant reads its own emitted total, so it runs its own pass.
+        The rows equal the ones of a pass per row either way."""
+        instances = [
+            ("s1", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=21)),
+            ("s2", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=22)),
+        ]
+        policies = ["uc-forward", "fixed", "uc-myopic", "uc-hybrid"]
+        rows = [
+            harness._eval_row((iid, inst, policy, 3, topup, None, instance_stats(inst)))
+            for iid, inst in instances
+            for policy in policies
+        ]
+        for row in rows:
+            row.pop("_ratio_raw")
+        expected = json.dumps(rows, indent=2) + "\n"
+        runs = []
+        real = unknown_policy.run_unknown_policy
+
+        def counting_run(*args, **kwargs):
+            runs.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(unknown_policy, "run_unknown_policy", counting_run)
+        text = competitive_report(instances, policies, seed=3, fmt_name="json", topup=topup)
+        assert text == expected
+        assert len(runs) == passes
 
     def test_one_fluid_solve_per_instance(self, monkeypatch):
         instances = [

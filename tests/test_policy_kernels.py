@@ -26,6 +26,7 @@ from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.unknown_policy import (
     ForwardState,
     UnknownPolicy,
+    _equal_increment_topup,
     fill_value,
     forward_round,
     hybrid_round,
@@ -367,3 +368,71 @@ def test_core_update_adds_one_attribute_at_a_time(monkeypatch):
     assert y.tolist() == [1.0] * 5 + [0.0] + [1.0] * 3
     ref_forward(ref_state, rnd)
     assert state.u == ref_state.u
+
+
+def _empty_round_instance():
+    """Empty rounds after, between and before ordinary ones, with unequal
+    weights so the level min(u) is not a tie at 0."""
+    return make_instance(
+        4,
+        [[(0, 1, 2), (3,)], [], [], [(0, 1), (1, 2, 3)], [], [(2,), ()], []],
+        capacity=14,
+        c=[1.0, 1.3, 2.0, 1.7],
+        a=2,
+    )
+
+
+def test_forward_round_on_empty_rounds_matches_scalar_loop(monkeypatch):
+    """The early return for a round without candidates gives the bytes the
+    full arithmetic gives: y and x empty, z = 0, f = min(u), u unchanged."""
+    from divsel import unknown_policy
+
+    inst = _empty_round_instance()
+    d, c, a = inst.d, inst.c, inst.per_round_capacity
+    fills = []
+    real = unknown_policy.water_fill
+    monkeypatch.setattr(unknown_policy, "water_fill", lambda *args, **kw: fills.append(1) or real(*args, **kw))
+    state, ref_state = ForwardState(d=d, c=c, a=a), RefForward(d, c, a)
+    for rnd in inst.rounds:
+        y, z, x, f = forward_round(state, round_incidence(rnd, d))
+        ref_y, ref_z, ref_x = ref_forward(ref_state, rnd)
+        assert y.tobytes() == np.array(ref_y, dtype=float).tobytes()
+        assert z.tobytes() == np.array(ref_z, dtype=float).tobytes()
+        assert x.tobytes() == np.array(ref_x, dtype=float).tobytes()
+        assert np.float64(f).tobytes() == np.float64(ref_state.f_history[-1]).tobytes()
+        assert np.array(state.u).tobytes() == np.array(ref_state.u).tobytes()
+        if not len(rnd):
+            assert z.shape == (d,) and f == min(state.u) > 0.0
+    assert len(fills) == sum(len(rnd) > 0 for rnd in inst.rounds) == 3
+
+
+@pytest.mark.parametrize("topup", [False, True])
+def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
+    """Every trace record and the state after each round equal the scalar
+    loops', with and without top-up (which spends the capacity the empty
+    rounds bank)."""
+    inst = _empty_round_instance()
+    d, c, a = inst.d, inst.c, inst.per_round_capacity
+    policy = UnknownPolicy(d=d, c=c, a=a, variant="hybrid", topup_enabled=topup)
+    ref_state = RefForward(d, c, a)
+    emitted_total = 0.0
+    for i, rnd in enumerate(inst.rounds):
+        x_bar = ref_myopic(d, c, a, rnd)
+        _, _, x_hat = ref_forward(ref_state, rnd)
+        row = hybrid_round(x_bar, x_hat).tolist()
+        if topup:
+            row = _equal_increment_topup(row, (i + 1) * a - emitted_total - math.fsum(row))
+        emitted_total += math.fsum(row)
+        assert policy.process_round(rnd) == row
+        rec = policy.trace[-1]
+        assert rec.x_bar.tobytes() == np.array(x_bar, dtype=float).tobytes()
+        assert rec.x_hat.tobytes() == np.array(x_hat, dtype=float).tobytes()
+        assert rec.y.tobytes() == np.array(ref_state.y_history[-1], dtype=float).tobytes()
+        assert rec.z.tobytes() == np.array(ref_state.z_history[-1], dtype=float).tobytes()
+        assert rec.emitted.tobytes() == np.array(row, dtype=float).tobytes()
+        assert np.float64(rec.f).tobytes() == np.float64(ref_state.f_history[-1]).tobytes()
+        assert np.array(policy.forward.u).tobytes() == np.array(ref_state.u).tobytes()
+        assert (policy.round_index, policy.emitted_total) == (i + 1, emitted_total)
+    if topup:  # the banked capacity was spent after the empty rounds
+        plain = run_unknown_policy(inst)
+        assert policy.trace[3].emitted.sum() > plain.trace[3].emitted.sum()

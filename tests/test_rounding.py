@@ -12,8 +12,10 @@ from divsel.core import solution_from_rows
 from divsel.errors import DomainError, FeasibilityError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
+from divsel import rounding
 from divsel.rounding import (
     accumulator_path,
+    capacity_safe,
     capacity_sweep,
     interval_measures,
     max_selection_count,
@@ -142,6 +144,24 @@ class TestSelectOffline:
         sol = solution_from_rows([[0.75, 0.75, 0.5]])  # total exactly 2
         for seed in range(50):
             assert len(select_offline(inst, sol, seed)) == 2
+
+    def test_row_within_tolerance_is_fitted_to_capacity(self, monkeypatch):
+        # Scaled to K = 6, these fractions sum to 6.000000000000001: the
+        # unfitted row gives 7 picks at offsets in [0, 4.4e-16).
+        inst = gen_random(d=9, n=3, a=2, density=0.35, min_arrivals=1, c_max=2.0, seed=1001)
+        sol = random_feasible_x(inst, seed=1)
+        assert sol.total() <= inst.capacity + 1e-9
+        offsets, counts = capacity_sweep(sol.flat())
+        assert counts.max() == inst.capacity + 1 and offsets[np.argmax(counts)] == 0.0
+        fitted = capacity_safe(sol.values, inst.capacity)
+        assert capacity_sweep(fitted.tolist())[1].max() <= inst.capacity
+        assert np.all(fitted <= sol.values) and np.abs(fitted - sol.values).max() <= 1e-14
+        for pos in (0.0, 1e-17, 4e-16, 0.5):
+            monkeypatch.setattr(rounding, "new_rounder", lambda seed, pos=pos: rounder_at(pos))
+            assert len(select_offline(inst, sol, seed=0)) <= inst.capacity
+        monkeypatch.undo()
+        for seed in range(50):
+            assert len(select_offline(inst, sol, seed)) <= inst.capacity
 
 
 class TestExactMarginals:

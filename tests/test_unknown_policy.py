@@ -1,6 +1,7 @@
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from divsel.benchmark import solve_adjustment_lp
@@ -9,7 +10,8 @@ from divsel.core import (
     AttributeVector, Round, core_mask, least_utility, round_incidence, validate_feasibility
 )
 from divsel.errors import ContractError, ShapeError
-from divsel.generators import gen_fcs, gen_random
+from divsel.generators import gen_fcs, gen_fhc, gen_random
+from divsel.harness import run_policy
 from divsel.unknown_policy import (
     ForwardState,
     UnknownPolicy,
@@ -18,6 +20,7 @@ from divsel.unknown_policy import (
     hybrid_round,
     myopic_round,
     policy_solution,
+    unknown_family_passes,
     run_unknown_policy,
     water_fill,
 )
@@ -285,3 +288,126 @@ class TestHybridAndTopup:
         _, _, x_hat = forward(state, rnd)
         pol = run_unknown_policy(inst, variant="hybrid")
         assert pol.trace[0].emitted.tolist() == pytest.approx(hybrid_round(x_bar, x_hat).tolist())
+
+
+def trace_bytes(policy):
+    """Every trace record of a pass as raw bytes, field by field."""
+    return [
+        (rec.x_bar.tobytes(), rec.x_hat.tobytes(), rec.y.tobytes(), rec.z.tobytes(),
+         rec.emitted.tobytes(), np.float64(rec.f).tobytes())
+        for rec in policy.trace
+    ]
+
+
+def assert_same_pass(got, want):
+    assert trace_bytes(got) == trace_bytes(want)
+    assert np.array(got.forward.u).tobytes() == np.array(want.forward.u).tobytes()
+    assert (got.round_index, got.emitted_total) == (want.round_index, want.emitted_total)
+
+
+def counting_process_round(monkeypatch):
+    """Record the size of every round the policy processes."""
+    sizes = []
+    real = UnknownPolicy.process_round
+
+    def counting(self, rnd):
+        sizes.append(len(rnd))
+        return real(self, rnd)
+
+    monkeypatch.setattr(UnknownPolicy, "process_round", counting)
+    return sizes
+
+
+class TestFork:
+    def test_fork_is_independent(self):
+        inst = gen_random(d=5, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=3)
+        policy = UnknownPolicy(d=5, c=inst.c, a=2, topup_enabled=True)
+        for rnd in inst.rounds[:3]:
+            policy.process_round(rnd)
+        twin = policy.fork()
+        assert_same_pass(twin, policy)
+        assert twin.trace[0] is policy.trace[0] and twin.trace is not policy.trace
+        before = (list(policy.forward.u), policy.emitted_total, policy.round_index, len(policy.trace))
+        for rnd in inst.rounds[3:]:
+            twin.process_round(rnd)
+        assert (policy.forward.u, policy.emitted_total, policy.round_index, len(policy.trace)) == before
+        assert_same_pass(twin, run_unknown_policy(inst, topup=True))
+
+
+class TestFamilyPass:
+    """``unknown_family_passes`` gives every member the pass a fresh
+    ``run_policy(member, "uc-hybrid", seed)`` gives it, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["fhc", "fcs"])
+    @pytest.mark.parametrize("d", [27, 64])
+    def test_hard_families_match_fresh_passes(self, family, d):
+        members = gen_fhc(d) if family == "fhc" else gen_fcs(d)
+        passes = list(unknown_family_passes(members))
+        assert len(passes) == len(members)
+        for member, forked in zip(members, passes):
+            assert_same_pass(forked, run_policy(member, "uc-hybrid", seed=1)[1])
+
+    @pytest.mark.parametrize("family, d, total, nonempty", [
+        ("fhc", 64, 2080, 127),
+        ("fcs", 64, 160, 160),
+        ("fhc", 27, 27 + 27 * 26 // 2, 2 * 27 - 1),
+    ])
+    def test_shared_rounds_are_processed_once(self, monkeypatch, family, d, total, nonempty):
+        members = gen_fhc(d) if family == "fhc" else gen_fcs(d)
+        sizes = counting_process_round(monkeypatch)
+        list(unknown_family_passes(members))
+        assert len(sizes) == total and sum(size > 0 for size in sizes) == nonempty
+
+    @staticmethod
+    def hand_made(rounds_per_member, d=3, a=1, c=None):
+        return [
+            make_instance(d, rounds, capacity=len(rounds) * a, c=c, a=a) for rounds in rounds_per_member
+        ]
+
+    R1, R2, R3 = [(0, 1), (2,)], [(1,), ()], [(0, 1, 2), (0,), (2,)]
+
+    @pytest.mark.parametrize("topup", [False, True])
+    @pytest.mark.parametrize("case, processed", [
+        # Diverge at round 0: every member is a full pass of its own.
+        ("diverge-at-0", 3 + 3 + 2),
+        # Member 0 is a full prefix of member 1, which is a prefix of member 2.
+        ("full-prefix", 2 + 1 + 2),
+        # Members of different n sharing two rounds, then one.
+        ("different-n", 4 + 1 + 3),
+        # Member 2 leaves member 1 earlier than member 1 left member 0, so it
+        # forks from member 0's pass.
+        ("earlier-fork", 4 + 2 + 2),
+        # Equal members: only the first is processed.
+        ("identical", 3),
+    ])
+    def test_hand_made_families(self, monkeypatch, topup, case, processed):
+        R1, R2, R3 = self.R1, self.R2, self.R3
+        rounds = {
+            "diverge-at-0": [[R1, R2, R3], [R2, R2, R3], [R3, []]],
+            "full-prefix": [[R1, R2], [R1, R2, R3], [R1, R2, R3, [], R1]],
+            "different-n": [[R1, R2, R3, []], [R1, R2, R1], [R1, R2, R2, R3, R3]],
+            "earlier-fork": [[R1, R2, R3, R1], [R1, R2, R1, R1], [R1, R3, R2]],
+            "identical": [[R1, [], R3]] * 3,
+        }[case]
+        members = self.hand_made(rounds, c=(1.0, 1.5, 2.5))
+        fresh = [run_unknown_policy(member, topup=topup) for member in members]
+        sizes = counting_process_round(monkeypatch)
+        passes = list(unknown_family_passes(members, topup=topup))
+        assert len(sizes) == processed
+        for forked, want in zip(passes, fresh):
+            assert_same_pass(forked, want)
+
+    def test_members_with_other_weights_start_fresh(self, monkeypatch):
+        R1, R2 = self.R1, self.R2
+        members = self.hand_made([[R1, R2], [R1, R2, R2]]) + self.hand_made([[R1, R2, R1]], c=(1.0, 2.0, 1.0))
+        # Then a fresh pass for a = 2, which the last member continues.
+        members += self.hand_made([[R1, R2, R1, R1], [R1, R2, R1, R2]], a=2, c=(1.0, 2.0, 1.0))
+        fresh = [run_unknown_policy(member) for member in members]
+        sizes = counting_process_round(monkeypatch)
+        passes = list(unknown_family_passes(members))
+        assert len(sizes) == 2 + 1 + 3 + 4 + 1
+        for forked, want in zip(passes, fresh):
+            assert_same_pass(forked, want)
+
+    def test_no_members(self):
+        assert list(unknown_family_passes([])) == []
