@@ -112,6 +112,11 @@ def run_policy(
     raise ContractError(f"unknown policy {policy_name!r}")
 
 
+def _ratio(lu: float, opt: float) -> float:
+    """ALG/OPT, taken as 1 when OPT is zero."""
+    return 1.0 if opt <= EPS else lu / opt
+
+
 def scenario_mode(policy_name: str) -> str:
     return "total" if policy_name == "fixed" else "per_round_prefix"
 
@@ -136,7 +141,7 @@ def evaluate_policy(
     if opt_value is None:
         opt_value = solve_fluid(inst).value
     degenerate = opt_value <= EPS
-    ratio = 1.0 if degenerate else lu / opt_value
+    ratio = _ratio(lu, opt_value)
     elapsed = time.perf_counter() - start
     report = RunReport(
         instance_id=instance_id,
@@ -565,7 +570,7 @@ def verify_family(
         for name in ratios:
             sol = uc_solutions[name] if name in uc_solutions else run_policy(inst, name, seed)[0]
             lu, _ = least_utility(inst, sol)
-            ratios[name].append(1.0 if opt <= EPS else lu / opt)
+            ratios[name].append(_ratio(lu, opt))
     for name in policies:
         verdicts.append(
             _upper(
@@ -608,7 +613,7 @@ def _fluid_value(inst: Instance) -> float:
 
 
 def _report_row(instance_id: str, inst: Instance, policy_name: str, lu: float, opt: float, stats) -> dict:
-    ratio = 1.0 if opt <= EPS else lu / opt
+    ratio = _ratio(lu, opt)
     bound_name, bound_value = policy_bound(inst, policy_name, opt, stats)
     satisfied = True if bound_value is None else ratio >= bound_value - EPS
     return {
@@ -628,26 +633,17 @@ def _report_row(instance_id: str, inst: Instance, policy_name: str, lu: float, o
     }
 
 
-def _eval_row(args) -> dict:
-    """One report row from its own policy pass."""
-    instance_id, inst, policy_name, seed, topup, opt, stats = args
-    report, _ = evaluate_policy(
-        inst, policy_name, seed, instance_id=instance_id, topup=topup, opt_value=opt
-    )
-    return _report_row(instance_id, inst, policy_name, report.lu, report.opt, stats)
-
-
 def _eval_rows(args) -> dict[str, dict]:
     """The report rows of one instance for a group of policies, keyed by
-    policy.  A group of plain unknown-capacity policies reads all of them
-    from one pass; any other group holds a single policy."""
+    policy, from one pass of the group's first policy.  The other policies of
+    a group (plain unknown-capacity variants) read their rows from that
+    pass's trace."""
     instance_id, inst, group, seed, topup, opt, stats = args
-    if topup or not group[0].startswith("uc-"):
-        return {name: _eval_row((instance_id, inst, name, seed, topup, opt, stats)) for name in group}
-    pol = run_policy(inst, group[0], seed)[1]
+    first, pol = run_policy(inst, group[0], seed, topup)
     rows = {}
     for name in group:
-        lu, _ = least_utility(inst, up.variant_solution(pol, name[3:]))
+        sol = first if name == group[0] else up.variant_solution(pol, name[3:])
+        lu, _ = least_utility(inst, sol)
         rows[name] = _report_row(instance_id, inst, name, lu, opt, stats)
     return rows
 

@@ -179,16 +179,41 @@ def capacity_safe(x: np.ndarray, capacity: int) -> np.ndarray:
     line boundary is at most K, so no offset can pick more than K candidates
     (the picks telescope to at most the ceiling of that boundary).  An exact
     sum clearly below K, with room for the rounding of a running sum, skips
-    the replay."""
+    the replay.
+
+    The running sum is replayed once.  An entry is lowered only once every
+    later entry is 0, so the final boundary then follows from the sum's state
+    before that entry in one step, and the fit stays linear in len(x).
+    """
     if math.fsum(x.tolist()) <= capacity * (1.0 - 1e-12):
         return x
+    states = []  # (total, comp, top) of the rounder's running sum before each entry
+    total = comp = top = 0.0
+    for xj in np.clip(x, 0.0, 1.0).tolist():
+        states.append((total, comp, top))
+        if xj > 0.0:
+            # _KahanSum.add, as in accumulator_path.
+            y = xj - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if t > top:
+                top = t
+    if top <= capacity:
+        return x
     x = x.copy()
+
+    def excess(j: int) -> float:
+        # Final boundary minus K while x[j + 1:] is all 0.
+        total, comp, top = states[j]
+        xj = min(float(x[j]), 1.0)
+        return (top if xj <= 0.0 else max(top, total + (xj - comp))) - capacity
+
     for j in np.flatnonzero(x > 0.0)[::-1].tolist():
-        step = accumulator_path(x.tolist())[1][-1] - capacity
+        step = excess(j)
         while step > 0.0 and x[j] > 0.0:
             x[j] = max(0.0, x[j] - step)
-            excess = accumulator_path(x.tolist())[1][-1] - capacity
-            step = 2.0 * step if excess > 0.0 else 0.0
+            step = 2.0 * step if excess(j) > 0.0 else 0.0
         if step <= 0.0:
             break
     return x

@@ -338,44 +338,34 @@ def run_unknown_policy(
     return policy
 
 
-def unknown_family_passes(
-    members: Sequence[Instance],
-    variant: str = "hybrid",
-    topup: bool = False,
-    continue_after_cap: bool = False,
-) -> Iterator[UnknownPolicy]:
-    """``run_unknown_policy`` of every member, in order, each yielded as soon
-    as it is complete, with the rounds that members share processed once.
+def unknown_family_passes(members: Sequence[Instance]) -> Iterator[UnknownPolicy]:
+    """``run_unknown_policy(member)`` of every member, in order, each yielded
+    as soon as it is complete, with the rounds that members share processed
+    once.
 
     The policy is deterministic and reads only (d, c, a), so two members with
     the same (d, c, a) that agree on their first r rounds reach the same state
     after them.  Member j agrees with member j - 1 on ``common_prefix_rounds``
-    rounds and continues, from there, a fork of the pass of the latest earlier
-    member that starts at or before that round: every member in between starts
-    later, so it agrees with both on those rounds.  A member whose (d, c, a)
-    differs from its predecessor's starts a fresh pass.
+    rounds; when member j - 1's own pass starts at or before that round, member
+    j continues a fork of it from there.  Otherwise (or when (d, c, a)
+    differs) member j starts a fresh pass.
     """
-    starts = [0] * len(members)
-    forks: dict[tuple[int, int], list[int]] = {}  # (member, round) -> members forked there
-    # Members with nondecreasing starts, the latest last.  A fresh pass starts
-    # at 0, so no later member's search goes past it.
-    chain = [0]
+    starts = [0] * (len(members) + 1)  # first round each member processes itself
     for j in range(1, len(members)):
         prev, inst = members[j - 1], members[j]
         if (prev.d, prev.c, prev.per_round_capacity) == (inst.d, inst.c, inst.per_round_capacity):
-            starts[j] = common_prefix_rounds(prev, inst)
-            while starts[chain[-1]] > starts[j]:
-                chain.pop()
-            forks.setdefault((chain[-1], starts[j]), []).append(j)
-        chain.append(j)
+            shared = common_prefix_rounds(prev, inst)
+            if shared >= starts[j - 1]:
+                starts[j] = shared
 
-    pending: dict[int, UnknownPolicy] = {}
+    follower = None
     for i, inst in enumerate(members):
-        policy = pending.pop(i, None) or _new_policy(inst, variant, topup, continue_after_cap)
+        policy = follower if follower is not None else _new_policy(inst, "hybrid", False, False)
+        follower = None
         rounds = inst.rounds
         for r in range(starts[i], inst.n + 1):
-            for j in forks.get((i, r), ()):
-                pending[j] = policy.fork()
+            if r == starts[i + 1] > 0:
+                follower = policy.fork()
             if r < inst.n:
                 policy.process_round(rounds[r])
         yield policy

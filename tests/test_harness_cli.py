@@ -237,6 +237,12 @@ class TestVerify:
         assert all(v.status == "pass" for v in fcs)
 
 
+def row_from_own_pass(instance_id, inst, policy, seed, topup=False):
+    """A report row from the policy's own pass, fluid solve and statistics."""
+    report, _ = evaluate_policy(inst, policy, seed, instance_id=instance_id, topup=topup)
+    return harness._report_row(instance_id, inst, policy, report.lu, report.opt, instance_stats(inst))
+
+
 class TestReport:
     def test_header_only_for_empty_input(self):
         text = competitive_report([], ["fixed"], seed=0)
@@ -333,7 +339,7 @@ class TestReport:
         ]
         policies = ["uc-forward", "fixed", "uc-myopic", "uc-hybrid"]
         rows = [
-            harness._eval_row((iid, inst, policy, 3, topup, None, instance_stats(inst)))
+            row_from_own_pass(iid, inst, policy, 3, topup)
             for iid, inst in instances
             for policy in policies
         ]
@@ -360,7 +366,7 @@ class TestReport:
         # Reference: every row solves its own fluid LP (opt=None in the task)
         # and gets its own statistics.
         rows = [
-            harness._eval_row((iid, inst, policy, 3, False, None, instance_stats(inst)))
+            row_from_own_pass(iid, inst, policy, 3)
             for iid, inst in instances
             for policy in POLICY_NAMES
         ]

@@ -163,6 +163,46 @@ class TestSelectOffline:
         for seed in range(50):
             assert len(select_offline(inst, sol, seed)) <= inst.capacity
 
+    @staticmethod
+    def replayed_fit(x, capacity):
+        """Reference fit: the whole running sum is replayed after every change."""
+        x = x.copy()
+        for j in np.flatnonzero(x > 0.0)[::-1].tolist():
+            step = accumulator_path(x.tolist())[1][-1] - capacity
+            while step > 0.0 and x[j] > 0.0:
+                x[j] = max(0.0, x[j] - step)
+                step = 2.0 * step if accumulator_path(x.tolist())[1][-1] > capacity else 0.0
+            if step <= 0.0:
+                break
+        return x
+
+    @pytest.mark.parametrize("tiny", [600, 20_000])
+    def test_many_tiny_trailing_entries(self, tiny):
+        # Within the 1e-9 tolerance, the excess over K = 3 is carried by
+        # entries of 1.8e-13, so the fit zeroes hundreds of them one by one.
+        x = np.array([0.5] * 6 + [1.8e-13] * tiny)
+        fitted = capacity_safe(x, 3)
+        assert accumulator_path(fitted.tolist())[1][-1] <= 3
+        assert capacity_sweep(fitted.tolist())[1].max() <= 3
+        lowered = np.flatnonzero(fitted != x)
+        assert len(lowered) > 0 and lowered[0] >= 6 and np.array_equal(lowered, np.arange(lowered[0], len(x)))
+        assert np.all(fitted[lowered] < x[lowered])
+        if tiny <= 600:
+            assert fitted.tobytes() == self.replayed_fit(x, 3).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 1.0, 0.3, 0.7, 1e-12, 1e-17]), min_size=1, max_size=30),
+        st.integers(1, 6),
+        st.sampled_from([0.0, 1e-16, 3e-16, 1e-12, 1e-10]),
+    )
+    def test_fit_matches_a_full_replay_per_step(self, values, capacity, rel):
+        x = np.array(values)
+        if x.sum() <= 0.0:
+            return
+        x = np.minimum(x * (capacity / x.sum()) * (1.0 + rel), 1.0)
+        assert capacity_safe(x, capacity).tobytes() == self.replayed_fit(x, capacity).tobytes()
+
 
 class TestExactMarginals:
     def test_measures_equal_fractions(self):

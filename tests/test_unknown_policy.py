@@ -366,7 +366,6 @@ class TestFamilyPass:
 
     R1, R2, R3 = [(0, 1), (2,)], [(1,), ()], [(0, 1, 2), (0,), (2,)]
 
-    @pytest.mark.parametrize("topup", [False, True])
     @pytest.mark.parametrize("case, processed", [
         # Diverge at round 0: every member is a full pass of its own.
         ("diverge-at-0", 3 + 3 + 2),
@@ -375,12 +374,12 @@ class TestFamilyPass:
         # Members of different n sharing two rounds, then one.
         ("different-n", 4 + 1 + 3),
         # Member 2 leaves member 1 earlier than member 1 left member 0, so it
-        # forks from member 0's pass.
-        ("earlier-fork", 4 + 2 + 2),
+        # starts a fresh pass.
+        ("earlier-fork", 4 + 2 + 3),
         # Equal members: only the first is processed.
         ("identical", 3),
     ])
-    def test_hand_made_families(self, monkeypatch, topup, case, processed):
+    def test_hand_made_families(self, monkeypatch, case, processed):
         R1, R2, R3 = self.R1, self.R2, self.R3
         rounds = {
             "diverge-at-0": [[R1, R2, R3], [R2, R2, R3], [R3, []]],
@@ -390,9 +389,9 @@ class TestFamilyPass:
             "identical": [[R1, [], R3]] * 3,
         }[case]
         members = self.hand_made(rounds, c=(1.0, 1.5, 2.5))
-        fresh = [run_unknown_policy(member, topup=topup) for member in members]
+        fresh = [run_unknown_policy(member) for member in members]
         sizes = counting_process_round(monkeypatch)
-        passes = list(unknown_family_passes(members, topup=topup))
+        passes = list(unknown_family_passes(members))
         assert len(sizes) == processed
         for forked, want in zip(passes, fresh):
             assert_same_pass(forked, want)
