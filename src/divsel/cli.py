@@ -24,11 +24,18 @@ from .rounding import max_selection_count
 POLICIES = list(harness.POLICY_NAMES)
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--epsilon", type=float, default=core.EPS, help="feasibility tolerance")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+_SHARED_FLAGS = {
+    "seed": dict(type=int, default=0, help="base RNG seed"),
+    "epsilon": dict(type=float, default=core.EPS, help="feasibility tolerance"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "jobs": dict(type=int, default=1, help="worker processes"),
+}
+
+
+def _common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Register the named shared flags on a subcommand."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _read_json_text(path: str) -> str:
@@ -222,13 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--min-arrivals", type=int, default=1, dest="min_arrivals")
     p_gen.add_argument("--cmax", type=float, default=2.0)
     p_gen.add_argument("--out", required=True)
-    _common(p_gen)
+    _common(p_gen, "seed")
     p_gen.set_defaults(func=_cmd_gen)
 
     p_off = sub.add_parser("offline", help="solve the offline benchmark")
     p_off.add_argument("--instance", required=True)
     p_off.add_argument("--emit-x", dest="emit_x", default=None)
-    _common(p_off)
     p_off.set_defaults(func=_cmd_offline)
 
     p_run = sub.add_parser("run", help="run one policy on one instance")
@@ -237,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--topup", action="store_true")
     p_run.add_argument("--continue-after-cap", action="store_true", dest="continue_after_cap")
     p_run.add_argument("--emit-x", dest="emit_x", default=None)
-    _common(p_run)
+    _common(p_run, "seed", "epsilon")
     p_run.set_defaults(func=_cmd_run)
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo the dependent rounding")
     p_mc.add_argument("--instance", required=True)
     p_mc.add_argument("--x", default=None, help="fractional solution JSON (default: offline x*)")
     p_mc.add_argument("--trials", type=int, default=100_000)
-    _common(p_mc)
+    _common(p_mc, "seed", "jobs")
     p_mc.set_defaults(func=_cmd_mc)
 
     p_ver = sub.add_parser("verify", help="machine-check the proven inequalities")
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument(
         "--policy", action="append", default=None, choices=POLICIES
     )
-    _common(p_ver)
+    _common(p_ver, "seed", "epsilon", "format", "jobs")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("report", help="competitive-ratio CSV/JSON report")
@@ -264,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--topup", action="store_true")
     p_rep.add_argument("--family-min", choices=("fhc", "fcs"), default=None, dest="family_min")
-    _common(p_rep)
+    _common(p_rep, "seed", "format", "jobs")
     p_rep.set_defaults(func=_cmd_report)
     return parser
 

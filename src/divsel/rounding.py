@@ -63,7 +63,7 @@ def new_rounder(seed: int) -> RounderState:
 
 
 def rounder_at(pos: float) -> RounderState:
-    """Rounder with an explicit offset; used by grid checks and the oracle."""
+    """Rounder with an explicit offset, for replaying the rounder at a chosen pos."""
     if not 0.0 <= pos < 1.0:
         raise DomainError(f"pos={pos!r} outside [0,1)")
     return RounderState(pos=pos)

@@ -50,90 +50,47 @@ def myopic_round(c: tuple[float, ...], a: int, inc: RoundIncidence) -> np.ndarra
 
 
 def water_fill(
-    u: list[float],
-    caps: list[float],
+    u: Sequence[float],
+    caps: Sequence[float],
     budget: float,
-    c: list[float],
+    c: Sequence[float],
     continue_after_cap: bool = False,
 ) -> list[float]:
     """Raise the lowest utility levels under a total budget and per-dim caps.
 
-    Levels L_k = u_k + c_k z_k; the tied minimum set rises at unit level rate,
-    a dimension joining when the level reaches its u_k.  By default the
-    process stops at budget exhaustion or at the first level where some
-    dimension sits at its cap, whichever is earlier; the achieved value
+    The levels L_k = u_k + c_k z_k rise together from the bottom, in one
+    sweep over 2d sorted events: dimension k joins at level u_k, adding 1/c_k
+    to the slope of the consumption sum_k z_k, and reaches its cap at
+    u_k + c_k caps_k; joins come first at equal levels.  The sweep stops where
+    the consumption reaches the budget and, by default, at the first cap;
     min_k L_k then equals the optimum of the one-round adjustment LP.  With
-    ``continue_after_cap`` the capped dimension is frozen and the rest keep
-    rising until the budget runs out (same value, more mass).
+    ``continue_after_cap`` a capped dimension leaves the slope and the rest
+    keep rising until the budget runs out (same value, more mass).  Both modes
+    cost O(d log d), for the sort.
     """
-    d = len(u)
-    if d == 0 or budget <= 0.0:
-        return [0.0] * d
-    ceilings = [u[k] + c[k] * caps[k] for k in range(d)]
-    level_cap = min(ceilings)
-
-    def consumption(level: float, frozen: set[int], z_frozen: list[float]) -> float:
-        total = 0.0
-        for k in range(d):
-            if k in frozen:
-                total += z_frozen[k]
-            elif level > u[k]:
-                total += (level - u[k]) / c[k]
-        return total
-
-    def budget_level(frozen: set[int], z_frozen: list[float], remaining_cap: float) -> float:
-        # Level at which the running consumption hits the budget, scanning
-        # join events in sorted order; capped above by remaining_cap.
-        events = sorted(set(u[k] for k in range(d) if k not in frozen))
-        prev = events[0] if events else remaining_cap
-        for ev in events + [remaining_cap]:
-            ev = min(ev, remaining_cap)
-            if ev > prev:
-                c_prev = consumption(prev, frozen, z_frozen)
-                c_ev = consumption(ev, frozen, z_frozen)
-                if c_ev >= budget - 1e-18:
-                    rate = (c_ev - c_prev) / (ev - prev)
-                    if rate <= 0.0:
-                        return ev
-                    return prev + (budget - c_prev) / rate
-                prev = ev
-            if ev >= remaining_cap:
-                break
-        return remaining_cap
-
-    z = [0.0] * d
-    if not continue_after_cap:
-        level = min(level_cap, budget_level(set(), z, level_cap))
-        return [min(caps[k], max(0.0, (level - u[k]) / c[k])) for k in range(d)]
-
-    # Opt-in variant: freeze each capped dimension and keep raising the rest.
-    # A pass that freezes nothing has stopped at the budget, so at most d
-    # passes run.
-    frozen: set[int] = set()
-    for _ in range(d):
-        active = [k for k in range(d) if k not in frozen]
-        if not active:
+    u, caps, c = (np.asarray(v, dtype=float) for v in (u, caps, c))
+    if not u.size or budget <= 0.0:
+        return [0.0] * u.size
+    events = np.concatenate([u, u + c * caps])
+    is_cap = np.arange(2 * u.size) >= u.size
+    order = np.lexsort((is_cap, events))
+    steps = np.concatenate([1.0 / c, -1.0 / c])[order].tolist()
+    level, used, slope = float(events[order[0]]), 0.0, 0.0
+    for event, capped, step in zip(events[order].tolist(), is_cap[order].tolist(), steps):
+        if used + slope * (event - level) >= budget:
+            level += (budget - used) / slope
             break
-        next_cap = min(ceilings[k] for k in active)
-        lb = budget_level(frozen, z, next_cap)
-        level = min(next_cap, lb)
-        for k in active:
-            if level > u[k]:
-                z[k] = min(caps[k], (level - u[k]) / c[k])
-        if lb <= next_cap + 1e-15 and consumption(level, frozen, z) >= budget - 1e-12:
+        used += slope * (event - level)
+        level = event
+        if capped and not continue_after_cap:
             break
-        capped = [k for k in active if ceilings[k] <= level + 1e-15]
-        if not capped:
-            break
-        for k in capped:
-            frozen.add(k)
-            z[k] = caps[k]
-    return z
+        slope += step
+    return np.minimum(caps, np.maximum(0.0, (level - u) / c)).tolist()
 
 
-def fill_value(u: list[float], z: list[float], c: list[float]) -> float:
+def fill_value(u: Sequence[float], z: Sequence[float], c: Sequence[float]) -> float:
     """Objective min_k (u_k + c_k z_k) achieved by an adjustment vector."""
-    return min(u[k] + c[k] * z[k] for k in range(len(u)))
+    return float((np.asarray(u) + np.asarray(c) * np.asarray(z)).min())
 
 
 @dataclass
@@ -178,12 +135,10 @@ def forward_round(
     u = np.array(state.u)
     core_bits = inc.bits[np.repeat(core, inc.lens)]
     np.add.at(u, core_bits, c_arr[core_bits])
-    state.u = u.tolist()
 
     budget = math.sqrt(d) * a
-    z_i = water_fill(state.u, inc.counts.astype(float).tolist(), budget, list(c), continue_after_cap)
-    f_i = fill_value(state.u, z_i, list(c))
-    z_i = np.asarray(z_i)
+    z_i = np.asarray(water_fill(u, inc.counts, budget, c_arr, continue_after_cap))
+    f_i = fill_value(u, z_i, c_arr)
 
     total_count = len(inc.bits)
     y_scale = min(1.0, a / (total_count / math.sqrt(d))) if total_count > 0 else 0.0
@@ -220,7 +175,6 @@ def _equal_increment_topup(x_i: list[float], budget: float) -> list[float]:
     order = sorted(range(len(x_i)), key=lambda j: 1.0 - x_i[j])
     result = list(x_i)
     remaining = budget
-    active = len(x_i)
     base = 0.0
     for rank, j in enumerate(order):
         headroom = (1.0 - x_i[j]) - base

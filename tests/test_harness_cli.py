@@ -623,9 +623,42 @@ class TestCLI:
         assert "Thm3-composite" in out
 
     def test_gen_random_deterministic_files(self, tmp_path):
-        main(["gen", "--family", "random", "--d", "4", "--n", "3", "--a", "2", "--out", str(tmp_path / "a"), "--seed", "5"])
-        main(["gen", "--family", "random", "--d", "4", "--n", "3", "--a", "2", "--out", str(tmp_path / "b"), "--seed", "5"])
+        for out in ("a", "b"):
+            argv = ["gen", "--family", "random", "--d", "4", "--n", "3", "--a", "2", "--p", "0.3"]
+            assert main([*argv, "--min-arrivals", "1", "--cmax", "2.0", "--out", str(tmp_path / out), "--seed", "5"]) == 0
         a = (tmp_path / "a" / "random_d4_m1.json").read_text()
         b = (tmp_path / "b" / "random_d4_m1.json").read_text()
         assert a == b
         parse_instance(a)
+
+    # Each subcommand takes only the shared flags it reads; verify and mc
+    # keep --jobs, which scripted command lines pass to every command.
+    UNREAD_FLAGS = [
+        ("gen", "--epsilon"),
+        ("gen", "--format"),
+        ("gen", "--jobs"),
+        ("offline", "--seed"),
+        ("offline", "--epsilon"),
+        ("offline", "--format"),
+        ("offline", "--jobs"),
+        ("run", "--format"),
+        ("run", "--jobs"),
+        ("mc", "--epsilon"),
+        ("mc", "--format"),
+        ("report", "--epsilon"),
+    ]
+
+    @pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+    def test_unread_shared_flags_are_rejected(self, tmp_path, capsys, command, flag):
+        base = {
+            "gen": ["--family", "fcs", "--d", "8", "--out", str(tmp_path)],
+            "offline": ["--instance", "i.json"],
+            "run": ["--instance", "i.json", "--policy", "fixed"],
+            "mc": ["--instance", "i.json"],
+            "report": ["--instances", "i.json"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *base, flag, "json" if flag == "--format" else "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

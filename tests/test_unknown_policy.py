@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -155,21 +156,51 @@ class TestWaterFill:
         assert sum(z_go) <= budget + 1e-9
         assert all(zk <= cap for zk, cap in zip(z_go, caps))
 
-    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("seed", range(60))
     def test_value_matches_lp(self, seed):
+        # Odd seeds: d <= 7; even seeds: up to 64.  Every third seed draws u
+        # from four values (ties), caps are 0 half the time (no arrivals), and
+        # every fourth seed sets the budget to the consumption at one of the
+        # join or cap levels, so the budget lands on an event.
         import random
 
         rng = random.Random(seed)
-        d = rng.randint(1, 7)
-        u = [rng.uniform(0, 5) for _ in range(d)]
+        d = rng.randint(1, 7) if seed % 2 else rng.randint(8, 64)
+        if seed % 3 == 0:
+            u = [rng.choice([0.0, 0.5, 1.0, 2.5]) for _ in range(d)]
+        else:
+            u = [rng.uniform(0, 5) for _ in range(d)]
         caps = [rng.choice([0.0, rng.uniform(0, 4)]) for _ in range(d)]
         c = [rng.uniform(1.0, 3.0) for _ in range(d)]
-        budget = rng.uniform(0, 8)
+        if seed % 4 == 0:
+            level = rng.choice(u + [u[k] + c[k] * caps[k] for k in range(d)])
+            budget = math.fsum(min(caps[k], max(0.0, (level - u[k]) / c[k])) for k in range(d))
+        else:
+            budget = rng.uniform(0, 8 * d / 4)
         z = water_fill(u, caps, budget, c)
-        assert sum(z) <= budget + 1e-9
-        assert all(-1e-12 <= zk <= caps[k] + 1e-9 for k, zk in enumerate(z))
+        z_go = water_fill(u, caps, budget, c, continue_after_cap=True)
+        for fill in (z, z_go):
+            assert sum(fill) <= budget + 1e-9
+            assert all(0.0 <= zk <= caps[k] for k, zk in enumerate(fill))
         lp_value, _ = solve_adjustment_lp(u, caps, budget, c)
         assert fill_value(u, z, c) == pytest.approx(lp_value, abs=1e-7)
+        assert fill_value(u, z_go, c) == pytest.approx(fill_value(u, z, c), abs=1e-9)
+        assert all(go >= stop for go, stop in zip(z_go, z))
+
+    @pytest.mark.parametrize("d", [256, 1024])
+    def test_sweep_scales_with_d(self, d):
+        # Budget 0.9 * sum(caps): the cap mode passes nearly every cap event.
+        rng = np.random.default_rng(d)
+        u, caps, c = rng.uniform(0, 5, d), rng.uniform(0, 4, d), rng.uniform(1, 3, d)
+        budget = 0.9 * float(caps.sum())
+        lp_value, _ = solve_adjustment_lp(u.tolist(), caps.tolist(), budget, c.tolist())
+        for continue_after_cap in (False, True):
+            start = time.perf_counter()
+            z = water_fill(u, caps, budget, c, continue_after_cap)
+            assert time.perf_counter() - start < 5.0
+            assert fill_value(u, z, c) == pytest.approx(lp_value, abs=1e-7)
+            assert sum(z) <= budget + 1e-9
+        assert sum(z) == pytest.approx(budget)
 
 
 class TestForward:
