@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import core, harness
 from .benchmark import opt_bounds, solve_fluid
-from .errors import DivselError, SchemaError
+from .errors import DivselError, DomainError, SchemaError
 from .generators import gen_random
 from .harness import fmt
 from .rounding import max_selection_count
@@ -159,11 +160,12 @@ def _cmd_verify(args) -> int:
     verdicts = []
     if args.family:
         members = harness.family_members(args.family, args.d)
+        opts = [solve_fluid(inst).value for inst in members]
         verdicts.extend(
-            harness.verify_family(args.family, args.d, args.policy, args.seed, args.epsilon, members)
+            harness.verify_family(args.family, args.d, args.policy, args.seed, args.epsilon, members, opts)
         )
         if args.per_instance:
-            for m, inst in enumerate(members, start=1):
+            for m, (inst, opt) in enumerate(zip(members, opts), start=1):
                 verdicts.extend(
                     harness.verify_instance(
                         inst,
@@ -171,6 +173,7 @@ def _cmd_verify(args) -> int:
                         args.seed,
                         args.epsilon,
                         instance_id=f"{args.family}_d{args.d}_m{m}",
+                        opt=opt,
                     )
                 )
     for path in args.instance or []:
@@ -275,12 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Shared flag values outside their range are a DomainError (exit 3);
+    ``--trials`` is checked by ``harness.monte_carlo``."""
+    eps = getattr(args, "epsilon", 0.0)
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise DomainError(f"--epsilon must be finite and >= 0, got {eps}")
+    if getattr(args, "jobs", 1) < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "policy", None) is None and args.command in ("verify", "report"):
         args.policy = POLICIES
     try:
+        _check_flags(args)
         return args.func(args)
     except DivselError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,12 @@ per-round fraction; the principal emits the across-agent average.
 
 Both "continuous increase" processes are piecewise linear, so they are
 realized here as exact closed-form event computations, never time-stepped.
-The greedy pass is sequential in arrival order and runs agent by agent; the
-minimalist and combine steps are closed forms per dimension and per
-candidate, and run for all agents at once on arrays.
+Every stage runs for all agents at once on arrays.  The greedy pass is
+sequential in the shared order, but a candidate can only be raised if, at the
+start of the round, at least sqrt(d) of its thresholds are positive: one
+agents x attributes array screens out every other candidate, and only the
+survivors go through the scalar step, one at a time.  The minimalist and
+combine steps are closed forms per dimension and per candidate.
 """
 
 from __future__ import annotations
@@ -58,12 +61,12 @@ def guess_count(under: float, over: float) -> int:
 
 @dataclass
 class AgentState:
-    """Per-guess running state across the horizon.
+    """Per-guess running state across the horizon: the stage-1 and stage-2
+    mass used so far.
 
-    Stage 1 reads and updates ``v`` and ``y_used`` one candidate at a time.
-    The per-dimension stage-2 totals of all agents are one agents x d array
-    on the principal (``FixedPolicy.z_acc``); the per-round rows of all
-    agents are in the principal's trace.
+    The per-dimension totals of all agents are agents x d arrays on the
+    principal (``FixedPolicy.v`` for stage 1, ``FixedPolicy.z_acc`` for
+    stage 2); the per-round rows of all agents are in the principal's trace.
     """
 
     gamma: float
@@ -72,53 +75,64 @@ class AgentState:
     capacity: int
     y_used: float = 0.0
     z_used: float = 0.0
-    v: list[float] = field(default_factory=list)  # c_k * sum of y on dim k
-
-    def __post_init__(self) -> None:
-        if not self.v:
-            self.v = [0.0] * self.d
 
 
 def controlled_greedy_round(
-    agent: AgentState, rnd: Round | list[list[int]], order: list[int]
-) -> list[float]:
-    """Stage 1: raise each candidate's fraction while it still benefits at
-    least sqrt(d) underrepresented dimensions.
+    agents: list[AgentState], v: np.ndarray, inc: RoundIncidence, order: list[int]
+) -> np.ndarray:
+    """Stage 1 of every agent at once: raise each candidate's fraction while
+    it still benefits at least sqrt(d) underrepresented dimensions; returns
+    the agents x n_i array y and updates ``v`` (agents x d, c_k times the sum
+    of y on dimension k) and each agent's ``y_used``.
 
     For candidate j the thresholds tau_k = (gamma/sqrt(d) - v_k)/c_k over its
-    attributes with v_k below the scaled guess are the exits from the
-    underrepresented set; the raise stops at the m-th largest threshold
-    (m = least integer with m^2 >= d), at 1, or at the capacity, whichever is
-    smallest.  ``rnd`` is a Round or its ``bit_lists()``, which the principal
-    builds once per round for all agents.
+    attributes with tau_k > 0 are the exits from the underrepresented set; the
+    raise stops at the m-th largest threshold (m = least integer with
+    m^2 >= d), at 1, or at the capacity, whichever is smallest.  Candidates
+    are visited in ``order``.
+
+    Within a round every v_k only grows (c_k > 0 and y > 0), so a candidate's
+    count of positive thresholds can only fall as the round goes on.  The
+    thresholds at the start of the round, one agents x |bits| array, thus
+    screen out exactly the candidates that end at y = 0: those with fewer than
+    m positive ones.  The scalar step runs on the survivors alone, against
+    the current v.  An agent whose y_used has reached K raises nothing.
     """
-    cand_bits = rnd.bit_lists() if isinstance(rnd, Round) else rnd
-    target = agent.gamma / math.sqrt(agent.d)
-    m = min_count_at_least_sqrt_d(agent.d)
-    y_i = [0.0] * len(cand_bits)
-    for pos in order:
-        bits = cand_bits[pos]
-        thresholds = []
-        for k in bits:
-            tau = (target - agent.v[k]) / agent.c[k]
-            if tau > 0.0:
-                thresholds.append(tau)
-        if len(thresholds) < m:
-            y_stop = 0.0
-        else:
-            thresholds.sort(reverse=True)
-            y_stop = thresholds[m - 1]
-        y = min(1.0, max(0.0, agent.capacity - agent.y_used), y_stop)
-        y_i[pos] = y
-        if y > 0.0:
-            agent.y_used += y
-            for k in bits:
-                agent.v[k] += agent.c[k] * y
-    return y_i
+    y = np.zeros((len(agents), inc.lens.size))
+    live = [a for a, agent in enumerate(agents) if agent.capacity - agent.y_used > 0.0]
+    if not live or not inc.bits.size:
+        return y
+    first = agents[0]
+    c = np.asarray(first.c)
+    m = min_count_at_least_sqrt_d(first.d)
+    target = np.array([agents[a].gamma / math.sqrt(first.d) for a in live])
+    nonempty = inc.lens > 0
+    positive = (target[:, None] - v[live][:, inc.bits]) / c[inc.bits] > 0.0
+    survives = np.zeros((len(live), inc.lens.size), dtype=bool)
+    survives[:, nonempty] = (
+        np.add.reduceat(positive, inc.starts[nonempty], axis=1, dtype=np.int64) >= m
+    )
+    # Row-major nonzero over the columns in visiting order: each agent's
+    # survivors, agent by agent, in the shared order.
+    order = np.asarray(order, dtype=np.int64)
+    rows, steps = np.nonzero(survives[:, order])
+    for r, j in zip(rows.tolist(), order[steps].tolist()):
+        a, agent = live[r], agents[live[r]]
+        bits = inc.bits[inc.starts[j] : inc.starts[j] + inc.lens[j]]
+        tau = (target[r] - v[a, bits]) / c[bits]
+        tau = tau[tau > 0.0]
+        y_stop = float(np.sort(tau)[-m]) if tau.size >= m else 0.0
+        step = min(1.0, max(0.0, agent.capacity - agent.y_used), y_stop)
+        y[a, j] = step
+        if step > 0.0:
+            agent.y_used += step
+            v[a, bits] += c[bits] * step
+    return y
 
 
 def continuous_minimalist_round(
     agents: list[AgentState],
+    v: np.ndarray,
     z_acc: np.ndarray,
     unseen: np.ndarray,
     inc: RoundIncidence,
@@ -126,10 +140,11 @@ def continuous_minimalist_round(
     """Stage 2 of every agent at once: per-dimension utility adjustments, in
     index order; returns them as an agents x d array.
 
-    Requires stage 1 of this round to be applied already (the accumulated
-    utility w = v + c z_acc counts y through the current round, z only before
-    it).  ``z_acc`` holds each agent's adjustments of past rounds and gains
-    this round's; ``unseen`` is phi_k minus the arrivals through this round.
+    Requires stage 1 of this round to be applied already to ``v`` (the
+    accumulated utility w = v + c z_acc counts y through the current round, z
+    only before it).  ``z_acc`` holds each agent's adjustments of past rounds
+    and gains this round's; ``unseen`` is phi_k minus the arrivals through
+    this round.
     The adjustment stops when the dimension's maximal achievable
     end-of-horizon utility reaches the scaled guess, at the round arrival
     count, or at the capacity, in closed form.  All agents share d, c and K.
@@ -137,7 +152,7 @@ def continuous_minimalist_round(
     first = agents[0]
     c = np.asarray(first.c)
     target = np.array([agent.gamma / math.sqrt(first.d) for agent in agents])
-    w = np.array([agent.v for agent in agents]) + c * z_acc
+    w = v + c * z_acc
     res = c * unseen
     z = np.minimum(np.maximum((target[:, None] - w - res) / c, 0.0), inc.counts)
     # Only the capacity clip depends on index order.  A zero entry would add
@@ -187,6 +202,7 @@ class FixedPolicy:
     under: float = field(init=False)
     over: float = field(init=False)
     agents: list[AgentState] = field(init=False)
+    v: np.ndarray = field(init=False)  # agents x d: c_k times the sum of y_ij on dim k
     z_acc: np.ndarray = field(init=False)  # agents x d: sum over past rounds of z_ik
     consumed: np.ndarray = field(init=False)  # arrivals seen so far, per dimension
     trace: list[FixedRound] = field(default_factory=list)
@@ -202,6 +218,7 @@ class FixedPolicy:
             AgentState(gamma=(2.0**r) * self.under, d=self.d, c=self.c, capacity=self.capacity)
             for r in range(count)
         ]
+        self.v = np.zeros((count, self.d))
         self.z_acc = np.zeros((count, self.d))
         self.consumed = np.zeros(self.d, dtype=np.int64)
 
@@ -217,12 +234,9 @@ class FixedPolicy:
             return [0.0] * len(rnd)
         inc = round_incidence(rnd, self.d)
         self.consumed += inc.counts
-        cand_bits = rnd.bit_lists()
-        y = np.array(
-            [controlled_greedy_round(agent, cand_bits, order) for agent in self.agents]
-        ).reshape(len(self.agents), len(rnd))
+        y = controlled_greedy_round(self.agents, self.v, inc, order)
         z = continuous_minimalist_round(
-            self.agents, self.z_acc, np.subtract(self.phi_total, self.consumed), inc
+            self.agents, self.v, self.z_acc, np.subtract(self.phi_total, self.consumed), inc
         )
         x = combine_agent_round(y, z, inc)
         # Python's sum adds the agents' rows one after another, in agent order.

@@ -36,7 +36,7 @@ from .core import (
     round_incidence,
     validate_feasibility,
 )
-from .errors import ContractError
+from .errors import ContractError, DomainError, SizeError
 from .generators import fcs_kappa, gen_fcs, gen_fhc
 from .rounding import interval_measures, max_selection_count, offset_selections
 
@@ -169,30 +169,47 @@ def monte_carlo(
     A trial's utility on dimension k is c_k added once per selected candidate
     with attribute k; it is read from a table of those running sums
     (``cumsum`` adds them one after another), indexed by the trial's count.
+    Needs ``trials >= 1``; a trial count whose arrays cannot fit in memory is
+    a SizeError, raised before they are allocated.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pos = rng.random(trials)
-    freqs = np.zeros(inst.total_candidates)
-    counts = np.zeros(trials, dtype=np.int64)
-    dim_counts = np.zeros((inst.d, trials), dtype=np.int64)
-    ptr = inst.cand_ptr.tolist()
-    for j, sel in offset_selections(sol.flat(), pos):
-        freqs[j] = sel.mean()
-        counts += sel
-        dim_counts[inst.bits[ptr[j] : ptr[j + 1]]] += sel
-    if not trials:
-        dim_utils = [0.0] * inst.d
-    else:
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    # pos, two boundary rows, the counts, the d x trials dimension counts and
+    # the utilities read from them: 8 bytes each.
+    need = 8 * trials * (2 * inst.d + 4)
+    if need > _physical_memory():
+        raise SizeError(f"{trials} trials need {need / 2**30:.1f} GiB, more than the machine's memory")
+    try:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        pos = rng.random(trials)
+        freqs = np.zeros(inst.total_candidates)
+        counts = np.zeros(trials, dtype=np.int64)
+        dim_counts = np.zeros((inst.d, trials), dtype=np.int64)
+        ptr = inst.cand_ptr.tolist()
+        for j, sel in offset_selections(sol.flat(), pos):
+            freqs[j] = sel.mean()
+            counts += sel
+            dim_counts[inst.bits[ptr[j] : ptr[j + 1]]] += sel
         steps = np.repeat(np.asarray(inst.c)[:, None], int(dim_counts.max()) + 1, axis=1)
         steps[:, 0] = 0.0
         sums = np.cumsum(steps, axis=1)
         dim_utils = np.take_along_axis(sums, dim_counts, axis=1).mean(axis=1).tolist()
+    except MemoryError as exc:
+        raise SizeError(f"{trials} trials do not fit in memory") from exc
     return {
         "trials": trials,
         "frequencies": freqs.tolist(),
-        "max_selected": int(counts.max()) if trials else 0,
+        "max_selected": int(counts.max()),
         "dimension_utilities": dim_utils,
     }
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def _se_bound(x: float, trials: int) -> float:
@@ -301,16 +318,18 @@ def verify_instance(
     eps: float = EPS,
     instance_id: str = "instance",
     marginal_checks: bool = True,
+    opt: Optional[float] = None,
 ) -> list[VerificationVerdict]:
     """Every applicable proven inequality on one instance, as verdicts.
 
     Checks whose preconditions fail (undefined fluctuation ratio, missing a,
     too-short horizon) are reported as precondition_unmet, never silently
-    skipped.
+    skipped.  ``opt`` is the instance's fluid optimum when the caller has
+    already solved it.
     """
     verdicts: list[VerificationVerdict] = []
-    lp = solve_fluid(inst)
-    opt = lp.value
+    if opt is None:
+        opt = solve_fluid(inst).value
     under, over = opt_bounds(inst)
     verdicts.append(_lower("Lemma1-under", opt, under, max(eps, LP_TOL), detail=instance_id))
     verdicts.append(_upper("Lemma1-over", opt, over, max(eps, LP_TOL), detail=instance_id))
@@ -538,10 +557,12 @@ def verify_family(
     seed: int,
     eps: float = EPS,
     members: Optional[Sequence[Instance]] = None,
+    opts: Optional[Sequence[float]] = None,
 ) -> list[VerificationVerdict]:
     """Family-level impossibility witnesses (need every member; pass
-    ``members`` to reuse ones already generated).  The fhc ratio bound
-    concerns the hybrid policy alone.
+    ``members`` to reuse ones already generated, and ``opts``, their fluid
+    optima, to reuse those).  The fhc ratio bound concerns the hybrid policy
+    alone.
 
     The unknown-capacity rows of all members come from one forked pass
     (``unknown_policy.unknown_family_passes``): the rounds that consecutive
@@ -558,7 +579,8 @@ def verify_family(
         ratio_name, ratio_cap = "FCS-512", 512.0 * d ** (-1.0 / 3.0)
     else:
         raise ContractError(f"unknown family {family!r}")
-    opts = [solve_fluid(m).value for m in members]
+    if opts is None:
+        opts = [solve_fluid(m).value for m in members]
     verdicts = [
         _lower(opt_name, min(opts), opt_floor, max(eps, LP_TOL), detail=f"{family} d={d} min over members")
     ]

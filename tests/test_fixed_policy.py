@@ -41,10 +41,17 @@ def make_agent(gamma, d, capacity, c=None):
     )
 
 
-def minimalist(agent, rnd, phi_total, consumed):
+def greedy(agent, v, rnd, order):
+    """Stage 1 of a single agent whose stage-1 totals are the 1 x d array
+    ``v`` (updated in place); its row of y."""
+    return controlled_greedy_round([agent], v, round_incidence(rnd, agent.d), order)[0].tolist()
+
+
+def minimalist(agent, rnd, phi_total, consumed, v=None):
     """Stage 2 of a single agent with no past adjustments; its row of z."""
     unseen = np.subtract(phi_total, consumed)
-    z = continuous_minimalist_round([agent], np.zeros((1, agent.d)), unseen, round_incidence(rnd, agent.d))
+    v = np.zeros((1, agent.d)) if v is None else v
+    z = continuous_minimalist_round([agent], v, np.zeros((1, agent.d)), unseen, round_incidence(rnd, agent.d))
     return z[0].tolist()
 
 
@@ -83,33 +90,34 @@ class TestControlledGreedy:
         # gamma/sqrt(d) = 2; three thresholds at 2 each, m = 2, so the raise
         # stops at min(1, ., 2) = 1.
         agent = make_agent(gamma=4.0, d=4, capacity=100)
+        v = np.zeros((1, 4))
         rnd = Round((AttributeVector((0, 1, 2)),))
-        y = controlled_greedy_round(agent, rnd, [0])
+        y = greedy(agent, v, rnd, [0])
         assert y == [1.0]
-        assert agent.v == [1.0, 1.0, 1.0, 0.0]
+        assert v[0].tolist() == [1.0, 1.0, 1.0, 0.0]
 
         # Next candidate sees v = (1,1,1,0): thresholds (1,1), m=2, stop at 1.
         rnd2 = Round((AttributeVector((0, 1)),))
-        y2 = controlled_greedy_round(agent, rnd2, [0])
+        y2 = greedy(agent, v, rnd2, [0])
         assert y2 == [1.0]
 
     def test_single_attribute_never_raised(self):
         agent = make_agent(gamma=4.0, d=4, capacity=100)
         rnd = Round((AttributeVector((2,)),))
-        assert controlled_greedy_round(agent, rnd, [0]) == [0.0]
+        assert greedy(agent, np.zeros((1, 4)), rnd, [0]) == [0.0]
 
     def test_partial_raise_stops_at_threshold(self):
         # v = (1.5, 1.5) from a previous raise: thresholds at 0.5, so y = 0.5.
         agent = make_agent(gamma=2.0 * math.sqrt(2.0), d=2, capacity=100)
         rnd = Round((AttributeVector((0, 1)), AttributeVector((0, 1))))
-        y = controlled_greedy_round(agent, rnd, [0, 1])
+        y = greedy(agent, np.zeros((1, 2)), rnd, [0, 1])
         assert y[0] == 1.0
         assert y[1] == pytest.approx(1.0, abs=1e-12)  # threshold 2 - 1 = 1
 
     def test_capacity_exhaustion_stops_raise(self):
         agent = make_agent(gamma=40.0, d=4, capacity=1)
         rnd = Round((AttributeVector((0, 1, 2, 3)), AttributeVector((0, 1, 2, 3))))
-        y = controlled_greedy_round(agent, rnd, [0, 1])
+        y = greedy(agent, np.zeros((1, 4)), rnd, [0, 1])
         assert y == [1.0, 0.0]
         assert agent.y_used == pytest.approx(1.0)
 
@@ -120,9 +128,9 @@ class TestContinuousMinimalist:
         # utility reaches the scaled guess after a raise of exactly 1 in
         # utility terms, well inside the round cap and the capacity.
         agent = make_agent(gamma=2.0, d=1, capacity=100, c=[0.5])
-        agent.v[0] = 0.5  # w = v + c*z_acc = 0.5
+        v = np.array([[0.5]])  # w = v + c*z_acc = 0.5
         rnd = Round((AttributeVector((0,)),) * 3)
-        z = minimalist(agent, rnd, phi_total=[7], consumed=[6])  # Res = 0.5 * (7 - 6) = 0.5
+        z = minimalist(agent, rnd, phi_total=[7], consumed=[6], v=v)  # Res = 0.5 * (7 - 6) = 0.5
         assert z == [pytest.approx((2.0 - 0.5 - 0.5) / 0.5)]
         assert z[0] <= rnd.attribute_counts(1)[0]
         assert agent.z_used == pytest.approx(z[0])

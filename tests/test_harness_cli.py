@@ -9,7 +9,7 @@ import pytest
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
 from divsel.core import instance_stats, parse_instance, round_incidence, serialize_instance, solution_from_rows
-from divsel import benchmark, core, harness, unknown_policy
+from divsel import benchmark, cli, core, harness, unknown_policy
 from divsel.errors import ContractError
 from divsel.generators import gen_fcs, gen_random
 from divsel.harness import (
@@ -229,6 +229,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert generated == [8]
         assert out.count("fcs_d8_m") > 0 and out.splitlines()[0].startswith("PASS FCS-OPT")
+
+    def test_per_instance_solves_each_member_once(self, monkeypatch, capsys):
+        solved = []
+
+        def counting_solve(inst):
+            solved.append(inst)
+            return solve_fluid(inst)
+
+        for module in (benchmark, harness, cli):
+            monkeypatch.setattr(module, "solve_fluid", counting_solve)
+        argv = ["verify", "--family", "fhc", "--d", "27", "--per-instance", "--policy", "fixed"]
+        assert main(argv) == 0
+        assert "0 fail" in capsys.readouterr().out
+        assert len(solved) == 27
 
     def test_family_checks(self):
         fhc = verify_family("fhc", 4, ["uc-hybrid"], seed=0)
@@ -592,6 +606,54 @@ class TestCLI:
         assert rc == 3
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("trials", ["0", "-5", "100000000000"])
+    def test_mc_rejects_bad_trial_counts(self, tmp_path, capsys, trials):
+        # The last count's arrays would need far more than any machine's
+        # memory; it is refused before anything is allocated.
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(serialize_instance(make_instance(2, [[(0,), (1,)]], capacity=2)))
+        x_path = tmp_path / "x.json"
+        x_path.write_text("[[0.5, 0.5]]", encoding="utf-8")
+        rc = main(["mc", "--instance", str(inst_path), "--x", str(x_path), "--trials", trials])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error: ") and "trials" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    @pytest.mark.parametrize("eps", ["inf", "-inf", "nan", "-1"])
+    def test_out_of_range_epsilon_is_domain_error(self, tmp_path, capsys, command, eps):
+        if command == "verify":
+            argv = ["verify", "--family", "fcs", "--d", "8"]
+        else:
+            path = tmp_path / "inst.json"
+            path.write_text(serialize_instance(make_instance(2, [[(0,), (1,)]], capacity=2)))
+            argv = ["run", "--instance", str(path), "--policy", "fixed"]
+        rc = main([*argv, f"--epsilon={eps}"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error: --epsilon must be finite and >= 0")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["report", "verify", "mc"])
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_nonpositive_jobs_is_domain_error(self, tmp_path, capsys, command, jobs):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(2, [[(0,), (1,)]], capacity=2)))
+        flag = {"report": "--instances", "verify": "--instance", "mc": "--instance"}[command]
+        rc = main([command, flag, str(path), "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error: --jobs must be >= 1")
+        assert captured.out == ""
+
+    def test_one_job_is_accepted(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(make_instance(2, [[(0,), (1,)]], capacity=2)))
+        assert main(["report", "--instances", str(path), "--policy", "fixed", "--jobs", "1"]) == 0
+        assert capsys.readouterr().out.startswith("instance,")
 
     @pytest.mark.parametrize("bad", ["instance", "x"])
     def test_non_utf8_input_is_schema_error(self, tmp_path, capsys, bad):

@@ -1,5 +1,6 @@
 """The array kernels of both online policies against the per-agent,
-per-candidate scalar loops they replace, kept here verbatim as the reference.
+per-candidate scalar loops they replace, kept here as the reference with
+their arithmetic unchanged.
 
 Every comparison is exact (``==``): the kernels perform the same IEEE-754
 operations in the same order as the loops.
@@ -10,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divsel.benchmark import opt_bounds_from_marginals
 from divsel.core import (
@@ -21,7 +24,7 @@ from divsel.core import (
     min_count_at_least_sqrt_d,
     round_incidence,
 )
-from divsel.fixed_policy import guess_count, run_fixed_policy
+from divsel.fixed_policy import AgentState, controlled_greedy_round, guess_count, run_fixed_policy
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.unknown_policy import (
     ForwardState,
@@ -58,8 +61,9 @@ def ref_greedy(agent, rnd, order):
     target = agent.gamma / math.sqrt(agent.d)
     m = min_count_at_least_sqrt_d(agent.d)
     y_i = [0.0] * len(rnd)
+    cands = rnd.candidates  # built once: each access builds every candidate
     for pos in order:
-        cand = rnd.candidates[pos]
+        cand = cands[pos]
         thresholds = []
         for k in cand.bits:
             tau = (target - agent.v[k]) / agent.c[k]
@@ -171,8 +175,9 @@ def ref_forward(state, rnd):
     counts = rnd.attribute_counts(d)
     cores = set(core_set(rnd, d))
     y_i = [1.0 if j in cores else 0.0 for j in range(len(rnd))]
+    cands = rnd.candidates
     for j in cores:
-        for k in rnd.candidates[j].bits:
+        for k in cands[j].bits:
             state.u[k] += c[k]
     budget = math.sqrt(d) * a
     z_i = water_fill(state.u, [float(v) for v in counts], budget, list(c))
@@ -219,6 +224,8 @@ def _capacity_one_instance():
 INSTANCES = {
     **{f"random-d64-seed{s}": gen_random(d=64, n=25, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=s)
        for s in (1, 2)},
+    **{f"random-d{d}-seed1": gen_random(d=d, n=4, a=4, density=0.1, min_arrivals=1, c_max=2.0, seed=1)
+       for d in (256, 1024)},
     **{f"fcs27-{i}": inst for i, inst in enumerate(gen_fcs(27))},
     **{f"fhc27-{i}": inst for i, inst in enumerate(gen_fhc(27))},
     "edge": _edge_instance(),
@@ -261,20 +268,84 @@ class TestMaxOverAttributes:
         assert inc.starts.tolist() == [0, 2, 2]
 
 
+def assert_fixed_matches_ref(inst, seed):
+    policy = run_fixed_policy(inst, seed)
+    rows, agents = ref_fixed(inst, seed)
+    assert [rec.emitted.tolist() for rec in policy.trace] == rows
+    assert len(policy.agents) == len(agents)
+    for index, (got, want) in enumerate(zip(policy.agents, agents)):
+        assert got.gamma == want.gamma
+        assert (got.y_used, got.z_used) == (want.y_used, want.z_used)
+        assert [rec.x[index].tolist() for rec in policy.trace] == want.rows
+        assert [rec.y[index].tolist() for rec in policy.trace] == want.y_rows
+        assert policy.v[index].tolist() == want.v
+
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_fixed_policy_matches_scalar_loops(name):
-    inst = INSTANCES[name]
     for seed in (0, 5):
-        policy = run_fixed_policy(inst, seed)
-        rows, agents = ref_fixed(inst, seed)
-        assert [rec.emitted.tolist() for rec in policy.trace] == rows
-        assert len(policy.agents) == len(agents)
-        for index, (got, want) in enumerate(zip(policy.agents, agents)):
-            assert got.gamma == want.gamma
-            assert (got.y_used, got.z_used) == (want.y_used, want.z_used)
-            assert [rec.x[index].tolist() for rec in policy.trace] == want.rows
-            assert [rec.y[index].tolist() for rec in policy.trace] == want.y_rows
-            assert got.v == want.v
+        assert_fixed_matches_ref(INSTANCES[name], seed)
+
+
+@st.composite
+def small_fixed_instances(draw):
+    """Few dimensions, a handful of equal weights (tied thresholds), short
+    and empty candidates, empty rounds and capacities from 0 to 4."""
+    d = draw(st.integers(1, 9))
+    c = draw(st.lists(st.sampled_from([1.0, 1.5, 3.0]), min_size=d, max_size=d))
+    c = [ck / min(c) for ck in c]  # an instance's smallest weight is 1
+    cand = st.lists(st.integers(0, d - 1), unique=True, max_size=d)
+    rounds = draw(st.lists(st.lists(cand, max_size=6), max_size=5))
+    return make_instance(d, rounds, draw(st.integers(0, 4)), c=c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fixed_instances(), st.integers(0, 3))
+# The one agent (gamma = K = 2) uses up K on the second candidate of round 0,
+# with a third still to visit, and skips stage 1 in round 1.
+@example(make_instance(1, [[(0,), (0,), (0,)], [(), (0,)]], capacity=2), 0)
+# Equal weights and identical candidates: every threshold of a round ties.
+@example(make_instance(4, [[(0, 1, 2), (0, 1, 2), (1, 2, 3)]] * 2, capacity=4), 1)
+# m = 3: candidates with fewer than m attributes or with none.
+@example(make_instance(9, [[tuple(range(9)), (0, 1), (), (4,)], [(), (2, 5, 8)]], capacity=3), 2)
+# Empty rounds around ordinary ones.
+@example(make_instance(2, [[], [(0, 1)], [], [(0,), (1,)], []], capacity=2), 0)
+# Dimension 1 never arrives: OPT's lower bound is 0 and there are no agents.
+@example(make_instance(2, [[(0,), (0,)], [(0,)]], capacity=2), 3)
+def test_fixed_policy_matches_scalar_loops_on_small_instances(inst, seed):
+    assert_fixed_matches_ref(inst, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_controlled_greedy_round_matches_ref_greedy(data):
+    """Stage 1 alone, from arbitrary guesses, totals and used capacity.
+
+    Inside the policy a guess never exceeds its sandwich, so stage 1 uses at
+    most K and the capacity binds only together with a threshold; large
+    guesses here make it bind first, part-way through a raise.
+    """
+    d = data.draw(st.integers(1, 9))
+    c = tuple(data.draw(st.lists(st.sampled_from([1.0, 1.5, 3.0]), min_size=d, max_size=d)))
+    capacity = data.draw(st.integers(0, 4))
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    starts = data.draw(st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, 3.0, 8.0, 40.0]), st.sampled_from([0.0, 0.5, 1.0, 3.5]),
+                  st.lists(values, min_size=d, max_size=d)),
+        max_size=4))
+    bits = data.draw(st.lists(st.lists(st.integers(0, d - 1), unique=True, max_size=d), max_size=6))
+    rnd = Round(tuple(AttributeVector(tuple(sorted(b))) for b in bits))
+    order = data.draw(st.permutations(range(len(rnd))))
+    agents = [AgentState(gamma, d, c, capacity, y_used=used) for gamma, used, _ in starts]
+    v = np.array([v0 for *_, v0 in starts]).reshape(len(starts), d)
+    y = controlled_greedy_round(agents, v, round_incidence(rnd, d), list(order))
+    assert y.shape == (len(starts), len(rnd))
+    for got, row, got_v, (gamma, used, v0) in zip(agents, y, v, starts):
+        want = RefAgent(gamma, d, c, capacity, None)
+        want.y_used, want.v = used, list(v0)
+        assert row.tolist() == ref_greedy(want, rnd, order)
+        assert got.y_used == want.y_used
+        assert got_v.tolist() == want.v
 
 
 def test_capacity_runs_out_inside_a_round():
