@@ -20,7 +20,6 @@ from .benchmark import opt_bounds, solve_fluid
 from .errors import DivselError, DomainError, SchemaError
 from .generators import gen_random
 from .harness import fmt
-from .rounding import max_selection_count
 
 POLICIES = list(harness.POLICY_NAMES)
 
@@ -136,19 +135,17 @@ def _cmd_mc(args) -> int:
         sol = lp.solution
     result = harness.monte_carlo(inst, sol, args.trials, args.seed)
     worst = 0.0
-    flat = sol.flat()
-    for freq, xj in zip(result["frequencies"], flat):
+    for freq, xj in zip(result["frequencies"], sol.flat()):
         xj = min(max(xj, 0.0), 1.0)
         dev = abs(freq - xj)
         bound = harness._se_bound(xj, args.trials)
         worst = max(worst, dev - bound)
-    max_exact, _ = max_selection_count(flat)
     payload = {
         "trials": result["trials"],
         "max_selected": result["max_selected"],
-        "max_selected_exact": max_exact,
+        "max_selected_exact": result["max_selected_exact"],
         "K": inst.capacity,
-        "capacity_respected": max_exact <= inst.capacity,
+        "capacity_respected": result["max_selected_exact"] <= inst.capacity,
         "worst_marginal_excess_over_5se": float(fmt(worst)),
         "dimension_utilities": [float(fmt(u)) for u in result["dimension_utilities"]],
     }

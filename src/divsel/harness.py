@@ -38,7 +38,7 @@ from .core import (
 )
 from .errors import ContractError, DomainError, SizeError
 from .generators import fcs_kappa, gen_fcs, gen_fhc
-from .rounding import interval_measures, max_selection_count, offset_selections
+from .rounding import max_selection_count, pick_segments
 
 POLICY_NAMES = ("fixed", "uc-hybrid", "uc-myopic", "uc-forward")
 
@@ -164,9 +164,13 @@ def monte_carlo(
     inst: Instance, sol: FractionalSolution, trials: int, seed: int
 ) -> dict:
     """Independent rounders, one per trial; reports empirical marginals, the
-    maximum realized selection count, and per-dimension empirical utilities.
+    maximum realized selection count, sampled and exact over all offsets, and
+    per-dimension empirical utilities.
 
-    A trial's utility on dimension k is c_k added once per selected candidate
+    The trials are read off the solution's pick segments: a change of a
+    candidate's pick applies to every trial at or past its offset, so running
+    sums of the changes over the sorted draws count each trial's picks.  A
+    trial's utility on dimension k is c_k added once per selected candidate
     with attribute k; it is read from a table of those running sums
     (``cumsum`` adds them one after another), indexed by the trial's count.
     Needs ``trials >= 1``; a trial count whose arrays cannot fit in memory is
@@ -174,22 +178,29 @@ def monte_carlo(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    # pos, two boundary rows, the counts, the d x trials dimension counts and
-    # the utilities read from them: 8 bytes each.
-    need = 8 * trials * (2 * inst.d + 4)
+    # pos, its sort order and the sorted draws, the changes per sorted trial
+    # and their running sum, the d x trials dimension counts (sorted and
+    # unsorted) and the utilities read from them: 8 bytes each.
+    need = 8 * trials * (3 * inst.d + 5)
     if need > _physical_memory():
         raise SizeError(f"{trials} trials need {need / 2**30:.1f} GiB, more than the machine's memory")
+    x_flat = sol.flat()
+    segments = pick_segments(x_flat)
+    cand, at, delta = segments.changes()
+    lens = inst.cand_lens[cand]  # a change counts once per attribute of its candidate
+    attrs = inst.bits[np.repeat(inst.cand_ptr[cand] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())]
     try:
         rng = np.random.Generator(np.random.PCG64(seed))
         pos = rng.random(trials)
-        freqs = np.zeros(inst.total_candidates)
-        counts = np.zeros(trials, dtype=np.int64)
-        dim_counts = np.zeros((inst.d, trials), dtype=np.int64)
-        ptr = inst.cand_ptr.tolist()
-        for j, sel in offset_selections(sol.flat(), pos):
-            freqs[j] = sel.mean()
-            counts += sel
-            dim_counts[inst.bits[ptr[j] : ptr[j + 1]]] += sel
+        order = np.argsort(pos)
+        ahead = np.searchsorted(pos[order], at)  # sorted trials before each change
+        freqs = np.bincount(cand, weights=delta * (trials - ahead), minlength=inst.total_candidates) / trials
+        counts = np.cumsum(np.bincount(ahead, weights=delta, minlength=trials + 1)[:trials])
+        running = np.zeros((inst.d, trials + 1), dtype=np.int64)
+        np.add.at(running, (attrs, np.repeat(ahead, lens)), np.repeat(delta, lens))
+        np.cumsum(running, axis=1, out=running)
+        dim_counts = np.empty((inst.d, trials), dtype=np.int64)  # row-major, as the mean sums it
+        dim_counts[:, order] = running[:, :trials]
         steps = np.repeat(np.asarray(inst.c)[:, None], int(dim_counts.max()) + 1, axis=1)
         steps[:, 0] = 0.0
         sums = np.cumsum(steps, axis=1)
@@ -200,6 +211,7 @@ def monte_carlo(
         "trials": trials,
         "frequencies": freqs.tolist(),
         "max_selected": int(counts.max()),
+        "max_selected_exact": max_selection_count(x_flat, segments)[0],
         "dimension_utilities": dim_utils,
     }
 
@@ -284,11 +296,12 @@ def thm2_factor(d: int) -> float:
 def marginal_exactness_verdict(
     inst: Instance, sol: FractionalSolution, eps_measure: float = 1e-9, label: str = ""
 ) -> list[VerificationVerdict]:
+    """Prop2-marginals and Prop2-capacity from one exact sweep: the measure
+    of the float offsets at which the rounder picks each candidate against
+    its fraction, and the most candidates it picks at any offset."""
     x_flat = sol.flat()
-    measures = interval_measures(x_flat)
-    worst = max(
-        (abs(m - min(max(x, 0.0), 1.0)) for m, x in zip(measures, x_flat)), default=0.0
-    )
+    segments = pick_segments(x_flat)
+    worst = float(np.abs(segments.measures() - segments.x).max(initial=0.0))
     out = [
         _upper(
             "Prop2-marginals",
@@ -298,7 +311,7 @@ def marginal_exactness_verdict(
             detail=f"{label} max |measure - x_j| over {len(x_flat)} candidates",
         )
     ]
-    max_count, _ = max_selection_count(x_flat)
+    max_count, _ = max_selection_count(x_flat, segments)
     out.append(
         _upper(
             "Prop2-capacity",
@@ -317,7 +330,6 @@ def verify_instance(
     seed: int,
     eps: float = EPS,
     instance_id: str = "instance",
-    marginal_checks: bool = True,
     opt: Optional[float] = None,
 ) -> list[VerificationVerdict]:
     """Every applicable proven inequality on one instance, as verdicts.
@@ -364,8 +376,7 @@ def verify_instance(
                 detail=f"{instance_id} mode={mode}",
             )
         )
-        if marginal_checks:
-            verdicts.extend(marginal_exactness_verdict(inst, sol, label=f"{instance_id}/{name}"))
+        verdicts.extend(marginal_exactness_verdict(inst, sol, label=f"{instance_id}/{name}"))
 
     # Fixed-capacity guarantees.
     if "fixed" in solutions:

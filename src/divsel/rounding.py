@@ -5,7 +5,9 @@ incoming fractions end to end on a line.  Candidate j, occupying the interval
 [s_j, s_{j+1}) between consecutive values of a compensated running sum, is
 selected iff the interval contains a point l + pos for some integer l >= 0.
 Selections are irrevocable and the realized count never exceeds ceil(sum of
-x); marginals are exactly x_j over the draw of pos.
+x).  Over the draw of pos, candidate j is picked with probability x_j up to
+the rounding of the line boundaries s_j and s_{j+1}: ``pick_segments`` finds
+the exact float offsets that pick it, and ``Prop2-marginals`` measures them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Optional
 
 import numpy as np
 
@@ -116,37 +118,6 @@ def select_offline(inst: Instance, sol: FractionalSolution, seed: int) -> list[t
     return list(state.selected)
 
 
-def selection_intervals(x_flat: list[float]) -> list[list[tuple[float, float]]]:
-    """Exact-marginal oracle: per-candidate sets of pos values that select it.
-
-    Candidate j with interval [s_j, s_j + x_j) is selected at offset pos iff
-    pos falls in the wrap-around of that interval into [0, 1); the Lebesgue
-    measure of the returned pieces is exactly x_j.  Computed by direct
-    interval arithmetic, independent of the sequential selection path.
-    """
-    acc = _KahanSum()
-    out = []
-    for xj in x_flat:
-        xj = min(max(xj, 0.0), 1.0)
-        if xj <= 0.0:
-            out.append([])
-            continue
-        start = acc.value
-        lo = start - math.floor(start)
-        hi = lo + xj
-        if hi <= 1.0:
-            out.append([(lo, hi)])
-        else:
-            out.append([(lo, 1.0), (0.0, hi - 1.0)])
-        acc.add(xj)
-    return out
-
-
-def interval_measures(x_flat: list[float]) -> list[float]:
-    """Per-candidate selection probabilities from the exact oracle."""
-    return [math.fsum(hi - lo for lo, hi in pieces) for pieces in selection_intervals(x_flat)]
-
-
 def selection_count(x_flat: list[float], pos: float) -> int:
     """Realized selection count at a given offset, straight from the rounder."""
     state = rounder_at(pos)
@@ -154,24 +125,32 @@ def selection_count(x_flat: list[float], pos: float) -> int:
     return len(state.selected)
 
 
+def _running_sums(positive: list[float]) -> tuple[list[float], list[float]]:
+    """The rounder's compensated running sum over the positive fractions, in
+    order: its total and correction before the first and after each one."""
+    totals, comps = [0.0], [0.0]
+    total = comp = 0.0
+    for xj in positive:
+        # _KahanSum.add, inlined: this loop runs once per candidate.
+        y = xj - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        totals.append(t)
+        comps.append(comp)
+    return totals, comps
+
+
 def accumulator_path(x_flat: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Clipped fractions and the rounder's line boundaries: candidate j owns
     [path[j], path[j+1]) (length N + 1, nondecreasing), from the rounder's
     own additions."""
     x = np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0)
-    path = [0.0]
-    total = comp = top = 0.0
-    for xj in x.tolist():
-        if xj > 0.0:
-            # _KahanSum.add, inlined: this loop runs once per candidate.
-            y = xj - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if t > top:
-                top = t
-        path.append(top)
-    return x, np.array(path)
+    live = x > 0.0
+    totals, _ = _running_sums(x[live].tolist())
+    # The boundary is the largest total so far; a zero fraction leaves it.
+    tops = np.maximum.accumulate(totals)
+    return x, tops[np.concatenate([[0], np.cumsum(live)])]
 
 
 def capacity_safe(x: np.ndarray, capacity: int) -> np.ndarray:
@@ -187,50 +166,27 @@ def capacity_safe(x: np.ndarray, capacity: int) -> np.ndarray:
     """
     if math.fsum(x.tolist()) <= capacity * (1.0 - 1e-12):
         return x
-    states = []  # (total, comp, top) of the rounder's running sum before each entry
-    total = comp = top = 0.0
-    for xj in np.clip(x, 0.0, 1.0).tolist():
-        states.append((total, comp, top))
-        if xj > 0.0:
-            # _KahanSum.add, as in accumulator_path.
-            y = xj - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-            if t > top:
-                top = t
-    if top <= capacity:
+    live = np.flatnonzero(x > 0.0).tolist()
+    totals, comps = _running_sums(np.minimum(x[live], 1.0).tolist())
+    tops = np.maximum.accumulate(totals).tolist()
+    if tops[-1] <= capacity:
         return x
     x = x.copy()
 
-    def excess(j: int) -> float:
-        # Final boundary minus K while x[j + 1:] is all 0.
-        total, comp, top = states[j]
+    def excess(r: int, j: int) -> float:
+        # Final boundary minus K while x[j + 1:] is all 0; r positive entries
+        # come before entry j.
         xj = min(float(x[j]), 1.0)
-        return (top if xj <= 0.0 else max(top, total + (xj - comp))) - capacity
+        return (tops[r] if xj <= 0.0 else max(tops[r], totals[r] + (xj - comps[r]))) - capacity
 
-    for j in np.flatnonzero(x > 0.0)[::-1].tolist():
-        step = excess(j)
+    for r, j in reversed(list(enumerate(live))):
+        step = excess(r, j)
         while step > 0.0 and x[j] > 0.0:
             x[j] = max(0.0, x[j] - step)
-            step = 2.0 * step if excess(j) > 0.0 else 0.0
+            step = 2.0 * step if excess(r, j) > 0.0 else 0.0
         if step <= 0.0:
             break
     return x
-
-
-def offset_selections(x_flat: list[float], pos: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """The rounder's picks at many offsets at once: ``(j, mask over pos)`` for
-    every candidate with x_j > 0, from the same predicate and boundaries as
-    ``process_round``."""
-    x, path = accumulator_path(x_flat)
-    ends = path[1:].tolist()
-    prev = np.ceil(0.0 - pos)
-    for j, xj in enumerate(x.tolist()):
-        if xj > 0.0:  # a zero fraction leaves the boundary where it is
-            cur = np.ceil(ends[j] - pos)
-            yield j, cur > prev
-            prev = cur
 
 
 #: Bit pattern of 1.0; nonnegative doubles order like their bit patterns, so
@@ -272,51 +228,84 @@ def _drop_offsets(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return drops[0], drops[1]
 
 
-def capacity_sweep(x_flat: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact selection count of the rounder at every float offset.
+@dataclass(frozen=True)
+class PickSegments:
+    """Where the rounder picks each candidate, over every float offset.
 
-    Returns sorted segment left ends ``offsets`` (the first is 0.0) and
-    ``counts``: the rounder picks exactly ``counts[i]`` candidates at every
-    pos in [offsets[i], offsets[i+1]) (the last segment ends at 1.0).
+    Row i is candidate ``live[i]``, one of those with x_j > 0.  Its four
+    cuts (1.0 where absent) split [0, 1) into five pieces; ``starts[i]`` holds
+    their left ends (0.0, then the sorted cuts), and ``picked[i, p]`` is
+    whether the rounder picks the candidate at every offset in piece p.  An
+    offset equal to a cut lies in the piece that the cut starts.
+    """
+
+    x: np.ndarray  # clipped fractions, one per candidate
+    live: np.ndarray
+    starts: np.ndarray
+    picked: np.ndarray
+
+    def measures(self) -> np.ndarray:
+        """Per candidate: the measure of the offsets at which it is picked."""
+        ends = np.concatenate([self.starts[:, 1:], np.ones((len(self.live), 1))], axis=1)
+        out = np.zeros(len(self.x))
+        out[self.live] = ((ends - self.starts) * self.picked).sum(axis=1)
+        return out
+
+    def changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every change of a pick as pos sweeps [0, 1): (candidate, offset,
+        +1 or -1).  A candidate picked at pos = 0 changes there."""
+        before = np.concatenate([np.zeros((len(self.live), 1), dtype=bool), self.picked[:, :-1]], axis=1)
+        row, piece = np.nonzero((self.picked != before) & (self.starts < 1.0))
+        return self.live[row], self.starts[row, piece], np.where(self.picked[row, piece], 1, -1)
+
+
+def pick_segments(x_flat: list[float]) -> PickSegments:
+    """The rounder's picks of every candidate at every float offset in [0, 1).
 
     Candidate j is picked iff ceil(s_{j+1} - pos) > ceil(s_j - pos), two
-    float expressions that never increase with pos.  So its pick set changes
-    only where one of them drops; those offsets are found exactly, and one
-    sorted sweep over them gives the count on every segment.
+    float expressions that never increase with pos: each starts at ceil(v)
+    and falls by one at each drop of v - pos.  So j's pick changes only at
+    the drops of its two boundaries, which are found exactly; between them
+    it is constant.
     """
     x, path = accumulator_path(x_flat)
     first, second = _drop_offsets(path)
     top = np.ceil(path)
     live = np.flatnonzero(x > 0.0)
-    # Per picked-able candidate: the drops of its end (minus) and start (plus).
-    cuts = np.stack([first[live + 1], second[live + 1], first[live], second[live]], axis=1)
+    # Per candidate: the drops of its end (minus) and start (plus).
+    drops = np.stack([first[live + 1], second[live + 1], first[live], second[live]], axis=1)
     signs = np.array([-1.0, -1.0, 1.0, 1.0])
-    margin0 = top[live + 1] - top[live]
-
-    def picked(at: np.ndarray) -> np.ndarray:
-        return margin0 + ((at[:, None] >= cuts) * signs).sum(axis=1) > 0
-
-    # Walk each candidate's cuts in order; a change of its pick is an event.
-    # No drop happens at pos = 0 (ceil(v - 0) = ceil(v)), so no event does.
-    ordered = np.sort(cuts, axis=1)
-    before = at_zero = picked(np.zeros(len(live)))
-    event_pos, event_delta = [], []
-    for at in ordered.T:
-        now = picked(at)
-        change = (now != before) & (at < 1.0)
-        event_pos.append(at[change])
-        event_delta.append(now[change].astype(np.int64) - before[change])
-        before = now
-    offsets, inverse = np.unique(np.concatenate(event_pos), return_inverse=True)
-    steps = np.bincount(inverse, weights=np.concatenate(event_delta), minlength=len(offsets))
-    counts = int(at_zero.sum()) + np.concatenate([[0.0], np.cumsum(steps)])
-    return np.concatenate([[0.0], offsets]), counts.astype(np.int64)
+    # No drop happens at pos = 0 (ceil(v - 0) = ceil(v)).  On each piece,
+    # every drop at or below its left end has happened.
+    starts = np.concatenate([np.zeros((len(live), 1)), np.sort(drops, axis=1)], axis=1)
+    margin = top[live + 1] - top[live]
+    picked = margin[:, None] + ((starts[:, :, None] >= drops[:, None, :]) * signs).sum(axis=2) > 0
+    return PickSegments(x, live, starts, picked)
 
 
-def max_selection_count(x_flat: list[float]) -> tuple[int, float]:
+def capacity_sweep(
+    x_flat: list[float], segments: Optional[PickSegments] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact selection count of the rounder at every float offset.
+
+    Returns sorted segment left ends ``offsets`` (the first is 0.0) and
+    ``counts``: the rounder picks exactly ``counts[i]`` candidates at every
+    pos in [offsets[i], offsets[i+1]) (the last segment ends at 1.0).  The
+    counts are running sums of the candidates' pick changes.  ``segments``
+    is ``pick_segments(x_flat)`` when the caller already has it.
+    """
+    if segments is None:
+        segments = pick_segments(x_flat)
+    _, at, delta = segments.changes()
+    offsets, inverse = np.unique(np.append(at, 0.0), return_inverse=True)
+    steps = np.bincount(inverse, weights=np.append(delta, 0), minlength=len(offsets))
+    return offsets, np.cumsum(steps).astype(np.int64)
+
+
+def max_selection_count(x_flat: list[float], segments: Optional[PickSegments] = None) -> tuple[int, float]:
     """The largest number of candidates the rounder picks at any offset, and
     the smallest offset that realizes it, checked by replaying the rounder."""
-    offsets, counts = capacity_sweep(x_flat)
+    offsets, counts = capacity_sweep(x_flat, segments)
     best = int(np.argmax(counts))
     count, pos = int(counts[best]), float(offsets[best])
     replay = selection_count(x_flat, pos)

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from divsel.core import AttributeVector, Instance, Round
+from divsel.rounding import accumulator_path
 
 
 def make_instance(d, cand_rounds, capacity, c=None, a=None):
@@ -48,3 +50,17 @@ def random_feasible_x(inst, seed, saturate=False):
 @pytest.fixture
 def tiny_instance():
     return make_instance(2, [[(0,), (1,)]], capacity=2)
+
+
+def offset_selections(x_flat, pos):
+    """Test-only oracle: the rounder's picks at many offsets at once,
+    ``(j, mask over pos)`` for every candidate with x_j > 0, by evaluating its
+    predicate ceil(s_{j+1} - pos) > ceil(s_j - pos) at every offset."""
+    x, path = accumulator_path(x_flat)
+    ends = path[1:].tolist()
+    prev = np.ceil(0.0 - pos)
+    for j, xj in enumerate(x.tolist()):
+        if xj > 0.0:  # a zero fraction leaves the boundary where it is
+            cur = np.ceil(ends[j] - pos)
+            yield j, cur > prev
+            prev = cur

@@ -27,7 +27,7 @@ from divsel.harness import (
     thm2_factor,
     verify_instance,
 )
-from divsel.rounding import accumulator_path, capacity_sweep, interval_measures
+from divsel.rounding import accumulator_path, capacity_sweep, pick_segments
 from divsel.unknown_policy import fill_value, water_fill
 
 from conftest import make_instance, random_feasible_x
@@ -95,7 +95,8 @@ def test_criterion_1_rounding_exactness():
             assert d <= 16 and inst.total_candidates <= 200
             sol = random_feasible_x(inst, seed=i)
             x_flat = [min(max(v, 0.0), 1.0) for v in sol.flat()]
-            measures = interval_measures(x_flat)
+            # The measure of the float offsets at which the rounder picks j.
+            measures = pick_segments(x_flat).measures()
             worst = max(abs(m - x) for m, x in zip(measures, x_flat))
             assert worst <= 1e-9, f"instance {i}: worst marginal gap {worst}"
             # The sweep's exact counts: at most K on the 10,000-point midpoint
@@ -176,8 +177,7 @@ def test_criterion_4_unknown_capacity_guarantees(random_pool, fcs_pool):
         applicable = {"Thm3-composite": 0, "Lemma4i": 0, "Lemma3i": 0, "Lemma3ii": 0, "Lemma4ii": 0}
         for name, inst in pool:
             verdicts = verify_instance(
-                inst, ["uc-hybrid", "uc-myopic", "uc-forward"], seed=13,
-                instance_id=name, marginal_checks=False,
+                inst, ["uc-hybrid", "uc-myopic", "uc-forward"], seed=13, instance_id=name
             )
             for v in verdicts:
                 assert v.status != "fail", f"{name}: {v.line()}"

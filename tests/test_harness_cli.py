@@ -23,10 +23,33 @@ from divsel.harness import (
     verify_family,
     verify_instance,
 )
-from divsel.rounding import accumulator_path
+from divsel.rounding import accumulator_path, capacity_sweep
 from divsel.unknown_policy import myopic_round
 
-from conftest import make_instance, random_feasible_x
+from conftest import make_instance, offset_selections, random_feasible_x
+
+
+def mc_oracle(inst, sol, trials, seed):
+    """Monte Carlo by the per-offset predicate: every candidate's picks
+    evaluated at every sampled offset."""
+    pos = np.random.Generator(np.random.PCG64(seed)).random(trials)
+    freqs = np.zeros(inst.total_candidates)
+    counts = np.zeros(trials, dtype=np.int64)
+    dim_counts = np.zeros((inst.d, trials), dtype=np.int64)
+    ptr = inst.cand_ptr.tolist()
+    for j, sel in offset_selections(sol.flat(), pos):
+        freqs[j] = sel.mean()
+        counts += sel
+        dim_counts[inst.bits[ptr[j] : ptr[j + 1]]] += sel
+    steps = np.repeat(np.asarray(inst.c)[:, None], int(dim_counts.max()) + 1, axis=1)
+    steps[:, 0] = 0.0
+    sums = np.cumsum(steps, axis=1)
+    return {
+        "frequencies": freqs.tolist(),
+        "max_selected": int(counts.max()),
+        "max_selected_exact": int(capacity_sweep(sol.flat())[1].max()),
+        "dimension_utilities": np.take_along_axis(sums, dim_counts, axis=1).mean(axis=1).tolist(),
+    }
 
 
 class TestEvaluatePolicy:
@@ -94,7 +117,7 @@ class TestMonteCarlo:
         assert result["dimension_utilities"][1] == pytest.approx(0.25, abs=0.02)
 
     def test_vectorized_counts_agree_with_sequential_rounder(self):
-        from divsel.rounding import capacity_sweep, offset_selections, selection_count
+        from divsel.rounding import selection_count
 
         inst = make_instance(3, [[(0,), (1, 2), (0, 2)], [(1,), (0, 1, 2)]], capacity=3)
         sol = random_feasible_x(inst, seed=5)
@@ -104,6 +127,11 @@ class TestMonteCarlo:
         swept = swept[np.searchsorted(offsets, pos, side="right") - 1]
         for t in range(257):
             assert counts[t] == swept[t] == selection_count(sol.flat(), pos[t])
+        # Every figure of monte_carlo equals the per-offset predicate's.
+        bigger = gen_random(d=6, n=12, a=3, density=0.4, min_arrivals=1, c_max=2.0, seed=21)
+        for inst, sol in ((inst, sol), (bigger, random_feasible_x(bigger, seed=6))):
+            result = monte_carlo(inst, sol, trials=257, seed=8)
+            assert result == {"trials": 257, **mc_oracle(inst, sol, 257, 8)}
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divsel.benchmark import solve_fluid
@@ -17,21 +17,36 @@ from divsel.rounding import (
     accumulator_path,
     capacity_safe,
     capacity_sweep,
-    interval_measures,
     max_selection_count,
     new_rounder,
-    offset_selections,
+    pick_segments,
     process_round,
     rounder_at,
     select_offline,
     selection_count,
-    selection_intervals,
 )
 from divsel.unknown_policy import variant_solution
 
-from conftest import make_instance, random_feasible_x
+from conftest import make_instance, offset_selections, random_feasible_x
 
 # Test-only oracles.
+
+
+def selection_intervals(x_flat):
+    """Idealized wrap-around model: candidate j, starting at s_j, owns the
+    offsets in the wrap of [s_j, s_j + x_j) into [0, 1); its Lebesgue measure
+    is exactly x_j.  Computed by direct interval arithmetic, independent of
+    the rounder's predicate."""
+    x, path = accumulator_path(x_flat)
+    out = []
+    for xj, start in zip(x.tolist(), path.tolist()):
+        if xj <= 0.0:
+            out.append([])
+            continue
+        lo = start - math.floor(start)
+        hi = lo + xj
+        out.append([(lo, hi)] if hi <= 1.0 else [(lo, 1.0), (0.0, hi - 1.0)])
+    return out
 
 
 def pos_selects(pieces, pos):
@@ -205,15 +220,17 @@ class TestSelectOffline:
 
 
 class TestExactMarginals:
+    """The measure of the float offsets at which the rounder picks j."""
+
     def test_measures_equal_fractions(self):
         rng = random.Random(11)
         xs = [rng.random() for _ in range(500)]
-        for m, x in zip(interval_measures(xs), xs):
+        for m, x in zip(pick_segments(xs).measures(), xs):
             assert abs(m - x) <= 1e-9
 
     def test_measures_with_boundary_values(self):
         xs = [0.0, 1.0, 0.25, 1.0, 0.75, 0.0, 0.5]
-        for m, x in zip(interval_measures(xs), xs):
+        for m, x in zip(pick_segments(xs).measures(), xs):
             assert abs(m - x) <= 1e-12
 
     def test_zero_loss_identity(self):
@@ -222,7 +239,7 @@ class TestExactMarginals:
 
         inst = make_instance(3, [[(0, 1), (2,), (1, 2)], [(0,), (0, 2)]], capacity=3)
         sol = random_feasible_x(inst, seed=4)
-        measures = interval_measures(sol.flat())
+        measures = pick_segments(sol.flat()).measures()
         cands = [c for rnd in inst.rounds for c in rnd]
         expected = [0.0] * inst.d
         for m, cand in zip(measures, cands):
@@ -322,6 +339,51 @@ class TestCapacitySweep:
         assert count == 4
         assert selection_count(x_flat, pos) == 4
         assert all(selection_count(x_flat, (t + 0.5) / 1000) <= 4 for t in range(1000))
+
+
+def assert_segments_match_rounder(x_flat):
+    """Each candidate's pick on every nonempty piece of ``pick_segments``, at
+    the piece's left end and at a float near its middle, against
+    ``process_round`` replayed up to that candidate."""
+    segments = pick_segments(x_flat)
+    assert segments.live.tolist() == [j for j, xj in enumerate(x_flat) if xj > 0.0]
+    for j, starts, picked in zip(segments.live.tolist(), segments.starts, segments.picked):
+        assert starts[0] == 0.0 and np.all(np.diff(starts) >= 0) and starts[-1] <= 1.0
+        for lo, mid, hi, on in zip(*segment_points(starts), np.append(starts[1:], 1.0), picked):
+            if lo == hi:
+                continue
+            for pos in (float(lo), float(mid)):
+                picks = process_round(rounder_at(pos), x_flat[: j + 1])
+                assert (picks[-1:] == [j]) == on, (j, pos)
+
+
+class TestPickSegments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 1e-17, 0.5, 1.0 / 3.0, 0.1, 0.7]),
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            ),
+            max_size=30,
+        )
+    )
+    @example([1e-17] * 6)
+    @example([0.0] * 5)
+    @example([0.3, 1e-17, 0.0, 0.7, 1e-17, 1.0, 0.0, 1e-17])
+    def test_pieces_match_rounder(self, xs):
+        assert_segments_match_rounder(xs)
+
+    def test_pieces_match_rounder_one_ulp_above_capacity(self):
+        inst = gen_random(d=9, n=3, a=2, density=0.35, min_arrivals=1, c_max=2.0, seed=1001)
+        x_flat = random_feasible_x(inst, seed=1).flat()
+        assert accumulator_path(x_flat)[1][-1] == np.nextafter(inst.capacity, np.inf)
+        assert_segments_match_rounder(x_flat)
+
+    def test_pieces_match_rounder_on_family_optima(self):
+        # fhc's x* is integral; fcs's repeats fractions over hundreds of candidates.
+        for inst in gen_fhc(27) + gen_fcs(27)[:1]:
+            assert_segments_match_rounder(solve_fluid(inst).solution.flat())
 
 
 class TestRounderNeverExceedsCeilOfTotal:
