@@ -1,10 +1,12 @@
 """Exact offline benchmarks: the fluid relaxation, the intermediate (y, z)
-formulation with its round-prefix truncation, closed-form optimum bounds, and
-a brute-force grid oracle for tiny instances.
+formulation with its round-prefix truncation, closed-form bounds on the fluid
+optimum and on the one-round adjustment LPs, and a brute-force grid oracle
+for tiny instances.
 
-The max-min objectives are linearized with one auxiliary level variable and
-solved with scipy's HiGHS backend; every returned solution is re-validated
-against its own constraints before it leaves this module.
+The fluid and intermediate max-min objectives are linearized with one
+auxiliary level variable and solved with scipy's HiGHS backend; every
+returned solution is re-validated against its own constraints before it
+leaves this module.
 """
 
 from __future__ import annotations
@@ -30,11 +32,6 @@ from .rounding import capacity_safe
 
 #: Constraint/value re-validation tolerance for LP results.
 LP_TOL = 1e-7
-
-#: Rows per batched adjustment LP (``solve_adjustment_lps``): 100 rounds at
-#: d = 32.  One HiGHS call per round costs ~2 ms of overhead each; one LP for
-#: a whole 1,000-round horizon adds ~58 MB of solver memory.
-ADJUSTMENT_LP_ROWS = 3300
 
 
 def linprog(*args, **kwargs):
@@ -73,17 +70,14 @@ def _status_name(status: int) -> str:
     return "unbounded_guard"
 
 
-def _bound_term(bound: np.ndarray, mu: np.ndarray, what: str) -> np.ndarray:
+def _bound_term(bound: np.ndarray, mu: np.ndarray, what: str) -> float:
     finite = np.isfinite(bound)
     if np.abs(mu[~finite]).max(initial=0.0) > LP_TOL:
         raise InvariantError(f"{what}: nonzero multiplier on an infinite bound")
-    return np.where(finite, bound, 0.0) * mu
+    return float(np.where(finite, bound, 0.0) @ mu)
 
 
-def _certify_optimal(
-    res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what: str,
-    block_names: Optional[list[str]] = None,
-) -> None:
+def _certify_optimal(res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what: str) -> None:
     """Dual certificate of an optimal HiGHS result (Huangfu & Hall, Math. Prog.
     Comp. 2018) for min c.x s.t. A_ub x <= b_ub, l <= x <= u.
 
@@ -91,10 +85,6 @@ def _certify_optimal(
     lambda <= 0 on the A_ub rows, mu_u <= 0 on upper bounds, mu_l >= 0 on lower
     bounds and c - A_ub^T lambda - mu_u - mu_l = 0; optimality means the dual
     objective b_ub.lambda + u.mu_u + l.mu_l equals c.x.
-
-    With ``block_names`` the LP is that many independent LPs laid out as equal
-    consecutive blocks of rows and of variables, and each block must close its
-    own duality gap, named in the error.
     """
     lam = res.ineqlin.marginals
     mu_u = res.upper.marginals
@@ -106,16 +96,11 @@ def _certify_optimal(
     residual = float(np.abs(reduced).max(initial=0.0))
     if residual > LP_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
         raise InvariantError(f"{what}: reduced costs do not vanish ({residual:.3g})")
-    names = [what] if block_names is None else block_names
-    blocks = len(names)
-    bound_terms = _bound_term(bounds[:, 1], mu_u, what) + _bound_term(bounds[:, 0], mu_l, what)
-    primal = (cost * res.x).reshape(blocks, -1).sum(axis=1)
-    dual = (b_ub * lam).reshape(blocks, -1).sum(axis=1) + bound_terms.reshape(blocks, -1).sum(axis=1)
-    gap = np.abs(primal - dual)
-    tol = LP_TOL * (1.0 + np.abs(primal))
-    worst = int(np.argmax(gap - tol))
-    if gap[worst] > tol[worst]:
-        raise InvariantError(f"{names[worst]}: duality gap {gap[worst]:.3g} exceeds tolerance")
+    primal = float(cost @ res.x)
+    dual = float(b_ub @ lam) + _bound_term(bounds[:, 1], mu_u, what) + _bound_term(bounds[:, 0], mu_l, what)
+    gap = abs(primal - dual)
+    if gap > LP_TOL * (1.0 + abs(primal)):
+        raise InvariantError(f"{what}: duality gap {gap:.3g} exceeds tolerance")
 
 
 def _candidate_types(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,74 +308,24 @@ def int_objective(inst: Instance, sol: IntSolution, eps: float = EPS) -> float:
     return min(inst.c[k] * acc[k] for k in range(d))
 
 
-def solve_adjustment_lp(
-    u: list[float], caps: list[float], budget: float, c: list[float]
-) -> tuple[float, list[float]]:
-    """One-round utility-adjustment LP: max min_k (c_k z_k + u_k) subject to
-    sum z <= budget and 0 <= z_k <= caps_k.  Oracle side of the water-filling
-    dual-route check."""
-    values, z = _adjustment_block(np.array([u], dtype=float), np.array([caps], dtype=float), budget, c, None)
-    return float(values[0]), z[0].tolist()
+def adjustment_bounds(u: np.ndarray, caps: np.ndarray, budget: float, c, level: np.ndarray) -> np.ndarray:
+    """Dual bounds on the adjustment LPs max min_k (u_k + c_k z_k) s.t.
+    sum z <= budget, 0 <= z <= caps, one per row of the n x d ``u``, ``caps``.
 
-
-def solve_adjustment_lps(
-    u: np.ndarray, caps: np.ndarray, budget: float, c: list[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The adjustment LP of every round at once: row i of the n x d arrays
-    ``u`` and ``caps`` is round i's input to ``solve_adjustment_lp``.  Returns
-    the n optima and the n x d maximizers.
-
-    Consecutive rounds share one block-diagonal LP of about
-    ``ADJUSTMENT_LP_ROWS`` rows, and each round's optimum is certified on its
-    own.
+    By weak duality, for weights lambda on the simplex the optimum is at most
+    sum_k lambda_k u_k plus the best fill of the budget in order of
+    lambda_k c_k (Neumaier & Shcherbina, Math. Program. 99, 2004).  The
+    smaller of two closed forms is kept: all weight on one dimension k, and
+    lambda_k ~ 1/c_k on S = {k : u_k <= level}.  Any lambda is valid, so the
+    row's ``level`` only steers tightness; an empty S keeps the first bound.
     """
-    u = np.asarray(u, dtype=float)
-    caps = np.asarray(caps, dtype=float)
-    n, d = u.shape
-    per_lp = max(1, ADJUSTMENT_LP_ROWS // (d + 1))
-    values, z = np.empty(n), np.empty((n, d))
-    for first in range(0, n, per_lp):
-        block = slice(first, min(first + per_lp, n))
-        values[block], z[block] = _adjustment_block(u[block], caps[block], budget, c, first)
-    return values, z
-
-
-def _adjustment_block(
-    u: np.ndarray, caps: np.ndarray, budget: float, c: list[float], first_round: Optional[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Adjustment LPs of consecutive rounds as one block-diagonal LP; a round
-    is named in a certificate failure when ``first_round`` is given.
-
-    Per round, variables z_1..z_d, t and rows sum z <= budget,
-    t - c_k z_k <= u_k."""
-    from scipy.sparse import csr_matrix
-
-    rounds, d = u.shape
-    width = d + 1
-    k = np.arange(d)
-    one_rows = np.concatenate([np.zeros(d, dtype=np.intp), 1 + k, 1 + k])
-    one_cols = np.concatenate([k, k, np.full(d, d)])
-    one_vals = np.concatenate([np.ones(d), -np.asarray(c, dtype=float), np.ones(d)])
-    offset = (np.arange(rounds) * width)[:, None]
-    a_ub = csr_matrix(
-        (np.tile(one_vals, rounds), ((offset + one_rows).ravel(), (offset + one_cols).ravel())),
-        shape=(rounds * width, rounds * width),
-    )
-    b_ub = np.column_stack([np.full(rounds, budget), u]).ravel()
-    cost = np.zeros((rounds, width))
-    cost[:, d] = -1.0
-    cost = cost.ravel()
-    bounds = np.zeros((rounds, width, 2))
-    bounds[:, :d, 1] = caps
-    bounds[:, d] = (-np.inf, np.inf)
-    bounds = bounds.reshape(-1, 2)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise InvariantError(f"adjustment LP unexpectedly {_status_name(res.status)}")
-    names = None if first_round is None else [f"adjustment LP, round {first_round + i}" for i in range(rounds)]
-    _certify_optimal(res, cost, a_ub, b_ub, bounds, "adjustment LP", names)
-    x = res.x.reshape(rounds, width)
-    return x[:, d], x[:, :d]
+    u, caps, c = (np.asarray(v, dtype=float) for v in (u, caps, c))
+    single = (u + c * np.minimum(caps, budget)).min(axis=1)
+    on = u <= np.asarray(level, dtype=float)[:, None]
+    weight = np.where(on, 1.0 / c, 0.0).sum(axis=1)
+    fill = np.where(on, u / c, 0.0).sum(axis=1) + np.minimum(budget, np.where(on, caps, 0.0).sum(axis=1))
+    pooled = np.divide(fill, weight, out=np.full(len(u), np.inf), where=weight > 0.0)
+    return np.minimum(single, pooled)
 
 
 def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:
@@ -412,11 +347,9 @@ def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:
     if n_cands == 0 or min(phi) == 0 or inst.capacity == 0:
         return 0.0
 
-    groups: dict[tuple[int, ...], int] = {}
-    for cand in inst.all_candidates():
-        groups[cand.bits] = groups.get(cand.bits, 0) + 1
-    types = list(groups.keys())
-    sizes = [groups[t] for t in types]
+    first, mult, _ = _candidate_types(inst)
+    types = [inst.bits[inst.cand_ptr[j] : inst.cand_ptr[j + 1]].tolist() for j in first.tolist()]
+    sizes = mult.tolist()
     q = grid_steps
     budget_units = min(inst.capacity * q, sum(sizes) * q)
 

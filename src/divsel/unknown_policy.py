@@ -63,7 +63,8 @@ def water_fill(
     to the slope of the consumption sum_k z_k, and reaches its cap at
     u_k + c_k caps_k; joins come first at equal levels.  The sweep stops where
     the consumption reaches the budget and, by default, at the first cap;
-    min_k L_k then equals the optimum of the one-round adjustment LP.  With
+    min_k L_k then equals the optimum of the one-round adjustment LP, which
+    ``benchmark.adjustment_bounds`` certifies from above.  With
     ``continue_after_cap`` a capped dimension leaves the slope and the rest
     keep rising until the budget runs out (same value, more mass).  Both modes
     cost O(d log d), for the sort.

@@ -5,6 +5,7 @@ import pytest
 
 from divsel.core import AttributeVector, Instance, Round
 from divsel.rounding import accumulator_path
+from divsel.unknown_policy import fill_value
 
 
 def make_instance(d, cand_rounds, capacity, c=None, a=None):
@@ -45,6 +46,34 @@ def random_feasible_x(inst, seed, saturate=False):
     from divsel.core import solution_from_rows
 
     return solution_from_rows(rows)
+
+
+def adjustment_lp(u, caps, budget, c):
+    """Test-only oracle: round i's utility-adjustment LP
+    max min_k (u_k + c_k z_k) s.t. sum z <= budget, 0 <= z_k <= caps_k, solved
+    by HiGHS over z_1..z_d and the level t.  Returns (optimum, z).
+
+    HiGHS may overrun a bound or the budget by its feasibility tolerance
+    (z = 1e-7 against a zero budget), so z is first clipped and scaled back
+    into the feasible set and the optimum is read at that z: it never exceeds
+    the true optimum."""
+    from scipy.optimize import linprog
+
+    d = len(u)
+    a_ub = np.zeros((1 + d, d + 1))
+    a_ub[0, :d] = 1.0
+    a_ub[1:, :d] = -np.diag(np.asarray(c, dtype=float))
+    a_ub[1:, d] = 1.0
+    b_ub = np.concatenate([[budget], np.asarray(u, dtype=float)])
+    cost = np.zeros(d + 1)
+    cost[d] = -1.0
+    bounds = [(0.0, float(cap)) for cap in caps] + [(None, None)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    z = np.clip(res.x[:d], 0.0, caps)
+    if z.sum() > budget:
+        z *= budget / z.sum()
+    return fill_value(u, z, c), z.tolist()
 
 
 @pytest.fixture

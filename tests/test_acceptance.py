@@ -15,7 +15,6 @@ import pytest
 from divsel.benchmark import (
     grid_oracle,
     opt_bounds,
-    solve_adjustment_lp,
     solve_fluid,
 )
 from divsel.core import least_utility, validate_feasibility
@@ -30,7 +29,7 @@ from divsel.harness import (
 from divsel.rounding import accumulator_path, capacity_sweep, pick_segments
 from divsel.unknown_policy import fill_value, water_fill
 
-from conftest import make_instance, random_feasible_x
+from conftest import adjustment_lp, make_instance, random_feasible_x
 
 DIMS = (4, 8, 16, 27, 64)
 GRID_POINTS = 10_000
@@ -199,7 +198,7 @@ def test_criterion_5_water_filling_optimality(random_pool):
             c = [rng.uniform(1.0, 3.0) for _ in range(d)]
             budget = rng.uniform(0.0, 10.0)
             z = water_fill(u, caps, budget, c)
-            lp_value, _ = solve_adjustment_lp(u, caps, budget, c)
+            lp_value, _ = adjustment_lp(u, caps, budget, c)
             assert abs(fill_value(u, z, c) - lp_value) <= 1e-7, trial
 
         # Every round of representative test instances.
@@ -215,7 +214,7 @@ def test_criterion_5_water_filling_optimality(random_pool):
                     if yj:
                         for k in rnd.candidates[j].bits:
                             u[k] += inst.c[k] * yj
-                lp_value, _ = solve_adjustment_lp(u, [float(v) for v in counts], budget, list(inst.c))
+                lp_value, _ = adjustment_lp(u, [float(v) for v in counts], budget, list(inst.c))
                 assert abs(trace[i].f - lp_value) <= 1e-7
                 for k in range(inst.d):
                     u[k] += inst.c[k] * trace[i].z[k]

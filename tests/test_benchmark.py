@@ -3,27 +3,27 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import divsel.benchmark as benchmark
 from divsel.benchmark import (
     IntSolution,
+    adjustment_bounds,
     grid_oracle,
     int_objective,
     opt_bounds,
-    solve_adjustment_lp,
-    solve_adjustment_lps,
     solve_fluid,
     solve_int,
 )
 from divsel.core import Instance, instance_stats, least_utility, marginals
 from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
-from divsel.harness import run_policy
-
 from divsel.rounding import accumulator_path, capacity_safe, max_selection_count
+from divsel.unknown_policy import fill_value, water_fill
 
-from conftest import make_instance, random_feasible_x
+from conftest import adjustment_lp, make_instance, random_feasible_x
 
 
 def dense_fluid_value(inst):
@@ -362,69 +362,51 @@ class TestGridOracle:
             assert opt - g <= d * max(inst.c) / 200 + 1e-9
 
 
+@st.composite
+def adjustment_rounds(draw):
+    """(u, caps, budget, c) of one adjustment LP with tied utilities, zero
+    caps, and budgets that often land exactly on a join or a cap event."""
+    d = draw(st.integers(1, 8))
+    u = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 5.0), min_size=d, max_size=d))
+    caps = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 4.0), min_size=d, max_size=d))
+    c = draw(st.lists(st.sampled_from([1.0, 2.0]) | st.floats(1.0, 3.0), min_size=d, max_size=d))
+    events = u + [uk + ck * capk for uk, ck, capk in zip(u, c, caps)]
+    kind = draw(st.sampled_from(["event", "free", "zero"]))
+    if kind == "event":
+        level = draw(st.sampled_from(events))
+        budget = math.fsum(min(capk, max(0.0, (level - uk) / ck)) for uk, ck, capk in zip(u, c, caps))
+    elif kind == "free":
+        budget = draw(st.floats(0.0, 10.0))
+    else:
+        budget = 0.0
+    return u, caps, budget, c
+
+
 class TestAdjustmentLP:
     def test_matches_hand_example(self):
-        value, z = solve_adjustment_lp([0.0, 2.0], [5.0, 5.0], 2.0 * math.sqrt(2.0), [1.0, 1.0])
+        u, caps, budget, c = [0.0, 2.0], [5.0, 5.0], 2.0 * math.sqrt(2.0), [1.0, 1.0]
+        value, z = adjustment_lp(u, caps, budget, c)
         assert value == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-7)
         assert sum(z) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-7)
+        bound = adjustment_bounds([u], [caps], budget, c, [value])[0]
+        assert bound == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-7)
 
     def test_cap_limits_value(self):
-        value, _ = solve_adjustment_lp([0.0, 0.0], [0.5, 10.0], 10.0, [1.0, 1.0])
+        u, caps, budget, c = [0.0, 0.0], [0.5, 10.0], 10.0, [1.0, 1.0]
+        value, _ = adjustment_lp(u, caps, budget, c)
         assert value == pytest.approx(0.5, abs=1e-9)
+        assert adjustment_bounds([u], [caps], budget, c, [value])[0] == pytest.approx(0.5, abs=1e-9)
 
-    def test_certificate_rejects_wrong_sign_duals(self, monkeypatch):
-        perturbing_linprog(monkeypatch, flip_row_duals)
-        with pytest.raises(InvariantError, match="wrong sign"):
-            solve_adjustment_lp([0.0, 2.0], [5.0, 5.0], 2.0, [1.0, 1.5])
-
-
-def criterion_5_instances():
-    """The per-round instances of acceptance criterion 5."""
-    pool = []
-    for d in (4, 8):
-        pool.append(gen_random(d=d, n=6, a=1, density=0.3, min_arrivals=1, c_max=2.0, seed=100 + d))
-        a_loose = max(1, math.ceil(2.0 * math.sqrt(d)) + 1)
-        pool.append(gen_random(d=d, n=5, a=a_loose, density=0.4, min_arrivals=1, c_max=1.5, seed=200 + d))
-    return pool + [gen_fcs(8)[0], gen_fcs(27)[1]]
-
-
-def adjustment_inputs(inst):
-    """Every round's adjustment LP input (u, caps) along a uc-forward pass,
-    as n x d arrays, plus the budget and weights."""
-    _, pol = run_policy(inst, "uc-forward", seed=3)
-    u, u_rows = [0.0] * inst.d, []
-    for rnd, rec in zip(inst.rounds, pol.trace):
-        for yj, cand in zip(rec.y.tolist(), rnd):
-            for k in cand.bits:
-                u[k] += inst.c[k] * yj
-        u_rows.append(list(u))
-        for k in range(inst.d):
-            u[k] += inst.c[k] * rec.z[k]
-    caps = [rnd.attribute_counts(inst.d) for rnd in inst.rounds]
-    budget = math.sqrt(inst.d) * inst.per_round_capacity
-    return np.array(u_rows), np.array(caps, dtype=float), budget, list(inst.c)
-
-
-class TestBatchedAdjustmentLP:
-    def test_matches_per_round_lps(self, monkeypatch):
-        for inst in criterion_5_instances():
-            u, caps, budget, c = adjustment_inputs(inst)
-            expected = np.array(
-                [solve_adjustment_lp(list(u_i), list(caps_i), budget, c)[0] for u_i, caps_i in zip(u, caps)]
-            )
-            for per_lp in (1, 2, 4, inst.n):
-                monkeypatch.setattr(benchmark, "ADJUSTMENT_LP_ROWS", per_lp * (inst.d + 1))
-                values, z = solve_adjustment_lps(u, caps, budget, c)
-                assert np.abs(values - expected).max() <= 1e-9
-                assert (z >= -1e-9).all() and (z <= caps + 1e-9).all()
-                assert (z.sum(axis=1) <= budget + 1e-9).all()
-                assert np.abs((np.asarray(c) * z + u).min(axis=1) - values).max() <= 1e-9
-
-    def test_certificate_names_the_round(self, monkeypatch):
-        inst = criterion_5_instances()[0]
-        u, caps, budget, c = adjustment_inputs(inst)
-        # Rounds 0-3 share the first LP; its last variable is round 3's level.
-        monkeypatch.setattr(benchmark, "ADJUSTMENT_LP_ROWS", 4 * (inst.d + 1))
-        perturbing_linprog(monkeypatch, understate_optimum)
-        with pytest.raises(InvariantError, match="adjustment LP, round 3: duality gap"):
-            solve_adjustment_lps(u, caps, budget, c)
+    @settings(max_examples=300, deadline=None)
+    @given(adjustment_rounds())
+    def test_bound_holds_for_any_level(self, drawn):
+        """Any level gives a valid bound; the water level gives a tight one."""
+        u, caps, budget, c = drawn
+        lp, _ = adjustment_lp(u, caps, budget, c)
+        f = fill_value(u, water_fill(u, caps, budget, c), c)
+        for level in (f, min(u) - 1.0, math.inf, f + 1.0, f - 1.0):
+            bound = float(adjustment_bounds([u], [caps], budget, c, [level])[0])
+            assert math.isfinite(bound), level
+            assert bound >= lp - 1e-12 * (1.0 + abs(lp)), level
+            if level == f:
+                assert abs(bound - f) <= 1e-12 * (1.0 + abs(f))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from divsel.harness import (
     competitive_report,
     evaluate_policy,
     monte_carlo,
+    run_policy,
     thm2_factor,
     verify_family,
     verify_instance,
@@ -199,12 +201,10 @@ class TestVerify:
         assert shared == [4]
         assert len(calls) == sum(member.n for member in members) - sum(shared) == 12
 
-    @pytest.mark.parametrize("rounds_per_lp", [None, 5])
-    def test_adjustment_lps_are_batched(self, monkeypatch, rounds_per_lp):
+    def test_verify_solves_two_lps(self, monkeypatch):
+        """The fluid and intermediate LPs are the only solver calls:
+        ``WF-optimality`` reads a closed-form dual bound per round."""
         inst = gen_random(d=5, n=12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
-        if rounds_per_lp is not None:
-            monkeypatch.setattr(benchmark, "ADJUSTMENT_LP_ROWS", rounds_per_lp * (inst.d + 1))
-        per_lp = benchmark.ADJUSTMENT_LP_ROWS // (inst.d + 1)
         calls = []
         real = benchmark.linprog
 
@@ -215,9 +215,31 @@ class TestVerify:
         monkeypatch.setattr(benchmark, "linprog", counting_linprog)
         verdicts = verify_instance(inst, POLICY_NAMES, seed=2)
         assert {v.name: v.status for v in verdicts}["WF-optimality"] == "pass"
-        # The fluid LP, the intermediate LP and the adjustment LPs (n + 2 = 14
-        # calls with one LP per round).
-        assert len(calls) == math.ceil(inst.n / per_lp) + 2
+        assert len(calls) == 2
+
+    def test_water_fill_check_rejects_a_tampered_round(self):
+        inst = gen_random(d=5, n=12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
+        _, pol = run_policy(inst, "uc-hybrid", seed=2)
+        trace = list(pol.trace)
+        assert harness._water_fill_check(inst, trace, "t").status == "pass"
+        # A round whose fill spends the whole budget, so raising any z_k
+        # leaves the feasible set.
+        budget = math.sqrt(inst.d) * inst.per_round_capacity
+        i = max(range(inst.n), key=lambda r: float(trace[r].z.sum()))
+        assert trace[i].z.sum() == pytest.approx(budget)
+        rec = trace[i]
+        raised_z = rec.z.copy()
+        k = int(np.argmax(raised_z))
+        raised_z[k] += 1e-6 * (1.0 + raised_z[k])
+        step = 1e-6 * (1.0 + abs(rec.f))
+        for tampered in (
+            dataclasses.replace(rec, f=rec.f + step),
+            dataclasses.replace(rec, f=rec.f - step),
+            dataclasses.replace(rec, z=raised_z),
+        ):
+            verdict = harness._water_fill_check(inst, trace[:i] + [tampered] + trace[i + 1 :], "t")
+            assert verdict.status == "fail"
+            assert verdict.lhs > 1e-7
 
     @pytest.mark.parametrize("family, forward_rounds, full_rounds", [
         ("fhc", 2080, 127),  # 4,096 and 2,143 with a fresh pass per member

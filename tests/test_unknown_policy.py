@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-from divsel.benchmark import solve_adjustment_lp
 from divsel import unknown_policy
 from divsel.core import (
     AttributeVector, Round, core_mask, least_utility, round_incidence, validate_feasibility
@@ -26,7 +25,7 @@ from divsel.unknown_policy import (
     water_fill,
 )
 
-from conftest import make_instance
+from conftest import adjustment_lp, make_instance
 
 
 def myopic(d, c, a, rnd):
@@ -182,7 +181,7 @@ class TestWaterFill:
         for fill in (z, z_go):
             assert sum(fill) <= budget + 1e-9
             assert all(0.0 <= zk <= caps[k] for k, zk in enumerate(fill))
-        lp_value, _ = solve_adjustment_lp(u, caps, budget, c)
+        lp_value, _ = adjustment_lp(u, caps, budget, c)
         assert fill_value(u, z, c) == pytest.approx(lp_value, abs=1e-7)
         assert fill_value(u, z_go, c) == pytest.approx(fill_value(u, z, c), abs=1e-9)
         assert all(go >= stop for go, stop in zip(z_go, z))
@@ -193,7 +192,7 @@ class TestWaterFill:
         rng = np.random.default_rng(d)
         u, caps, c = rng.uniform(0, 5, d), rng.uniform(0, 4, d), rng.uniform(1, 3, d)
         budget = 0.9 * float(caps.sum())
-        lp_value, _ = solve_adjustment_lp(u.tolist(), caps.tolist(), budget, c.tolist())
+        lp_value, _ = adjustment_lp(u.tolist(), caps.tolist(), budget, c.tolist())
         for continue_after_cap in (False, True):
             start = time.perf_counter()
             z = water_fill(u, caps, budget, c, continue_after_cap)
