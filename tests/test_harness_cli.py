@@ -201,10 +201,12 @@ class TestVerify:
         assert shared == [4]
         assert len(calls) == sum(member.n for member in members) - sum(shared) == 12
 
-    def test_verify_solves_two_lps(self, monkeypatch):
-        """The fluid and intermediate LPs are the only solver calls:
-        ``WF-optimality`` reads a closed-form dual bound per round."""
-        inst = gen_random(d=5, n=12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
+    @pytest.mark.parametrize("rounds", [None, 5])
+    def test_adjustment_lps_are_batched(self, monkeypatch, rounds):
+        """The fluid and intermediate LPs are the only solver calls, however
+        many rounds there are: ``WF-optimality`` reads a closed-form dual
+        bound per round instead of solving an adjustment LP."""
+        inst = gen_random(d=5, n=rounds or 12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
         calls = []
         real = benchmark.linprog
 
