@@ -10,6 +10,7 @@ from .benchmark import (
     int_objective,
     opt_bounds,
     solve_fluid,
+    solve_fluids,
     solve_int,
 )
 from .core import (
@@ -76,6 +77,7 @@ __all__ = [
     "select_offline",
     "serialize_instance",
     "solve_fluid",
+    "solve_fluids",
     "solve_int",
     "validate_feasibility",
     "verify_family",

@@ -6,14 +6,17 @@ for tiny instances.
 The fluid and intermediate max-min objectives are linearized with one
 auxiliary level variable and solved with scipy's HiGHS backend; every
 returned solution is re-validated against its own constraints before it
-leaves this module.
+leaves this module.  One HiGHS call serves a batch of fluid LPs
+(``solve_fluids``): they are the blocks of one block-diagonal LP, and each
+member gets its own dual certificate and re-validation.  Only the family
+path (``verify --family``) passes more than one instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +35,12 @@ from .rounding import capacity_safe
 
 #: Constraint/value re-validation tolerance for LP results.
 LP_TOL = 1e-7
+
+#: Rows plus columns of one batched fluid LP.  HiGHS's per-call overhead is
+#: paid once per batch, but its working memory grows with the LP: one LP for
+#: all 64 fhc members at d = 64 (6,367 rows and columns; 7 batches of this
+#: size) was no faster and raised peak RSS by ~14 MB more.
+FLUID_BATCH_SIZE = 1024
 
 
 def linprog(*args, **kwargs):
@@ -70,14 +79,9 @@ def _status_name(status: int) -> str:
     return "unbounded_guard"
 
 
-def _bound_term(bound: np.ndarray, mu: np.ndarray, what: str) -> float:
-    finite = np.isfinite(bound)
-    if np.abs(mu[~finite]).max(initial=0.0) > LP_TOL:
-        raise InvariantError(f"{what}: nonzero multiplier on an infinite bound")
-    return float(np.where(finite, bound, 0.0) @ mu)
-
-
-def _certify_optimal(res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what: str) -> None:
+def _certify_optimal(
+    res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, names: Sequence[str], row_starts=(0,), col_starts=(0,)
+) -> None:
     """Dual certificate of an optimal HiGHS result (Huangfu & Hall, Math. Prog.
     Comp. 2018) for min c.x s.t. A_ub x <= b_ub, l <= x <= u.
 
@@ -85,22 +89,37 @@ def _certify_optimal(res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, what
     lambda <= 0 on the A_ub rows, mu_u <= 0 on upper bounds, mu_l >= 0 on lower
     bounds and c - A_ub^T lambda - mu_u - mu_l = 0; optimality means the dual
     objective b_ub.lambda + u.mu_u + l.mu_l equals c.x.
+
+    The LP may be block-diagonal: block b owns the rows from ``row_starts[b]``
+    and the columns from ``col_starts[b]`` and is called ``names[b]``.  Every
+    check is made per block, so a failure names the block it found.
     """
     lam = res.ineqlin.marginals
     mu_u = res.upper.marginals
     mu_l = res.lower.marginals
-    wrong_sign = max(lam.max(initial=0.0), mu_u.max(initial=0.0), -mu_l.min(initial=0.0))
-    if wrong_sign > LP_TOL:
-        raise InvariantError(f"{what}: dual multiplier of the wrong sign ({wrong_sign:.3g})")
-    reduced = cost - a_ub.T @ lam - mu_u - mu_l
-    residual = float(np.abs(reduced).max(initial=0.0))
-    if residual > LP_TOL * (1.0 + float(np.abs(cost).max(initial=0.0))):
-        raise InvariantError(f"{what}: reduced costs do not vanish ({residual:.3g})")
-    primal = float(cost @ res.x)
-    dual = float(b_ub @ lam) + _bound_term(bounds[:, 1], mu_u, what) + _bound_term(bounds[:, 0], mu_l, what)
-    gap = abs(primal - dual)
-    if gap > LP_TOL * (1.0 + abs(primal)):
-        raise InvariantError(f"{what}: duality gap {gap:.3g} exceeds tolerance")
+
+    def check(values: np.ndarray, limits, message: str) -> None:
+        bad = np.flatnonzero(values > limits)
+        if bad.size:
+            raise InvariantError(f"{names[bad[0]]}: {message.format(values[bad[0]])}")
+
+    def by_row(ufunc, v: np.ndarray) -> np.ndarray:
+        return ufunc.reduceat(v, row_starts)
+
+    def by_col(ufunc, v: np.ndarray) -> np.ndarray:
+        return ufunc.reduceat(v, col_starts)
+
+    wrong_sign = np.maximum(by_row(np.maximum, lam), by_col(np.maximum, np.maximum(mu_u, -mu_l)))
+    check(wrong_sign, LP_TOL, "dual multiplier of the wrong sign ({:.3g})")
+    residual = by_col(np.maximum, np.abs(cost - a_ub.T @ lam - mu_u - mu_l))
+    check(residual, LP_TOL * (1.0 + by_col(np.maximum, np.abs(cost))), "reduced costs do not vanish ({:.3g})")
+    dual = by_row(np.add, b_ub * lam)
+    for bound, mu in ((bounds[:, 1], mu_u), (bounds[:, 0], mu_l)):
+        finite = np.isfinite(bound)
+        check(by_col(np.maximum, np.where(finite, 0.0, np.abs(mu))), LP_TOL, "nonzero multiplier on an infinite bound")
+        dual += by_col(np.add, np.where(finite, bound, 0.0) * mu)
+    primal = by_col(np.add, cost * res.x)
+    check(np.abs(primal - dual), LP_TOL * (1.0 + np.abs(primal)), "duality gap {:.3g} exceeds tolerance")
 
 
 def _candidate_types(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,14 +151,11 @@ def _candidate_types(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return first[order], np.bincount(type_of, minlength=order.size), type_of
 
 
-def solve_fluid(inst: Instance) -> LPResult:
-    """Maximize the least utility subject to sum(x) <= K and 0 <= x <= 1.
-
-    Candidates of one type are interchangeable, so the LP runs over distinct
-    types with the type's mass bounded by its multiplicity; x* spreads each
-    type's mass evenly over its copies and is then made capacity-safe for the
-    rounder (``rounding.capacity_safe``).
-    """
+def _fluid_block(inst: Instance):
+    """One instance's fluid LP over its distinct types as the (row, column,
+    value) triples of A_ub, b_ub, the upper bounds and the type of every
+    candidate; None when some dimension can never be served, so the optimum
+    is 0 (x = 0 allowed)."""
     n_cands = inst.total_candidates
     if n_cands > MAX_CANDIDATES:
         raise SizeError(f"{n_cands} candidates exceeds the LP cap {MAX_CANDIDATES}")
@@ -151,38 +167,97 @@ def solve_fluid(inst: Instance) -> LPResult:
     lens = inst.cand_lens[first]
     bits = inst.bits[np.repeat(is_first, inst.cand_lens)]
     if n_cands == 0 or inst.capacity == 0 or np.bincount(bits, minlength=d).min() == 0:
-        # Some dimension can never be served: the optimum is 0 (x = 0 allowed).
-        zero = FractionalSolution(np.zeros(n_cands), inst.round_ptr)
-        return LPResult(value=0.0, solution=zero, status="optimal", degenerate_zero=True)
-
-    from scipy.sparse import csr_matrix
-
+        return None
     # Variables: X_1..X_T (mass per type), t.
     # max t  s.t.  sum X <= K,  t - c_k sum_{types with k} X <= 0,  0 <= X <= mult.
     c = np.asarray(inst.c)
     row_idx = np.concatenate([np.zeros(n_types, dtype=np.intp), 1 + bits, 1 + np.arange(d)])
     col_idx = np.concatenate([np.arange(n_types), np.repeat(np.arange(n_types), lens), np.full(d, n_types)])
     vals = np.concatenate([np.ones(n_types), -c[bits], np.ones(d)])
-    a_ub = csr_matrix((vals, (row_idx, col_idx)), shape=(1 + d, n_types + 1))
     b_ub = np.zeros(1 + d)
     b_ub[0] = float(inst.capacity)
-    cost = np.zeros(n_types + 1)
-    cost[-1] = -1.0
-    bounds = np.zeros((n_types + 1, 2))
-    bounds[:n_types, 1] = mult
-    bounds[-1, 1] = np.inf
+    return row_idx, col_idx, vals, b_ub, np.append(mult, np.inf), type_of
+
+
+def solve_fluid(inst: Instance) -> LPResult:
+    """The fluid optimum of one instance: ``solve_fluids([inst])[0]``."""
+    return solve_fluids([inst])[0]
+
+
+def solve_fluids(insts: Sequence[Instance]) -> list[LPResult]:
+    """Maximize each instance's least utility subject to sum(x) <= K and
+    0 <= x <= 1, with one HiGHS call per batch of instances.
+
+    Candidates of one type are interchangeable, so an instance's LP runs over
+    its distinct types with the type's mass bounded by its multiplicity; x*
+    spreads each type's mass evenly over its copies and is then made
+    capacity-safe for the rounder (``rounding.capacity_safe``).
+
+    Each instance is screened (size cap, zero optimum) and the rest are
+    packed, in order, into batches of at most ``FLUID_BATCH_SIZE`` rows plus
+    columns (an LP larger than that is a batch of its own); each batch is
+    solved as one block-diagonal LP (``_solve_fluid_batch``) before the next
+    is built, so only one batch's arrays are held at a time.
+    """
+    results: list[Optional[LPResult]] = [None] * len(insts)
+    batch, size = {}, 0
+    for i, inst in enumerate(insts):
+        block = _fluid_block(inst)
+        if block is None:
+            zero = FractionalSolution(np.zeros(inst.total_candidates), inst.round_ptr)
+            results[i] = LPResult(value=0.0, solution=zero, status="optimal", degenerate_zero=True)
+            continue
+        block_size = block[3].size + block[4].size  # rows + columns
+        if batch and size + block_size > FLUID_BATCH_SIZE:
+            _solve_fluid_batch(insts, batch, results)
+            batch, size = {}, 0
+        batch[i], size = block, size + block_size
+    if batch:
+        _solve_fluid_batch(insts, batch, results)
+    return results
+
+
+def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -> None:
+    """Solve the fluid LPs ``blocks`` (instance index -> ``_fluid_block``) as
+    the blocks of one block-diagonal LP whose objective is the sum of their
+    levels, and store each instance's ``LPResult`` in ``results``.
+
+    Blocks share no row, so the batch's optimum is every block's own optimum.
+    Each block gets its own dual certificate, and its x* is re-validated
+    against its own instance; a status other than optimal is every member's
+    status.
+    """
+    from scipy.sparse import csr_matrix
+
+    row_idx, col_idx, vals, b_ubs, uppers, _ = zip(*blocks.values())
+    n_rows, n_cols = np.array([b.size for b in b_ubs]), np.array([u.size for u in uppers])
+    row_starts, col_starts = np.cumsum(n_rows) - n_rows, np.cumsum(n_cols) - n_cols
+    levels = col_starts + n_cols - 1  # each block's t column
+    rows = np.concatenate([r + start for r, start in zip(row_idx, row_starts)])
+    cols = np.concatenate([c + start for c, start in zip(col_idx, col_starts)])
+    a_ub = csr_matrix((np.concatenate(vals), (rows, cols)), shape=(n_rows.sum(), n_cols.sum()))
+    b_ub = np.concatenate(b_ubs)
+    cost = np.zeros(a_ub.shape[1])
+    cost[levels] = -1.0
+    bounds = np.zeros((a_ub.shape[1], 2))
+    bounds[:, 1] = np.concatenate(uppers)
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
-        return LPResult(value=float("nan"), solution=None, status=_status_name(res.status))
-    _certify_optimal(res, cost, a_ub, b_ub, bounds, "fluid LP")
+        for i in blocks:
+            results[i] = LPResult(value=float("nan"), solution=None, status=_status_name(res.status))
+        return
+    names = {i: "fluid LP" if len(insts) == 1 else f"fluid LP (member {i + 1})" for i in blocks}
+    _certify_optimal(res, cost, a_ub, b_ub, bounds, list(names.values()), row_starts, col_starts)
 
-    value = float(res.x[-1])
-    x = (np.clip(res.x[:n_types], 0.0, mult) / mult)[type_of]
-    sol = FractionalSolution(capacity_safe(x, inst.capacity), inst.round_ptr)
-    lu, _ = least_utility(inst, sol)
-    if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
-        raise InvariantError("fluid LP solution failed re-validation")
-    return LPResult(value=value, solution=sol, status="optimal", degenerate_zero=value <= EPS)
+    for (i, (*_, upper, type_of)), start, level in zip(blocks.items(), col_starts, levels):
+        inst, mult = insts[i], upper[:-1]
+        value = float(res.x[level])
+        x = (np.clip(res.x[start:level], 0.0, mult) / mult)[type_of]
+        sol = FractionalSolution(capacity_safe(x, inst.capacity), inst.round_ptr)
+        lu, _ = least_utility(inst, sol)
+        if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
+            raise InvariantError(f"{names[i]} solution failed re-validation")
+        results[i] = LPResult(value=value, solution=sol, status="optimal", degenerate_zero=value <= EPS)
 
 
 def opt_bounds(inst: Instance) -> tuple[float, float]:
@@ -253,7 +328,7 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
             LPResult(value=float("nan"), solution=None, status=_status_name(res.status)),
             IntSolution(y=(), z=()),
         )
-    _certify_optimal(res, cost, a_ub, b_ub, bounds, "intermediate LP")
+    _certify_optimal(res, cost, a_ub, b_ub, bounds, ["intermediate LP"])
 
     value = float(res.x[-1])
     y = core_mask(inst.cand_lens, d).astype(float)
@@ -337,6 +412,15 @@ def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:
     applied before enumerating: dimensions with no arrivals force the answer
     to 0; monotonicity lets the search saturate the budget; candidates with
     identical types are merged (the objective depends only on group totals).
+
+    The search runs depth first over the types' unit counts and skips a
+    subtree whose upper bound is within 1e-15 of the best point found.  The
+    bounds are closed-form weak duality (no LP): for weights proportional to
+    1/c_k on a set S of dimensions, min_k c_k A_k <= sum_S A_k / sum_S 1/c_k,
+    and sum_S A_k is at most the units already placed on S plus the remaining
+    units filled in order of each type's coverage of S.  The sets are every
+    single dimension and the prefixes of the dimensions by current utility.
+    The last two types are not enumerated: see ``pair_best``.
     """
     n_cands = inst.total_candidates
     if n_cands > 5:
@@ -348,39 +432,64 @@ def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:
         return 0.0
 
     first, mult, _ = _candidate_types(inst)
-    types = [inst.bits[inst.cand_ptr[j] : inst.cand_ptr[j + 1]].tolist() for j in first.tolist()]
-    sizes = mult.tolist()
-    q = grid_steps
-    budget_units = min(inst.capacity * q, sum(sizes) * q)
-
+    types = [set(inst.bits[inst.cand_ptr[j] : inst.cand_ptr[j + 1]].tolist()) for j in first.tolist()]
+    q, c, d, g = grid_steps, inst.c, inst.d, len(types)
+    caps = [s * q for s in mult.tolist()]
+    budget_units = min(inst.capacity * q, sum(caps))
+    suffix_caps = [[sum(caps[t] for t in range(i, g) if k in types[t]) for k in range(d)] for i in range(g + 1)]
     best = 0.0
-    caps = [s * q for s in sizes]
-    g = len(types)
 
-    def per_dim_cap(rest: list[int]) -> list[int]:
-        out = [0] * inst.d
-        for idx in rest:
-            for k in types[idx]:
-                out[k] += caps[idx]
-        return out
+    def pooled_bound(idx: int, remaining: int, acc: list[int]) -> float:
+        bound, placed, weight, dims = math.inf, 0, 0.0, set()
+        for k in sorted(range(d), key=lambda k: c[k] * acc[k]):
+            dims.add(k)
+            placed += acc[k]
+            weight += 1.0 / c[k]
+            fill, left = 0, remaining
+            for cover, cap in sorted(((len(types[t] & dims), caps[t]) for t in range(idx, g)), reverse=True):
+                take = min(cap, left)
+                fill, left = fill + cover * take, left - take
+            bound = min(bound, (placed + fill) / (q * weight))
+        return bound
 
-    suffix_caps = [per_dim_cap(list(range(i, g))) for i in range(g + 1)]
+    def pair_best(idx: int, remaining: int, acc: list[int]) -> float:
+        """Grid maximum with u units on type ``idx`` and the rest on the last
+        type.  Utilities of the dimensions only the first covers rise with u
+        and those only the last covers fall, so the maximum lies where the
+        rising minimum first reaches the falling one, found by bisection."""
+        rise, fall = types[idx], types[idx + 1]
+        lo, hi = max(0, remaining - caps[idx + 1]), min(caps[idx], remaining)
+
+        def parts(u: int) -> list[float]:  # minima over rising, falling, other dimensions
+            out = [math.inf] * 3
+            for k in range(d):
+                side = 2 if (k in rise) == (k in fall) else int(k in fall)
+                out[side] = min(out[side], c[k] * (acc[k] + u * (k in rise) + (remaining - u) * (k in fall)) / q)
+            return out
+
+        a, b = lo, hi + 1
+        while a < b:
+            mid = (a + b) // 2
+            rising, falling, _ = parts(mid)
+            a, b = (a, mid) if rising >= falling else (mid + 1, b)
+        return max(min(parts(u)) for u in (a - 1, a) if lo <= u <= hi)
 
     def dfs(idx: int, remaining: int, acc: list[int]) -> None:
         nonlocal best
         if idx == g:
             if remaining == 0:
-                best = max(best, min(inst.c[k] * acc[k] / q for k in range(inst.d)))
+                best = max(best, min(c[k] * acc[k] / q for k in range(d)))
             return
-        rest_cap = sum(caps[idx:])
-        if remaining > rest_cap:
+        if remaining > sum(caps[idx:]):
             return
         # Optimistic bound: give every dimension all its remaining coverage.
-        ub = min(
-            inst.c[k] * (acc[k] + min(remaining, suffix_caps[idx][k])) / q
-            for k in range(inst.d)
-        )
-        if ub <= best + 1e-15:
+        ub = min(c[k] * (acc[k] + min(remaining, suffix_caps[idx][k])) / q for k in range(d))
+        if ub <= best + 1e-15 or pooled_bound(idx, remaining, acc) <= best + 1e-15:
+            return
+        if idx == g - 2:
+            value = pair_best(idx, remaining, acc)
+            if value > best + 1e-15:
+                best = value
             return
         lo = max(0, remaining - sum(caps[idx + 1 :]))
         hi = min(caps[idx], remaining)
@@ -390,8 +499,6 @@ def grid_oracle(inst: Instance, grid_steps: int = 200) -> float:
             dfs(idx + 1, remaining - units, acc)
             for k in types[idx]:
                 acc[k] -= units
-        return
 
-    dfs(0, budget_units, [0] * inst.d)
+    dfs(0, budget_units, [0] * d)
     return best
-

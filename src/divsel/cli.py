@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import core, harness
-from .benchmark import opt_bounds, solve_fluid
+from .benchmark import opt_bounds, solve_fluid, solve_fluids
 from .errors import DivselError, DomainError, SchemaError
 from .generators import gen_random
 from .harness import fmt
@@ -157,7 +157,7 @@ def _cmd_verify(args) -> int:
     verdicts = []
     if args.family:
         members = harness.family_members(args.family, args.d)
-        opts = [solve_fluid(inst).value for inst in members]
+        opts = [lp.value for lp in solve_fluids(members)]
         verdicts.extend(
             harness.verify_family(args.family, args.d, args.policy, args.seed, args.epsilon, members, opts)
         )

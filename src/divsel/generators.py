@@ -15,7 +15,7 @@ import random
 import numpy as np
 
 from .core import Instance
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 
 def gen_fhc(d: int) -> list[Instance]:
@@ -122,6 +122,27 @@ def gen_fcs(d: int) -> list[Instance]:
             )
         )
     return members
+
+
+def family_entries(family: str, d: int) -> int:
+    """Attribute entries over all members of a hard family, in closed form,
+    so a family too large to hold is refused before any member is built.
+
+    An fhc member m holds d candidates of lengths 1..m and d of length d - m,
+    so the family holds d * (d(d+1)(d+2)/6 + d(d-1)/2) entries.  Every round
+    of an fcs member holds exactly d entries (disjoint subsets plus the
+    singletons of the rest), so the family holds kappa * d * d.  A dimension
+    count the generator rejects holds none.
+    """
+    if family == "fhc":
+        return d * (d * (d + 1) * (d + 2) // 6 + d * (d - 1) // 2) if d >= 1 else 0
+    if family == "fcs":
+        if d < 3:
+            return 0
+        # kappa >= 1; past 2**64 the d * d entries alone exceed any memory,
+        # and d ** (1/3) could overflow a float.
+        return (fcs_kappa(d) if d < 2**64 else 1) * d * d
+    raise ContractError(f"unknown family {family!r}")
 
 
 def gen_random(

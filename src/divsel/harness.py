@@ -24,7 +24,16 @@ import numpy as np
 
 from . import fixed_policy as fp
 from . import unknown_policy as up
-from .benchmark import LP_TOL, IntSolution, adjustment_bounds, int_objective, opt_bounds, solve_fluid, solve_int
+from .benchmark import (
+    LP_TOL,
+    IntSolution,
+    adjustment_bounds,
+    int_objective,
+    opt_bounds,
+    solve_fluid,
+    solve_fluids,
+    solve_int,
+)
 from .core import (
     EPS,
     FractionalSolution,
@@ -37,7 +46,7 @@ from .core import (
     validate_feasibility,
 )
 from .errors import ContractError, DomainError, SizeError
-from .generators import fcs_kappa, gen_fcs, gen_fhc
+from .generators import family_entries, fcs_kappa, gen_fcs, gen_fhc
 from .rounding import max_selection_count, pick_segments
 
 POLICY_NAMES = ("fixed", "uc-hybrid", "uc-myopic", "uc-forward")
@@ -559,12 +568,16 @@ def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance
 
 
 def family_members(family: str, d: int) -> list[Instance]:
-    """The members of a hard family, in order."""
+    """The members of a hard family, in order.  A family whose attribute
+    entries alone (the int32 ``bits`` its members keep, a floor on what
+    building it takes) exceed the machine's memory is a SizeError, raised
+    before any member is built."""
+    need = 4 * family_entries(family, d)
+    if need > _physical_memory():
+        raise SizeError(f"{family} d={d} needs {need} bytes of attributes, more than the machine's memory")
     if family == "fhc":
         return gen_fhc(d)
-    if family == "fcs":
-        return gen_fcs(d)
-    raise ContractError(f"unknown family {family!r}")
+    return gen_fcs(d)
 
 
 def verify_family(
@@ -578,8 +591,9 @@ def verify_family(
 ) -> list[VerificationVerdict]:
     """Family-level impossibility witnesses (need every member; pass
     ``members`` to reuse ones already generated, and ``opts``, their fluid
-    optima, to reuse those).  The fhc ratio bound concerns the hybrid policy
-    alone.
+    optima, to reuse those; without ``opts``, ``benchmark.solve_fluids``
+    solves every member in batched HiGHS calls).  The fhc ratio bound
+    concerns the hybrid policy alone.
 
     The unknown-capacity rows of all members come from one forked pass
     (``unknown_policy.unknown_family_passes``): the rounds that consecutive
@@ -597,7 +611,7 @@ def verify_family(
     else:
         raise ContractError(f"unknown family {family!r}")
     if opts is None:
-        opts = [solve_fluid(m).value for m in members]
+        opts = [lp.value for lp in solve_fluids(members)]
     verdicts = [
         _lower(opt_name, min(opts), opt_floor, max(eps, LP_TOL), detail=f"{family} d={d} min over members")
     ]

@@ -76,6 +76,84 @@ def adjustment_lp(u, caps, budget, c):
     return fill_value(u, z, c), z.tolist()
 
 
+def dfs_grid_oracle(inst, grid_steps):
+    """Test-only oracle: ``benchmark.grid_oracle``'s depth-first search with
+    only its per-dimension bound, kept as the reference that the pruned
+    search must equal."""
+    from divsel.benchmark import _candidate_types
+    from divsel.core import marginals
+
+    phi = marginals(inst)
+    if inst.total_candidates == 0 or min(phi) == 0 or inst.capacity == 0:
+        return 0.0
+
+    first, mult, _ = _candidate_types(inst)
+    types = [inst.bits[inst.cand_ptr[j] : inst.cand_ptr[j + 1]].tolist() for j in first.tolist()]
+    sizes = mult.tolist()
+    q = grid_steps
+    budget_units = min(inst.capacity * q, sum(sizes) * q)
+
+    best = 0.0
+    caps = [s * q for s in sizes]
+    g = len(types)
+
+    def per_dim_cap(rest: list[int]) -> list[int]:
+        out = [0] * inst.d
+        for idx in rest:
+            for k in types[idx]:
+                out[k] += caps[idx]
+        return out
+
+    suffix_caps = [per_dim_cap(list(range(i, g))) for i in range(g + 1)]
+
+    def dfs(idx: int, remaining: int, acc: list[int]) -> None:
+        nonlocal best
+        if idx == g:
+            if remaining == 0:
+                best = max(best, min(inst.c[k] * acc[k] / q for k in range(inst.d)))
+            return
+        rest_cap = sum(caps[idx:])
+        if remaining > rest_cap:
+            return
+        # Optimistic bound: give every dimension all its remaining coverage.
+        ub = min(
+            inst.c[k] * (acc[k] + min(remaining, suffix_caps[idx][k])) / q
+            for k in range(inst.d)
+        )
+        if ub <= best + 1e-15:
+            return
+        lo = max(0, remaining - sum(caps[idx + 1 :]))
+        hi = min(caps[idx], remaining)
+        for units in range(hi, lo - 1, -1):
+            for k in types[idx]:
+                acc[k] += units
+            dfs(idx + 1, remaining - units, acc)
+            for k in types[idx]:
+                acc[k] -= units
+        return
+
+    dfs(0, budget_units, [0] * inst.d)
+    return best
+
+
+def tiny_grid_instances():
+    """Instances of at most five candidates, small enough for the grid oracle."""
+    return [
+        make_instance(1, [[(0,)]], capacity=1),
+        make_instance(2, [[(0, 1)]], capacity=1),
+        make_instance(2, [[(0,), (1,)]], capacity=1),
+        make_instance(2, [[(0,), (1,), (0, 1)]], capacity=2),
+        make_instance(3, [[(0, 1), (1, 2), (0, 2)]], capacity=2),
+        make_instance(3, [[(0,), (1,), (2,), (0, 1, 2)]], capacity=2),
+        make_instance(4, [[(0, 1), (2, 3), (0, 2), (1, 3), (0, 1, 2, 3)]], capacity=2),
+        make_instance(2, [[(0,), (0,), (1,), (1,)]], capacity=3),
+        make_instance(3, [[(0, 1), (1, 2), (0, 2), (0, 1, 2)]], capacity=4, c=[1.0, 1.5, 2.0]),
+        make_instance(1, [[(0,), (0,), (0,), (0,), (0,)]], capacity=2),
+        make_instance(2, [[(0, 1), (0, 1), (0,), (1,)]], capacity=3),
+        make_instance(5, [[(0, 1, 2, 3, 4)]], capacity=1),
+    ]
+
+
 @pytest.fixture
 def tiny_instance():
     return make_instance(2, [[(0,), (1,)]], capacity=2)

@@ -16,6 +16,7 @@ from divsel.benchmark import (
     grid_oracle,
     opt_bounds,
     solve_fluid,
+    solve_fluids,
 )
 from divsel.core import least_utility, validate_feasibility
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
@@ -29,7 +30,7 @@ from divsel.harness import (
 from divsel.rounding import accumulator_path, capacity_sweep, pick_segments
 from divsel.unknown_policy import fill_value, water_fill
 
-from conftest import adjustment_lp, make_instance, random_feasible_x
+from conftest import adjustment_lp, random_feasible_x, tiny_grid_instances
 
 DIMS = (4, 8, 16, 27, 64)
 GRID_POINTS = 10_000
@@ -118,25 +119,12 @@ def test_criterion_2_benchmark_sandwich(random_pool):
             instances += [(f"fhc_d{d}_m{m}", inst) for m, inst in enumerate(gen_fhc(d), 1)]
             instances += [(f"fcs_d{d}_m{m}", inst) for m, inst in enumerate(gen_fcs(d), 1)]
         instances += random_pool
-        for name, inst in instances:
+        lps = solve_fluids([inst for _, inst in instances])
+        for (name, inst), lp in zip(instances, lps):
             under, over = opt_bounds(inst)
-            opt = solve_fluid(inst).value
-            assert under - 1e-7 <= opt <= over + 1e-7, name
+            assert under - 1e-7 <= lp.value <= over + 1e-7, name
 
-        tiny = [
-            make_instance(1, [[(0,)]], capacity=1),
-            make_instance(2, [[(0, 1)]], capacity=1),
-            make_instance(2, [[(0,), (1,)]], capacity=1),
-            make_instance(2, [[(0,), (1,), (0, 1)]], capacity=2),
-            make_instance(3, [[(0, 1), (1, 2), (0, 2)]], capacity=2),
-            make_instance(3, [[(0,), (1,), (2,), (0, 1, 2)]], capacity=2),
-            make_instance(4, [[(0, 1), (2, 3), (0, 2), (1, 3), (0, 1, 2, 3)]], capacity=2),
-            make_instance(2, [[(0,), (0,), (1,), (1,)]], capacity=3),
-            make_instance(3, [[(0, 1), (1, 2), (0, 2), (0, 1, 2)]], capacity=4, c=[1.0, 1.5, 2.0]),
-            make_instance(1, [[(0,), (0,), (0,), (0,), (0,)]], capacity=2),
-            make_instance(2, [[(0, 1), (0, 1), (0,), (1,)]], capacity=3),
-            make_instance(5, [[(0, 1, 2, 3, 4)]], capacity=1),
-        ]
+        tiny = tiny_grid_instances()
         for idx, inst in enumerate(tiny):
             assert inst.total_candidates <= 5
             lower = grid_oracle(inst, 200)

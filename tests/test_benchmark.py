@@ -15,6 +15,7 @@ from divsel.benchmark import (
     int_objective,
     opt_bounds,
     solve_fluid,
+    solve_fluids,
     solve_int,
 )
 from divsel.core import Instance, instance_stats, least_utility, marginals
@@ -23,7 +24,7 @@ from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 from divsel.rounding import accumulator_path, capacity_safe, max_selection_count
 from divsel.unknown_policy import fill_value, water_fill
 
-from conftest import adjustment_lp, make_instance, random_feasible_x
+from conftest import adjustment_lp, dfs_grid_oracle, make_instance, random_feasible_x, tiny_grid_instances
 
 
 def dense_fluid_value(inst):
@@ -206,6 +207,111 @@ class TestFluidTypeAggregation:
             solve_fluid(inst)
 
 
+class TestSolveFluids:
+    @staticmethod
+    def mixed_batch():
+        return (
+            gen_fhc(27)
+            + gen_fcs(27)
+            + [repetitive_random(seed) for seed in range(6)]
+            + [make_instance(2, [[(0,)]], capacity=5), make_instance(2, [[], []], capacity=3)]
+        )
+
+    def test_batch_matches_dense_lp_and_single_solves(self):
+        batch = self.mixed_batch()
+        lps = solve_fluids(batch)
+        assert len(lps) == len(batch)
+        for inst, lp in zip(batch, lps):
+            one = solve_fluid(inst)
+            assert_rel_close(lp.value, dense_fluid_value(inst))
+            assert (lp.status, lp.degenerate_zero) == (one.status, one.degenerate_zero)
+            x, x_one = np.array(lp.solution.flat()), np.array(one.solution.flat())
+            _, _, type_of = benchmark._candidate_types(inst)
+            for t in range(type_of.max(initial=-1) + 1):
+                assert np.ptp(x[type_of == t]) == 0.0  # one value per type
+            np.testing.assert_allclose(x, x_one, rtol=0.0, atol=1e-9)
+            assert accumulator_path(x)[1][-1] <= inst.capacity
+            assert least_utility(inst, lp.solution)[0] >= lp.value - 1e-9
+        assert [lp.degenerate_zero for lp in lps[-2:]] == [True, True]
+
+    @pytest.mark.parametrize("batch_size, calls", [(1, 10), (60, 4), (10**9, 1)])
+    def test_batch_size_changes_the_calls_not_the_results(self, monkeypatch, batch_size, calls):
+        batch = gen_fhc(8) + [make_instance(2, [[(0,)]], capacity=5)] + gen_fcs(8)
+        want = solve_fluids(batch)
+        sizes = []
+
+        def recording_linprog(*args, **kwargs):
+            sizes.append(sum(kwargs["A_ub"].shape))
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(benchmark, "FLUID_BATCH_SIZE", batch_size)
+        monkeypatch.setattr(benchmark, "linprog", recording_linprog)
+        got = solve_fluids(batch)
+        # 10 LPs of 12 to 23 rows and columns, packed in order; an LP larger
+        # than the batch size is a batch of its own.
+        assert len(sizes) == calls and sum(sizes) == 169
+        assert batch_size == 1 or max(sizes) <= batch_size
+        for g, w in zip(got, want):
+            assert (g.status, g.degenerate_zero) == (w.status, w.degenerate_zero)
+            assert_rel_close(g.value, w.value)
+            np.testing.assert_allclose(g.solution.flat(), w.solution.flat(), rtol=0.0, atol=1e-9)
+
+    def test_batch_of_only_degenerate_members_solves_no_lp(self, monkeypatch):
+        monkeypatch.setattr(benchmark, "linprog", None)
+        lps = solve_fluids([make_instance(2, [[(0,)]], capacity=5), make_instance(1, [[(0,)]], capacity=0)])
+        assert [(lp.value, lp.degenerate_zero) for lp in lps] == [(0.0, True), (0.0, True)]
+        assert solve_fluids([]) == []
+
+    @staticmethod
+    def tamper_member(monkeypatch, batch, member, tamper):
+        """Apply ``tamper(res, rows, level)`` to one member's block: its row
+        slice and the column of its level t."""
+        rows = cols = 0
+        for inst in batch[: member + 1]:
+            row_start, rows = rows, rows + 1 + inst.d
+            cols += len(benchmark._candidate_types(inst)[0]) + 1
+        perturbing_linprog(monkeypatch, lambda res: tamper(res, slice(row_start, rows), cols - 1))
+
+    def test_certificate_names_member_with_understated_optimum(self, monkeypatch):
+        batch = [repetitive_random(seed) for seed in range(3)]
+
+        def understate(res, rows, level):
+            res.x[level] *= 0.9
+
+        self.tamper_member(monkeypatch, batch, 1, understate)
+        with pytest.raises(InvariantError, match=r"^fluid LP \(member 2\): duality gap"):
+            solve_fluids(batch)
+
+    def test_certificate_names_member_with_wrong_sign_duals(self, monkeypatch):
+        batch = [repetitive_random(seed) for seed in range(3)]
+
+        def flip(res, rows, level):
+            res.ineqlin.marginals[rows] = -res.ineqlin.marginals[rows]
+
+        self.tamper_member(monkeypatch, batch, 2, flip)
+        with pytest.raises(InvariantError, match=r"^fluid LP \(member 3\): dual multiplier of the wrong sign"):
+            solve_fluids(batch)
+
+    def test_failed_status_reaches_every_solved_member(self, monkeypatch):
+        def infeasible(res):
+            res.status = 2
+
+        perturbing_linprog(monkeypatch, infeasible)
+        degenerate = make_instance(2, [[(0,)]], capacity=5)
+        lps = solve_fluids([repetitive_random(0), degenerate, repetitive_random(1)])
+        assert [lp.status for lp in lps] == ["infeasible", "optimal", "infeasible"]
+        assert lps[0].solution is None and lps[1].degenerate_zero
+
+    def test_size_cap_is_per_member(self):
+        def one_type(n_cands):
+            return Instance.from_bit_lists(1, (1.0,), 1, [[[0]] * n_cands])
+
+        # Together past the 50,000-candidate cap, each member within it.
+        assert [lp.value for lp in solve_fluids([one_type(30_000)] * 2)] == [1.0, 1.0]
+        with pytest.raises(SizeError):
+            solve_fluids([repetitive_random(0), one_type(50_001)])
+
+
 class TestOptBounds:
     def test_single_dimension(self):
         inst = make_instance(1, [[(0,), (0,), (0,)]], capacity=5)
@@ -360,6 +466,22 @@ class TestGridOracle:
             opt = solve_fluid(inst).value
             assert opt >= g - 1e-9
             assert opt - g <= d * max(inst.c) / 200 + 1e-9
+
+    def test_equals_plain_dfs(self):
+        """The duality bounds and the closed-form last pair skip work, never
+        the answer: every value equals the plain search's, unequal c
+        included."""
+        rng = random.Random(5)
+        instances = tiny_grid_instances()
+        for _ in range(30):
+            d = rng.randint(1, 6)
+            rows = [[tuple(sorted(rng.sample(range(d), rng.randint(1, d)))) for _ in range(rng.randint(1, 5))]]
+            c = [rng.choice([1.0, 1.5, 2.0, rng.uniform(1.0, 3.0)]) for _ in range(d)]
+            c[rng.randrange(d)] = 1.0
+            instances.append(make_instance(d, rows, capacity=rng.randint(0, 6), c=c))
+        for q in (1, 4, 24):
+            for inst in instances:
+                assert grid_oracle(inst, q) == dfs_grid_oracle(inst, q)
 
 
 @st.composite

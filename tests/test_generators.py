@@ -3,8 +3,8 @@ import json
 import pytest
 
 from divsel.core import Round, instance_stats, marginals, parse_instance, serialize_instance
-from divsel.errors import DimensionError
-from divsel.generators import fcs_eta, fcs_kappa, gen_fcs, gen_fhc, gen_random
+from divsel.errors import ContractError, DimensionError
+from divsel.generators import family_entries, fcs_eta, fcs_kappa, gen_fcs, gen_fhc, gen_random
 
 
 def round_payload(rnd: Round):
@@ -153,3 +153,20 @@ class TestRandomFamily:
             gen_random(d=2, n=0, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=0)
         with pytest.raises(DimensionError):
             gen_random(d=2, n=1, a=1, density=0.0, min_arrivals=1, c_max=2.0, seed=0)
+
+
+class TestFamilyEntries:
+    def test_closed_form_counts_every_attribute(self):
+        for d in list(range(0, 21)) + [27, 64]:
+            for family, gen, d_min in (("fhc", gen_fhc, 1), ("fcs", gen_fcs, 3)):
+                built = sum(inst.bits.size for inst in gen(d)) if d >= d_min else 0
+                assert family_entries(family, d) == built, (family, d)
+
+    def test_absurd_dimension_counts_stay_exact_integers(self):
+        d = 10**400  # d ** (1/3) would overflow a float
+        assert family_entries("fcs", d) == d * d
+        assert family_entries("fhc", d) > d**4 // 6
+
+    def test_unknown_family(self):
+        with pytest.raises(ContractError):
+            family_entries("random", 8)

@@ -11,8 +11,8 @@ from divsel.benchmark import solve_fluid
 from divsel.cli import main
 from divsel.core import instance_stats, parse_instance, round_incidence, serialize_instance, solution_from_rows
 from divsel import benchmark, cli, core, harness, unknown_policy
-from divsel.errors import ContractError
-from divsel.generators import gen_fcs, gen_random
+from divsel.errors import ContractError, SizeError
+from divsel.generators import family_entries, gen_fcs, gen_random
 from divsel.harness import (
     VerificationVerdict,
     CSV_COLUMNS,
@@ -283,18 +283,52 @@ class TestVerify:
         assert out.count("fcs_d8_m") > 0 and out.splitlines()[0].startswith("PASS FCS-OPT")
 
     def test_per_instance_solves_each_member_once(self, monkeypatch, capsys):
-        solved = []
+        solved, lp_calls = [], []
+        real_solve, real_linprog = benchmark.solve_fluids, benchmark.linprog
 
-        def counting_solve(inst):
-            solved.append(inst)
-            return solve_fluid(inst)
+        def counting_solve(insts):
+            solved.extend(insts)
+            return real_solve(insts)
+
+        def counting_linprog(*args, **kwargs):
+            lp_calls.append(kwargs["A_ub"].shape)
+            return real_linprog(*args, **kwargs)
 
         for module in (benchmark, harness, cli):
-            monkeypatch.setattr(module, "solve_fluid", counting_solve)
+            monkeypatch.setattr(module, "solve_fluids", counting_solve)
+        monkeypatch.setattr(benchmark, "linprog", counting_linprog)
         argv = ["verify", "--family", "fhc", "--d", "27", "--per-instance", "--policy", "fixed"]
         assert main(argv) == 0
         assert "0 fail" in capsys.readouterr().out
-        assert len(solved) == 27
+        members = harness.family_members("fhc", 27)
+        assert len(solved) == 27 and all(
+            np.array_equal(got.bits, want.bits) and np.array_equal(got.round_ptr, want.round_ptr)
+            for got, want in zip(solved, members)
+        )
+        # Every member's 1 + d rows in exactly one batch; 1,187 rows and
+        # columns in all make two batches.
+        assert sum(rows for rows, _ in lp_calls) == 27 * 28
+        assert all(rows + cols <= benchmark.FLUID_BATCH_SIZE for rows, cols in lp_calls)
+        assert len(lp_calls) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "gen"])
+    @pytest.mark.parametrize("family", ["fhc", "fcs"])
+    def test_oversize_family_is_refused_before_it_is_built(self, monkeypatch, tmp_path, capsys, command, family):
+        def no_build(d):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr(harness, f"gen_{family}", no_build)
+        argv = [command, "--family", family, "--d", "100000"] + (["--out", str(tmp_path)] if command == "gen" else [])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {family} d=100000 needs ") and "memory" in captured.err
+        assert captured.out == "" and not any(tmp_path.iterdir())
+
+    def test_family_size_limit_is_the_machine_memory(self, monkeypatch):
+        monkeypatch.setattr(harness, "_physical_memory", lambda: 4 * family_entries("fhc", 5))
+        assert len(harness.family_members("fhc", 5)) == 5
+        with pytest.raises(SizeError, match="fhc d=6"):
+            harness.family_members("fhc", 6)
 
     def test_family_checks(self):
         fhc = verify_family("fhc", 4, ["uc-hybrid"], seed=0)
