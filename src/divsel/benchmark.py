@@ -63,12 +63,13 @@ class LPResult:
 class IntSolution:
     """Feasible point of the intermediate formulation.
 
-    ``y`` mirrors the instance rounds (nonzero only on core candidates);
-    ``z`` is an n x d matrix of per-round utility adjustments.
+    ``y`` holds one float per candidate in arrival order, the layout of
+    ``FractionalSolution.values`` (nonzero only on core candidates); ``z`` is
+    an n x d array of per-round utility adjustments.
     """
 
-    y: tuple[tuple[float, ...], ...]
-    z: tuple[tuple[float, ...], ...]
+    y: np.ndarray
+    z: np.ndarray
 
 
 def _status_name(status: int) -> str:
@@ -274,16 +275,7 @@ def opt_bounds_from_marginals(
     return under, over
 
 
-def _core_counts(inst: Instance, tau: int) -> np.ndarray:
-    """Per-dimension arrival counts of core candidates in the first ``tau``
-    rounds."""
-    end = inst.cand_ptr[inst.round_ptr[tau]]
-    lens = inst.cand_lens
-    core = np.repeat(core_mask(lens, inst.d), lens)[:end]
-    return np.bincount(inst.bits[:end][core], minlength=inst.d).astype(float)
-
-
-def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPResult, IntSolution]:
+def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> LPResult:
     """Optimum g(tau) of the intermediate formulation truncated to the first
     ``prefix_rounds`` rounds (the full horizon when omitted).
 
@@ -291,6 +283,8 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
     constrains y, so y_j = 1 on all core candidates is optimal; only the z
     block is handed to the LP.  HiGHS solves it by interior point followed by
     crossover to a vertex, several times faster than simplex on long horizons.
+    The optimal (y, z) point is re-validated with ``int_objective`` before the
+    value is returned.
     """
     if inst.per_round_capacity is None:
         raise ContractError("solve_int requires per-round capacity a")
@@ -304,7 +298,11 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
     d = inst.d
     budget = math.sqrt(d) * inst.per_round_capacity
     counts = round_counts(inst)
-    core_part = _core_counts(inst, tau)
+    # y: 1 on the core candidates of the first tau rounds; core_part counts
+    # their arrivals per dimension.
+    y = core_mask(inst.cand_lens, d).astype(float)
+    y[inst.round_ptr[tau] :] = 0.0
+    core_part = np.bincount(inst.bits, weights=np.repeat(y, inst.cand_lens), minlength=d)
     c = np.asarray(inst.c)
 
     # Variables: z_{ik} for i < tau (row-major), then t.
@@ -324,61 +322,50 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> tuple[LPRe
     bounds[-1, 1] = np.inf
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ipm")
     if res.status != 0:
-        return (
-            LPResult(value=float("nan"), solution=None, status=_status_name(res.status)),
-            IntSolution(y=(), z=()),
-        )
+        return LPResult(value=float("nan"), solution=None, status=_status_name(res.status))
     _certify_optimal(res, cost, a_ub, b_ub, bounds, ["intermediate LP"])
 
     value = float(res.x[-1])
-    y = core_mask(inst.cand_lens, d).astype(float)
-    y[inst.round_ptr[tau] :] = 0.0
-    y_rows = FractionalSolution(y, inst.round_ptr).x
-    z_top = np.clip(res.x[:n_z].reshape(tau, d), 0.0, counts[:tau])
-    z_rows = [tuple(row) for row in z_top.tolist()] + [(0.0,) * d] * (inst.n - tau)
-    sol = IntSolution(y=tuple(y_rows), z=tuple(z_rows))
-    achieved = int_objective(inst, sol)
-    if achieved < value - LP_TOL:
+    z_all = np.zeros((inst.n, d))
+    z_all[:tau] = np.clip(res.x[:n_z].reshape(tau, d), 0.0, counts[:tau])
+    if int_objective(inst, IntSolution(y, z_all)) < value - LP_TOL:
         raise InvariantError("intermediate LP solution failed re-validation")
-    return LPResult(value=value, solution=None, status="optimal"), sol
+    return LPResult(value=value, solution=None, status="optimal")
 
 
-def int_objective(inst: Instance, sol: IntSolution, eps: float = EPS) -> float:
-    """Objective of the intermediate formulation; validates constraints first."""
-    if len(sol.y) != inst.n or len(sol.z) != inst.n:
+def int_objective(inst: Instance, sol: IntSolution) -> float:
+    """Objective of the intermediate formulation; validates constraints first,
+    kind by kind: y entries, then round budgets, then z entries."""
+    y, z = np.asarray(sol.y, dtype=float), np.asarray(sol.z, dtype=float)
+    n, d = inst.n, inst.d
+    if y.shape != inst.cand_lens.shape or z.shape != (n, d):
         raise InvariantError("IntSolution shape does not match the instance")
     a = inst.per_round_capacity
     if a is None:
         raise ContractError("int_objective requires per-round capacity a")
-    n, d = inst.n, inst.d
     budget = math.sqrt(d) * a
-    all_counts = round_counts(inst)
-    core = core_mask(inst.cand_lens, d).tolist()
-    pos = 0
-    for i, (y_row, z_row, counts, size) in enumerate(
-        zip(sol.y, sol.z, all_counts.tolist(), np.diff(inst.round_ptr).tolist())
-    ):
-        if len(y_row) != size or len(z_row) != d:
-            raise InvariantError(f"round {i}: IntSolution row shape mismatch")
-        for j, yj in enumerate(y_row):
-            if core[pos + j]:
-                if yj < -eps or yj > 1.0 + eps:
-                    raise InvariantError(f"y[{i}][{j}]={yj!r} outside [0,1]")
-            elif abs(yj) > eps:
-                raise InvariantError(f"y[{i}][{j}] nonzero on a regular candidate")
-        pos += size
-        if math.fsum(z_row) > budget + eps:
+    core = core_mask(inst.cand_lens, d)
+    bad = np.flatnonzero(np.where(core, (y < -EPS) | (y > 1.0 + EPS), np.abs(y) > EPS))
+    if bad.size:
+        p = int(bad[0])
+        i = int(np.searchsorted(inst.round_ptr, p, side="right")) - 1
+        j = p - int(inst.round_ptr[i])
+        if core[p]:
+            raise InvariantError(f"y[{i}][{j}]={float(y[p])!r} outside [0,1]")
+        raise InvariantError(f"y[{i}][{j}] nonzero on a regular candidate")
+    for i, row in enumerate(z.tolist()):
+        if math.fsum(row) > budget + EPS:
             raise InvariantError(f"round {i}: sum_k z exceeds sqrt(d)*a")
-        for k, zik in enumerate(z_row):
-            if zik < -eps or zik > counts[k] + eps:
-                raise InvariantError(f"z[{i}][{k}]={zik!r} outside [0, phi_k(R_i)]")
+    bad = np.argwhere((z < -EPS) | (z > round_counts(inst) + EPS))
+    if bad.size:
+        i, k = bad[0].tolist()
+        raise InvariantError(f"z[{i}][{k}]={float(z[i, k])!r} outside [0, phi_k(R_i)]")
     # Per dimension, round i adds its candidates' y (arrival order) and then
     # z_ik; a stable sort on (round, y before z) gives bincount that order.
-    y = np.repeat(np.array([v for row in sol.y for v in row], dtype=float), inst.cand_lens)
     bit_round = np.repeat(np.arange(n), np.diff(inst.cand_ptr[inst.round_ptr]))
     order = np.argsort(np.concatenate([2 * bit_round, 2 * np.repeat(np.arange(n), d) + 1]), kind="stable")
     dims = np.concatenate([inst.bits, np.tile(np.arange(d), n)])[order]
-    terms = np.concatenate([y, np.array(sol.z, dtype=float).reshape(-1)])[order]
+    terms = np.concatenate([np.repeat(y, inst.cand_lens), z.reshape(-1)])[order]
     acc = np.bincount(dims, weights=terms, minlength=d).tolist()
     return min(inst.c[k] * acc[k] for k in range(d))
 

@@ -48,9 +48,6 @@ class AttributeVector:
     def popcount(self) -> int:
         return len(self.bits)
 
-    def has(self, k: int) -> bool:
-        return k in self.bits
-
 
 def _vector(bits: tuple[int, ...]) -> AttributeVector:
     """An AttributeVector of bits an instance has already validated."""

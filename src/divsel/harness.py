@@ -137,7 +137,6 @@ def evaluate_policy(
     instance_id: str = "instance",
     topup: bool = False,
     continue_after_cap: bool = False,
-    opt_value: Optional[float] = None,
 ) -> tuple[RunReport, FractionalSolution]:
     """Run one policy and report exact expected utilities and the ratio.
 
@@ -147,8 +146,7 @@ def evaluate_policy(
     start = time.perf_counter()
     sol, _ = run_policy(inst, policy_name, seed, topup, continue_after_cap)
     lu, utilities = least_utility(inst, sol)
-    if opt_value is None:
-        opt_value = solve_fluid(inst).value
+    opt_value = solve_fluid(inst).value
     degenerate = opt_value <= EPS
     ratio = _ratio(lu, opt_value)
     elapsed = time.perf_counter() - start
@@ -303,7 +301,7 @@ def thm2_factor(d: int) -> float:
 
 
 def marginal_exactness_verdict(
-    inst: Instance, sol: FractionalSolution, eps_measure: float = 1e-9, label: str = ""
+    inst: Instance, sol: FractionalSolution, label: str = ""
 ) -> list[VerificationVerdict]:
     """Prop2-marginals and Prop2-capacity from one exact sweep: the measure
     of the float offsets at which the rounder picks each candidate against
@@ -315,7 +313,7 @@ def marginal_exactness_verdict(
         _upper(
             "Prop2-marginals",
             worst,
-            eps_measure,
+            EPS,
             0.0,
             detail=f"{label} max |measure - x_j| over {len(x_flat)} candidates",
         )
@@ -364,7 +362,7 @@ def verify_instance(
     uc_pol, uc_solutions = None, {}
     if uc_requested and has_a:
         _, uc_pol = run_policy(inst, "uc-hybrid", seed, topup=True)
-        uc_solutions = _variant_solutions(uc_pol)
+        uc_solutions = {f"uc-{variant}": up.variant_solution(uc_pol, variant) for variant in up.VARIANTS}
 
     solutions: dict[str, FractionalSolution] = {}
     for name in policies:
@@ -427,12 +425,9 @@ def verify_instance(
     if uc_requested and has_a and stats is not None:
         trace = uc_pol.trace
         verdicts.append(_water_fill_check(inst, trace, instance_id))
-        int_sol = IntSolution(
-            y=tuple(tuple(rec.y.tolist()) for rec in trace),
-            z=tuple(tuple(rec.z.tolist()) for rec in trace),
-        )
+        int_sol = IntSolution(np.concatenate([rec.y for rec in trace]), np.array([rec.z for rec in trace]))
         int_val = int_objective(inst, int_sol)
-        g_n = solve_int(inst)[0].value
+        g_n = solve_int(inst).value
         verdicts.append(
             _lower(
                 "INT-achieved-vs-opt",
@@ -529,12 +524,6 @@ def verify_instance(
     return verdicts
 
 
-def _variant_solutions(pol: up.UnknownPolicy) -> dict[str, FractionalSolution]:
-    """The plain solution of every unknown-capacity policy, keyed by name,
-    read from one pass's trace."""
-    return {f"uc-{variant}": up.variant_solution(pol, variant) for variant in up.VARIANTS}
-
-
 def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance_id: str):
     """Round-by-round enclosure of the adjustment LP optimum: the trace's z_i
     is a feasible point of value P_i = min_k (u_ik + c_k z_ik) on the replayed
@@ -603,13 +592,12 @@ def verify_family(
     if members is None:
         members = family_members(family, d)
     if family == "fhc":
-        opt_name, opt_floor = "FHC-OPT", float(d)
-        policies, ratio_name, ratio_cap = ["uc-hybrid"], "FHC-2/d", 2.0 / d
+        opt_name, opt_floor, policies = "FHC-OPT", float(d), ["uc-hybrid"]
     elif family == "fcs":
         opt_name, opt_floor = "FCS-OPT", d / (8.0 * fcs_kappa(d))
-        ratio_name, ratio_cap = "FCS-512", 512.0 * d ** (-1.0 / 3.0)
     else:
         raise ContractError(f"unknown family {family!r}")
+    ratio_name, ratio_cap = _family_bound(family, d)
     if opts is None:
         opts = [lp.value for lp in solve_fluids(members)]
     verdicts = [
@@ -635,6 +623,14 @@ def verify_family(
             )
         )
     return verdicts
+
+
+def _family_bound(family: str, d: int) -> tuple[str, float]:
+    """The impossibility bound on a hard family's min ratio at dimension d,
+    as (verdict name, cap)."""
+    if family == "fhc":
+        return "FHC-2/d", 2.0 / d
+    return "FCS-512", 512.0 * d ** (-1.0 / 3.0)
 
 
 def policy_bound(
@@ -764,16 +760,13 @@ def competitive_report(
 
     if family_min is not None and rows:
         d = rows[0]["d"]
+        bound_name, bound = _family_bound(family_min, d)
         for policy in policies:
             # The fhc bound quantifies over policies without marginal
             # information; it does not constrain the fixed policy.
             if family_min == "fhc" and not policy.startswith("uc-"):
                 continue
             ratios = [r["_ratio_raw"] for r in rows if r["policy"] == policy]
-            if family_min == "fhc":
-                bound_name, bound = "FHC-2/d", 2.0 / d
-            else:
-                bound_name, bound = "FCS-512", 512.0 * d ** (-1.0 / 3.0)
             base = [r for r in rows if r["policy"] == policy][0]
             rows.append(
                 {

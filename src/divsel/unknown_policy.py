@@ -14,7 +14,6 @@ The policy reads only (d, c, a); it never sees K, n, or marginal information.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -94,26 +93,15 @@ def fill_value(u: Sequence[float], z: Sequence[float], c: Sequence[float]) -> fl
     return float((np.asarray(u) + np.asarray(c) * np.asarray(z)).min())
 
 
-@dataclass
-class ForwardState:
-    """Running utilities u of the forward-looking pass."""
-
-    d: int
-    c: tuple[float, ...]
-    a: int
-    u: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.u:
-            self.u = [0.0] * self.d
-
-
 def forward_round(
-    state: ForwardState,
+    u: np.ndarray,
+    c: Sequence[float],
+    a: int,
     inc: RoundIncidence,
     continue_after_cap: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One round of the forward-looking pass: returns (y_i, z_i, x_i, f_i).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """One round of the forward-looking pass from the running utilities u:
+    returns (y_i, z_i, x_i, f_i, u_next), never writing to u.
 
     Stage 1 marks core candidates (tendency 1) and enters them into the
     accumulated utilities immediately; stage 2 water-fills the adjustments
@@ -125,15 +113,15 @@ def forward_round(
     A round without candidates has no core and no caps: z_i = 0, the level
     is min(u) and u stays as it is, so it returns at once in O(d).
     """
-    d, c, a = state.d, state.c, state.a
+    d = len(u)
     if not inc.lens.size:
-        return np.zeros(0), np.zeros(d), np.zeros(0), min(state.u)
+        return np.zeros(0), np.zeros(d), np.zeros(0), float(u.min()), u
     c_arr = np.asarray(c)
     core = core_mask(inc.lens, d)
     y_i = core.astype(float)
     # add.at adds c_k once per core attribute, one after another in arrival
     # order, as a loop over the core candidates would.
-    u = np.array(state.u)
+    u = u.copy()
     core_bits = inc.bits[np.repeat(core, inc.lens)]
     np.add.at(u, core_bits, c_arr[core_bits])
 
@@ -148,9 +136,7 @@ def forward_round(
     # is never read; dividing it by 1 keeps it finite.
     z_part = max_over_attributes(z_i / np.maximum(inc.counts, 1), inc)
     x_i = (y_i / 2.0) * y_scale + z_part / two_sqrt_d
-
-    state.u = (u + c_arr * z_i).tolist()
-    return y_i, z_i, x_i, f_i
+    return y_i, z_i, x_i, f_i, u + c_arr * z_i
 
 
 def hybrid_round(x_bar, x_hat) -> np.ndarray:
@@ -231,7 +217,7 @@ class UnknownPolicy:
     variant: str = "hybrid"  # hybrid | myopic | forward
     topup_enabled: bool = False
     continue_after_cap: bool = False
-    forward: ForwardState = field(init=False)
+    u: np.ndarray = field(init=False)  # running utilities of the forward pass
     emitted_total: float = 0.0
     round_index: int = 0
     trace: list[UnknownRound] = field(default_factory=list)
@@ -241,14 +227,14 @@ class UnknownPolicy:
             raise ContractError("unknown-capacity policies require a >= 1")
         if self.variant not in VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r}")
-        self.forward = ForwardState(d=self.d, c=self.c, a=self.a)
+        self.u = np.zeros(self.d)
 
     def fork(self) -> UnknownPolicy:
         """An independent copy of the policy in its current state, to feed a
         different continuation of the rounds seen so far.  The trace records
-        are immutable and shared with the original."""
+        are immutable and shared with the original, and so is ``u``, which
+        each round replaces rather than writes."""
         twin = copy.copy(self)
-        twin.forward = dataclasses.replace(self.forward, u=list(self.forward.u))
         twin.trace = list(self.trace)
         return twin
 
@@ -256,7 +242,7 @@ class UnknownPolicy:
         self.round_index += 1
         inc = round_incidence(rnd, self.d)
         x_bar = myopic_round(self.c, self.a, inc)
-        y, z, x_hat, f = forward_round(self.forward, inc, self.continue_after_cap)
+        y, z, x_hat, f, self.u = forward_round(self.u, self.c, self.a, inc, self.continue_after_cap)
         row = _variant_row(self.variant, x_bar, x_hat)
         x_i = row.tolist()
         if self.topup_enabled:

@@ -171,3 +171,48 @@ def offset_selections(x_flat, pos):
             cur = np.ceil(ends[j] - pos)
             yield j, cur > prev
             prev = cur
+
+
+def ref_int_objective(inst, y_rows, z_rows, eps=1e-9):
+    """Test-only oracle: ``benchmark.int_objective`` as a scalar loop over
+    per-round tuples of y and z, validating round by round, kept as the
+    reference the array version must equal in value and in its errors."""
+    import math
+
+    from divsel.core import core_mask, round_counts
+    from divsel.errors import ContractError, InvariantError
+
+    if len(y_rows) != inst.n or len(z_rows) != inst.n:
+        raise InvariantError("IntSolution shape does not match the instance")
+    a = inst.per_round_capacity
+    if a is None:
+        raise ContractError("int_objective requires per-round capacity a")
+    n, d = inst.n, inst.d
+    budget = math.sqrt(d) * a
+    all_counts = round_counts(inst)
+    core = core_mask(inst.cand_lens, d).tolist()
+    pos = 0
+    for i, (y_row, z_row, counts, size) in enumerate(
+        zip(y_rows, z_rows, all_counts.tolist(), np.diff(inst.round_ptr).tolist())
+    ):
+        if len(y_row) != size or len(z_row) != d:
+            raise InvariantError(f"round {i}: IntSolution row shape mismatch")
+        for j, yj in enumerate(y_row):
+            if core[pos + j]:
+                if yj < -eps or yj > 1.0 + eps:
+                    raise InvariantError(f"y[{i}][{j}]={yj!r} outside [0,1]")
+            elif abs(yj) > eps:
+                raise InvariantError(f"y[{i}][{j}] nonzero on a regular candidate")
+        pos += size
+        if math.fsum(z_row) > budget + eps:
+            raise InvariantError(f"round {i}: sum_k z exceeds sqrt(d)*a")
+        for k, zik in enumerate(z_row):
+            if zik < -eps or zik > counts[k] + eps:
+                raise InvariantError(f"z[{i}][{k}]={zik!r} outside [0, phi_k(R_i)]")
+    y = np.repeat(np.array([v for row in y_rows for v in row], dtype=float), inst.cand_lens)
+    bit_round = np.repeat(np.arange(n), np.diff(inst.cand_ptr[inst.round_ptr]))
+    order = np.argsort(np.concatenate([2 * bit_round, 2 * np.repeat(np.arange(n), d) + 1]), kind="stable")
+    dims = np.concatenate([inst.bits, np.tile(np.arange(d), n)])[order]
+    terms = np.concatenate([y, np.array(z_rows, dtype=float).reshape(-1)])[order]
+    acc = np.bincount(dims, weights=terms, minlength=d).tolist()
+    return min(inst.c[k] * acc[k] for k in range(d))

@@ -18,13 +18,20 @@ from divsel.benchmark import (
     solve_fluids,
     solve_int,
 )
-from divsel.core import Instance, instance_stats, least_utility, marginals
+from divsel.core import FractionalSolution, Instance, core_mask, instance_stats, least_utility, marginals, round_counts
 from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 from divsel.rounding import accumulator_path, capacity_safe, max_selection_count
-from divsel.unknown_policy import fill_value, water_fill
+from divsel.unknown_policy import fill_value, run_unknown_policy, water_fill
 
-from conftest import adjustment_lp, dfs_grid_oracle, make_instance, random_feasible_x, tiny_grid_instances
+from conftest import (
+    adjustment_lp,
+    dfs_grid_oracle,
+    make_instance,
+    random_feasible_x,
+    ref_int_objective,
+    tiny_grid_instances,
+)
 
 
 def dense_fluid_value(inst):
@@ -339,13 +346,13 @@ class TestOptBounds:
 class TestSolveInt:
     def test_empty_rounds_give_zero(self):
         inst = make_instance(2, [[], [], []], capacity=3, a=1)
-        lp, _ = solve_int(inst)
+        lp = solve_int(inst)
         assert lp.value == pytest.approx(0.0)
 
     @staticmethod
     def g_values(inst):
         """g(tau) for tau = 1..n."""
-        return [solve_int(inst, tau)[0].value for tau in range(1, inst.n + 1)]
+        return [solve_int(inst, tau).value for tau in range(1, inst.n + 1)]
 
     def test_g_nondecreasing_in_tau(self):
         inst = gen_random(d=4, n=6, a=1, density=0.4, min_arrivals=1, c_max=2.0, seed=5)
@@ -377,7 +384,7 @@ class TestSolveInt:
         ]
         for inst in instances:
             for tau in sorted({1, 2, inst.n // 2, inst.n}):
-                lp, _ = solve_int(inst, tau)
+                lp = solve_int(inst, tau)
                 assert_rel_close(lp.value, dense_int_value(inst, tau))
 
     def test_certificate_rejects_understated_optimum(self, monkeypatch):
@@ -390,30 +397,30 @@ class TestSolveInt:
 class TestIntObjective:
     def test_zero_solution(self):
         inst = make_instance(2, [[(0, 1), (0,)]], capacity=1, a=1)
-        sol = IntSolution(y=((0.0, 0.0),), z=((0.0, 0.0),))
+        sol = IntSolution(y=np.array([0.0, 0.0]), z=np.array([[0.0, 0.0]]))
         assert int_objective(inst, sol) == 0.0
 
     def test_hand_evaluated_z_only(self):
         # d=2, one round, phi = (1, 1); z at caps with sum 2 <= sqrt(2)*2.
         inst = make_instance(2, [[(0,), (1,)], [(0,), (1,)]], capacity=4, a=2)
-        sol = IntSolution(y=((0.0, 0.0), (0.0, 0.0)), z=((1.0, 1.0), (1.0, 1.0)))
+        sol = IntSolution(y=np.array([0.0, 0.0, 0.0, 0.0]), z=np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert int_objective(inst, sol) == pytest.approx(2.0)
 
     def test_rejects_y_on_regular_candidate(self):
         inst = make_instance(4, [[(0,)]], capacity=1, a=1)
-        sol = IntSolution(y=((0.5,),), z=((0.0,) * 4,))
+        sol = IntSolution(y=np.array([0.5]), z=np.zeros((1, 4)))
         with pytest.raises(InvariantError, match="regular"):
             int_objective(inst, sol)
 
     def test_rejects_excess_round_budget(self):
         inst = make_instance(1, [[(0,), (0,), (0,)]], capacity=1, a=1)
-        sol = IntSolution(y=((0.0,) * 3,), z=((3.0,),))  # sqrt(1)*1 = 1 < 3
+        sol = IntSolution(y=np.zeros(3), z=np.array([[3.0]]))  # sqrt(1)*1 = 1 < 3
         with pytest.raises(InvariantError, match="sqrt"):
             int_objective(inst, sol)
 
     def test_rejects_z_above_round_count(self):
         inst = make_instance(2, [[(0,), (1,)]], capacity=2, a=2)
-        sol = IntSolution(y=((0.0, 0.0),), z=((2.0, 0.0),))
+        sol = IntSolution(y=np.array([0.0, 0.0]), z=np.array([[2.0, 0.0]]))
         with pytest.raises(InvariantError, match="phi"):
             int_objective(inst, sol)
 
@@ -422,14 +429,84 @@ class TestIntObjective:
 
         inst = gen_random(d=5, n=5, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=13)
         pol = run_unknown_policy(inst, variant="forward")
-        sol = IntSolution(
-            y=tuple(tuple(rec.y.tolist()) for rec in pol.trace),
-            z=tuple(tuple(rec.z.tolist()) for rec in pol.trace),
-        )
+        sol = IntSolution(np.concatenate([rec.y for rec in pol.trace]), np.array([rec.z for rec in pol.trace]))
         value = int_objective(inst, sol)  # must not raise
         assert value >= 0.0
-        g_n, _ = solve_int(inst)
+        g_n = solve_int(inst)
         assert value <= g_n.value + 1e-7
+
+
+def policy_int_point(inst):
+    """The (y, z) point of the uc-hybrid pass on ``inst``."""
+    pol = run_unknown_policy(inst, variant="hybrid")
+    return IntSolution(np.concatenate([rec.y for rec in pol.trace]), np.array([rec.z for rec in pol.trace]))
+
+
+def oracle_int_objective(inst, sol):
+    """``ref_int_objective`` on an array point, cut into per-round tuples."""
+    return ref_int_objective(inst, FractionalSolution(sol.y, inst.round_ptr).x, tuple(map(tuple, sol.z.tolist())))
+
+
+def int_oracle_members(name):
+    if name == "fhc":
+        return gen_fhc(27)
+    if name == "fcs":
+        return gen_fcs(27)
+    seed = int(name[len("random"):])
+    return [gen_random(d=16, n=40, a=2, density=0.3, min_arrivals=1, c_max=2.0, seed=seed)]
+
+
+class TestIntObjectiveOracle:
+    """The array ``int_objective`` against the per-round scalar loop it
+    replaced: the same float on valid points, the same error on points with
+    one violation (or two of the same kind)."""
+
+    @pytest.mark.parametrize("name", ["fhc", "fcs", "random1", "random2", "random3"])
+    def test_value_matches_scalar_loop(self, monkeypatch, name):
+        points = []
+        real = benchmark.int_objective
+        monkeypatch.setattr(benchmark, "int_objective", lambda inst, sol: points.append((inst, sol)) or real(inst, sol))
+        for inst in int_oracle_members(name):
+            for tau in sorted({inst.n // 2, inst.n}):
+                solve_int(inst, tau)  # records the point it re-validates
+            points.append((inst, policy_int_point(inst)))
+        assert len(points) >= 3
+        for inst, sol in points:
+            assert int_objective(inst, sol).hex() == oracle_int_objective(inst, sol).hex()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "fault", ["y-regular", "y-above-one", "z-above-count", "z-negative", "row-budget", "two-z-negative"]
+    )
+    def test_single_violation_raises_as_scalar_loop(self, seed, fault):
+        inst = int_oracle_members(f"random{seed}")[0]
+        sol = policy_int_point(inst)
+        y, z = sol.y.copy(), sol.z.copy()
+        core = core_mask(inst.cand_lens, inst.d)
+        counts = round_counts(inst)
+        i = inst.n // 2
+        if fault == "y-regular":  # on the first candidate of a round
+            starts = inst.round_ptr[:-1]
+            y[starts[~core[starts]][-1]] = 0.5
+        elif fault == "y-above-one":
+            y[np.flatnonzero(core)[-1]] = 1.5
+        elif fault == "z-above-count":
+            k = int(counts[i].argmin())
+            z[i] = 0.0
+            z[i, k] = counts[i, k] + 0.5
+        elif fault == "z-negative":
+            z[i, inst.d - 1] = -0.5
+        elif fault == "two-z-negative":  # both name the first in round order
+            z[i, inst.d - 1] = z[i + 1, 0] = -0.5
+        else:
+            assert counts[i].sum() > math.sqrt(inst.d) * inst.per_round_capacity
+            z[i] = counts[i]
+        bad = IntSolution(y, z)
+        with pytest.raises(InvariantError) as want:
+            oracle_int_objective(inst, bad)
+        with pytest.raises(InvariantError) as got:
+            int_objective(inst, bad)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 class TestGridOracle:

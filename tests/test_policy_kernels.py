@@ -27,7 +27,6 @@ from divsel.core import (
 from divsel.fixed_policy import AgentState, controlled_greedy_round, guess_count, run_fixed_policy
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.unknown_policy import (
-    ForwardState,
     UnknownPolicy,
     _equal_increment_topup,
     fill_value,
@@ -370,14 +369,14 @@ UC_INSTANCES = sorted(n for n, inst in INSTANCES.items() if inst.per_round_capac
 def test_unknown_policy_matches_scalar_loops(name):
     inst = INSTANCES[name]
     d, c, a = inst.d, inst.c, inst.per_round_capacity
-    state, ref_state = ForwardState(d=d, c=c, a=a), RefForward(d, c, a)
+    u, ref_state = np.zeros(d), RefForward(d, c, a)
     policy = UnknownPolicy(d=d, c=c, a=a, variant="hybrid")
     for rnd in inst.rounds:
         inc = round_incidence(rnd, d)
         x_bar = ref_myopic(d, c, a, rnd)
         assert myopic_round(c, a, inc).tolist() == x_bar
         _, _, x_hat = ref_forward(ref_state, rnd)
-        y, z, x, f = forward_round(state, inc)
+        y, z, x, f, u = forward_round(u, c, a, inc)
         assert (y.tolist(), z.tolist(), x.tolist(), f) == (
             list(ref_state.y_history[-1]),
             list(ref_state.z_history[-1]),
@@ -388,8 +387,8 @@ def test_unknown_policy_matches_scalar_loops(name):
     assert [tuple(rec.y.tolist()) for rec in policy.trace] == ref_state.y_history
     assert [tuple(rec.z.tolist()) for rec in policy.trace] == ref_state.z_history
     assert [rec.f for rec in policy.trace] == ref_state.f_history
-    for st in (state, policy.forward):
-        assert st.u == ref_state.u
+    for got in (u, policy.u):
+        assert got.tolist() == ref_state.u
 
 
 @pytest.mark.parametrize("name", UC_INSTANCES)
@@ -412,11 +411,11 @@ def test_core_update_adds_one_attribute_at_a_time(monkeypatch):
     from divsel import unknown_policy
 
     c = (1.0, 1.1, 1.3, 1.7)
-    state, ref_state = ForwardState(d=4, c=c, a=1), RefForward(4, c, 1)
+    ref_state = RefForward(4, c, 1)
     first = Round((AttributeVector((0, 1)), AttributeVector((1, 2, 3))))
-    forward_round(state, round_incidence(first, 4))
+    u = forward_round(np.zeros(4), c, 1, round_incidence(first, 4))[-1]
     ref_forward(ref_state, first)
-    u0 = list(state.u)
+    u0 = u.tolist()
     rnd = Round((AttributeVector((1, 2, 3)),) * 5 + (AttributeVector((0,)),) + (AttributeVector((0, 1, 3)),) * 3)
     sequential = list(u0)
     for cand in rnd:
@@ -434,11 +433,11 @@ def test_core_update_adds_one_attribute_at_a_time(monkeypatch):
         return real(u, *args, **kwargs)
 
     monkeypatch.setattr(unknown_policy, "water_fill", recording)
-    y, _, _, _ = forward_round(state, round_incidence(rnd, 4))
+    y, _, _, _, u = forward_round(u, c, 1, round_incidence(rnd, 4))
     assert seen == [sequential]
     assert y.tolist() == [1.0] * 5 + [0.0] + [1.0] * 3
     ref_forward(ref_state, rnd)
-    assert state.u == ref_state.u
+    assert u.tolist() == ref_state.u
 
 
 def _empty_round_instance():
@@ -463,17 +462,17 @@ def test_forward_round_on_empty_rounds_matches_scalar_loop(monkeypatch):
     fills = []
     real = unknown_policy.water_fill
     monkeypatch.setattr(unknown_policy, "water_fill", lambda *args, **kw: fills.append(1) or real(*args, **kw))
-    state, ref_state = ForwardState(d=d, c=c, a=a), RefForward(d, c, a)
+    u, ref_state = np.zeros(d), RefForward(d, c, a)
     for rnd in inst.rounds:
-        y, z, x, f = forward_round(state, round_incidence(rnd, d))
+        y, z, x, f, u = forward_round(u, c, a, round_incidence(rnd, d))
         ref_y, ref_z, ref_x = ref_forward(ref_state, rnd)
         assert y.tobytes() == np.array(ref_y, dtype=float).tobytes()
         assert z.tobytes() == np.array(ref_z, dtype=float).tobytes()
         assert x.tobytes() == np.array(ref_x, dtype=float).tobytes()
         assert np.float64(f).tobytes() == np.float64(ref_state.f_history[-1]).tobytes()
-        assert np.array(state.u).tobytes() == np.array(ref_state.u).tobytes()
+        assert u.tobytes() == np.array(ref_state.u).tobytes()
         if not len(rnd):
-            assert z.shape == (d,) and f == min(state.u) > 0.0
+            assert z.shape == (d,) and f == min(u) > 0.0
     assert len(fills) == sum(len(rnd) > 0 for rnd in inst.rounds) == 3
 
 
@@ -502,7 +501,7 @@ def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
         assert rec.z.tobytes() == np.array(ref_state.z_history[-1], dtype=float).tobytes()
         assert rec.emitted.tobytes() == np.array(row, dtype=float).tobytes()
         assert np.float64(rec.f).tobytes() == np.float64(ref_state.f_history[-1]).tobytes()
-        assert np.array(policy.forward.u).tobytes() == np.array(ref_state.u).tobytes()
+        assert policy.u.tobytes() == np.array(ref_state.u).tobytes()
         assert (policy.round_index, policy.emitted_total) == (i + 1, emitted_total)
     if topup:  # the banked capacity was spent after the empty rounds
         plain = run_unknown_policy(inst)

@@ -13,7 +13,6 @@ from divsel.errors import ContractError, ShapeError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
 from divsel.unknown_policy import (
-    ForwardState,
     UnknownPolicy,
     fill_value,
     forward_round,
@@ -33,10 +32,11 @@ def myopic(d, c, a, rnd):
     return myopic_round(c, a, round_incidence(rnd, d)).tolist()
 
 
-def forward(state, rnd):
-    """``forward_round`` on a round given as candidates: (y, z, x) as lists."""
-    y, z, x, _ = forward_round(state, round_incidence(rnd, state.d))
-    return y.tolist(), z.tolist(), x.tolist()
+def forward(u, c, a, rnd):
+    """``forward_round`` on a round given as candidates: (y, z, x) as lists,
+    and the next utilities."""
+    y, z, x, _, u_next = forward_round(u, c, a, round_incidence(rnd, len(u)))
+    return y.tolist(), z.tolist(), x.tolist(), u_next
 
 
 class TestMyopic:
@@ -72,7 +72,7 @@ class TestCoreSet:
 
     @staticmethod
     def core_positions(rnd, d):
-        y, _, _ = forward(ForwardState(d=d, c=(1.0,) * d, a=1), rnd)
+        y, _, _, _ = forward(np.zeros(d), (1.0,) * d, 1, rnd)
         assert core_mask(round_incidence(rnd, d).lens, d).tolist() == [v == 1.0 for v in y]
         return [j for j, v in enumerate(y) if v == 1.0]
 
@@ -127,9 +127,9 @@ class TestWaterFill:
         # dimension freezes.  The freezing loop used to repeat that state
         # forever; a worker thread turns a relapse into a failure.
         inst = gen_random(d=64, n=400, a=4, density=0.1, min_arrivals=1, c_max=2.0, seed=7)
-        state = ForwardState(d=inst.d, c=inst.c, a=inst.per_round_capacity)
+        c, a, u = inst.c, inst.per_round_capacity, np.zeros(inst.d)
         for rnd in inst.rounds[:193]:
-            forward_round(state, round_incidence(rnd, inst.d), continue_after_cap=True)
+            u = forward_round(u, c, a, round_incidence(rnd, inst.d), continue_after_cap=True)[-1]
         seen = []
 
         def recording(u, caps, budget, c, continue_after_cap=False):
@@ -137,7 +137,7 @@ class TestWaterFill:
             return water_fill(u, caps, budget, c)
 
         monkeypatch.setattr(unknown_policy, "water_fill", recording)
-        forward_round(state, round_incidence(inst.rounds[193], inst.d), continue_after_cap=True)
+        forward_round(u, c, a, round_incidence(inst.rounds[193], inst.d), continue_after_cap=True)
         [(u, caps, budget, c)] = seen
 
         z_stop = water_fill(u, caps, budget, c)
@@ -207,7 +207,6 @@ class TestForward:
         # d=4, a=2: four two-attribute candidates covering each dimension
         # twice.  All are core; u rises to 2 per dim, then the fill adds 1
         # per dim, and the transform gives 0.25 + 0.125 = 0.375 each.
-        state = ForwardState(d=4, c=(1.0,) * 4, a=2)
         rnd = Round(
             (
                 AttributeVector((0, 1)),
@@ -216,37 +215,50 @@ class TestForward:
                 AttributeVector((1, 3)),
             )
         )
-        y, z, x = forward(state, rnd)
+        y, z, x, u = forward(np.zeros(4), (1.0,) * 4, 2, rnd)
         assert y == [1.0] * 4
         assert z == [pytest.approx(1.0)] * 4
         assert x == [pytest.approx(0.375)] * 4
-        assert state.u == [pytest.approx(3.0)] * 4
+        assert u.tolist() == [pytest.approx(3.0)] * 4
 
     def test_no_core_no_fill_gives_zero(self):
         # Singleton candidate on one dimension of four: not core, and the
         # zero arrival count on the lowest-utility dimensions stops the fill
         # at once.
-        state = ForwardState(d=4, c=(1.0,) * 4, a=1)
         rnd = Round((AttributeVector((0,)),))
-        y, z, x = forward(state, rnd)
+        y, z, x, _ = forward(np.zeros(4), (1.0,) * 4, 1, rnd)
         assert y == [0.0] and z == [0.0] * 4 and x == [0.0]
 
     def test_per_round_mass_within_a(self):
         for seed in (1, 2, 3):
             inst = gen_random(d=6, n=7, a=2, density=0.45, min_arrivals=1, c_max=2.0, seed=seed)
-            state = ForwardState(d=inst.d, c=inst.c, a=inst.per_round_capacity)
+            u = np.zeros(inst.d)
             for rnd in inst.rounds:
-                _, _, x = forward(state, rnd)
+                _, _, x, u = forward(u, inst.c, inst.per_round_capacity, rnd)
                 assert sum(x) <= inst.per_round_capacity + 1e-9
 
     def test_u_monotone(self):
         inst = gen_fcs(8)[0]
-        state = ForwardState(d=inst.d, c=inst.c, a=inst.per_round_capacity)
-        prev = list(state.u)
+        u = np.zeros(inst.d)
+        prev = u.tolist()
         for rnd in inst.rounds:
-            forward(state, rnd)
-            assert all(now >= before - 1e-12 for now, before in zip(state.u, prev))
-            prev = list(state.u)
+            u = forward(u, inst.c, inst.per_round_capacity, rnd)[-1]
+            assert all(now >= before - 1e-12 for now, before in zip(u.tolist(), prev))
+            prev = u.tolist()
+
+    def test_never_writes_its_input(self):
+        inst = gen_random(d=6, n=7, a=2, density=0.45, min_arrivals=1, c_max=2.0, seed=1)
+        u = np.zeros(inst.d)
+        for rnd in list(inst.rounds) + [Round(())]:
+            u.setflags(write=False)
+            before = u.tobytes()
+            *_, u_next = forward_round(u, inst.c, inst.per_round_capacity, round_incidence(rnd, inst.d))
+            assert u.tobytes() == before
+            if len(rnd):
+                assert u_next is not u and (u_next > u).any()
+            else:  # an empty round hands back the same utilities
+                assert u_next is u
+            u = u_next
 
     def test_empty_round_banks_capacity(self):
         policy = UnknownPolicy(d=2, c=(1.0, 1.0), a=3, variant="hybrid", topup_enabled=True)
@@ -314,8 +326,7 @@ class TestHybridAndTopup:
         inst = gen_random(d=4, n=1, a=2, density=0.6, min_arrivals=1, c_max=1.5, seed=9)
         rnd = inst.rounds[0]
         x_bar = myopic(inst.d, inst.c, inst.per_round_capacity, rnd)
-        state = ForwardState(d=inst.d, c=inst.c, a=inst.per_round_capacity)
-        _, _, x_hat = forward(state, rnd)
+        _, _, x_hat, _ = forward(np.zeros(inst.d), inst.c, inst.per_round_capacity, rnd)
         pol = run_unknown_policy(inst, variant="hybrid")
         assert pol.trace[0].emitted.tolist() == pytest.approx(hybrid_round(x_bar, x_hat).tolist())
 
@@ -331,7 +342,7 @@ def trace_bytes(policy):
 
 def assert_same_pass(got, want):
     assert trace_bytes(got) == trace_bytes(want)
-    assert np.array(got.forward.u).tobytes() == np.array(want.forward.u).tobytes()
+    assert got.u.tobytes() == want.u.tobytes()
     assert (got.round_index, got.emitted_total) == (want.round_index, want.emitted_total)
 
 
@@ -357,11 +368,25 @@ class TestFork:
         twin = policy.fork()
         assert_same_pass(twin, policy)
         assert twin.trace[0] is policy.trace[0] and twin.trace is not policy.trace
-        before = (list(policy.forward.u), policy.emitted_total, policy.round_index, len(policy.trace))
+        before = (policy.u.tolist(), policy.emitted_total, policy.round_index, len(policy.trace))
         for rnd in inst.rounds[3:]:
             twin.process_round(rnd)
-        assert (policy.forward.u, policy.emitted_total, policy.round_index, len(policy.trace)) == before
+        assert (policy.u.tolist(), policy.emitted_total, policy.round_index, len(policy.trace)) == before
         assert_same_pass(twin, run_unknown_policy(inst, topup=True))
+
+    def test_fork_u_survives_the_twin(self):
+        inst = gen_random(d=5, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=4)
+        policy = UnknownPolicy(d=5, c=inst.c, a=2)
+        for rnd in inst.rounds[:2]:
+            policy.process_round(rnd)
+        twin = policy.fork()
+        u_fork = twin.u.tobytes()
+        for rnd in inst.rounds[2:]:
+            policy.process_round(rnd)
+        assert twin.u.tobytes() == u_fork and policy.u.tobytes() != u_fork
+        for rnd in inst.rounds[2:]:
+            twin.process_round(rnd)
+        assert_same_pass(twin, policy)
 
 
 class TestFamilyPass:
