@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -69,6 +70,14 @@ def _pack(bit_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     concatenated entries, both int64."""
     ptr = _offsets(np.fromiter(map(len, bit_lists), dtype=np.int64, count=len(bit_lists)))
     return ptr, np.fromiter(chain.from_iterable(bit_lists), dtype=np.int64, count=int(ptr[-1]))
+
+
+def physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def _split(flat: list, ptr: np.ndarray) -> list[list]:

@@ -14,8 +14,8 @@ import random
 
 import numpy as np
 
-from .core import Instance
-from .errors import ContractError, DimensionError
+from .core import Instance, _offsets, physical_memory
+from .errors import ContractError, DimensionError, SizeError
 
 
 def gen_fhc(d: int) -> list[Instance]:
@@ -39,12 +39,9 @@ def gen_fhc(d: int) -> list[Instance]:
         first = np.repeat(np.append(np.zeros(m, dtype=np.int64), m), d)
         if m == d:
             lens, first = lens[:-d], first[:-d]
-        cand_ptr = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=cand_ptr[1:])
+        cand_ptr = _offsets(lens)
         bits = np.arange(cand_ptr[-1]) - np.repeat(cand_ptr[:-1] - first, lens)
-        sizes = [d] * min(m + 1, d) + [0] * (d - m - 1)
-        round_ptr = np.zeros(d + 1, dtype=np.int64)
-        np.cumsum(sizes, out=round_ptr[1:])
+        round_ptr = _offsets([d] * min(m + 1, d) + [0] * (d - m - 1))
         members.append(
             Instance.from_arrays(
                 d=d,
@@ -145,6 +142,46 @@ def family_entries(family: str, d: int) -> int:
     raise ContractError(f"unknown family {family!r}")
 
 
+def _mt19937(seed: int) -> np.random.MT19937:
+    """numpy's MT19937 in the state ``random.Random(seed)`` starts in."""
+    *key, pos = random.Random(seed).getstate()[1]
+    gen = np.random.MT19937()
+    gen.state = {"bit_generator": "MT19937", "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
+    return gen
+
+
+def _randbelow(gen: np.random.MT19937, n: int) -> int:
+    """``Random._randbelow(n)``: ``getrandbits(n.bit_length())`` until it is
+    below n.  A draw of k bits takes ceil(k/32) words, low word first, and
+    keeps the top bits of the last."""
+    k = n.bit_length()
+    while True:
+        r = 0
+        for shift in range(0, k, 32):
+            r |= gen.random_raw() >> max(32 - (k - shift), 0) << shift
+        if r < n:
+            return r
+
+
+def _shuffled(gen: np.random.MT19937, m: int) -> list[int]:
+    """The order ``Random.shuffle`` leaves ``list(range(m))`` in: Fisher-Yates
+    from the top, swapping place i with ``_randbelow(i + 1)``."""
+    perm = list(range(m))
+    i = m - 1
+    while i >= 2**32:  # draws of more than one word
+        j = _randbelow(gen, i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+        i -= 1
+    while i > 0:
+        # Each remaining place takes at least one word, so none is drawn ahead.
+        for word in gen.random_raw(i).tolist():
+            j = word >> (32 - (i + 1).bit_length())
+            if j <= i:
+                perm[i], perm[j] = perm[j], perm[i]
+                i -= 1
+    return perm
+
+
 def gen_random(
     d: int,
     n: int,
@@ -159,37 +196,63 @@ def gen_random(
 
     Each round draws a seeded number of base candidates with i.i.d.
     Bernoulli(density) attributes, then appends singleton candidates per
-    dimension up to the arrival floor.  Coefficients are drawn in [1, c_max]
-    with one coordinate pinned to exactly 1.
+    dimension up to the arrival floor and shuffles the round.  Coefficients
+    are drawn in [1, c_max] with one coordinate pinned to exactly 1.
+
+    Every draw comes from the 32-bit word stream of ``random.Random(seed)``,
+    read through numpy's MT19937 and used word for word as ``randint``,
+    ``random``, ``shuffle`` and ``randrange`` use it, so an instance is the
+    one a scalar loop over ``random.Random(seed)`` builds.  An instance whose
+    certain arrivals and candidates (at least n*d*min_arrivals and
+    n*min_arrivals) take more than the machine's memory, or a round whose
+    base x d block of draws does, is a SizeError, raised before it is drawn.
     """
     if not 0.0 < density <= 1.0:
         raise DimensionError("density must be in (0, 1]")
-    if min_arrivals < 1 or n < 1 or a < 1:
-        raise DimensionError("n, a and min_arrivals must be >= 1")
-    rng = random.Random(seed)
-    rounds = []
+    if min(d, n, a, min_arrivals) < 1:
+        raise DimensionError("d, n, a and min_arrivals must be >= 1")
+    # Every round gives each dimension min_arrivals arrivals, at most
+    # max(2, d) of them from base candidates and the rest from singletons.
+    arrivals = n * d * min_arrivals
+    cands = n * max(min_arrivals, d * (min_arrivals - max(2, d)))
+    # The instance copies the int64 bits and cand_ptr it is given into int32
+    # bits and int64 cand_ptr of its own, all four held at once.
+    memory = physical_memory()
+    if 12 * arrivals + 16 * cands > memory:
+        raise SizeError(f"{arrivals} arrivals do not fit in memory")
+    gen = _mt19937(seed)
+    # numpy's MT19937 doubles are CPython's random(): (a >> 5) * 2**26 +
+    # (b >> 6) over 2**53, from two consecutive words a, b.
+    rng = np.random.Generator(gen)
+    dims = np.arange(d)
+    sizes, cand_lens, bits = [], [], []
     for _ in range(n):
-        base = rng.randint(1, max(2, d))
-        cands = []
-        counts = [0] * d
-        for _ in range(base):
-            bits = [k for k in range(d) if rng.random() < density]
-            cands.append(bits)
-            for k in bits:
-                counts[k] += 1
-        for k in range(d):
-            while counts[k] < min_arrivals:
-                cands.append([k])
-                counts[k] += 1
-        rng.shuffle(cands)
-        rounds.append(cands)
-    c = [1.0 + (c_max - 1.0) * rng.random() for _ in range(d)]
-    c[rng.randrange(d)] = 1.0
-    return Instance.from_bit_lists(
+        base = 1 + _randbelow(gen, max(2, d))
+        # A float and a bool per draw.
+        if 9 * base * d > memory:
+            raise SizeError(f"a round of {base} x {d} draws does not fit in memory")
+        hit = rng.random((base, d)) < density
+        # The base candidates, then singletons up to min_arrivals per dimension.
+        short = np.maximum(min_arrivals - np.add.reduce(hit, axis=0), 0)
+        lens = np.concatenate([np.add.reduce(hit, axis=1), np.ones(int(np.add.reduce(short)), dtype=np.int64)])
+        entries = np.concatenate([hit.nonzero()[1], dims.repeat(short)])
+        # Place p of the shuffled round holds candidate perm[p], whose entries
+        # move by the difference of the two ends.
+        perm = np.array(_shuffled(gen, lens.size))
+        ends, lens = np.add.accumulate(lens), lens[perm]
+        moved = np.add.accumulate(lens)
+        sizes.append(lens.size)
+        cand_lens.append(lens)
+        bits.append(entries[(ends[perm] - moved).repeat(lens) + np.arange(moved[-1])])
+    bits = np.concatenate(bits)  # and let the per-round arrays go
+    c = (1.0 + (c_max - 1.0) * rng.random(d)).tolist()
+    c[_randbelow(gen, d)] = 1.0
+    return Instance.from_arrays(
         d=d,
         c=tuple(c),
         capacity=n * a,
-        rounds=tuple(rounds),
+        round_ptr=_offsets(sizes),
+        cand_ptr=_offsets(np.concatenate(cand_lens)),
+        bits=bits,
         per_round_capacity=a,
     )
-

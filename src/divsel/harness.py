@@ -41,6 +41,7 @@ from .core import (
     InstanceStats,
     instance_stats,
     least_utility,
+    physical_memory as _physical_memory,
     round_counts,
     round_incidence,
     validate_feasibility,
@@ -221,14 +222,6 @@ def monte_carlo(
         "max_selected_exact": max_selection_count(x_flat, segments)[0],
         "dimension_utilities": dim_utils,
     }
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or infinity where the OS does not say."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        return math.inf
 
 
 def _se_bound(x: float, trials: int) -> float:

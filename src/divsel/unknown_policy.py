@@ -14,6 +14,7 @@ The policy reads only (d, c, a); it never sees K, n, or marginal information.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -33,6 +34,12 @@ from .core import (
 from .errors import ContractError, ShapeError
 
 
+@functools.lru_cache(maxsize=16)
+def _inv_c_sum(c: tuple[float, ...]) -> float:
+    """sum_k 1/c_k, a constant of each policy, so summed once per c."""
+    return math.fsum(1.0 / ck for ck in c)
+
+
 def myopic_round(c: tuple[float, ...], a: int, inc: RoundIncidence) -> np.ndarray:
     """Equal-improvement allocation of the fresh capacity a.
 
@@ -43,8 +50,7 @@ def myopic_round(c: tuple[float, ...], a: int, inc: RoundIncidence) -> np.ndarra
     if not inc.lens.size or inc.counts.min() == 0:
         return np.zeros(inc.lens.size)
     c_arr = np.asarray(c)
-    inv_c_sum = math.fsum(1.0 / ck for ck in c)
-    alpha = min(float((c_arr * inc.counts).min()), a / inv_c_sum)
+    alpha = min(float((c_arr * inc.counts).min()), a / _inv_c_sum(tuple(c)))
     return max_over_attributes((alpha / c_arr) / inc.counts, inc)
 
 

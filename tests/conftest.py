@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divsel.core import AttributeVector, Instance, Round
+from divsel.errors import DimensionError
 from divsel.rounding import accumulator_path
 from divsel.unknown_policy import fill_value
 
@@ -216,3 +217,38 @@ def ref_int_objective(inst, y_rows, z_rows, eps=1e-9):
     terms = np.concatenate([y, np.array(z_rows, dtype=float).reshape(-1)])[order]
     acc = np.bincount(dims, weights=terms, minlength=d).tolist()
     return min(inst.c[k] * acc[k] for k in range(d))
+
+
+def ref_gen_random(d, n, a, density, min_arrivals, c_max, seed):
+    """The scalar loop over ``random.Random(seed)`` that ``gen_random`` draws
+    in blocks; the two must build the same instance."""
+    if not 0.0 < density <= 1.0:
+        raise DimensionError("density must be in (0, 1]")
+    if min_arrivals < 1 or n < 1 or a < 1:
+        raise DimensionError("n, a and min_arrivals must be >= 1")
+    rng = random.Random(seed)
+    rounds = []
+    for _ in range(n):
+        base = rng.randint(1, max(2, d))
+        cands = []
+        counts = [0] * d
+        for _ in range(base):
+            bits = [k for k in range(d) if rng.random() < density]
+            cands.append(bits)
+            for k in bits:
+                counts[k] += 1
+        for k in range(d):
+            while counts[k] < min_arrivals:
+                cands.append([k])
+                counts[k] += 1
+        rng.shuffle(cands)
+        rounds.append(cands)
+    c = [1.0 + (c_max - 1.0) * rng.random() for _ in range(d)]
+    c[rng.randrange(d)] = 1.0
+    return Instance.from_bit_lists(
+        d=d,
+        c=tuple(c),
+        capacity=n * a,
+        rounds=tuple(rounds),
+        per_round_capacity=a,
+    )

@@ -1,9 +1,13 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
+from conftest import ref_gen_random
+from divsel import generators
 from divsel.core import Round, instance_stats, marginals, parse_instance, serialize_instance
-from divsel.errors import ContractError, DimensionError
+from divsel.errors import ContractError, DimensionError, SizeError
 from divsel.generators import family_entries, fcs_eta, fcs_kappa, gen_fcs, gen_fhc, gen_random
 
 
@@ -153,6 +157,120 @@ class TestRandomFamily:
             gen_random(d=2, n=0, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=0)
         with pytest.raises(DimensionError):
             gen_random(d=2, n=1, a=1, density=0.0, min_arrivals=1, c_max=2.0, seed=0)
+        for d in (0, -1):
+            with pytest.raises(DimensionError):
+                gen_random(d=d, n=1, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=0)
+
+
+def assert_same_instance(got, want):
+    """Equal arrays of equal dtype, and c equal bit for bit."""
+    for name in ("round_ptr", "cand_ptr", "bits"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert [ck.hex() for ck in got.c] == [ck.hex() for ck in want.c]
+    assert (got.d, got.capacity, got.per_round_capacity) == (want.d, want.capacity, want.per_round_capacity)
+
+
+class TestRandomMatchesScalarLoop:
+    @pytest.mark.parametrize("d", [1, 2, 7, 33, 64])
+    @pytest.mark.parametrize("n", [1, 13])
+    @pytest.mark.parametrize("density", [0.05, 1.0])
+    @pytest.mark.parametrize("min_arrivals", [1, 3])
+    def test_grid(self, d, n, density, min_arrivals):
+        for seed in (0, 1, 29, -5, 2**40 + 7):
+            kwargs = dict(d=d, n=n, a=2, density=density, min_arrivals=min_arrivals, c_max=3.0, seed=seed)
+            assert_same_instance(gen_random(**kwargs), ref_gen_random(**kwargs))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_verify_shape(self, seed):
+        kwargs = dict(d=32, n=1000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=seed)
+        assert_same_instance(gen_random(**kwargs), ref_gen_random(**kwargs))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_online_stream_shape(self, seed):
+        kwargs = dict(d=64, n=2000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=seed)
+        assert_same_instance(gen_random(**kwargs), ref_gen_random(**kwargs))
+
+
+def streams(seed):
+    """random.Random(seed) and the numpy MT19937 gen_random draws from."""
+    return random.Random(seed), generators._mt19937(seed)
+
+
+class TestWordStream:
+    """Each draw uses the words random.Random uses, and leaves both streams
+    at the same word."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63])
+    def test_random(self, seed):
+        rng, gen = streams(seed)
+        assert np.random.Generator(gen).random(2000).tolist() == [rng.random() for _ in range(2000)]
+        assert gen.random_raw() == rng.getrandbits(32)
+
+    def test_randbelow_near_powers_of_two(self):
+        bounds = [1, 2, 3] + [2**k + e for k in (2, 5, 16, 31, 32, 33, 63, 64, 100) for e in (-1, 0, 1)]
+        rng, gen = streams(11)
+        for n in bounds * 40:
+            assert generators._randbelow(gen, n) == rng._randbelow(n), n
+        assert gen.random_raw() == rng.getrandbits(32)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 17, 64, 257, 1000])
+    def test_shuffle(self, m):
+        rng, gen = streams(m)
+        for _ in range(3):
+            want = list(range(m))
+            rng.shuffle(want)
+            assert generators._shuffled(gen, m) == want
+        assert gen.random_raw() == rng.getrandbits(32)
+
+    def test_long_mixed_stream(self):
+        # About 40,000 words: dozens of regenerations of the 624-word state.
+        rng, gen = streams(2026)
+        floats = np.random.Generator(gen)
+        for step in range(3000):
+            assert generators._randbelow(gen, step % 97 + 1) == rng._randbelow(step % 97 + 1)
+            assert floats.random(step % 5).tolist() == [rng.random() for _ in range(step % 5)]
+            want = list(range(step % 13))
+            rng.shuffle(want)
+            assert generators._shuffled(gen, step % 13) == want
+        assert gen.random_raw() == rng.getrandbits(32)
+
+
+class TestRandomSizeLimits:
+    @pytest.mark.parametrize("d, n, min_arrivals", [(1, 3, 1), (1, 3, 5), (2, 4, 6), (3, 2, 4), (9, 3, 2)])
+    def test_floor_never_exceeds_the_instance(self, d, n, min_arrivals):
+        arrivals = n * d * min_arrivals
+        cands = n * max(min_arrivals, d * (min_arrivals - max(2, d)))
+        for seed in range(5):
+            for density in (0.05, 1.0):
+                inst = gen_random(d=d, n=n, a=1, density=density, min_arrivals=min_arrivals, c_max=2.0, seed=seed)
+                assert inst.bits.size >= arrivals and inst.total_candidates >= cands
+
+    def test_floor_is_checked_before_any_draw(self, monkeypatch):
+        # 24 arrivals in at least 2 * max(4, 3 * (4 - 3)) = 8 candidates.
+        kwargs = dict(d=3, n=2, a=1, density=0.5, min_arrivals=4, c_max=2.0, seed=0)
+        need = 12 * 24 + 16 * 8
+        monkeypatch.setattr(generators, "physical_memory", lambda: need)
+        assert_same_instance(gen_random(**kwargs), ref_gen_random(**kwargs))
+
+        def no_draw(seed):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(generators, "physical_memory", lambda: need - 1)
+        monkeypatch.setattr(generators, "_mt19937", no_draw)
+        with pytest.raises(SizeError, match="24 arrivals"):
+            gen_random(**kwargs)
+
+    def test_round_block_is_checked_before_it_is_drawn(self, monkeypatch):
+        d, seed = 64, 3
+        base = random.Random(seed).randint(1, d)
+        assert 9 * base * d >= 12 * d + 16  # the floor passes at both limits
+        kwargs = dict(d=d, n=1, a=1, density=0.2, min_arrivals=1, c_max=2.0, seed=seed)
+        monkeypatch.setattr(generators, "physical_memory", lambda: 9 * base * d)
+        assert_same_instance(gen_random(**kwargs), ref_gen_random(**kwargs))
+        monkeypatch.setattr(generators, "physical_memory", lambda: 9 * base * d - 1)
+        with pytest.raises(SizeError, match=f"round of {base} x {d} draws"):
+            gen_random(**kwargs)
 
 
 class TestFamilyEntries:

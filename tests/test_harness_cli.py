@@ -10,7 +10,7 @@ import pytest
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
 from divsel.core import instance_stats, parse_instance, round_incidence, serialize_instance, solution_from_rows
-from divsel import benchmark, cli, core, harness, unknown_policy
+from divsel import benchmark, cli, core, generators, harness, unknown_policy
 from divsel.errors import ContractError, SizeError
 from divsel.generators import family_entries, gen_fcs, gen_random
 from divsel.harness import (
@@ -769,6 +769,24 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Thm3-composite" in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--d", "0"], "d, n, a and min_arrivals must be >= 1"),
+            (["--d", "1000000000000", "--n", "1"], "1000000000000 arrivals do not fit in memory"),
+            (["--d", "2", "--n", "2", "--min-arrivals", "1000000000000"], "4000000000000 arrivals do not fit"),
+        ],
+    )
+    def test_gen_random_refuses_absurd_sizes_before_drawing(self, monkeypatch, tmp_path, capsys, flags, message):
+        def no_draw(seed):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(generators, "_mt19937", no_draw)
+        assert main(["gen", "--family", "random", *flags, "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == "" and not any(tmp_path.iterdir())
 
     def test_gen_random_deterministic_files(self, tmp_path):
         for out in ("a", "b"):
