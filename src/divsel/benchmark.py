@@ -3,13 +3,9 @@ formulation with its round-prefix truncation, closed-form bounds on the fluid
 optimum and on the one-round adjustment LPs, and a brute-force grid oracle
 for tiny instances.
 
-The fluid and intermediate max-min objectives are linearized with one
-auxiliary level variable and solved with scipy's HiGHS backend; every
-returned solution is re-validated against its own constraints before it
-leaves this module.  One HiGHS call serves a batch of fluid LPs
-(``solve_fluids``): they are the blocks of one block-diagonal LP, and each
-member gets its own dual certificate and re-validation.  Only the family
-path (``verify --family``) passes more than one instance.
+One HiGHS call solves a batch of fluid LPs as one block-diagonal LP, each
+block with its own dual certificate; g(tau) comes from a Dantzig-Wolfe loop
+priced by a closed-form greedy fill.  Every value is certified on return.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ from .core import (
     core_mask,
     least_utility,
     marginals,
+    physical_memory,
     round_counts,
 )
 from .errors import ContractError, InvariantError, SizeError
@@ -35,6 +32,8 @@ from .rounding import capacity_safe
 
 #: Constraint/value re-validation tolerance for LP results.
 LP_TOL = 1e-7
+#: Master LP solves after which ``solve_int`` gives up.
+INT_MAX_MASTER_SOLVES = 200
 
 #: Rows plus columns of one batched fluid LP.  HiGHS's per-call overhead is
 #: paid once per batch, but its working memory grows with the LP: one LP for
@@ -72,16 +71,8 @@ class IntSolution:
     z: np.ndarray
 
 
-def _status_name(status: int) -> str:
-    if status == 0:
-        return "optimal"
-    if status == 2:
-        return "infeasible"
-    return "unbounded_guard"
-
-
 def _certify_optimal(
-    res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, names: Sequence[str], row_starts=(0,), col_starts=(0,)
+    res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, names: Sequence[str], row_starts, col_starts
 ) -> None:
     """Dual certificate of an optimal HiGHS result (Huangfu & Hall, Math. Prog.
     Comp. 2018) for min c.x s.t. A_ub x <= b_ub, l <= x <= u.
@@ -95,9 +86,7 @@ def _certify_optimal(
     and the columns from ``col_starts[b]`` and is called ``names[b]``.  Every
     check is made per block, so a failure names the block it found.
     """
-    lam = res.ineqlin.marginals
-    mu_u = res.upper.marginals
-    mu_l = res.lower.marginals
+    lam, mu_u, mu_l = res.ineqlin.marginals, res.upper.marginals, res.lower.marginals
 
     def check(values: np.ndarray, limits, message: str) -> None:
         bad = np.flatnonzero(values > limits)
@@ -245,7 +234,7 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         for i in blocks:
-            results[i] = LPResult(value=float("nan"), solution=None, status=_status_name(res.status))
+            results[i] = LPResult(float("nan"), None, "infeasible" if res.status == 2 else "unbounded_guard")
         return
     names = {i: "fluid LP" if len(insts) == 1 else f"fluid LP (member {i + 1})" for i in blocks}
     _certify_optimal(res, cost, a_ub, b_ub, bounds, list(names.values()), row_starts, col_starts)
@@ -263,13 +252,10 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
 
 def opt_bounds(inst: Instance) -> tuple[float, float]:
     """Closed-form sandwich for the fluid optimum, from marginals alone."""
-    phi = marginals(inst)
-    return opt_bounds_from_marginals(inst.d, inst.c, inst.capacity, phi)
+    return opt_bounds_from_marginals(inst.d, inst.c, inst.capacity, marginals(inst))
 
 
-def opt_bounds_from_marginals(
-    d: int, c: tuple[float, ...], capacity: int, phi: list[int]
-) -> tuple[float, float]:
+def opt_bounds_from_marginals(d: int, c: tuple[float, ...], capacity: int, phi: list[int]) -> tuple[float, float]:
     under = min(c[k] * min(capacity / d, phi[k]) for k in range(d))
     over = min(c[k] * min(capacity, phi[k]) for k in range(d))
     return under, over
@@ -279,58 +265,72 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> LPResult:
     """Optimum g(tau) of the intermediate formulation truncated to the first
     ``prefix_rounds`` rounds (the full horizon when omitted).
 
-    Presolve: the objective is nondecreasing in every y_j and nothing else
-    constrains y, so y_j = 1 on all core candidates is optimal; only the z
-    block is handed to the LP.  HiGHS solves it by interior point followed by
-    crossover to a vertex, several times faster than simplex on long horizons.
-    The optimal (y, z) point is re-validated with ``int_objective`` before the
-    value is returned.
+    y = 1 on core candidates is optimal and only z's totals Z_k matter, so a
+    Dantzig-Wolfe master (Dantzig & Wolfe, Oper. Res. 8, 1960) of d + 1 rows,
+    max t s.t. t <= c_k (core_k + sum_p theta_p Z^p_k), sum theta = 1, starts
+    from one column per dimension.  Each solve prices its duals and the pooled
+    lambda (``_price``); a point that beats every column under its lambda
+    joins them.  The value is returned once the duals lie on the simplex, the
+    recovered z passes ``int_objective`` and the least bound U(lambda) is
+    within ``LP_TOL``.
     """
     if inst.per_round_capacity is None:
         raise ContractError("solve_int requires per-round capacity a")
     tau = inst.n if prefix_rounds is None else prefix_rounds
     if not 1 <= tau <= inst.n:
         raise InvariantError(f"prefix_rounds must be in [1, {inst.n}]")
-    if tau * inst.d > MAX_CANDIDATES * 10:
-        raise SizeError(f"{tau * inst.d} z-variables exceeds the LP cap")
-    from scipy.sparse import csr_matrix
-
-    d = inst.d
-    budget = math.sqrt(d) * inst.per_round_capacity
-    counts = round_counts(inst)
-    # y: 1 on the core candidates of the first tau rounds; core_part counts
-    # their arrivals per dimension.
-    y = core_mask(inst.cand_lens, d).astype(float)
-    y[inst.round_ptr[tau] :] = 0.0
+    d, c = inst.d, np.asarray(inst.c)
+    if (need := 8 * d * (2 * inst.n + 3 * tau)) > physical_memory():  # n x d counts and z, 3 tau x d fill arrays
+        raise SizeError(f"g({tau}) needs {need / 2**30:.1f} GiB, more than the machine's memory")
+    budget, counts = math.sqrt(d) * inst.per_round_capacity, round_counts(inst)[:tau].astype(float)
+    y = (core_mask(inst.cand_lens, d) & (np.arange(inst.total_candidates) < inst.round_ptr[tau])).astype(float)
     core_part = np.bincount(inst.bits, weights=np.repeat(y, inst.cand_lens), minlength=d)
-    c = np.asarray(inst.c)
-
-    # Variables: z_{ik} for i < tau (row-major), then t.
-    # max t  s.t.  sum_k z_ik <= budget,  t - c_k sum_i z_ik <= c_k core_k,  0 <= z_ik <= counts_ik.
-    n_z = tau * d
-    z = np.arange(n_z)
-    dim = z % d
-    row_idx = np.concatenate([z // d, tau + dim, tau + np.arange(d)])
-    col_idx = np.concatenate([z, z, np.full(d, n_z)])
-    vals = np.concatenate([np.ones(n_z), -c[dim], np.ones(d)])
-    a_ub = csr_matrix((vals, (row_idx, col_idx)), shape=(tau + d, n_z + 1))
-    b_ub = np.concatenate([np.full(tau, budget), c * core_part])
-    cost = np.zeros(n_z + 1)
-    cost[-1] = -1.0
-    bounds = np.zeros((n_z + 1, 2))
-    bounds[:n_z, 1] = counts[:tau].ravel()
-    bounds[-1, 1] = np.inf
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ipm")
-    if res.status != 0:
-        return LPResult(value=float("nan"), solution=None, status=_status_name(res.status))
-    _certify_optimal(res, cost, a_ub, b_ub, bounds, ["intermediate LP"])
-
-    value = float(res.x[-1])
-    z_all = np.zeros((inst.n, d))
-    z_all[:tau] = np.clip(res.x[:n_z].reshape(tau, d), 0.0, counts[:tau])
-    if int_objective(inst, IntSolution(y, z_all)) < value - LP_TOL:
+    orders, columns, bounds = map(list, zip(*(_price(counts, budget, c, core_part, lam) for lam in np.eye(d))))
+    for _ in range(INT_MAX_MASTER_SOLVES):
+        pool, size = np.array(columns), len(columns)  # variables theta_p, then t (free); cost a_eq - 1 is -t
+        a_ub, a_eq = np.column_stack([-c[:, None] * pool.T, np.ones(d)]), np.append(np.ones(size), 0.0)
+        res = linprog(a_eq - 1.0, a_ub, c * core_part, a_eq[None], [1.0], [(0, None)] * size + [(None, None)])
+        if res.status != 0:  # the master is always feasible and bounded
+            raise InvariantError(f"intermediate LP: master solve failed ({res.message})")
+        value, duals = float(res.x[-1]), -res.ineqlin.marginals  # t's reduced cost puts them on the simplex
+        if duals.min() < -LP_TOL or abs(duals.sum() - 1.0) > LP_TOL:
+            raise InvariantError("intermediate LP: master duals are off the simplex")
+        utility = c * (core_part + res.x[:-1] @ pool)
+        lowest = utility <= utility.min() + LP_TOL * (1.0 + utility.min())  # pooled: lambda ~ 1/c there
+        for lam in (np.maximum(duals, 0.0), np.where(lowest, 1.0 / c, 0.0)):
+            order, totals, upper = _price(counts, budget, c, core_part, lam)
+            bounds.append(upper)
+            if upper > ((core_part + pool) @ (c * lam)).max() / lam.sum() + 1e-12 * (1.0 + upper):
+                orders, columns = orders + [order], columns + [totals]
+        if len(columns) == size or min(bounds) - value <= 1e-13 * (1.0 + abs(value)):
+            break
+    else:
+        raise InvariantError(f"intermediate LP: no convergence in {INT_MAX_MASTER_SOLVES} master solves")
+    theta, z = np.maximum(res.x[:-1], 0.0), np.zeros((inst.n, d))
+    for p in np.flatnonzero(theta):
+        z[:tau, orders[p]] += theta[p] / theta.sum() * _greedy_fill(counts, budget, orders[p])
+    if int_objective(inst, IntSolution(y, z)) < value - LP_TOL:
         raise InvariantError("intermediate LP solution failed re-validation")
+    if min(bounds) - value > LP_TOL * (1.0 + abs(value)):
+        raise InvariantError(f"intermediate LP: duality gap {min(bounds) - value:.3g} exceeds tolerance")
     return LPResult(value=value, solution=None, status="optimal")
+
+
+def _price(counts: np.ndarray, budget: float, c: np.ndarray, core_part: np.ndarray, lam: np.ndarray):
+    """Fill order, totals Z and bound U(lam) = sum_k lam_k c_k (core_k + Z_k) >= g for ``lam`` >= 0: filling each
+    round by decreasing lam_k c_k (least served first on ties) maximises lam.cZ, so weak duality holds."""
+    weights = c * (lam / lam.sum())
+    order = np.lexsort((c * core_part, -weights))
+    totals = _greedy_fill(counts, budget, order).sum(axis=0)[np.argsort(order)]
+    return order, totals, float(weights @ (core_part + totals))
+
+
+def _greedy_fill(counts: np.ndarray, budget: float, order: np.ndarray) -> np.ndarray:
+    """Each round's budget filled in dimension ``order`` up to its counts (columns in that order)."""
+    block = counts[:, order]
+    spent = np.cumsum(block, axis=1)
+    spent -= block  # spent before each dimension
+    return np.clip(budget - spent, 0.0, block, out=spent)
 
 
 def int_objective(inst: Instance, sol: IntSolution) -> float:

@@ -252,3 +252,42 @@ def ref_gen_random(d, n, a, density, min_arrivals, c_max, seed):
         rounds=tuple(rounds),
         per_round_capacity=a,
     )
+
+
+def sparse_int_value(inst, tau):
+    """Test-only oracle: g(tau) as one sparse LP over the whole tau x d z
+    block (y = 1 on the core candidates of the first tau rounds), solved by
+    HiGHS's interior point method with crossover to a vertex.
+
+    Variables: z_{ik} for i < tau (row-major), then t.
+    max t  s.t.  sum_k z_ik <= sqrt(d) a,  t - c_k sum_i z_ik <= c_k core_k,
+    0 <= z_ik <= counts_ik."""
+    import math
+
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    from divsel.core import core_mask, round_counts
+
+    d = inst.d
+    budget = math.sqrt(d) * inst.per_round_capacity
+    y = core_mask(inst.cand_lens, d).astype(float)
+    y[inst.round_ptr[tau] :] = 0.0
+    core_part = np.bincount(inst.bits, weights=np.repeat(y, inst.cand_lens), minlength=d)
+    c = np.asarray(inst.c)
+    n_z = tau * d
+    z = np.arange(n_z)
+    dim = z % d
+    row_idx = np.concatenate([z // d, tau + dim, tau + np.arange(d)])
+    col_idx = np.concatenate([z, z, np.full(d, n_z)])
+    vals = np.concatenate([np.ones(n_z), -c[dim], np.ones(d)])
+    a_ub = csr_matrix((vals, (row_idx, col_idx)), shape=(tau + d, n_z + 1))
+    b_ub = np.concatenate([np.full(tau, budget), c * core_part])
+    cost = np.zeros(n_z + 1)
+    cost[-1] = -1.0
+    bounds = np.zeros((n_z + 1, 2))
+    bounds[:n_z, 1] = round_counts(inst)[:tau].ravel()
+    bounds[-1, 1] = np.inf
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ipm")
+    assert res.status == 0, res.message
+    return float(res.x[-1])

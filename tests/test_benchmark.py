@@ -30,6 +30,7 @@ from conftest import (
     make_instance,
     random_feasible_x,
     ref_int_objective,
+    sparse_int_value,
     tiny_grid_instances,
 )
 
@@ -78,6 +79,26 @@ def dense_int_value(inst, tau):
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds + [(0.0, None)], method="highs")
     assert res.status == 0
     return float(res.x[-1])
+
+
+def int_parts(inst, tau):
+    """``benchmark._price``'s inputs for the first tau rounds: the round
+    counts, the round budget, c and the core arrivals per dimension."""
+    y = core_mask(inst.cand_lens, inst.d).astype(float)
+    y[inst.round_ptr[tau] :] = 0.0
+    core = np.bincount(inst.bits, weights=np.repeat(y, inst.cand_lens), minlength=inst.d)
+    budget = math.sqrt(inst.d) * inst.per_round_capacity
+    return round_counts(inst)[:tau].astype(float), budget, np.asarray(inst.c), core
+
+
+def certified_int(monkeypatch, inst, tau):
+    """``solve_int(inst, tau).value`` and the least bound U(lambda) it priced."""
+    priced = []
+    real = benchmark._price
+    with monkeypatch.context() as patch:
+        patch.setattr(benchmark, "_price", lambda *args: priced.append(real(*args)) or priced[-1])
+        value = solve_int(inst, tau).value
+    return value, min(upper for _, _, upper in priced)
 
 
 def repetitive_random(seed):
@@ -376,22 +397,88 @@ class TestSolveInt:
             solve_int(inst, 2)
 
 
-    def test_value_matches_dense_lp(self):
-        instances = [
-            gen_fcs(8)[0],
-            gen_random(d=5, n=8, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=11),
-            repetitive_random(3),
-        ]
+    def test_value_matches_dense_lp(self, monkeypatch):
+        """g(tau) equals the dense reference LP, and the least bound U(lambda)
+        solve_int priced is within 1e-9 of it, relative."""
+        instances = gen_fhc(8) + gen_fhc(27) + gen_fcs(8) + gen_fcs(27)
+        instances += [gen_random(d=5, n=8, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=11)]
+        instances += [repetitive_random(3)]
+        instances += [gen_random(d=16, n=40, a=2, density=0.3, min_arrivals=1, c_max=2.0, seed=s) for s in (1, 2)]
         for inst in instances:
-            for tau in sorted({1, 2, inst.n // 2, inst.n}):
-                lp = solve_int(inst, tau)
-                assert_rel_close(lp.value, dense_int_value(inst, tau))
+            for tau in sorted({1, 2, inst.n // 2, inst.n} - {0}):
+                value, bound = certified_int(monkeypatch, inst, tau)
+                assert_rel_close(value, dense_int_value(inst, tau), rel=1e-12)
+                assert bound - value <= 1e-9 * max(1.0, abs(value))
+
+    def test_value_matches_sparse_lp_on_a_long_horizon(self, monkeypatch):
+        """The 32,000 z entries of the ``random-verify`` instance: the value
+        of the full sparse LP, in a few master solves of 33 rows."""
+        inst = gen_random(d=32, n=1000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
+        solves = []
+        perturbing_linprog(monkeypatch, solves.append)
+        value, bound = certified_int(monkeypatch, inst, inst.n)
+        assert_rel_close(value, sparse_int_value(inst, inst.n), rel=1e-12)
+        assert bound - value <= 1e-9 * abs(value)
+        assert len(solves) <= 20
+
+    def test_any_weights_give_an_upper_bound(self):
+        """U(lambda) >= g(tau) for one-hot, uniform and randomly perturbed
+        lambda: weak duality holds for every lambda on the simplex."""
+        rng = np.random.default_rng(7)
+        instances = [gen_fcs(8)[0], gen_fhc(8)[3], repetitive_random(3)]
+        instances += [gen_random(d=5, n=8, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=11)]
+        for inst in instances:
+            d = inst.d
+            lams = [*np.eye(d), np.ones(d), *(np.ones(d) + rng.uniform(-0.9, 0.9, (4, d))), *rng.dirichlet(np.ones(d), 4)]
+            for tau in sorted({1, inst.n // 2, inst.n} - {0}):
+                g = dense_int_value(inst, tau)
+                for lam in lams:
+                    _, _, upper = benchmark._price(*int_parts(inst, tau), lam)
+                    assert upper >= g - 1e-9 * max(1.0, g)
 
     def test_certificate_rejects_understated_optimum(self, monkeypatch):
+        """A master value 10% short of its optimum fails the duality gap, in a
+        few master solves."""
+        for inst in (gen_random(d=4, n=6, a=1, density=0.4, min_arrivals=1, c_max=2.0, seed=5), gen_fcs(27)[1]):
+            solves = []
+            perturbing_linprog(monkeypatch, lambda res: solves.append(understate_optimum(res)))
+            with pytest.raises(InvariantError, match="duality gap"):
+                solve_int(inst)
+            assert len(solves) <= 20
+
+    def test_certificate_rejects_flipped_duals(self, monkeypatch):
         inst = gen_random(d=4, n=6, a=1, density=0.4, min_arrivals=1, c_max=2.0, seed=5)
-        perturbing_linprog(monkeypatch, understate_optimum)
-        with pytest.raises(InvariantError, match="duality gap"):
+        solves = []
+        perturbing_linprog(monkeypatch, lambda res: solves.append(flip_row_duals(res)))
+        with pytest.raises(InvariantError, match="duals"):
             solve_int(inst)
+        assert len(solves) == 1
+
+    def test_long_horizon_solves(self):
+        """tau * d = 500,005 z entries, over the former cap of 500,000: every
+        round offers each of d = 5 dimensions once and spends sqrt(5) on
+        them, so the best spread gives every dimension n sqrt(5) / 5."""
+        d, n = 5, 100_001
+        ptr = np.arange(0, n * d + 1, d)
+        inst = Instance.from_arrays(d, [1.0] * d, n, ptr, np.arange(n * d + 1), np.tile(np.arange(d), n), 1)
+        assert n * d > 500_000
+        assert_rel_close(solve_int(inst).value, n * math.sqrt(d) / d, rel=1e-12)
+
+    def test_memory_limit_is_checked_before_allocating(self, monkeypatch):
+        inst = gen_random(d=5, n=8, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=11)
+        for tau in (3, inst.n):
+            need = 8 * inst.d * (2 * inst.n + 3 * tau)  # the n x d and tau x d float arrays
+            monkeypatch.setattr(benchmark, "physical_memory", lambda: need)
+            assert_rel_close(solve_int(inst, tau).value, dense_int_value(inst, tau))
+
+            def no_counts(inst):
+                raise AssertionError("allocated")
+
+            monkeypatch.setattr(benchmark, "physical_memory", lambda: need - 1)
+            monkeypatch.setattr(benchmark, "round_counts", no_counts)
+            with pytest.raises(SizeError, match=f"g\\({tau}\\) needs"):
+                solve_int(inst, tau)
+            monkeypatch.undo()
 
 
 class TestIntObjective:

@@ -203,21 +203,37 @@ class TestVerify:
 
     @pytest.mark.parametrize("rounds", [None, 5])
     def test_adjustment_lps_are_batched(self, monkeypatch, rounds):
-        """The fluid and intermediate LPs are the only solver calls, however
-        many rounds there are: ``WF-optimality`` reads a closed-form dual
-        bound per round instead of solving an adjustment LP."""
+        """However many rounds there are, every solver call comes from one
+        fluid solve (one call) and one g(n) solve: ``WF-optimality`` reads a
+        closed-form dual bound per round instead of solving an adjustment
+        LP.  g(n)'s master LPs have d + 1 rows whatever the horizon."""
         inst = gen_random(d=5, n=rounds or 12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
-        calls = []
+        inside, calls, entered = [None], [], []
         real = benchmark.linprog
 
         def counting_linprog(*args, **kwargs):
-            calls.append(1)
+            calls.append(inside[0])
             return real(*args, **kwargs)
 
+        def entering(name, func):
+            def wrapped(*args, **kwargs):
+                entered.append(name)
+                inside[0] = name
+                try:
+                    return func(*args, **kwargs)
+                finally:
+                    inside[0] = None
+
+            return wrapped
+
         monkeypatch.setattr(benchmark, "linprog", counting_linprog)
+        monkeypatch.setattr(benchmark, "solve_fluids", entering("fluid", benchmark.solve_fluids))
+        monkeypatch.setattr(harness, "solve_int", entering("int", harness.solve_int))
         verdicts = verify_instance(inst, POLICY_NAMES, seed=2)
         assert {v.name: v.status for v in verdicts}["WF-optimality"] == "pass"
-        assert len(calls) == 2
+        assert calls.count("fluid") == 1
+        assert entered.count("int") == 1
+        assert None not in calls
 
     def test_water_fill_check_rejects_a_tampered_round(self):
         inst = gen_random(d=5, n=12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
