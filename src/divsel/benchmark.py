@@ -3,9 +3,11 @@ formulation with its round-prefix truncation, closed-form bounds on the fluid
 optimum and on the one-round adjustment LPs, and a brute-force grid oracle
 for tiny instances.
 
-One HiGHS call solves a batch of fluid LPs as one block-diagonal LP, each
-block with its own dual certificate; g(tau) comes from a Dantzig-Wolfe loop
-priced by a closed-form greedy fill.  Every value is certified on return.
+A batch of fluid LPs is solved as one block-diagonal LP over candidate
+types, by sifting: HiGHS sees only a working set of type columns near each
+block's capacity edge, and the full LP's dual certificate is checked per
+block.  g(tau) comes from a Dantzig-Wolfe loop priced by a closed-form greedy
+fill.  Every value is certified on return.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 
 from .core import (
     EPS,
-    MAX_CANDIDATES,
     FractionalSolution,
     Instance,
     core_mask,
@@ -40,6 +41,13 @@ INT_MAX_MASTER_SOLVES = 200
 #: all 64 fhc members at d = 64 (6,367 rows and columns; 7 batches of this
 #: size) was no faster and raised peak RSS by ~14 MB more.
 FLUID_BATCH_SIZE = 1024
+#: Types on each side of a sifted fluid LP's capacity edge that start in its
+#: working set, and the most that join it in one round.
+FLUID_SIFT_WIDTH = 1000
+#: A sifted fluid LP's seed LP keeps every this-many-th type.
+FLUID_SAMPLE_STRIDE = 10
+#: Restricted solves after which a fluid LP gives up.
+FLUID_MAX_SOLVES = 50
 
 
 def linprog(*args, **kwargs):
@@ -72,43 +80,40 @@ class IntSolution:
 
 
 def _certify_optimal(
-    res, cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, names: Sequence[str], row_starts, col_starts
+    cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, x, lam, names: Sequence[str], row_starts, col_starts
 ) -> None:
-    """Dual certificate of an optimal HiGHS result (Huangfu & Hall, Math. Prog.
-    Comp. 2018) for min c.x s.t. A_ub x <= b_ub, l <= x <= u.
+    """Dual certificate of the point ``x`` with row multipliers ``lam`` for
+    min c.x s.t. A_ub x <= b_ub, l <= x <= u (Huangfu & Hall, Math. Prog.
+    Comp. 2018).
 
     scipy reports marginals as d fun / d rhs, so dual feasibility means
-    lambda <= 0 on the A_ub rows, mu_u <= 0 on upper bounds, mu_l >= 0 on lower
-    bounds and c - A_ub^T lambda - mu_u - mu_l = 0; optimality means the dual
-    objective b_ub.lambda + u.mu_u + l.mu_l equals c.x.
+    lambda <= 0.  The bound multipliers are rebuilt from the reduced costs
+    r = c - A_ub^T lambda as mu_u = min(r, 0) and mu_l = max(r, 0), the best
+    for this lambda, and must vanish on infinite bounds; then the dual
+    objective b_ub.lambda + u.mu_u + l.mu_l bounds every point, and
+    optimality means it equals c.x.
 
     The LP may be block-diagonal: block b owns the rows from ``row_starts[b]``
     and the columns from ``col_starts[b]`` and is called ``names[b]``.  Every
     check is made per block, so a failure names the block it found.
     """
-    lam, mu_u, mu_l = res.ineqlin.marginals, res.upper.marginals, res.lower.marginals
+    reduced = cost - a_ub.T @ lam
 
     def check(values: np.ndarray, limits, message: str) -> None:
         bad = np.flatnonzero(values > limits)
         if bad.size:
             raise InvariantError(f"{names[bad[0]]}: {message.format(values[bad[0]])}")
 
-    def by_row(ufunc, v: np.ndarray) -> np.ndarray:
-        return ufunc.reduceat(v, row_starts)
-
     def by_col(ufunc, v: np.ndarray) -> np.ndarray:
         return ufunc.reduceat(v, col_starts)
 
-    wrong_sign = np.maximum(by_row(np.maximum, lam), by_col(np.maximum, np.maximum(mu_u, -mu_l)))
-    check(wrong_sign, LP_TOL, "dual multiplier of the wrong sign ({:.3g})")
-    residual = by_col(np.maximum, np.abs(cost - a_ub.T @ lam - mu_u - mu_l))
-    check(residual, LP_TOL * (1.0 + by_col(np.maximum, np.abs(cost))), "reduced costs do not vanish ({:.3g})")
-    dual = by_row(np.add, b_ub * lam)
-    for bound, mu in ((bounds[:, 1], mu_u), (bounds[:, 0], mu_l)):
+    check(np.maximum.reduceat(lam, row_starts), LP_TOL, "dual multiplier of the wrong sign ({:.3g})")
+    dual = np.add.reduceat(b_ub * lam, row_starts)
+    for bound, mu in ((bounds[:, 1], np.minimum(reduced, 0.0)), (bounds[:, 0], np.maximum(reduced, 0.0))):
         finite = np.isfinite(bound)
         check(by_col(np.maximum, np.where(finite, 0.0, np.abs(mu))), LP_TOL, "nonzero multiplier on an infinite bound")
         dual += by_col(np.add, np.where(finite, bound, 0.0) * mu)
-    primal = by_col(np.add, cost * res.x)
+    primal = by_col(np.add, cost * x)
     check(np.abs(primal - dual), LP_TOL * (1.0 + np.abs(primal)), "duality gap {:.3g} exceeds tolerance")
 
 
@@ -145,10 +150,12 @@ def _fluid_block(inst: Instance):
     """One instance's fluid LP over its distinct types as the (row, column,
     value) triples of A_ub, b_ub, the upper bounds and the type of every
     candidate; None when some dimension can never be served, so the optimum
-    is 0 (x = 0 allowed)."""
+    is 0 (x = 0 allowed).  An instance whose type keys (and their sorted copy)
+    and LP triples cannot fit in memory is a SizeError, raised before either
+    is allocated."""
     n_cands = inst.total_candidates
-    if n_cands > MAX_CANDIDATES:
-        raise SizeError(f"{n_cands} candidates exceeds the LP cap {MAX_CANDIDATES}")
+    if (need := 16 * n_cands * ((inst.d + 63) // 64) + 24 * inst.bits.size) > physical_memory():
+        raise SizeError(f"the fluid LP needs {need / 2**30:.1f} GiB, more than the machine's memory")
     first, mult, type_of = _candidate_types(inst)
     n_types, d = len(first), inst.d
     # The first candidates of the types, in arrival order, are the type table.
@@ -176,18 +183,20 @@ def solve_fluid(inst: Instance) -> LPResult:
 
 def solve_fluids(insts: Sequence[Instance]) -> list[LPResult]:
     """Maximize each instance's least utility subject to sum(x) <= K and
-    0 <= x <= 1, with one HiGHS call per batch of instances.
+    0 <= x <= 1, solving each batch of instances as one LP.
 
     Candidates of one type are interchangeable, so an instance's LP runs over
     its distinct types with the type's mass bounded by its multiplicity; x*
     spreads each type's mass evenly over its copies and is then made
     capacity-safe for the rounder (``rounding.capacity_safe``).
 
-    Each instance is screened (size cap, zero optimum) and the rest are
-    packed, in order, into batches of at most ``FLUID_BATCH_SIZE`` rows plus
-    columns (an LP larger than that is a batch of its own); each batch is
-    solved as one block-diagonal LP (``_solve_fluid_batch``) before the next
-    is built, so only one batch's arrays are held at a time.
+    Each instance is screened (memory, zero optimum) and the rest are packed,
+    in order, into batches of at most ``FLUID_BATCH_SIZE`` rows plus columns
+    (an LP larger than that is a batch of its own); each batch is solved as
+    one block-diagonal LP (``_solve_fluid_batch``) before the next is built,
+    so only one batch's arrays are held at a time.  A batch whose blocks have
+    at most 2 ``FLUID_SIFT_WIDTH`` types each takes one HiGHS call; a larger
+    LP is sifted, in a few calls over at most a few thousand of its types.
     """
     results: list[Optional[LPResult]] = [None] * len(insts)
     batch, size = {}, 0
@@ -213,9 +222,23 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
     levels, and store each instance's ``LPResult`` in ``results``.
 
     Blocks share no row, so the batch's optimum is every block's own optimum.
-    Each block gets its own dual certificate, and its x* is re-validated
-    against its own instance; a status other than optimal is every member's
-    status.
+    The LP is solved by bounded sifting over its type columns (Bixby et al.,
+    Oper. Res. 40(5), 1992): each column is in the working set or fixed at a
+    bound, and the LP over the working set, with the fixed columns moved into
+    the right-hand side, is solved until its duals price no fixed column
+    wrong.  Each round the most wrongly priced ``FLUID_SIFT_WIDTH`` columns
+    join, and working columns at a bound that their reduced cost holds by
+    more than any joining column's error leave at that bound, so the level
+    never falls.  A block of more than 2 ``FLUID_SIFT_WIDTH`` types is seeded
+    by an LP on every ``FLUID_SAMPLE_STRIDE``-th type, its capacity scaled by
+    their share of the multiplicity: in order of reduced cost under its duals,
+    the types more than ``FLUID_SIFT_WIDTH`` above the capacity edge start at
+    their multiplicity, those more than that below it at 0, unless the
+    seed's capacity did not bind.  Every other block starts whole.
+
+    Each block gets its own dual certificate over all its columns, and its x*
+    is re-validated against its own instance; a status other than optimal is
+    every member's status.
     """
     from scipy.sparse import csr_matrix
 
@@ -230,20 +253,49 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
     cost = np.zeros(a_ub.shape[1])
     cost[levels] = -1.0
     bounds = np.zeros((a_ub.shape[1], 2))
-    bounds[:, 1] = np.concatenate(uppers)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        for i in blocks:
-            results[i] = LPResult(float("nan"), None, "infeasible" if res.status == 2 else "unbounded_guard")
-        return
+    upper = bounds[:, 1] = np.concatenate(uppers)
+    work, up = np.ones(upper.size, dtype=bool), np.zeros(upper.size, dtype=bool)
+    sifted = np.flatnonzero(n_cols > 2 * FLUID_SIFT_WIDTH + 1)  # blocks of more than 2 FLUID_SIFT_WIDTH types
+    seeds, rhs = [(row_starts[b], np.arange(col_starts[b], levels[b])) for b in sifted], b_ub.copy()
+    for row, types in seeds:  # the seed LP: a sample of the types, the capacity scaled to their share
+        work[types] = np.arange(types.size) % FLUID_SAMPLE_STRIDE == 0
+        rhs[row] *= upper[types[work[types]]].sum() / upper[types].sum()
+    for _ in range(FLUID_MAX_SOLVES):
+        x = np.where(up, upper, 0.0)
+        res = linprog(cost[work], A_ub=a_ub[:, work], b_ub=rhs - a_ub @ x, bounds=bounds[work], method="highs")
+        if res.status != 0:
+            for i in blocks:
+                results[i] = LPResult(float("nan"), None, "infeasible" if res.status == 2 else "unbounded_guard")
+            return
+        x[work], lam = res.x, res.ineqlin.marginals
+        reduced = cost - a_ub.T @ lam
+        for row, types in seeds:  # fix the types far from the capacity edge
+            order = types[np.argsort(reduced[types], kind="stable")]
+            edge = np.searchsorted(np.cumsum(upper[order]), b_ub[row], side="right")
+            width = FLUID_SIFT_WIDTH if lam[row] < -EPS else types.size  # no edge shows if capacity did not bind
+            up[order[: max(edge - width, 0)]], work[order] = True, False
+            work[order[max(edge - width, 0) : edge + width]] = True
+        if seeds:
+            rhs, seeds = b_ub, []
+            continue
+        wrong = np.flatnonzero(~work & np.where(up, reduced > EPS, reduced < -EPS))
+        if not wrong.size:
+            break
+        wrong = wrong[np.argsort(-np.abs(reduced[wrong]), kind="stable")[:FLUID_SIFT_WIDTH]]
+        clear = np.abs(reduced[wrong[0]])
+        leave = work & np.isfinite(upper) & (((x == upper) & (reduced < -clear)) | ((x == 0.0) & (reduced > clear)))
+        up |= leave & (x == upper)
+        work[leave], work[wrong], up[wrong] = False, True, False
+    else:
+        raise InvariantError(f"fluid LP: no convergence in {FLUID_MAX_SOLVES} restricted solves")
     names = {i: "fluid LP" if len(insts) == 1 else f"fluid LP (member {i + 1})" for i in blocks}
-    _certify_optimal(res, cost, a_ub, b_ub, bounds, list(names.values()), row_starts, col_starts)
+    _certify_optimal(cost, a_ub, b_ub, bounds, x, lam, list(names.values()), row_starts, col_starts)
 
-    for (i, (*_, upper, type_of)), start, level in zip(blocks.items(), col_starts, levels):
-        inst, mult = insts[i], upper[:-1]
-        value = float(res.x[level])
-        x = (np.clip(res.x[start:level], 0.0, mult) / mult)[type_of]
-        sol = FractionalSolution(capacity_safe(x, inst.capacity), inst.round_ptr)
+    for (i, (*_, bound, type_of)), start, level in zip(blocks.items(), col_starts, levels):
+        inst, mult = insts[i], bound[:-1]
+        value = float(x[level])
+        x_inst = (np.clip(x[start:level], 0.0, mult) / mult)[type_of]
+        sol = FractionalSolution(capacity_safe(x_inst, inst.capacity), inst.round_ptr)
         lu, _ = least_utility(inst, sol)
         if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
             raise InvariantError(f"{names[i]} solution failed re-validation")

@@ -28,9 +28,6 @@ from .errors import ContractError, DegenerateError, InvariantError, SchemaError,
 #: orders of magnitude below this at desk scale.
 EPS = 1e-9
 
-#: Desk-scale cap on total candidate count accepted by the LP-backed solvers.
-MAX_CANDIDATES = 50_000
-
 
 @dataclass(frozen=True)
 class AttributeVector:

@@ -291,3 +291,31 @@ def sparse_int_value(inst, tau):
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs-ipm")
     assert res.status == 0, res.message
     return float(res.x[-1])
+
+
+def type_fluid_lp(inst):
+    """Test-only oracle: the fluid LP over the instance's distinct types as
+    one HiGHS call with every type column,
+    max t  s.t.  sum_T X_T <= K,  t <= c_k sum_{T with k} X_T,  0 <= X_T <= mult_T.
+    Returns the optimum and x per candidate, X_T / mult_T of its type."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    from divsel.benchmark import _candidate_types
+
+    first, mult, type_of = _candidate_types(inst)
+    n_types, d, c = len(first), inst.d, np.asarray(inst.c)
+    lens = inst.cand_lens[first]
+    bits = np.concatenate([inst.bits[inst.cand_ptr[j] : inst.cand_ptr[j + 1]] for j in first.tolist()])
+    row_idx = np.concatenate([np.zeros(n_types, dtype=np.intp), 1 + bits, 1 + np.arange(d)])
+    col_idx = np.concatenate([np.arange(n_types), np.repeat(np.arange(n_types), lens), np.full(d, n_types)])
+    vals = np.concatenate([np.ones(n_types), -c[bits], np.ones(d)])
+    a_ub = csr_matrix((vals, (row_idx, col_idx)), shape=(1 + d, n_types + 1))
+    b_ub = np.zeros(1 + d)
+    b_ub[0] = float(inst.capacity)
+    cost = np.zeros(n_types + 1)
+    cost[-1] = -1.0
+    bounds = np.column_stack([np.zeros(n_types + 1), np.append(mult, np.inf)])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.x[-1]), (np.clip(res.x[:-1], 0.0, mult) / mult)[type_of]

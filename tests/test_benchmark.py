@@ -32,6 +32,7 @@ from conftest import (
     ref_int_objective,
     sparse_int_value,
     tiny_grid_instances,
+    type_fluid_lp,
 )
 
 
@@ -234,6 +235,16 @@ class TestFluidTypeAggregation:
         with pytest.raises(InvariantError, match="wrong sign"):
             solve_fluid(inst)
 
+    def test_certificate_rejects_duals_off_the_simplex(self, monkeypatch):
+        # Halved level duals price the level t at -1/2: a multiplier on its
+        # infinite upper bound.
+        def halve(res):
+            res.ineqlin.marginals = res.ineqlin.marginals / 2
+
+        perturbing_linprog(monkeypatch, halve)
+        with pytest.raises(InvariantError, match="infinite bound"):
+            solve_fluid(repetitive_random(2))
+
 
 class TestSolveFluids:
     @staticmethod
@@ -330,14 +341,144 @@ class TestSolveFluids:
         assert [lp.status for lp in lps] == ["infeasible", "optimal", "infeasible"]
         assert lps[0].solution is None and lps[1].degenerate_zero
 
-    def test_size_cap_is_per_member(self):
+    def test_size_cap_is_per_member(self, monkeypatch):
         def one_type(n_cands):
             return Instance.from_bit_lists(1, (1.0,), 1, [[[0]] * n_cands])
 
-        # Together past the 50,000-candidate cap, each member within it.
-        assert [lp.value for lp in solve_fluids([one_type(30_000)] * 2)] == [1.0, 1.0]
-        with pytest.raises(SizeError):
-            solve_fluids([repetitive_random(0), one_type(50_001)])
+        # No fixed candidate cap: a member past the former 50,000 solves.
+        assert [lp.value for lp in solve_fluids([one_type(30_000)] * 2 + [one_type(50_001)])] == [1.0] * 3
+        # The memory check is per member and runs before its type keys exist.
+        need = 16 * 50_001 + 24 * 50_001  # one key word per candidate, one attribute each
+        monkeypatch.setattr(benchmark, "physical_memory", lambda: need)
+        assert solve_fluid(one_type(50_001)).value == 1.0
+        keyed, real = [], benchmark._candidate_types
+        monkeypatch.setattr(benchmark, "physical_memory", lambda: need - 1)
+        monkeypatch.setattr(benchmark, "_candidate_types", lambda inst: keyed.append(inst.total_candidates) or real(inst))
+        with pytest.raises(SizeError, match="fluid LP needs"):
+            solve_fluids([one_type(30_000), one_type(50_001)])
+        assert keyed == [30_000]
+
+
+def sifted_instance():
+    """3,166 types, more than 2 ``FLUID_SIFT_WIDTH``: its fluid LP is sifted."""
+    return gen_random(d=32, n=200, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=3)
+
+
+def slack_instance():
+    """``sifted_instance`` with dimension 0 added to every candidate, c_0 = 1
+    and the other c_k raised past 10, and K = the candidate count: the
+    capacity does not bind, dimension 0 is the bottleneck, and since every
+    type serves it, x* = 1 is the unique optimum."""
+    inst = sifted_instance()
+    rounds = [[sorted({0, *cand}) for cand in rnd.bit_lists()] for rnd in inst.rounds]
+    return Instance.from_bit_lists(inst.d, (1.0, *(10.0 + ck for ck in inst.c[1:])), inst.total_candidates, rounds)
+
+
+def few_types_instance():
+    """``sifted_instance`` with dimension 31 served only by three types of 100
+    copies each, none of them in the seed LP's sample of every 10th type."""
+    inst = sifted_instance()
+    rounds = [[[k for k in cand if k != 31] for cand in rnd.bit_lists()] for rnd in inst.rounds]
+    for i in range(3):
+        rounds[60 * i + 3] += [[3 * i, 31]] * 100
+    return Instance.from_bit_lists(inst.d, inst.c, inst.capacity, rounds, inst.per_round_capacity)
+
+
+class TestFluidSifting:
+    @pytest.mark.parametrize(
+        "build, unique",
+        [
+            (lambda: gen_random(d=32, n=1000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1), True),
+            (lambda: gen_random(d=32, n=1000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=2), True),
+            (slack_instance, True),
+            (few_types_instance, False),
+            (lambda: gen_random(d=32, n=200, a=4, density=0.2, min_arrivals=1, c_max=1.0, seed=4), True),  # all c_k = 1
+            (lambda: gen_random(d=64, n=400, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=5), True),
+        ],
+        ids=["random-verify-1", "random-verify-2", "slack-capacity", "few-types", "tied-c", "d64"],
+    )
+    def test_matches_the_full_type_lp(self, monkeypatch, build, unique):
+        """The sifted value equals the full LP's, after a seed and at most 4
+        restricted solves, and so does x* where the optimum is a single
+        vertex.  The few-types optimum is not: its three types split
+        dimension 31's mass freely (two optimal vertices found differ by 0.46
+        in x), so there x* is checked to reach the optimum."""
+        inst = build()
+        assert len(benchmark._candidate_types(inst)[0]) > 2 * benchmark.FLUID_SIFT_WIDTH
+        value, x = type_fluid_lp(inst)
+        solves = []
+        perturbing_linprog(monkeypatch, solves.append)
+        lp = solve_fluid(inst)
+        assert_rel_close(lp.value, value, rel=1e-12)
+        assert len(solves) <= 5
+        if unique:
+            np.testing.assert_allclose(lp.solution.flat(), x, rtol=0.0, atol=1e-9)
+        assert least_utility(inst, lp.solution)[0] >= value * (1.0 - 1e-12)
+
+    def test_certificate_rejects_understated_optimum(self, monkeypatch):
+        perturbing_linprog(monkeypatch, understate_optimum)
+        with pytest.raises(InvariantError, match="duality gap"):
+            solve_fluid(sifted_instance())
+
+    def test_certificate_rejects_wrong_sign_duals(self, monkeypatch):
+        perturbing_linprog(monkeypatch, flip_row_duals)
+        with pytest.raises(InvariantError, match="wrong sign"):
+            solve_fluid(sifted_instance())
+
+    def test_sifted_block_shares_a_batch(self, monkeypatch):
+        batch = [repetitive_random(0), sifted_instance(), gen_fcs(8)[0]]
+        want = [solve_fluid(inst) for inst in batch]
+        monkeypatch.setattr(benchmark, "FLUID_BATCH_SIZE", 10**9)
+        for got, one in zip(solve_fluids(batch), want):
+            assert_rel_close(got.value, one.value, rel=1e-12)
+            np.testing.assert_allclose(got.solution.flat(), one.solution.flat(), rtol=0.0, atol=1e-9)
+
+    @staticmethod
+    def seeded_with(monkeypatch, level_duals):
+        """Replace the seed LP's level duals by ``level_duals``, keeping its
+        capacity dual; return the list of every solve's result."""
+        solves = []
+
+        def reseed(res):
+            if not solves:
+                res.ineqlin.marginals[1:] = -np.asarray(level_duals, dtype=float)
+            solves.append(res)
+
+        perturbing_linprog(monkeypatch, reseed)
+        return solves
+
+    def test_bad_seed_still_converges(self, monkeypatch):
+        inst = sifted_instance()
+        value, x = type_fluid_lp(inst)
+        for k in (0, inst.d - 1):
+            solves = self.seeded_with(monkeypatch, np.eye(inst.d)[k])
+            assert_rel_close(solve_fluid(inst).value, value, rel=1e-12)
+            assert len(solves) > 2  # the one-hot seed cost extra rounds
+
+    def test_seed_without_a_capacity_edge_starts_whole(self, monkeypatch):
+        """A seed LP whose capacity dual is 0 (its sample is bound by some
+        dimension, not by the capacity) places no edge: the next solve has
+        every column, and it is the last."""
+        inst = sifted_instance()
+        sizes = []
+
+        def uncapacitated(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            if not sizes:
+                res.ineqlin.marginals[0] = 0.0
+            sizes.append(kwargs["A_ub"].shape[1])
+            return res
+
+        monkeypatch.setattr(benchmark, "linprog", uncapacitated)
+        assert_rel_close(solve_fluid(inst).value, type_fluid_lp(inst)[0], rel=1e-12)
+        assert sizes[1:] == [len(benchmark._candidate_types(inst)[0]) + 1]
+
+    def test_round_cap_raises(self, monkeypatch):
+        solves = self.seeded_with(monkeypatch, np.eye(sifted_instance().d)[0])
+        monkeypatch.setattr(benchmark, "FLUID_MAX_SOLVES", 2)
+        with pytest.raises(InvariantError, match="no convergence in 2 restricted solves"):
+            solve_fluid(sifted_instance())
+        assert len(solves) == 2
 
 
 class TestOptBounds:
