@@ -187,8 +187,9 @@ def solve_fluids(insts: Sequence[Instance]) -> list[LPResult]:
 
     Candidates of one type are interchangeable, so an instance's LP runs over
     its distinct types with the type's mass bounded by its multiplicity; x*
-    spreads each type's mass evenly over its copies and is then made
-    capacity-safe for the rounder (``rounding.capacity_safe``).
+    spreads each type's mass evenly over its copies, after the per-type
+    values are made capacity-safe for the rounder, each counted once per
+    copy (``rounding.capacity_safe``).
 
     Each instance is screened (memory, zero optimum) and the rest are packed,
     in order, into batches of at most ``FLUID_BATCH_SIZE`` rows plus columns
@@ -294,8 +295,8 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
     for (i, (*_, bound, type_of)), start, level in zip(blocks.items(), col_starts, levels):
         inst, mult = insts[i], bound[:-1]
         value = float(x[level])
-        x_inst = (np.clip(x[start:level], 0.0, mult) / mult)[type_of]
-        sol = FractionalSolution(capacity_safe(x_inst, inst.capacity), inst.round_ptr)
+        per_type = capacity_safe(np.clip(x[start:level], 0.0, mult) / mult, inst.capacity, mult)
+        sol = FractionalSolution(per_type[type_of], inst.round_ptr)
         lu, _ = least_utility(inst, sol)
         if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
             raise InvariantError(f"{names[i]} solution failed re-validation")

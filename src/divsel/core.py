@@ -285,7 +285,9 @@ class Instance:
         """Validate the fields and store them, the arrays read-only."""
         round_ptr = np.asarray(round_ptr, dtype=np.int64)
         cand_ptr = np.asarray(cand_ptr, dtype=np.int64)
-        bits = np.asarray(bits, dtype=np.int64)
+        bits = np.asarray(bits)
+        if bits.dtype.kind not in "iu":
+            bits = bits.astype(np.int64)
         if not (
             round_ptr.ndim == cand_ptr.ndim == bits.ndim == 1
             and round_ptr.size >= 1 and round_ptr[0] == 0 and round_ptr[-1] == cand_ptr.size - 1
@@ -298,7 +300,7 @@ class Instance:
         within = np.ones(max(bits.size - 1, 0), dtype=bool)
         starts = cand_ptr[(cand_ptr > 0) & (cand_ptr < bits.size)]
         within[starts - 1] = False
-        if (np.diff(bits)[within] <= 0).any():
+        if ((bits[1:] <= bits[:-1]) & within).any():
             raise InvariantError("bits must be strictly increasing")
         if bits.size and bits.min() < 0:
             raise InvariantError("bits must be nonnegative")

@@ -297,7 +297,7 @@ def marginal_exactness_verdict(
     inst: Instance, sol: FractionalSolution, label: str = ""
 ) -> list[VerificationVerdict]:
     """Prop2-marginals and Prop2-capacity from one exact sweep: the measure
-    of the float offsets at which the rounder picks each candidate against
+    of the offsets at which the rounder picks each candidate against
     its fraction, and the most candidates it picks at any offset."""
     x_flat = sol.flat()
     segments = pick_segments(x_flat)

@@ -1,13 +1,13 @@
 """Online dependent rounding: one random offset, hard capacity, exact marginals.
 
 A rounder draws a single offset ``pos`` uniformly from [0, 1) and lays the
-incoming fractions end to end on a line.  Candidate j, occupying the interval
-[s_j, s_{j+1}) between consecutive values of a compensated running sum, is
-selected iff the interval contains a point l + pos for some integer l >= 0.
-Selections are irrevocable and the realized count never exceeds ceil(sum of
-x).  Over the draw of pos, candidate j is picked with probability x_j up to
-the rounding of the line boundaries s_j and s_{j+1}: ``pick_segments`` finds
-the exact float offsets that pick it, and ``Prop2-marginals`` measures them.
+incoming fractions end to end on a line holding the points l + pos, l >= 0
+(systematic sampling).  After candidate j the line's boundary is B_j =
+floor(2^53 S_j) ticks of 2^-53, where S_j is the exact sum of the clipped
+fractions so far, and j is selected iff [B_{j-1}, B_j) holds a point.  So
+every offset selects floor or ceil of the exact sum of x, j is picked on
+offsets of measure (B_j - B_{j-1}) / 2^53, within 2^-53 of x_j, and its pick
+changes only at (B_{j-1} mod 2^53) / 2^53 and (B_j mod 2^53) / 2^53.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -22,30 +23,18 @@ import numpy as np
 from .core import EPS, FractionalSolution, Instance
 from .errors import DomainError, FeasibilityError, InvariantError
 
+#: Ticks of the line per unit: boundaries are multiples of 2^-53, so every
+#: offset at which a pick changes is a float.
+_BITS = 53
+_MASK = (1 << _BITS) - 1
+#: Every float is a whole multiple of 2^-1074; exact sums are kept in that unit.
+_FINE = 1074
 
-class _KahanSum:
-    """Compensated running sum whose ``value`` never steps back.
 
-    Marginal exactness is this module's contract, so the sum is compensated;
-    the hard capacity needs candidates' intervals not to overlap, so
-    ``value`` holds the largest sum so far (Kahan's correction can move the
-    sum down by an ulp).
-    """
-
-    __slots__ = ("value", "_sum", "_comp")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._sum = 0.0
-        self._comp = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-        if t > self.value:
-            self.value = t
+def _exact(x: float) -> int:
+    """x in units of 2^-1074, exactly."""
+    num, den = x.as_integer_ratio()
+    return num << (_FINE + 1 - den.bit_length())
 
 
 @dataclass
@@ -54,7 +43,8 @@ class RounderState:
 
     pos: float
     selected: list = field(default_factory=list)
-    _acc: _KahanSum = field(default_factory=_KahanSum, repr=False)
+    _total: int = field(default=0, repr=False)  # exact sum so far, in units of 2^-1074
+    _below: int = field(default=0, repr=False)  # points l + pos below the line's end
     _round_index: int = 0
 
 
@@ -71,15 +61,6 @@ def rounder_at(pos: float) -> RounderState:
     return RounderState(pos=pos)
 
 
-def _covers_point(start: float, end: float, pos: float) -> bool:
-    # Is there an integer l >= 0 with l + pos in [start, end)?  A candidate's
-    # end is the next one's start and ends never decrease, so the picks
-    # telescope to at most ceil(total - pos).  (Testing l + pos < start + x
-    # instead lets two candidates claim the same point when the next start
-    # lies an ulp below fl(start + x).)
-    return math.ceil(end - pos) > math.ceil(start - pos)
-
-
 def process_round(state: RounderState, x_i: list[float]) -> list[int]:
     """Process one round of fractions; returns selected positions within it.
     A fraction of 0 owns no part of the line and is never selected."""
@@ -87,15 +68,24 @@ def process_round(state: RounderState, x_i: list[float]) -> list[int]:
         if xj < -EPS or xj > 1.0 + EPS:
             raise DomainError(f"fraction {xj!r} outside [0,1]")
     picked = []
-    acc = state._acc
+    # The points below a boundary of b ticks number (b >> 53) + (b mod 2^53 >
+    # 2^53 pos); the product is exact and so is Python's int-float comparison.
+    ticks_pos = state.pos * (1 << _BITS)
+    total, below = state._total, state._below
+    # _exact and the constants, inlined: this loop runs once per candidate.
+    fine, drop, bits, mask = _FINE + 1, _FINE - _BITS, _BITS, _MASK
     for j, xj in enumerate(x_i):
         if xj <= 0.0:
             continue
-        start = acc.value
-        acc.add(min(xj, 1.0))
-        if _covers_point(start, acc.value, state.pos):
+        num, den = (xj if xj < 1.0 else 1.0).as_integer_ratio()
+        total += num << (fine - den.bit_length())
+        end = total >> drop
+        now = (end >> bits) + ((end & mask) > ticks_pos)
+        if now > below:
             picked.append(j)
             state.selected.append((state._round_index, j))
+        below = now
+    state._total, state._below = total, below
     state._round_index += 1
     return picked
 
@@ -103,10 +93,9 @@ def process_round(state: RounderState, x_i: list[float]) -> list[int]:
 def select_offline(inst: Instance, sol: FractionalSolution, seed: int) -> list[tuple[int, int]]:
     """Feed all rounds through one rounder; returns (round, position) pairs.
 
-    A solution may exceed K by up to the feasibility tolerance, and then the
-    rounder's final line boundary can pass K; the row is first made
-    capacity-safe (``capacity_safe``), so no offset picks more than K.
-    """
+    A solution may exceed K by up to the feasibility tolerance, and then an
+    offset could pick K + 1 candidates, so the row is first made
+    capacity-safe (``capacity_safe``)."""
     total = sol.total()
     if total > inst.capacity + EPS:
         raise FeasibilityError(f"sum(x)={total!r} exceeds K={inst.capacity}")
@@ -125,190 +114,107 @@ def selection_count(x_flat: list[float], pos: float) -> int:
     return len(state.selected)
 
 
-def _running_sums(positive: list[float]) -> tuple[list[float], list[float]]:
-    """The rounder's compensated running sum over the positive fractions, in
-    order: its total and correction before the first and after each one."""
-    totals, comps = [0.0], [0.0]
-    total = comp = 0.0
-    for xj in positive:
-        # _KahanSum.add, inlined: this loop runs once per candidate.
-        y = xj - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        totals.append(t)
-        comps.append(comp)
-    return totals, comps
-
-
-def accumulator_path(x_flat: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped fractions and the rounder's line boundaries: candidate j owns
-    [path[j], path[j+1]) (length N + 1, nondecreasing), from the rounder's
-    own additions."""
-    x = np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0)
-    live = x > 0.0
-    totals, _ = _running_sums(x[live].tolist())
-    # The boundary is the largest total so far; a zero fraction leaves it.
-    tops = np.maximum.accumulate(totals)
-    return x, tops[np.concatenate([[0], np.cumsum(live)])]
-
-
-def capacity_safe(x: np.ndarray, capacity: int) -> np.ndarray:
-    """``x`` with trailing positive entries lowered until the rounder's final
-    line boundary is at most K, so no offset can pick more than K candidates
-    (the picks telescope to at most the ceiling of that boundary).  An exact
-    sum clearly below K, with room for the rounding of a running sum, skips
-    the replay.
-
-    The running sum is replayed once.  An entry is lowered only once every
-    later entry is 0, so the final boundary then follows from the sum's state
-    before that entry in one step, and the fit stays linear in len(x).
+def capacity_safe(x: np.ndarray, capacity: int, counts: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x`` with trailing positive entries lowered until its exact sum, entry
+    j counted ``counts[j]`` times (once by default), is at most K.  The
+    rounder picks at most the ceiling of that sum, so then no offset picks
+    more than K candidates.  A row already within K is returned as it is.
     """
-    if math.fsum(x.tolist()) <= capacity * (1.0 - 1e-12):
+    counts = np.ones(len(x), dtype=np.int64) if counts is None else np.asarray(counts).astype(np.int64)
+    clipped = np.clip(x, 0.0, 1.0)  # as the rounder reads them
+    # fsum is correctly rounded, so the sign of the excess is exact.
+    if math.fsum([*np.repeat(clipped, counts).tolist(), -capacity]) <= 0.0:
         return x
-    live = np.flatnonzero(x > 0.0).tolist()
-    totals, comps = _running_sums(np.minimum(x[live], 1.0).tolist())
-    tops = np.maximum.accumulate(totals).tolist()
-    if tops[-1] <= capacity:
-        return x
+    values, weights = clipped.tolist(), counts.tolist()
+    excess = Fraction(sum(w * _exact(v) for v, w in zip(values, weights)), 1 << _FINE) - capacity
     x = x.copy()
-
-    def excess(r: int, j: int) -> float:
-        # Final boundary minus K while x[j + 1:] is all 0; r positive entries
-        # come before entry j.
-        xj = min(float(x[j]), 1.0)
-        return (tops[r] if xj <= 0.0 else max(tops[r], totals[r] + (xj - comps[r]))) - capacity
-
-    for r, j in reversed(list(enumerate(live))):
-        step = excess(r, j)
-        while step > 0.0 and x[j] > 0.0:
-            x[j] = max(0.0, x[j] - step)
-            step = 2.0 * step if excess(r, j) > 0.0 else 0.0
-        if step <= 0.0:
-            break
+    for j in reversed(np.flatnonzero(x > 0.0).tolist()):
+        mass = weights[j] * Fraction(values[j])
+        if mass <= excess:
+            x[j] = 0.0
+            excess -= mass
+            continue
+        # The largest float at most the exact remainder.
+        rest = Fraction(values[j]) - excess / weights[j]
+        low = float(rest)
+        x[j] = low if Fraction(low) <= rest else math.nextafter(low, 0.0)
+        break
     return x
-
-
-#: Bit pattern of 1.0; nonnegative doubles order like their bit patterns, so
-#: [0, _ONE_BITS) enumerates every float offset in [0, 1) in order.
-_ONE_BITS = int(np.float64(1.0).view(np.int64))
-
-
-def _first_offset_at_most(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """For each (v, level): the smallest float pos in [0, 1) with
-    ceil(v - pos) <= level, or 1.0 when there is none.
-
-    fl(v - pos) never increases as pos grows, so the predicate flips at most
-    once; a bisection over bit patterns finds the exact float in at most 62
-    halvings, for all entries at once.
-    """
-    lo = np.zeros(values.shape, dtype=np.int64)
-    hi = np.full(values.shape, _ONE_BITS, dtype=np.int64)
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        hit = np.ceil(values - mid.view(np.float64)) <= levels
-        hi = np.where(hit, mid, hi)
-        lo = np.where(hit, lo, np.minimum(mid + 1, hi))
-    return lo.view(np.float64)
-
-
-def _drop_offsets(path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where ceil(v - pos) falls as pos sweeps [0, 1), for every accumulator
-    value v: the offsets of its first and second unit drop (1.0 when absent).
-    v - pos spans less than one unit, so even with rounding it drops at most
-    twice."""
-    top = np.ceil(path)
-    bottom = np.ceil(path - np.nextafter(1.0, 0.0))
-    drops = []
-    for step in (1, 2):
-        at = np.ones_like(path)
-        has = top - bottom >= step
-        at[has] = _first_offset_at_most(path[has], top[has] - step)
-        drops.append(at)
-    return drops[0], drops[1]
 
 
 @dataclass(frozen=True)
 class PickSegments:
-    """Where the rounder picks each candidate, over every float offset.
+    """Where the rounder picks each candidate, over every offset in [0, 1).
 
-    Row i is candidate ``live[i]``, one of those with x_j > 0.  Its four
-    cuts (1.0 where absent) split [0, 1) into five pieces; ``starts[i]`` holds
-    their left ends (0.0, then the sorted cuts), and ``picked[i, p]`` is
-    whether the rounder picks the candidate at every offset in piece p.  An
-    offset equal to a cut lies in the piece that the cut starts.
+    Row i is candidate ``live[i]``, one of those with x_j > 0; it owns the
+    line between boundaries i and i + 1.  Boundary i lies ``units[i]`` whole
+    units plus ``ticks[i]`` ticks of 2^-53 along the line; at offset pos the
+    points below it number units[i] + (ticks[i] > 2^53 pos).  So row i is
+    picked at pos iff units[i+1] - units[i] + [pos < e] - [pos < s] > 0,
+    with s = ticks[i] / 2^53 and e = ticks[i + 1] / 2^53.
     """
 
     x: np.ndarray  # clipped fractions, one per candidate
     live: np.ndarray
-    starts: np.ndarray
-    picked: np.ndarray
+    units: np.ndarray  # len(live) + 1 boundaries
+    ticks: np.ndarray
 
     def measures(self) -> np.ndarray:
         """Per candidate: the measure of the offsets at which it is picked."""
-        ends = np.concatenate([self.starts[:, 1:], np.ones((len(self.live), 1))], axis=1)
         out = np.zeros(len(self.x))
-        out[self.live] = ((ends - self.starts) * self.picked).sum(axis=1)
+        out[self.live] = ((np.diff(self.units) << _BITS) + np.diff(self.ticks)) / 2.0**_BITS
         return out
 
     def changes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every change of a pick as pos sweeps [0, 1): (candidate, offset,
         +1 or -1).  A candidate picked at pos = 0 changes there."""
-        before = np.concatenate([np.zeros((len(self.live), 1), dtype=bool), self.picked[:, :-1]], axis=1)
-        row, piece = np.nonzero((self.picked != before) & (self.starts < 1.0))
-        return self.live[row], self.starts[row, piece], np.where(self.picked[row, piece], 1, -1)
+        start, end = self.ticks[:-1], self.ticks[1:]
+        at_zero = np.diff(self.units) + (end > 0) - (start > 0) > 0
+        moves = start != end  # otherwise the pick never changes past 0
+        rows = [np.flatnonzero(at_zero), np.flatnonzero(moves & (end > 0)), np.flatnonzero(moves & (start > 0))]
+        at = [np.zeros(len(rows[0])), end[rows[1]] / 2.0**_BITS, start[rows[2]] / 2.0**_BITS]
+        delta = [np.full(len(r), sign) for r, sign in zip(rows, (1, -1, 1))]
+        return self.live[np.concatenate(rows)], np.concatenate(at), np.concatenate(delta)
 
 
 def pick_segments(x_flat: list[float]) -> PickSegments:
-    """The rounder's picks of every candidate at every float offset in [0, 1).
-
-    Candidate j is picked iff ceil(s_{j+1} - pos) > ceil(s_j - pos), two
-    float expressions that never increase with pos: each starts at ceil(v)
-    and falls by one at each drop of v - pos.  So j's pick changes only at
-    the drops of its two boundaries, which are found exactly; between them
-    it is constant.
-    """
-    x, path = accumulator_path(x_flat)
-    first, second = _drop_offsets(path)
-    top = np.ceil(path)
+    """The rounder's picks of every candidate at every offset in [0, 1),
+    from the exact boundaries of its line."""
+    x = np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0)
     live = np.flatnonzero(x > 0.0)
-    # Per candidate: the drops of its end (minus) and start (plus).
-    drops = np.stack([first[live + 1], second[live + 1], first[live], second[live]], axis=1)
-    signs = np.array([-1.0, -1.0, 1.0, 1.0])
-    # No drop happens at pos = 0 (ceil(v - 0) = ceil(v)).  On each piece,
-    # every drop at or below its left end has happened.
-    starts = np.concatenate([np.zeros((len(live), 1)), np.sort(drops, axis=1)], axis=1)
-    margin = top[live + 1] - top[live]
-    picked = margin[:, None] + ((starts[:, :, None] >= drops[:, None, :]) * signs).sum(axis=2) > 0
-    return PickSegments(x, live, starts, picked)
+    total, units, ticks = 0, [0], [0]
+    for xj in x[live].tolist():
+        total += _exact(xj)
+        end = total >> (_FINE - _BITS)
+        units.append(end >> _BITS)
+        ticks.append(end & _MASK)
+    return PickSegments(x, live, np.array(units, dtype=np.int64), np.array(ticks, dtype=np.int64))
 
 
-def capacity_sweep(
-    x_flat: list[float], segments: Optional[PickSegments] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact selection count of the rounder at every float offset.
+def capacity_sweep(x_flat: list[float], segments: Optional[PickSegments] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact selection count of the rounder at every offset.
 
     Returns sorted segment left ends ``offsets`` (the first is 0.0) and
     ``counts``: the rounder picks exactly ``counts[i]`` candidates at every
     pos in [offsets[i], offsets[i+1]) (the last segment ends at 1.0).  The
-    counts are running sums of the candidates' pick changes.  ``segments``
-    is ``pick_segments(x_flat)`` when the caller already has it.
+    picks telescope to the points below the line's end: ceil(B_N / 2^53)
+    before the offset (B_N mod 2^53) / 2^53 and floor(B_N / 2^53) from it
+    on, so there are at most two segments.  ``segments`` is
+    ``pick_segments(x_flat)`` when the caller already has it.
     """
     if segments is None:
         segments = pick_segments(x_flat)
-    _, at, delta = segments.changes()
-    offsets, inverse = np.unique(np.append(at, 0.0), return_inverse=True)
-    steps = np.bincount(inverse, weights=np.append(delta, 0), minlength=len(offsets))
-    return offsets, np.cumsum(steps).astype(np.int64)
+    units, ticks = int(segments.units[-1]), int(segments.ticks[-1])
+    offsets, counts = np.array([0.0, ticks / 2.0**_BITS]), np.array([units + 1, units], dtype=np.int64)
+    return (offsets, counts) if ticks else (offsets[:1], counts[1:])
 
 
 def max_selection_count(x_flat: list[float], segments: Optional[PickSegments] = None) -> tuple[int, float]:
     """The largest number of candidates the rounder picks at any offset, and
-    the smallest offset that realizes it, checked by replaying the rounder."""
-    offsets, counts = capacity_sweep(x_flat, segments)
-    best = int(np.argmax(counts))
-    count, pos = int(counts[best]), float(offsets[best])
-    replay = selection_count(x_flat, pos)
+    the smallest offset that realizes it (pos = 0), checked by replaying the
+    rounder."""
+    count = int(capacity_sweep(x_flat, segments)[1][0])
+    replay = selection_count(x_flat, 0.0)
     if replay != count:
-        raise InvariantError(f"capacity sweep reads {count} at pos={pos!r}, the rounder picks {replay}")
-    return count, pos
+        raise InvariantError(f"capacity sweep reads {count} at pos=0.0, the rounder picks {replay}")
+    return count, 0.0

@@ -1,11 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from divsel.core import AttributeVector, Instance, Round
 from divsel.errors import DimensionError
-from divsel.rounding import accumulator_path
 from divsel.unknown_policy import fill_value
 
 
@@ -160,18 +161,63 @@ def tiny_instance():
     return make_instance(2, [[(0,), (1,)]], capacity=2)
 
 
+def exact_total(x_flat):
+    """Test-only oracle: the exact sum of the fractions clipped to [0, 1]."""
+    return sum(map(Fraction, np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0).tolist()), Fraction(0))
+
+
+def line_boundaries(x_flat):
+    """Test-only exact model of the rounder's line: the clipped fractions and
+    the boundary before the first candidate and after each one, the exact
+    prefix sum of the clipped fractions rounded down to a multiple of 2^-53,
+    in ``Fraction`` arithmetic."""
+    x = np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0).tolist()
+    total, bounds = Fraction(0), [Fraction(0)]
+    for xj in x:
+        if xj > 0.0:
+            total += Fraction(xj)
+            bounds.append(Fraction(math.floor(total * 2**53), 2**53))
+        else:
+            bounds.append(bounds[-1])
+    return x, bounds
+
+
+def points_below(bound, pos):
+    """The points l + pos (integers l >= 0) below ``bound``, at each offset of
+    ``pos``; the fractional part of a bound is a multiple of 2^-53, so its
+    float is exact."""
+    whole = math.floor(bound)
+    return whole + (float(bound - whole) > pos)
+
+
 def offset_selections(x_flat, pos):
     """Test-only oracle: the rounder's picks at many offsets at once,
-    ``(j, mask over pos)`` for every candidate with x_j > 0, by evaluating its
-    predicate ceil(s_{j+1} - pos) > ceil(s_j - pos) at every offset."""
-    x, path = accumulator_path(x_flat)
-    ends = path[1:].tolist()
-    prev = np.ceil(0.0 - pos)
-    for j, xj in enumerate(x.tolist()):
+    ``(j, mask over pos)`` for every candidate with x_j > 0: j is picked iff
+    the model line holds more points below its end than below its start."""
+    x, bounds = line_boundaries(x_flat)
+    prev = points_below(bounds[0], pos)
+    for j, xj in enumerate(x):
         if xj > 0.0:  # a zero fraction leaves the boundary where it is
-            cur = np.ceil(ends[j] - pos)
+            cur = points_below(bounds[j + 1], pos)
             yield j, cur > prev
             prev = cur
+
+
+def selection_intervals(x_flat):
+    """Idealized wrap-around model: candidate j owns the offsets in the wrap
+    of the model line's [b_j, b_{j+1}) into [0, 1), of Lebesgue measure
+    b_{j+1} - b_j.  Computed by exact interval arithmetic, independent of the
+    rounder's predicate."""
+    x, bounds = line_boundaries(x_flat)
+    out = []
+    for xj, start, end in zip(x, bounds, bounds[1:]):
+        if xj <= 0.0:
+            out.append([])
+            continue
+        lo = start - math.floor(start)
+        hi = lo + (end - start)
+        out.append([(lo, hi)] if hi <= 1 else [(lo, Fraction(1)), (Fraction(0), hi - 1)])
+    return out
 
 
 def ref_int_objective(inst, y_rows, z_rows, eps=1e-9):

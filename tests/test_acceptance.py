@@ -27,10 +27,10 @@ from divsel.harness import (
     thm2_factor,
     verify_instance,
 )
-from divsel.rounding import accumulator_path, capacity_sweep, pick_segments
+from divsel.rounding import capacity_sweep, pick_segments
 from divsel.unknown_policy import fill_value, water_fill
 
-from conftest import adjustment_lp, random_feasible_x, tiny_grid_instances
+from conftest import adjustment_lp, exact_total, random_feasible_x, tiny_grid_instances
 
 DIMS = (4, 8, 16, 27, 64)
 GRID_POINTS = 10_000
@@ -83,7 +83,7 @@ def fcs_pool():
 
 
 def test_criterion_1_rounding_exactness():
-    with criterion(1, "rounding exactness (measures = x_j to 1e-9; |A| <= K on pos grid)", 10):
+    with criterion(1, "rounding exactness (measures = x_j to 2^-53; |A| <= K on pos grid)", 10):
         checked = 0
         for i in range(50):
             d = 2 + (i * 7) % 15  # d in [2, 16]
@@ -95,19 +95,19 @@ def test_criterion_1_rounding_exactness():
             assert d <= 16 and inst.total_candidates <= 200
             sol = random_feasible_x(inst, seed=i)
             x_flat = [min(max(v, 0.0), 1.0) for v in sol.flat()]
-            # The measure of the float offsets at which the rounder picks j.
+            # The measure of the offsets at which the rounder picks j.
             measures = pick_segments(x_flat).measures()
             worst = max(abs(m - x) for m, x in zip(measures, x_flat))
-            assert worst <= 1e-9, f"instance {i}: worst marginal gap {worst}"
+            assert worst <= 2**-53, f"instance {i}: worst marginal gap {worst}"
             # The sweep's exact counts: at most K on the 10,000-point midpoint
-            # grid, and at most ceil(final boundary) at every offset.  (Some of
-            # these solutions sum to K plus an ulp, so K + 1 picks occur on a
-            # segment of width ~1e-15 at pos 0.)
+            # grid, and at most ceil(exact sum of x) at every offset.  (Some
+            # of these solutions sum to K plus an ulp, so K + 1 picks occur on
+            # a segment of width ~1e-15 at pos 0.)
             offsets, counts = capacity_sweep(sol.flat())
             grid = (np.arange(GRID_POINTS) + 0.5) / GRID_POINTS
             on_grid = counts[np.searchsorted(offsets, grid, side="right") - 1]
             assert on_grid.max() <= inst.capacity, f"instance {i}: capacity violated"
-            assert counts.max() <= math.ceil(accumulator_path(sol.flat())[1][-1]), f"instance {i}"
+            assert counts.max() <= math.ceil(exact_total(sol.flat())), f"instance {i}"
             checked += 1
         assert checked == 50
 

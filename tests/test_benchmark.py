@@ -21,12 +21,13 @@ from divsel.benchmark import (
 from divsel.core import FractionalSolution, Instance, core_mask, instance_stats, least_utility, marginals, round_counts
 from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
-from divsel.rounding import accumulator_path, capacity_safe, max_selection_count
+from divsel.rounding import capacity_safe, max_selection_count
 from divsel.unknown_policy import fill_value, run_unknown_policy, water_fill
 
 from conftest import (
     adjustment_lp,
     dfs_grid_oracle,
+    exact_total,
     make_instance,
     random_feasible_x,
     ref_int_objective,
@@ -139,7 +140,7 @@ class TestSolveFluid:
         inst = gen_random(d=16, n=300, a=3, density=0.3, min_arrivals=1, c_max=1.0, seed=4)
         lp = solve_fluid(inst)
         x = lp.solution.flat()
-        assert accumulator_path(x)[1][-1] <= inst.capacity
+        assert exact_total(x) <= inst.capacity
         assert max_selection_count(x)[0] == inst.capacity
         assert least_utility(inst, lp.solution)[0] >= lp.value - 1e-9
 
@@ -147,9 +148,9 @@ class TestSolveFluid:
         # Scaled to K, these fractions sum to K + 1 ulp.
         inst = gen_random(d=9, n=3, a=2, density=0.35, min_arrivals=1, c_max=2.0, seed=1001)
         x = np.array(random_feasible_x(inst, seed=1).flat())
-        assert accumulator_path(x.tolist())[1][-1] > inst.capacity
+        assert exact_total(x) > inst.capacity
         safe = capacity_safe(x, inst.capacity)
-        assert accumulator_path(safe.tolist())[1][-1] <= inst.capacity
+        assert exact_total(safe) <= inst.capacity
         changed = np.flatnonzero(safe != x)
         assert changed.size and np.all(x[changed.min() :] - safe[changed.min() :] <= 1e-14)
         assert np.all(x[changed.max() + 1 :] == 0.0)  # only zeros after the last change
@@ -269,7 +270,7 @@ class TestSolveFluids:
             for t in range(type_of.max(initial=-1) + 1):
                 assert np.ptp(x[type_of == t]) == 0.0  # one value per type
             np.testing.assert_allclose(x, x_one, rtol=0.0, atol=1e-9)
-            assert accumulator_path(x)[1][-1] <= inst.capacity
+            assert exact_total(x) <= inst.capacity
             assert least_utility(inst, lp.solution)[0] >= lp.value - 1e-9
         assert [lp.degenerate_zero for lp in lps[-2:]] == [True, True]
 

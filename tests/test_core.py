@@ -448,6 +448,22 @@ class TestArrayLayout:
         inst = Instance.from_arrays(2, (1.0, 1.0), 1, [0, 3], [0, 1, 1, 2], [1, 0])
         assert [list(cand.bits) for cand in inst.all_candidates()] == [[1], [], [0]]
 
+    def test_validation_does_not_widen_bits(self):
+        # The neighbour check compares int32 entries as they come: the
+        # instance's own int32 copy and a few bool arrays, no int64 copies.
+        import tracemalloc
+
+        d, per, m = 100, 100, 10_000
+        bits = np.tile(np.arange(per, dtype=np.int32), m)
+        cand_ptr = np.arange(m + 1, dtype=np.int64) * per
+        tracemalloc.start()
+        try:
+            Instance.from_arrays(d, [1.0] * d, m, [0, m], cand_ptr, bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * bits.nbytes
+
     def test_solution_is_one_array(self):
         sol = solution_from_rows([[0.25, 1.0], [], [0.5]])
         assert sol.values.tolist() == [0.25, 1.0, 0.5] and sol.round_ptr.tolist() == [0, 2, 2, 3]

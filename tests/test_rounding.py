@@ -14,7 +14,6 @@ from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
 from divsel import rounding
 from divsel.rounding import (
-    accumulator_path,
     capacity_safe,
     capacity_sweep,
     max_selection_count,
@@ -27,26 +26,16 @@ from divsel.rounding import (
 )
 from divsel.unknown_policy import variant_solution
 
-from conftest import make_instance, offset_selections, random_feasible_x
+from conftest import (
+    exact_total,
+    line_boundaries,
+    make_instance,
+    offset_selections,
+    random_feasible_x,
+    selection_intervals,
+)
 
 # Test-only oracles.
-
-
-def selection_intervals(x_flat):
-    """Idealized wrap-around model: candidate j, starting at s_j, owns the
-    offsets in the wrap of [s_j, s_j + x_j) into [0, 1); its Lebesgue measure
-    is exactly x_j.  Computed by direct interval arithmetic, independent of
-    the rounder's predicate."""
-    x, path = accumulator_path(x_flat)
-    out = []
-    for xj, start in zip(x.tolist(), path.tolist()):
-        if xj <= 0.0:
-            out.append([])
-            continue
-        lo = start - math.floor(start)
-        hi = lo + xj
-        out.append([(lo, hi)] if hi <= 1.0 else [(lo, 1.0), (0.0, hi - 1.0)])
-    return out
 
 
 def pos_selects(pieces, pos):
@@ -55,8 +44,11 @@ def pos_selects(pieces, pos):
 
 
 def count_bounds(x_flat):
-    """The only two counts any offset can realize: floor and ceil of sum(x)."""
-    total = math.fsum(min(max(x, 0.0), 1.0) for x in x_flat)
+    """The only two counts any offset can realize: floor and ceil of the
+    exact sum of the clipped fractions.  (``math.fsum`` rounds: for
+    [1.0, 1 - 2^-53] it returns 2.0, a tie rounded to even, although the
+    exact sum is below 2.)"""
+    total = exact_total(x_flat)
     return math.floor(total), math.ceil(total)
 
 
@@ -112,10 +104,8 @@ class TestProcessRound:
         rng = np.random.Generator(np.random.PCG64(7))
         hits = np.zeros(4)
         pos = rng.random(trials)
-        s = 0.0
-        for j in range(4):
-            hits[j] = np.mean(np.ceil(s - pos) < s + 0.5 - pos)
-            s += 0.5
+        for j, sel in offset_selections([0.5] * 4, pos):
+            hits[j] = sel.mean()
         assert np.all(np.abs(hits - 0.5) < 0.01)
 
     def test_domain_error(self):
@@ -132,6 +122,27 @@ class TestProcessRound:
             picked = set(process_round(state, xs))
             for j in range(len(xs)):
                 assert (j in picked) == pos_selects(pieces[j], pos), (j, pos)
+
+
+def assert_trim_contract(x, capacity, counts=None):
+    """``capacity_safe`` leaves an exact sum of at most K, lowers only a
+    trailing run of the positive entries (all but the first of them to 0),
+    lowers the first by no more than needed, and is idempotent."""
+    weights = np.ones(len(x), dtype=np.int64) if counts is None else counts
+    fitted = capacity_safe(x, capacity, counts)
+    assert exact_total(np.repeat(fitted, weights)) <= capacity
+    lowered = np.flatnonzero(fitted != x)
+    if exact_total(np.repeat(x, weights)) <= capacity:
+        assert fitted is x
+        return fitted
+    first = lowered[0]
+    assert np.array_equal(lowered, np.flatnonzero(x > 0.0)[np.flatnonzero(x > 0.0) >= first])
+    assert np.all(fitted[lowered] < x[lowered]) and np.all(fitted[lowered[1:]] == 0.0)
+    raised = fitted.copy()
+    raised[first] = np.nextafter(fitted[first], np.inf)
+    assert exact_total(np.repeat(raised, weights)) > capacity
+    assert capacity_safe(fitted, capacity, counts) is fitted
+    return fitted
 
 
 class TestSelectOffline:
@@ -178,32 +189,14 @@ class TestSelectOffline:
         for seed in range(50):
             assert len(select_offline(inst, sol, seed)) <= inst.capacity
 
-    @staticmethod
-    def replayed_fit(x, capacity):
-        """Reference fit: the whole running sum is replayed after every change."""
-        x = x.copy()
-        for j in np.flatnonzero(x > 0.0)[::-1].tolist():
-            step = accumulator_path(x.tolist())[1][-1] - capacity
-            while step > 0.0 and x[j] > 0.0:
-                x[j] = max(0.0, x[j] - step)
-                step = 2.0 * step if accumulator_path(x.tolist())[1][-1] > capacity else 0.0
-            if step <= 0.0:
-                break
-        return x
-
     @pytest.mark.parametrize("tiny", [600, 20_000])
     def test_many_tiny_trailing_entries(self, tiny):
         # Within the 1e-9 tolerance, the excess over K = 3 is carried by
-        # entries of 1.8e-13, so the fit zeroes hundreds of them one by one.
+        # entries of 1.8e-13, so the trim zeroes hundreds of them.
         x = np.array([0.5] * 6 + [1.8e-13] * tiny)
-        fitted = capacity_safe(x, 3)
-        assert accumulator_path(fitted.tolist())[1][-1] <= 3
+        fitted = assert_trim_contract(x, 3)
         assert capacity_sweep(fitted.tolist())[1].max() <= 3
-        lowered = np.flatnonzero(fitted != x)
-        assert len(lowered) > 0 and lowered[0] >= 6 and np.array_equal(lowered, np.arange(lowered[0], len(x)))
-        assert np.all(fitted[lowered] < x[lowered])
-        if tiny <= 600:
-            assert fitted.tobytes() == self.replayed_fit(x, 3).tobytes()
+        assert np.flatnonzero(fitted != x)[0] >= 6
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -211,27 +204,66 @@ class TestSelectOffline:
         st.integers(1, 6),
         st.sampled_from([0.0, 1e-16, 3e-16, 1e-12, 1e-10]),
     )
-    def test_fit_matches_a_full_replay_per_step(self, values, capacity, rel):
+    def test_trim_contract(self, values, capacity, rel):
         x = np.array(values)
         if x.sum() <= 0.0:
             return
         x = np.minimum(x * (capacity / x.sum()) * (1.0 + rel), 1.0)
-        assert capacity_safe(x, capacity).tobytes() == self.replayed_fit(x, capacity).tobytes()
+        fitted = assert_trim_contract(x, capacity)
+        assert max_selection_count(fitted.tolist())[0] <= capacity
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 50)), min_size=1, max_size=20),
+        st.integers(1, 30),
+    )
+    def test_trim_contract_weighted_by_multiplicity(self, pairs, capacity):
+        # solve_fluid trims one value per type, counted once per copy.
+        x = np.array([v for v, _ in pairs])
+        counts = np.array([m for _, m in pairs])
+        total = float((x * counts).sum())
+        if total > 0.0:
+            x = np.minimum(x * (capacity / total) * (1.0 + 1e-15), 1.0)
+        assert_trim_contract(x, capacity, counts)
+
+    def test_pitfall_row_is_whole_and_picks_one_everywhere(self):
+        # Flooring each entry to 2^-53 would lose the first and last entries
+        # and pick 0 at some offsets; the exact prefix sums total exactly 1.
+        x = np.array([2.0**-55, 1.0 - 2.0**-53, 3 * 2.0**-55] + [0.0] * 597)
+        assert exact_total(x) == 1
+        assert_trim_contract(x, 1)
+        offsets, counts = capacity_sweep(x.tolist())
+        assert offsets.tolist() == [0.0] and counts.tolist() == [1]
+        assert selection_count(x.tolist(), 0.0) == selection_count(x.tolist(), 1.0 - 2.0**-53) == 1
+        assert not assert_trim_contract(x, 0).any()
+
+    def test_entries_above_one_count_as_one(self):
+        # The rounder clips to [0, 1], so the trim reads the row as it does.
+        x = np.array([1.0 + 1e-10, 0.5, -1e-12, 0.5 + 1e-15])
+        fitted = capacity_safe(x, 2)
+        assert fitted[:3].tobytes() == x[:3].tobytes() and fitted[3] == 0.5
+        assert max_selection_count(fitted.tolist())[0] == 2
 
 
 class TestExactMarginals:
-    """The measure of the float offsets at which the rounder picks j."""
+    """The measure of the offsets at which the rounder picks j."""
 
     def test_measures_equal_fractions(self):
         rng = random.Random(11)
         xs = [rng.random() for _ in range(500)]
         for m, x in zip(pick_segments(xs).measures(), xs):
-            assert abs(m - x) <= 1e-9
+            assert abs(m - x) <= 2.0**-53
 
     def test_measures_with_boundary_values(self):
         xs = [0.0, 1.0, 0.25, 1.0, 0.75, 0.0, 0.5]
-        for m, x in zip(pick_segments(xs).measures(), xs):
-            assert abs(m - x) <= 1e-12
+        assert pick_segments(xs).measures().tolist() == xs
+
+    def test_measures_are_the_model_line_steps(self):
+        rng = random.Random(12)
+        xs = [rng.choice([0.0, 1.0, 1e-17, rng.random()]) for _ in range(300)]
+        _, bounds = line_boundaries(xs)
+        steps = [float(end - start) for start, end in zip(bounds, bounds[1:])]
+        assert pick_segments(xs).measures().tolist() == steps
 
     def test_zero_loss_identity(self):
         # min_k c_k E[phi_k(A)] computed from exact marginals equals LU(x).
@@ -257,10 +289,26 @@ class TestExactMarginals:
     ),
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
 )
+@example([1.0, 1.0], 1 - 2**-53)  # 2 picks; a float line dropped the second
+@example([0.8320912584801191, 1.0, 0.5], 0.8320912584801191)
+@example([1.0, 1 - 2**-53], 1 - 2**-53)  # 1 pick; the exact sum is below 2
 def test_hard_capacity_and_count_property(xs, pos):
     lo, hi = count_bounds(xs)
     count = selection_count(xs, pos)
     assert lo <= count <= hi
+
+
+@pytest.mark.parametrize(
+    "xs, pos, count",
+    [
+        ([1.0, 1.0], 1 - 2**-53, 2),
+        ([0.8320912584801191, 1.0, 0.5], 0.8320912584801191, 2),
+        ([1.0, 1 - 2**-53], 1 - 2**-53, 1),
+    ],
+)
+def test_float_line_counterexamples(xs, pos, count):
+    assert selection_count(xs, pos) == count
+    assert [j for j, sel in offset_selections(xs, pos) if sel] == process_round(rounder_at(pos), xs)
 
 
 def picks_row_by_row(sol, pos):
@@ -281,9 +329,12 @@ def segment_points(offsets):
 def assert_sweep_matches_rounder(x_flat):
     offsets, counts = capacity_sweep(x_flat)
     assert offsets[0] == 0.0 and np.all(np.diff(offsets) > 0) and offsets[-1] < 1.0
+    assert len(offsets) <= 2 and np.all(np.diff(counts) == -1)
     for lo, mid, count in zip(*segment_points(offsets), counts):
         assert selection_count(x_flat, float(lo)) == count, lo
         assert selection_count(x_flat, float(mid)) == count, mid
+    for cut, count in zip(offsets[1:], counts):
+        assert selection_count(x_flat, float(np.nextafter(cut, 0.0))) == count, cut
     return counts
 
 
@@ -309,7 +360,7 @@ class TestCapacitySweep:
         for inst, sol in itertools.chain(criterion_1_solutions(), family_optima((8, 27))):
             x_flat = sol.flat()
             counts = assert_sweep_matches_rounder(x_flat)
-            assert counts.max() <= math.ceil(accumulator_path(x_flat)[1][-1])
+            assert counts.max() <= math.ceil(exact_total(x_flat))
             pos, on_grid = grid_counts(x_flat, 10_000)
             assert np.array_equal(sweep_counts_at(x_flat, pos), on_grid)
 
@@ -342,19 +393,24 @@ class TestCapacitySweep:
 
 
 def assert_segments_match_rounder(x_flat):
-    """Each candidate's pick on every nonempty piece of ``pick_segments``, at
-    the piece's left end and at a float near its middle, against
-    ``process_round`` replayed up to that candidate."""
+    """Each candidate's pick, read off the changes of ``pick_segments``, at
+    every offset where a pick changes, at the float just below it and at a
+    float inside each piece between them, against ``process_round`` and
+    against the exact model line."""
     segments = pick_segments(x_flat)
     assert segments.live.tolist() == [j for j, xj in enumerate(x_flat) if xj > 0.0]
-    for j, starts, picked in zip(segments.live.tolist(), segments.starts, segments.picked):
-        assert starts[0] == 0.0 and np.all(np.diff(starts) >= 0) and starts[-1] <= 1.0
-        for lo, mid, hi, on in zip(*segment_points(starts), np.append(starts[1:], 1.0), picked):
-            if lo == hi:
-                continue
-            for pos in (float(lo), float(mid)):
-                picks = process_round(rounder_at(pos), x_flat[: j + 1])
-                assert (picks[-1:] == [j]) == on, (j, pos)
+    cand, at, delta = segments.changes()
+    assert np.all((at >= 0.0) & (at < 1.0)) and np.all(np.abs(delta) == 1)
+    cuts = np.unique(np.append(at, 0.0))
+    probes = np.unique(np.concatenate([cuts, np.nextafter(cuts[1:], 0.0), segment_points(cuts)[1]]))
+    model = dict(offset_selections(x_flat, probes))
+    for p, pos in enumerate(probes.tolist()):
+        seen = at <= pos
+        on = np.bincount(cand[seen], weights=delta[seen], minlength=len(x_flat))
+        assert set(np.unique(on).tolist()) <= {0.0, 1.0}, pos
+        picked = np.flatnonzero(on).tolist()
+        assert process_round(rounder_at(pos), x_flat) == picked, pos
+        assert [j for j, sel in model.items() if sel[p]] == picked, pos
 
 
 class TestPickSegments:
@@ -377,7 +433,7 @@ class TestPickSegments:
     def test_pieces_match_rounder_one_ulp_above_capacity(self):
         inst = gen_random(d=9, n=3, a=2, density=0.35, min_arrivals=1, c_max=2.0, seed=1001)
         x_flat = random_feasible_x(inst, seed=1).flat()
-        assert accumulator_path(x_flat)[1][-1] == np.nextafter(inst.capacity, np.inf)
+        assert exact_total(x_flat) > inst.capacity
         assert_segments_match_rounder(x_flat)
 
     def test_pieces_match_rounder_on_family_optima(self):
@@ -387,8 +443,10 @@ class TestPickSegments:
 
 
 class TestRounderNeverExceedsCeilOfTotal:
-    """Regression: two candidates used to claim the same point l + pos where
-    the compensated start of the next one lies an ulp below fl(start + x)."""
+    """Regression pins from a line of float running sums, on which two
+    candidates could claim the same point l + pos when a rounded sum stepped
+    an ulp back.  The exact line shares every boundary, so the picks
+    telescope."""
 
     def test_fcs_optimum(self):
         inst = gen_fcs(64)[1]
@@ -400,16 +458,15 @@ class TestRounderNeverExceedsCeilOfTotal:
         assert sum(int(sel[0]) for _, sel in offset_selections(sol.flat(), pos)) == 64
 
     def test_zero_fraction_after_a_rounded_up_sum(self):
-        # Kahan's correction on the zero entry moved the running sum an ulp
-        # back, so the next candidate claimed its predecessor's point again:
-        # 13 picks with K = 12.
+        # A float sum stepped an ulp back at the zero entry, so the next
+        # candidate claimed its predecessor's point again: 13 picks, K = 12.
         inst, sol = next(itertools.islice(criterion_1_solutions(), 9, None))
         assert sol.total() == 12.0 == inst.capacity
         assert selection_count(sol.flat(), 0.6896087692494697) == 12
 
     def test_tiny_fraction_after_a_rounded_up_sum(self):
-        # 0.1 + 1/3 rounds up; adding 1e-30 applies the correction and moves
-        # the sum an ulp back, below the point the 1/3 candidate claimed.
+        # 0.1 + 1/3 rounds up in floats; a float sum that then stepped an ulp
+        # back at 1e-30 fell below the point the 1/3 candidate claimed.
         x_flat = [0.1, 1.0 / 3.0, 1e-30, 0.5]
         assert selection_count(x_flat, 0.4333333333333333) == 1  # was 2
         assert max_selection_count(x_flat)[0] == 1
