@@ -6,7 +6,6 @@ competitive-ratio inequalities."""
 from .benchmark import (
     IntSolution,
     LPResult,
-    grid_oracle,
     int_objective,
     opt_bounds,
     solve_fluid,
@@ -60,7 +59,6 @@ __all__ = [
     "gen_fcs",
     "gen_fhc",
     "gen_random",
-    "grid_oracle",
     "instance_stats",
     "int_objective",
     "least_utility",

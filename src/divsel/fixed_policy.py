@@ -8,12 +8,24 @@ per-round fraction; the principal emits the across-agent average.
 
 Both "continuous increase" processes are piecewise linear, so they are
 realized here as exact closed-form event computations, never time-stepped.
-Every stage runs for all agents at once on arrays.  The greedy pass is
-sequential in the shared order, but a candidate can only be raised if, at the
-start of the round, at least sqrt(d) of its thresholds are positive: one
-agents x attributes array screens out every other candidate, and only the
-survivors go through the scalar step, one at a time.  The minimalist and
-combine steps are closed forms per dimension and per candidate.
+Every stage runs for all agents at once on arrays, and most rounds leave
+every agent as it was, so such a round is made cheap:
+
+- stage 1 is sequential in the shared order, but a candidate can only be
+  raised if, at the start of the round, at least sqrt(d) of its dimensions
+  are below the agent's scaled guess.  One product of the agents x d
+  "below" mask with the round's d x n_i membership matrix screens out every
+  other candidate; only the survivors go through the scalar step.
+- the shared order is drawn only when some agent has two or more survivors.
+- stage 2 is skipped unless some shortfall, an agent's scaled guess minus
+  the most utility a dimension can still reach, is positive: otherwise its
+  closed form is zero.  The shortfall is gap - c * unseen, and the gap
+  target - (v + c z_acc) is cached and refreshed only after a raise or an
+  adjustment.
+- a round in which no agent raises or adjusts emits zeros without the
+  combine step.
+
+The output is the same, bit for bit, as running every stage on every round.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -78,48 +91,53 @@ class AgentState:
 
 
 def controlled_greedy_round(
-    agents: list[AgentState], v: np.ndarray, inc: RoundIncidence, order: list[int]
+    agents: list[AgentState],
+    v: np.ndarray,
+    target: np.ndarray,
+    c: np.ndarray,
+    inc: RoundIncidence,
+    order: Callable[[], list[int]],
 ) -> np.ndarray:
     """Stage 1 of every agent at once: raise each candidate's fraction while
     it still benefits at least sqrt(d) underrepresented dimensions; returns
     the agents x n_i array y and updates ``v`` (agents x d, c_k times the sum
     of y on dimension k) and each agent's ``y_used``.
 
-    For candidate j the thresholds tau_k = (gamma/sqrt(d) - v_k)/c_k over its
+    For candidate j the thresholds tau_k = (target - v_k)/c_k over its
     attributes with tau_k > 0 are the exits from the underrepresented set; the
     raise stops at the m-th largest threshold (m = least integer with
-    m^2 >= d), at 1, or at the capacity, whichever is smallest.  Candidates
-    are visited in ``order``.
+    m^2 >= d), at 1, or at the capacity, whichever is smallest.  ``target``
+    holds each agent's gamma/sqrt(d).  Candidates are visited in the order
+    ``order()`` returns, called only when it matters.
 
     Within a round every v_k only grows (c_k > 0 and y > 0), so a candidate's
-    count of positive thresholds can only fall as the round goes on.  The
-    thresholds at the start of the round, one agents x |bits| array, thus
-    screen out exactly the candidates that end at y = 0: those with fewer than
-    m positive ones.  The scalar step runs on the survivors alone, against
-    the current v.  An agent whose y_used has reached K raises nothing.
+    count of dimensions with v_k < target can only fall as the round goes on.
+    That count at the start of the round, one (agents x d) @ (d x n_i)
+    product with the round's membership matrix, rules out every candidate
+    with fewer than m: tau_k > 0 implies v_k < target, so each of them ends
+    at y = 0.  The scalar step runs on the survivors alone, against the
+    current v, and recomputes tau.  Agents share nothing here, so the order
+    matters only among one agent's survivors; with at most one each, it is
+    never drawn.  An agent whose y_used has reached K raises nothing.
     """
-    y = np.zeros((len(agents), inc.lens.size))
-    live = [a for a, agent in enumerate(agents) if agent.capacity - agent.y_used > 0.0]
-    if not live or not inc.bits.size:
-        return y
-    first = agents[0]
-    c = np.asarray(first.c)
-    m = min_count_at_least_sqrt_d(first.d)
-    target = np.array([agents[a].gamma / math.sqrt(first.d) for a in live])
-    nonempty = inc.lens > 0
-    positive = (target[:, None] - v[live][:, inc.bits]) / c[inc.bits] > 0.0
-    survives = np.zeros((len(live), inc.lens.size), dtype=bool)
-    survives[:, nonempty] = (
-        np.add.reduceat(positive, inc.starts[nonempty], axis=1, dtype=np.int64) >= m
-    )
-    # Row-major nonzero over the columns in visiting order: each agent's
-    # survivors, agent by agent, in the shared order.
-    order = np.asarray(order, dtype=np.int64)
-    rows, steps = np.nonzero(survives[:, order])
-    for r, j in zip(rows.tolist(), order[steps].tolist()):
-        a, agent = live[r], agents[live[r]]
+    n = inc.lens.size
+    y = np.zeros((len(agents), n))
+    live = np.array([agent.capacity - agent.y_used > 0.0 for agent in agents], dtype=bool)
+    member = np.zeros((v.shape[1], n))
+    member[inc.bits, np.repeat(np.arange(n), inc.lens)] = 1.0
+    m = min_count_at_least_sqrt_d(v.shape[1])
+    survives = ((v < target[:, None]) & live[:, None]) @ member >= m
+    rows, cols = (index.tolist() for index in np.nonzero(survives))
+    if len(set(rows)) < len(rows):
+        # Row-major nonzero over the columns in visiting order: each agent's
+        # survivors, agent by agent, in the shared order.
+        visit = np.asarray(order(), dtype=np.int64)
+        rows, steps = np.nonzero(survives[:, visit])
+        rows, cols = rows.tolist(), visit[steps].tolist()
+    for a, j in zip(rows, cols):
+        agent = agents[a]
         bits = inc.bits[inc.starts[j] : inc.starts[j] + inc.lens[j]]
-        tau = (target[r] - v[a, bits]) / c[bits]
+        tau = (target[a] - v[a, bits]) / c[bits]
         tau = tau[tau > 0.0]
         y_stop = float(np.sort(tau)[-m]) if tau.size >= m else 0.0
         step = min(1.0, max(0.0, agent.capacity - agent.y_used), y_stop)
@@ -132,36 +150,31 @@ def controlled_greedy_round(
 
 def continuous_minimalist_round(
     agents: list[AgentState],
-    v: np.ndarray,
+    shortfall: np.ndarray,
+    c: np.ndarray,
     z_acc: np.ndarray,
-    unseen: np.ndarray,
     inc: RoundIncidence,
 ) -> np.ndarray:
     """Stage 2 of every agent at once: per-dimension utility adjustments, in
     index order; returns them as an agents x d array.
 
-    Requires stage 1 of this round to be applied already to ``v`` (the
-    accumulated utility w = v + c z_acc counts y through the current round, z
-    only before it).  ``z_acc`` holds each agent's adjustments of past rounds
-    and gains this round's; ``unseen`` is phi_k minus the arrivals through
-    this round.
-    The adjustment stops when the dimension's maximal achievable
-    end-of-horizon utility reaches the scaled guess, at the round arrival
-    count, or at the capacity, in closed form.  All agents share d, c and K.
+    ``shortfall`` is, per agent and dimension, the scaled guess minus the
+    maximal achievable end-of-horizon utility: target - w - c * unseen, where
+    the accumulated utility w = v + c z_acc counts y through the current
+    round and z only before it, and unseen is phi_k minus the arrivals through
+    this round.  ``z_acc`` holds each agent's adjustments of past rounds and
+    gains this round's.  The adjustment closes the shortfall, stopping at the
+    round arrival count or at the capacity, in closed form.  All agents share
+    d, c and K.
     """
-    first = agents[0]
-    c = np.asarray(first.c)
-    target = np.array([agent.gamma / math.sqrt(first.d) for agent in agents])
-    w = v + c * z_acc
-    res = c * unseen
-    z = np.minimum(np.maximum((target[:, None] - w - res) / c, 0.0), inc.counts)
+    z = np.minimum(np.maximum(shortfall / c, 0.0), inc.counts)
     # Only the capacity clip depends on index order.  A zero entry would add
     # 0.0 and leave z and z_used as they are, so the nonzero ones suffice.
     rows, cols = np.nonzero(z)
     clipped = []
     for a, zk in zip(rows.tolist(), z[rows, cols].tolist()):
         agent = agents[a]
-        zk = min(zk, max(0.0, first.capacity - agent.z_used))
+        zk = min(zk, max(0.0, agent.capacity - agent.z_used))
         agent.z_used += zk
         clipped.append(zk)
     z[rows, cols] = clipped
@@ -202,9 +215,12 @@ class FixedPolicy:
     under: float = field(init=False)
     over: float = field(init=False)
     agents: list[AgentState] = field(init=False)
+    weights: np.ndarray = field(init=False)  # c as an array
+    target: np.ndarray = field(init=False)  # per agent: gamma / sqrt(d)
     v: np.ndarray = field(init=False)  # agents x d: c_k times the sum of y_ij on dim k
     z_acc: np.ndarray = field(init=False)  # agents x d: sum over past rounds of z_ik
-    consumed: np.ndarray = field(init=False)  # arrivals seen so far, per dimension
+    gap: np.ndarray = field(init=False)  # agents x d: target - (v + c z_acc)
+    unseen: np.ndarray = field(init=False)  # phi_k minus the arrivals seen so far
     trace: list[FixedRound] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -218,26 +234,44 @@ class FixedPolicy:
             AgentState(gamma=(2.0**r) * self.under, d=self.d, c=self.c, capacity=self.capacity)
             for r in range(count)
         ]
+        self.weights = np.asarray(self.c, dtype=float)
+        self.target = np.array([agent.gamma / math.sqrt(self.d) for agent in self.agents])
         self.v = np.zeros((count, self.d))
         self.z_acc = np.zeros((count, self.d))
-        self.consumed = np.zeros(self.d, dtype=np.int64)
+        self._refresh_gap()
+        self.unseen = np.array(self.phi_total, dtype=np.int64)
+
+    def _refresh_gap(self) -> None:
+        self.gap = self.target[:, None] - (self.v + self.weights * self.z_acc)
+
+    def _order(self, index: int, n: int) -> list[int]:
+        # One shuffle per round, shared by all agents; replay is exact given
+        # (seed, round index), so a round that never draws it changes no other.
+        order = list(range(n))
+        random.Random((self.seed * 1_000_003 + index) & 0xFFFFFFFFFFFFFFFF).shuffle(order)
+        return order
 
     def process_round(self, rnd: Round) -> list[float]:
-        # One shuffle per round, shared by all agents; replay is exact given
-        # (seed, round index), and the trace holds one record per past round.
-        order = list(range(len(rnd)))
-        mix = (self.seed * 1_000_003 + len(self.trace)) & 0xFFFFFFFFFFFFFFFF
-        random.Random(mix).shuffle(order)
-        if not self.agents:
-            none = np.zeros((0, len(rnd)))
-            self.trace.append(FixedRound(none, none, np.zeros(len(rnd))))
-            return [0.0] * len(rnd)
+        """One round: stage 1, stage 2 and their combination for every agent;
+        returns the across-agent average."""
+        n, index = len(rnd), len(self.trace)
         inc = round_incidence(rnd, self.d)
-        self.consumed += inc.counts
-        y = controlled_greedy_round(self.agents, self.v, inc, order)
-        z = continuous_minimalist_round(
-            self.agents, self.v, self.z_acc, np.subtract(self.phi_total, self.consumed), inc
+        self.unseen -= inc.counts
+        y = controlled_greedy_round(
+            self.agents, self.v, self.target, self.weights, inc, lambda: self._order(index, n)
         )
+        raised = y.any()
+        if raised:
+            self._refresh_gap()
+        shortfall = self.gap - self.weights * self.unseen
+        if (shortfall > 0.0).any():
+            z = continuous_minimalist_round(self.agents, shortfall, self.weights, self.z_acc, inc)
+            self._refresh_gap()
+        elif raised:
+            z = np.zeros_like(shortfall)
+        else:
+            self.trace.append(FixedRound(y, y, np.zeros(n)))
+            return [0.0] * n
         x = combine_agent_round(y, z, inc)
         # Python's sum adds the agents' rows one after another, in agent order.
         x_avg = sum(x) / float(len(self.agents))

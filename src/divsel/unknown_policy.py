@@ -160,30 +160,36 @@ def _variant_row(variant: str, x_bar: np.ndarray, x_hat: np.ndarray) -> np.ndarr
     return hybrid_round(x_bar, x_hat)
 
 
-def _equal_increment_topup(x_i: list[float], budget: float) -> list[float]:
+def _equal_increment_topup(x_i: np.ndarray, budget: float) -> np.ndarray:
     """Raise all entries by a common increment, clipping at 1, until the
-    budget or every headroom is consumed.  Never reduces an entry."""
-    if not x_i or budget <= 0.0:
-        return list(x_i)
-    order = sorted(range(len(x_i)), key=lambda j: 1.0 - x_i[j])
-    result = list(x_i)
+    budget or every headroom is consumed.  Never reduces an entry.
+
+    Entries are visited by headroom, smallest first, while the increment
+    would push the next one past 1: it is set to 1 and its headroom leaves the
+    budget.  Where the rest of the budget fits, the remaining entries rise
+    together.
+    """
+    if not x_i.size or budget <= 0.0:
+        return x_i
+    order = np.argsort(1.0 - x_i, kind="stable")
     remaining = budget
     base = 0.0
-    for rank, j in enumerate(order):
+    for rank, j in enumerate(order.tolist()):
         headroom = (1.0 - x_i[j]) - base
-        active = len(x_i) - rank
+        active = order.size - rank
         if headroom * active >= remaining - 1e-15:
             base += remaining / active
-            for jj in order[rank:]:
-                result[jj] = min(1.0, x_i[jj] + base)
-            return result
+            break
         base += headroom
         remaining -= headroom * active
-        result[j] = 1.0
+    else:
+        return np.ones(order.size)
+    result = np.minimum(1.0, x_i + base)
+    result[order[:rank]] = 1.0
     return result
 
 
-def leftover_topup(policy: "UnknownPolicy", x_i: list[float]) -> list[float]:
+def leftover_topup(policy: "UnknownPolicy", x_i: np.ndarray) -> np.ndarray:
     """Second agent: distribute the accumulated unused capacity over the
     current round's candidates, never reducing an entry.
 
@@ -250,10 +256,9 @@ class UnknownPolicy:
         x_bar = myopic_round(self.c, self.a, inc)
         y, z, x_hat, f, self.u = forward_round(self.u, self.c, self.a, inc, self.continue_after_cap)
         row = _variant_row(self.variant, x_bar, x_hat)
-        x_i = row.tolist()
         if self.topup_enabled:
-            x_i = leftover_topup(self, x_i)
-            row = np.array(x_i)
+            row = leftover_topup(self, row)
+        x_i = row.tolist()
         self.emitted_total += math.fsum(x_i)
         self.trace.append(UnknownRound(x_bar, x_hat, y, z, f, row))
         return x_i

@@ -78,10 +78,115 @@ def adjustment_lp(u, caps, budget, c):
     return fill_value(u, z, c), z.tolist()
 
 
+def grid_oracle(inst, grid_steps=200):
+    """Test-only oracle: exhaustive evaluation of the least utility over the grid
+    {0, 1/q, ..., 1}^|S| restricted to sum(x) <= K.
+
+    Independent of the LP path.  The result is a certified lower bound on the
+    fluid optimum; the gap is at most d * max_k c_k / q.  Exact reductions
+    applied before enumerating: dimensions with no arrivals force the answer
+    to 0; monotonicity lets the search saturate the budget; candidates with
+    identical types are merged (the objective depends only on group totals).
+
+    The search runs depth first over the types' unit counts and skips a
+    subtree whose upper bound is within 1e-15 of the best point found.  The
+    bounds are closed-form weak duality (no LP): for weights proportional to
+    1/c_k on a set S of dimensions, min_k c_k A_k <= sum_S A_k / sum_S 1/c_k,
+    and sum_S A_k is at most the units already placed on S plus the remaining
+    units filled in order of each type's coverage of S.  The sets are every
+    single dimension and the prefixes of the dimensions by current utility.
+    The last two types are not enumerated: see ``pair_best``.
+    """
+    from divsel.benchmark import _candidate_types
+    from divsel.core import marginals
+    from divsel.errors import InvariantError, SizeError
+
+    n_cands = inst.total_candidates
+    if n_cands > 5:
+        raise SizeError(f"grid oracle limited to 5 candidates, got {n_cands}")
+    if grid_steps < 1:
+        raise InvariantError("grid_steps must be >= 1")
+    phi = marginals(inst)
+    if n_cands == 0 or min(phi) == 0 or inst.capacity == 0:
+        return 0.0
+
+    first, mult, _ = _candidate_types(inst)
+    types = [set(inst.bits[inst.cand_ptr[j] : inst.cand_ptr[j + 1]].tolist()) for j in first.tolist()]
+    q, c, d, g = grid_steps, inst.c, inst.d, len(types)
+    caps = [s * q for s in mult.tolist()]
+    budget_units = min(inst.capacity * q, sum(caps))
+    suffix_caps = [[sum(caps[t] for t in range(i, g) if k in types[t]) for k in range(d)] for i in range(g + 1)]
+    best = 0.0
+
+    def pooled_bound(idx: int, remaining: int, acc: list[int]) -> float:
+        bound, placed, weight, dims = math.inf, 0, 0.0, set()
+        for k in sorted(range(d), key=lambda k: c[k] * acc[k]):
+            dims.add(k)
+            placed += acc[k]
+            weight += 1.0 / c[k]
+            fill, left = 0, remaining
+            for cover, cap in sorted(((len(types[t] & dims), caps[t]) for t in range(idx, g)), reverse=True):
+                take = min(cap, left)
+                fill, left = fill + cover * take, left - take
+            bound = min(bound, (placed + fill) / (q * weight))
+        return bound
+
+    def pair_best(idx: int, remaining: int, acc: list[int]) -> float:
+        """Grid maximum with u units on type ``idx`` and the rest on the last
+        type.  Utilities of the dimensions only the first covers rise with u
+        and those only the last covers fall, so the maximum lies where the
+        rising minimum first reaches the falling one, found by bisection."""
+        rise, fall = types[idx], types[idx + 1]
+        lo, hi = max(0, remaining - caps[idx + 1]), min(caps[idx], remaining)
+
+        def parts(u: int) -> list[float]:  # minima over rising, falling, other dimensions
+            out = [math.inf] * 3
+            for k in range(d):
+                side = 2 if (k in rise) == (k in fall) else int(k in fall)
+                out[side] = min(out[side], c[k] * (acc[k] + u * (k in rise) + (remaining - u) * (k in fall)) / q)
+            return out
+
+        a, b = lo, hi + 1
+        while a < b:
+            mid = (a + b) // 2
+            rising, falling, _ = parts(mid)
+            a, b = (a, mid) if rising >= falling else (mid + 1, b)
+        return max(min(parts(u)) for u in (a - 1, a) if lo <= u <= hi)
+
+    def dfs(idx: int, remaining: int, acc: list[int]) -> None:
+        nonlocal best
+        if idx == g:
+            if remaining == 0:
+                best = max(best, min(c[k] * acc[k] / q for k in range(d)))
+            return
+        if remaining > sum(caps[idx:]):
+            return
+        # Optimistic bound: give every dimension all its remaining coverage.
+        ub = min(c[k] * (acc[k] + min(remaining, suffix_caps[idx][k])) / q for k in range(d))
+        if ub <= best + 1e-15 or pooled_bound(idx, remaining, acc) <= best + 1e-15:
+            return
+        if idx == g - 2:
+            value = pair_best(idx, remaining, acc)
+            if value > best + 1e-15:
+                best = value
+            return
+        lo = max(0, remaining - sum(caps[idx + 1 :]))
+        hi = min(caps[idx], remaining)
+        for units in range(hi, lo - 1, -1):
+            for k in types[idx]:
+                acc[k] += units
+            dfs(idx + 1, remaining - units, acc)
+            for k in types[idx]:
+                acc[k] -= units
+
+    dfs(0, budget_units, [0] * d)
+    return best
+
+
 def dfs_grid_oracle(inst, grid_steps):
-    """Test-only oracle: ``benchmark.grid_oracle``'s depth-first search with
-    only its per-dimension bound, kept as the reference that the pruned
-    search must equal."""
+    """Test-only oracle: ``grid_oracle``'s depth-first search with only its
+    per-dimension bound, kept as the reference that the pruned search must
+    equal."""
     from divsel.benchmark import _candidate_types
     from divsel.core import marginals
 

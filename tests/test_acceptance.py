@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from divsel.benchmark import (
-    grid_oracle,
     opt_bounds,
     solve_fluid,
     solve_fluids,
@@ -30,7 +29,7 @@ from divsel.harness import (
 from divsel.rounding import capacity_sweep, pick_segments
 from divsel.unknown_policy import fill_value, water_fill
 
-from conftest import adjustment_lp, exact_total, random_feasible_x, tiny_grid_instances
+from conftest import adjustment_lp, exact_total, grid_oracle, random_feasible_x, tiny_grid_instances
 
 DIMS = (4, 8, 16, 27, 64)
 GRID_POINTS = 10_000

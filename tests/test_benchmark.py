@@ -11,7 +11,6 @@ import divsel.benchmark as benchmark
 from divsel.benchmark import (
     IntSolution,
     adjustment_bounds,
-    grid_oracle,
     int_objective,
     opt_bounds,
     solve_fluid,
@@ -28,6 +27,7 @@ from conftest import (
     adjustment_lp,
     dfs_grid_oracle,
     exact_total,
+    grid_oracle,
     make_instance,
     random_feasible_x,
     ref_int_objective,

@@ -199,6 +199,27 @@ def ref_forward(state, rnd):
     return y_i, z_i, x_i
 
 
+def ref_topup(x_i, budget):
+    if not x_i or budget <= 0.0:
+        return list(x_i)
+    order = sorted(range(len(x_i)), key=lambda j: 1.0 - x_i[j])
+    result = list(x_i)
+    remaining = budget
+    base = 0.0
+    for rank, j in enumerate(order):
+        headroom = (1.0 - x_i[j]) - base
+        active = len(x_i) - rank
+        if headroom * active >= remaining - 1e-15:
+            base += remaining / active
+            for jj in order[rank:]:
+                result[jj] = min(1.0, x_i[jj] + base)
+            return result
+        base += headroom
+        remaining -= headroom * active
+        result[j] = 1.0
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Instances.
 
@@ -220,6 +241,27 @@ def _capacity_one_instance():
     return make_instance(3, [[(1,)], [(), ()], [(0,)], [(1,), (2,)]], capacity=1, c=[1.0, 1.57, 1.04])
 
 
+def _quiet_then_adjust_instance():
+    """Single-attribute candidates never pass stage 1 (m = 2), and stage 2
+    first fires in round 18, when the unseen arrivals run short."""
+    return make_instance(4, [[(0,), (1,), (2,), (3,)]] * 20, capacity=8, c=[1.0, 1.5, 1.0, 3.0])
+
+
+def _raise_and_adjust_instance():
+    """Round 0 raises a candidate and adjusts dimensions: stage 2 must read
+    the totals after that raise."""
+    return make_instance(4, [[(0, 1, 2, 3)], []], capacity=2, c=[3.0, 1.5, 1.0, 1.5])
+
+
+def _adjust_after_adjust_instance():
+    """Stage 2 adjusts in rounds 2 and 3, the second only partly closing a
+    shortfall that includes the first's adjustments."""
+    return make_instance(
+        3, [[(0,), (0, 2), ()], [(1,), (0, 1, 2), (2,)], [(), (0, 1)], [(), (0, 1, 2)]],
+        capacity=5, c=[2.9, 1.0, 1.3],
+    )
+
+
 INSTANCES = {
     **{f"random-d64-seed{s}": gen_random(d=64, n=25, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=s)
        for s in (1, 2)},
@@ -229,6 +271,9 @@ INSTANCES = {
     **{f"fhc27-{i}": inst for i, inst in enumerate(gen_fhc(27))},
     "edge": _edge_instance(),
     "capacity-one": _capacity_one_instance(),
+    "quiet-then-adjust": _quiet_then_adjust_instance(),
+    "raise-and-adjust": _raise_and_adjust_instance(),
+    "adjust-after-adjust": _adjust_after_adjust_instance(),
 }
 
 
@@ -315,29 +360,44 @@ def test_fixed_policy_matches_scalar_loops_on_small_instances(inst, seed):
     assert_fixed_matches_ref(inst, seed)
 
 
+@st.composite
+def greedy_cases(draw):
+    """(d, c, K, per-agent (gamma, y_used, v), candidate bits, order)."""
+    d = draw(st.integers(1, 9))
+    c = tuple(draw(st.lists(st.sampled_from([1.0, 1.5, 3.0]), min_size=d, max_size=d)))
+    capacity = draw(st.integers(0, 4))
+    values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    starts = draw(st.lists(
+        st.tuples(st.sampled_from([0.5, 1.0, 3.0, 8.0, 40.0]), st.sampled_from([0.0, 0.5, 1.0, 3.5]),
+                  st.lists(values, min_size=d, max_size=d)),
+        max_size=4))
+    bits = draw(st.lists(st.lists(st.integers(0, d - 1), unique=True, max_size=d), max_size=6))
+    order = draw(st.permutations(range(len(bits))))
+    return d, c, capacity, starts, bits, order
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_controlled_greedy_round_matches_ref_greedy(data):
+@given(greedy_cases())
+# gamma/sqrt(d) - v = 2^-1074 > 0, but divided by c = 3 it underflows to 0:
+# the round-start screen keeps the candidate, and the scalar step raises
+# nothing and leaves v and y_used alone.
+@example((1, (3.0,), 1, [(2.0**-1073, 0.0, [2.0**-1074])], [[0]], [0]))
+def test_controlled_greedy_round_matches_ref_greedy(case):
     """Stage 1 alone, from arbitrary guesses, totals and used capacity.
 
     Inside the policy a guess never exceeds its sandwich, so stage 1 uses at
     most K and the capacity binds only together with a threshold; large
     guesses here make it bind first, part-way through a raise.
     """
-    d = data.draw(st.integers(1, 9))
-    c = tuple(data.draw(st.lists(st.sampled_from([1.0, 1.5, 3.0]), min_size=d, max_size=d)))
-    capacity = data.draw(st.integers(0, 4))
-    values = st.sampled_from([0.0, 0.5, 1.0, 2.0])
-    starts = data.draw(st.lists(
-        st.tuples(st.sampled_from([0.5, 1.0, 3.0, 8.0, 40.0]), st.sampled_from([0.0, 0.5, 1.0, 3.5]),
-                  st.lists(values, min_size=d, max_size=d)),
-        max_size=4))
-    bits = data.draw(st.lists(st.lists(st.integers(0, d - 1), unique=True, max_size=d), max_size=6))
+    d, c, capacity, starts, bits, order = case
     rnd = Round(tuple(AttributeVector(tuple(sorted(b))) for b in bits))
-    order = data.draw(st.permutations(range(len(rnd))))
     agents = [AgentState(gamma, d, c, capacity, y_used=used) for gamma, used, _ in starts]
     v = np.array([v0 for *_, v0 in starts]).reshape(len(starts), d)
-    y = controlled_greedy_round(agents, v, round_incidence(rnd, d), list(order))
+    target = np.array([gamma / math.sqrt(d) for gamma, *_ in starts])
+    drawn = []
+    y = controlled_greedy_round(
+        agents, v, target, np.asarray(c), round_incidence(rnd, d), lambda: drawn.append(1) or list(order)
+    )
     assert y.shape == (len(starts), len(rnd))
     for got, row, got_v, (gamma, used, v0) in zip(agents, y, v, starts):
         want = RefAgent(gamma, d, c, capacity, None)
@@ -345,6 +405,7 @@ def test_controlled_greedy_round_matches_ref_greedy(data):
         assert row.tolist() == ref_greedy(want, rnd, order)
         assert got.y_used == want.y_used
         assert got_v.tolist() == want.v
+    assert len(drawn) <= 1  # one shared order per round, drawn only on demand
 
 
 def test_capacity_runs_out_inside_a_round():
@@ -353,6 +414,21 @@ def test_capacity_runs_out_inside_a_round():
     _, agents = ref_fixed(inst, 0)
     last = [agent.z_acc for agent in agents if agent.z_used == inst.capacity]
     assert last and all(0.0 < z_k for z_k in last[0][1:])
+
+
+def _stages(name):
+    """Per round: did stage 1 raise anything, did stage 2 move any x."""
+    trace = run_fixed_policy(INSTANCES[name], 0).trace
+    return [bool(rec.y.any()) for rec in trace], [bool((rec.x != rec.y / 2.0).any()) for rec in trace]
+
+
+def test_gate_instances_exercise_their_cases():
+    raised, adjusted = _stages("quiet-then-adjust")
+    assert adjusted.index(True) == 18 and not any(raised)
+    raised, adjusted = _stages("raise-and-adjust")
+    assert raised[0] and adjusted[0]
+    _, adjusted = _stages("adjust-after-adjust")
+    assert adjusted[2:] == [True, True]
 
 
 def test_zero_agents_emit_zeros():
@@ -491,7 +567,7 @@ def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
         _, _, x_hat = ref_forward(ref_state, rnd)
         row = hybrid_round(x_bar, x_hat).tolist()
         if topup:
-            row = _equal_increment_topup(row, (i + 1) * a - emitted_total - math.fsum(row))
+            row = ref_topup(row, (i + 1) * a - emitted_total - math.fsum(row))
         emitted_total += math.fsum(row)
         assert policy.process_round(rnd) == row
         rec = policy.trace[-1]
@@ -506,3 +582,19 @@ def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
     if topup:  # the banked capacity was spent after the empty rounds
         plain = run_unknown_policy(inst)
         assert policy.trace[3].emitted.sum() > plain.trace[3].emitted.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0 - 2**-53, 1.0]) | st.floats(0.0, 1.0), max_size=12),
+    st.floats(-1.0, 20.0),
+)
+# Ties, and a stop after three entries reach 1.
+@example([0.9, 0.5, 0.9, 0.0], 1.5)
+# Every headroom is used up before the budget.
+@example([0.5, 1.0], 5.0)
+# The budget fits at rank 0: every entry rises by budget / n.
+@example([0.25, 0.1, 0.5], 0.3)
+def test_topup_matches_scalar_loop(x, budget):
+    got = _equal_increment_topup(np.array(x, dtype=float), budget)
+    assert got.tobytes() == np.array(ref_topup(x, budget), dtype=float).tobytes()
