@@ -21,6 +21,7 @@ from .core import (
     EPS,
     FractionalSolution,
     Instance,
+    common_prefix_rounds,
     core_mask,
     least_utility,
     marginals,
@@ -116,46 +117,68 @@ def _certify_optimal(
     check(np.abs(primal - dual), LP_TOL * (1.0 + np.abs(primal)), "duality gap {:.3g} exceeds tolerance")
 
 
-def _candidate_types(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _type_keys(inst: Instance, prev: Optional[tuple[Instance, np.ndarray]] = None) -> np.ndarray:
+    """Every candidate's attribute set packed into 64-bit words, one row of
+    ``(d + 63) // 64`` words per candidate in arrival order.
+
+    A candidate's attributes are distinct, so adding their bits is OR-ing
+    them; ``reduceat`` skips candidates without attributes (key 0).  ``prev``
+    is an earlier instance and its keys: when its d is the same, the
+    candidates of the rounds both hold identically
+    (``core.common_prefix_rounds``) copy its keys and only the rest are
+    packed.
+    """
+    words = (inst.d + 63) // 64
+    keys = np.zeros((inst.total_candidates, words), dtype=np.uint64)
+    start = 0
+    if prev is not None and prev[0].d == inst.d:
+        start = int(inst.round_ptr[common_prefix_rounds(prev[0], inst)])
+        keys[:start] = prev[1][:start]
+    ptr = inst.cand_ptr[start:]
+    nonempty = ptr[1:] > ptr[:-1]
+    bits = inst.bits[ptr[0] :]
+    if bits.size:
+        ones = np.left_shift(np.uint64(1), (bits % 64).astype(np.uint64))
+        word = bits // 64
+        rest = keys[start:]
+        for w in range(words):
+            in_word = np.where(word == w, ones, np.uint64(0))
+            rest[nonempty, w] = np.add.reduceat(in_word, ptr[:-1][nonempty] - ptr[0])
+    return keys
+
+
+def _candidate_types(inst: Instance, keys: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct candidate types in first-arrival order: the index of each
     type's first candidate, the types' multiplicities, and the type id of
     every candidate in arrival order.
 
     Two candidates have the same type iff their attribute sets are equal, so
-    each candidate is keyed by its attribute set packed into 64-bit words.
-    A candidate's attributes are distinct, so adding their bits is OR-ing
-    them; ``reduceat`` skips candidates without attributes (key 0).
+    iff their ``_type_keys`` rows (``keys``, packed here when omitted) are.
     """
-    n_cands, words = inst.total_candidates, (inst.d + 63) // 64
-    keys = np.zeros((n_cands, words), dtype=np.uint64)
-    nonempty = inst.cand_lens > 0
-    if inst.bits.size:
-        ones = np.left_shift(np.uint64(1), (inst.bits % 64).astype(np.uint64))
-        word = inst.bits // 64
-        for w in range(words):
-            in_word = np.where(word == w, ones, np.uint64(0))
-            keys[nonempty, w] = np.add.reduceat(in_word, inst.cand_ptr[:-1][nonempty])
-    if words == 1:
+    keys = _type_keys(inst) if keys is None else keys
+    if keys.shape[1] == 1:
         keys = keys.reshape(-1)
     else:
-        keys = keys.view(np.dtype((np.void, 8 * words))).reshape(-1)
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)  # sorted keys -> first-arrival order
     type_of = np.argsort(order)[inverse.reshape(-1)]
     return first[order], np.bincount(type_of, minlength=order.size), type_of
 
 
-def _fluid_block(inst: Instance):
-    """One instance's fluid LP over its distinct types as the (row, column,
-    value) triples of A_ub, b_ub, the upper bounds and the type of every
-    candidate; None when some dimension can never be served, so the optimum
-    is 0 (x = 0 allowed).  An instance whose type keys (and their sorted copy)
-    and LP triples cannot fit in memory is a SizeError, raised before either
-    is allocated."""
+def _fluid_block(inst: Instance, prev: Optional[tuple[Instance, np.ndarray]] = None):
+    """One instance's type keys (``_type_keys(inst, prev)``) and its fluid
+    LP over its distinct types as the (row, column, value) triples of A_ub,
+    b_ub, the upper bounds and the type of every candidate; the LP is None
+    when some dimension can never be served, so the optimum is 0 (x = 0
+    allowed).  An instance whose type keys (and their sorted copy) and LP
+    triples cannot fit in memory is a SizeError, raised before either is
+    allocated."""
     n_cands = inst.total_candidates
     if (need := 16 * n_cands * ((inst.d + 63) // 64) + 24 * inst.bits.size) > physical_memory():
         raise SizeError(f"the fluid LP needs {need / 2**30:.1f} GiB, more than the machine's memory")
-    first, mult, type_of = _candidate_types(inst)
+    keys = _type_keys(inst, prev)
+    first, mult, type_of = _candidate_types(inst, keys)
     n_types, d = len(first), inst.d
     # The first candidates of the types, in arrival order, are the type table.
     is_first = np.zeros(n_cands, dtype=bool)
@@ -163,7 +186,7 @@ def _fluid_block(inst: Instance):
     lens = inst.cand_lens[first]
     bits = inst.bits[np.repeat(is_first, inst.cand_lens)]
     if n_cands == 0 or inst.capacity == 0 or np.bincount(bits, minlength=d).min() == 0:
-        return None
+        return keys, None
     # Variables: X_1..X_T (mass per type), t.
     # max t  s.t.  sum X <= K,  t - c_k sum_{types with k} X <= 0,  0 <= X <= mult.
     c = np.asarray(inst.c)
@@ -172,7 +195,7 @@ def _fluid_block(inst: Instance):
     vals = np.concatenate([np.ones(n_types), -c[bits], np.ones(d)])
     b_ub = np.zeros(1 + d)
     b_ub[0] = float(inst.capacity)
-    return row_idx, col_idx, vals, b_ub, np.append(mult, np.inf), type_of
+    return keys, (row_idx, col_idx, vals, b_ub, np.append(mult, np.inf), type_of)
 
 
 def solve_fluid(inst: Instance) -> LPResult:
@@ -190,18 +213,21 @@ def solve_fluids(insts: Sequence[Instance]) -> list[LPResult]:
     values are made capacity-safe for the rounder, each counted once per
     copy (``rounding.capacity_safe``).
 
-    Each instance is screened (memory, zero optimum) and the rest are packed,
-    in order, into batches of at most ``FLUID_BATCH_SIZE`` rows plus columns
-    (an LP larger than that is a batch of its own); each batch is solved as
-    one block-diagonal LP (``_solve_fluid_batch``) before the next is built,
-    so only one batch's arrays are held at a time.  A batch whose blocks have
-    at most 2 ``FLUID_SIFT_WIDTH`` types each takes one HiGHS call; a larger
-    LP is sifted, in a few calls over at most a few thousand of its types.
+    Each instance is screened (memory, zero optimum) and typed, reusing the
+    type keys of the rounds it shares with the instance before it (family
+    members share long prefixes); the rest are packed, in order, into
+    batches of at most ``FLUID_BATCH_SIZE`` rows plus columns (an LP larger
+    than that is a batch of its own); each batch is solved as one
+    block-diagonal LP (``_solve_fluid_batch``) before the next is built, so
+    only one batch's arrays are held at a time.  A batch whose blocks have at
+    most 2 ``FLUID_SIFT_WIDTH`` types each takes one HiGHS call; a larger LP
+    is sifted, in a few calls over at most a few thousand of its types.
     """
     results: list[Optional[LPResult]] = [None] * len(insts)
-    batch, size = {}, 0
+    batch, size, prev = {}, 0, None
     for i, inst in enumerate(insts):
-        block = _fluid_block(inst)
+        keys, block = _fluid_block(inst, prev)
+        prev = inst, keys
         if block is None:
             zero = FractionalSolution(np.zeros(inst.total_candidates), inst.round_ptr)
             results[i] = LPResult(value=0.0, solution=zero, status="optimal", degenerate_zero=True)
@@ -236,9 +262,11 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
     their multiplicity, those more than that below it at 0, unless the
     seed's capacity did not bind.  Every other block starts whole.
 
-    Each block gets its own dual certificate over all its columns, and its x*
-    is re-validated against its own instance; a status other than optimal is
-    every member's status.
+    HiGHS runs without presolve: the blocks are small and presolve costs more
+    than it saves.  An x* on the capacity edge is safe, as ``capacity_safe``
+    trims per type.  Each block gets its own dual certificate over all its
+    columns, and its x* is re-validated against its own instance; a status
+    other than optimal is every member's status.
     """
     from scipy.sparse import csr_matrix
 
@@ -262,7 +290,8 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
         rhs[row] *= upper[types[work[types]]].sum() / upper[types].sum()
     for _ in range(FLUID_MAX_SOLVES):
         x = np.where(up, upper, 0.0)
-        res = linprog(cost[work], A_ub=a_ub[:, work], b_ub=rhs - a_ub @ x, bounds=bounds[work], method="highs")
+        res = linprog(cost[work], A_ub=a_ub[:, work], b_ub=rhs - a_ub @ x, bounds=bounds[work], method="highs",
+                      options={"presolve": False})
         if res.status != 0:
             for i in blocks:
                 results[i] = LPResult(float("nan"), None, "infeasible" if res.status == 2 else "unbounded_guard")

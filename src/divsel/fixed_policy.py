@@ -83,8 +83,6 @@ class AgentState:
     """
 
     gamma: float
-    d: int
-    c: tuple[float, ...]
     capacity: int
     y_used: float = 0.0
     z_used: float = 0.0
@@ -230,10 +228,7 @@ class FixedPolicy:
             self.d, self.c, self.capacity, list(self.phi_total)
         )
         count = guess_count(self.under, self.over)
-        self.agents = [
-            AgentState(gamma=(2.0**r) * self.under, d=self.d, c=self.c, capacity=self.capacity)
-            for r in range(count)
-        ]
+        self.agents = [AgentState(gamma=(2.0**r) * self.under, capacity=self.capacity) for r in range(count)]
         self.weights = np.asarray(self.c, dtype=float)
         self.target = np.array([agent.gamma / math.sqrt(self.d) for agent in self.agents])
         self.v = np.zeros((count, self.d))

@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    FractionalSolution,
     Instance,
     Round,
     RoundIncidence,
@@ -202,6 +203,11 @@ def leftover_topup(policy: "UnknownPolicy", x_i: np.ndarray) -> np.ndarray:
     return _equal_increment_topup(x_i, budget)
 
 
+#: The rows of every round without candidates, read-only since shared.
+_EMPTY = np.zeros(0)
+_EMPTY.flags.writeable = False
+
+
 @dataclass(frozen=True, slots=True)
 class UnknownRound:
     """One round of the unknown-capacity pass.  The myopic and forward parts
@@ -252,6 +258,11 @@ class UnknownPolicy:
 
     def process_round(self, rnd: Round) -> list[float]:
         self.round_index += 1
+        if not len(rnd):
+            # What the full path gives: no rows, z = 0, level min(u), u and
+            # emitted_total unchanged (the top-up of an empty row is empty).
+            self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, np.zeros(self.d), float(self.u.min()), _EMPTY))
+            return []
         inc = round_incidence(rnd, self.d)
         x_bar = myopic_round(self.c, self.a, inc)
         y, z, x_hat, f, self.u = forward_round(self.u, self.c, self.a, inc, self.continue_after_cap)
@@ -332,4 +343,6 @@ def variant_solution(policy: UnknownPolicy, variant: str):
     """A variant's plain rows (no top-up), read from any pass's trace."""
     if variant not in VARIANTS:
         raise ContractError(f"unknown variant {variant!r}")
-    return solution_from_rows([_variant_row(variant, rec.x_bar, rec.x_hat) for rec in policy.trace])
+    x_bar = solution_from_rows([rec.x_bar for rec in policy.trace])
+    x_hat = np.concatenate([rec.x_hat for rec in policy.trace] + [_EMPTY])
+    return FractionalSolution(_variant_row(variant, x_bar.values, x_hat), x_bar.round_ptr)

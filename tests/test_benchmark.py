@@ -17,7 +17,10 @@ from divsel.benchmark import (
     solve_fluids,
     solve_int,
 )
-from divsel.core import FractionalSolution, Instance, core_mask, instance_stats, least_utility, marginals, round_counts
+from divsel.core import (
+    FractionalSolution, Instance, common_prefix_rounds, core_mask, instance_stats, least_utility, marginals,
+    round_counts,
+)
 from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 from divsel.rounding import capacity_safe, max_selection_count
@@ -247,6 +250,100 @@ class TestFluidTypeAggregation:
             solve_fluid(repetitive_random(2))
 
 
+def spliced(head, tail, shared):
+    """``head``'s first ``shared`` rounds, then ``tail``'s rounds after them;
+    with ``tail`` = ``head``, ``head`` cut to its first ``shared`` rounds."""
+    rest = [] if tail is head else [rnd.bit_lists() for rnd in tail.rounds[shared:]]
+    rounds = [rnd.bit_lists() for rnd in head.rounds[:shared]] + rest
+    a = head.per_round_capacity
+    return Instance.from_bit_lists(head.d, head.c, len(rounds) * a, rounds, a)
+
+
+def with_empties(inst):
+    """``inst`` with a candidate without attributes closing every other
+    round and an empty round after every third."""
+    rounds = []
+    for i, rnd in enumerate(inst.rounds):
+        rounds.append(rnd.bit_lists() + [[]] * (i % 2))
+        rounds += [[]] * (i % 3 == 2)
+    a = inst.per_round_capacity
+    return Instance.from_bit_lists(inst.d, inst.c, len(rounds) * a, rounds, a)
+
+
+def assert_same_arrays(got, want):
+    assert [(g.dtype, g.shape, g.tobytes()) for g in got] == [(w.dtype, w.shape, w.tobytes()) for w in want]
+
+
+class TestPrefixSharedTypes:
+    """Type tables built along the rounds consecutive instances share equal
+    ``_candidate_types`` from scratch."""
+
+    @staticmethod
+    def assert_chain_matches(insts):
+        prev = None
+        for inst in insts:
+            keys = benchmark._type_keys(inst, prev)
+            assert_same_arrays([keys], [benchmark._type_keys(inst)])
+            assert_same_arrays(benchmark._candidate_types(inst, keys), benchmark._candidate_types(inst))
+            prev = inst, keys
+
+    @pytest.mark.parametrize("family", [gen_fhc, gen_fcs])
+    @pytest.mark.parametrize("d", [27, 64])
+    def test_consecutive_family_members(self, family, d):
+        self.assert_chain_matches(family(d))
+
+    @pytest.mark.parametrize("d", [3, 64, 65, 150])
+    @pytest.mark.parametrize("empties", [False, True])
+    def test_random_pairs(self, d, empties):
+        def draw(seed):
+            inst = gen_random(d=d, n=12, a=2, density=0.6 if d == 3 else 0.05, min_arrivals=1, c_max=2.0, seed=seed)
+            return with_empties(inst) if empties else inst
+
+        for seed in range(3):
+            head, tail = draw(seed), draw(seed + 100)
+            for shared in (0, 1, head.n // 2, head.n - 1, head.n):
+                pair = [head, spliced(head, tail, shared)]
+                assert common_prefix_rounds(*pair) >= shared
+                self.assert_chain_matches(pair)
+            # A prefix of the other: every round of the shorter one is shared.
+            self.assert_chain_matches([head, spliced(head, head, 5)])
+            self.assert_chain_matches([spliced(head, head, 5), head])
+
+    def test_shared_keys_are_copied_not_packed(self):
+        head = gen_random(d=64, n=12, a=2, density=0.05, min_arrivals=1, c_max=2.0, seed=5)
+        inst = spliced(head, gen_random(d=64, n=12, a=2, density=0.05, min_arrivals=1, c_max=2.0, seed=6), 7)
+        start = int(inst.round_ptr[common_prefix_rounds(head, inst)])
+        marked = ~benchmark._type_keys(head)  # keys no candidate has
+        keys = benchmark._type_keys(inst, (head, marked))
+        assert start > 0 and (keys[:start] == marked[:start]).all()
+        assert (keys[start:] == benchmark._type_keys(inst)[start:]).all()
+
+    @pytest.mark.parametrize("other_d", [5, 65])
+    def test_nothing_is_shared_across_d(self, monkeypatch, other_d):
+        head = gen_random(d=3, n=12, a=2, density=0.6, min_arrivals=1, c_max=2.0, seed=8)
+        rounds = [rnd.bit_lists() for rnd in head.rounds]
+        other = Instance.from_bit_lists(other_d, (1.0,) * other_d, head.capacity, rounds, head.per_round_capacity)
+        monkeypatch.setattr(benchmark, "common_prefix_rounds", lambda a, b: pytest.fail("compared across d"))
+        self.assert_chain_matches([head, other])
+        self.assert_chain_matches([other, head])
+
+    def test_solve_fluids_types_every_member_as_from_scratch(self, monkeypatch):
+        typed, real = [], benchmark._candidate_types
+
+        def checked(inst, keys=None):
+            types = real(inst, keys)
+            assert keys is not None
+            assert_same_arrays(types, real(inst))
+            typed.append(inst)
+            return types
+
+        monkeypatch.setattr(benchmark, "_candidate_types", checked)
+        members = gen_fhc(27) + gen_fcs(27) + gen_fhc(8)
+        values = [lp.value for lp in solve_fluids(members)]
+        assert values == pytest.approx([lp.value for lp in map(solve_fluid, members)], rel=1e-9)
+        assert typed == members + members
+
+
 class TestSolveFluids:
     @staticmethod
     def mixed_batch():
@@ -352,9 +449,11 @@ class TestSolveFluids:
         need = 16 * 50_001 + 24 * 50_001  # one key word per candidate, one attribute each
         monkeypatch.setattr(benchmark, "physical_memory", lambda: need)
         assert solve_fluid(one_type(50_001)).value == 1.0
-        keyed, real = [], benchmark._candidate_types
+        keyed, real = [], benchmark._type_keys
         monkeypatch.setattr(benchmark, "physical_memory", lambda: need - 1)
-        monkeypatch.setattr(benchmark, "_candidate_types", lambda inst: keyed.append(inst.total_candidates) or real(inst))
+        monkeypatch.setattr(
+            benchmark, "_type_keys", lambda inst, prev=None: keyed.append(inst.total_candidates) or real(inst, prev)
+        )
         with pytest.raises(SizeError, match="fluid LP needs"):
             solve_fluids([one_type(30_000), one_type(50_001)])
         assert keyed == [30_000]

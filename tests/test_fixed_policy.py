@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -33,12 +34,21 @@ from divsel.generators import gen_fcs, gen_random
 from conftest import make_instance
 
 
+@dataclass
+class Agent(AgentState):
+    """One guess with the (d, c) of its principal, which the single-agent
+    helpers below read; the kernels read only the ``AgentState`` fields."""
+
+    d: int = 0
+    c: tuple[float, ...] = ()
+
+
 def make_agent(gamma, d, capacity, c=None):
-    return AgentState(
+    return Agent(
         gamma=gamma,
+        capacity=capacity,
         d=d,
         c=tuple(c) if c else tuple(1.0 for _ in range(d)),
-        capacity=capacity,
     )
 
 

@@ -259,29 +259,33 @@ class TestVerify:
             assert verdict.status == "fail"
             assert verdict.lhs > 1e-7
 
-    @pytest.mark.parametrize("family, forward_rounds, full_rounds", [
+    @pytest.mark.parametrize("family, rounds, full_rounds", [
         ("fhc", 2080, 127),  # 4,096 and 2,143 with a fresh pass per member
         ("fcs", 160, 160),  # 256 and 256
     ])
-    def test_family_shares_the_common_prefix(self, monkeypatch, capsys, family, forward_rounds, full_rounds):
+    def test_family_shares_the_common_prefix(self, monkeypatch, capsys, family, rounds, full_rounds):
         """``verify --family`` at d = 64 processes each round that members
-        share once, and an empty round never reaches the water fill."""
-        forward_calls, fills = [], []
-        real_forward, real_fill = unknown_policy.forward_round, unknown_policy.water_fill
+        share once, and an empty round reaches neither the forward pass nor
+        the water fill."""
+        calls = {"process_round": [], "forward_round": [], "water_fill": []}
 
-        def counting_forward(*args, **kwargs):
-            forward_calls.append(1)
-            return real_forward(*args, **kwargs)
+        def counting(name, real):
+            def count(*args, **kwargs):
+                calls[name].append(1)
+                return real(*args, **kwargs)
 
-        def counting_fill(*args, **kwargs):
-            fills.append(1)
-            return real_fill(*args, **kwargs)
+            return count
 
-        monkeypatch.setattr(unknown_policy, "forward_round", counting_forward)
-        monkeypatch.setattr(unknown_policy, "water_fill", counting_fill)
+        for owner, name in (
+            (unknown_policy.UnknownPolicy, "process_round"), (unknown_policy, "forward_round"),
+            (unknown_policy, "water_fill"),
+        ):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         assert main(["verify", "--family", family, "--d", "64", "--policy", "uc-hybrid"]) == 0
         assert "0 fail" in capsys.readouterr().out
-        assert (len(forward_calls), len(fills)) == (forward_rounds, full_rounds)
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "process_round": rounds, "forward_round": full_rounds, "water_fill": full_rounds,
+        }
 
     def test_per_instance_generates_members_once(self, monkeypatch, capsys):
         generated = []

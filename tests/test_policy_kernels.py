@@ -391,7 +391,7 @@ def test_controlled_greedy_round_matches_ref_greedy(case):
     """
     d, c, capacity, starts, bits, order = case
     rnd = Round(tuple(AttributeVector(tuple(sorted(b))) for b in bits))
-    agents = [AgentState(gamma, d, c, capacity, y_used=used) for gamma, used, _ in starts]
+    agents = [AgentState(gamma, capacity, y_used=used) for gamma, used, _ in starts]
     v = np.array([v0 for *_, v0 in starts]).reshape(len(starts), d)
     target = np.array([gamma / math.sqrt(d) for gamma, *_ in starts])
     drawn = []

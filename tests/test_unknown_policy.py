@@ -7,7 +7,7 @@ import pytest
 
 from divsel import unknown_policy
 from divsel.core import (
-    AttributeVector, Round, core_mask, least_utility, round_incidence, validate_feasibility
+    AttributeVector, Round, core_mask, least_utility, round_incidence, solution_from_rows, validate_feasibility
 )
 from divsel.errors import ContractError, ShapeError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
@@ -21,6 +21,7 @@ from divsel.unknown_policy import (
     policy_solution,
     unknown_family_passes,
     run_unknown_policy,
+    variant_solution,
     water_fill,
 )
 
@@ -332,10 +333,11 @@ class TestHybridAndTopup:
 
 
 def trace_bytes(policy):
-    """Every trace record of a pass as raw bytes, field by field."""
+    """Every trace record of a pass as raw bytes, field by field, with each
+    array's dtype and shape."""
     return [
-        (rec.x_bar.tobytes(), rec.x_hat.tobytes(), rec.y.tobytes(), rec.z.tobytes(),
-         rec.emitted.tobytes(), np.float64(rec.f).tobytes())
+        tuple((arr.dtype.str, arr.shape, arr.tobytes()) for arr in (rec.x_bar, rec.x_hat, rec.y, rec.z, rec.emitted))
+        + (np.float64(rec.f).tobytes(),)
         for rec in policy.trace
     ]
 
@@ -357,6 +359,127 @@ def counting_process_round(monkeypatch):
 
     monkeypatch.setattr(UnknownPolicy, "process_round", counting)
     return sizes
+
+
+def full_arithmetic_round(policy, rnd):
+    """``UnknownPolicy.process_round`` with every kernel run on every round,
+    empty ones included: the oracle of its shortcut for empty rounds."""
+    policy.round_index += 1
+    inc = round_incidence(rnd, policy.d)
+    x_bar = myopic_round(policy.c, policy.a, inc)
+    y, z, x_hat, f, policy.u = forward_round(policy.u, policy.c, policy.a, inc, policy.continue_after_cap)
+    row = unknown_policy._variant_row(policy.variant, x_bar, x_hat)
+    if policy.topup_enabled:
+        row = unknown_policy.leftover_topup(policy, row)
+    x_i = row.tolist()
+    policy.emitted_total += math.fsum(x_i)
+    policy.trace.append(unknown_policy.UnknownRound(x_bar, x_hat, y, z, f, row))
+    return x_i
+
+
+def with_empty_rounds(inst, pattern):
+    """``inst``'s rounds in order, an empty round wherever ``pattern`` has
+    None and the next of them wherever it has a 1."""
+    rounds = iter(inst.rounds)
+    return [Round(()) if slot is None else next(rounds) for slot in pattern]
+
+
+class TestEmptyRounds:
+    """A round without candidates skips the kernels and records what they
+    would have returned, bit for bit."""
+
+    E = None
+    PATTERNS = {
+        "first": [E, 1, 1, 1],
+        "middle": [1, 1, E, 1, 1],
+        "last": [1, 1, 1, E],
+        "back-to-back": [E, E, 1, E, E, E, 1, 1, E, E],
+        "only": [E, E, E],
+    }
+
+    @staticmethod
+    def nonempty_rounds(seed):
+        return gen_random(d=6, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.5, seed=seed)
+
+    @pytest.mark.parametrize("pattern", list(PATTERNS))
+    @pytest.mark.parametrize("variant", unknown_policy.VARIANTS)
+    @pytest.mark.parametrize("topup", [False, True])
+    @pytest.mark.parametrize("continue_after_cap", [False, True])
+    def test_records_match_the_full_arithmetic(self, monkeypatch, pattern, variant, topup, continue_after_cap):
+        inst = self.nonempty_rounds(seed=len(pattern))
+        rounds = with_empty_rounds(inst, self.PATTERNS[pattern])
+        config = dict(d=inst.d, c=inst.c, a=2, variant=variant, topup_enabled=topup,
+                      continue_after_cap=continue_after_cap)
+        want = UnknownPolicy(**config)
+        want_rows = [full_arithmetic_round(want, rnd) for rnd in rounds]
+        forwards, real = [], unknown_policy.forward_round
+        monkeypatch.setattr(unknown_policy, "forward_round", lambda *args: forwards.append(1) or real(*args))
+        got = UnknownPolicy(**config)
+        assert [got.process_round(rnd) for rnd in rounds] == want_rows
+        assert_same_pass(got, want)
+        assert len(forwards) == sum(len(rnd) > 0 for rnd in rounds)
+
+    @pytest.mark.parametrize("topup", [False, True])
+    def test_fork_inside_an_empty_run(self, topup):
+        inst = self.nonempty_rounds(seed=21)
+        rounds = with_empty_rounds(inst, self.PATTERNS["back-to-back"])
+        config = dict(d=inst.d, c=inst.c, a=2, topup_enabled=topup)
+        want = UnknownPolicy(**config)
+        for rnd in rounds:
+            full_arithmetic_round(want, rnd)
+        for cut in (1, 4, 5, 9):  # each between two empty rounds
+            policy = UnknownPolicy(**config)
+            for rnd in rounds[:cut]:
+                policy.process_round(rnd)
+            twin = policy.fork()
+            for rnd in rounds[cut:]:
+                twin.process_round(rnd)
+            assert_same_pass(twin, want)
+            for rnd in rounds[cut:]:
+                policy.process_round(rnd)
+            assert_same_pass(policy, want)
+
+    def test_shared_rows_are_read_only(self):
+        policy = UnknownPolicy(d=3, c=(1.0, 2.0, 1.5), a=1)
+        for _ in range(2):
+            policy.process_round(Round(()))
+        first, second = policy.trace
+        for arr in (first.x_bar, first.x_hat, first.y, first.emitted):
+            with pytest.raises(ValueError):
+                arr[...] = 1.0
+        assert first.z is not second.z
+
+
+class TestVariantSolution:
+    """``variant_solution`` equals the per-round ``_variant_row`` rows bit
+    for bit."""
+
+    @staticmethod
+    def per_round(policy, variant):
+        return solution_from_rows(
+            [unknown_policy._variant_row(variant, rec.x_bar, rec.x_hat) for rec in policy.trace]
+        )
+
+    @staticmethod
+    def assert_same_solution(got, want):
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.round_ptr.tobytes() == want.round_ptr.tobytes()
+
+    @pytest.mark.parametrize("variant", unknown_policy.VARIANTS)
+    def test_random_verify_shape(self, variant):
+        inst = gen_random(d=32, n=1000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
+        policy = run_unknown_policy(inst, topup=True)
+        self.assert_same_solution(variant_solution(policy, variant), self.per_round(policy, variant))
+
+    @pytest.mark.parametrize("variant", unknown_policy.VARIANTS)
+    def test_fhc_members(self, variant):
+        for policy in unknown_family_passes(gen_fhc(27)):
+            self.assert_same_solution(variant_solution(policy, variant), self.per_round(policy, variant))
+
+    def test_empty_pass(self):
+        policy = UnknownPolicy(d=2, c=(1.0, 1.0), a=1)
+        for variant in unknown_policy.VARIANTS:
+            self.assert_same_solution(variant_solution(policy, variant), self.per_round(policy, variant))
 
 
 class TestFork:
