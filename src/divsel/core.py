@@ -171,6 +171,8 @@ def max_over_attributes(values, inc: RoundIncidence) -> np.ndarray:
     zero-length segment, so candidates without attributes are left out of it.
     """
     values = np.asarray(values, dtype=float)
+    if inc.lens.all():  # no such candidate: one reduceat is the whole answer
+        return np.maximum.reduceat(values[..., inc.bits], inc.starts, axis=-1)
     out = np.zeros(values.shape[:-1] + inc.lens.shape)
     nonempty = inc.lens > 0
     if inc.bits.size:

@@ -14,8 +14,9 @@ every agent as it was, so such a round is made cheap:
 - stage 1 is sequential in the shared order, but a candidate can only be
   raised if, at the start of the round, at least sqrt(d) of its dimensions
   are below the agent's scaled guess.  One product of the agents x d
-  "below" mask with the round's d x n_i membership matrix screens out every
-  other candidate; only the survivors go through the scalar step.
+  "below" mask (cached like the gap, see below) with the round's d x n_i
+  membership matrix screens out every other candidate; only survivors enter
+  stage 1, whose scalar step runs on Python floats.
 - the shared order is drawn only when some agent has two or more survivors.
 - stage 2 is skipped unless some shortfall, an agent's scaled guess minus
   the most utility a dimension can still reach, is positive: otherwise its
@@ -114,17 +115,13 @@ def controlled_greedy_round(
     product with the round's membership matrix, rules out every candidate
     with fewer than m: tau_k > 0 implies v_k < target, so each of them ends
     at y = 0.  The scalar step runs on the survivors alone, against the
-    current v, and recomputes tau.  Agents share nothing here, so the order
-    matters only among one agent's survivors; with at most one each, it is
-    never drawn.  An agent whose y_used has reached K raises nothing.
+    current v, and recomputes tau, in Python floats (the same IEEE operations
+    as on arrays).  Agents share nothing here, so the order matters only among
+    one agent's survivors; with at most one each, it is never drawn.  An
+    agent whose y_used has reached K raises nothing.
     """
-    n = inc.lens.size
-    y = np.zeros((len(agents), n))
-    live = np.array([agent.capacity - agent.y_used > 0.0 for agent in agents], dtype=bool)
-    member = np.zeros((v.shape[1], n))
-    member[inc.bits, np.repeat(np.arange(n), inc.lens)] = 1.0
-    m = min_count_at_least_sqrt_d(v.shape[1])
-    survives = ((v < target[:, None]) & live[:, None]) @ member >= m
+    y = np.zeros((len(agents), inc.lens.size))
+    survives = _survivors(_below(agents, v, target), inc)
     rows, cols = (index.tolist() for index in np.nonzero(survives))
     if len(set(rows)) < len(rows):
         # Row-major nonzero over the columns in visiting order: each agent's
@@ -132,18 +129,37 @@ def controlled_greedy_round(
         visit = np.asarray(order(), dtype=np.int64)
         rows, steps = np.nonzero(survives[:, visit])
         rows, cols = rows.tolist(), visit[steps].tolist()
+    m = min_count_at_least_sqrt_d(v.shape[1])
+    c, bits, bounds = c.tolist(), inc.bits.tolist(), inc.starts.tolist() + [inc.bits.size]
+    v_rows = {a: v[a].tolist() for a in set(rows)}
     for a, j in zip(rows, cols):
-        agent = agents[a]
-        bits = inc.bits[inc.starts[j] : inc.starts[j] + inc.lens[j]]
-        tau = (target[a] - v[a, bits]) / c[bits]
-        tau = tau[tau > 0.0]
-        y_stop = float(np.sort(tau)[-m]) if tau.size >= m else 0.0
+        agent, v_a, target_a = agents[a], v_rows[a], float(target[a])
+        cand = bits[bounds[j] : bounds[j + 1]]
+        tau = sorted([tau_k for k in cand if (tau_k := (target_a - v_a[k]) / c[k]) > 0.0])
+        y_stop = tau[-m] if len(tau) >= m else 0.0
         step = min(1.0, max(0.0, agent.capacity - agent.y_used), y_stop)
         y[a, j] = step
         if step > 0.0:
             agent.y_used += step
-            v[a, bits] += c[bits] * step
+            for k in cand:
+                v_a[k] += c[k] * step
+    for a, v_a in v_rows.items():
+        v[a] = v_a
     return y
+
+
+def _below(agents: list[AgentState], v: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """1.0 where an agent with capacity left has v_k below its target."""
+    live = np.array([agent.capacity - agent.y_used > 0.0 for agent in agents], dtype=bool)
+    return ((v < target[:, None]) & live[:, None]).astype(float)
+
+
+def _survivors(below: np.ndarray, inc: RoundIncidence) -> np.ndarray:
+    """Agents x n_i: does the candidate hold at least sqrt(d) marked dimensions?"""
+    d, n = below.shape[1], inc.lens.size
+    member = np.zeros((d, n))
+    member[inc.bits, np.repeat(np.arange(n), inc.lens)] = 1.0
+    return below @ member >= min_count_at_least_sqrt_d(d)
 
 
 def continuous_minimalist_round(
@@ -218,6 +234,7 @@ class FixedPolicy:
     v: np.ndarray = field(init=False)  # agents x d: c_k times the sum of y_ij on dim k
     z_acc: np.ndarray = field(init=False)  # agents x d: sum over past rounds of z_ik
     gap: np.ndarray = field(init=False)  # agents x d: target - (v + c z_acc)
+    below: np.ndarray = field(init=False)  # agents x d: the stage-1 screen, moved only by a raise
     unseen: np.ndarray = field(init=False)  # phi_k minus the arrivals seen so far
     trace: list[FixedRound] = field(default_factory=list)
 
@@ -233,11 +250,12 @@ class FixedPolicy:
         self.target = np.array([agent.gamma / math.sqrt(self.d) for agent in self.agents])
         self.v = np.zeros((count, self.d))
         self.z_acc = np.zeros((count, self.d))
-        self._refresh_gap()
+        self._refresh()
         self.unseen = np.array(self.phi_total, dtype=np.int64)
 
-    def _refresh_gap(self) -> None:
+    def _refresh(self) -> None:
         self.gap = self.target[:, None] - (self.v + self.weights * self.z_acc)
+        self.below = _below(self.agents, self.v, self.target)
 
     def _order(self, index: int, n: int) -> list[int]:
         # One shuffle per round, shared by all agents; replay is exact given
@@ -252,18 +270,21 @@ class FixedPolicy:
         n, index = len(rnd), len(self.trace)
         inc = round_incidence(rnd, self.d)
         self.unseen -= inc.counts
-        y = controlled_greedy_round(
-            self.agents, self.v, self.target, self.weights, inc, lambda: self._order(index, n)
-        )
-        raised = y.any()
+        y, raised = np.zeros((len(self.agents), n)), False
+        if _survivors(self.below, inc).any():
+            y = controlled_greedy_round(
+                self.agents, self.v, self.target, self.weights, inc, lambda: self._order(index, n)
+            )
+            raised = y.any()
         if raised:
-            self._refresh_gap()
-        shortfall = self.gap - self.weights * self.unseen
-        if (shortfall > 0.0).any():
+            self._refresh()
+        # shortfall = gap - c * unseen is positive exactly where gap > c * unseen.
+        if (self.gap > self.weights * self.unseen).any():
+            shortfall = self.gap - self.weights * self.unseen
             z = continuous_minimalist_round(self.agents, shortfall, self.weights, self.z_acc, inc)
-            self._refresh_gap()
+            self._refresh()
         elif raised:
-            z = np.zeros_like(shortfall)
+            z = np.zeros_like(self.gap)
         else:
             self.trace.append(FixedRound(y, y, np.zeros(n)))
             return [0.0] * n

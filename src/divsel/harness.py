@@ -14,7 +14,6 @@ import io
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
@@ -734,6 +733,8 @@ def competitive_report(
     # workers than there are tasks or processors.
     workers = max(1, min(jobs, len(ordered) * len(groups), os.cpu_count() or 1))
     parallel = workers > 1
+    if parallel:  # imported only here, since the import adds ~15 ms to start-up
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         opts = list(mapper(_fluid_value, [inst for _, inst in ordered]))

@@ -14,7 +14,6 @@ The policy reads only (d, c, a); it never sees K, n, or marginal information.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -35,24 +34,22 @@ from .core import (
 from .errors import ContractError, ShapeError
 
 
-@functools.lru_cache(maxsize=16)
-def _inv_c_sum(c: tuple[float, ...]) -> float:
-    """sum_k 1/c_k, a constant of each policy, so summed once per c."""
-    return math.fsum(1.0 / ck for ck in c)
-
-
-def myopic_round(c: tuple[float, ...], a: int, inc: RoundIncidence) -> np.ndarray:
+def myopic_round(c: Sequence[float], a: int, inc: RoundIncidence) -> np.ndarray:
     """Equal-improvement allocation of the fresh capacity a.
 
     The common utility raise is alpha = min(min_k c_k phi_k, a / sum_k 1/c_k);
     each candidate takes the largest per-dimension share it is needed for.
     A dimension with no arrivals this round forces alpha = 0.
     """
+    return _myopic_row(np.asarray(c, dtype=float), a / math.fsum(1.0 / ck for ck in c), inc)
+
+
+def _myopic_row(c: np.ndarray, raise_cap: float, inc: RoundIncidence) -> np.ndarray:
+    """``myopic_round`` from a policy's constants: c as an array, a / sum_k 1/c_k."""
     if not inc.lens.size or inc.counts.min() == 0:
         return np.zeros(inc.lens.size)
-    c_arr = np.asarray(c)
-    alpha = min(float((c_arr * inc.counts).min()), a / _inv_c_sum(tuple(c)))
-    return max_over_attributes((alpha / c_arr) / inc.counts, inc)
+    alpha = min(float((c * inc.counts).min()), raise_cap)
+    return max_over_attributes((alpha / c) / inc.counts, inc)
 
 
 def water_fill(
@@ -61,7 +58,7 @@ def water_fill(
     budget: float,
     c: Sequence[float],
     continue_after_cap: bool = False,
-) -> list[float]:
+) -> np.ndarray:
     """Raise the lowest utility levels under a total budget and per-dim caps.
 
     The levels L_k = u_k + c_k z_k rise together from the bottom, in one
@@ -73,17 +70,22 @@ def water_fill(
     ``benchmark.adjustment_bounds`` certifies from above.  With
     ``continue_after_cap`` a capped dimension leaves the slope and the rest
     keep rising until the budget runs out (same value, more mass).  Both modes
-    cost O(d log d), for the sort.
+    cost O(d log d), for the sort, which by default takes only the events
+    before the first cap: the joins at or below it, then that cap.
     """
     u, caps, c = (np.asarray(v, dtype=float) for v in (u, caps, c))
     if not u.size or budget <= 0.0:
-        return [0.0] * u.size
+        return np.zeros(u.size)
     events = np.concatenate([u, u + c * caps])
-    is_cap = np.arange(2 * u.size) >= u.size
-    order = np.lexsort((is_cap, events))
+    if continue_after_cap:
+        order = np.lexsort((np.arange(events.size) >= u.size, events))
+    else:
+        cap = u.size + int(events[u.size :].argmin())
+        (joins,) = np.nonzero(u <= events[cap])
+        order = np.concatenate([joins[u[joins].argsort(kind="stable")], [cap]])
     steps = np.concatenate([1.0 / c, -1.0 / c])[order].tolist()
     level, used, slope = float(events[order[0]]), 0.0, 0.0
-    for event, capped, step in zip(events[order].tolist(), is_cap[order].tolist(), steps):
+    for event, capped, step in zip(events[order].tolist(), (order >= u.size).tolist(), steps):
         if used + slope * (event - level) >= budget:
             level += (budget - used) / slope
             break
@@ -92,7 +94,7 @@ def water_fill(
         if capped and not continue_after_cap:
             break
         slope += step
-    return np.minimum(caps, np.maximum(0.0, (level - u) / c)).tolist()
+    return np.minimum(caps, np.maximum(0.0, (level - u) / c))
 
 
 def fill_value(u: Sequence[float], z: Sequence[float], c: Sequence[float]) -> float:
@@ -133,7 +135,7 @@ def forward_round(
     np.add.at(u, core_bits, c_arr[core_bits])
 
     budget = math.sqrt(d) * a
-    z_i = np.asarray(water_fill(u, inc.counts, budget, c_arr, continue_after_cap))
+    z_i = water_fill(u, inc.counts, budget, c_arr, continue_after_cap)
     f_i = fill_value(u, z_i, c_arr)
 
     total_count = len(inc.bits)
@@ -168,10 +170,12 @@ def _equal_increment_topup(x_i: np.ndarray, budget: float) -> np.ndarray:
     Entries are visited by headroom, smallest first, while the increment
     would push the next one past 1: it is set to 1 and its headroom leaves the
     budget.  Where the rest of the budget fits, the remaining entries rise
-    together.
+    together; mostly that is at once, and nothing is sorted.
     """
     if not x_i.size or budget <= 0.0:
         return x_i
+    if (1.0 - float(x_i.max())) * x_i.size >= budget - 1e-15:
+        return np.minimum(1.0, x_i + budget / x_i.size)
     order = np.argsort(1.0 - x_i, kind="stable")
     remaining = budget
     base = 0.0
@@ -199,13 +203,14 @@ def leftover_topup(policy: "UnknownPolicy", x_i: np.ndarray) -> np.ndarray:
     first agent's own state never sees the result, so its future decisions
     are unchanged and the combined solution dominates the plain one.
     """
-    budget = policy.round_index * policy.a - policy.emitted_total - math.fsum(x_i)
+    budget = policy.round_index * policy.a - policy.emitted_total - math.fsum(x_i.tolist())
     return _equal_increment_topup(x_i, budget)
 
 
 #: The rows of every round without candidates, read-only since shared.
 _EMPTY = np.zeros(0)
 _EMPTY.flags.writeable = False
+_EMPTY_ROUND = Round(())  # what the family pass feeds for each empty round
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,6 +244,8 @@ class UnknownPolicy:
     emitted_total: float = 0.0
     round_index: int = 0
     trace: list[UnknownRound] = field(default_factory=list)
+    weights: np.ndarray = field(init=False, repr=False)  # c as an array
+    raise_cap: float = field(init=False, repr=False)  # a / sum_k 1/c_k
 
     def __post_init__(self) -> None:
         if self.a < 1:
@@ -246,6 +253,8 @@ class UnknownPolicy:
         if self.variant not in VARIANTS:
             raise ContractError(f"unknown variant {self.variant!r}")
         self.u = np.zeros(self.d)
+        self.weights = np.array(self.c, dtype=float)
+        self.raise_cap = self.a / math.fsum(1.0 / ck for ck in self.c)
 
     def fork(self) -> UnknownPolicy:
         """An independent copy of the policy in its current state, to feed a
@@ -264,8 +273,8 @@ class UnknownPolicy:
             self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, np.zeros(self.d), float(self.u.min()), _EMPTY))
             return []
         inc = round_incidence(rnd, self.d)
-        x_bar = myopic_round(self.c, self.a, inc)
-        y, z, x_hat, f, self.u = forward_round(self.u, self.c, self.a, inc, self.continue_after_cap)
+        x_bar = _myopic_row(self.weights, self.raise_cap, inc)
+        y, z, x_hat, f, self.u = forward_round(self.u, self.weights, self.a, inc, self.continue_after_cap)
         row = _variant_row(self.variant, x_bar, x_hat)
         if self.topup_enabled:
             row = leftover_topup(self, row)
@@ -325,12 +334,12 @@ def unknown_family_passes(members: Sequence[Instance]) -> Iterator[UnknownPolicy
     for i, inst in enumerate(members):
         policy = follower if follower is not None else _new_policy(inst, "hybrid", False, False)
         follower = None
-        rounds = inst.rounds
+        rounds, sizes = inst.rounds, np.diff(inst.round_ptr).tolist()
         for r in range(starts[i], inst.n + 1):
             if r == starts[i + 1] > 0:
                 follower = policy.fork()
             if r < inst.n:
-                policy.process_round(rounds[r])
+                policy.process_round(rounds[r] if sizes[r] else _EMPTY_ROUND)
         yield policy
 
 

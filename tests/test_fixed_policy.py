@@ -250,11 +250,18 @@ class TestFixedPolicy:
 
 
 def test_emitted_rows_are_pinned():
-    """Every emitted row of a 2,000-round d=64 stream, byte for byte: the
-    round-start screen, the lazy shuffle and the stage-2 gate may change no
-    bit of them."""
+    """Every emitted row of a 2,000-round d=64 stream, byte for byte, and
+    every agent's rows and final totals: the round-start screen and its
+    cache, the Python-float survivor step, the lazy shuffle and the stage-2
+    gate may change no bit of them."""
     inst = gen_random(d=64, n=2000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
-    digest = hashlib.sha256()
-    for rec in run_fixed_policy(inst, 1).trace:
+    policy = run_fixed_policy(inst, 1)
+    digest, agent_rows = hashlib.sha256(), hashlib.sha256()
+    for rec in policy.trace:
         digest.update(rec.emitted.tobytes())
+        agent_rows.update(rec.x.tobytes())
+        agent_rows.update(rec.y.tobytes())
     assert digest.hexdigest() == "09f527239f430fb49adf6017006992b06f67c8bd3d2325f1e1fbe8522b659c3f"
+    assert agent_rows.hexdigest() == "608f42bb809f28182f99c56ea28d5515e63400bdcbee5667284010612e034d48"
+    totals = hashlib.sha256(policy.v.tobytes() + policy.z_acc.tobytes()).hexdigest()
+    assert totals == "6a89bf2f48f57874d6a92038874ed5a4a7e5f59285d159dcfd857995ea0a4ac7"

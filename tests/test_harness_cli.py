@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -435,7 +436,7 @@ class TestReport:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
         instances = [
             (f"j{i}", gen_random(d=3, n=3, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=i))

@@ -220,6 +220,102 @@ def ref_topup(x_i, budget):
     return result
 
 
+# The array kernels as they were before their fast paths (the short
+# water-fill sweep, the top-up shortcut, the Python-float survivor step),
+# kept verbatim as the oracles of those paths.
+
+
+def full_sweep_water_fill(u, caps, budget, c, continue_after_cap=False):
+    """``water_fill`` over all 2d sorted events, in both modes."""
+    u, caps, c = (np.asarray(v, dtype=float) for v in (u, caps, c))
+    if not u.size or budget <= 0.0:
+        return [0.0] * u.size
+    events = np.concatenate([u, u + c * caps])
+    is_cap = np.arange(2 * u.size) >= u.size
+    order = np.lexsort((is_cap, events))
+    steps = np.concatenate([1.0 / c, -1.0 / c])[order].tolist()
+    level, used, slope = float(events[order[0]]), 0.0, 0.0
+    for event, capped, step in zip(events[order].tolist(), is_cap[order].tolist(), steps):
+        if used + slope * (event - level) >= budget:
+            level += (budget - used) / slope
+            break
+        used += slope * (event - level)
+        level = event
+        if capped and not continue_after_cap:
+            break
+        slope += step
+    return np.minimum(caps, np.maximum(0.0, (level - u) / c)).tolist()
+
+
+def event_consumptions(u, caps, c):
+    """The consumption the stop-at-first-cap sweep reaches at each event it
+    visits: a budget equal to one of them lands exactly on that event."""
+    u, caps, c = (np.asarray(v, dtype=float) for v in (u, caps, c))
+    events = np.concatenate([u, u + c * caps])
+    is_cap = np.arange(2 * u.size) >= u.size
+    order = np.lexsort((is_cap, events))
+    steps = np.concatenate([1.0 / c, -1.0 / c])[order].tolist()
+    level, used, slope, out = float(events[order[0]]), 0.0, 0.0, []
+    for event, capped, step in zip(events[order].tolist(), is_cap[order].tolist(), steps):
+        out.append(used + slope * (event - level))
+        used += slope * (event - level)
+        level = event
+        if capped:
+            break
+        slope += step
+    return out
+
+
+def full_loop_topup(x_i, budget):
+    """``_equal_increment_topup`` with every row sorted, rank 0 included."""
+    if not x_i.size or budget <= 0.0:
+        return x_i
+    order = np.argsort(1.0 - x_i, kind="stable")
+    remaining = budget
+    base = 0.0
+    for rank, j in enumerate(order.tolist()):
+        headroom = (1.0 - x_i[j]) - base
+        active = order.size - rank
+        if headroom * active >= remaining - 1e-15:
+            base += remaining / active
+            break
+        base += headroom
+        remaining -= headroom * active
+    else:
+        return np.ones(order.size)
+    result = np.minimum(1.0, x_i + base)
+    result[order[:rank]] = 1.0
+    return result
+
+
+def array_step_greedy_round(agents, v, target, c, inc, order):
+    """``controlled_greedy_round`` with its survivor step on numpy arrays."""
+    n = inc.lens.size
+    y = np.zeros((len(agents), n))
+    live = np.array([agent.capacity - agent.y_used > 0.0 for agent in agents], dtype=bool)
+    member = np.zeros((v.shape[1], n))
+    member[inc.bits, np.repeat(np.arange(n), inc.lens)] = 1.0
+    m = min_count_at_least_sqrt_d(v.shape[1])
+    survives = ((v < target[:, None]) & live[:, None]) @ member >= m
+    rows, cols = (index.tolist() for index in np.nonzero(survives))
+    if len(set(rows)) < len(rows):
+        visit = np.asarray(order(), dtype=np.int64)
+        rows, steps = np.nonzero(survives[:, visit])
+        rows, cols = rows.tolist(), visit[steps].tolist()
+    for a, j in zip(rows, cols):
+        agent = agents[a]
+        bits = inc.bits[inc.starts[j] : inc.starts[j] + inc.lens[j]]
+        tau = (target[a] - v[a, bits]) / c[bits]
+        tau = tau[tau > 0.0]
+        y_stop = float(np.sort(tau)[-m]) if tau.size >= m else 0.0
+        step = min(1.0, max(0.0, agent.capacity - agent.y_used), y_stop)
+        y[a, j] = step
+        if step > 0.0:
+            agent.y_used += step
+            v[a, bits] += c[bits] * step
+    return y
+
+
 # ---------------------------------------------------------------------------
 # Instances.
 
@@ -598,3 +694,116 @@ def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
 def test_topup_matches_scalar_loop(x, budget):
     got = _equal_increment_topup(np.array(x, dtype=float), budget)
     assert got.tobytes() == np.array(ref_topup(x, budget), dtype=float).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The fast paths against the array kernels they replace, bit for bit.
+
+
+@st.composite
+def fill_cases(draw):
+    """(u, caps, c, budget): tied levels, zero caps (no arrivals), equal
+    caps, d = 1, and budgets that land exactly on a visited event."""
+    d = draw(st.integers(1, 10))
+    level = st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 5.0)
+    u = draw(st.lists(level, min_size=d, max_size=d))
+    cap = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+    if draw(st.booleans()):
+        caps = [draw(cap)] * d
+    else:
+        caps = draw(st.lists(cap | st.floats(0.0, 4.0), min_size=d, max_size=d))
+    c = draw(st.lists(st.sampled_from([1.0, 1.5, 3.0]) | st.floats(1.0, 3.0), min_size=d, max_size=d))
+    if draw(st.booleans()):
+        budget = draw(st.sampled_from(event_consumptions(u, caps, c)))
+    else:
+        budget = draw(st.floats(-1.0, 4.0 * d))
+    return u, caps, c, budget
+
+
+@settings(max_examples=400, deadline=None)
+@given(fill_cases())
+# d = 1: the join, then its own cap.
+@example(([0.5], [2.0], [1.5], 1.0))
+# Tied levels and equal caps: every join and every cap event ties.
+@example(([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, 1.5, 3.0], 2.5))
+# A zero cap (no arrivals) ties with its own join at the lowest level.
+@example(([0.0, 0.0, 2.5], [0.0, 3.0, 1.0], [1.0, 1.0, 1.5], 4.0))
+# The budget lands exactly on the second join.
+@example(([0.0, 1.0, 4.0], [4.0, 4.0, 4.0], [1.0, 1.0, 1.0], 1.0))
+def test_short_sweep_matches_the_full_sweep(case):
+    u, caps, c, budget = case
+    for continue_after_cap in (False, True):
+        got = water_fill(np.array(u), np.array(caps), budget, np.array(c), continue_after_cap)
+        want = full_sweep_water_fill(u, caps, budget, c, continue_after_cap)
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@st.composite
+def topup_cases(draw):
+    """(row, budget), with the budget on, just below or just above the
+    point where the largest entry would clip, so both the shortcut and the
+    sorted loop (rank > 0) run."""
+    x = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0 - 2**-53, 1.0]) | st.floats(0.0, 1.0),
+        min_size=1, max_size=12)))
+    fits = (1.0 - float(x.max())) * x.size
+    budget = draw(st.sampled_from([fits, fits + 1e-15, np.nextafter(fits, 2.0), fits * 1.5 + 0.01])
+                  | st.floats(-1.0, 20.0))
+    return x, float(budget)
+
+
+@settings(max_examples=400, deadline=None)
+@given(topup_cases())
+# Exactly at the clip point: the shortcut's >= holds.
+@example((np.array([0.5, 0.25, 0.0]), 1.5))
+# One entry clips first (rank 1 breaks).
+@example((np.array([0.9, 0.0, 0.0]), 1.0))
+# Every headroom is used up.
+@example((np.array([0.5, 1.0]), 5.0))
+def test_topup_shortcut_matches_the_full_loop(case):
+    x, budget = case
+    assert _equal_increment_topup(x, budget).tobytes() == full_loop_topup(x, budget).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(greedy_cases())
+# Capacity runs out on the second candidate of three, part-way through a raise.
+@example((1, (1.0,), 2, [(40.0, 0.5, [0.0])], [[0], [0], [0]], [2, 0, 1]))
+# tau = 0: the first raise lifts v to the target, so the second candidate,
+# which survived the round-start screen, meets tau = 0 and stays at 0.
+@example((1, (1.0,), 4, [(1.0, 0.0, [0.0])], [[0], [0]], [0, 1]))
+# An exhausted agent (y_used = K) next to a live one.
+@example((1, (1.5,), 1, [(8.0, 1.0, [0.0]), (8.0, 0.0, [0.0])], [[0], [0]], [1, 0]))
+def test_python_float_step_matches_the_array_step(case):
+    d, c, capacity, starts, bits, order = case
+    rnd = Round(tuple(AttributeVector(tuple(sorted(b))) for b in bits))
+    inc = round_incidence(rnd, d)
+    runs = []
+    for kernel in (controlled_greedy_round, array_step_greedy_round):
+        agents = [AgentState(gamma, capacity, y_used=used) for gamma, used, _ in starts]
+        v = np.array([v0 for *_, v0 in starts], dtype=float).reshape(len(starts), d)
+        target = np.array([gamma / math.sqrt(d) for gamma, *_ in starts])
+        drawn = []
+        y = kernel(agents, v, target, np.asarray(c), inc, lambda: drawn.append(1) or list(order))
+        runs.append((y.tobytes(), v.tobytes(), [agent.y_used for agent in agents], len(drawn)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_cached_screen_matches_a_fresh_one(monkeypatch, name):
+    """After every round the principal's cached screen equals the one the
+    stage-1 kernel computes from the agents, and stage 1 runs exactly in the
+    rounds where some candidate survives that screen."""
+    from divsel import fixed_policy
+
+    inst = INSTANCES[name]
+    policy = fixed_policy.new_fixed_policy(inst.d, inst.c, inst.capacity, marginals(inst), 0)
+    calls, real = [], fixed_policy.controlled_greedy_round
+    monkeypatch.setattr(fixed_policy, "controlled_greedy_round", lambda *args: calls.append(1) or real(*args))
+    for rnd in inst.rounds:
+        before = len(calls)
+        fresh = fixed_policy._below(policy.agents, policy.v, policy.target)
+        survives = fixed_policy._survivors(fresh, round_incidence(rnd, inst.d)).any()
+        policy.process_round(rnd)
+        assert len(calls) - before == int(survives)
+        assert policy.below.tobytes() == fixed_policy._below(policy.agents, policy.v, policy.target).tobytes()

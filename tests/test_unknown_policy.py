@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import threading
 import time
 
@@ -95,17 +97,17 @@ class TestWaterFill:
         budget = 2.0 * math.sqrt(2.0)
         z = water_fill([0.0, 2.0], [5.0, 5.0], budget, [1.0, 1.0])
         # Raise dim 1 alone by 2, then split the remaining 0.828 evenly.
-        assert z == [pytest.approx(2.414213562373095), pytest.approx(0.41421356237309515)]
+        assert z.tolist() == [pytest.approx(2.414213562373095), pytest.approx(0.41421356237309515)]
         assert fill_value([0.0, 2.0], z, [1.0, 1.0]) == pytest.approx(2.414213562373095)
 
     def test_zero_budget(self):
         z = water_fill([3.0, 1.0], [5.0, 5.0], 0.0, [1.0, 1.0])
-        assert z == [0.0, 0.0]
+        assert z.tolist() == [0.0, 0.0]
         assert fill_value([3.0, 1.0], z, [1.0, 1.0]) == 1.0
 
     def test_first_cap_terminates(self):
         z = water_fill([0.0, 0.0], [0.5, 10.0], 10.0, [1.0, 1.0])
-        assert z == [pytest.approx(0.5), pytest.approx(0.5)]
+        assert z.tolist() == [pytest.approx(0.5), pytest.approx(0.5)]
         assert fill_value([0.0, 0.0], z, [1.0, 1.0]) == pytest.approx(0.5)
 
     def test_continue_after_cap_improves_mass_not_value(self):
@@ -120,7 +122,7 @@ class TestWaterFill:
         # c = (1, 2): the cheap dimension raises level twice as fast per unit z.
         z = water_fill([0.0, 0.0], [10.0, 10.0], 3.0, [1.0, 2.0])
         # tied levels: z1 = L, z2 = L/2, consumption L + L/2 = 3 -> L = 2.
-        assert z == [pytest.approx(2.0), pytest.approx(1.0)]
+        assert z.tolist() == [pytest.approx(2.0), pytest.approx(1.0)]
 
     def test_continue_after_cap_stops_when_the_budget_binds_first(self, monkeypatch):
         # Round 193 of this stream: the budget binds below the next cap, but
@@ -382,6 +384,31 @@ def with_empty_rounds(inst, pattern):
     None and the next of them wherever it has a 1."""
     rounds = iter(inst.rounds)
     return [Round(()) if slot is None else next(rounds) for slot in pattern]
+
+
+def test_hybrid_topup_stream_is_pinned():
+    """The default hybrid + top-up pass over the 2,000-round d=64 stream,
+    byte for byte: its emitted rows, every trace field, and the rounder's
+    picks on the rows.  The cached constants, the short water-fill sweep and
+    the top-up shortcut may change no bit of them."""
+    from divsel import rounding
+
+    inst = gen_random(d=64, n=2000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
+    policy = run_unknown_policy(inst, "hybrid", topup=True)
+    emitted, records, picks = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    rounder, picked = rounding.new_rounder(1), 0
+    for rec in policy.trace:
+        emitted.update(rec.emitted.tobytes())
+        for arr in (rec.x_bar, rec.x_hat, rec.y, rec.z, rec.emitted):
+            records.update(np.asarray(arr, dtype=np.float64).tobytes())
+        records.update(struct.pack("d", rec.f))
+        chosen = rounding.process_round(rounder, rec.emitted.tolist())
+        picks.update(struct.pack(f"{len(chosen)}q", *chosen))
+        picked += len(chosen)
+    assert emitted.hexdigest() == "cd66988b40de7746300e3212d7b27fa22fed3daa57ed1e159e771b29cb602ef8"
+    assert records.hexdigest() == "81c90f7d88d0089bbaad96c6d29fa76dc78e75788ce26eb7479e7b471ccb98d2"
+    assert picks.hexdigest() == "894caf49513d8b15ea3984575e00de2c6f82dbaef2f1ef0644658c869211505f"
+    assert picked == 8000
 
 
 class TestEmptyRounds:
