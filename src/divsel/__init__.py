@@ -37,7 +37,7 @@ from .harness import (
     verify_family,
     verify_instance,
 )
-from .rounding import RounderState, new_rounder, process_round, select_offline
+from .rounding import RounderState, new_rounder, process_round
 from .unknown_policy import UnknownPolicy, leftover_topup, run_unknown_policy, water_fill
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "process_round",
     "run_fixed_policy",
     "run_unknown_policy",
-    "select_offline",
     "serialize_instance",
     "solve_fluid",
     "solve_fluids",

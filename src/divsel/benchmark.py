@@ -394,7 +394,7 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> LPResult:
         raise InvariantError("intermediate LP solution failed re-validation")
     if min(bounds) - value > LP_TOL * (1.0 + abs(value)):
         raise InvariantError(f"intermediate LP: duality gap {min(bounds) - value:.3g} exceeds tolerance")
-    return LPResult(value=value, solution=None, status="optimal")
+    return LPResult(value=value + 0.0, solution=None, status="optimal")  # + 0.0: a zero g never reads -0
 
 
 def _price(counts: np.ndarray, budget: float, c: np.ndarray, core_part: np.ndarray, lam: np.ndarray):

@@ -658,12 +658,11 @@ def round_counts(inst: Instance) -> np.ndarray:
     return np.bincount(bit_round * inst.d + inst.bits, minlength=inst.n * inst.d).reshape(inst.n, inst.d)
 
 
-def instance_stats(inst: Instance, strict: bool = False) -> InstanceStats:
+def instance_stats(inst: Instance) -> InstanceStats:
     """Arrival statistics used by the unknown-capacity theorem checks.
 
-    Requires ``per_round_capacity``.  With ``strict=True`` a dimension that
-    never arrives in some round raises DegenerateError; by default the ratio
-    fields are reported as None and everything else is still computed.
+    Requires ``per_round_capacity``.  When a dimension never arrives in some
+    round the ratio fields are None and everything else is still computed.
     """
     if inst.per_round_capacity is None:
         raise ContractError("instance_stats requires per-round capacity a")
@@ -674,8 +673,6 @@ def instance_stats(inst: Instance, strict: bool = False) -> InstanceStats:
     b_up = tuple(counts.max(axis=0).tolist())
     b_lo = tuple(counts.min(axis=0).tolist())
     degenerate = tuple(k for k in range(inst.d) if b_lo[k] == 0)
-    if degenerate and strict:
-        raise DegenerateError(f"dimensions {list(degenerate)} have a round with no arrivals")
     frak_b = None if degenerate else max(b_up[k] / b_lo[k] for k in range(inst.d))
     b_bar = max(b_up)
     delta_up = 2.0 * max(b_up[k] * inst.c[k] for k in range(inst.d))

@@ -16,8 +16,9 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -83,16 +84,9 @@ class VerificationVerdict:
     detail: str = ""
 
     def line(self) -> str:
-        parts = [self.status.upper(), self.name]
-        if self.lhs is not None:
-            parts.append(f"lhs={fmt(self.lhs)}")
-        if self.rhs is not None:
-            parts.append(f"rhs={fmt(self.rhs)}")
-        if self.slack is not None:
-            parts.append(f"slack={fmt(self.slack)}")
-        if self.detail:
-            parts.append(f"({self.detail})")
-        return " ".join(parts)
+        nums = (("lhs", self.lhs), ("rhs", self.rhs), ("slack", self.slack))
+        parts = [self.status.upper(), self.name, *(f"{key}={fmt(v)}" for key, v in nums if v is not None)]
+        return " ".join(parts + ([f"({self.detail})"] if self.detail else []))
 
 
 def _floor_root(x: float, power: float) -> int:
@@ -147,22 +141,9 @@ def evaluate_policy(
     sol, _ = run_policy(inst, policy_name, seed, topup, continue_after_cap)
     lu, utilities = least_utility(inst, sol)
     opt_value = solve_fluid(inst).value
-    degenerate = opt_value <= EPS
-    ratio = _ratio(lu, opt_value)
-    elapsed = time.perf_counter() - start
     report = RunReport(
-        instance_id=instance_id,
-        policy=policy_name,
-        d=inst.d,
-        n=inst.n,
-        capacity=inst.capacity,
-        per_round_capacity=inst.per_round_capacity,
-        utilities=tuple(utilities),
-        lu=lu,
-        opt=opt_value,
-        ratio=ratio,
-        degenerate=degenerate,
-        wall_time_s=elapsed,
+        instance_id, policy_name, inst.d, inst.n, inst.capacity, inst.per_round_capacity, tuple(utilities), lu,
+        opt_value, _ratio(lu, opt_value), opt_value <= EPS, time.perf_counter() - start,
     )
     return report, sol
 
@@ -227,28 +208,10 @@ def _se_bound(x: float, trials: int) -> float:
     return 5.0 * math.sqrt(max(x * (1.0 - x), 0.0) / trials) + 1.0 / trials
 
 
-def _lower(name: str, lhs: float, rhs: float, eps: float, detail: str = "") -> VerificationVerdict:
-    slack = lhs - rhs
-    return VerificationVerdict(
-        name=name,
-        status="pass" if slack >= -eps else "fail",
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        detail=detail,
-    )
-
-
-def _upper(name: str, lhs: float, rhs: float, eps: float, detail: str = "") -> VerificationVerdict:
-    slack = rhs - lhs
-    return VerificationVerdict(
-        name=name,
-        status="pass" if slack >= -eps else "fail",
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        detail=detail,
-    )
+def _compare(name: str, lhs: float, rhs: float, tol: float, detail: str = "", upper: bool = False):
+    """Pass iff lhs >= rhs - tol, or lhs <= rhs + tol when ``upper``."""
+    slack = rhs - lhs if upper else lhs - rhs
+    return VerificationVerdict(name, "pass" if slack >= -tol else "fail", lhs, rhs, slack, detail)
 
 
 def _unmet(name: str, detail: str) -> VerificationVerdict:
@@ -301,26 +264,198 @@ def marginal_exactness_verdict(
     x_flat = sol.flat()
     segments = pick_segments(x_flat)
     worst = float(np.abs(segments.measures() - segments.x).max(initial=0.0))
-    out = [
-        _upper(
-            "Prop2-marginals",
-            worst,
-            EPS,
-            0.0,
-            detail=f"{label} max |measure - x_j| over {len(x_flat)} candidates",
-        )
-    ]
+    detail = f"{label} max |measure - x_j| over {len(x_flat)} candidates"
     max_count, _ = max_selection_count(x_flat, segments)
-    out.append(
-        _upper(
-            "Prop2-capacity",
-            float(max_count),
-            float(inst.capacity),
-            0.0,
-            detail=f"{label} max |A| exact over all offsets",
-        )
-    )
-    return out
+    return [
+        _compare("Prop2-marginals", worst, EPS, 0.0, detail, upper=True),
+        _compare("Prop2-capacity", float(max_count), float(inst.capacity), 0.0,
+                 f"{label} max |A| exact over all offsets", upper=True),
+    ]
+
+
+class _Facts:
+    """What the verdicts of one instance read.  OPT, its sandwich and the
+    statistics are computed up front; the fixed pass, the one hybrid + top-up
+    pass (its myopic and forward rows never see the top-up, so it yields every
+    unknown-capacity variant), g(n), solutions and least utilities on first use."""
+
+    def __init__(self, inst: Instance, seed: int, eps: float, instance_id: str, opt: Optional[float]):
+        self.inst, self.seed, self.eps, self.instance_id = inst, seed, eps, instance_id
+        self.opt = solve_fluid(inst).value if opt is None else opt
+        self.bounds, self.stats = opt_bounds(inst), _stats_if_defined(inst)
+        self._solutions: dict[str, FractionalSolution] = {}
+        self._lus: dict[str, float] = {}
+
+    @cached_property
+    def composite(self) -> Optional[float]:
+        return composite_factor(self.inst, self.stats)
+
+    @cached_property
+    def fixed(self) -> tuple[FractionalSolution, fp.FixedPolicy]:
+        return run_policy(self.inst, "fixed", self.seed)
+
+    @cached_property
+    def uc_pol(self) -> up.UnknownPolicy:
+        return run_policy(self.inst, "uc-hybrid", self.seed, topup=True)[1]
+
+    @cached_property
+    def guess(self) -> Optional[int]:
+        """The fixed policy's best guess r*, counted from 1; None without one."""
+        r_star = fp.best_guess_index(self.fixed[1], self.opt)
+        return None if r_star is None else r_star + 1
+
+    @property
+    def agent(self) -> fp.AgentState:
+        return self.fixed[1].agents[self.guess - 1]
+
+    @cached_property
+    def int_val(self) -> float:
+        """The intermediate objective of the pass's own (y, z)."""
+        y, z = zip(*((rec.y, rec.z) for rec in self.uc_pol.trace))
+        return int_objective(self.inst, IntSolution(np.concatenate(y), np.array(z)))
+
+    @cached_property
+    def g_n(self) -> float:
+        return solve_int(self.inst).value
+
+    def solution(self, name: str) -> FractionalSolution:
+        """A policy's solution, the pass's top-up rows ("uc-hybrid+topup"), or
+        the best-guess agent's rows ("r*") and its stage-1 rows ("r*-stage1")."""
+        if name in self._solutions:
+            return self._solutions[name]
+        if name in ("r*", "r*-stage1"):
+            sol = (fp.agent_solution if name == "r*" else fp.agent_y_solution)(self.fixed[1], self.guess - 1)
+        elif name == "uc-hybrid+topup":
+            sol = up.policy_solution(self.uc_pol)
+        elif name.startswith("uc-"):
+            sol = up.variant_solution(self.uc_pol, name[3:])
+        else:
+            sol = self.fixed[0] if name == "fixed" else run_policy(self.inst, name, self.seed)[0]
+        self._solutions[name] = sol
+        return sol
+
+    def lu(self, name: str) -> float:
+        if name not in self._lus:
+            self._lus[name] = least_utility(self.inst, self.solution(name))[0]
+        return self._lus[name]
+
+
+#: A precondition's answer for a row that does not arise on the instance (a
+#: case of its lemma that did not occur): the row reports nothing.
+_OUT = object()
+
+#: A row's tolerance, by kind: the caller's eps, eps widened to the LP
+#: solver's tolerance (a side read off an LP), or none.
+_TOLERANCES = {"eps": lambda eps: eps, "lp": lambda eps: max(eps, LP_TOL), "exact": lambda eps: 0.0}
+
+
+@dataclass(frozen=True)
+class VerdictRow:
+    """One verdict of ``verify_instance``: lhs and rhs read the instance's
+    facts.  ``unmet(facts)``, when given, is None when the row is checked,
+    else its unmet reason or ``_OUT``.  A row without rhs is a yes/no check
+    whose lhs is the answer."""
+
+    name: str
+    scenario: str  # "instance": always on; "fixed" or "unknown": on when a policy of it is verified
+    lhs: Callable[[_Facts], float]
+    rhs: Optional[Callable[[_Facts], float]]
+    tolerance: str = "eps"
+    upper: bool = False  # lhs <= rhs rather than lhs >= rhs
+    unmet: Optional[Callable[[_Facts], Optional[str]]] = None
+    detail: str = "{f.instance_id}"
+
+
+def _zero_opt(f: _Facts) -> Optional[str]:
+    return "OPT = 0" if f.opt <= EPS else None
+
+
+def _no_ratio(f: _Facts) -> Optional[str]:
+    return "fluctuation ratio undefined" if f.stats.frak_b is None else None
+
+
+def _lemma4ii_factor(inst: Instance, stats: InstanceStats) -> float:
+    d4 = _floor_root(inst.d, 0.25)
+    spread = min(stats.delta_lo / stats.delta_up, (inst.n - d4) / (stats.frak_b * inst.n))
+    return (min(1.0, stats.eta) / (2.0 * inst.d**0.25)) * spread
+
+
+VERDICT_TABLE = (
+    VerdictRow("Lemma1-under", "instance", lambda f: f.opt, lambda f: f.bounds[0], "lp"),
+    VerdictRow("Lemma1-over", "instance", lambda f: f.opt, lambda f: f.bounds[1], "lp", upper=True),
+    VerdictRow("Thm2-bound", "fixed", lambda f: f.lu("fixed") / f.opt, lambda f: thm2_factor(f.inst.d),
+               unmet=_zero_opt),
+    VerdictRow(
+        "Lemma2-bestguess", "fixed", lambda f: f.lu("r*"), lambda f: f.agent.gamma / (2.0 * math.sqrt(f.inst.d)),
+        unmet=lambda f: _zero_opt(f) or (None if f.guess else "no guess at or below OPT"),
+        detail="{f.instance_id} r*={f.guess} gamma={f.agent.gamma:.12g}",
+    ),
+    VerdictRow(  # a case of Lemma 2, reported only when it occurs
+        "Lemma2-depleted", "fixed", lambda f: f.lu("r*-stage1"), lambda f: f.agent.gamma / math.sqrt(f.inst.d),
+        unmet=lambda f: None if f.opt > EPS and f.guess and f.agent.y_used >= f.inst.capacity - f.eps else _OUT,
+        detail="{f.instance_id} stage-1 capacity exhausted",
+    ),
+    VerdictRow(
+        "WF-optimality", "unknown", lambda f: _water_fill_gap(f.inst, f.uc_pol.trace), lambda f: LP_TOL, "exact",
+        upper=True,
+        detail="{f.instance_id} max(dual bound - P_i, |f_i - P_i|, z_i infeasibility) over {f.inst.n} rounds",
+    ),
+    VerdictRow(
+        "INT-achieved-vs-opt", "unknown", lambda f: f.g_n, lambda f: f.int_val, "lp",
+        detail="{f.instance_id} g(n) dominates the policy's (y,z)",
+    ),
+    VerdictRow(
+        "Lemma3i", "unknown", lambda f: f.g_n, lambda f: f.opt / f.stats.frak_b, "lp",
+        unmet=lambda f: _no_ratio(f) and "fluctuation ratio undefined (some b_lo = 0)",
+    ),
+    VerdictRow(
+        "Lemma3ii", "unknown", lambda f: f.lu("uc-forward"),
+        lambda f: min(1.0, f.inst.per_round_capacity / f.stats.b_bar) / (2.0 * math.sqrt(f.inst.d)) * f.int_val,
+        unmet=lambda f: "no candidate ever arrives" if f.stats.b_bar == 0 else None,
+    ),
+    VerdictRow(
+        "Lemma4ii", "unknown", lambda f: f.int_val, lambda f: _lemma4ii_factor(f.inst, f.stats) * f.g_n, "lp",
+        unmet=lambda f: _no_ratio(f) or ("instance is loosely capacitated" if f.stats.loosely_capacitated else None),
+    ),
+    VerdictRow(
+        "Lemma4i", "unknown", lambda f: f.lu("uc-myopic"), lambda f: f.opt / (f.stats.frak_b * math.sqrt(f.inst.d)),
+        unmet=lambda f: _no_ratio(f) or (None if f.stats.loosely_capacitated else "instance is tightly capacitated"),
+    ),
+    VerdictRow(
+        "Thm3-composite", "unknown", lambda f: f.lu("uc-hybrid"), lambda f: f.opt * f.composite,
+        unmet=lambda f: None if f.composite is not None else "needs b_lo > 0 and n > floor(d^(1/4))",
+    ),
+    VerdictRow(
+        "feasibility[uc-hybrid+topup]", "unknown",
+        lambda f: validate_feasibility(f.inst, f.solution("uc-hybrid+topup"), "per_round_prefix", f.eps), None,
+    ),
+    VerdictRow("Topup-dominance", "unknown", lambda f: f.lu("uc-hybrid+topup"), lambda f: f.lu("uc-hybrid")),
+)
+
+
+def _needs_a_and_rounds(inst: Instance) -> Optional[str]:
+    """The precondition every unknown-capacity row shares."""
+    if inst.per_round_capacity is None:
+        return "instance carries no a"
+    return "instance has no rounds" if inst.n == 0 else None
+
+
+def _verdict(row: VerdictRow, f: _Facts) -> Optional[VerificationVerdict]:
+    """One row on one instance; None when the row does not arise."""
+    reason = (row.scenario == "unknown" and _needs_a_and_rounds(f.inst)) or (row.unmet and row.unmet(f))
+    if reason is _OUT:
+        return None
+    if reason is not None:
+        return _unmet(row.name, reason)
+    detail = row.detail.format(f=f)
+    if row.rhs is None:
+        return VerificationVerdict(row.name, "pass" if row.lhs(f) else "fail", detail=detail)
+    return _compare(row.name, row.lhs(f), row.rhs(f), _TOLERANCES[row.tolerance](f.eps), detail, row.upper)
+
+
+def _rows(f: _Facts, scenario: str) -> list[VerificationVerdict]:
+    """The verdicts of one scenario's rows, in table order."""
+    return [v for row in VERDICT_TABLE if row.scenario == scenario and (v := _verdict(row, f)) is not None]
 
 
 def verify_instance(
@@ -331,197 +466,40 @@ def verify_instance(
     instance_id: str = "instance",
     opt: Optional[float] = None,
 ) -> list[VerificationVerdict]:
-    """Every applicable proven inequality on one instance, as verdicts.
+    """Every applicable proven inequality on one instance, as verdicts: the
+    ``VERDICT_TABLE`` rows of every instance, each policy's feasibility and
+    Prop2 rows, then the rows of each scenario a policy is verified in.
 
     Checks whose preconditions fail (undefined fluctuation ratio, missing a,
     too-short horizon) are reported as precondition_unmet, never silently
     skipped.  ``opt`` is the instance's fluid optimum when the caller has
     already solved it.
     """
-    verdicts: list[VerificationVerdict] = []
-    if opt is None:
-        opt = solve_fluid(inst).value
-    under, over = opt_bounds(inst)
-    verdicts.append(_lower("Lemma1-under", opt, under, max(eps, LP_TOL), detail=instance_id))
-    verdicts.append(_upper("Lemma1-over", opt, over, max(eps, LP_TOL), detail=instance_id))
-
-    has_a = inst.per_round_capacity is not None
-    stats = _stats_if_defined(inst)
-
-    # Every unknown-capacity variant comes from one hybrid+top-up pass: its
-    # myopic and forward rows never see the top-up.
-    uc_requested = [n for n in policies if n.startswith("uc-")]
-    uc_pol, uc_solutions = None, {}
-    if uc_requested and has_a:
-        _, uc_pol = run_policy(inst, "uc-hybrid", seed, topup=True)
-        uc_solutions = {f"uc-{variant}": up.variant_solution(uc_pol, variant) for variant in up.VARIANTS}
-
-    solutions: dict[str, FractionalSolution] = {}
+    f = _Facts(inst, seed, eps, instance_id, opt)
+    verdicts = _rows(f, "instance")
     for name in policies:
-        if name.startswith("uc-") and not has_a:
+        if name.startswith("uc-") and inst.per_round_capacity is None:
             verdicts.append(_unmet(f"feasibility[{name}]", "instance carries no a"))
             continue
-        if name in uc_solutions:
-            sol = uc_solutions[name]
-        else:
-            sol, fixed_pol = run_policy(inst, name, seed)
-        solutions[name] = sol
-        mode = scenario_mode(name)
+        sol, mode = f.solution(name), scenario_mode(name)
         ok = validate_feasibility(inst, sol, mode, eps)
-        verdicts.append(
-            VerificationVerdict(
-                name=f"feasibility[{name}]",
-                status="pass" if ok else "fail",
-                detail=f"{instance_id} mode={mode}",
-            )
-        )
+        verdicts.append(VerificationVerdict(f"feasibility[{name}]", "pass" if ok else "fail",
+                                            detail=f"{instance_id} mode={mode}"))
         verdicts.extend(marginal_exactness_verdict(inst, sol, label=f"{instance_id}/{name}"))
-
-    # Fixed-capacity guarantees.
-    if "fixed" in solutions:
-        lu_hat, _ = least_utility(inst, solutions["fixed"])
-        if opt > EPS:
-            verdicts.append(
-                _lower("Thm2-bound", lu_hat / opt, thm2_factor(inst.d), eps, detail=instance_id)
-            )
-            r_star = fp.best_guess_index(fixed_pol, opt)
-            if r_star is None:
-                verdicts.append(_unmet("Lemma2-bestguess", "no guess at or below OPT"))
-            else:
-                agent = fixed_pol.agents[r_star]
-                lu_r, _ = least_utility(inst, fp.agent_solution(fixed_pol, r_star))
-                verdicts.append(
-                    _lower(
-                        "Lemma2-bestguess",
-                        lu_r,
-                        agent.gamma / (2.0 * math.sqrt(inst.d)),
-                        eps,
-                        detail=f"{instance_id} r*={r_star + 1} gamma={fmt(agent.gamma)}",
-                    )
-                )
-                if agent.y_used >= inst.capacity - eps:
-                    lu_y, _ = least_utility(inst, fp.agent_y_solution(fixed_pol, r_star))
-                    verdicts.append(
-                        _lower(
-                            "Lemma2-depleted",
-                            lu_y,
-                            agent.gamma / math.sqrt(inst.d),
-                            eps,
-                            detail=f"{instance_id} stage-1 capacity exhausted",
-                        )
-                    )
-        else:
-            verdicts.append(_unmet("Thm2-bound", "OPT = 0"))
-
-    # Unknown-capacity guarantees.
-    if uc_requested and has_a and stats is not None:
-        trace = uc_pol.trace
-        verdicts.append(_water_fill_check(inst, trace, instance_id))
-        int_sol = IntSolution(np.concatenate([rec.y for rec in trace]), np.array([rec.z for rec in trace]))
-        int_val = int_objective(inst, int_sol)
-        g_n = solve_int(inst).value
-        verdicts.append(
-            _lower(
-                "INT-achieved-vs-opt",
-                g_n,
-                int_val,
-                max(eps, LP_TOL),
-                detail=f"{instance_id} g(n) dominates the policy's (y,z)",
-            )
-        )
-        if stats.frak_b is not None:
-            verdicts.append(
-                _lower("Lemma3i", g_n, opt / stats.frak_b, max(eps, LP_TOL), detail=instance_id)
-            )
-        else:
-            verdicts.append(_unmet("Lemma3i", "fluctuation ratio undefined (some b_lo = 0)"))
-
-        if stats.b_bar == 0:
-            verdicts.append(_unmet("Lemma3ii", "no candidate ever arrives"))
-        else:
-            lu_fwd, _ = least_utility(inst, uc_solutions["uc-forward"])
-            a = inst.per_round_capacity
-            factor = min(1.0, a / stats.b_bar) / (2.0 * math.sqrt(inst.d))
-            verdicts.append(
-                _lower("Lemma3ii", lu_fwd, factor * int_val, eps, detail=instance_id)
-            )
-
-        if stats.frak_b is None:
-            verdicts.append(_unmet("Lemma4ii", "fluctuation ratio undefined"))
-        elif stats.loosely_capacitated:
-            verdicts.append(_unmet("Lemma4ii", "instance is loosely capacitated"))
-        else:
-            d4 = _floor_root(inst.d, 0.25)
-            rhs = (
-                (min(1.0, stats.eta) / (2.0 * inst.d**0.25))
-                * min(
-                    stats.delta_lo / stats.delta_up,
-                    (inst.n - d4) / (stats.frak_b * inst.n),
-                )
-                * g_n
-            )
-            verdicts.append(
-                _lower("Lemma4ii", int_val, rhs, max(eps, LP_TOL), detail=instance_id)
-            )
-
-        lu_bar, _ = least_utility(inst, uc_solutions["uc-myopic"])
-        if stats.frak_b is None:
-            verdicts.append(_unmet("Lemma4i", "fluctuation ratio undefined"))
-        elif not stats.loosely_capacitated:
-            verdicts.append(_unmet("Lemma4i", "instance is tightly capacitated"))
-        else:
-            verdicts.append(
-                _lower(
-                    "Lemma4i",
-                    lu_bar,
-                    opt / (stats.frak_b * math.sqrt(inst.d)),
-                    eps,
-                    detail=instance_id,
-                )
-            )
-
-        lu_tilde, _ = least_utility(inst, uc_solutions["uc-hybrid"])
-        factor = composite_factor(inst, stats)
-        if factor is None:
-            verdicts.append(
-                _unmet("Thm3-composite", "needs b_lo > 0 and n > floor(d^(1/4))")
-            )
-        else:
-            verdicts.append(
-                _lower("Thm3-composite", lu_tilde, opt * factor, eps, detail=instance_id)
-            )
-
-        # Top-up dominance on the same pass.
-        sol_topup = up.policy_solution(uc_pol)
-        lu_topup, _ = least_utility(inst, sol_topup)
-        ok = validate_feasibility(inst, sol_topup, "per_round_prefix", eps)
-        verdicts.append(
-            VerificationVerdict(
-                name="feasibility[uc-hybrid+topup]",
-                status="pass" if ok else "fail",
-                detail=instance_id,
-            )
-        )
-        verdicts.append(
-            _lower("Topup-dominance", lu_topup, lu_tilde, eps, detail=instance_id)
-        )
-    elif uc_requested:
-        names = ["Lemma3i", "Lemma3ii", "Lemma4i", "Lemma4ii", "Thm3-composite", "WF-optimality"]
-        reason = "instance carries no a"
-        if has_a:  # a is given but there are no rounds, so no stats
-            names += ["INT-achieved-vs-opt", "Topup-dominance"]
-            reason = "instance has no rounds"
-        verdicts.extend(_unmet(name, reason) for name in names)
-
+    if "fixed" in policies:
+        verdicts += _rows(f, "fixed")
+    if any(name.startswith("uc-") for name in policies):
+        verdicts += _rows(f, "unknown")
     return verdicts
 
 
-def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance_id: str):
+def _water_fill_gap(inst: Instance, trace: Sequence[up.UnknownRound]) -> float:
     """Round-by-round enclosure of the adjustment LP optimum: the trace's z_i
     is a feasible point of value P_i = min_k (u_ik + c_k z_ik) on the replayed
     utilities, and ``adjustment_bounds`` is a dual bound UB_i.  The water
-    level f_i is optimal when UB_i - P_i and |f_i - P_i| vanish (1e-7
-    tolerance); z_i's constraint violation counts against it as well."""
+    level f_i is optimal when UB_i - P_i and |f_i - P_i| vanish; z_i's
+    constraint violation counts against it as well.  Returns the largest of
+    the three over all rounds."""
     budget = math.sqrt(inst.d) * inst.per_round_capacity
     c = np.asarray(inst.c)
     u = np.zeros(inst.d)
@@ -538,14 +516,7 @@ def _water_fill_check(inst: Instance, trace: Sequence[up.UnknownRound], instance
     upper = adjustment_bounds(u_rows, caps, budget, c, f)
     # 0.0 - z, not -z: a zero z must not make the lhs read -0.
     violation = np.maximum(np.maximum(0.0 - z, z - caps).max(axis=1), z.sum(axis=1) - budget)
-    worst = float(np.maximum.reduce([upper - value, np.abs(f - value), violation]).max(initial=0.0))
-    return _upper(
-        "WF-optimality",
-        worst,
-        LP_TOL,
-        0.0,
-        detail=f"{instance_id} max(dual bound - P_i, |f_i - P_i|, z_i infeasibility) over {inst.n} rounds",
-    )
+    return float(np.maximum.reduce([upper - value, np.abs(f - value), violation]).max(initial=0.0))
 
 
 def family_members(family: str, d: int) -> list[Instance]:
@@ -592,9 +563,7 @@ def verify_family(
     ratio_name, ratio_cap = _family_bound(family, d)
     if opts is None:
         opts = [lp.value for lp in solve_fluids(members)]
-    verdicts = [
-        _lower(opt_name, min(opts), opt_floor, max(eps, LP_TOL), detail=f"{family} d={d} min over members")
-    ]
+    verdicts = [_compare(opt_name, min(opts), opt_floor, max(eps, LP_TOL), f"{family} d={d} min over members")]
     uc_names = [name for name in policies if name.startswith("uc-")]
     uc_passes = up.unknown_family_passes(members) if uc_names else repeat(None)
     ratios = {name: [] for name in policies}
@@ -605,15 +574,8 @@ def verify_family(
             lu, _ = least_utility(inst, sol)
             ratios[name].append(_ratio(lu, opt))
     for name in policies:
-        verdicts.append(
-            _upper(
-                ratio_name,
-                min(ratios[name]),
-                ratio_cap,
-                eps,
-                detail=f"{family} d={d} family-min ratio of {name}",
-            )
-        )
+        detail = f"{family} d={d} family-min ratio of {name}"
+        verdicts.append(_compare(ratio_name, min(ratios[name]), ratio_cap, eps, detail, upper=True))
     return verdicts
 
 
@@ -697,20 +659,8 @@ def _policy_groups(policies: Sequence[str], topup: bool) -> list[list[str]]:
     return ([shared] if shared else []) + [[name] for name in policies if name not in shared]
 
 
-CSV_COLUMNS = [
-    "instance",
-    "d",
-    "n",
-    "K",
-    "a",
-    "policy",
-    "LU",
-    "OPT",
-    "ratio",
-    "bound_name",
-    "bound_value",
-    "satisfied",
-]
+CSV_COLUMNS = ["instance", "d", "n", "K", "a", "policy", "LU", "OPT", "ratio", "bound_name", "bound_value",
+               "satisfied"]
 
 
 def competitive_report(
@@ -760,25 +710,11 @@ def competitive_report(
             # information; it does not constrain the fixed policy.
             if family_min == "fhc" and not policy.startswith("uc-"):
                 continue
-            ratios = [r["_ratio_raw"] for r in rows if r["policy"] == policy]
-            base = [r for r in rows if r["policy"] == policy][0]
-            rows.append(
-                {
-                    "instance": f"{family_min}:family-min",
-                    "d": d,
-                    "n": base["n"],
-                    "K": base["K"],
-                    "a": base["a"],
-                    "policy": policy,
-                    "LU": "",
-                    "OPT": "",
-                    "ratio": fmt(min(ratios)),
-                    "bound_name": bound_name,
-                    "bound_value": fmt(bound),
-                    "satisfied": "true" if min(ratios) <= bound + EPS else "false",
-                    "_ratio_raw": min(ratios),
-                }
-            )
+            ratio = min(r["_ratio_raw"] for r in rows if r["policy"] == policy)
+            base = next(r for r in rows if r["policy"] == policy)  # n, K, a and the key order
+            rows.append({**base, "instance": f"{family_min}:family-min", "d": d, "LU": "", "OPT": "",
+                         "ratio": fmt(ratio), "bound_name": bound_name, "bound_value": fmt(bound),
+                         "satisfied": "true" if ratio <= bound + EPS else "false"})
 
     for row in rows:
         row.pop("_ratio_raw", None)

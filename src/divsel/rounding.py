@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EPS, FractionalSolution, Instance
-from .errors import DomainError, FeasibilityError, InvariantError
+from .core import EPS
+from .errors import DomainError, InvariantError
 
 #: Ticks of the line per unit: boundaries are multiples of 2^-53, so every
 #: offset at which a pick changes is a float.
@@ -88,23 +88,6 @@ def process_round(state: RounderState, x_i: list[float]) -> list[int]:
     state._total, state._below = total, below
     state._round_index += 1
     return picked
-
-
-def select_offline(inst: Instance, sol: FractionalSolution, seed: int) -> list[tuple[int, int]]:
-    """Feed all rounds through one rounder; returns (round, position) pairs.
-
-    A solution may exceed K by up to the feasibility tolerance, and then an
-    offset could pick K + 1 candidates, so the row is first made
-    capacity-safe (``capacity_safe``)."""
-    total = sol.total()
-    if total > inst.capacity + EPS:
-        raise FeasibilityError(f"sum(x)={total!r} exceeds K={inst.capacity}")
-    x_flat = capacity_safe(sol.values, inst.capacity).tolist()
-    state = new_rounder(seed)
-    ptr = sol.round_ptr.tolist()
-    for lo, hi in zip(ptr, ptr[1:]):
-        process_round(state, x_flat[lo:hi])
-    return list(state.selected)
 
 
 def selection_count(x_flat: list[float], pos: float) -> int:

@@ -28,7 +28,6 @@ from divsel.core import (
 )
 from divsel.errors import (
     ContractError,
-    DegenerateError,
     DivselError,
     InvariantError,
     SchemaError,
@@ -249,8 +248,6 @@ class TestInstanceStats:
         stats = instance_stats(inst)
         assert stats.frak_b is None
         assert stats.degenerate_dims == (1,)
-        with pytest.raises(DegenerateError):
-            instance_stats(inst, strict=True)
 
     def test_requires_a(self):
         inst = make_instance(1, [[(0,)]], capacity=5)

@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ from divsel.rounding import capacity_sweep
 from divsel.unknown_policy import myopic_round
 
 from conftest import exact_total, make_instance, offset_selections, random_feasible_x
+
+#: The unknown-capacity verdicts of ``verify_instance``, in order.
+UNKNOWN_CAPACITY_VERDICTS = [
+    "WF-optimality", "INT-achieved-vs-opt", "Lemma3i", "Lemma3ii", "Lemma4ii", "Lemma4i", "Thm3-composite",
+    "feasibility[uc-hybrid+topup]", "Topup-dominance",
+]
 
 
 def mc_oracle(inst, sol, trials, seed):
@@ -159,25 +167,96 @@ class TestVerify:
         inst = make_instance(2, [], capacity=0, a=1)
         verdicts = verify_instance(inst, ["uc-hybrid"], seed=1)
         assert all(v.status != "fail" for v in verdicts)
-        unmet = {v.name: v.detail for v in verdicts if v.status == "precondition_unmet"}
-        for name in (
-            "Lemma3i",
-            "Lemma3ii",
-            "Lemma4i",
-            "Lemma4ii",
-            "Thm3-composite",
-            "WF-optimality",
-            "INT-achieved-vs-opt",
-            "Topup-dominance",
-        ):
-            assert unmet.get(name) == "instance has no rounds"
+        unmet = [(v.name, v.detail) for v in verdicts if v.status == "precondition_unmet"]
+        assert unmet == [(name, "instance has no rounds") for name in UNKNOWN_CAPACITY_VERDICTS]
+        # The policy's own rows are still checked: an empty horizon is feasible.
+        assert [v.name for v in verdicts if v.status == "pass"] == [
+            "Lemma1-under", "Lemma1-over", "feasibility[uc-hybrid]", "Prop2-marginals", "Prop2-capacity",
+        ]
 
     def test_missing_a_reports_unmet(self):
         inst = make_instance(2, [[(0,), (1,)]], capacity=2)
-        verdicts = verify_instance(inst, ["uc-hybrid"], seed=0)
-        unmet = [v for v in verdicts if v.status == "precondition_unmet"]
-        assert any(v.name == "Thm3-composite" for v in unmet)
+        verdicts = verify_instance(inst, ["uc-hybrid", "uc-myopic"], seed=0)
         assert all(v.status != "fail" for v in verdicts)
+        unmet = [(v.name, v.detail) for v in verdicts if v.status == "precondition_unmet"]
+        names = ["feasibility[uc-hybrid]", "feasibility[uc-myopic]", *UNKNOWN_CAPACITY_VERDICTS]
+        assert unmet == [(name, "instance carries no a") for name in names]
+        assert [v.name for v in verdicts if v.status == "pass"] == ["Lemma1-under", "Lemma1-over"]
+
+    def test_zero_opt_reports_unmet(self):
+        """With OPT = 0 both fixed-capacity guarantees are unmet, and the
+        depleted case of Lemma 2 does not arise."""
+        inst = make_instance(2, [[(0,)], [(0,)]], capacity=2, a=1)
+        verdicts = verify_instance(inst, ["fixed"], seed=1)
+        assert [(v.name, v.status, v.detail) for v in verdicts[-2:]] == [
+            ("Thm2-bound", "precondition_unmet", "OPT = 0"),
+            ("Lemma2-bestguess", "precondition_unmet", "OPT = 0"),
+        ]
+        assert "Lemma2-depleted" not in {v.name for v in verdicts}
+
+    def test_unmet_reasons(self, monkeypatch):
+        """Every reason a verdict gives for an unmet precondition."""
+        loose = make_instance(2, [[(0,), (1,)]] * 2, capacity=6, a=3)
+        tight = make_instance(2, [[(0,), (1,)]] * 2, capacity=4, a=2)
+        no_arrivals = make_instance(2, [[], []], capacity=2, a=1)
+        cases = [
+            (make_instance(2, [[(0,), (1,)]], capacity=2), {"Thm3-composite": "instance carries no a"}),
+            (make_instance(2, [], capacity=0, a=1), {"Lemma4i": "instance has no rounds", "Thm2-bound": "OPT = 0"}),
+            (no_arrivals, {
+                "Lemma2-bestguess": "OPT = 0",
+                "Lemma3i": "fluctuation ratio undefined (some b_lo = 0)",
+                "Lemma3ii": "no candidate ever arrives",
+                "Lemma4ii": "fluctuation ratio undefined",
+                "Lemma4i": "fluctuation ratio undefined",
+                "Thm3-composite": "needs b_lo > 0 and n > floor(d^(1/4))",
+            }),
+            (loose, {"Lemma4ii": "instance is loosely capacitated"}),
+            (tight, {"Lemma4i": "instance is tightly capacitated"}),
+        ]
+        for inst, want in cases:
+            unmet = {v.name: v.detail for v in verify_instance(inst, POLICY_NAMES, seed=1)
+                     if v.status == "precondition_unmet"}
+            assert {name: unmet.get(name) for name in want} == want
+        monkeypatch.setattr(harness.fp, "best_guess_index", lambda policy, opt: None)
+        unmet = {v.name: v.detail for v in verify_instance(tight, ["fixed"], seed=1)
+                 if v.status == "precondition_unmet"}
+        assert unmet == {"Lemma2-bestguess": "no guess at or below OPT"}
+
+    def test_zero_intermediate_optimum_is_positive_zero(self):
+        """g(n) = 0 is +0, so no verdict prints -0."""
+        inst = parse_instance('{"d":2,"c":[1,1],"K":2,"a":1,"rounds":[[[0],[0]],[[0]]]}')
+        assert math.copysign(1.0, benchmark.solve_int(inst).value) == 1.0
+        verdict = {v.name: v for v in verify_instance(inst, ["uc-hybrid"], seed=1)}["INT-achieved-vs-opt"]
+        assert verdict.line() == "PASS INT-achieved-vs-opt lhs=0 rhs=0 slack=0 (instance g(n) dominates the policy's (y,z))"
+
+    def test_verdict_table(self):
+        """Each verdict has one row, and the README's verdict table names
+        every row."""
+        names = [row.name for row in harness.VERDICT_TABLE]
+        assert len(names) == len(set(names))
+        assert [row.name for row in harness.VERDICT_TABLE if row.scenario == "unknown"] == UNKNOWN_CAPACITY_VERDICTS
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = {line.split("|")[1].strip().strip("`") for line in readme.splitlines() if line.startswith("| `")}
+        assert set(names) <= listed
+
+    def test_verify_reads_each_fact_once(self, monkeypatch):
+        """One fluid LP, one g(n), the fixed pass and one hybrid + top-up
+        pass, and one least utility per solution a verdict reads: the fixed
+        policy's, its best guess's, and the forward, hybrid and top-up rows.
+        The myopic row's is read only where Lemma4i applies (loosely
+        capacitated instances)."""
+        calls = {name: 0 for name in ("solve_fluid", "solve_int", "run_policy", "least_utility")}
+        for name in calls:
+            def counting(*args, _real=getattr(harness, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counting)
+        inst = gen_random(d=8, n=40, a=2, density=0.3, min_arrivals=1, c_max=2.0, seed=3)
+        verdicts = verify_instance(inst, POLICY_NAMES, seed=1)
+        assert [v.name for v in verdicts if v.status != "pass"] == ["Lemma4i"]
+        assert "Lemma2-depleted" not in {v.name for v in verdicts}
+        assert calls == {"solve_fluid": 1, "solve_int": 1, "run_policy": 2, "least_utility": 5}
 
     def test_one_unknown_capacity_pass(self, monkeypatch):
         """All unknown-capacity variants and checks read one pass: n forward
@@ -240,7 +319,14 @@ class TestVerify:
         inst = gen_random(d=5, n=12, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
         _, pol = run_policy(inst, "uc-hybrid", seed=2)
         trace = list(pol.trace)
-        assert harness._water_fill_check(inst, trace, "t").status == "pass"
+        row = next(row for row in harness.VERDICT_TABLE if row.name == "WF-optimality")
+
+        def water_fill_check(trace):
+            facts = harness._Facts(inst, 2, core.EPS, "t", opt=1.0)
+            facts.uc_pol = SimpleNamespace(trace=trace)
+            return harness._verdict(row, facts)
+
+        assert water_fill_check(trace).status == "pass"
         # A round whose fill spends the whole budget, so raising any z_k
         # leaves the feasible set.
         budget = math.sqrt(inst.d) * inst.per_round_capacity
@@ -256,7 +342,7 @@ class TestVerify:
             dataclasses.replace(rec, f=rec.f - step),
             dataclasses.replace(rec, z=raised_z),
         ):
-            verdict = harness._water_fill_check(inst, trace[:i] + [tampered] + trace[i + 1 :], "t")
+            verdict = water_fill_check(trace[:i] + [tampered] + trace[i + 1 :])
             assert verdict.status == "fail"
             assert verdict.lhs > 1e-7
 

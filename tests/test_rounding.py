@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from divsel.benchmark import solve_fluid
 from divsel.core import solution_from_rows
-from divsel.errors import DomainError, FeasibilityError
+from divsel.errors import DomainError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
-from divsel import rounding
 from divsel.rounding import (
     capacity_safe,
     capacity_sweep,
@@ -21,7 +20,6 @@ from divsel.rounding import (
     pick_segments,
     process_round,
     rounder_at,
-    select_offline,
     selection_count,
 )
 from divsel.unknown_policy import variant_solution
@@ -145,7 +143,17 @@ def assert_trim_contract(x, capacity, counts=None):
     return fitted
 
 
-class TestSelectOffline:
+def round_solution(sol, capacity, state):
+    """The (round, position) picks of one rounder fed every row of a
+    solution, made capacity-safe first."""
+    x = capacity_safe(sol.values, capacity).tolist()
+    ptr = sol.round_ptr.tolist()
+    for lo, hi in zip(ptr, ptr[1:]):
+        process_round(state, x[lo:hi])
+    return state.selected
+
+
+class TestWholeSolution:
     def test_count_in_floor_ceil_of_total(self):
         inst = make_instance(2, [[(0,), (1,)], [(0, 1), (0,)]], capacity=3)
         sol = solution_from_rows([[0.7, 0.4], [0.9, 0.3]])  # total 2.3
@@ -158,20 +166,15 @@ class TestSelectOffline:
 
     def test_empty_instance(self):
         inst = make_instance(1, [], capacity=0)
-        assert select_offline(inst, solution_from_rows([]), seed=0) == []
-
-    def test_feasibility_error(self):
-        inst = make_instance(1, [[(0,), (0,)]], capacity=1)
-        with pytest.raises(FeasibilityError):
-            select_offline(inst, solution_from_rows([[1.0, 1.0]]), seed=0)
+        assert round_solution(solution_from_rows([]), inst.capacity, new_rounder(0)) == []
 
     def test_saturated_solution_hits_capacity(self):
         inst = make_instance(2, [[(0,), (1,), (0, 1)]], capacity=2)
         sol = solution_from_rows([[0.75, 0.75, 0.5]])  # total exactly 2
         for seed in range(50):
-            assert len(select_offline(inst, sol, seed)) == 2
+            assert len(round_solution(sol, inst.capacity, new_rounder(seed))) == 2
 
-    def test_row_within_tolerance_is_fitted_to_capacity(self, monkeypatch):
+    def test_row_within_tolerance_is_fitted_to_capacity(self):
         # Scaled to K = 6, these fractions sum to 6.000000000000001: the
         # unfitted row gives 7 picks at offsets in [0, 4.4e-16).
         inst = gen_random(d=9, n=3, a=2, density=0.35, min_arrivals=1, c_max=2.0, seed=1001)
@@ -183,11 +186,9 @@ class TestSelectOffline:
         assert capacity_sweep(fitted.tolist())[1].max() <= inst.capacity
         assert np.all(fitted <= sol.values) and np.abs(fitted - sol.values).max() <= 1e-14
         for pos in (0.0, 1e-17, 4e-16, 0.5):
-            monkeypatch.setattr(rounding, "new_rounder", lambda seed, pos=pos: rounder_at(pos))
-            assert len(select_offline(inst, sol, seed=0)) <= inst.capacity
-        monkeypatch.undo()
+            assert len(round_solution(sol, inst.capacity, rounder_at(pos))) <= inst.capacity
         for seed in range(50):
-            assert len(select_offline(inst, sol, seed)) <= inst.capacity
+            assert len(round_solution(sol, inst.capacity, new_rounder(seed))) <= inst.capacity
 
     @pytest.mark.parametrize("tiny", [600, 20_000])
     def test_many_tiny_trailing_entries(self, tiny):
