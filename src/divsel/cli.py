@@ -134,12 +134,7 @@ def _cmd_mc(args) -> int:
         lp = solve_fluid(inst)
         sol = lp.solution
     result = harness.monte_carlo(inst, sol, args.trials, args.seed)
-    worst = 0.0
-    for freq, xj in zip(result["frequencies"], sol.flat()):
-        xj = min(max(xj, 0.0), 1.0)
-        dev = abs(freq - xj)
-        bound = harness._se_bound(xj, args.trials)
-        worst = max(worst, dev - bound)
+    worst = harness.worst_marginal_excess(result["frequencies"], sol.values, args.trials)
     payload = {
         "trials": result["trials"],
         "max_selected": result["max_selected"],

@@ -62,11 +62,11 @@ def _offsets(sizes) -> np.ndarray:
     return ptr
 
 
-def _pack(bit_lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """CSR form of a list of integer sequences: the pointer and the
-    concatenated entries, both int64."""
+def _pack(bit_lists: Sequence[Sequence[int]], dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """CSR form of a list of integer sequences: the int64 pointer and the
+    concatenated entries as ``dtype``."""
     ptr = _offsets(np.fromiter(map(len, bit_lists), dtype=np.int64, count=len(bit_lists)))
-    return ptr, np.fromiter(chain.from_iterable(bit_lists), dtype=np.int64, count=int(ptr[-1]))
+    return ptr, np.fromiter(chain.from_iterable(bit_lists), dtype=dtype, count=int(ptr[-1]))
 
 
 def physical_memory() -> float:
@@ -180,8 +180,9 @@ def max_over_attributes(values, inc: RoundIncidence) -> np.ndarray:
     return out
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen(values, dtype, copy: bool = True) -> np.ndarray:
+    """``values`` as a read-only array; without ``copy``, one of the dtype is itself frozen."""
+    arr = np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -252,7 +253,7 @@ class Instance:
         round_ptr = _offsets([len(rnd) for rnd in rounds])
         cand_ptr = _offsets(np.concatenate([np.diff(rnd._ptr) for rnd in rounds] + empty))
         bits = np.concatenate([rnd._flat_bits() for rnd in rounds] + empty)
-        self._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits)
+        self._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits, copy=False)
 
     @classmethod
     def from_arrays(
@@ -265,9 +266,13 @@ class Instance:
         bits,
         per_round_capacity: Optional[int] = None,
     ) -> Instance:
-        inst = cls.__new__(cls)
-        inst._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits)
-        return inst
+        """Instance from CSR arrays, copied: the caller may change its own later."""
+        return cls.__new__(cls)._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits)
+
+    @classmethod
+    def _adopt(cls, d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity=None) -> Instance:
+        """``from_arrays`` for arrays the package's builders give up: those of the stored dtypes are kept."""
+        return cls.__new__(cls)._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits, copy=False)
 
     @classmethod
     def from_bit_lists(
@@ -280,11 +285,15 @@ class Instance:
     ) -> Instance:
         """Instance from rounds given as lists of attribute-index sequences."""
         round_ptr = _offsets([len(rnd) for rnd in rounds])
-        cand_ptr, bits = _pack(list(chain.from_iterable(rounds)))
-        return cls.from_arrays(d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity)
+        cands = list(chain.from_iterable(rounds))
+        try:
+            cand_ptr, bits = _pack(cands, np.int32)
+        except OverflowError:  # an index past int32: packed as int64, it meets the checks in their order
+            cand_ptr, bits = _pack(cands)
+        return cls._adopt(d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity)
 
-    def _set(self, d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits) -> None:
-        """Validate the fields and store them, the arrays read-only."""
+    def _set(self, d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits, copy=True) -> Instance:
+        """Validate the fields and store them, the arrays read-only (copied with ``copy``)."""
         round_ptr = np.asarray(round_ptr, dtype=np.int64)
         cand_ptr = np.asarray(cand_ptr, dtype=np.int64)
         bits = np.asarray(bits)
@@ -299,10 +308,9 @@ class Instance:
             raise InvariantError("round_ptr, cand_ptr and bits do not form CSR arrays")
         # Consecutive entries of one candidate must increase; the pairs that
         # straddle a candidate boundary are exempt.
-        within = np.ones(max(bits.size - 1, 0), dtype=bool)
-        starts = cand_ptr[(cand_ptr > 0) & (cand_ptr < bits.size)]
-        within[starts - 1] = False
-        if ((bits[1:] <= bits[:-1]) & within).any():
+        unordered = bits[1:] <= bits[:-1]
+        unordered[cand_ptr[(cand_ptr > 0) & (cand_ptr < bits.size)] - 1] = False
+        if unordered.any():
             raise InvariantError("bits must be strictly increasing")
         if bits.size and bits.min() < 0:
             raise InvariantError("bits must be nonnegative")
@@ -331,11 +339,12 @@ class Instance:
             ("c", c),
             ("capacity", capacity),
             ("per_round_capacity", per_round_capacity),
-            ("round_ptr", _frozen(round_ptr, np.int64)),
-            ("cand_ptr", _frozen(cand_ptr, np.int64)),
-            ("bits", _frozen(bits, np.int32)),
+            ("round_ptr", _frozen(round_ptr, np.int64, copy)),
+            ("cand_ptr", _frozen(cand_ptr, np.int64, copy)),
+            ("bits", _frozen(bits, np.int32, copy)),
         ):
             object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):

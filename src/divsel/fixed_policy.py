@@ -24,7 +24,8 @@ every agent as it was, so such a round is made cheap:
   target - (v + c z_acc) is cached and refreshed only after a raise or an
   adjustment.
 - a round in which no agent raises or adjusts emits zeros without the
-  combine step.
+  combine step, and its trace record is shared by every such round of its
+  size: read-only zero rows.
 
 The output is the same, bit for bit, as running every stage on every round.
 """
@@ -237,6 +238,7 @@ class FixedPolicy:
     below: np.ndarray = field(init=False)  # agents x d: the stage-1 screen, moved only by a raise
     unseen: np.ndarray = field(init=False)  # phi_k minus the arrivals seen so far
     trace: list[FixedRound] = field(default_factory=list)
+    quiet: dict[int, FixedRound] = field(default_factory=dict, init=False, repr=False)  # by round size
 
     def __post_init__(self) -> None:
         if len(self.phi_total) != self.d:
@@ -264,13 +266,21 @@ class FixedPolicy:
         random.Random((self.seed * 1_000_003 + index) & 0xFFFFFFFFFFFFFFFF).shuffle(order)
         return order
 
+    def _quiet_round(self, n: int) -> FixedRound:
+        """The record of every round of n candidates in which no agent moves."""
+        if n not in self.quiet:
+            y, emitted = np.zeros((len(self.agents), n)), np.zeros(n)
+            y.flags.writeable = emitted.flags.writeable = False
+            self.quiet[n] = FixedRound(y, y, emitted)
+        return self.quiet[n]
+
     def process_round(self, rnd: Round) -> list[float]:
         """One round: stage 1, stage 2 and their combination for every agent;
         returns the across-agent average."""
         n, index = len(rnd), len(self.trace)
         inc = round_incidence(rnd, self.d)
         self.unseen -= inc.counts
-        y, raised = np.zeros((len(self.agents), n)), False
+        y, raised = self._quiet_round(n).y, False
         if _survivors(self.below, inc).any():
             y = controlled_greedy_round(
                 self.agents, self.v, self.target, self.weights, inc, lambda: self._order(index, n)
@@ -286,7 +296,7 @@ class FixedPolicy:
         elif raised:
             z = np.zeros_like(self.gap)
         else:
-            self.trace.append(FixedRound(y, y, np.zeros(n)))
+            self.trace.append(self._quiet_round(n))
             return [0.0] * n
         x = combine_agent_round(y, z, inc)
         # Python's sum adds the agents' rows one after another, in agent order.

@@ -42,17 +42,7 @@ def gen_fhc(d: int) -> list[Instance]:
         cand_ptr = _offsets(lens)
         bits = np.arange(cand_ptr[-1]) - np.repeat(cand_ptr[:-1] - first, lens)
         round_ptr = _offsets([d] * min(m + 1, d) + [0] * (d - m - 1))
-        members.append(
-            Instance.from_arrays(
-                d=d,
-                c=(1.0,) * d,
-                capacity=2 * d,
-                round_ptr=round_ptr,
-                cand_ptr=cand_ptr,
-                bits=bits,
-                per_round_capacity=2,
-            )
-        )
+        members.append(Instance._adopt(d, (1.0,) * d, 2 * d, round_ptr, cand_ptr, bits, per_round_capacity=2))
     return members
 
 
@@ -215,8 +205,8 @@ def gen_random(
     # max(2, d) of them from base candidates and the rest from singletons.
     arrivals = n * d * min_arrivals
     cands = n * max(min_arrivals, d * (min_arrivals - max(2, d)))
-    # The instance copies the int64 bits and cand_ptr it is given into int32
-    # bits and int64 cand_ptr of its own, all four held at once.
+    # The int32 bits and int64 cand_ptr start at these floors and double in
+    # place when full; the check leaves room for a reallocation that copies.
     memory = physical_memory()
     if 12 * arrivals + 16 * cands > memory:
         raise SizeError(f"{arrivals} arrivals do not fit in memory")
@@ -225,8 +215,10 @@ def gen_random(
     # (b >> 6) over 2**53, from two consecutive words a, b.
     rng = np.random.Generator(gen)
     dims = np.arange(d)
-    sizes, cand_lens, bits = [], [], []
-    for _ in range(n):
+    # Filled round by round, each at its final dtype and handed to the instance.
+    round_ptr, cand_ptr = np.zeros(n + 1, dtype=np.int64), np.zeros(cands + 1, dtype=np.int64)
+    bits = np.empty(arrivals, dtype=np.int32)
+    for i in range(n):
         base = 1 + _randbelow(gen, max(2, d))
         # A float and a bool per draw.
         if 9 * base * d > memory:
@@ -241,18 +233,20 @@ def gen_random(
         perm = np.array(_shuffled(gen, lens.size))
         ends, lens = np.add.accumulate(lens), lens[perm]
         moved = np.add.accumulate(lens)
-        sizes.append(lens.size)
-        cand_lens.append(lens)
-        bits.append(entries[(ends[perm] - moved).repeat(lens) + np.arange(moved[-1])])
-    bits = np.concatenate(bits)  # and let the per-round arrays go
+        lo, start = int(round_ptr[i]), int(cand_ptr[round_ptr[i]])  # the round's first candidate, entry
+        hi, stop = lo + lens.size, start + int(moved[-1])
+        round_ptr[i + 1] = hi
+        _grow(cand_ptr, hi + 1)[lo + 1 : hi + 1] = start + moved
+        _grow(bits, stop)[start:stop] = entries[(ends[perm] - moved).repeat(lens) + np.arange(stop - start)]
+    cand_ptr.resize(int(round_ptr[-1]) + 1, refcheck=False)
+    bits.resize(int(cand_ptr[-1]), refcheck=False)
     c = (1.0 + (c_max - 1.0) * rng.random(d)).tolist()
     c[_randbelow(gen, d)] = 1.0
-    return Instance.from_arrays(
-        d=d,
-        c=tuple(c),
-        capacity=n * a,
-        round_ptr=_offsets(sizes),
-        cand_ptr=_offsets(np.concatenate(cand_lens)),
-        bits=bits,
-        per_round_capacity=a,
-    )
+    return Instance._adopt(d, tuple(c), n * a, round_ptr, cand_ptr, bits, a)
+
+
+def _grow(buf: np.ndarray, size: int) -> np.ndarray:
+    """``buf`` (owning its memory, with no views) doubled in place until it holds ``size`` entries."""
+    if size > buf.size:
+        buf.resize(max(size, 2 * buf.size), refcheck=False)
+    return buf

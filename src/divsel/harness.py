@@ -204,8 +204,12 @@ def monte_carlo(
     }
 
 
-def _se_bound(x: float, trials: int) -> float:
-    return 5.0 * math.sqrt(max(x * (1.0 - x), 0.0) / trials) + 1.0 / trials
+def worst_marginal_excess(frequencies, x, trials: int) -> float:
+    """Most by which a selection frequency strays from its fraction (clipped
+    to [0, 1]) beyond 5 standard errors plus 1/trials; 0.0 when none does."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    bound = 5.0 * np.sqrt(x * (1.0 - x) / trials) + 1.0 / trials
+    return float(np.max(np.abs(np.asarray(frequencies) - x) - bound, initial=0.0))
 
 
 def _compare(name: str, lhs: float, rhs: float, tol: float, detail: str = "", upper: bool = False):

@@ -246,6 +246,7 @@ class UnknownPolicy:
     trace: list[UnknownRound] = field(default_factory=list)
     weights: np.ndarray = field(init=False, repr=False)  # c as an array
     raise_cap: float = field(init=False, repr=False)  # a / sum_k 1/c_k
+    zero_z: np.ndarray = field(init=False, repr=False)  # z of every empty round, read-only
 
     def __post_init__(self) -> None:
         if self.a < 1:
@@ -255,6 +256,8 @@ class UnknownPolicy:
         self.u = np.zeros(self.d)
         self.weights = np.array(self.c, dtype=float)
         self.raise_cap = self.a / math.fsum(1.0 / ck for ck in self.c)
+        self.zero_z = np.zeros(self.d)
+        self.zero_z.flags.writeable = False
 
     def fork(self) -> UnknownPolicy:
         """An independent copy of the policy in its current state, to feed a
@@ -270,7 +273,7 @@ class UnknownPolicy:
         if not len(rnd):
             # What the full path gives: no rows, z = 0, level min(u), u and
             # emitted_total unchanged (the top-up of an empty row is empty).
-            self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, np.zeros(self.d), float(self.u.min()), _EMPTY))
+            self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, float(self.u.min()), _EMPTY))
             return []
         inc = round_incidence(rnd, self.d)
         x_bar = _myopic_row(self.weights, self.raise_cap, inc)

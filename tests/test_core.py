@@ -328,6 +328,22 @@ class TestHostileInput:
         except DivselError:
             pass
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"d": 0, "c": [], "K": 1, "rounds": [[[2**31]]]}, "d must be a positive integer"),
+            ({"d": 2, "c": [1], "K": 1, "rounds": [[[0, 2**31]]]}, "c must have length d"),
+            ({"d": 2, "c": [1, 1], "K": 1, "rounds": [[[2**31]]]}, "candidate attribute index must be < d"),
+            ({"d": 2, "c": [1, 1], "K": 1, "rounds": [[[2**63]]]}, "candidate attribute index must be < d"),
+        ],
+        ids=["d-before-int32", "c-before-int32", "int32", "int64"],
+    )
+    def test_index_past_int32_meets_the_checks_in_order(self, doc, message):
+        # The candidates are packed as int32; an index that does not fit is
+        # reported by the same check, in the same order, as any other.
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            parse_instance(json.dumps(doc))
+
 
 # ---------------------------------------------------------------------------
 # The CSR layout against the per-candidate loops it replaced, kept here as the
@@ -460,6 +476,17 @@ class TestArrayLayout:
         finally:
             tracemalloc.stop()
         assert peak < 2 * bits.nbytes
+
+    def test_public_constructors_copy_their_arrays(self):
+        round_ptr, cand_ptr, bits = np.array([0, 2]), np.array([0, 1, 3]), np.array([1, 0, 1], dtype=np.int32)
+        values, sol_ptr = np.array([0.5, 0.25]), np.array([0, 2])
+        inst = Instance.from_arrays(2, (1.0, 1.0), 2, round_ptr, cand_ptr, bits)
+        sol = FractionalSolution(values, sol_ptr)
+        for arr in (round_ptr, cand_ptr, bits, values, sol_ptr):
+            arr[...] = 7  # the caller's arrays stay its own and writeable
+        assert [[list(cand.bits) for cand in rnd] for rnd in inst.rounds] == [[[1], [0, 1]]]
+        assert inst.round_ptr.tolist() == [0, 2] and inst.cand_ptr.tolist() == [0, 1, 3]
+        assert sol.values.tolist() == [0.5, 0.25] and sol.round_ptr.tolist() == [0, 2]
 
     def test_solution_is_one_array(self):
         sol = solution_from_rows([[0.25, 1.0], [], [0.5]])

@@ -243,6 +243,22 @@ class TestFixedPolicy:
         b = run_fixed_policy(inst, seed=7)
         assert policy_solution(a).x == policy_solution(b).x
 
+    def test_quiet_rounds_share_read_only_zeros(self):
+        # A round that moves no agent records no arrays of its own: every such
+        # round of one size shares one read-only set of zero rows.
+        inst = gen_random(d=16, n=100, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
+        policy = run_fixed_policy(inst, seed=1)
+        quiet = [rec for rec in policy.trace if rec.x is rec.y]
+        assert [id(rec) for rec in policy.trace if not rec.x.any()] == list(map(id, quiet))
+        sizes = {rec.emitted.size for rec in quiet}
+        assert len(quiet) == 65
+        assert len({id(rec.y) for rec in quiet}) == len({id(rec.emitted) for rec in quiet}) == len(sizes)
+        for rec in quiet:
+            assert rec.y.shape == (len(policy.agents), rec.emitted.size) and not rec.emitted.any()
+            for arr in (rec.y, rec.emitted):
+                with pytest.raises(ValueError):
+                    arr[...] = 1.0
+
     def test_marginals_match_scenario_contract(self):
         inst = gen_random(d=4, n=4, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=2)
         policy = run_fixed_policy(inst, seed=0)

@@ -273,6 +273,24 @@ class TestRandomSizeLimits:
             gen_random(**kwargs)
 
 
+def test_random_instance_is_built_at_its_final_size():
+    """The online-stream instance is filled in place: its int32 bits and
+    int64 pointers are the arrays gen_random grew, and the traced peak stays
+    within twice their bytes."""
+    import tracemalloc
+
+    kwargs = dict(d=64, n=2000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
+    tracemalloc.start()
+    try:
+        inst = gen_random(**kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (inst.round_ptr, inst.cand_ptr, inst.bits)
+    assert all(arr.base is None for arr in arrays) and inst.bits.dtype == np.int32
+    assert peak <= 2 * sum(arr.nbytes for arr in arrays)
+
+
 class TestFamilyEntries:
     def test_closed_form_counts_every_attribute(self):
         for d in list(range(0, 21)) + [27, 64]:

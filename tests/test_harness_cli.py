@@ -120,6 +120,20 @@ class TestMonteCarlo:
             bound = 5.0 * math.sqrt(xj * (1.0 - xj) / trials) + 1.0 / trials
             assert abs(freq - xj) <= bound
 
+    def test_worst_marginal_excess_equals_the_scalar_loop(self):
+        rng = np.random.default_rng(5)
+        for trials in (1, 7, 2000):
+            x = np.concatenate([rng.uniform(-0.2, 1.2, 300), [0.0, 1.0, -0.0]])
+            freqs = np.clip(x + rng.normal(0.0, 0.1, x.size), 0.0, 1.0).tolist()
+            worst = 0.0
+            for freq, xj in zip(freqs, x.tolist()):
+                xj = min(max(xj, 0.0), 1.0)
+                bound = 5.0 * math.sqrt(max(xj * (1.0 - xj), 0.0) / trials) + 1.0 / trials
+                worst = max(worst, abs(freq - xj) - bound)
+            got = harness.worst_marginal_excess(freqs, x, trials)
+            assert type(got) is float and got == worst
+        assert worst > 0.0
+
     def test_dimension_utilities_match_exact_expectation(self):
         inst = make_instance(2, [[(0,), (1,)]], capacity=2)
         sol = solution_from_rows([[0.5, 0.25]])

@@ -471,10 +471,11 @@ class TestEmptyRounds:
         for _ in range(2):
             policy.process_round(Round(()))
         first, second = policy.trace
-        for arr in (first.x_bar, first.x_hat, first.y, first.emitted):
+        for arr in (first.x_bar, first.x_hat, first.y, first.z, first.emitted):
             with pytest.raises(ValueError):
                 arr[...] = 1.0
-        assert first.z is not second.z
+        # Every empty round records the same zeros(d), not one of its own.
+        assert first.z is second.z and first.z.shape == (3,) and not first.z.any()
 
 
 class TestVariantSolution:
