@@ -3,10 +3,12 @@
 An instance is held once, as compressed sparse rows (CSR): ``round_ptr``
 marks where each round's candidates start, ``cand_ptr`` where each
 candidate's attributes start, and ``bits`` holds every attribute in one int32
-array.  Every layer reads these arrays; ``Round`` and ``AttributeVector`` are
-thin views for callers that want objects.  All types are immutable after
-construction and the operations are pure functions, so instances can be
-evaluated in parallel without shared state.
+array.  Every layer reads these arrays.  A ``Round`` is a view of one round's
+slice of them and carries the index arrays the policies read, built once per
+view; ``AttributeVector`` is a candidate's type for callers that want
+objects.  All types are immutable after construction and the operations are
+pure functions, so instances can be evaluated in parallel without shared
+state.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -84,30 +86,31 @@ def _split(flat: list, ptr: np.ndarray) -> list[list]:
 
 
 class Round:
-    """One arrival batch; candidate order is the arrival/serialization order.
+    """One arrival batch of an instance over its ``d`` dimensions; candidate
+    order is the arrival/serialization order.
 
-    A view of CSR arrays: candidate j holds ``bits[ptr[j]:ptr[j+1]]``.  Built
-    from ``AttributeVector`` candidates it packs arrays of its own; taken from
-    ``Instance.rounds`` it shares the instance's arrays.
+    A view of the instance's read-only CSR arrays (``ptr`` is the round's
+    slice of ``cand_ptr``, ``data`` the instance's ``bits``) that carries the
+    index arrays every kernel reads: the candidates' attributes concatenated
+    in arrival order (``bits``), each candidate's attribute count and offset
+    into ``bits`` (``lens``, ``starts``), and the per-dimension arrival
+    counts phi_k (``counts``).  They are built once, with the view, and are
+    read-only, so policies fed the same view share them and none can change
+    them.
     """
 
-    __slots__ = ("_ptr", "_bits")
+    __slots__ = ("d", "_ptr", "bits", "lens", "starts", "counts")
 
-    def __init__(self, candidates: Iterable[AttributeVector] = ()) -> None:
-        self._ptr, self._bits = _pack([cand.bits for cand in candidates])
-
-    @classmethod
-    def _view(cls, ptr: np.ndarray, bits: np.ndarray) -> Round:
-        rnd = cls.__new__(cls)
-        rnd._ptr, rnd._bits = ptr, bits
-        return rnd
-
-    def _flat_bits(self) -> np.ndarray:
-        return self._bits[self._ptr[0] : self._ptr[-1]]
+    def __init__(self, d: int, ptr: np.ndarray, data: np.ndarray) -> None:
+        self.d, self._ptr = d, ptr
+        self.bits = data[ptr[0] : ptr[-1]]
+        self.lens, self.starts = ptr[1:] - ptr[:-1], ptr[:-1] - ptr[0]
+        self.counts = np.bincount(self.bits, minlength=d)
+        self.lens.flags.writeable = self.starts.flags.writeable = self.counts.flags.writeable = False
 
     def bit_lists(self) -> list[list[int]]:
         """Each candidate's attributes as a list of ints, in arrival order."""
-        return _split(self._flat_bits().tolist(), self._ptr)
+        return _split(self.bits.tolist(), self._ptr)
 
     @property
     def candidates(self) -> tuple[AttributeVector, ...]:
@@ -129,40 +132,10 @@ class Round:
 
     def attribute_counts(self, d: int) -> list[int]:
         """Per-dimension arrival counts of this batch."""
-        return np.bincount(self._flat_bits(), minlength=d).tolist()
+        return np.bincount(self.bits, minlength=d).tolist()
 
 
-@dataclass(frozen=True)
-class RoundIncidence:
-    """One round as index arrays: per-dimension arrival ``counts``, every
-    candidate's attributes concatenated in arrival order (``bits``), and each
-    candidate's attribute count and offset into ``bits`` (``lens``,
-    ``starts``).
-
-    Built on demand by ``round_incidence`` from slices of the instance's
-    arrays and never stored, so a streamed horizon keeps no per-round arrays
-    alive.
-    """
-
-    counts: np.ndarray
-    bits: np.ndarray
-    lens: np.ndarray
-    starts: np.ndarray
-
-
-def round_incidence(rnd: Round, d: int) -> RoundIncidence:
-    """Index arrays of one round over ``d`` dimensions."""
-    ptr = rnd._ptr
-    bits = rnd._flat_bits()
-    return RoundIncidence(
-        counts=np.bincount(bits, minlength=d),
-        bits=bits,
-        lens=ptr[1:] - ptr[:-1],
-        starts=ptr[:-1] - ptr[0],
-    )
-
-
-def max_over_attributes(values, inc: RoundIncidence) -> np.ndarray:
+def max_over_attributes(values, rnd: Round) -> np.ndarray:
     """Each candidate's maximum of a per-dimension ``values`` vector (or of
     every row of an agents x d matrix) over its own attributes; 0.0 for a
     candidate with no attributes.
@@ -171,12 +144,12 @@ def max_over_attributes(values, inc: RoundIncidence) -> np.ndarray:
     zero-length segment, so candidates without attributes are left out of it.
     """
     values = np.asarray(values, dtype=float)
-    if inc.lens.all():  # no such candidate: one reduceat is the whole answer
-        return np.maximum.reduceat(values[..., inc.bits], inc.starts, axis=-1)
-    out = np.zeros(values.shape[:-1] + inc.lens.shape)
-    nonempty = inc.lens > 0
-    if inc.bits.size:
-        out[..., nonempty] = np.maximum.reduceat(values[..., inc.bits], inc.starts[nonempty], axis=-1)
+    if rnd.lens.all():  # no such candidate: one reduceat is the whole answer
+        return np.maximum.reduceat(values[..., rnd.bits], rnd.starts, axis=-1)
+    out = np.zeros(values.shape[:-1] + rnd.lens.shape)
+    nonempty = rnd.lens > 0
+    if rnd.bits.size:
+        out[..., nonempty] = np.maximum.reduceat(values[..., rnd.bits], rnd.starts[nonempty], axis=-1)
     return out
 
 
@@ -207,16 +180,16 @@ class _Rounds(Sequence):
             raise IndexError("round index out of range")
         inst = self._inst
         lo, hi = inst.round_ptr[i : i + 2].tolist()
-        return Round._view(inst.cand_ptr[lo : hi + 1], inst.bits)
+        return Round(inst.d, inst.cand_ptr[lo : hi + 1], inst.bits)
 
     def __iter__(self) -> Iterator[Round]:
         inst = self._inst
         ptr = inst.round_ptr.tolist()
         for lo, hi in zip(ptr, ptr[1:]):
-            yield Round._view(inst.cand_ptr[lo : hi + 1], inst.bits)
+            yield Round(inst.d, inst.cand_ptr[lo : hi + 1], inst.bits)
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Instance:
     """Full problem data for one selection instance, as CSR arrays.
 
@@ -227,9 +200,9 @@ class Instance:
     unknown-capacity scenario and must then satisfy
     ``capacity == n * per_round_capacity`` exactly.
 
-    ``Instance(d, c, capacity, rounds, per_round_capacity)`` packs ``Round``s
-    (or sequences of ``AttributeVector``s); ``from_bit_lists`` and
-    ``from_arrays`` build the arrays without per-candidate objects.
+    ``Instance(d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity)``
+    validates and copies the arrays, so the caller may change its own later;
+    ``from_bit_lists`` builds them from per-round lists of attribute indices.
     """
 
     d: int
@@ -240,39 +213,13 @@ class Instance:
     bits: np.ndarray
     per_round_capacity: Optional[int] = None
 
-    def __init__(
-        self,
-        d: int,
-        c: Sequence[float],
-        capacity: int,
-        rounds: Iterable = (),
-        per_round_capacity: Optional[int] = None,
-    ) -> None:
-        rounds = [rnd if isinstance(rnd, Round) else Round(rnd) for rnd in rounds]
-        empty = [np.zeros(0, dtype=np.int64)]
-        round_ptr = _offsets([len(rnd) for rnd in rounds])
-        cand_ptr = _offsets(np.concatenate([np.diff(rnd._ptr) for rnd in rounds] + empty))
-        bits = np.concatenate([rnd._flat_bits() for rnd in rounds] + empty)
-        self._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits, copy=False)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        d: int,
-        c: Sequence[float],
-        capacity: int,
-        round_ptr,
-        cand_ptr,
-        bits,
-        per_round_capacity: Optional[int] = None,
-    ) -> Instance:
-        """Instance from CSR arrays, copied: the caller may change its own later."""
-        return cls.__new__(cls)._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits)
+    def __post_init__(self) -> None:
+        self._set(self.d, self.c, self.capacity, self.round_ptr, self.cand_ptr, self.bits, self.per_round_capacity)
 
     @classmethod
     def _adopt(cls, d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity=None) -> Instance:
-        """``from_arrays`` for arrays the package's builders give up: those of the stored dtypes are kept."""
-        return cls.__new__(cls)._set(d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits, copy=False)
+        """An instance of arrays the package's builders give up: those of the stored dtypes are kept."""
+        return cls.__new__(cls)._set(d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity, copy=False)
 
     @classmethod
     def from_bit_lists(
@@ -292,7 +239,7 @@ class Instance:
             cand_ptr, bits = _pack(cands)
         return cls._adopt(d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity)
 
-    def _set(self, d, c, capacity, per_round_capacity, round_ptr, cand_ptr, bits, copy=True) -> Instance:
+    def _set(self, d, c, capacity, round_ptr, cand_ptr, bits, per_round_capacity, copy=True) -> Instance:
         """Validate the fields and store them, the arrays read-only (copied with ``copy``)."""
         round_ptr = np.asarray(round_ptr, dtype=np.int64)
         cand_ptr = np.asarray(cand_ptr, dtype=np.int64)
@@ -452,10 +399,6 @@ class FractionalSolution:
         return math.fsum(self.flat())
 
 
-#: Per-dimension utilities c_k * sum_j x_j t_jk; plain list, length d.
-UtilityVector = list
-
-
 @dataclass(frozen=True)
 class InstanceStats:
     """Arrival-fluctuation diagnostics for the unknown-capacity scenario.
@@ -599,7 +542,7 @@ def marginals(inst: Instance) -> list[int]:
     return np.bincount(inst.bits, minlength=inst.d).tolist()
 
 
-def least_utility(inst: Instance, sol: FractionalSolution) -> tuple[float, UtilityVector]:
+def least_utility(inst: Instance, sol: FractionalSolution) -> tuple[float, list[float]]:
     """Least utility across dimensions plus the full per-dimension utilities.
 
     u_k = c_k * sum_j x_j t_jk, lu = min_k u_k.  ``bincount`` adds each

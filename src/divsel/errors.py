@@ -21,12 +21,8 @@ class DomainError(DivselError):
     """A numeric input outside its admissible range."""
 
 
-class FeasibilityError(DivselError):
-    """A fractional solution violating the capacity constraint."""
-
-
 class SizeError(DivselError):
-    """Problem exceeds the configured desk-scale solver caps."""
+    """Problem too large for the machine's physical memory."""
 
 
 class DegenerateError(DivselError):

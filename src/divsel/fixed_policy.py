@@ -44,11 +44,9 @@ from .core import (
     EPS,
     Instance,
     Round,
-    RoundIncidence,
     marginals,
     max_over_attributes,
     min_count_at_least_sqrt_d,
-    round_incidence,
     solution_from_rows,
 )
 from .errors import DimensionError
@@ -95,7 +93,7 @@ def controlled_greedy_round(
     v: np.ndarray,
     target: np.ndarray,
     c: np.ndarray,
-    inc: RoundIncidence,
+    rnd: Round,
     order: Callable[[], list[int]],
 ) -> np.ndarray:
     """Stage 1 of every agent at once: raise each candidate's fraction while
@@ -121,8 +119,8 @@ def controlled_greedy_round(
     one agent's survivors; with at most one each, it is never drawn.  An
     agent whose y_used has reached K raises nothing.
     """
-    y = np.zeros((len(agents), inc.lens.size))
-    survives = _survivors(_below(agents, v, target), inc)
+    y = np.zeros((len(agents), len(rnd)))
+    survives = _survivors(_below(agents, v, target), rnd)
     rows, cols = (index.tolist() for index in np.nonzero(survives))
     if len(set(rows)) < len(rows):
         # Row-major nonzero over the columns in visiting order: each agent's
@@ -131,7 +129,7 @@ def controlled_greedy_round(
         rows, steps = np.nonzero(survives[:, visit])
         rows, cols = rows.tolist(), visit[steps].tolist()
     m = min_count_at_least_sqrt_d(v.shape[1])
-    c, bits, bounds = c.tolist(), inc.bits.tolist(), inc.starts.tolist() + [inc.bits.size]
+    c, bits, bounds = c.tolist(), rnd.bits.tolist(), rnd.starts.tolist() + [rnd.bits.size]
     v_rows = {a: v[a].tolist() for a in set(rows)}
     for a, j in zip(rows, cols):
         agent, v_a, target_a = agents[a], v_rows[a], float(target[a])
@@ -155,11 +153,11 @@ def _below(agents: list[AgentState], v: np.ndarray, target: np.ndarray) -> np.nd
     return ((v < target[:, None]) & live[:, None]).astype(float)
 
 
-def _survivors(below: np.ndarray, inc: RoundIncidence) -> np.ndarray:
+def _survivors(below: np.ndarray, rnd: Round) -> np.ndarray:
     """Agents x n_i: does the candidate hold at least sqrt(d) marked dimensions?"""
-    d, n = below.shape[1], inc.lens.size
+    d, n = below.shape[1], len(rnd)
     member = np.zeros((d, n))
-    member[inc.bits, np.repeat(np.arange(n), inc.lens)] = 1.0
+    member[rnd.bits, np.repeat(np.arange(n), rnd.lens)] = 1.0
     return below @ member >= min_count_at_least_sqrt_d(d)
 
 
@@ -168,7 +166,7 @@ def continuous_minimalist_round(
     shortfall: np.ndarray,
     c: np.ndarray,
     z_acc: np.ndarray,
-    inc: RoundIncidence,
+    rnd: Round,
 ) -> np.ndarray:
     """Stage 2 of every agent at once: per-dimension utility adjustments, in
     index order; returns them as an agents x d array.
@@ -182,7 +180,7 @@ def continuous_minimalist_round(
     round arrival count or at the capacity, in closed form.  All agents share
     d, c and K.
     """
-    z = np.minimum(np.maximum(shortfall / c, 0.0), inc.counts)
+    z = np.minimum(np.maximum(shortfall / c, 0.0), rnd.counts)
     # Only the capacity clip depends on index order.  A zero entry would add
     # 0.0 and leave z and z_used as they are, so the nonzero ones suffice.
     rows, cols = np.nonzero(z)
@@ -197,13 +195,13 @@ def continuous_minimalist_round(
     return z
 
 
-def combine_agent_round(y, z, inc: RoundIncidence) -> np.ndarray:
+def combine_agent_round(y, z, rnd: Round) -> np.ndarray:
     """Stage 3: x_j = [y_j + max_k z_k t_jk / phi_k(R_i)] / 2 (0/0 -> 0), for
     one agent's vectors or every agent's rows at once."""
     # A dimension without arrivals belongs to no candidate, so its quotient
     # is never read; dividing it by 1 keeps it finite.
-    share = np.asarray(z, dtype=float) / np.maximum(inc.counts, 1)
-    return (np.asarray(y, dtype=float) + max_over_attributes(share, inc)) / 2.0
+    share = np.asarray(z, dtype=float) / np.maximum(rnd.counts, 1)
+    return (np.asarray(y, dtype=float) + max_over_attributes(share, rnd)) / 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,13 +275,14 @@ class FixedPolicy:
     def process_round(self, rnd: Round) -> list[float]:
         """One round: stage 1, stage 2 and their combination for every agent;
         returns the across-agent average."""
+        if rnd.d != self.d:
+            raise DimensionError(f"round of d={rnd.d} fed to a policy of d={self.d}")
         n, index = len(rnd), len(self.trace)
-        inc = round_incidence(rnd, self.d)
-        self.unseen -= inc.counts
+        self.unseen -= rnd.counts
         y, raised = self._quiet_round(n).y, False
-        if _survivors(self.below, inc).any():
+        if _survivors(self.below, rnd).any():
             y = controlled_greedy_round(
-                self.agents, self.v, self.target, self.weights, inc, lambda: self._order(index, n)
+                self.agents, self.v, self.target, self.weights, rnd, lambda: self._order(index, n)
             )
             raised = y.any()
         if raised:
@@ -291,14 +290,14 @@ class FixedPolicy:
         # shortfall = gap - c * unseen is positive exactly where gap > c * unseen.
         if (self.gap > self.weights * self.unseen).any():
             shortfall = self.gap - self.weights * self.unseen
-            z = continuous_minimalist_round(self.agents, shortfall, self.weights, self.z_acc, inc)
+            z = continuous_minimalist_round(self.agents, shortfall, self.weights, self.z_acc, rnd)
             self._refresh()
         elif raised:
             z = np.zeros_like(self.gap)
         else:
             self.trace.append(self._quiet_round(n))
             return [0.0] * n
-        x = combine_agent_round(y, z, inc)
+        x = combine_agent_round(y, z, rnd)
         # Python's sum adds the agents' rows one after another, in agent order.
         x_avg = sum(x) / float(len(self.agents))
         self.trace.append(FixedRound(x, y, x_avg))

@@ -43,7 +43,6 @@ from .core import (
     least_utility,
     physical_memory as _physical_memory,
     round_counts,
-    round_incidence,
     validate_feasibility,
 )
 from .errors import ContractError, DomainError, SizeError
@@ -509,8 +508,7 @@ def _water_fill_gap(inst: Instance, trace: Sequence[up.UnknownRound]) -> float:
     u = np.zeros(inst.d)
     u_rows = np.empty((inst.n, inst.d))
     for i, (rnd, rec) in enumerate(zip(inst.rounds, trace)):
-        inc = round_incidence(rnd, inst.d)
-        np.add.at(u, inc.bits, c[inc.bits] * np.repeat(rec.y, inc.lens))
+        np.add.at(u, rnd.bits, c[rnd.bits] * np.repeat(rec.y, rnd.lens))
         u_rows[i] = u
         u += c * rec.z
     caps = round_counts(inst)

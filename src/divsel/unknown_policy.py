@@ -24,32 +24,30 @@ from .core import (
     FractionalSolution,
     Instance,
     Round,
-    RoundIncidence,
     common_prefix_rounds,
     core_mask,
     max_over_attributes,
-    round_incidence,
     solution_from_rows,
 )
-from .errors import ContractError, ShapeError
+from .errors import ContractError, DimensionError, ShapeError
 
 
-def myopic_round(c: Sequence[float], a: int, inc: RoundIncidence) -> np.ndarray:
+def myopic_round(c: Sequence[float], a: int, rnd: Round) -> np.ndarray:
     """Equal-improvement allocation of the fresh capacity a.
 
     The common utility raise is alpha = min(min_k c_k phi_k, a / sum_k 1/c_k);
     each candidate takes the largest per-dimension share it is needed for.
     A dimension with no arrivals this round forces alpha = 0.
     """
-    return _myopic_row(np.asarray(c, dtype=float), a / math.fsum(1.0 / ck for ck in c), inc)
+    return _myopic_row(np.asarray(c, dtype=float), a / math.fsum(1.0 / ck for ck in c), rnd)
 
 
-def _myopic_row(c: np.ndarray, raise_cap: float, inc: RoundIncidence) -> np.ndarray:
+def _myopic_row(c: np.ndarray, raise_cap: float, rnd: Round) -> np.ndarray:
     """``myopic_round`` from a policy's constants: c as an array, a / sum_k 1/c_k."""
-    if not inc.lens.size or inc.counts.min() == 0:
-        return np.zeros(inc.lens.size)
-    alpha = min(float((c * inc.counts).min()), raise_cap)
-    return max_over_attributes((alpha / c) / inc.counts, inc)
+    if not len(rnd) or rnd.counts.min() == 0:
+        return np.zeros(len(rnd))
+    alpha = min(float((c * rnd.counts).min()), raise_cap)
+    return max_over_attributes((alpha / c) / rnd.counts, rnd)
 
 
 def water_fill(
@@ -106,7 +104,7 @@ def forward_round(
     u: np.ndarray,
     c: Sequence[float],
     a: int,
-    inc: RoundIncidence,
+    rnd: Round,
     continue_after_cap: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
     """One round of the forward-looking pass from the running utilities u:
@@ -123,27 +121,27 @@ def forward_round(
     is min(u) and u stays as it is, so it returns at once in O(d).
     """
     d = len(u)
-    if not inc.lens.size:
+    if not len(rnd):
         return np.zeros(0), np.zeros(d), np.zeros(0), float(u.min()), u
     c_arr = np.asarray(c)
-    core = core_mask(inc.lens, d)
+    core = core_mask(rnd.lens, d)
     y_i = core.astype(float)
     # add.at adds c_k once per core attribute, one after another in arrival
     # order, as a loop over the core candidates would.
     u = u.copy()
-    core_bits = inc.bits[np.repeat(core, inc.lens)]
+    core_bits = rnd.bits[np.repeat(core, rnd.lens)]
     np.add.at(u, core_bits, c_arr[core_bits])
 
     budget = math.sqrt(d) * a
-    z_i = water_fill(u, inc.counts, budget, c_arr, continue_after_cap)
+    z_i = water_fill(u, rnd.counts, budget, c_arr, continue_after_cap)
     f_i = fill_value(u, z_i, c_arr)
 
-    total_count = len(inc.bits)
+    total_count = len(rnd.bits)
     y_scale = min(1.0, a / (total_count / math.sqrt(d))) if total_count > 0 else 0.0
     two_sqrt_d = 2.0 * math.sqrt(d)
     # A dimension without arrivals belongs to no candidate, so its quotient
     # is never read; dividing it by 1 keeps it finite.
-    z_part = max_over_attributes(z_i / np.maximum(inc.counts, 1), inc)
+    z_part = max_over_attributes(z_i / np.maximum(rnd.counts, 1), rnd)
     x_i = (y_i / 2.0) * y_scale + z_part / two_sqrt_d
     return y_i, z_i, x_i, f_i, u + c_arr * z_i
 
@@ -210,7 +208,6 @@ def leftover_topup(policy: "UnknownPolicy", x_i: np.ndarray) -> np.ndarray:
 #: The rows of every round without candidates, read-only since shared.
 _EMPTY = np.zeros(0)
 _EMPTY.flags.writeable = False
-_EMPTY_ROUND = Round(())  # what the family pass feeds for each empty round
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,15 +266,16 @@ class UnknownPolicy:
         return twin
 
     def process_round(self, rnd: Round) -> list[float]:
+        if rnd.d != self.d:
+            raise DimensionError(f"round of d={rnd.d} fed to a policy of d={self.d}")
         self.round_index += 1
         if not len(rnd):
             # What the full path gives: no rows, z = 0, level min(u), u and
             # emitted_total unchanged (the top-up of an empty row is empty).
             self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, float(self.u.min()), _EMPTY))
             return []
-        inc = round_incidence(rnd, self.d)
-        x_bar = _myopic_row(self.weights, self.raise_cap, inc)
-        y, z, x_hat, f, self.u = forward_round(self.u, self.weights, self.a, inc, self.continue_after_cap)
+        x_bar = _myopic_row(self.weights, self.raise_cap, rnd)
+        y, z, x_hat, f, self.u = forward_round(self.u, self.weights, self.a, rnd, self.continue_after_cap)
         row = _variant_row(self.variant, x_bar, x_hat)
         if self.topup_enabled:
             row = leftover_topup(self, row)
@@ -338,11 +336,12 @@ def unknown_family_passes(members: Sequence[Instance]) -> Iterator[UnknownPolicy
         policy = follower if follower is not None else _new_policy(inst, "hybrid", False, False)
         follower = None
         rounds, sizes = inst.rounds, np.diff(inst.round_ptr).tolist()
+        empty = Round(inst.d, inst.cand_ptr[:1], inst.bits)  # no candidates: fed for each empty round
         for r in range(starts[i], inst.n + 1):
             if r == starts[i + 1] > 0:
                 follower = policy.fork()
             if r < inst.n:
-                policy.process_round(rounds[r] if sizes[r] else _EMPTY_ROUND)
+                policy.process_round(rounds[r] if sizes[r] else empty)
         yield policy
 
 

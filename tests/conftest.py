@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from divsel.core import AttributeVector, Instance, Round
+from divsel.core import Instance
 from divsel.errors import DimensionError
 from divsel.unknown_policy import fill_value
 
@@ -13,17 +13,19 @@ from divsel.unknown_policy import fill_value
 def make_instance(d, cand_rounds, capacity, c=None, a=None):
     """Compact instance builder: cand_rounds is a list of rounds, each a list
     of attribute-index tuples."""
-    rounds = tuple(
-        Round(tuple(AttributeVector(tuple(sorted(bits))) for bits in rnd))
-        for rnd in cand_rounds
-    )
-    return Instance(
+    return Instance.from_bit_lists(
         d=d,
         c=tuple(c) if c is not None else tuple(1.0 for _ in range(d)),
         capacity=capacity,
-        rounds=rounds,
+        rounds=[[sorted(bits) for bits in rnd] for rnd in cand_rounds],
         per_round_capacity=a,
     )
+
+
+def make_round(d, cands):
+    """One ``Round`` over d dimensions holding the given attribute-index
+    tuples, in order: the only round of an instance built for it."""
+    return make_instance(d, [cands], capacity=0).rounds[0]
 
 
 def random_feasible_x(inst, seed, saturate=False):

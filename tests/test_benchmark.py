@@ -701,7 +701,7 @@ class TestSolveInt:
         them, so the best spread gives every dimension n sqrt(5) / 5."""
         d, n = 5, 100_001
         ptr = np.arange(0, n * d + 1, d)
-        inst = Instance.from_arrays(d, [1.0] * d, n, ptr, np.arange(n * d + 1), np.tile(np.arange(d), n), 1)
+        inst = Instance(d, [1.0] * d, n, ptr, np.arange(n * d + 1), np.tile(np.arange(d), n), 1)
         assert n * d > 500_000
         assert_rel_close(solve_int(inst).value, n * math.sqrt(d) / d, rel=1e-12)
 

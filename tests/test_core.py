@@ -11,10 +11,8 @@ from divsel.core import (
     AttributeVector,
     FractionalSolution,
     Instance,
-    Round,
     common_prefix_rounds,
     round_counts,
-    round_incidence,
     instance_stats,
     least_utility,
     marginals,
@@ -271,7 +269,7 @@ class TestTypes:
 
     def test_instance_invariants(self):
         with pytest.raises(InvariantError):
-            Instance(d=1, c=(2.0,), capacity=1, rounds=())
+            Instance(d=1, c=(2.0,), capacity=1, round_ptr=[0], cand_ptr=[0], bits=[])
         with pytest.raises(InvariantError):
             make_instance(1, [[(1,)]], capacity=1)
 
@@ -426,10 +424,12 @@ class TestArrayLayout:
         c = [data.draw(st.floats(1.0, 4.0), label=f"c{k}") for k in range(d)]
         c[data.draw(st.integers(0, d - 1), label="unit")] = 1.0
         cap = len(rounds) * a if a else data.draw(st.integers(0, 9), label="K")
-        nested = Instance(
-            d, tuple(c), cap, [Round(tuple(AttributeVector(tuple(b)) for b in rnd)) for rnd in rounds], a
+        cands = [b for rnd in rounds for b in rnd]
+        nested = Instance.from_bit_lists(d, c, cap, rounds, a)
+        arrays = Instance(
+            d, tuple(c), cap, np.cumsum([0] + [len(rnd) for rnd in rounds]),
+            np.cumsum([0] + [len(b) for b in cands]), [k for b in cands for k in b], a
         )
-        arrays = Instance.from_bit_lists(d, c, cap, rounds, a)
         assert nested == arrays
         assert parse_instance(serialize_instance(arrays)) == arrays
         assert pickle.loads(pickle.dumps(arrays)) == arrays
@@ -437,9 +437,10 @@ class TestArrayLayout:
         assert [list(cand.bits) for cand in arrays.all_candidates()] == [b for rnd in rounds for b in rnd]
         assert arrays.n == len(rounds) and arrays.total_candidates == sum(map(len, rounds))
         for i, rnd in enumerate(rounds):
-            inc = round_incidence(arrays.rounds[i], d)
-            assert inc.lens.tolist() == [len(b) for b in rnd]
-            assert inc.bits.tolist() == [k for b in rnd for k in b]
+            view = arrays.rounds[i]
+            assert view.d == d and view.counts.tolist() == view.attribute_counts(d)
+            assert view.lens.tolist() == [len(b) for b in rnd]
+            assert view.bits.tolist() == [k for b in rnd for k in b]
             assert arrays.rounds[i] == nested.rounds[i] == arrays.rounds[i - len(rounds)]
 
     def test_rounds_are_views_built_on_access(self):
@@ -454,11 +455,11 @@ class TestArrayLayout:
 
     def test_malformed_arrays_rejected(self):
         with pytest.raises(InvariantError, match="CSR"):
-            Instance.from_arrays(2, (1.0, 1.0), 1, [0, 1], [0, 2], [0])
+            Instance(2, (1.0, 1.0), 1, [0, 1], [0, 2], [0])
         with pytest.raises(InvariantError, match="strictly increasing"):
-            Instance.from_arrays(2, (1.0, 1.0), 1, [0, 2], [0, 0, 2], [1, 1])
+            Instance(2, (1.0, 1.0), 1, [0, 2], [0, 0, 2], [1, 1])
         # The pair across a candidate boundary may decrease.
-        inst = Instance.from_arrays(2, (1.0, 1.0), 1, [0, 3], [0, 1, 1, 2], [1, 0])
+        inst = Instance(2, (1.0, 1.0), 1, [0, 3], [0, 1, 1, 2], [1, 0])
         assert [list(cand.bits) for cand in inst.all_candidates()] == [[1], [], [0]]
 
     def test_validation_does_not_widen_bits(self):
@@ -471,7 +472,7 @@ class TestArrayLayout:
         cand_ptr = np.arange(m + 1, dtype=np.int64) * per
         tracemalloc.start()
         try:
-            Instance.from_arrays(d, [1.0] * d, m, [0, m], cand_ptr, bits)
+            Instance(d, [1.0] * d, m, [0, m], cand_ptr, bits)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -480,7 +481,7 @@ class TestArrayLayout:
     def test_public_constructors_copy_their_arrays(self):
         round_ptr, cand_ptr, bits = np.array([0, 2]), np.array([0, 1, 3]), np.array([1, 0, 1], dtype=np.int32)
         values, sol_ptr = np.array([0.5, 0.25]), np.array([0, 2])
-        inst = Instance.from_arrays(2, (1.0, 1.0), 2, round_ptr, cand_ptr, bits)
+        inst = Instance(2, (1.0, 1.0), 2, round_ptr, cand_ptr, bits)
         sol = FractionalSolution(values, sol_ptr)
         for arr in (round_ptr, cand_ptr, bits, values, sol_ptr):
             arr[...] = 7  # the caller's arrays stay its own and writeable

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from divsel.benchmark import solve_fluid
-from divsel.core import (
-    AttributeVector,
-    Round,
-    least_utility,
-    marginals,
-    round_incidence,
-    validate_feasibility,
-)
+from divsel.core import least_utility, marginals, validate_feasibility
 from divsel.errors import DimensionError
 from divsel.fixed_policy import (
     AgentState,
@@ -31,7 +24,7 @@ from divsel.fixed_policy import (
 )
 from divsel.generators import gen_fcs, gen_random
 
-from conftest import make_instance
+from conftest import make_instance, make_round
 
 
 @dataclass
@@ -56,8 +49,7 @@ def greedy(agent, v, rnd, order):
     """Stage 1 of a single agent whose stage-1 totals are the 1 x d array
     ``v`` (updated in place); its row of y."""
     target = np.array([agent.gamma / math.sqrt(agent.d)])
-    inc = round_incidence(rnd, agent.d)
-    return controlled_greedy_round([agent], v, target, np.asarray(agent.c), inc, lambda: order)[0].tolist()
+    return controlled_greedy_round([agent], v, target, np.asarray(agent.c), rnd, lambda: order)[0].tolist()
 
 
 def minimalist(agent, rnd, phi_total, consumed, v=None):
@@ -65,12 +57,12 @@ def minimalist(agent, rnd, phi_total, consumed, v=None):
     c = np.asarray(agent.c)
     v = np.zeros((1, agent.d)) if v is None else v
     shortfall = agent.gamma / math.sqrt(agent.d) - v - c * np.subtract(phi_total, consumed)
-    z = continuous_minimalist_round([agent], shortfall, c, np.zeros((1, agent.d)), round_incidence(rnd, agent.d))
+    z = continuous_minimalist_round([agent], shortfall, c, np.zeros((1, agent.d)), rnd)
     return z[0].tolist()
 
 
-def combine(y_i, z_i, rnd, d):
-    return combine_agent_round(y_i, z_i, round_incidence(rnd, d)).tolist()
+def combine(y_i, z_i, rnd):
+    return combine_agent_round(y_i, z_i, rnd).tolist()
 
 
 class TestGuessSet:
@@ -84,7 +76,7 @@ class TestGuessSet:
     def test_zero_marginal_gives_zero_agents(self):
         policy = new_fixed_policy(2, (1.0, 1.0), 4, [3, 0], seed=0)
         assert policy.agents == []
-        rnd = Round((AttributeVector((0,)),))
+        rnd = make_round(2, ((0,),))
         assert policy.process_round(rnd) == [0.0]
 
     def test_guess_values_are_geometric(self):
@@ -98,6 +90,12 @@ class TestGuessSet:
         with pytest.raises(DimensionError):
             new_fixed_policy(2, (1.0, 1.0), 4, [1], seed=0)
 
+    def test_round_of_another_d_is_refused(self):
+        policy = new_fixed_policy(4, (1.0,) * 4, 4, [2, 2, 2, 2], seed=0)
+        with pytest.raises(DimensionError, match="d=8"):
+            policy.process_round(make_round(8, [(0, 5), (1, 2, 7)]))
+        assert policy.trace == [] and policy.unseen.tolist() == [2, 2, 2, 2]
+
 
 class TestControlledGreedy:
     def test_three_attribute_candidate_hand_trace(self):
@@ -105,32 +103,32 @@ class TestControlledGreedy:
         # stops at min(1, ., 2) = 1.
         agent = make_agent(gamma=4.0, d=4, capacity=100)
         v = np.zeros((1, 4))
-        rnd = Round((AttributeVector((0, 1, 2)),))
+        rnd = make_round(4, ((0, 1, 2),))
         y = greedy(agent, v, rnd, [0])
         assert y == [1.0]
         assert v[0].tolist() == [1.0, 1.0, 1.0, 0.0]
 
         # Next candidate sees v = (1,1,1,0): thresholds (1,1), m=2, stop at 1.
-        rnd2 = Round((AttributeVector((0, 1)),))
+        rnd2 = make_round(4, ((0, 1),))
         y2 = greedy(agent, v, rnd2, [0])
         assert y2 == [1.0]
 
     def test_single_attribute_never_raised(self):
         agent = make_agent(gamma=4.0, d=4, capacity=100)
-        rnd = Round((AttributeVector((2,)),))
+        rnd = make_round(4, ((2,),))
         assert greedy(agent, np.zeros((1, 4)), rnd, [0]) == [0.0]
 
     def test_partial_raise_stops_at_threshold(self):
         # v = (1.5, 1.5) from a previous raise: thresholds at 0.5, so y = 0.5.
         agent = make_agent(gamma=2.0 * math.sqrt(2.0), d=2, capacity=100)
-        rnd = Round((AttributeVector((0, 1)), AttributeVector((0, 1))))
+        rnd = make_round(2, ((0, 1), (0, 1)))
         y = greedy(agent, np.zeros((1, 2)), rnd, [0, 1])
         assert y[0] == 1.0
         assert y[1] == pytest.approx(1.0, abs=1e-12)  # threshold 2 - 1 = 1
 
     def test_capacity_exhaustion_stops_raise(self):
         agent = make_agent(gamma=40.0, d=4, capacity=1)
-        rnd = Round((AttributeVector((0, 1, 2, 3)), AttributeVector((0, 1, 2, 3))))
+        rnd = make_round(4, ((0, 1, 2, 3), (0, 1, 2, 3)))
         y = greedy(agent, np.zeros((1, 4)), rnd, [0, 1])
         assert y == [1.0, 0.0]
         assert agent.y_used == pytest.approx(1.0)
@@ -143,7 +141,7 @@ class TestContinuousMinimalist:
         # utility terms, well inside the round cap and the capacity.
         agent = make_agent(gamma=2.0, d=1, capacity=100, c=[0.5])
         v = np.array([[0.5]])  # w = v + c*z_acc = 0.5
-        rnd = Round((AttributeVector((0,)),) * 3)
+        rnd = make_round(1, ((0,),) * 3)
         z = minimalist(agent, rnd, phi_total=[7], consumed=[6], v=v)  # Res = 0.5 * (7 - 6) = 0.5
         assert z == [pytest.approx((2.0 - 0.5 - 0.5) / 0.5)]
         assert z[0] <= rnd.attribute_counts(1)[0]
@@ -151,39 +149,39 @@ class TestContinuousMinimalist:
 
     def test_immediate_stop_when_maximal_utility_high(self):
         agent = make_agent(gamma=2.0, d=1, capacity=100)
-        rnd = Round((AttributeVector((0,)), AttributeVector((0,))))
+        rnd = make_round(1, ((0,), (0,)))
         # w = 0, Res = 5 - 2 = 3 >= gamma/sqrt(d) = 2 -> z = 0.
         assert minimalist(agent, rnd, phi_total=[5], consumed=[2]) == [0.0]
 
     def test_capacity_induced_stop(self):
         agent = make_agent(gamma=20.0, d=1, capacity=0)
-        rnd = Round((AttributeVector((0,)), AttributeVector((0,))))
+        rnd = make_round(1, ((0,), (0,)))
         assert minimalist(agent, rnd, phi_total=[2], consumed=[2]) == [0.0]
 
     def test_round_cap_clamps(self):
         # Gap of 5 in utility terms but only phi_k(R_i) = 2 to hand out.
         agent = make_agent(gamma=5.0, d=1, capacity=100)
-        rnd = Round((AttributeVector((0,)), AttributeVector((0,))))
+        rnd = make_round(1, ((0,), (0,)))
         assert minimalist(agent, rnd, phi_total=[2], consumed=[2]) == [2.0]
 
 
 class TestCombine:
     def test_pure_y(self):
-        rnd = Round((AttributeVector((0,)),))
-        assert combine([1.0], [0.0, 0.0], rnd, 2) == [0.5]
+        rnd = make_round(2, ((0,),))
+        assert combine([1.0], [0.0, 0.0], rnd) == [0.5]
 
     def test_full_adjustment_halved(self):
         # z at the round count: every holder gets share 1, halved to 0.5.
-        rnd = Round((AttributeVector((1,)), AttributeVector((1,))))
-        assert combine([0.0, 0.0], [0.0, 2.0], rnd, 2) == [0.5, 0.5]
+        rnd = make_round(2, ((1,), (1,)))
+        assert combine([0.0, 0.0], [0.0, 2.0], rnd) == [0.5, 0.5]
 
     def test_full_adjustment_single_candidate(self):
-        rnd = Round((AttributeVector((1,)),))
-        assert combine([0.0], [0.0, 1.0], rnd, 2) == [0.5]
+        rnd = make_round(2, ((1,),))
+        assert combine([0.0], [0.0, 1.0], rnd) == [0.5]
 
     def test_max_then_average(self):
-        rnd = Round((AttributeVector((0, 1)),))
-        x = combine([0.4], [0.3, 0.5], rnd, 2)
+        rnd = make_round(2, ((0, 1),))
+        x = combine([0.4], [0.3, 0.5], rnd)
         assert x == [pytest.approx((0.4 + 0.5) / 2.0)]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
-from divsel.core import instance_stats, parse_instance, round_incidence, serialize_instance, solution_from_rows
+from divsel.core import instance_stats, parse_instance, serialize_instance, solution_from_rows
 from divsel import benchmark, cli, core, generators, harness, unknown_policy
 from divsel.errors import ContractError, SizeError
 from divsel.generators import family_entries, gen_fcs, gen_random
@@ -67,7 +67,7 @@ class TestEvaluatePolicy:
     def test_myopic_single_round_lu_is_alpha(self):
         inst = make_instance(2, [[(0,), (0,), (1,)]], capacity=2, a=2)
         report, sol = evaluate_policy(inst, "uc-myopic", seed=0)
-        x = myopic_round(inst.c, 2, round_incidence(inst.rounds[0], inst.d)).tolist()
+        x = myopic_round(inst.c, 2, inst.rounds[0]).tolist()
         assert sol.x[0] == tuple(x)
         # LU equals the equal-improvement level alpha_1 = min(1, 2/2) = 1.
         assert report.lu == pytest.approx(1.0)

@@ -16,15 +16,12 @@ from hypothesis import strategies as st
 
 from divsel.benchmark import opt_bounds_from_marginals
 from divsel.core import (
-    AttributeVector,
-    Round,
     is_core,
     marginals,
     max_over_attributes,
     min_count_at_least_sqrt_d,
-    round_incidence,
 )
-from divsel.fixed_policy import AgentState, controlled_greedy_round, guess_count, run_fixed_policy
+from divsel.fixed_policy import AgentState, controlled_greedy_round, guess_count, new_fixed_policy, run_fixed_policy
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.unknown_policy import (
     UnknownPolicy,
@@ -38,7 +35,7 @@ from divsel.unknown_policy import (
     water_fill,
 )
 
-from conftest import make_instance
+from conftest import make_instance, make_round
 
 # ---------------------------------------------------------------------------
 # Reference: the scalar loops, one agent and one candidate at a time.
@@ -288,13 +285,13 @@ def full_loop_topup(x_i, budget):
     return result
 
 
-def array_step_greedy_round(agents, v, target, c, inc, order):
+def array_step_greedy_round(agents, v, target, c, rnd, order):
     """``controlled_greedy_round`` with its survivor step on numpy arrays."""
-    n = inc.lens.size
+    n = len(rnd)
     y = np.zeros((len(agents), n))
     live = np.array([agent.capacity - agent.y_used > 0.0 for agent in agents], dtype=bool)
     member = np.zeros((v.shape[1], n))
-    member[inc.bits, np.repeat(np.arange(n), inc.lens)] = 1.0
+    member[rnd.bits, np.repeat(np.arange(n), rnd.lens)] = 1.0
     m = min_count_at_least_sqrt_d(v.shape[1])
     survives = ((v < target[:, None]) & live[:, None]) @ member >= m
     rows, cols = (index.tolist() for index in np.nonzero(survives))
@@ -304,7 +301,7 @@ def array_step_greedy_round(agents, v, target, c, inc, order):
         rows, cols = rows.tolist(), visit[steps].tolist()
     for a, j in zip(rows, cols):
         agent = agents[a]
-        bits = inc.bits[inc.starts[j] : inc.starts[j] + inc.lens[j]]
+        bits = rnd.bits[rnd.starts[j] : rnd.starts[j] + rnd.lens[j]]
         tau = (target[a] - v[a, bits]) / c[bits]
         tau = tau[tau > 0.0]
         y_stop = float(np.sort(tau)[-m]) if tau.size >= m else 0.0
@@ -379,33 +376,32 @@ INSTANCES = {
 
 class TestMaxOverAttributes:
     def test_vector(self):
-        rnd = Round((AttributeVector((0, 2)), AttributeVector(()), AttributeVector((1,)), AttributeVector(())))
-        out = max_over_attributes([1.0, 5.0, 3.0], round_incidence(rnd, 3))
+        rnd = make_round(3, ((0, 2), (), (1,), ()))
+        out = max_over_attributes([1.0, 5.0, 3.0], rnd)
         assert out.tolist() == [3.0, 0.0, 5.0, 0.0]
 
     def test_matrix_rows_are_independent(self):
-        rnd = Round((AttributeVector(()), AttributeVector((0, 1)), AttributeVector((2,))))
+        rnd = make_round(3, ((), (0, 1), (2,)))
         values = np.array([[1.0, 5.0, 3.0], [4.0, 0.5, 0.25]])
-        out = max_over_attributes(values, round_incidence(rnd, 3))
+        out = max_over_attributes(values, rnd)
         assert out.tolist() == [[0.0, 5.0, 3.0], [0.0, 4.0, 0.25]]
 
     def test_empty_round(self):
-        inc = round_incidence(Round(()), 4)
-        assert inc.counts.tolist() == [0, 0, 0, 0]
-        assert max_over_attributes(np.ones(4), inc).shape == (0,)
-        assert max_over_attributes(np.ones((3, 4)), inc).shape == (3, 0)
+        rnd = make_round(4, ())
+        assert rnd.counts.tolist() == [0, 0, 0, 0]
+        assert max_over_attributes(np.ones(4), rnd).shape == (0,)
+        assert max_over_attributes(np.ones((3, 4)), rnd).shape == (3, 0)
 
     def test_only_attributeless_candidates(self):
-        inc = round_incidence(Round((AttributeVector(()),) * 2), 2)
-        assert max_over_attributes([7.0, 8.0], inc).tolist() == [0.0, 0.0]
+        rnd = make_round(2, ((),) * 2)
+        assert max_over_attributes([7.0, 8.0], rnd).tolist() == [0.0, 0.0]
 
     def test_incidence_layout(self):
-        rnd = Round((AttributeVector((1, 3)), AttributeVector(()), AttributeVector((0, 1, 3))))
-        inc = round_incidence(rnd, 4)
-        assert inc.counts.tolist() == rnd.attribute_counts(4) == [1, 2, 0, 2]
-        assert inc.bits.tolist() == [1, 3, 0, 1, 3]
-        assert inc.lens.tolist() == [2, 0, 3]
-        assert inc.starts.tolist() == [0, 2, 2]
+        rnd = make_round(4, ((1, 3), (), (0, 1, 3)))
+        assert rnd.counts.tolist() == rnd.attribute_counts(4) == [1, 2, 0, 2]
+        assert rnd.bits.tolist() == [1, 3, 0, 1, 3]
+        assert rnd.lens.tolist() == [2, 0, 3]
+        assert rnd.starts.tolist() == [0, 2, 2]
 
 
 def assert_fixed_matches_ref(inst, seed):
@@ -486,13 +482,13 @@ def test_controlled_greedy_round_matches_ref_greedy(case):
     guesses here make it bind first, part-way through a raise.
     """
     d, c, capacity, starts, bits, order = case
-    rnd = Round(tuple(AttributeVector(tuple(sorted(b))) for b in bits))
+    rnd = make_round(d, bits)
     agents = [AgentState(gamma, capacity, y_used=used) for gamma, used, _ in starts]
     v = np.array([v0 for *_, v0 in starts]).reshape(len(starts), d)
     target = np.array([gamma / math.sqrt(d) for gamma, *_ in starts])
     drawn = []
     y = controlled_greedy_round(
-        agents, v, target, np.asarray(c), round_incidence(rnd, d), lambda: drawn.append(1) or list(order)
+        agents, v, target, np.asarray(c), rnd, lambda: drawn.append(1) or list(order)
     )
     assert y.shape == (len(starts), len(rnd))
     for got, row, got_v, (gamma, used, v0) in zip(agents, y, v, starts):
@@ -544,11 +540,10 @@ def test_unknown_policy_matches_scalar_loops(name):
     u, ref_state = np.zeros(d), RefForward(d, c, a)
     policy = UnknownPolicy(d=d, c=c, a=a, variant="hybrid")
     for rnd in inst.rounds:
-        inc = round_incidence(rnd, d)
         x_bar = ref_myopic(d, c, a, rnd)
-        assert myopic_round(c, a, inc).tolist() == x_bar
+        assert myopic_round(c, a, rnd).tolist() == x_bar
         _, _, x_hat = ref_forward(ref_state, rnd)
-        y, z, x, f, u = forward_round(u, c, a, inc)
+        y, z, x, f, u = forward_round(u, c, a, rnd)
         assert (y.tolist(), z.tolist(), x.tolist(), f) == (
             list(ref_state.y_history[-1]),
             list(ref_state.z_history[-1]),
@@ -584,11 +579,11 @@ def test_core_update_adds_one_attribute_at_a_time(monkeypatch):
 
     c = (1.0, 1.1, 1.3, 1.7)
     ref_state = RefForward(4, c, 1)
-    first = Round((AttributeVector((0, 1)), AttributeVector((1, 2, 3))))
-    u = forward_round(np.zeros(4), c, 1, round_incidence(first, 4))[-1]
+    first = make_round(4, ((0, 1), (1, 2, 3)))
+    u = forward_round(np.zeros(4), c, 1, first)[-1]
     ref_forward(ref_state, first)
     u0 = u.tolist()
-    rnd = Round((AttributeVector((1, 2, 3)),) * 5 + (AttributeVector((0,)),) + (AttributeVector((0, 1, 3)),) * 3)
+    rnd = make_round(4, ((1, 2, 3),) * 5 + ((0,),) + ((0, 1, 3),) * 3)
     sequential = list(u0)
     for cand in rnd:
         if len(cand.bits) ** 2 >= 4:
@@ -605,7 +600,7 @@ def test_core_update_adds_one_attribute_at_a_time(monkeypatch):
         return real(u, *args, **kwargs)
 
     monkeypatch.setattr(unknown_policy, "water_fill", recording)
-    y, _, _, _, u = forward_round(u, c, 1, round_incidence(rnd, 4))
+    y, _, _, _, u = forward_round(u, c, 1, rnd)
     assert seen == [sequential]
     assert y.tolist() == [1.0] * 5 + [0.0] + [1.0] * 3
     ref_forward(ref_state, rnd)
@@ -636,7 +631,7 @@ def test_forward_round_on_empty_rounds_matches_scalar_loop(monkeypatch):
     monkeypatch.setattr(unknown_policy, "water_fill", lambda *args, **kw: fills.append(1) or real(*args, **kw))
     u, ref_state = np.zeros(d), RefForward(d, c, a)
     for rnd in inst.rounds:
-        y, z, x, f, u = forward_round(u, c, a, round_incidence(rnd, d))
+        y, z, x, f, u = forward_round(u, c, a, rnd)
         ref_y, ref_z, ref_x = ref_forward(ref_state, rnd)
         assert y.tobytes() == np.array(ref_y, dtype=float).tobytes()
         assert z.tobytes() == np.array(ref_z, dtype=float).tobytes()
@@ -776,17 +771,37 @@ def test_topup_shortcut_matches_the_full_loop(case):
 @example((1, (1.5,), 1, [(8.0, 1.0, [0.0]), (8.0, 0.0, [0.0])], [[0], [0]], [1, 0]))
 def test_python_float_step_matches_the_array_step(case):
     d, c, capacity, starts, bits, order = case
-    rnd = Round(tuple(AttributeVector(tuple(sorted(b))) for b in bits))
-    inc = round_incidence(rnd, d)
+    rnd = make_round(d, bits)
     runs = []
     for kernel in (controlled_greedy_round, array_step_greedy_round):
         agents = [AgentState(gamma, capacity, y_used=used) for gamma, used, _ in starts]
         v = np.array([v0 for *_, v0 in starts], dtype=float).reshape(len(starts), d)
         target = np.array([gamma / math.sqrt(d) for gamma, *_ in starts])
         drawn = []
-        y = kernel(agents, v, target, np.asarray(c), inc, lambda: drawn.append(1) or list(order))
+        y = kernel(agents, v, target, np.asarray(c), rnd, lambda: drawn.append(1) or list(order))
         runs.append((y.tobytes(), v.tobytes(), [agent.y_used for agent in agents], len(drawn)))
     assert runs[0] == runs[1]
+
+
+def test_policies_share_one_rounds_arrays(monkeypatch):
+    """Both policies fed the same ``Round`` read the index arrays it built
+    once: one ``bincount`` per round between the view and both policies, and
+    arrays that neither can write into."""
+    inst = gen_random(d=8, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=2)
+    policies = [
+        new_fixed_policy(inst.d, inst.c, inst.capacity, marginals(inst), 0),
+        UnknownPolicy(d=inst.d, c=inst.c, a=inst.per_round_capacity, topup_enabled=True),
+    ]
+    calls, real = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    for i, rnd in enumerate(inst.rounds):
+        for policy in policies:
+            policy.process_round(rnd)
+        assert len(calls) == i + 1
+        for arr in (rnd.bits, rnd.lens, rnd.starts, rnd.counts):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+    assert any(rec.x.any() for rec in policies[0].trace)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -803,7 +818,7 @@ def test_cached_screen_matches_a_fresh_one(monkeypatch, name):
     for rnd in inst.rounds:
         before = len(calls)
         fresh = fixed_policy._below(policy.agents, policy.v, policy.target)
-        survives = fixed_policy._survivors(fresh, round_incidence(rnd, inst.d)).any()
+        survives = fixed_policy._survivors(fresh, rnd).any()
         policy.process_round(rnd)
         assert len(calls) - before == int(survives)
         assert policy.below.tobytes() == fixed_policy._below(policy.agents, policy.v, policy.target).tobytes()

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from divsel import unknown_policy
-from divsel.core import (
-    AttributeVector, Round, core_mask, least_utility, round_incidence, solution_from_rows, validate_feasibility
-)
-from divsel.errors import ContractError, ShapeError
+from divsel.core import core_mask, least_utility, solution_from_rows, validate_feasibility
+from divsel.errors import ContractError, DimensionError, ShapeError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
 from divsel.unknown_policy import (
@@ -27,18 +25,18 @@ from divsel.unknown_policy import (
     water_fill,
 )
 
-from conftest import adjustment_lp, make_instance
+from conftest import adjustment_lp, make_instance, make_round
 
 
-def myopic(d, c, a, rnd):
-    """``myopic_round`` on a round given as candidates, as a list."""
-    return myopic_round(c, a, round_incidence(rnd, d)).tolist()
+def myopic(c, a, rnd):
+    """``myopic_round`` on a round, as a list."""
+    return myopic_round(c, a, rnd).tolist()
 
 
 def forward(u, c, a, rnd):
-    """``forward_round`` on a round given as candidates: (y, z, x) as lists,
-    and the next utilities."""
-    y, z, x, _, u_next = forward_round(u, c, a, round_incidence(rnd, len(u)))
+    """``forward_round`` on a round: (y, z, x) as lists, and the next
+    utilities."""
+    y, z, x, _, u_next = forward_round(u, c, a, rnd)
     return y.tolist(), z.tolist(), x.tolist(), u_next
 
 
@@ -46,27 +44,27 @@ class TestMyopic:
     def test_scarce_dimension_pins_alpha(self):
         # phi = (3, 1) with a = 2: alpha = min(1, 2/2) = 1; the lone
         # attribute-2 candidate must carry its whole dimension.
-        rnd = Round((AttributeVector((0,)),) * 3 + (AttributeVector((1,)),))
-        x = myopic(2, (1.0, 1.0), 2, rnd)
+        rnd = make_round(2, ((0,),) * 3 + ((1,),))
+        x = myopic((1.0, 1.0), 2, rnd)
         assert x == [pytest.approx(1.0 / 3.0)] * 3 + [pytest.approx(1.0)]
 
     def test_empty_round(self):
-        assert myopic(2, (1.0, 1.0), 2, Round(())) == []
+        assert myopic((1.0, 1.0), 2, make_round(2, ())) == []
 
     def test_single_dimension_uses_arrivals(self):
-        rnd = Round((AttributeVector((0,)), AttributeVector((0,))))
-        x = myopic(1, (1.0,), 5, rnd)
+        rnd = make_round(1, ((0,), (0,)))
+        x = myopic((1.0,), 5, rnd)
         assert x == [1.0, 1.0]
         assert sum(x) <= 5
 
     def test_missing_dimension_zeroes_round(self):
-        rnd = Round((AttributeVector((0,)),))
-        assert myopic(2, (1.0, 1.0), 4, rnd) == [0.0]
+        rnd = make_round(2, ((0,),))
+        assert myopic((1.0, 1.0), 4, rnd) == [0.0]
 
     def test_per_round_mass_within_a(self):
         inst = gen_random(d=5, n=6, a=2, density=0.5, min_arrivals=1, c_max=2.0, seed=3)
         for rnd in inst.rounds:
-            x = myopic(inst.d, inst.c, inst.per_round_capacity, rnd)
+            x = myopic(inst.c, inst.per_round_capacity, rnd)
             assert sum(x) <= inst.per_round_capacity + 1e-9
 
 
@@ -76,19 +74,19 @@ class TestCoreSet:
     @staticmethod
     def core_positions(rnd, d):
         y, _, _, _ = forward(np.zeros(d), (1.0,) * d, 1, rnd)
-        assert core_mask(round_incidence(rnd, d).lens, d).tolist() == [v == 1.0 for v in y]
+        assert core_mask(rnd.lens, d).tolist() == [v == 1.0 for v in y]
         return [j for j, v in enumerate(y) if v == 1.0]
 
     def test_two_of_three_attributes_is_core(self):
-        rnd = Round((AttributeVector((0, 1)),))
+        rnd = make_round(3, ((0, 1),))
         assert self.core_positions(rnd, 3) == [0]
 
     def test_one_of_four_is_regular(self):
-        rnd = Round((AttributeVector((2,)),))
+        rnd = make_round(4, ((2,),))
         assert self.core_positions(rnd, 4) == []
 
     def test_boundary_equality_included(self):
-        rnd = Round((AttributeVector((0, 3)),))
+        rnd = make_round(4, ((0, 3),))
         assert self.core_positions(rnd, 4) == [0]
 
 
@@ -132,7 +130,7 @@ class TestWaterFill:
         inst = gen_random(d=64, n=400, a=4, density=0.1, min_arrivals=1, c_max=2.0, seed=7)
         c, a, u = inst.c, inst.per_round_capacity, np.zeros(inst.d)
         for rnd in inst.rounds[:193]:
-            u = forward_round(u, c, a, round_incidence(rnd, inst.d), continue_after_cap=True)[-1]
+            u = forward_round(u, c, a, rnd, continue_after_cap=True)[-1]
         seen = []
 
         def recording(u, caps, budget, c, continue_after_cap=False):
@@ -140,7 +138,7 @@ class TestWaterFill:
             return water_fill(u, caps, budget, c)
 
         monkeypatch.setattr(unknown_policy, "water_fill", recording)
-        forward_round(u, c, a, round_incidence(inst.rounds[193], inst.d), continue_after_cap=True)
+        forward_round(u, c, a, inst.rounds[193], continue_after_cap=True)
         [(u, caps, budget, c)] = seen
 
         z_stop = water_fill(u, caps, budget, c)
@@ -210,14 +208,7 @@ class TestForward:
         # d=4, a=2: four two-attribute candidates covering each dimension
         # twice.  All are core; u rises to 2 per dim, then the fill adds 1
         # per dim, and the transform gives 0.25 + 0.125 = 0.375 each.
-        rnd = Round(
-            (
-                AttributeVector((0, 1)),
-                AttributeVector((2, 3)),
-                AttributeVector((0, 2)),
-                AttributeVector((1, 3)),
-            )
-        )
+        rnd = make_round(4, ((0, 1), (2, 3), (0, 2), (1, 3)))
         y, z, x, u = forward(np.zeros(4), (1.0,) * 4, 2, rnd)
         assert y == [1.0] * 4
         assert z == [pytest.approx(1.0)] * 4
@@ -228,7 +219,7 @@ class TestForward:
         # Singleton candidate on one dimension of four: not core, and the
         # zero arrival count on the lowest-utility dimensions stops the fill
         # at once.
-        rnd = Round((AttributeVector((0,)),))
+        rnd = make_round(4, ((0,),))
         y, z, x, _ = forward(np.zeros(4), (1.0,) * 4, 1, rnd)
         assert y == [0.0] and z == [0.0] * 4 and x == [0.0]
 
@@ -252,10 +243,10 @@ class TestForward:
     def test_never_writes_its_input(self):
         inst = gen_random(d=6, n=7, a=2, density=0.45, min_arrivals=1, c_max=2.0, seed=1)
         u = np.zeros(inst.d)
-        for rnd in list(inst.rounds) + [Round(())]:
+        for rnd in list(inst.rounds) + [make_round(inst.d, ())]:
             u.setflags(write=False)
             before = u.tobytes()
-            *_, u_next = forward_round(u, inst.c, inst.per_round_capacity, round_incidence(rnd, inst.d))
+            *_, u_next = forward_round(u, inst.c, inst.per_round_capacity, rnd)
             assert u.tobytes() == before
             if len(rnd):
                 assert u_next is not u and (u_next > u).any()
@@ -263,9 +254,16 @@ class TestForward:
                 assert u_next is u
             u = u_next
 
+    def test_round_of_another_d_is_refused(self):
+        policy = UnknownPolicy(d=4, c=(1.0,) * 4, a=1)
+        for rnd in (make_round(8, [(0, 5), (1, 2, 7)]), make_round(8, [])):
+            with pytest.raises(DimensionError, match="d=8"):
+                policy.process_round(rnd)
+        assert policy.round_index == 0 and policy.trace == []
+
     def test_empty_round_banks_capacity(self):
         policy = UnknownPolicy(d=2, c=(1.0, 1.0), a=3, variant="hybrid", topup_enabled=True)
-        assert policy.process_round(Round(())) == []
+        assert policy.process_round(make_round(2, ())) == []
         assert policy.round_index * policy.a - policy.emitted_total == pytest.approx(3.0)
 
 
@@ -328,7 +326,7 @@ class TestHybridAndTopup:
     def test_composition_matches_sub_operations(self):
         inst = gen_random(d=4, n=1, a=2, density=0.6, min_arrivals=1, c_max=1.5, seed=9)
         rnd = inst.rounds[0]
-        x_bar = myopic(inst.d, inst.c, inst.per_round_capacity, rnd)
+        x_bar = myopic(inst.c, inst.per_round_capacity, rnd)
         _, _, x_hat, _ = forward(np.zeros(inst.d), inst.c, inst.per_round_capacity, rnd)
         pol = run_unknown_policy(inst, variant="hybrid")
         assert pol.trace[0].emitted.tolist() == pytest.approx(hybrid_round(x_bar, x_hat).tolist())
@@ -367,9 +365,8 @@ def full_arithmetic_round(policy, rnd):
     """``UnknownPolicy.process_round`` with every kernel run on every round,
     empty ones included: the oracle of its shortcut for empty rounds."""
     policy.round_index += 1
-    inc = round_incidence(rnd, policy.d)
-    x_bar = myopic_round(policy.c, policy.a, inc)
-    y, z, x_hat, f, policy.u = forward_round(policy.u, policy.c, policy.a, inc, policy.continue_after_cap)
+    x_bar = myopic_round(policy.c, policy.a, rnd)
+    y, z, x_hat, f, policy.u = forward_round(policy.u, policy.c, policy.a, rnd, policy.continue_after_cap)
     row = unknown_policy._variant_row(policy.variant, x_bar, x_hat)
     if policy.topup_enabled:
         row = unknown_policy.leftover_topup(policy, row)
@@ -383,7 +380,7 @@ def with_empty_rounds(inst, pattern):
     """``inst``'s rounds in order, an empty round wherever ``pattern`` has
     None and the next of them wherever it has a 1."""
     rounds = iter(inst.rounds)
-    return [Round(()) if slot is None else next(rounds) for slot in pattern]
+    return [make_round(inst.d, ()) if slot is None else next(rounds) for slot in pattern]
 
 
 def test_hybrid_topup_stream_is_pinned():
@@ -469,7 +466,7 @@ class TestEmptyRounds:
     def test_shared_rows_are_read_only(self):
         policy = UnknownPolicy(d=3, c=(1.0, 2.0, 1.5), a=1)
         for _ in range(2):
-            policy.process_round(Round(()))
+            policy.process_round(make_round(3, ()))
         first, second = policy.trace
         for arr in (first.x_bar, first.x_hat, first.y, first.z, first.emitted):
             with pytest.raises(ValueError):
