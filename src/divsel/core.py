@@ -145,11 +145,11 @@ def max_over_attributes(values, rnd: Round) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     if rnd.lens.all():  # no such candidate: one reduceat is the whole answer
-        return np.maximum.reduceat(values[..., rnd.bits], rnd.starts, axis=-1)
+        return np.maximum.reduceat(values.take(rnd.bits, axis=-1), rnd.starts, axis=-1)
     out = np.zeros(values.shape[:-1] + rnd.lens.shape)
     nonempty = rnd.lens > 0
     if rnd.bits.size:
-        out[..., nonempty] = np.maximum.reduceat(values[..., rnd.bits], rnd.starts[nonempty], axis=-1)
+        out[..., nonempty] = np.maximum.reduceat(values.take(rnd.bits, axis=-1), rnd.starts[nonempty], axis=-1)
     return out
 
 

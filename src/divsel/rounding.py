@@ -29,6 +29,10 @@ _BITS = 53
 _MASK = (1 << _BITS) - 1
 #: Every float is a whole multiple of 2^-1074; exact sums are kept in that unit.
 _FINE = 1074
+#: One unit of 2^-112, the rounder's coarse tier, in units of 2^-1074.
+_SHIFT, _CARRY = _FINE - 112, 1 << (_FINE - 112)
+#: Live candidates below which ``pick_segments``' limb sums fit int64.
+_LIMB_ROWS = 1 << 24
 
 
 def _exact(x: float) -> int:
@@ -71,21 +75,25 @@ def process_round(state: RounderState, x_i: list[float]) -> list[int]:
     # The points below a boundary of b ticks number (b >> 53) + (b mod 2^53 >
     # 2^53 pos); the product is exact and so is Python's int-float comparison.
     ticks_pos = state.pos * (1 << _BITS)
-    total, below = state._total, state._below
-    # _exact and the constants, inlined: this loop runs once per candidate.
-    fine, drop, bits, mask = _FINE + 1, _FINE - _BITS, _BITS, _MASK
+    # The exact sum in two tiers: fractions >= 2^-60 (whole multiples of 2^-112)
+    # add to ``coarse`` in that unit, smaller ones to ``fine`` at 2^-1074, which
+    # carries whole units of 2^-112 into ``coarse`` at once.
+    coarse, fine = state._total >> _SHIFT, state._total & (_CARRY - 1)
+    below, drop, mask, tiny, scale = state._below, 112 - _BITS, _MASK, 2.0**-60, 2.0**112
     for j, xj in enumerate(x_i):
         if xj <= 0.0:
             continue
-        num, den = (xj if xj < 1.0 else 1.0).as_integer_ratio()
-        total += num << (fine - den.bit_length())
-        end = total >> drop
-        now = (end >> bits) + ((end & mask) > ticks_pos)
+        if xj >= tiny:
+            coarse += int((xj if xj < 1.0 else 1.0) * scale)
+        else:
+            carry, fine = divmod(fine + _exact(xj), _CARRY)
+            coarse += carry
+        now = (coarse >> 112) + (((coarse >> drop) & mask) > ticks_pos)
         if now > below:
             picked.append(j)
             state.selected.append((state._round_index, j))
         below = now
-    state._total, state._below = total, below
+    state._total, state._below = (coarse << _SHIFT) | fine, below
     state._round_index += 1
     return picked
 
@@ -162,16 +170,27 @@ class PickSegments:
 
 def pick_segments(x_flat: list[float]) -> PickSegments:
     """The rounder's picks of every candidate at every offset in [0, 1),
-    from the exact boundaries of its line."""
+    from the exact boundaries of its line.
+
+    A fraction x >= 2^-64 is a whole number of units 2^-116 below 2^117, cut
+    exactly (in floats) into three 39-bit limbs whose ``cumsum`` fits int64
+    for fewer than 2^24 candidates.  With the carries passed up a boundary is
+    c2 * 2^78 + c1 * 2^39 + c0 units: units = c2 >> 38, ticks the 53 bits
+    below.  A row with a smaller fraction, or with 2^24 or more live
+    candidates, sums in Python ints, as the rounder does."""
     x = np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0)
     live = np.flatnonzero(x > 0.0)
-    total, units, ticks = 0, [0], [0]
-    for xj in x[live].tolist():
-        total += _exact(xj)
-        end = total >> (_FINE - _BITS)
-        units.append(end >> _BITS)
-        ticks.append(end & _MASK)
-    return PickSegments(x, live, np.array(units, dtype=np.int64), np.array(ticks, dtype=np.int64))
+    if live.size >= _LIMB_ROWS or (live.size and x[live].min() < 2.0**-64):
+        ends = np.cumsum(np.array([0, *map(_exact, x[live].tolist())], dtype=object)) >> (_FINE - _BITS)
+        return PickSegments(x, live, (ends >> _BITS).astype(np.int64), (ends & _MASK).astype(np.int64))
+    limbs, rest = np.zeros((3, live.size + 1), dtype=np.int64), x[live] * 2.0**38
+    for limb in limbs:
+        limb[1:] = whole = np.floor(rest)
+        rest = (rest - whole) * 2.0**39  # exact: a float's fraction is a float
+    c2, c1, c0 = np.cumsum(limbs, axis=1)
+    c1 += c0 >> 39
+    c2 += c1 >> 39
+    return PickSegments(x, live, c2 >> 38, ((c2 & (2**38 - 1)) << 15) | ((c1 & (2**39 - 1)) >> 24))
 
 
 def capacity_sweep(x_flat: list[float], segments: Optional[PickSegments] = None) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .core import (
     Instance,
     Round,
     common_prefix_rounds,
-    core_mask,
     max_over_attributes,
     solution_from_rows,
 )
@@ -39,15 +38,7 @@ def myopic_round(c: Sequence[float], a: int, rnd: Round) -> np.ndarray:
     each candidate takes the largest per-dimension share it is needed for.
     A dimension with no arrivals this round forces alpha = 0.
     """
-    return _myopic_row(np.asarray(c, dtype=float), a / math.fsum(1.0 / ck for ck in c), rnd)
-
-
-def _myopic_row(c: np.ndarray, raise_cap: float, rnd: Round) -> np.ndarray:
-    """``myopic_round`` from a policy's constants: c as an array, a / sum_k 1/c_k."""
-    if not len(rnd) or rnd.counts.min() == 0:
-        return np.zeros(len(rnd))
-    alpha = min(float((c * rnd.counts).min()), raise_cap)
-    return max_over_attributes((alpha / c) / rnd.counts, rnd)
+    return _one_round(np.zeros(len(c)), c, a, rnd)[0]
 
 
 def water_fill(
@@ -95,11 +86,6 @@ def water_fill(
     return np.minimum(caps, np.maximum(0.0, (level - u) / c))
 
 
-def fill_value(u: Sequence[float], z: Sequence[float], c: Sequence[float]) -> float:
-    """Objective min_k (u_k + c_k z_k) achieved by an adjustment vector."""
-    return float((np.asarray(u) + np.asarray(c) * np.asarray(z)).min())
-
-
 def forward_round(
     u: np.ndarray,
     c: Sequence[float],
@@ -118,32 +104,90 @@ def forward_round(
     fraction is formed.
 
     A round without candidates has no core and no caps: z_i = 0, the level
-    is min(u) and u stays as it is, so it returns at once in O(d).
+    is min(u) and u stays as it is.
     """
-    d = len(u)
-    if not len(rnd):
-        return np.zeros(0), np.zeros(d), np.zeros(0), float(u.min()), u
-    c_arr = np.asarray(c)
-    core = core_mask(rnd.lens, d)
-    y_i = core.astype(float)
-    # add.at adds c_k once per core attribute, one after another in arrival
-    # order, as a loop over the core candidates would.
-    u = u.copy()
-    core_bits = rnd.bits[np.repeat(core, rnd.lens)]
-    np.add.at(u, core_bits, c_arr[core_bits])
+    _, x_i, y_i, z, levels, u_next = _one_round(u, c, a, rnd, continue_after_cap)
+    return y_i, z[0] if len(z) else np.zeros(len(u)), x_i, levels[-1], u_next
 
-    budget = math.sqrt(d) * a
-    z_i = water_fill(u, rnd.counts, budget, c_arr, continue_after_cap)
-    f_i = fill_value(u, z_i, c_arr)
 
-    total_count = len(rnd.bits)
-    y_scale = min(1.0, a / (total_count / math.sqrt(d))) if total_count > 0 else 0.0
-    two_sqrt_d = 2.0 * math.sqrt(d)
-    # A dimension without arrivals belongs to no candidate, so its quotient
-    # is never read; dividing it by 1 keeps it finite.
-    z_part = max_over_attributes(z_i / np.maximum(rnd.counts, 1), rnd)
-    x_i = (y_i / 2.0) * y_scale + z_part / two_sqrt_d
-    return y_i, z_i, x_i, f_i, u + c_arr * z_i
+class RoundBlock(NamedTuple):
+    """Consecutive rounds: each one's candidate count (``sizes``), each one
+    with candidates a row of arrival counts phi (``counts``) and the offset of
+    its first attribute (``row_ptr``, closed by the attribute count), each
+    candidate's attribute count and offset (``lens``, ``starts``), and each
+    attribute's dimension (``dims``) and cell row * d + k of ``counts`` (``bits``)."""
+
+    sizes: np.ndarray
+    counts: np.ndarray
+    row_ptr: list[int]
+    lens: np.ndarray
+    starts: np.ndarray
+    dims: np.ndarray
+    bits: np.ndarray
+
+    @classmethod
+    def of_round(cls, rnd: Round) -> RoundBlock:
+        """One round, sharing the index arrays of its view."""
+        counts, ptr = rnd.counts[None][: int(len(rnd) > 0)], [0, rnd.bits.size]
+        return cls(np.array([len(rnd)]), counts, ptr, rnd.lens, rnd.starts, rnd.bits, rnd.bits)
+
+    @classmethod
+    def of_instance(cls, inst: Instance, lo: int, hi: int) -> RoundBlock:
+        """Rounds lo:hi of an instance, from its CSR arrays."""
+        ptr = inst.round_ptr[lo : hi + 1]
+        sizes, cand = np.diff(ptr), inst.cand_ptr[ptr[0] : ptr[-1] + 1]
+        widths, dims = np.diff(cand[ptr - ptr[0]])[sizes > 0], inst.bits[cand[0] : cand[-1]]
+        cells = np.repeat(np.arange(widths.size) * inst.d, widths) + dims
+        counts = np.bincount(cells, minlength=widths.size * inst.d).reshape(-1, inst.d)
+        return cls(sizes, counts, [0, *widths.cumsum().tolist()], np.diff(cand), cand[:-1] - cand[0], dims, cells)
+
+
+def _feed(policy: UnknownPolicy, inst: Instance, lo: int, hi: int) -> None:
+    """Rounds lo:hi of an instance into a policy, in blocks of at most 2^16 (round, k) cells."""
+    step = max(1, (1 << 16) // inst.d)
+    for start in range(lo, hi, step):
+        policy.process_rounds(RoundBlock.of_instance(inst, start, min(hi, start + step)))
+
+
+def _block_rows(u, c, raise_cap, a, block, continue_after_cap):
+    """Both passes over a block from the running utilities u: (x_bar, x_hat,
+    y, z, levels, u_next); z and levels[1:] hold a row and a water level per
+    round with candidates, levels[0] is min(u).  Only the core update of u
+    (c_k once per core attribute, in order, by ``np.add.at``), the water fill,
+    u's update and the row's y scale go round by round; the rest runs over the
+    whole block, the three per-candidate maxima in one ``reduceat``."""
+    d, counts, lens, sizes, ptr = c.size, block.counts, block.lens, block.sizes, block.row_ptr
+    phi = np.maximum(counts, 1)  # a dimension without arrivals is read by no candidate
+    peaks = np.empty((3,) + counts.shape)  # per dimension: myopic shares, z / phi, the row's y scale
+    alpha = np.minimum((c * counts).min(axis=1, keepdims=True), raise_cap)  # 0 where some phi_k = 0
+    np.divide(alpha / c, phi, out=peaks[0])
+    core = lens * lens >= d
+    in_core = core.repeat(lens)  # per attribute
+    levels = [float(u.min()) if len(counts) < len(sizes) else None]  # read by empty rounds only
+    budget, z = math.sqrt(d) * a, []
+    for j in range(len(counts)):
+        lo, hi = ptr[j], ptr[j + 1]
+        dims = block.dims[lo:hi][in_core[lo:hi]]
+        u = u.copy()
+        np.add.at(u, dims, c[dims])
+        peaks[1, j] = z_j = water_fill(u, counts[j], budget, c, continue_after_cap)
+        peaks[2, j] = min(1.0, a / ((hi - lo) / math.sqrt(d))) if hi > lo else 0.0
+        u = u + c * z_j
+        levels.append(float(u.min()))
+        z.append(z_j)
+    np.divide(peaks[1], phi, out=peaks[1])
+    x_bar, z_part, y = max_over_attributes(peaks.reshape(3, -1), block)  # y holds the y scale until the end
+    x_hat = np.add((core / 2.0) * y, z_part / (2.0 * math.sqrt(d)), out=z_part)
+    y[:] = core
+    return x_bar, x_hat, y, z, levels, u
+
+
+def _one_round(u, c, a: int, rnd: Round, continue_after_cap: bool = False):
+    """``_block_rows`` of one round, for the public kernels."""
+    if len(c) != rnd.d or len(u) != rnd.d:
+        raise DimensionError(f"c of length {len(c)} and u of length {len(u)} for a round of d={rnd.d}")
+    c, raise_cap = np.asarray(c, dtype=float), a / math.fsum(1.0 / ck for ck in c)
+    return _block_rows(np.asarray(u, dtype=float), c, raise_cap, a, RoundBlock.of_round(rnd), continue_after_cap)
 
 
 def hybrid_round(x_bar, x_hat) -> np.ndarray:
@@ -266,23 +310,31 @@ class UnknownPolicy:
         return twin
 
     def process_round(self, rnd: Round) -> list[float]:
-        if rnd.d != self.d:
-            raise DimensionError(f"round of d={rnd.d} fed to a policy of d={self.d}")
-        self.round_index += 1
-        if not len(rnd):
-            # What the full path gives: no rows, z = 0, level min(u), u and
-            # emitted_total unchanged (the top-up of an empty row is empty).
-            self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, float(self.u.min()), _EMPTY))
-            return []
-        x_bar = _myopic_row(self.weights, self.raise_cap, rnd)
-        y, z, x_hat, f, self.u = forward_round(self.u, self.weights, self.a, rnd, self.continue_after_cap)
-        row = _variant_row(self.variant, x_bar, x_hat)
-        if self.topup_enabled:
-            row = leftover_topup(self, row)
-        x_i = row.tolist()
-        self.emitted_total += math.fsum(x_i)
-        self.trace.append(UnknownRound(x_bar, x_hat, y, z, f, row))
-        return x_i
+        """One round, as a one-round block; returns its emitted row."""
+        return self.process_rounds(RoundBlock.of_round(rnd))[0]
+
+    def process_rounds(self, block: RoundBlock) -> list[list[float]]:
+        """Feed consecutive rounds; returns their emitted rows.  A round without
+        candidates records no rows, z = 0 and level min(u), and changes nothing else."""
+        if block.counts.shape[1] != self.d:
+            raise DimensionError(f"round of d={block.counts.shape[1]} fed to a policy of d={self.d}")
+        x_bar, x_hat, y, z, levels, self.u = _block_rows(self.u, self.weights, self.raise_cap, self.a, block,
+                                                         self.continue_after_cap)
+        rows = _variant_row(self.variant, x_bar, x_hat)
+        emitted, level, parts, hi = [], levels[0], zip(z, levels[1:]), 0
+        for size in block.sizes.tolist():
+            self.round_index += 1
+            if not size:
+                self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, level, _EMPTY))
+                emitted.append([])
+                continue
+            z_i, level = next(parts)
+            lo, hi = hi, hi + size  # the round's rows are views of the block's
+            row = leftover_topup(self, rows[lo:hi]) if self.topup_enabled else rows[lo:hi]
+            emitted.append(row.tolist())
+            self.emitted_total += math.fsum(emitted[-1])
+            self.trace.append(UnknownRound(x_bar[lo:hi], x_hat[lo:hi], y[lo:hi], z_i, level, row))
+        return emitted
 
 
 def _new_policy(inst: Instance, variant: str, topup: bool, continue_after_cap: bool) -> UnknownPolicy:
@@ -304,10 +356,9 @@ def run_unknown_policy(
     topup: bool = False,
     continue_after_cap: bool = False,
 ) -> UnknownPolicy:
-    """Stream all rounds of an instance through a fresh policy."""
+    """Stream all rounds of an instance, as blocks, through a fresh policy."""
     policy = _new_policy(inst, variant, topup, continue_after_cap)
-    for rnd in inst.rounds:
-        policy.process_round(rnd)
+    _feed(policy, inst, 0, inst.n)
     return policy
 
 
@@ -334,14 +385,10 @@ def unknown_family_passes(members: Sequence[Instance]) -> Iterator[UnknownPolicy
     follower = None
     for i, inst in enumerate(members):
         policy = follower if follower is not None else _new_policy(inst, "hybrid", False, False)
-        follower = None
-        rounds, sizes = inst.rounds, np.diff(inst.round_ptr).tolist()
-        empty = Round(inst.d, inst.cand_ptr[:1], inst.bits)  # no candidates: fed for each empty round
-        for r in range(starts[i], inst.n + 1):
-            if r == starts[i + 1] > 0:
-                follower = policy.fork()
-            if r < inst.n:
-                policy.process_round(rounds[r] if sizes[r] else empty)
+        split = starts[i + 1] or starts[i]  # where the next member forks off, if it does
+        _feed(policy, inst, starts[i], split)
+        follower = policy.fork() if starts[i + 1] else None
+        _feed(policy, inst, split, inst.n)
         yield policy
 
 

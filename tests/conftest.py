@@ -7,7 +7,11 @@ import pytest
 
 from divsel.core import Instance
 from divsel.errors import DimensionError
-from divsel.unknown_policy import fill_value
+
+
+def fill_value(u, z, c):
+    """Objective min_k (u_k + c_k z_k) achieved by an adjustment vector."""
+    return float((np.asarray(u) + np.asarray(c) * np.asarray(z)).min())
 
 
 def make_instance(d, cand_rounds, capacity, c=None, a=None):

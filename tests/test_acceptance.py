@@ -27,9 +27,9 @@ from divsel.harness import (
     verify_instance,
 )
 from divsel.rounding import capacity_sweep, pick_segments
-from divsel.unknown_policy import fill_value, water_fill
+from divsel.unknown_policy import water_fill
 
-from conftest import adjustment_lp, exact_total, grid_oracle, random_feasible_x, tiny_grid_instances
+from conftest import adjustment_lp, exact_total, fill_value, grid_oracle, random_feasible_x, tiny_grid_instances
 
 DIMS = (4, 8, 16, 27, 64)
 GRID_POINTS = 10_000

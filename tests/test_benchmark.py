@@ -24,12 +24,13 @@ from divsel.core import (
 from divsel.errors import ContractError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
 from divsel.rounding import capacity_safe, max_selection_count
-from divsel.unknown_policy import fill_value, run_unknown_policy, water_fill
+from divsel.unknown_policy import run_unknown_policy, water_fill
 
 from conftest import (
     adjustment_lp,
     dfs_grid_oracle,
     exact_total,
+    fill_value,
     grid_oracle,
     make_instance,
     random_feasible_x,

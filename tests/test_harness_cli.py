@@ -276,14 +276,14 @@ class TestVerify:
         """All unknown-capacity variants and checks read one pass: n forward
         rounds per instance, not one pass per variant.  An fcs member adds
         only the rounds after its common prefix with the previous member."""
-        calls = []
-        forward_round = unknown_policy.forward_round
+        calls = []  # one entry per round with candidates a block of rounds brings
+        process_rounds = unknown_policy.UnknownPolicy.process_rounds
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return forward_round(*args, **kwargs)
+        def counting_blocks(self, block):
+            calls.extend(block.sizes[block.sizes > 0].tolist())
+            return process_rounds(self, block)
 
-        monkeypatch.setattr(unknown_policy, "forward_round", counting_forward)
+        monkeypatch.setattr(unknown_policy.UnknownPolicy, "process_rounds", counting_blocks)
         inst = gen_random(d=5, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
         verdicts = verify_instance(inst, POLICY_NAMES, seed=2)
         assert len(calls) == inst.n
@@ -369,19 +369,19 @@ class TestVerify:
         share once, and an empty round reaches neither the forward pass nor
         the water fill."""
         calls = {"process_round": [], "forward_round": [], "water_fill": []}
+        process_rounds, water_fill = unknown_policy.UnknownPolicy.process_rounds, unknown_policy.water_fill
 
-        def counting(name, real):
-            def count(*args, **kwargs):
-                calls[name].append(1)
-                return real(*args, **kwargs)
+        def counting_blocks(self, block):  # every round of a block, then those with candidates
+            calls["process_round"].extend(block.sizes.tolist())
+            calls["forward_round"].extend(block.sizes[block.sizes > 0].tolist())
+            return process_rounds(self, block)
 
-            return count
+        def counting_fills(*args, **kwargs):
+            calls["water_fill"].append(1)
+            return water_fill(*args, **kwargs)
 
-        for owner, name in (
-            (unknown_policy.UnknownPolicy, "process_round"), (unknown_policy, "forward_round"),
-            (unknown_policy, "water_fill"),
-        ):
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        monkeypatch.setattr(unknown_policy.UnknownPolicy, "process_rounds", counting_blocks)
+        monkeypatch.setattr(unknown_policy, "water_fill", counting_fills)
         assert main(["verify", "--family", family, "--d", "64", "--policy", "uc-hybrid"]) == 0
         assert "0 fail" in capsys.readouterr().out
         assert {name: len(seen) for name, seen in calls.items()} == {

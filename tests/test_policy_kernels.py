@@ -26,7 +26,6 @@ from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.unknown_policy import (
     UnknownPolicy,
     _equal_increment_topup,
-    fill_value,
     forward_round,
     hybrid_round,
     myopic_round,
@@ -35,7 +34,7 @@ from divsel.unknown_policy import (
     water_fill,
 )
 
-from conftest import make_instance, make_round
+from conftest import fill_value, make_instance, make_round
 
 # ---------------------------------------------------------------------------
 # Reference: the scalar loops, one agent and one candidate at a time.

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from divsel import rounding
 from divsel.benchmark import solve_fluid
 from divsel.core import solution_from_rows
 from divsel.errors import DomainError
@@ -441,6 +443,114 @@ class TestPickSegments:
         # fhc's x* is integral; fcs's repeats fractions over hundreds of candidates.
         for inst in gen_fhc(27) + gen_fcs(27)[:1]:
             assert_segments_match_rounder(solve_fluid(inst).solution.flat())
+
+
+def int_line(x_flat):
+    """Test-only reference: the rounder's line from an exact Python-int sum
+    at 2^-1074, as (units, ticks) after 0 and after each live candidate."""
+    total, units, ticks = 0, [0], [0]
+    for xj in np.clip(np.asarray(x_flat, dtype=float), 0.0, 1.0).tolist():
+        if xj > 0.0:
+            total += int(Fraction(xj) * 2**1074)
+            units.append(total >> 1074)
+            ticks.append((total >> (1074 - 53)) & (2**53 - 1))
+    return units, ticks
+
+
+#: Fractions at the edges of the limb line and of the rounder's two tiers.
+EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-30, math.nextafter(2.0**-64, 0.0), 2.0**-64,
+         math.nextafter(2.0**-64, 1.0), math.nextafter(2.0**-60, 0.0), 2.0**-60, math.nextafter(2.0**-60, 1.0),
+         1 - 2**-53, 1.0, 1.5, -0.25, 0.5, 1.0 / 3.0]
+
+
+def edge_row(n, seed, tiny):
+    """n fractions, each an edge value or a uniform draw at a random scale;
+    with ``tiny`` at least one lies in (0, 2^-64), half the time only one,
+    and without it none does."""
+    rng = np.random.default_rng(seed)
+    x = np.where(rng.random(n) < 0.5, np.asarray(EDGES)[rng.integers(0, len(EDGES), n)],
+                 rng.random(n) * 2.0 ** -rng.integers(0, 70, n).astype(float))
+    if not tiny or rng.random() < 0.5:
+        x[(x > 0.0) & (x < 2.0**-64)] = 0.0
+    if tiny and n:  # subnormal, tiny, or 1 ulp below 2^-64
+        x[rng.integers(0, n)] = rng.choice([5e-324, 1e-30, math.nextafter(2.0**-64, 0.0)])
+    return x.tolist()
+
+
+class TestLimbLine:
+    """``pick_segments`` builds its line from three 39-bit limbs, or, for a
+    row holding a fraction below 2^-64, from a Python-int sum."""
+
+    @pytest.mark.parametrize("tiny", [False, True])  # the limb line, then the Python-int one
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0, 1, 2, 3, 17, 1000, 10**4]) | st.integers(0, 300), st.integers(0, 2**32))
+    def test_units_and_ticks_equal_the_int_line(self, tiny, n, seed):
+        x_flat = edge_row(n, seed, tiny)
+        units, ticks = int_line(x_flat)
+        segments = pick_segments(x_flat)
+        assert segments.units.dtype == segments.ticks.dtype == np.int64
+        assert (segments.units.tolist(), segments.ticks.tolist()) == (units, ticks)
+
+    def test_edge_rows(self):
+        # The last row sums to exactly one tick, 2^-53, with three fractions
+        # in [2^-65, 2^-64): two of them are odd multiples of 2^-117, which
+        # 39-bit limbs of x * 2^116 would drop, landing one tick short.
+        rows = ([1.0] * 10**4, [1 - 2**-53] * 10**4, [2.0**-64] * 10**4,
+                [2.0**-53 - 2.0**-63, 2.0**-64 - 2.0**-115, 2.0**-65 + 2.0**-117, 2.0**-65 + 3 * 2.0**-117])
+        for x_flat in rows:
+            segments = pick_segments(x_flat)
+            assert (segments.units.tolist(), segments.ticks.tolist()) == int_line(x_flat)
+        assert segments.ticks.tolist()[-1] == 1
+
+    def test_rows_at_the_limb_bound_take_the_int_line(self, monkeypatch):
+        # With the bound lowered to 5, rows of 5 and 6 live candidates sum
+        # each fraction through ``_exact``; a row of 4 takes the limbs.
+        monkeypatch.setattr(rounding, "_LIMB_ROWS", 5)
+        calls, real = [], rounding._exact
+        monkeypatch.setattr(rounding, "_exact", lambda x: calls.append(x) or real(x))
+        for n in (4, 5, 6):
+            calls.clear()
+            x_flat = [0.0] + [1 - 2**-53, 1.0, 0.3] * 2
+            x_flat = x_flat[: n + 1]
+            segments = pick_segments(x_flat)
+            assert (segments.units.tolist(), segments.ticks.tolist()) == int_line(x_flat)
+            assert len(calls) == (n if n >= 5 else 0)
+
+    def test_limb_sums_below_the_bound_fit_int64(self):
+        # Worst case: 2^24 - 1 candidates, each with a top limb of 2^38 and
+        # lower limbs of 2^39 - 1, and every carry passed up.
+        n, low = rounding._LIMB_ROWS - 1, 2**39 - 1
+        c1 = n * low + ((n * low) >> 39)
+        assert max(n * low, c1, n * 2**38 + (c1 >> 39)) < 2**63
+
+
+def one_tier_round(state, x_i):
+    """Test-only reference: ``process_round`` with the whole exact sum in
+    one Python int at 2^-1074."""
+    picked = []
+    for j, xj in enumerate(x_i):
+        if xj <= 0.0:
+            continue
+        state["total"] += int(Fraction(min(xj, 1.0)) * 2**1074)
+        end = state["total"] >> (1074 - 53)
+        now = (end >> 53) + ((end & (2**53 - 1)) > state["pos"] * 2**53)
+        if now > state["below"]:
+            picked.append(j)
+        state["below"] = now
+    return picked
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 2**32)), max_size=6),
+       st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+def test_two_tier_rounder_matches_one_exact_sum(rows, pos):
+    """Picks and state after every round equal a rounder holding the exact
+    sum in one Python int, with subnormals, 2^-60 +- 1 ulp and carries."""
+    state, ref = rounder_at(pos), {"total": 0, "below": 0, "pos": pos}
+    for n, seed in rows:
+        x_i = [min(xj, 1.0) if xj >= 0.0 else 0.0 for xj in edge_row(n, seed, tiny=seed % 2)]
+        assert process_round(state, x_i) == one_tier_round(ref, x_i)
+        assert (state._total, state._below) == (ref["total"], ref["below"])
 
 
 class TestRounderNeverExceedsCeilOfTotal:

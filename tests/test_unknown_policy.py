@@ -6,15 +6,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divsel import unknown_policy
-from divsel.core import core_mask, least_utility, solution_from_rows, validate_feasibility
+from divsel.core import Instance, core_mask, least_utility, max_over_attributes, solution_from_rows, validate_feasibility
 from divsel.errors import ContractError, DimensionError, ShapeError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
 from divsel.unknown_policy import (
+    RoundBlock,
     UnknownPolicy,
-    fill_value,
     forward_round,
     hybrid_round,
     myopic_round,
@@ -25,7 +27,7 @@ from divsel.unknown_policy import (
     water_fill,
 )
 
-from conftest import adjustment_lp, make_instance, make_round
+from conftest import adjustment_lp, fill_value, make_instance, make_round
 
 
 def myopic(c, a, rnd):
@@ -261,6 +263,20 @@ class TestForward:
                 policy.process_round(rnd)
         assert policy.round_index == 0 and policy.trace == []
 
+    # A d=8 round where dimensions 3, 4 and 6 have no arrivals, and one where all do.
+    OF_D8 = ([(0, 5), (1, 2, 7)], [tuple(range(8))])
+
+    @pytest.mark.parametrize("cands", OF_D8)
+    def test_myopic_round_refuses_c_of_another_d(self, cands):
+        with pytest.raises(DimensionError, match="d=8"):
+            myopic_round((1.0,) * 4, 1, make_round(8, cands))
+
+    @pytest.mark.parametrize("cands", OF_D8)
+    def test_forward_round_refuses_c_or_u_of_another_d(self, cands):
+        for u, c in ((np.zeros(4), (1.0,) * 8), (np.zeros(8), (1.0,) * 4)):
+            with pytest.raises(DimensionError, match="d=8"):
+                forward_round(u, c, 1, make_round(8, cands))
+
     def test_empty_round_banks_capacity(self):
         policy = UnknownPolicy(d=2, c=(1.0, 1.0), a=3, variant="hybrid", topup_enabled=True)
         assert policy.process_round(make_round(2, ())) == []
@@ -349,30 +365,46 @@ def assert_same_pass(got, want):
 
 
 def counting_process_round(monkeypatch):
-    """Record the size of every round the policy processes."""
+    """Record the size of every round the policy's block entry receives
+    (``process_round`` feeds it one-round blocks)."""
     sizes = []
-    real = UnknownPolicy.process_round
+    real = UnknownPolicy.process_rounds
 
-    def counting(self, rnd):
-        sizes.append(len(rnd))
-        return real(self, rnd)
+    def counting(self, block):
+        sizes.extend(block.sizes.tolist())
+        return real(self, block)
 
-    monkeypatch.setattr(UnknownPolicy, "process_round", counting)
+    monkeypatch.setattr(UnknownPolicy, "process_rounds", counting)
     return sizes
 
 
 def full_arithmetic_round(policy, rnd):
-    """``UnknownPolicy.process_round`` with every kernel run on every round,
-    empty ones included: the oracle of its shortcut for empty rounds."""
+    """One round of ``UnknownPolicy`` computed on that round alone, with
+    every stage run on every round, empty ones included: the per-round
+    arithmetic the block pass replaced (``np.add.at`` for the core, one
+    ``max_over_attributes`` per row), as the oracle of the block pass."""
+    c, d, a = np.array(policy.c), policy.d, policy.a
     policy.round_index += 1
-    x_bar = myopic_round(policy.c, policy.a, rnd)
-    y, z, x_hat, f, policy.u = forward_round(policy.u, policy.c, policy.a, rnd, policy.continue_after_cap)
+    counts, core = rnd.counts, core_mask(rnd.lens, d)
+    x_bar = np.zeros(len(rnd))
+    if len(rnd) and counts.min() > 0:
+        alpha = min(float((c * counts).min()), a / math.fsum(1.0 / ck for ck in policy.c))
+        x_bar = max_over_attributes((alpha / c) / counts, rnd)
+    u = policy.u.copy()
+    core_bits = rnd.bits[np.repeat(core, rnd.lens)]
+    np.add.at(u, core_bits, c[core_bits])
+    z = water_fill(u, counts, math.sqrt(d) * a, c, policy.continue_after_cap)
+    f = fill_value(u, z, c)
+    total = len(rnd.bits)
+    y_scale = min(1.0, a / (total / math.sqrt(d))) if total > 0 else 0.0
+    x_hat = (core / 2.0) * y_scale + max_over_attributes(z / np.maximum(counts, 1), rnd) / (2.0 * math.sqrt(d))
+    policy.u = u + c * z
     row = unknown_policy._variant_row(policy.variant, x_bar, x_hat)
     if policy.topup_enabled:
         row = unknown_policy.leftover_topup(policy, row)
     x_i = row.tolist()
     policy.emitted_total += math.fsum(x_i)
-    policy.trace.append(unknown_policy.UnknownRound(x_bar, x_hat, y, z, f, row))
+    policy.trace.append(unknown_policy.UnknownRound(x_bar, x_hat, core.astype(float), z, f, row))
     return x_i
 
 
@@ -436,12 +468,12 @@ class TestEmptyRounds:
                       continue_after_cap=continue_after_cap)
         want = UnknownPolicy(**config)
         want_rows = [full_arithmetic_round(want, rnd) for rnd in rounds]
-        forwards, real = [], unknown_policy.forward_round
-        monkeypatch.setattr(unknown_policy, "forward_round", lambda *args: forwards.append(1) or real(*args))
+        fills, real = [], unknown_policy.water_fill
+        monkeypatch.setattr(unknown_policy, "water_fill", lambda *args: fills.append(1) or real(*args))
         got = UnknownPolicy(**config)
         assert [got.process_round(rnd) for rnd in rounds] == want_rows
         assert_same_pass(got, want)
-        assert len(forwards) == sum(len(rnd) > 0 for rnd in rounds)
+        assert len(fills) == sum(len(rnd) > 0 for rnd in rounds)
 
     @pytest.mark.parametrize("topup", [False, True])
     def test_fork_inside_an_empty_run(self, topup):
@@ -505,6 +537,59 @@ class TestVariantSolution:
         policy = UnknownPolicy(d=2, c=(1.0, 1.0), a=1)
         for variant in unknown_policy.VARIANTS:
             self.assert_same_solution(variant_solution(policy, variant), self.per_round(policy, variant))
+
+
+@st.composite
+def tiny_instances(draw):
+    """Few dimensions and rounds: empty rounds, candidates without
+    attributes and dimensions without arrivals all turn up, and unequal
+    weights keep the levels off ties."""
+    d = draw(st.integers(1, 5))
+    candidate = st.lists(st.integers(0, d - 1), max_size=d, unique=True).map(sorted)
+    rounds = draw(st.lists(st.lists(candidate, max_size=4), max_size=8))
+    c = [1.0] + draw(st.lists(st.sampled_from([1.0, 1.3, 1.7, 2.5]), min_size=d - 1, max_size=d - 1))
+    a = draw(st.integers(1, 3))
+    return Instance.from_bit_lists(d, c, len(rounds) * a, rounds, a)
+
+
+class TestBlockPass:
+    """``process_rounds`` on any block equals ``full_arithmetic_round`` round
+    by round, bit for bit, whatever the cuts between blocks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_instances(), st.sampled_from(unknown_policy.VARIANTS), st.booleans(), st.booleans(), st.data())
+    def test_block_pass_matches_round_by_round(self, inst, variant, topup, continue_after_cap, data):
+        config = dict(d=inst.d, c=inst.c, a=inst.per_round_capacity, variant=variant, topup_enabled=topup,
+                      continue_after_cap=continue_after_cap)
+        want = UnknownPolicy(**config)
+        want_rows = [full_arithmetic_round(want, rnd) for rnd in inst.rounds]
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(inst.n - 1, 1)), max_size=inst.n)) & set(range(1, inst.n)))
+        feeds = {
+            "one block": [(0, inst.n)],
+            "single rounds": [(r, r + 1) for r in range(inst.n)],
+            "random cuts": list(zip([0] + cuts, cuts + [inst.n])),
+        }
+        for name, spans in feeds.items():
+            got = UnknownPolicy(**config)
+            rows = [row for lo, hi in spans for row in got.process_rounds(RoundBlock.of_instance(inst, lo, hi))]
+            assert rows == want_rows, name
+            assert_same_pass(got, want)
+        fed_by_round = UnknownPolicy(**config)
+        assert [fed_by_round.process_round(rnd) for rnd in inst.rounds] == want_rows
+        assert_same_pass(fed_by_round, want)
+        assert_same_pass(run_unknown_policy(inst, variant, topup, continue_after_cap), want)
+
+    def test_blocks_of_a_long_instance_stay_bounded(self, monkeypatch):
+        """``run_unknown_policy`` cuts a long instance into blocks of at most
+        2^16 / d rounds, and the cuts change no bit."""
+        inst = gen_random(d=64, n=1100, a=4, density=0.05, min_arrivals=1, c_max=2.0, seed=2)
+        whole = run_unknown_policy(inst, topup=True)
+        sizes = []
+        real = UnknownPolicy.process_rounds
+        monkeypatch.setattr(UnknownPolicy, "process_rounds", lambda self, block: sizes.append(len(block.sizes))
+                            or real(self, block))
+        assert_same_pass(run_unknown_policy(inst, topup=True), whole)
+        assert sizes == [1024, 76]
 
 
 class TestFork:
