@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -203,9 +203,15 @@ def solve_fluid(inst: Instance) -> LPResult:
     return solve_fluids([inst])[0]
 
 
-def solve_fluids(insts: Sequence[Instance]) -> list[LPResult]:
+def solve_fluids(insts: Iterable[Instance]) -> list[LPResult]:
+    """``fluid_results(insts)`` as a list."""
+    return list(fluid_results(insts))
+
+
+def fluid_results(insts: Iterable[Instance]) -> Iterator[LPResult]:
     """Maximize each instance's least utility subject to sum(x) <= K and
-    0 <= x <= 1, solving each batch of instances as one LP.
+    0 <= x <= 1, solving each batch of instances as one LP; each result is
+    yielded, in order, as soon as its batch is solved.
 
     Candidates of one type are interchangeable, so an instance's LP runs over
     its distinct types with the type's mass bounded by its multiplicity; x*
@@ -218,34 +224,30 @@ def solve_fluids(insts: Sequence[Instance]) -> list[LPResult]:
     members share long prefixes); the rest are packed, in order, into
     batches of at most ``FLUID_BATCH_SIZE`` rows plus columns (an LP larger
     than that is a batch of its own); each batch is solved as one
-    block-diagonal LP (``_solve_fluid_batch``) before the next is built, so
-    only one batch's arrays are held at a time.  A batch whose blocks have at
-    most 2 ``FLUID_SIFT_WIDTH`` types each takes one HiGHS call; a larger LP
-    is sifted, in a few calls over at most a few thousand of its types.
+    block-diagonal LP (``_solve_fluid_batch``) when the next instance does
+    not fit, so only one batch's instances, arrays and x* are held at a time,
+    plus that next instance.  A batch whose blocks have at most 2
+    ``FLUID_SIFT_WIDTH`` types each takes one HiGHS call; a larger LP is
+    sifted, in a few calls over at most a few thousand of its types.
     """
-    results: list[Optional[LPResult]] = [None] * len(insts)
-    batch, size, prev = {}, 0, None
+    held, size, prev = {}, 0, None  # instance index -> (instance, its block, or None for a zero optimum)
     for i, inst in enumerate(insts):
         keys, block = _fluid_block(inst, prev)
         prev = inst, keys
-        if block is None:
-            zero = FractionalSolution(np.zeros(inst.total_candidates), inst.round_ptr)
-            results[i] = LPResult(value=0.0, solution=zero, status="optimal", degenerate_zero=True)
-            continue
-        block_size = block[3].size + block[4].size  # rows + columns
-        if batch and size + block_size > FLUID_BATCH_SIZE:
-            _solve_fluid_batch(insts, batch, results)
-            batch, size = {}, 0
-        batch[i], size = block, size + block_size
-    if batch:
-        _solve_fluid_batch(insts, batch, results)
-    return results
+        block_size = 0 if block is None else block[3].size + block[4].size  # rows + columns
+        if size and size + block_size > FLUID_BATCH_SIZE:
+            yield from _solve_fluid_batch(held, alone=False)
+            held, size = {}, 0
+        held[i], size = (inst, block), size + block_size
+    yield from _solve_fluid_batch(held, alone=list(held) == [0])
 
 
-def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -> None:
-    """Solve the fluid LPs ``blocks`` (instance index -> ``_fluid_block``) as
-    the blocks of one block-diagonal LP whose objective is the sum of their
-    levels, and store each instance's ``LPResult`` in ``results``.
+def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
+    """Solve the fluid LPs of ``held`` (instance index -> instance and its
+    ``_fluid_block``) as the blocks of one block-diagonal LP whose objective
+    is the sum of their levels, and return each instance's ``LPResult`` in
+    order; an instance whose block is None has the zero optimum.  ``alone``
+    names the one LP of a single instance "fluid LP", not by member.
 
     Blocks share no row, so the batch's optimum is every block's own optimum.
     The LP is solved by bounded sifting over its type columns (Bixby et al.,
@@ -270,6 +272,11 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
     """
     from scipy.sparse import csr_matrix
 
+    results = {i: LPResult(0.0, FractionalSolution(np.zeros(inst.total_candidates), inst.round_ptr), "optimal", True)
+               for i, (inst, block) in held.items() if block is None}
+    blocks = {i: block for i, (_, block) in held.items() if block is not None}
+    if not blocks:
+        return list(results.values())
     row_idx, col_idx, vals, b_ubs, uppers, _ = zip(*blocks.values())
     n_rows, n_cols = np.array([b.size for b in b_ubs]), np.array([u.size for u in uppers])
     row_starts, col_starts = np.cumsum(n_rows) - n_rows, np.cumsum(n_cols) - n_cols
@@ -295,7 +302,7 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
         if res.status != 0:
             for i in blocks:
                 results[i] = LPResult(float("nan"), None, "infeasible" if res.status == 2 else "unbounded_guard")
-            return
+            return [results[i] for i in held]
         x[work], lam = res.x, res.ineqlin.marginals
         reduced = cost - a_ub.T @ lam
         for row, types in seeds:  # fix the types far from the capacity edge
@@ -317,11 +324,11 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
         work[leave], work[wrong], up[wrong] = False, True, False
     else:
         raise InvariantError(f"fluid LP: no convergence in {FLUID_MAX_SOLVES} restricted solves")
-    names = {i: "fluid LP" if len(insts) == 1 else f"fluid LP (member {i + 1})" for i in blocks}
+    names = {i: "fluid LP" if alone else f"fluid LP (member {i + 1})" for i in blocks}
     _certify_optimal(cost, a_ub, b_ub, bounds, x, lam, list(names.values()), row_starts, col_starts)
 
     for (i, (*_, bound, type_of)), start, level in zip(blocks.items(), col_starts, levels):
-        inst, mult = insts[i], bound[:-1]
+        inst, mult = held[i][0], bound[:-1]
         value = float(x[level])
         per_type = capacity_safe(np.clip(x[start:level], 0.0, mult) / mult, inst.capacity, mult)
         sol = FractionalSolution(per_type[type_of], inst.round_ptr)
@@ -329,6 +336,7 @@ def _solve_fluid_batch(insts: Sequence[Instance], blocks: dict, results: list) -
         if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
             raise InvariantError(f"{names[i]} solution failed re-validation")
         results[i] = LPResult(value=value, solution=sol, status="optimal", degenerate_zero=value <= EPS)
+    return [results[i] for i in held]
 
 
 def opt_bounds(inst: Instance) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import core, harness
-from .benchmark import opt_bounds, solve_fluid, solve_fluids
+from .benchmark import opt_bounds, solve_fluid
 from .errors import DivselError, DomainError, SchemaError
 from .generators import gen_random
 from .harness import fmt
@@ -151,23 +151,7 @@ def _cmd_mc(args) -> int:
 def _cmd_verify(args) -> int:
     verdicts = []
     if args.family:
-        members = harness.family_members(args.family, args.d)
-        opts = [lp.value for lp in solve_fluids(members)]
-        verdicts.extend(
-            harness.verify_family(args.family, args.d, args.policy, args.seed, args.epsilon, members, opts)
-        )
-        if args.per_instance:
-            for m, (inst, opt) in enumerate(zip(members, opts), start=1):
-                verdicts.extend(
-                    harness.verify_instance(
-                        inst,
-                        args.policy,
-                        args.seed,
-                        args.epsilon,
-                        instance_id=f"{args.family}_d{args.d}_m{m}",
-                        opt=opt,
-                    )
-                )
+        verdicts += harness.verify_family(args.family, args.d, args.policy, args.seed, args.epsilon, args.per_instance)
     for path in args.instance or []:
         inst = _load_instance(path)
         verdicts.extend(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Iterator
 
 import numpy as np
 
@@ -19,7 +20,13 @@ from .errors import ContractError, DimensionError, SizeError
 
 
 def gen_fhc(d: int) -> list[Instance]:
-    """Fixed-horizon-capacity family: d members with c = 1, K = 2d, n = d, a = 2.
+    """``fhc_members(d)`` as a list."""
+    return list(fhc_members(d))
+
+
+def fhc_members(d: int) -> Iterator[Instance]:
+    """Fixed-horizon-capacity family: d members with c = 1, K = 2d, n = d, a = 2,
+    each built when the stream reaches it.
 
     Member m holds d candidates of the prefix type 1..k in every round k <= m
     and d candidates of the complement type m+1..d in round m+1; all later
@@ -32,18 +39,19 @@ def gen_fhc(d: int) -> list[Instance]:
     """
     if d < 1:
         raise DimensionError("gen_fhc requires d >= 1")
-    members = []
-    for m in range(1, d + 1):
-        # (0-indexed) prefix types 0..i-1 for i = 1..m, then the suffix m..d-1.
-        lens = np.repeat(np.append(np.arange(1, m + 1), d - m), d)
-        first = np.repeat(np.append(np.zeros(m, dtype=np.int64), m), d)
-        if m == d:
-            lens, first = lens[:-d], first[:-d]
-        cand_ptr = _offsets(lens)
-        bits = np.arange(cand_ptr[-1]) - np.repeat(cand_ptr[:-1] - first, lens)
-        round_ptr = _offsets([d] * min(m + 1, d) + [0] * (d - m - 1))
-        members.append(Instance._adopt(d, (1.0,) * d, 2 * d, round_ptr, cand_ptr, bits, per_round_capacity=2))
-    return members
+    return (_fhc_member(d, m) for m in range(1, d + 1))
+
+
+def _fhc_member(d: int, m: int) -> Instance:
+    # (0-indexed) prefix types 0..i-1 for i = 1..m, then the suffix m..d-1.
+    lens = np.repeat(np.append(np.arange(1, m + 1), d - m), d)
+    first = np.repeat(np.append(np.zeros(m, dtype=np.int64), m), d)
+    if m == d:
+        lens, first = lens[:-d], first[:-d]
+    cand_ptr = _offsets(lens)
+    bits = np.arange(cand_ptr[-1]) - np.repeat(cand_ptr[:-1] - first, lens)
+    round_ptr = _offsets([d] * min(m + 1, d) + [0] * (d - m - 1))
+    return Instance._adopt(d, (1.0,) * d, 2 * d, round_ptr, cand_ptr, bits, per_round_capacity=2)
 
 
 def fcs_kappa(d: int) -> int:
@@ -55,8 +63,14 @@ def fcs_eta(d: int) -> int:
 
 
 def gen_fcs(d: int) -> list[Instance]:
+    """``fcs_members(d)`` as a list."""
+    return list(fcs_members(d))
+
+
+def fcs_members(d: int) -> Iterator[Instance]:
     """Fixed-capacity-stationary family: kappa = floor(d^(1/3)) members with
-    K = n = d, c = 1, a = 1, and every round's batched profile all ones.
+    K = n = d, c = 1, a = 1, and every round's batched profile all ones, each
+    built when the stream reaches it.
 
     Dimensions are split into consecutive subsets of size kappa; member m owns
     the m-th collection of kappa subsets.  The first kappa groups of
@@ -87,8 +101,7 @@ def gen_fcs(d: int) -> list[Instance]:
             covered.update(sub)
         return list(coll) + [(k,) for k in range(d) if k not in covered]
 
-    members = []
-    for m in range(1, kappa + 1):
+    def member(m: int) -> Instance:
         covered_m = set()
         for sub in collection(m):
             covered_m.update(sub)
@@ -99,16 +112,15 @@ def gen_fcs(d: int) -> list[Instance]:
         for mprime in range(1, kappa + 1):
             rounds.extend([early_round(mprime)] * eta)
         rounds.extend([late] * (d - kappa * eta))
-        members.append(
-            Instance.from_bit_lists(
-                d=d,
-                c=tuple(1.0 for _ in range(d)),
-                capacity=d,
-                rounds=rounds,
-                per_round_capacity=1,
-            )
+        return Instance.from_bit_lists(
+            d=d,
+            c=tuple(1.0 for _ in range(d)),
+            capacity=d,
+            rounds=rounds,
+            per_round_capacity=1,
         )
-    return members
+
+    return (member(m) for m in range(1, kappa + 1))
 
 
 def family_entries(family: str, d: int) -> int:

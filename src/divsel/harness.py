@@ -14,11 +14,12 @@ import io
 import math
 import os
 import time
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +29,10 @@ from .benchmark import (
     LP_TOL,
     IntSolution,
     adjustment_bounds,
+    fluid_results,
     int_objective,
     opt_bounds,
     solve_fluid,
-    solve_fluids,
     solve_int,
 )
 from .core import (
@@ -46,7 +47,7 @@ from .core import (
     validate_feasibility,
 )
 from .errors import ContractError, DomainError, SizeError
-from .generators import family_entries, fcs_kappa, gen_fcs, gen_fhc
+from .generators import family_entries, fcs_kappa, fcs_members, fhc_members
 from .rounding import max_selection_count, pick_segments
 
 POLICY_NAMES = ("fixed", "uc-hybrid", "uc-myopic", "uc-forward")
@@ -521,17 +522,39 @@ def _water_fill_gap(inst: Instance, trace: Sequence[up.UnknownRound]) -> float:
     return float(np.maximum.reduce([upper - value, np.abs(f - value), violation]).max(initial=0.0))
 
 
-def family_members(family: str, d: int) -> list[Instance]:
-    """The members of a hard family, in order.  A family whose attribute
-    entries alone (the int32 ``bits`` its members keep, a floor on what
-    building it takes) exceed the machine's memory is a SizeError, raised
-    before any member is built."""
+def family_members(family: str, d: int) -> Iterator[Instance]:
+    """The members of a hard family, in order, each built when the stream
+    reaches it.  A family whose attribute entries alone (the int32 ``bits``
+    its members keep, a floor on what building it takes) exceed the machine's
+    memory is a SizeError, raised before any member is built."""
     need = 4 * family_entries(family, d)
     if need > _physical_memory():
         raise SizeError(f"{family} d={d} needs {need} bytes of attributes, more than the machine's memory")
     if family == "fhc":
-        return gen_fhc(d)
-    return gen_fcs(d)
+        return fhc_members(d)
+    return fcs_members(d)
+
+
+def _readers(items: Iterable, count: int) -> list[Iterator]:
+    """``count`` iterators that each yield every item of ``items`` in order;
+    an item is read once and held only until every iterator has taken it
+    (``itertools.tee`` frees its buffer in blocks of 57 items)."""
+    items, held, taken, end = iter(items), deque(), [0] * count, object()  # held[0] is item min(taken)
+
+    def reader(r: int) -> Iterator:
+        while True:
+            low = min(taken)
+            if taken[r] - low == len(held):
+                held.append(next(items, end))
+            item = held[taken[r] - low]
+            if item is end:
+                return
+            taken[r] += 1
+            if min(taken) > low:
+                held.popleft()
+            yield item
+
+    return [reader(r) for r in range(count)]
 
 
 def verify_family(
@@ -540,45 +563,49 @@ def verify_family(
     policies: Sequence[str],
     seed: int,
     eps: float = EPS,
-    members: Optional[Sequence[Instance]] = None,
-    opts: Optional[Sequence[float]] = None,
+    per_instance: bool = False,
 ) -> list[VerificationVerdict]:
-    """Family-level impossibility witnesses (need every member; pass
-    ``members`` to reuse ones already generated, and ``opts``, their fluid
-    optima, to reuse those; without ``opts``, ``benchmark.solve_fluids``
-    solves every member in batched HiGHS calls).  The fhc ratio bound
+    """Family-level impossibility witnesses, then with ``per_instance`` every
+    member's own verdicts (``verify_instance``).  The fhc ratio bound
     concerns the hybrid policy alone.
 
-    The unknown-capacity rows of all members come from one forked pass
+    The members are streamed in one in-order pass: each is built, its fluid
+    LP solved with its batch (``benchmark.fluid_results``), its policies
+    scored and checked, and then dropped, so at most one LP batch of members
+    and one more are held; only the minima over members are kept.  The
+    unknown-capacity rows of all members come from one forked pass
     (``unknown_policy.unknown_family_passes``): the rounds that consecutive
     members share are processed once, and each member continues from a copy
     of the policy's state after them.
     """
-    if members is None:
-        members = family_members(family, d)
+    stream = family_members(family, d)  # first: a bad d is refused before the bounds read it
     if family == "fhc":
-        opt_name, opt_floor, policies = "FHC-OPT", float(d), ["uc-hybrid"]
+        opt_name, opt_floor, scored = "FHC-OPT", float(d), ["uc-hybrid"]
     elif family == "fcs":
-        opt_name, opt_floor = "FCS-OPT", d / (8.0 * fcs_kappa(d))
+        opt_name, opt_floor, scored = "FCS-OPT", d / (8.0 * fcs_kappa(d)), policies
     else:
         raise ContractError(f"unknown family {family!r}")
     ratio_name, ratio_cap = _family_bound(family, d)
-    if opts is None:
-        opts = [lp.value for lp in solve_fluids(members)]
-    verdicts = [_compare(opt_name, min(opts), opt_floor, max(eps, LP_TOL), f"{family} d={d} min over members")]
-    uc_names = [name for name in policies if name.startswith("uc-")]
-    uc_passes = up.unknown_family_passes(members) if uc_names else repeat(None)
-    ratios = {name: [] for name in policies}
-    for inst, opt, uc_pol in zip(members, opts, uc_passes):
+    uc_names = [name for name in scored if name.startswith("uc-")]
+    members, *readers = _readers(stream, 3 if uc_names else 2)
+    lps = fluid_results(readers[0])
+    uc_passes = up.unknown_family_passes(readers[1]) if uc_names else repeat(None)
+    lowest, own = {}, []  # running minima of OPT and of each policy's ratio; the members' own verdicts
+    for m, inst in enumerate(members, start=1):
+        opt, uc_pol = next(lps).value, next(uc_passes)
+        lowest[opt_name] = min(lowest.get(opt_name, opt), opt)
         uc_solutions = {name: up.variant_solution(uc_pol, name[3:]) for name in uc_names}
-        for name in ratios:
+        for name in scored:
             sol = uc_solutions[name] if name in uc_solutions else run_policy(inst, name, seed)[0]
-            lu, _ = least_utility(inst, sol)
-            ratios[name].append(_ratio(lu, opt))
-    for name in policies:
+            ratio = _ratio(least_utility(inst, sol)[0], opt)
+            lowest[name] = min(lowest.get(name, ratio), ratio)
+        if per_instance:
+            own += verify_instance(inst, policies, seed, eps, instance_id=f"{family}_d{d}_m{m}", opt=opt)
+    verdicts = [_compare(opt_name, lowest[opt_name], opt_floor, max(eps, LP_TOL), f"{family} d={d} min over members")]
+    for name in scored:
         detail = f"{family} d={d} family-min ratio of {name}"
-        verdicts.append(_compare(ratio_name, min(ratios[name]), ratio_cap, eps, detail, upper=True))
-    return verdicts
+        verdicts.append(_compare(ratio_name, lowest[name], ratio_cap, eps, detail, upper=True))
+    return verdicts + own
 
 
 def _family_bound(family: str, d: int) -> tuple[str, float]:

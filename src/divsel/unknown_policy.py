@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -362,34 +362,31 @@ def run_unknown_policy(
     return policy
 
 
-def unknown_family_passes(members: Sequence[Instance]) -> Iterator[UnknownPolicy]:
+def unknown_family_passes(members: Iterable[Instance]) -> Iterator[UnknownPolicy]:
     """``run_unknown_policy(member)`` of every member, in order, each yielded
     as soon as it is complete, with the rounds that members share processed
-    once.
+    once.  Members are read one ahead of the pass yielded.
 
     The policy is deterministic and reads only (d, c, a), so two members with
     the same (d, c, a) that agree on their first r rounds reach the same state
-    after them.  Member j agrees with member j - 1 on ``common_prefix_rounds``
-    rounds; when member j - 1's own pass starts at or before that round, member
-    j continues a fork of it from there.  Otherwise (or when (d, c, a)
-    differs) member j starts a fresh pass.
+    after them.  Member j + 1 agrees with member j on ``common_prefix_rounds``
+    rounds; when member j's own pass starts at or before that round, member
+    j + 1 continues a fork of it from there.  Otherwise (or when (d, c, a)
+    differs) member j + 1 starts a fresh pass.
     """
-    starts = [0] * (len(members) + 1)  # first round each member processes itself
-    for j in range(1, len(members)):
-        prev, inst = members[j - 1], members[j]
-        if (prev.d, prev.c, prev.per_round_capacity) == (inst.d, inst.c, inst.per_round_capacity):
-            shared = common_prefix_rounds(prev, inst)
-            if shared >= starts[j - 1]:
-                starts[j] = shared
-
-    follower = None
-    for i, inst in enumerate(members):
-        policy = follower if follower is not None else _new_policy(inst, "hybrid", False, False)
-        split = starts[i + 1] or starts[i]  # where the next member forks off, if it does
-        _feed(policy, inst, starts[i], split)
-        follower = policy.fork() if starts[i + 1] else None
-        _feed(policy, inst, split, inst.n)
-        yield policy
+    members = iter(members)
+    inst, start, policy = next(members, None), 0, None  # start: the first round inst's pass processes itself
+    while inst is not None:
+        nxt, split = next(members, None), 0  # split: where nxt forks off, if it does
+        if nxt is not None and (inst.d, inst.c, inst.per_round_capacity) == (nxt.d, nxt.c, nxt.per_round_capacity):
+            shared = common_prefix_rounds(inst, nxt)
+            split = shared if shared >= start else 0
+        policy = _new_policy(inst, "hybrid", False, False) if policy is None else policy
+        _feed(policy, inst, start, split or start)
+        follower = policy.fork() if split else None
+        _feed(policy, inst, split or start, inst.n)
+        done, inst, start, policy = policy, nxt, split, follower  # inst no longer held while done is read
+        yield done
 
 
 def policy_solution(policy: UnknownPolicy):

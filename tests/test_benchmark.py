@@ -11,6 +11,7 @@ import divsel.benchmark as benchmark
 from divsel.benchmark import (
     IntSolution,
     adjustment_bounds,
+    fluid_results,
     int_objective,
     opt_bounds,
     solve_fluid,
@@ -22,7 +23,7 @@ from divsel.core import (
     round_counts,
 )
 from divsel.errors import ContractError, InvariantError, SizeError
-from divsel.generators import fcs_kappa, gen_fcs, gen_fhc, gen_random
+from divsel.generators import fcs_kappa, fcs_members, fhc_members, gen_fcs, gen_fhc, gen_random
 from divsel.rounding import capacity_safe, max_selection_count
 from divsel.unknown_policy import run_unknown_policy, water_fill
 
@@ -393,6 +394,32 @@ class TestSolveFluids:
             assert (g.status, g.degenerate_zero) == (w.status, w.degenerate_zero)
             assert_rel_close(g.value, w.value)
             np.testing.assert_allclose(g.solution.flat(), w.solution.flat(), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("family", [fhc_members, fcs_members])
+    @pytest.mark.parametrize("d", [27, 64])
+    def test_member_stream_solves_to_the_same_bits(self, family, d):
+        """Streamed from its builder, every member gets the OPT and x* the
+        list solve gives it, bit for bit: the batches are the same."""
+        want = solve_fluids(list(family(d)))
+        got = list(fluid_results(family(d)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert float.hex(g.value) == float.hex(w.value)
+            assert g.solution.values.tobytes() == w.solution.values.tobytes()
+
+    def test_results_come_batch_by_batch(self):
+        read = []
+
+        def stream():
+            for inst in fhc_members(27):
+                read.append(inst.n)
+                yield inst
+
+        results = fluid_results(stream())
+        first = next(results)
+        # The first batch and the member that did not fit in it.
+        assert first.value == 27.0 and 2 < len(read) < 27
+        assert len(list(results)) == 26 and len(read) == 27
 
     def test_batch_of_only_degenerate_members_solves_no_lp(self, monkeypatch):
         monkeypatch.setattr(benchmark, "linprog", None)

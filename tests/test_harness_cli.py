@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -390,13 +391,13 @@ class TestVerify:
 
     def test_per_instance_generates_members_once(self, monkeypatch, capsys):
         generated = []
-        real = harness.gen_fcs
+        real = harness.fcs_members
 
-        def counting_gen(d):
+        def counting_gen(d):  # one member stream per family pass
             generated.append(d)
             return real(d)
 
-        monkeypatch.setattr(harness, "gen_fcs", counting_gen)
+        monkeypatch.setattr(harness, "fcs_members", counting_gen)
         argv = ["verify", "--family", "fcs", "--d", "8", "--per-instance", "--policy", "uc-hybrid"]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -405,23 +406,27 @@ class TestVerify:
 
     def test_per_instance_solves_each_member_once(self, monkeypatch, capsys):
         solved, lp_calls = [], []
-        real_solve, real_linprog = benchmark.solve_fluids, benchmark.linprog
+        real_solve, real_linprog = benchmark.fluid_results, benchmark.linprog
 
-        def counting_solve(insts):
-            solved.extend(insts)
-            return real_solve(insts)
+        def counting_solve(insts):  # a tee: each member is recorded on its way to the solver
+            def tee():
+                for inst in insts:
+                    solved.append(inst)
+                    yield inst
+
+            return real_solve(tee())
 
         def counting_linprog(*args, **kwargs):
             lp_calls.append(kwargs["A_ub"].shape)
             return real_linprog(*args, **kwargs)
 
-        for module in (benchmark, harness, cli):
-            monkeypatch.setattr(module, "solve_fluids", counting_solve)
+        for module in (benchmark, harness):
+            monkeypatch.setattr(module, "fluid_results", counting_solve)
         monkeypatch.setattr(benchmark, "linprog", counting_linprog)
         argv = ["verify", "--family", "fhc", "--d", "27", "--per-instance", "--policy", "fixed"]
         assert main(argv) == 0
         assert "0 fail" in capsys.readouterr().out
-        members = harness.family_members("fhc", 27)
+        members = list(harness.family_members("fhc", 27))
         assert len(solved) == 27 and all(
             np.array_equal(got.bits, want.bits) and np.array_equal(got.round_ptr, want.round_ptr)
             for got, want in zip(solved, members)
@@ -438,7 +443,7 @@ class TestVerify:
         def no_build(d):
             raise AssertionError("the family was built")
 
-        monkeypatch.setattr(harness, f"gen_{family}", no_build)
+        monkeypatch.setattr(harness, f"{family}_members", no_build)
         argv = [command, "--family", family, "--d", "100000"] + (["--out", str(tmp_path)] if command == "gen" else [])
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -447,9 +452,46 @@ class TestVerify:
 
     def test_family_size_limit_is_the_machine_memory(self, monkeypatch):
         monkeypatch.setattr(harness, "_physical_memory", lambda: 4 * family_entries("fhc", 5))
-        assert len(harness.family_members("fhc", 5)) == 5
+        assert len(list(harness.family_members("fhc", 5))) == 5
         with pytest.raises(SizeError, match="fhc d=6"):
             harness.family_members("fhc", 6)
+
+    @pytest.mark.parametrize("family, extra, batch_size", [
+        pytest.param("fhc", [], None, id="fhc"),
+        pytest.param("fcs", ["--per-instance"], None, id="fcs-per-instance"),
+        pytest.param("fhc", [], 1, id="fhc-batch-of-one"),  # two alive at most
+    ])
+    def test_family_members_are_streamed(self, monkeypatch, capsys, family, extra, batch_size):
+        """``verify --family`` builds, solves, scores and drops each member in
+        turn: at most one LP batch of members plus the next one is alive."""
+        alive, peak, batches = set(), [0], []
+        build, solve_batch = getattr(harness, f"{family}_members"), benchmark._solve_fluid_batch
+
+        def watched(d):
+            for m, inst in enumerate(build(d)):
+                weakref.finalize(inst, alive.discard, m)
+                alive.add(m)
+                peak[0] = max(peak[0], len(alive))
+                yield inst
+
+        def recording_batch(held, alone):
+            batches.append(len(held))
+            return solve_batch(held, alone)
+
+        monkeypatch.setattr(harness, f"{family}_members", watched)
+        monkeypatch.setattr(benchmark, "_solve_fluid_batch", recording_batch)
+        if batch_size:
+            monkeypatch.setattr(benchmark, "FLUID_BATCH_SIZE", batch_size)
+        assert main(["verify", "--family", family, "--d", "27", *extra]) == 0
+        assert "0 fail" in capsys.readouterr().out
+        assert peak[0] <= max(batches) + 1
+        if family == "fhc":  # 27 members in two batches, or in 27
+            assert len(batches) == (27 if batch_size else 2) and peak[0] < 27
+
+    def test_bad_family_dimension_is_refused_before_any_output(self, capsys):
+        assert main(["verify", "--family", "fhc", "--d", "-5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: gen_fhc requires d >= 1\n" and captured.out == ""
 
     def test_family_checks(self):
         fhc = verify_family("fhc", 4, ["uc-hybrid"], seed=0)

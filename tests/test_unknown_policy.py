@@ -696,5 +696,15 @@ class TestFamilyPass:
         for forked, want in zip(passes, fresh):
             assert_same_pass(forked, want)
 
+    @pytest.mark.parametrize("family", ["fhc", "fcs"])
+    def test_a_member_iterator_gives_the_same_passes(self, family):
+        """Read one member ahead from an iterator, the passes are those of the list."""
+        members = gen_fhc(27) if family == "fhc" else gen_fcs(27)
+        streamed = list(unknown_family_passes(iter(members)))
+        assert len(streamed) == len(members)
+        for got, want in zip(streamed, unknown_family_passes(members)):
+            assert_same_pass(got, want)
+
     def test_no_members(self):
         assert list(unknown_family_passes([])) == []
+        assert list(unknown_family_passes(iter([]))) == []
