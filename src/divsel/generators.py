@@ -81,46 +81,24 @@ def fcs_members(d: int) -> Iterator[Instance]:
     """
     if d < 3:
         raise DimensionError("gen_fcs requires d >= 3")
-    kappa = fcs_kappa(d)
-    eta = fcs_eta(d)
-    n_subsets = math.ceil(d / kappa)
-    subsets = []
-    for l in range(1, n_subsets + 1):
-        start = (l - 1) * kappa
-        end = min(l * kappa, d)
-        subsets.append(tuple(range(start, end)))
-    assert kappa * kappa <= n_subsets, "collection indices must stay within the subsets"
+    return (_fcs_member(d, m) for m in range(1, fcs_kappa(d) + 1))
 
-    def collection(m: int) -> list[tuple[int, ...]]:
-        return [subsets[l - 1] for l in range((m - 1) * kappa + 1, m * kappa + 1)]
 
-    def early_round(mprime: int) -> list[tuple[int, ...]]:
-        coll = collection(mprime)
-        covered = set()
-        for sub in coll:
-            covered.update(sub)
-        return list(coll) + [(k,) for k in range(d) if k not in covered]
-
-    def member(m: int) -> Instance:
-        covered_m = set()
-        for sub in collection(m):
-            covered_m.update(sub)
-        complement = tuple(k for k in range(d) if k not in covered_m)
-        late = [complement] if complement else []
-        late += [(k,) for k in sorted(covered_m)]
-        rounds = []
-        for mprime in range(1, kappa + 1):
-            rounds.extend([early_round(mprime)] * eta)
-        rounds.extend([late] * (d - kappa * eta))
-        return Instance.from_bit_lists(
-            d=d,
-            c=tuple(1.0 for _ in range(d)),
-            capacity=d,
-            rounds=rounds,
-            per_round_capacity=1,
-        )
-
-    return (member(m) for m in range(1, kappa + 1))
+def _fcs_member(d: int, m: int) -> Instance:
+    kappa, eta = fcs_kappa(d), fcs_eta(d)
+    # Collection j (0-indexed) covers dimensions j*kappa^2 up to min((j+1)*kappa^2, d), in subsets of kappa.
+    spans = [(j * kappa * kappa, min((j + 1) * kappa * kappa, d)) for j in (*range(kappa), m - 1)]
+    rounds = [  # (bits, candidate lengths) of the early rounds: the subsets, then singletons outside them
+        (np.r_[lo:hi, 0:lo, hi:d], np.r_[np.diff(np.r_[lo:hi:kappa, hi]), np.ones(d - (hi - lo), np.int64)])
+        for lo, hi in spans[:-1]
+    ]
+    lo, hi = spans[-1]  # the late rounds: the complement as one candidate, if any, then singletons inside
+    lens = np.r_[d - (hi - lo), np.ones(hi - lo, np.int64)]
+    rounds.append((np.r_[0:lo, hi:d, lo:hi], lens[lens > 0]))
+    repeats = [eta] * kappa + [d - kappa * eta]
+    bits, lens = (np.concatenate([np.tile(rnd[part], r) for rnd, r in zip(rounds, repeats)]) for part in (0, 1))
+    round_ptr = _offsets(np.repeat([rnd[1].size for rnd in rounds], repeats))
+    return Instance._adopt(d, (1.0,) * d, d, round_ptr, _offsets(lens), bits.astype(np.int32), per_round_capacity=1)
 
 
 def family_entries(family: str, d: int) -> int:

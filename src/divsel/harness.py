@@ -107,10 +107,7 @@ def run_policy(
     if policy_name.startswith("uc-"):
         if inst.per_round_capacity is None:
             raise ContractError(f"{policy_name} requires the instance to carry a")
-        variant = policy_name[3:]
-        pol = up.run_unknown_policy(
-            inst, variant=variant, topup=topup, continue_after_cap=continue_after_cap
-        )
+        pol = up.run_unknown_policy(inst, policy_name[3:], topup, continue_after_cap)
         return up.policy_solution(pol), pol
     raise ContractError(f"unknown policy {policy_name!r}")
 
@@ -222,13 +219,6 @@ def _unmet(name: str, detail: str) -> VerificationVerdict:
     return VerificationVerdict(name=name, status="precondition_unmet", detail=detail)
 
 
-def _stats_if_defined(inst: Instance) -> Optional[InstanceStats]:
-    """Instance statistics, or None when the instance has no a or no rounds."""
-    if inst.per_round_capacity is None or inst.n == 0:
-        return None
-    return instance_stats(inst)
-
-
 def composite_factor(inst: Instance, stats) -> Optional[float]:
     """The proven ratio floor for the hybrid policy when the boundedness
     preconditions hold; None otherwise."""
@@ -278,17 +268,30 @@ def marginal_exactness_verdict(
 
 
 class _Facts:
-    """What the verdicts of one instance read.  OPT, its sandwich and the
-    statistics are computed up front; the fixed pass, the one hybrid + top-up
-    pass (its myopic and forward rows never see the top-up, so it yields every
-    unknown-capacity variant), g(n), solutions and least utilities on first use."""
+    """What the verdicts and report rows of one instance read.  OPT is solved
+    up front unless given; its sandwich, the statistics, the fixed pass, the
+    one plain uc-hybrid pass (unless given), g(n), solutions and least
+    utilities are computed on first use.  The pass's myopic and forward rows
+    never see a top-up, so it yields every unknown-capacity variant, plain or
+    topped up."""
 
-    def __init__(self, inst: Instance, seed: int, eps: float, instance_id: str, opt: Optional[float]):
+    def __init__(self, inst: Instance, seed: int, eps: float = EPS, instance_id: str = "instance",
+                 opt: Optional[float] = None, uc_pol: Optional[up.UnknownPolicy] = None):
         self.inst, self.seed, self.eps, self.instance_id = inst, seed, eps, instance_id
         self.opt = solve_fluid(inst).value if opt is None else opt
-        self.bounds, self.stats = opt_bounds(inst), _stats_if_defined(inst)
+        if uc_pol is not None:
+            self.uc_pol = uc_pol  # in place of the cached pass
         self._solutions: dict[str, FractionalSolution] = {}
         self._lus: dict[str, float] = {}
+
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        return opt_bounds(self.inst)
+
+    @cached_property
+    def stats(self) -> Optional[InstanceStats]:
+        """The instance statistics, or None when the instance has no a or no rounds."""
+        return None if _needs_a_and_rounds(self.inst) else instance_stats(self.inst)
 
     @cached_property
     def composite(self) -> Optional[float]:
@@ -300,7 +303,7 @@ class _Facts:
 
     @cached_property
     def uc_pol(self) -> up.UnknownPolicy:
-        return run_policy(self.inst, "uc-hybrid", self.seed, topup=True)[1]
+        return run_policy(self.inst, "uc-hybrid", self.seed)[1]
 
     @cached_property
     def guess(self) -> Optional[int]:
@@ -323,18 +326,21 @@ class _Facts:
         return solve_int(self.inst).value
 
     def solution(self, name: str) -> FractionalSolution:
-        """A policy's solution, the pass's top-up rows ("uc-hybrid+topup"), or
-        the best-guess agent's rows ("r*") and its stage-1 rows ("r*-stage1")."""
+        """A policy's solution, a variant's top-up rows ("uc-<variant>+topup"),
+        or the best-guess agent's rows ("r*") and its stage-1 rows ("r*-stage1")."""
         if name in self._solutions:
             return self._solutions[name]
+        plain = name.removesuffix("+topup")
         if name in ("r*", "r*-stage1"):
             sol = (fp.agent_solution if name == "r*" else fp.agent_y_solution)(self.fixed[1], self.guess - 1)
-        elif name == "uc-hybrid+topup":
-            sol = up.policy_solution(self.uc_pol)
-        elif name.startswith("uc-"):
-            sol = up.variant_solution(self.uc_pol, name[3:])
+        elif name == "fixed":
+            sol = self.fixed[0]
+        elif not plain.startswith("uc-"):
+            raise ContractError(f"unknown policy {name!r}")
+        elif self.inst.per_round_capacity is None:
+            raise ContractError(f"{plain} requires the instance to carry a")
         else:
-            sol = self.fixed[0] if name == "fixed" else run_policy(self.inst, name, self.seed)[0]
+            sol = (up.variant_solution if plain == name else up.topup_solution)(self.uc_pol, plain[3:])
         self._solutions[name] = sol
         return sol
 
@@ -468,7 +474,6 @@ def verify_instance(
     seed: int,
     eps: float = EPS,
     instance_id: str = "instance",
-    opt: Optional[float] = None,
 ) -> list[VerificationVerdict]:
     """Every applicable proven inequality on one instance, as verdicts: the
     ``VERDICT_TABLE`` rows of every instance, each policy's feasibility and
@@ -476,20 +481,23 @@ def verify_instance(
 
     Checks whose preconditions fail (undefined fluctuation ratio, missing a,
     too-short horizon) are reported as precondition_unmet, never silently
-    skipped.  ``opt`` is the instance's fluid optimum when the caller has
-    already solved it.
+    skipped.
     """
-    f = _Facts(inst, seed, eps, instance_id, opt)
+    return _verify(_Facts(inst, seed, eps, instance_id), policies)
+
+
+def _verify(f: _Facts, policies: Sequence[str]) -> list[VerificationVerdict]:
+    """``verify_instance`` on an instance's facts."""
     verdicts = _rows(f, "instance")
     for name in policies:
-        if name.startswith("uc-") and inst.per_round_capacity is None:
+        if name.startswith("uc-") and f.inst.per_round_capacity is None:
             verdicts.append(_unmet(f"feasibility[{name}]", "instance carries no a"))
             continue
         sol, mode = f.solution(name), scenario_mode(name)
-        ok = validate_feasibility(inst, sol, mode, eps)
+        ok = validate_feasibility(f.inst, sol, mode, f.eps)
         verdicts.append(VerificationVerdict(f"feasibility[{name}]", "pass" if ok else "fail",
-                                            detail=f"{instance_id} mode={mode}"))
-        verdicts.extend(marginal_exactness_verdict(inst, sol, label=f"{instance_id}/{name}"))
+                                            detail=f"{f.instance_id} mode={mode}"))
+        verdicts.extend(marginal_exactness_verdict(f.inst, sol, label=f"{f.instance_id}/{name}"))
     if "fixed" in policies:
         verdicts += _rows(f, "fixed")
     if any(name.startswith("uc-") for name in policies):
@@ -571,12 +579,12 @@ def verify_family(
 
     The members are streamed in one in-order pass: each is built, its fluid
     LP solved with its batch (``benchmark.fluid_results``), its policies
-    scored and checked, and then dropped, so at most one LP batch of members
-    and one more are held; only the minima over members are kept.  The
-    unknown-capacity rows of all members come from one forked pass
-    (``unknown_policy.unknown_family_passes``): the rounds that consecutive
-    members share are processed once, and each member continues from a copy
-    of the policy's state after them.
+    scored and checked from one ``_Facts``, and then dropped, so at most one
+    LP batch of members and one more are held; only the minima over members
+    are kept.  The unknown-capacity rows of all members come from one forked
+    pass (``unknown_policy.unknown_family_passes``): the rounds that
+    consecutive members share are processed once, and each member continues
+    from a copy of the policy's state after them.
     """
     stream = family_members(family, d)  # first: a bad d is refused before the bounds read it
     if family == "fhc":
@@ -586,21 +594,20 @@ def verify_family(
     else:
         raise ContractError(f"unknown family {family!r}")
     ratio_name, ratio_cap = _family_bound(family, d)
-    uc_names = [name for name in scored if name.startswith("uc-")]
-    members, *readers = _readers(stream, 3 if uc_names else 2)
+    uc = any(name.startswith("uc-") for name in scored)
+    members, *readers = _readers(stream, 3 if uc else 2)
     lps = fluid_results(readers[0])
-    uc_passes = up.unknown_family_passes(readers[1]) if uc_names else repeat(None)
+    uc_passes = up.unknown_family_passes(readers[1]) if uc else repeat(None)
     lowest, own = {}, []  # running minima of OPT and of each policy's ratio; the members' own verdicts
     for m, inst in enumerate(members, start=1):
-        opt, uc_pol = next(lps).value, next(uc_passes)
-        lowest[opt_name] = min(lowest.get(opt_name, opt), opt)
-        uc_solutions = {name: up.variant_solution(uc_pol, name[3:]) for name in uc_names}
+        f = _Facts(inst, seed, eps, f"{family}_d{d}_m{m}", next(lps).value, next(uc_passes))
+        lowest[opt_name] = min(lowest.get(opt_name, f.opt), f.opt)
         for name in scored:
-            sol = uc_solutions[name] if name in uc_solutions else run_policy(inst, name, seed)[0]
-            ratio = _ratio(least_utility(inst, sol)[0], opt)
+            ratio = _ratio(f.lu(name), f.opt)
             lowest[name] = min(lowest.get(name, ratio), ratio)
         if per_instance:
-            own += verify_instance(inst, policies, seed, eps, instance_id=f"{family}_d{d}_m{m}", opt=opt)
+            own += _verify(f, policies)
+        del f  # else it holds this member while the next one's OPT and pass read ahead
     verdicts = [_compare(opt_name, lowest[opt_name], opt_floor, max(eps, LP_TOL), f"{family} d={d} min over members")]
     for name in scored:
         detail = f"{family} d={d} family-min ratio of {name}"
@@ -667,24 +674,21 @@ def _report_row(instance_id: str, inst: Instance, policy_name: str, lu: float, o
 
 def _eval_rows(args) -> dict[str, dict]:
     """The report rows of one instance for a group of policies, keyed by
-    policy, from one pass of the group's first policy.  The other policies of
-    a group (plain unknown-capacity variants) read their rows from that
-    pass's trace."""
-    instance_id, inst, group, seed, topup, opt, stats = args
-    first, pol = run_policy(inst, group[0], seed, topup)
-    rows = {}
+    policy, read from one ``_Facts`` of the instance: the unknown-capacity
+    rows, plain or topped up, all read its one plain pass."""
+    instance_id, inst, group, seed, topup, opt = args
+    f, rows = _Facts(inst, seed, instance_id=instance_id, opt=opt), {}
     for name in group:
-        sol = first if name == group[0] else up.variant_solution(pol, name[3:])
-        lu, _ = least_utility(inst, sol)
-        rows[name] = _report_row(instance_id, inst, name, lu, opt, stats)
+        uc = name.startswith("uc-")
+        lu = f.lu(f"{name}+topup" if topup and uc else name)
+        rows[name] = _report_row(instance_id, inst, name, lu, opt, f.stats if uc else None)  # fixed reads no stats
     return rows
 
 
-def _policy_groups(policies: Sequence[str], topup: bool) -> list[list[str]]:
-    """Policies that share one pass.  Without top-up every unknown-capacity
-    variant reads the same pass; with it, each variant's top-up reads its own
-    emitted total, so each runs alone."""
-    shared = [] if topup else [name for name in policies if name.startswith("uc-")]
+def _policy_groups(policies: Sequence[str]) -> list[list[str]]:
+    """Policies that share one pass: every unknown-capacity row, plain or
+    topped up, reads the same one."""
+    shared = [name for name in policies if name.startswith("uc-")]
     return ([shared] if shared else []) + [[name] for name in policies if name not in shared]
 
 
@@ -704,10 +708,10 @@ def competitive_report(
     """Deterministic CSV/JSON report, one row per (instance, policy) in sorted
     order; optionally one family-min impossibility row per policy.  The fluid
     optimum and the instance statistics are computed once per instance and
-    shared by its policy rows.  Without top-up, one pass per instance gives
-    every unknown-capacity row."""
+    shared by its policy rows, and one plain pass per instance gives every
+    unknown-capacity row, with top-up or without."""
     ordered = sorted(instances, key=lambda p: p[0])
-    groups = _policy_groups(policies, topup)
+    groups = _policy_groups(policies)
     # A forked pool starts every worker up front, so never ask for more
     # workers than there are tasks or processors.
     workers = max(1, min(jobs, len(ordered) * len(groups), os.cpu_count() or 1))
@@ -717,12 +721,8 @@ def competitive_report(
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         opts = list(mapper(_fluid_value, [inst for _, inst in ordered]))
-        stats = [_stats_if_defined(inst) for _, inst in ordered]
-        tasks = [
-            (instance_id, inst, group, seed, topup, opt, inst_stats)
-            for (instance_id, inst), opt, inst_stats in zip(ordered, opts, stats)
-            for group in groups
-        ]
+        tasks = [(instance_id, inst, group, seed, topup, opt) for (instance_id, inst), opt in zip(ordered, opts)
+                 for group in groups]
         done = iter(mapper(_eval_rows, tasks))
         rows = []
         for _ in ordered:

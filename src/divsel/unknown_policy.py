@@ -6,7 +6,7 @@ utility adjustments under a sqrt(d)*a budget, scaled into a feasible
 fraction), and the hybrid average of the two.  An optional second agent tops
 unused capacity back up without ever influencing the first agent's state.
 Every round computes both the myopic and the forward row and keeps them in
-one trace record, so a single pass yields every variant.
+one trace record, so a single pass yields every variant, plain or topped up.
 
 The policy reads only (d, c, a); it never sees K, n, or marginal information.
 """
@@ -323,31 +323,32 @@ class UnknownPolicy:
         rows = _variant_row(self.variant, x_bar, x_hat)
         emitted, level, parts, hi = [], levels[0], zip(z, levels[1:]), 0
         for size in block.sizes.tolist():
-            self.round_index += 1
-            if not size:
-                self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, level, _EMPTY))
-                emitted.append([])
-                continue
-            z_i, level = next(parts)
-            lo, hi = hi, hi + size  # the round's rows are views of the block's
-            row = leftover_topup(self, rows[lo:hi]) if self.topup_enabled else rows[lo:hi]
-            emitted.append(row.tolist())
-            self.emitted_total += math.fsum(emitted[-1])
-            self.trace.append(UnknownRound(x_bar[lo:hi], x_hat[lo:hi], y[lo:hi], z_i, level, row))
+            if size:
+                z_i, level = next(parts)
+                lo, hi = hi, hi + size  # the round's rows are views of the block's
+                row, listed = self._emit(rows[lo:hi])
+                self.trace.append(UnknownRound(x_bar[lo:hi], x_hat[lo:hi], y[lo:hi], z_i, level, row))
+            else:
+                row, listed = self._emit(_EMPTY)
+                self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, level, row))
+            emitted.append(listed)
         return emitted
+
+    def _emit(self, row: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """The emit step of one round's plain row, which reads nothing of the first agent: count the
+        round, top the row up when enabled, and add it to ``emitted_total``; returns it as array and list."""
+        self.round_index += 1
+        if self.topup_enabled:
+            row = leftover_topup(self, row)
+        listed = row.tolist()
+        self.emitted_total += math.fsum(listed)
+        return row, listed
 
 
 def _new_policy(inst: Instance, variant: str, topup: bool, continue_after_cap: bool) -> UnknownPolicy:
     if inst.per_round_capacity is None:
         raise ContractError("instance carries no per-round capacity a")
-    return UnknownPolicy(
-        d=inst.d,
-        c=inst.c,
-        a=inst.per_round_capacity,
-        variant=variant,
-        topup_enabled=topup,
-        continue_after_cap=continue_after_cap,
-    )
+    return UnknownPolicy(inst.d, inst.c, inst.per_round_capacity, variant, topup, continue_after_cap)
 
 
 def run_unknown_policy(
@@ -401,3 +402,13 @@ def variant_solution(policy: UnknownPolicy, variant: str):
     x_bar = solution_from_rows([rec.x_bar for rec in policy.trace])
     x_hat = np.concatenate([rec.x_hat for rec in policy.trace] + [_EMPTY])
     return FractionalSolution(_variant_row(variant, x_bar.values, x_hat), x_bar.round_ptr)
+
+
+def topup_solution(policy: UnknownPolicy, variant: str):
+    """A variant's topped-up rows, replayed from any pass's trace: its plain
+    rows go through the emit step of a fresh top-up policy.  The top-up never
+    feeds back into the first agent, so these are the rows
+    ``run_unknown_policy(inst, variant, topup=True)`` emits, bit for bit."""
+    plain, replay = variant_solution(policy, variant), UnknownPolicy(policy.d, policy.c, policy.a, variant, True)
+    bounds = plain.round_ptr.tolist()
+    return solution_from_rows([replay._emit(plain.values[lo:hi])[0] for lo, hi in zip(bounds, bounds[1:])])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ref_gen_random
 from divsel import generators
-from divsel.core import Round, instance_stats, marginals, parse_instance, serialize_instance
+from divsel.core import Instance, Round, instance_stats, marginals, parse_instance, serialize_instance
 from divsel.errors import ContractError, DimensionError, SizeError
 from divsel.generators import family_entries, fcs_eta, fcs_kappa, gen_fcs, gen_fhc, gen_random
 
@@ -118,6 +118,24 @@ class TestFCS:
     def test_requires_d_at_least_three(self):
         with pytest.raises(DimensionError):
             gen_fcs(2)
+
+    @pytest.mark.parametrize("d", [*range(3, 130), 216, 343, 512])
+    def test_members_match_the_list_construction(self, d):
+        """The CSR members are the ones the docstring's construction builds
+        from lists of attribute tuples, down to the dtype of ``bits``."""
+        kappa, eta = fcs_kappa(d), fcs_eta(d)
+        subsets = [tuple(range(s, min(s + kappa, d))) for s in range(0, d, kappa)]
+        collections = [subsets[m * kappa : (m + 1) * kappa] for m in range(kappa)]
+        covered = [{k for sub in coll for k in sub} for coll in collections]
+        early = [list(coll) + [(k,) for k in range(d) if k not in cov] for coll, cov in zip(collections, covered)]
+        members = list(generators.fcs_members(d))
+        assert len(members) == kappa
+        for member, cov in zip(members, covered):
+            complement = tuple(k for k in range(d) if k not in cov)
+            late = ([complement] if complement else []) + [(k,) for k in sorted(cov)]
+            rounds = [rnd for rnd in early for _ in range(eta)] + [late] * (d - kappa * eta)
+            want = Instance.from_bit_lists(d, (1.0,) * d, d, rounds, per_round_capacity=1)
+            assert member == want and member.bits.dtype == want.bits.dtype
 
 
 class TestRandomFamily:

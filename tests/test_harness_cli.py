@@ -14,7 +14,7 @@ import pytest
 from divsel.benchmark import solve_fluid
 from divsel.cli import main
 from divsel.core import instance_stats, parse_instance, serialize_instance, solution_from_rows
-from divsel import benchmark, cli, core, generators, harness, unknown_policy
+from divsel import benchmark, cli, core, fixed_policy, generators, harness, unknown_policy
 from divsel.errors import ContractError, SizeError
 from divsel.generators import family_entries, gen_fcs, gen_random
 from divsel.harness import (
@@ -39,6 +39,18 @@ UNKNOWN_CAPACITY_VERDICTS = [
     "WF-optimality", "INT-achieved-vs-opt", "Lemma3i", "Lemma3ii", "Lemma4ii", "Lemma4i", "Thm3-composite",
     "feasibility[uc-hybrid+topup]", "Topup-dominance",
 ]
+
+
+def counting_passes(monkeypatch):
+    """Record the instance of every fresh fixed and unknown-capacity pass."""
+    passes = {"fixed": [], "uc": []}
+    for module, name, kind in ((fixed_policy, "run_fixed_policy", "fixed"), (unknown_policy, "run_unknown_policy", "uc")):
+        def counting(inst, *args, _real=getattr(module, name), _kind=kind, **kwargs):
+            passes[_kind].append(inst)
+            return _real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return passes
 
 
 def mc_oracle(inst, sol, trials, seed):
@@ -255,8 +267,8 @@ class TestVerify:
         assert set(names) <= listed
 
     def test_verify_reads_each_fact_once(self, monkeypatch):
-        """One fluid LP, one g(n), the fixed pass and one hybrid + top-up
-        pass, and one least utility per solution a verdict reads: the fixed
+        """One fluid LP, one g(n), the fixed pass and one plain hybrid pass,
+        and one least utility per solution a verdict reads: the fixed
         policy's, its best guess's, and the forward, hybrid and top-up rows.
         The myopic row's is read only where Lemma4i applies (loosely
         capacitated instances)."""
@@ -437,6 +449,32 @@ class TestVerify:
         assert all(rows + cols <= benchmark.FLUID_BATCH_SIZE for rows, cols in lp_calls)
         assert len(lp_calls) == 2
 
+    def test_per_instance_reuses_the_family_passes(self, monkeypatch, capsys):
+        """``--per-instance`` verifies each member on the facts that scored
+        it: one fixed pass per member, and every unknown-capacity row, top-up
+        included, read from the family's forked pass."""
+        passes = counting_passes(monkeypatch)
+        assert main(["verify", "--family", "fcs", "--d", "8", "--per-instance"]) == 0
+        out = capsys.readouterr().out
+        assert "0 fail" in out and "Topup-dominance" in out and "(fcs_d8_m2)" in out
+        assert passes == {"fixed": gen_fcs(8), "uc": []}
+
+    def test_verify_instance_runs_one_pass_of_each_kind(self, monkeypatch, tmp_path, capsys):
+        inst = gen_random(d=5, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=14)
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(inst), encoding="utf-8")
+        passes = counting_passes(monkeypatch)
+        main(["verify", "--instance", str(path)])
+        assert "Topup-dominance" in capsys.readouterr().out
+        assert passes == {"fixed": [inst], "uc": [inst]}
+
+    @pytest.mark.xfail(strict=True, reason="emitted rows can exceed capacity by a few ulps, and the rounder then "
+                                           "picks K + 1 (ROADMAP: exact capacity on every emitted row)")
+    def test_every_row_keeps_capacity_exactly(self):
+        inst = parse_instance('{"d": 2, "c": [1.543498388072182, 1.0], "K": 1, "a": 1, "rounds": [[[0], [1]]]}')
+        verdicts = verify_instance(inst, POLICY_NAMES, seed=1)
+        assert [v.status for v in verdicts if v.name == "Prop2-capacity"] == ["pass"] * len(POLICY_NAMES)
+
     @pytest.mark.parametrize("command", ["verify", "gen"])
     @pytest.mark.parametrize("family", ["fhc", "fcs"])
     def test_oversize_family_is_refused_before_it_is_built(self, monkeypatch, tmp_path, capsys, command, family):
@@ -591,11 +629,11 @@ class TestReport:
         assert text == competitive_report(instances, policies, seed=0, jobs=1)
         assert requested == ([] if expected is None else [expected])
 
-    @pytest.mark.parametrize("topup, passes", [(False, 2), (True, 6)])
+    @pytest.mark.parametrize("topup, passes", [(False, 2), (True, 2)])
     def test_one_unknown_capacity_pass_per_instance(self, monkeypatch, topup, passes):
-        """Without top-up, one pass per instance gives every uc-* row; each
-        top-up variant reads its own emitted total, so it runs its own pass.
-        The rows equal the ones of a pass per row either way."""
+        """One plain pass per instance gives every uc-* row, with top-up or
+        without: each variant's top-up is replayed from its plain rows.  The
+        rows equal the ones of a pass per row either way."""
         instances = [
             ("s1", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=21)),
             ("s2", gen_random(d=4, n=5, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=22)),

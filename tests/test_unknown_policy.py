@@ -23,6 +23,7 @@ from divsel.unknown_policy import (
     policy_solution,
     unknown_family_passes,
     run_unknown_policy,
+    topup_solution,
     variant_solution,
     water_fill,
 )
@@ -708,3 +709,36 @@ class TestFamilyPass:
     def test_no_members(self):
         assert list(unknown_family_passes([])) == []
         assert list(unknown_family_passes(iter([]))) == []
+
+
+class TestTopupReplay:
+    """``topup_solution`` replays each variant's top-up from the plain rows
+    of any pass; it equals the live top-up pass of that variant bit for bit."""
+
+    @staticmethod
+    def assert_replays(policy, inst):
+        for variant in unknown_policy.VARIANTS:
+            live = policy_solution(run_unknown_policy(inst, variant, topup=True))
+            replayed = topup_solution(policy, variant)
+            assert replayed.values.tobytes() == live.values.tobytes(), variant
+            assert replayed.round_ptr.tobytes() == live.round_ptr.tobytes(), variant
+
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_instances(), st.sampled_from(unknown_policy.VARIANTS), st.booleans())
+    def test_any_pass_of_a_tiny_instance(self, inst, variant, topup):
+        self.assert_replays(run_unknown_policy(inst, variant, topup), inst)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_instances(self, seed):
+        inst = gen_random(d=16, n=80, a=3, density=0.3, min_arrivals=1, c_max=2.0, seed=seed)
+        self.assert_replays(run_unknown_policy(inst), inst)
+
+    def test_fhc_members_with_empty_rounds(self):
+        for member in gen_fhc(9):
+            self.assert_replays(run_unknown_policy(member), member)
+
+    @pytest.mark.parametrize("family", ["fhc", "fcs"])
+    def test_forked_family_passes(self, family):
+        members = gen_fhc(12) if family == "fhc" else gen_fcs(27)
+        for member, forked in zip(members, unknown_family_passes(members)):
+            self.assert_replays(forked, member)
