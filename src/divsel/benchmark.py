@@ -52,17 +52,20 @@ FLUID_MAX_SOLVES = 50
 
 def linprog(*args, **kwargs):
     """scipy's HiGHS ``linprog``; scipy.optimize is imported on the first
-    solve, so the commands and streams that solve no LP never load it."""
+    solve, so the commands and streams that solve no LP never load it.  An LP it refuses is an InvariantError."""
     from scipy.optimize import linprog as scipy_linprog
 
-    return scipy_linprog(*args, **kwargs)
+    try:
+        return scipy_linprog(*args, **kwargs)
+    except ValueError as exc:
+        raise InvariantError(f"LP refused by the solver: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class LPResult:
     value: float
     solution: Optional[FractionalSolution]
-    status: str  # optimal | infeasible | unbounded_guard
+    status: str  # always optimal: a solve that ends otherwise raises
     degenerate_zero: bool = False
 
 
@@ -267,8 +270,8 @@ def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
     HiGHS runs without presolve: the blocks are small and presolve costs more
     than it saves.  An x* on the capacity edge is safe, as ``capacity_safe``
     trims per type.  Each block gets its own dual certificate over all its
-    columns, and its x* is re-validated against its own instance; a status
-    other than optimal is every member's status.
+    columns, and its x* is re-validated against its own instance.  x = 0 is feasible and every level
+    bounded, so a status other than optimal is the solver's failure, an InvariantError.
     """
     from scipy.sparse import csr_matrix
 
@@ -300,9 +303,7 @@ def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
         res = linprog(cost[work], A_ub=a_ub[:, work], b_ub=rhs - a_ub @ x, bounds=bounds[work], method="highs",
                       options={"presolve": False})
         if res.status != 0:
-            for i in blocks:
-                results[i] = LPResult(float("nan"), None, "infeasible" if res.status == 2 else "unbounded_guard")
-            return [results[i] for i in held]
+            raise InvariantError(f"fluid LP: solve failed: {res.message}")
         x[work], lam = res.x, res.ineqlin.marginals
         reduced = cost - a_ub.T @ lam
         for row, types in seeds:  # fix the types far from the capacity edge

@@ -29,6 +29,8 @@ from .errors import ContractError, DegenerateError, InvariantError, SchemaError,
 #: package is piecewise linear in double precision; accumulated error stays
 #: orders of magnitude below this at desk scale.
 EPS = 1e-9
+#: Entries per slice of a pass over an instance's arrays: no temporary grows with the instance.
+BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -538,8 +540,11 @@ def serialize_solution(sol: FractionalSolution, digits: int = 12) -> str:
 
 
 def marginals(inst: Instance) -> list[int]:
-    """Per-dimension counts of arriving candidates over the whole horizon."""
-    return np.bincount(inst.bits, minlength=inst.d).tolist()
+    """Per-dimension counts of arriving candidates over the whole horizon,
+    counted in slices of at most ``BLOCK`` attributes (``np.bincount`` reads
+    int32 ``bits`` as an int64 copy)."""
+    slices = (np.bincount(inst.bits[lo : lo + BLOCK], minlength=inst.d) for lo in range(0, inst.bits.size, BLOCK))
+    return sum(slices, np.zeros(inst.d, dtype=np.int64)).tolist()
 
 
 def least_utility(inst: Instance, sol: FractionalSolution) -> tuple[float, list[float]]:
@@ -605,9 +610,18 @@ def feasibility_report(
 
 def round_counts(inst: Instance) -> np.ndarray:
     """Per-round arrival counts as one n x d integer matrix: row i is round
-    i's ``attribute_counts``."""
-    bit_round = np.repeat(np.arange(inst.n), np.diff(inst.cand_ptr[inst.round_ptr]))
-    return np.bincount(bit_round * inst.d + inst.bits, minlength=inst.n * inst.d).reshape(inst.n, inst.d)
+    i's ``attribute_counts``.  The attributes are counted in slices of at
+    most ``BLOCK``, each into the rows of the rounds it meets."""
+    d, out = inst.d, np.zeros((inst.n, inst.d), dtype=np.int64)
+    starts = inst.cand_ptr[inst.round_ptr]  # each round's first attribute, closed by their count
+    for lo in range(0, inst.bits.size, BLOCK):
+        hi = min(lo + BLOCK, inst.bits.size)
+        first, last = (np.searchsorted(starts, [lo, hi - 1], side="right") - 1).tolist()
+        cells = np.repeat(np.arange(last + 1 - first) * d, np.diff(np.clip(starts[first : last + 2], lo, hi)))
+        cells += inst.bits[lo:hi]
+        out[first : last + 1] += np.bincount(cells, minlength=(last + 1 - first) * d).reshape(-1, d)
+        del cells  # before the next slice allocates its own
+    return out
 
 
 def instance_stats(inst: Instance) -> InstanceStats:

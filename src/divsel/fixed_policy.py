@@ -24,8 +24,8 @@ every agent as it was, so such a round is made cheap:
   target - (v + c z_acc) is cached and refreshed only after a raise or an
   adjustment.
 - a round in which no agent raises or adjusts emits zeros without the
-  combine step, and its trace record is shared by every such round of its
-  size: read-only zero rows.
+  combine step, and its record is shared by every such round of its size:
+  read-only zero rows.
 
 The output is the same, bit for bit, as running every stage on every round.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class AgentState:
 
     The per-dimension totals of all agents are agents x d arrays on the
     principal (``FixedPolicy.v`` for stage 1, ``FixedPolicy.z_acc`` for
-    stage 2); the per-round rows of all agents are in the principal's trace.
+    stage 2); the per-round rows of all agents are in a pass's records.
     """
 
     gamma: float
@@ -218,7 +218,7 @@ class FixedRound:
 @dataclass
 class FixedPolicy:
     """Principal driving all agents; emits the per-round across-agent average
-    and keeps one ``FixedRound`` per processed round in ``trace``."""
+    and holds only the running state its next round reads (O(d * agents))."""
 
     d: int
     c: tuple[float, ...]
@@ -235,7 +235,7 @@ class FixedPolicy:
     gap: np.ndarray = field(init=False)  # agents x d: target - (v + c z_acc)
     below: np.ndarray = field(init=False)  # agents x d: the stage-1 screen, moved only by a raise
     unseen: np.ndarray = field(init=False)  # phi_k minus the arrivals seen so far
-    trace: list[FixedRound] = field(default_factory=list)
+    round_index: int = field(default=0, init=False)  # rounds processed so far
     quiet: dict[int, FixedRound] = field(default_factory=dict, init=False, repr=False)  # by round size
 
     def __post_init__(self) -> None:
@@ -273,11 +273,16 @@ class FixedPolicy:
         return self.quiet[n]
 
     def process_round(self, rnd: Round) -> list[float]:
+        """One round (``step``); returns the across-agent average."""
+        return self.step(rnd).emitted.tolist()
+
+    def step(self, rnd: Round) -> FixedRound:
         """One round: stage 1, stage 2 and their combination for every agent;
-        returns the across-agent average."""
+        returns the round's record."""
         if rnd.d != self.d:
             raise DimensionError(f"round of d={rnd.d} fed to a policy of d={self.d}")
-        n, index = len(rnd), len(self.trace)
+        n, index = len(rnd), self.round_index
+        self.round_index += 1
         self.unseen -= rnd.counts
         y, raised = self._quiet_round(n).y, False
         if _survivors(self.below, rnd).any():
@@ -295,13 +300,10 @@ class FixedPolicy:
         elif raised:
             z = np.zeros_like(self.gap)
         else:
-            self.trace.append(self._quiet_round(n))
-            return [0.0] * n
+            return self._quiet_round(n)
         x = combine_agent_round(y, z, rnd)
         # Python's sum adds the agents' rows one after another, in agent order.
-        x_avg = sum(x) / float(len(self.agents))
-        self.trace.append(FixedRound(x, y, x_avg))
-        return x_avg.tolist()
+        return FixedRound(x, y, sum(x) / float(len(self.agents)))
 
 
 def new_fixed_policy(
@@ -314,34 +316,37 @@ def new_fixed_policy(
     return FixedPolicy(d=d, c=c, capacity=capacity, phi_total=tuple(phi_total), seed=seed)
 
 
-def run_fixed_policy(inst: Instance, seed: int) -> FixedPolicy:
+class FixedPass(NamedTuple):
+    policy: FixedPolicy  # after the rounds
+    trace: list[FixedRound]  # one record per round, in order
+
+
+def run_fixed_policy(inst: Instance, seed: int) -> FixedPass:
     """Stream all rounds of an instance through a fresh policy.
 
     The marginal counts are granted by the scenario's information contract
     and are computed here from the instance itself.
     """
     policy = new_fixed_policy(inst.d, inst.c, inst.capacity, marginals(inst), seed)
-    for rnd in inst.rounds:
-        policy.process_round(rnd)
-    return policy
+    return FixedPass(policy, [policy.step(rnd) for rnd in inst.rounds])
 
 
-def policy_solution(policy: FixedPolicy):
-    return solution_from_rows([rec.emitted for rec in policy.trace])
+def policy_solution(run: FixedPass):
+    return solution_from_rows([rec.emitted for rec in run.trace])
 
 
-def agent_solution(policy: FixedPolicy, index: int):
-    return solution_from_rows([rec.x[index] for rec in policy.trace])
+def agent_solution(run: FixedPass, index: int):
+    return solution_from_rows([rec.x[index] for rec in run.trace])
 
 
-def agent_y_solution(policy: FixedPolicy, index: int):
-    return solution_from_rows([rec.y[index] for rec in policy.trace])
+def agent_y_solution(run: FixedPass, index: int):
+    return solution_from_rows([rec.y[index] for rec in run.trace])
 
 
-def best_guess_index(policy: FixedPolicy, opt_value: float) -> int | None:
+def best_guess_index(run: FixedPass, opt_value: float) -> int | None:
     """Largest agent index whose guess does not exceed the true optimum."""
     best = None
-    for idx, agent in enumerate(policy.agents):
+    for idx, agent in enumerate(run.policy.agents):
         if agent.gamma <= opt_value + EPS:
             best = idx
     return best

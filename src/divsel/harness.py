@@ -100,15 +100,15 @@ def run_policy(
     topup: bool = False,
     continue_after_cap: bool = False,
 ):
-    """Stream the instance through one policy; returns (solution, policy obj)."""
+    """Stream the instance through one policy; returns (solution, its ``FixedPass`` or ``UnknownPass``)."""
     if policy_name == "fixed":
-        pol = fp.run_fixed_policy(inst, seed)
-        return fp.policy_solution(pol), pol
+        run = fp.run_fixed_policy(inst, seed)
+        return fp.policy_solution(run), run
     if policy_name.startswith("uc-"):
         if inst.per_round_capacity is None:
             raise ContractError(f"{policy_name} requires the instance to carry a")
-        pol = up.run_unknown_policy(inst, policy_name[3:], topup, continue_after_cap)
-        return up.policy_solution(pol), pol
+        run = up.run_unknown_policy(inst, policy_name[3:], topup, continue_after_cap)
+        return up.policy_solution(run), run
     raise ContractError(f"unknown policy {policy_name!r}")
 
 
@@ -135,9 +135,9 @@ def evaluate_policy(
     is lossless), and ALG/OPT is reported as 1 when both are zero.
     """
     start = time.perf_counter()
+    opt_value = solve_fluid(inst).value  # first: an instance the LP cannot take fails before the pass
     sol, _ = run_policy(inst, policy_name, seed, topup, continue_after_cap)
     lu, utilities = least_utility(inst, sol)
-    opt_value = solve_fluid(inst).value
     report = RunReport(
         instance_id, policy_name, inst.d, inst.n, inst.capacity, inst.per_round_capacity, tuple(utilities), lu,
         opt_value, _ratio(lu, opt_value), opt_value <= EPS, time.perf_counter() - start,
@@ -276,11 +276,11 @@ class _Facts:
     topped up."""
 
     def __init__(self, inst: Instance, seed: int, eps: float = EPS, instance_id: str = "instance",
-                 opt: Optional[float] = None, uc_pol: Optional[up.UnknownPolicy] = None):
+                 opt: Optional[float] = None, uc_pass: Optional[up.UnknownPass] = None):
         self.inst, self.seed, self.eps, self.instance_id = inst, seed, eps, instance_id
         self.opt = solve_fluid(inst).value if opt is None else opt
-        if uc_pol is not None:
-            self.uc_pol = uc_pol  # in place of the cached pass
+        if uc_pass is not None:
+            self.uc_pass = uc_pass  # in place of the cached pass
         self._solutions: dict[str, FractionalSolution] = {}
         self._lus: dict[str, float] = {}
 
@@ -298,11 +298,11 @@ class _Facts:
         return composite_factor(self.inst, self.stats)
 
     @cached_property
-    def fixed(self) -> tuple[FractionalSolution, fp.FixedPolicy]:
+    def fixed(self) -> tuple[FractionalSolution, fp.FixedPass]:
         return run_policy(self.inst, "fixed", self.seed)
 
     @cached_property
-    def uc_pol(self) -> up.UnknownPolicy:
+    def uc_pass(self) -> up.UnknownPass:
         return run_policy(self.inst, "uc-hybrid", self.seed)[1]
 
     @cached_property
@@ -313,12 +313,12 @@ class _Facts:
 
     @property
     def agent(self) -> fp.AgentState:
-        return self.fixed[1].agents[self.guess - 1]
+        return self.fixed[1].policy.agents[self.guess - 1]
 
     @cached_property
     def int_val(self) -> float:
         """The intermediate objective of the pass's own (y, z)."""
-        y, z = zip(*((rec.y, rec.z) for rec in self.uc_pol.trace))
+        y, z = zip(*((rec.y, rec.z) for rec in self.uc_pass.trace))
         return int_objective(self.inst, IntSolution(np.concatenate(y), np.array(z)))
 
     @cached_property
@@ -340,7 +340,7 @@ class _Facts:
         elif self.inst.per_round_capacity is None:
             raise ContractError(f"{plain} requires the instance to carry a")
         else:
-            sol = (up.variant_solution if plain == name else up.topup_solution)(self.uc_pol, plain[3:])
+            sol = (up.variant_solution if plain == name else up.topup_solution)(self.uc_pass, plain[3:])
         self._solutions[name] = sol
         return sol
 
@@ -406,7 +406,7 @@ VERDICT_TABLE = (
         detail="{f.instance_id} stage-1 capacity exhausted",
     ),
     VerdictRow(
-        "WF-optimality", "unknown", lambda f: _water_fill_gap(f.inst, f.uc_pol.trace), lambda f: LP_TOL, "exact",
+        "WF-optimality", "unknown", lambda f: _water_fill_gap(f.inst, f.uc_pass.trace), lambda f: LP_TOL, "exact",
         upper=True,
         detail="{f.instance_id} max(dual bound - P_i, |f_i - P_i|, z_i infeasibility) over {f.inst.n} rounds",
     ),

@@ -43,13 +43,12 @@ def _exact(x: float) -> int:
 
 @dataclass
 class RounderState:
-    """Single-owner state; rounds must be fed sequentially."""
+    """Single-owner state; rounds must be fed sequentially.  It holds the
+    offset and the line's end, never the picks: ``process_round`` returns them."""
 
     pos: float
-    selected: list = field(default_factory=list)
     _total: int = field(default=0, repr=False)  # exact sum so far, in units of 2^-1074
     _below: int = field(default=0, repr=False)  # points l + pos below the line's end
-    _round_index: int = 0
 
 
 def new_rounder(seed: int) -> RounderState:
@@ -91,18 +90,14 @@ def process_round(state: RounderState, x_i: list[float]) -> list[int]:
         now = (coarse >> 112) + (((coarse >> drop) & mask) > ticks_pos)
         if now > below:
             picked.append(j)
-            state.selected.append((state._round_index, j))
         below = now
     state._total, state._below = (coarse << _SHIFT) | fine, below
-    state._round_index += 1
     return picked
 
 
 def selection_count(x_flat: list[float], pos: float) -> int:
     """Realized selection count at a given offset, straight from the rounder."""
-    state = rounder_at(pos)
-    process_round(state, x_flat)
-    return len(state.selected)
+    return len(process_round(rounder_at(pos), x_flat))
 
 
 def capacity_safe(x: np.ndarray, capacity: int, counts: Optional[np.ndarray] = None) -> np.ndarray:

@@ -5,8 +5,8 @@ a forward-looking pass (core candidates at full tendency, then water-filled
 utility adjustments under a sqrt(d)*a budget, scaled into a feasible
 fraction), and the hybrid average of the two.  An optional second agent tops
 unused capacity back up without ever influencing the first agent's state.
-Every round computes both the myopic and the forward row and keeps them in
-one trace record, so a single pass yields every variant, plain or topped up.
+Every round computes both the myopic and the forward row into one record; a
+pass keeps the records, so it yields every variant, plain or topped up.
 
 The policy reads only (d, c, a); it never sees K, n, or marginal information.
 """
@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    BLOCK,
     FractionalSolution,
     Instance,
     Round,
@@ -142,11 +143,11 @@ class RoundBlock(NamedTuple):
         return cls(sizes, counts, [0, *widths.cumsum().tolist()], np.diff(cand), cand[:-1] - cand[0], dims, cells)
 
 
-def _feed(policy: UnknownPolicy, inst: Instance, lo: int, hi: int) -> None:
-    """Rounds lo:hi of an instance into a policy, in blocks of at most 2^16 (round, k) cells."""
-    step = max(1, (1 << 16) // inst.d)
+def _feed(run: UnknownPass, inst: Instance, lo: int, hi: int) -> None:
+    """Rounds lo:hi of an instance into a pass, in blocks of at most ``BLOCK`` (round, k) cells."""
+    step = max(1, BLOCK // inst.d)
     for start in range(lo, hi, step):
-        policy.process_rounds(RoundBlock.of_instance(inst, start, min(hi, start + step)))
+        run.trace.extend(run.policy.process_rounds(RoundBlock.of_instance(inst, start, min(hi, start + step))))
 
 
 def _block_rows(u, c, raise_cap, a, block, continue_after_cap):
@@ -272,8 +273,8 @@ VARIANTS = ("hybrid", "myopic", "forward")
 
 @dataclass
 class UnknownPolicy:
-    """Sequential per-round driver for the unknown-capacity scenario; keeps
-    one ``UnknownRound`` per processed round in ``trace``."""
+    """Sequential per-round driver for the unknown-capacity scenario; holds
+    only the running state its next round reads (O(d))."""
 
     d: int
     c: tuple[float, ...]
@@ -284,7 +285,6 @@ class UnknownPolicy:
     u: np.ndarray = field(init=False)  # running utilities of the forward pass
     emitted_total: float = 0.0
     round_index: int = 0
-    trace: list[UnknownRound] = field(default_factory=list)
     weights: np.ndarray = field(init=False, repr=False)  # c as an array
     raise_cap: float = field(init=False, repr=False)  # a / sum_k 1/c_k
     zero_z: np.ndarray = field(init=False, repr=False)  # z of every empty round, read-only
@@ -302,53 +302,51 @@ class UnknownPolicy:
 
     def fork(self) -> UnknownPolicy:
         """An independent copy of the policy in its current state, to feed a
-        different continuation of the rounds seen so far.  The trace records
-        are immutable and shared with the original, and so is ``u``, which
-        each round replaces rather than writes."""
-        twin = copy.copy(self)
-        twin.trace = list(self.trace)
-        return twin
+        different continuation of the rounds seen so far.  ``u`` is shared
+        with the original, since each round replaces it rather than writes."""
+        return copy.copy(self)
 
     def process_round(self, rnd: Round) -> list[float]:
         """One round, as a one-round block; returns its emitted row."""
-        return self.process_rounds(RoundBlock.of_round(rnd))[0]
+        return self.process_rounds(RoundBlock.of_round(rnd))[0].emitted.tolist()
 
-    def process_rounds(self, block: RoundBlock) -> list[list[float]]:
-        """Feed consecutive rounds; returns their emitted rows.  A round without
+    def process_rounds(self, block: RoundBlock) -> list[UnknownRound]:
+        """Feed consecutive rounds; returns their records.  A round without
         candidates records no rows, z = 0 and level min(u), and changes nothing else."""
         if block.counts.shape[1] != self.d:
             raise DimensionError(f"round of d={block.counts.shape[1]} fed to a policy of d={self.d}")
         x_bar, x_hat, y, z, levels, self.u = _block_rows(self.u, self.weights, self.raise_cap, self.a, block,
                                                          self.continue_after_cap)
         rows = _variant_row(self.variant, x_bar, x_hat)
-        emitted, level, parts, hi = [], levels[0], zip(z, levels[1:]), 0
+        records, level, parts, hi = [], levels[0], zip(z, levels[1:]), 0
         for size in block.sizes.tolist():
             if size:
                 z_i, level = next(parts)
                 lo, hi = hi, hi + size  # the round's rows are views of the block's
-                row, listed = self._emit(rows[lo:hi])
-                self.trace.append(UnknownRound(x_bar[lo:hi], x_hat[lo:hi], y[lo:hi], z_i, level, row))
+                records.append(UnknownRound(x_bar[lo:hi], x_hat[lo:hi], y[lo:hi], z_i, level, self._emit(rows[lo:hi])))
             else:
-                row, listed = self._emit(_EMPTY)
-                self.trace.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, level, row))
-            emitted.append(listed)
-        return emitted
+                records.append(UnknownRound(_EMPTY, _EMPTY, _EMPTY, self.zero_z, level, self._emit(_EMPTY)))
+        return records
 
-    def _emit(self, row: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    def _emit(self, row: np.ndarray) -> np.ndarray:
         """The emit step of one round's plain row, which reads nothing of the first agent: count the
-        round, top the row up when enabled, and add it to ``emitted_total``; returns it as array and list."""
+        round, top the row up when enabled, and add it to ``emitted_total``; returns it."""
         self.round_index += 1
         if self.topup_enabled:
             row = leftover_topup(self, row)
-        listed = row.tolist()
-        self.emitted_total += math.fsum(listed)
-        return row, listed
+        self.emitted_total += math.fsum(row.tolist())
+        return row
 
 
-def _new_policy(inst: Instance, variant: str, topup: bool, continue_after_cap: bool) -> UnknownPolicy:
+class UnknownPass(NamedTuple):
+    policy: UnknownPolicy  # after the rounds
+    trace: list[UnknownRound]  # one record per round, in order
+
+
+def _new_pass(inst: Instance, variant: str, topup: bool, continue_after_cap: bool) -> UnknownPass:
     if inst.per_round_capacity is None:
         raise ContractError("instance carries no per-round capacity a")
-    return UnknownPolicy(inst.d, inst.c, inst.per_round_capacity, variant, topup, continue_after_cap)
+    return UnknownPass(UnknownPolicy(inst.d, inst.c, inst.per_round_capacity, variant, topup, continue_after_cap), [])
 
 
 def run_unknown_policy(
@@ -356,14 +354,14 @@ def run_unknown_policy(
     variant: str = "hybrid",
     topup: bool = False,
     continue_after_cap: bool = False,
-) -> UnknownPolicy:
+) -> UnknownPass:
     """Stream all rounds of an instance, as blocks, through a fresh policy."""
-    policy = _new_policy(inst, variant, topup, continue_after_cap)
-    _feed(policy, inst, 0, inst.n)
-    return policy
+    run = _new_pass(inst, variant, topup, continue_after_cap)
+    _feed(run, inst, 0, inst.n)
+    return run
 
 
-def unknown_family_passes(members: Iterable[Instance]) -> Iterator[UnknownPolicy]:
+def unknown_family_passes(members: Iterable[Instance]) -> Iterator[UnknownPass]:
     """``run_unknown_policy(member)`` of every member, in order, each yielded
     as soon as it is complete, with the rounds that members share processed
     once.  Members are read one ahead of the pass yielded.
@@ -372,43 +370,44 @@ def unknown_family_passes(members: Iterable[Instance]) -> Iterator[UnknownPolicy
     the same (d, c, a) that agree on their first r rounds reach the same state
     after them.  Member j + 1 agrees with member j on ``common_prefix_rounds``
     rounds; when member j's own pass starts at or before that round, member
-    j + 1 continues a fork of it from there.  Otherwise (or when (d, c, a)
-    differs) member j + 1 starts a fresh pass.
+    j + 1 continues a fork of it from there, with a copy of its records so
+    far.  Otherwise (or when (d, c, a) differs) member j + 1 starts a fresh
+    pass.
     """
     members = iter(members)
-    inst, start, policy = next(members, None), 0, None  # start: the first round inst's pass processes itself
+    inst, start, run = next(members, None), 0, None  # start: the first round inst's pass processes itself
     while inst is not None:
         nxt, split = next(members, None), 0  # split: where nxt forks off, if it does
         if nxt is not None and (inst.d, inst.c, inst.per_round_capacity) == (nxt.d, nxt.c, nxt.per_round_capacity):
             shared = common_prefix_rounds(inst, nxt)
             split = shared if shared >= start else 0
-        policy = _new_policy(inst, "hybrid", False, False) if policy is None else policy
-        _feed(policy, inst, start, split or start)
-        follower = policy.fork() if split else None
-        _feed(policy, inst, split or start, inst.n)
-        done, inst, start, policy = policy, nxt, split, follower  # inst no longer held while done is read
+        run = _new_pass(inst, "hybrid", False, False) if run is None else run
+        _feed(run, inst, start, split or start)
+        follower = UnknownPass(run.policy.fork(), list(run.trace)) if split else None
+        _feed(run, inst, split or start, inst.n)
+        done, inst, start, run = run, nxt, split, follower  # inst no longer held while done is read
         yield done
 
 
-def policy_solution(policy: UnknownPolicy):
-    """The rows the policy emitted."""
-    return solution_from_rows([rec.emitted for rec in policy.trace])
+def policy_solution(run: UnknownPass):
+    """The rows the pass's policy emitted."""
+    return solution_from_rows([rec.emitted for rec in run.trace])
 
 
-def variant_solution(policy: UnknownPolicy, variant: str):
-    """A variant's plain rows (no top-up), read from any pass's trace."""
+def variant_solution(run: UnknownPass, variant: str):
+    """A variant's plain rows (no top-up), read from any pass's records."""
     if variant not in VARIANTS:
         raise ContractError(f"unknown variant {variant!r}")
-    x_bar = solution_from_rows([rec.x_bar for rec in policy.trace])
-    x_hat = np.concatenate([rec.x_hat for rec in policy.trace] + [_EMPTY])
+    x_bar = solution_from_rows([rec.x_bar for rec in run.trace])
+    x_hat = np.concatenate([rec.x_hat for rec in run.trace] + [_EMPTY])
     return FractionalSolution(_variant_row(variant, x_bar.values, x_hat), x_bar.round_ptr)
 
 
-def topup_solution(policy: UnknownPolicy, variant: str):
-    """A variant's topped-up rows, replayed from any pass's trace: its plain
+def topup_solution(run: UnknownPass, variant: str):
+    """A variant's topped-up rows, replayed from any pass's records: its plain
     rows go through the emit step of a fresh top-up policy.  The top-up never
     feeds back into the first agent, so these are the rows
     ``run_unknown_policy(inst, variant, topup=True)`` emits, bit for bit."""
-    plain, replay = variant_solution(policy, variant), UnknownPolicy(policy.d, policy.c, policy.a, variant, True)
-    bounds = plain.round_ptr.tolist()
-    return solution_from_rows([replay._emit(plain.values[lo:hi])[0] for lo, hi in zip(bounds, bounds[1:])])
+    plain, policy = variant_solution(run, variant), run.policy
+    replay, bounds = UnknownPolicy(policy.d, policy.c, policy.a, variant, True), plain.round_ptr.tolist()
+    return solution_from_rows([replay._emit(plain.values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])

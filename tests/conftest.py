@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from divsel.core import Instance
 from divsel.errors import DimensionError
@@ -24,6 +25,19 @@ def make_instance(d, cand_rounds, capacity, c=None, a=None):
         rounds=[[sorted(bits) for bits in rnd] for rnd in cand_rounds],
         per_round_capacity=a,
     )
+
+
+@st.composite
+def tiny_instances(draw):
+    """Few dimensions and rounds: empty rounds, candidates without
+    attributes and dimensions without arrivals all turn up, and unequal
+    weights keep the levels off ties."""
+    d = draw(st.integers(1, 5))
+    candidate = st.lists(st.integers(0, d - 1), max_size=d, unique=True).map(sorted)
+    rounds = draw(st.lists(st.lists(candidate, max_size=4), max_size=8))
+    c = [1.0] + draw(st.lists(st.sampled_from([1.0, 1.3, 1.7, 2.5]), min_size=d - 1, max_size=d - 1))
+    a = draw(st.integers(1, 3))
+    return Instance.from_bit_lists(d, c, len(rounds) * a, rounds, a)
 
 
 def make_round(d, cands):

@@ -145,10 +145,10 @@ def test_criterion_3_fixed_capacity_guarantee(random_pool, fcs_pool):
             assert lu / opt >= thm2_factor(inst.d) - 1e-9, name
             r_star = best_guess_index(pol, opt)
             assert r_star is not None, name
-            gamma = pol.agents[r_star].gamma
+            gamma = pol.policy.agents[r_star].gamma
             lu_r, _ = least_utility(inst, agent_solution(pol, r_star))
             assert lu_r >= gamma / (2.0 * math.sqrt(inst.d)) - 1e-9, name
-            if pol.agents[r_star].y_used >= inst.capacity - 1e-9:
+            if pol.policy.agents[r_star].y_used >= inst.capacity - 1e-9:
                 lu_y, _ = least_utility(inst, agent_y_solution(pol, r_star))
                 assert lu_y >= gamma / math.sqrt(inst.d) - 1e-9, name
 

@@ -342,6 +342,31 @@ class TestHostileInput:
         with pytest.raises(InvariantError, match=f"^{message}$"):
             parse_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("weight", [1e15, 1e308])
+    @pytest.mark.parametrize("command", [
+        ["offline"], ["run", "--policy", "uc-hybrid"], ["report"], ["mc", "--trials", "10"], ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_huge_finite_weight_ends_in_one_error_line(self, tmp_path, capsys, command, weight):
+        # A weight range the LP solver cannot take is its failure (x = 0 is
+        # always feasible), never a NaN optimum, a traceback or exit 0.
+        from divsel.cli import main
+
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"d": 2, "c": [1.0, weight], "K": 2, "a": 1, "rounds": [[[0], [1]], [[0, 1]]]}))
+        flag = "--instances" if command[0] == "report" else "--instance"
+        assert main([command[0], flag, str(path), *command[1:]]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_lp_scipy_refuses_is_an_invariant_error(self):
+        # At 1e308 the intermediate LP's master matrix overflows to inf, which
+        # scipy refuses with a ValueError before HiGHS sees it.
+        from divsel.benchmark import solve_int
+
+        inst = Instance.from_bit_lists(2, (1.0, 1e308), 2, [[[0], [1]], [[0, 1]]], 1)
+        with np.errstate(over="ignore"), pytest.raises(InvariantError, match="^LP refused by the solver: "):
+            solve_int(inst)
+
 
 # ---------------------------------------------------------------------------
 # The CSR layout against the per-candidate loops it replaced, kept here as the
@@ -403,6 +428,33 @@ def test_array_layers_equal_scalar_loops(family):
             solutions.append(run_policy(inst, "uc-hybrid", seed=1, topup=True)[0])
         for sol in solutions:
             assert least_utility(inst, sol) == ref_least_utility(inst, sol)
+
+
+def test_round_counts_hold_no_attribute_sized_temporary():
+    """``round_counts`` counts the attributes slice by slice, each into the
+    rows of the rounds it meets: the same integers as one ``bincount`` over
+    every (round, k) cell, and no int64 copy of all 836k attributes on the
+    way (6.7 MB; the result itself is 1 MB)."""
+    import tracemalloc
+
+    inst = online_stream_instance()
+    bit_round = np.repeat(np.arange(inst.n), np.diff(inst.cand_ptr[inst.round_ptr]))
+    want = np.bincount(bit_round * inst.d + inst.bits, minlength=inst.n * inst.d).reshape(inst.n, inst.d)
+    del bit_round
+    tracemalloc.start()
+    try:
+        got = round_counts(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert peak <= 2 * got.nbytes
+    tracemalloc.start()
+    try:
+        assert marginals(inst) == want.sum(axis=0).tolist()
+        assert tracemalloc.get_traced_memory()[1] <= got.nbytes  # one slice's copy, not every attribute's
+    finally:
+        tracemalloc.stop()
 
 
 rounds_of = st.integers(1, 6).flatmap(

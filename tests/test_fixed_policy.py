@@ -94,7 +94,7 @@ class TestGuessSet:
         policy = new_fixed_policy(4, (1.0,) * 4, 4, [2, 2, 2, 2], seed=0)
         with pytest.raises(DimensionError, match="d=8"):
             policy.process_round(make_round(8, [(0, 5), (1, 2, 7)]))
-        assert policy.trace == [] and policy.unseen.tolist() == [2, 2, 2, 2]
+        assert policy.round_index == 0 and policy.unseen.tolist() == [2, 2, 2, 2]
 
 
 class TestControlledGreedy:
@@ -188,50 +188,50 @@ class TestCombine:
 class TestFixedPolicy:
     def test_single_agent_equals_average(self):
         inst = make_instance(1, [[(0,), (0,)]], capacity=2)
-        policy = run_fixed_policy(inst, seed=1)
-        assert len(policy.agents) == 1
-        assert policy_solution(policy).x == agent_solution(policy, 0).x
+        run = run_fixed_policy(inst, seed=1)
+        assert len(run.policy.agents) == 1
+        assert policy_solution(run).x == agent_solution(run, 0).x
 
     def test_per_agent_feasibility(self):
         inst = gen_random(d=6, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.5, seed=21)
-        policy = run_fixed_policy(inst, seed=3)
-        for idx in range(len(policy.agents)):
-            sol = agent_solution(policy, idx)
+        run = run_fixed_policy(inst, seed=3)
+        for idx in range(len(run.policy.agents)):
+            sol = agent_solution(run, idx)
             assert validate_feasibility(inst, sol, "total")
 
     def test_emitted_average_feasible(self):
         inst = gen_random(d=5, n=8, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=8)
-        policy = run_fixed_policy(inst, seed=8)
-        assert validate_feasibility(inst, policy_solution(policy), "total")
+        run = run_fixed_policy(inst, seed=8)
+        assert validate_feasibility(inst, policy_solution(run), "total")
 
     def test_best_guess_guarantee(self):
         for seed in (1, 2, 3):
             inst = gen_random(d=6, n=5, a=2, density=0.45, min_arrivals=1, c_max=2.0, seed=seed)
             opt = solve_fluid(inst).value
-            policy = run_fixed_policy(inst, seed=seed)
-            r_star = best_guess_index(policy, opt)
+            run = run_fixed_policy(inst, seed=seed)
+            r_star = best_guess_index(run, opt)
             assert r_star is not None
-            gamma = policy.agents[r_star].gamma
+            gamma = run.policy.agents[r_star].gamma
             assert opt / 2.0 - 1e-9 <= gamma <= opt + 1e-9
-            lu, _ = least_utility(inst, agent_solution(policy, r_star))
+            lu, _ = least_utility(inst, agent_solution(run, r_star))
             assert lu >= gamma / (2.0 * math.sqrt(inst.d)) - 1e-9
 
     def test_capacity_depleted_lemma(self):
         # Tiny capacity forces stage 1 to exhaust K for the best guess.
         inst = make_instance(4, [[(0, 1, 2, 3)] * 4], capacity=1)
         opt = solve_fluid(inst).value
-        policy = run_fixed_policy(inst, seed=0)
-        r_star = best_guess_index(policy, opt)
-        agent = policy.agents[r_star]
+        run = run_fixed_policy(inst, seed=0)
+        r_star = best_guess_index(run, opt)
+        agent = run.policy.agents[r_star]
         if agent.y_used >= inst.capacity - 1e-9:
-            lu_y, _ = least_utility(inst, agent_y_solution(policy, r_star))
+            lu_y, _ = least_utility(inst, agent_y_solution(run, r_star))
             assert lu_y >= agent.gamma / math.sqrt(inst.d) - 1e-9
 
     def test_theorem2_on_fcs(self):
         inst = gen_fcs(8)[0]
         opt = solve_fluid(inst).value
-        policy = run_fixed_policy(inst, seed=5)
-        lu, _ = least_utility(inst, policy_solution(policy))
+        run = run_fixed_policy(inst, seed=5)
+        lu, _ = least_utility(inst, policy_solution(run))
         bound = 1.0 / (4.0 * math.sqrt(8) * math.ceil(math.log2(8)))
         assert lu / opt >= bound - 1e-9
 
@@ -245,22 +245,22 @@ class TestFixedPolicy:
         # A round that moves no agent records no arrays of its own: every such
         # round of one size shares one read-only set of zero rows.
         inst = gen_random(d=16, n=100, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
-        policy = run_fixed_policy(inst, seed=1)
-        quiet = [rec for rec in policy.trace if rec.x is rec.y]
-        assert [id(rec) for rec in policy.trace if not rec.x.any()] == list(map(id, quiet))
+        run = run_fixed_policy(inst, seed=1)
+        quiet = [rec for rec in run.trace if rec.x is rec.y]
+        assert [id(rec) for rec in run.trace if not rec.x.any()] == list(map(id, quiet))
         sizes = {rec.emitted.size for rec in quiet}
         assert len(quiet) == 65
         assert len({id(rec.y) for rec in quiet}) == len({id(rec.emitted) for rec in quiet}) == len(sizes)
         for rec in quiet:
-            assert rec.y.shape == (len(policy.agents), rec.emitted.size) and not rec.emitted.any()
+            assert rec.y.shape == (len(run.policy.agents), rec.emitted.size) and not rec.emitted.any()
             for arr in (rec.y, rec.emitted):
                 with pytest.raises(ValueError):
                     arr[...] = 1.0
 
     def test_marginals_match_scenario_contract(self):
         inst = gen_random(d=4, n=4, a=1, density=0.5, min_arrivals=1, c_max=2.0, seed=2)
-        policy = run_fixed_policy(inst, seed=0)
-        assert list(policy.phi_total) == marginals(inst)
+        run = run_fixed_policy(inst, seed=0)
+        assert list(run.policy.phi_total) == marginals(inst)
 
 
 def test_emitted_rows_are_pinned():
@@ -269,13 +269,13 @@ def test_emitted_rows_are_pinned():
     cache, the Python-float survivor step, the lazy shuffle and the stage-2
     gate may change no bit of them."""
     inst = gen_random(d=64, n=2000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=1)
-    policy = run_fixed_policy(inst, 1)
+    run = run_fixed_policy(inst, 1)
     digest, agent_rows = hashlib.sha256(), hashlib.sha256()
-    for rec in policy.trace:
+    for rec in run.trace:
         digest.update(rec.emitted.tobytes())
         agent_rows.update(rec.x.tobytes())
         agent_rows.update(rec.y.tobytes())
     assert digest.hexdigest() == "09f527239f430fb49adf6017006992b06f67c8bd3d2325f1e1fbe8522b659c3f"
     assert agent_rows.hexdigest() == "608f42bb809f28182f99c56ea28d5515e63400bdcbee5667284010612e034d48"
-    totals = hashlib.sha256(policy.v.tobytes() + policy.z_acc.tobytes()).hexdigest()
+    totals = hashlib.sha256(run.policy.v.tobytes() + run.policy.z_acc.tobytes()).hexdigest()
     assert totals == "6a89bf2f48f57874d6a92038874ed5a4a7e5f59285d159dcfd857995ea0a4ac7"

@@ -350,7 +350,7 @@ class TestVerify:
 
         def water_fill_check(trace):
             facts = harness._Facts(inst, 2, core.EPS, "t", opt=1.0)
-            facts.uc_pol = SimpleNamespace(trace=trace)
+            facts.uc_pass = SimpleNamespace(trace=trace)
             return harness._verdict(row, facts)
 
         assert water_fill_check(trace).status == "pass"

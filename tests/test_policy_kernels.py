@@ -24,6 +24,7 @@ from divsel.core import (
 from divsel.fixed_policy import AgentState, controlled_greedy_round, guess_count, new_fixed_policy, run_fixed_policy
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.unknown_policy import (
+    RoundBlock,
     UnknownPolicy,
     _equal_increment_topup,
     forward_round,
@@ -404,15 +405,15 @@ class TestMaxOverAttributes:
 
 
 def assert_fixed_matches_ref(inst, seed):
-    policy = run_fixed_policy(inst, seed)
-    rows, agents = ref_fixed(inst, seed)
-    assert [rec.emitted.tolist() for rec in policy.trace] == rows
+    run = run_fixed_policy(inst, seed)
+    policy, rows, agents = run.policy, *ref_fixed(inst, seed)
+    assert [rec.emitted.tolist() for rec in run.trace] == rows
     assert len(policy.agents) == len(agents)
     for index, (got, want) in enumerate(zip(policy.agents, agents)):
         assert got.gamma == want.gamma
         assert (got.y_used, got.z_used) == (want.y_used, want.z_used)
-        assert [rec.x[index].tolist() for rec in policy.trace] == want.rows
-        assert [rec.y[index].tolist() for rec in policy.trace] == want.y_rows
+        assert [rec.x[index].tolist() for rec in run.trace] == want.rows
+        assert [rec.y[index].tolist() for rec in run.trace] == want.y_rows
         assert policy.v[index].tolist() == want.v
 
 
@@ -524,9 +525,9 @@ def test_gate_instances_exercise_their_cases():
 
 def test_zero_agents_emit_zeros():
     inst = make_instance(2, [[(0,), (0,)], [(0,)]], capacity=2)  # phi_1 = 0
-    policy = run_fixed_policy(inst, 3)
-    assert policy.agents == []
-    assert [rec.emitted.tolist() for rec in policy.trace] == ref_fixed(inst, 3)[0] == [[0.0, 0.0], [0.0]]
+    run = run_fixed_policy(inst, 3)
+    assert run.policy.agents == []
+    assert [rec.emitted.tolist() for rec in run.trace] == ref_fixed(inst, 3)[0] == [[0.0, 0.0], [0.0]]
 
 
 UC_INSTANCES = sorted(n for n, inst in INSTANCES.items() if inst.per_round_capacity)
@@ -537,7 +538,7 @@ def test_unknown_policy_matches_scalar_loops(name):
     inst = INSTANCES[name]
     d, c, a = inst.d, inst.c, inst.per_round_capacity
     u, ref_state = np.zeros(d), RefForward(d, c, a)
-    policy = UnknownPolicy(d=d, c=c, a=a, variant="hybrid")
+    policy, trace = UnknownPolicy(d=d, c=c, a=a, variant="hybrid"), []
     for rnd in inst.rounds:
         x_bar = ref_myopic(d, c, a, rnd)
         assert myopic_round(c, a, rnd).tolist() == x_bar
@@ -549,10 +550,11 @@ def test_unknown_policy_matches_scalar_loops(name):
             x_hat,
             ref_state.f_history[-1],
         )
-        assert policy.process_round(rnd) == hybrid_round(x_bar, x_hat).tolist()
-    assert [tuple(rec.y.tolist()) for rec in policy.trace] == ref_state.y_history
-    assert [tuple(rec.z.tolist()) for rec in policy.trace] == ref_state.z_history
-    assert [rec.f for rec in policy.trace] == ref_state.f_history
+        trace += policy.process_rounds(RoundBlock.of_round(rnd))
+        assert trace[-1].emitted.tolist() == hybrid_round(x_bar, x_hat).tolist()
+    assert [tuple(rec.y.tolist()) for rec in trace] == ref_state.y_history
+    assert [tuple(rec.z.tolist()) for rec in trace] == ref_state.z_history
+    assert [rec.f for rec in trace] == ref_state.f_history
     for got in (u, policy.u):
         assert got.tolist() == ref_state.u
 
@@ -649,7 +651,7 @@ def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
     rounds bank)."""
     inst = _empty_round_instance()
     d, c, a = inst.d, inst.c, inst.per_round_capacity
-    policy = UnknownPolicy(d=d, c=c, a=a, variant="hybrid", topup_enabled=topup)
+    policy, trace = UnknownPolicy(d=d, c=c, a=a, variant="hybrid", topup_enabled=topup), []
     ref_state = RefForward(d, c, a)
     emitted_total = 0.0
     for i, rnd in enumerate(inst.rounds):
@@ -659,8 +661,9 @@ def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
         if topup:
             row = ref_topup(row, (i + 1) * a - emitted_total - math.fsum(row))
         emitted_total += math.fsum(row)
-        assert policy.process_round(rnd) == row
-        rec = policy.trace[-1]
+        (rec,) = policy.process_rounds(RoundBlock.of_round(rnd))
+        assert rec.emitted.tolist() == row
+        trace.append(rec)
         assert rec.x_bar.tobytes() == np.array(x_bar, dtype=float).tobytes()
         assert rec.x_hat.tobytes() == np.array(x_hat, dtype=float).tobytes()
         assert rec.y.tobytes() == np.array(ref_state.y_history[-1], dtype=float).tobytes()
@@ -671,7 +674,7 @@ def test_process_round_on_empty_rounds_matches_scalar_loops(topup):
         assert (policy.round_index, policy.emitted_total) == (i + 1, emitted_total)
     if topup:  # the banked capacity was spent after the empty rounds
         plain = run_unknown_policy(inst)
-        assert policy.trace[3].emitted.sum() > plain.trace[3].emitted.sum()
+        assert trace[3].emitted.sum() > plain.trace[3].emitted.sum()
 
 
 @settings(max_examples=300, deadline=None)
@@ -791,16 +794,16 @@ def test_policies_share_one_rounds_arrays(monkeypatch):
         new_fixed_policy(inst.d, inst.c, inst.capacity, marginals(inst), 0),
         UnknownPolicy(d=inst.d, c=inst.c, a=inst.per_round_capacity, topup_enabled=True),
     ]
-    calls, real = [], np.bincount
+    calls, real, fixed_trace = [], np.bincount, []
     monkeypatch.setattr(np, "bincount", lambda *args, **kw: calls.append(1) or real(*args, **kw))
     for i, rnd in enumerate(inst.rounds):
-        for policy in policies:
-            policy.process_round(rnd)
+        fixed_trace.append(policies[0].step(rnd))
+        policies[1].process_round(rnd)
         assert len(calls) == i + 1
         for arr in (rnd.bits, rnd.lens, rnd.starts, rnd.counts):
             with pytest.raises(ValueError):
                 arr[...] = 0
-    assert any(rec.x.any() for rec in policies[0].trace)
+    assert any(rec.x.any() for rec in fixed_trace)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

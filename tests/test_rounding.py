@@ -149,10 +149,10 @@ def round_solution(sol, capacity, state):
     """The (round, position) picks of one rounder fed every row of a
     solution, made capacity-safe first."""
     x = capacity_safe(sol.values, capacity).tolist()
-    ptr = sol.round_ptr.tolist()
-    for lo, hi in zip(ptr, ptr[1:]):
-        process_round(state, x[lo:hi])
-    return state.selected
+    ptr, picks = sol.round_ptr.tolist(), []
+    for i, (lo, hi) in enumerate(zip(ptr, ptr[1:])):
+        picks += [(i, j) for j in process_round(state, x[lo:hi])]
+    return picks
 
 
 class TestWholeSolution:
@@ -317,9 +317,7 @@ def test_float_line_counterexamples(xs, pos, count):
 def picks_row_by_row(sol, pos):
     """Selections of one rounder fed the solution round by round."""
     state = rounder_at(pos)
-    for row in sol.x:
-        process_round(state, list(row))
-    return len(state.selected)
+    return sum(len(process_round(state, list(row))) for row in sol.x)
 
 
 def segment_points(offsets):

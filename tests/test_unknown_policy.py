@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divsel import unknown_policy
-from divsel.core import Instance, core_mask, least_utility, max_over_attributes, solution_from_rows, validate_feasibility
+from divsel.core import core_mask, least_utility, max_over_attributes, solution_from_rows, validate_feasibility
 from divsel.errors import ContractError, DimensionError, ShapeError
 from divsel.generators import gen_fcs, gen_fhc, gen_random
 from divsel.harness import run_policy
 from divsel.unknown_policy import (
     RoundBlock,
+    UnknownPass,
     UnknownPolicy,
     forward_round,
     hybrid_round,
@@ -28,7 +29,7 @@ from divsel.unknown_policy import (
     water_fill,
 )
 
-from conftest import adjustment_lp, fill_value, make_instance, make_round
+from conftest import adjustment_lp, fill_value, make_instance, make_round, tiny_instances
 
 
 def myopic(c, a, rnd):
@@ -262,7 +263,7 @@ class TestForward:
         for rnd in (make_round(8, [(0, 5), (1, 2, 7)]), make_round(8, [])):
             with pytest.raises(DimensionError, match="d=8"):
                 policy.process_round(rnd)
-        assert policy.round_index == 0 and policy.trace == []
+        assert policy.round_index == 0 and policy.emitted_total == 0.0 and not policy.u.any()
 
     # A d=8 round where dimensions 3, 4 and 6 have no arrivals, and one where all do.
     OF_D8 = ([(0, 5), (1, 2, 7)], [tuple(range(8))])
@@ -361,8 +362,22 @@ def trace_bytes(policy):
 
 def assert_same_pass(got, want):
     assert trace_bytes(got) == trace_bytes(want)
+    got, want = got.policy, want.policy
     assert got.u.tobytes() == want.u.tobytes()
     assert (got.round_index, got.emitted_total) == (want.round_index, want.emitted_total)
+
+
+def new_pass(**config):
+    """A fresh policy with an empty record list."""
+    return UnknownPass(UnknownPolicy(**config), [])
+
+
+def step(run, rnd):
+    """One round fed live to the pass's policy, its record kept on the
+    pass's trace; returns the emitted row, as ``process_round`` does."""
+    (rec,) = run.policy.process_rounds(RoundBlock.of_round(rnd))
+    run.trace.append(rec)
+    return rec.emitted.tolist()
 
 
 def counting_process_round(monkeypatch):
@@ -379,11 +394,13 @@ def counting_process_round(monkeypatch):
     return sizes
 
 
-def full_arithmetic_round(policy, rnd):
+def full_arithmetic_round(run, rnd):
     """One round of ``UnknownPolicy`` computed on that round alone, with
     every stage run on every round, empty ones included: the per-round
     arithmetic the block pass replaced (``np.add.at`` for the core, one
-    ``max_over_attributes`` per row), as the oracle of the block pass."""
+    ``max_over_attributes`` per row), as the oracle of the block pass.  It
+    updates the pass's policy and appends the round's record to its trace."""
+    policy = run.policy
     c, d, a = np.array(policy.c), policy.d, policy.a
     policy.round_index += 1
     counts, core = rnd.counts, core_mask(rnd.lens, d)
@@ -405,7 +422,7 @@ def full_arithmetic_round(policy, rnd):
         row = unknown_policy.leftover_topup(policy, row)
     x_i = row.tolist()
     policy.emitted_total += math.fsum(x_i)
-    policy.trace.append(unknown_policy.UnknownRound(x_bar, x_hat, core.astype(float), z, f, row))
+    run.trace.append(unknown_policy.UnknownRound(x_bar, x_hat, core.astype(float), z, f, row))
     return x_i
 
 
@@ -467,12 +484,12 @@ class TestEmptyRounds:
         rounds = with_empty_rounds(inst, self.PATTERNS[pattern])
         config = dict(d=inst.d, c=inst.c, a=2, variant=variant, topup_enabled=topup,
                       continue_after_cap=continue_after_cap)
-        want = UnknownPolicy(**config)
+        want = new_pass(**config)
         want_rows = [full_arithmetic_round(want, rnd) for rnd in rounds]
         fills, real = [], unknown_policy.water_fill
         monkeypatch.setattr(unknown_policy, "water_fill", lambda *args: fills.append(1) or real(*args))
-        got = UnknownPolicy(**config)
-        assert [got.process_round(rnd) for rnd in rounds] == want_rows
+        got = new_pass(**config)
+        assert [step(got, rnd) for rnd in rounds] == want_rows
         assert_same_pass(got, want)
         assert len(fills) == sum(len(rnd) > 0 for rnd in rounds)
 
@@ -481,26 +498,26 @@ class TestEmptyRounds:
         inst = self.nonempty_rounds(seed=21)
         rounds = with_empty_rounds(inst, self.PATTERNS["back-to-back"])
         config = dict(d=inst.d, c=inst.c, a=2, topup_enabled=topup)
-        want = UnknownPolicy(**config)
+        want = new_pass(**config)
         for rnd in rounds:
             full_arithmetic_round(want, rnd)
         for cut in (1, 4, 5, 9):  # each between two empty rounds
-            policy = UnknownPolicy(**config)
+            run = new_pass(**config)
             for rnd in rounds[:cut]:
-                policy.process_round(rnd)
-            twin = policy.fork()
+                step(run, rnd)
+            twin = UnknownPass(run.policy.fork(), list(run.trace))
             for rnd in rounds[cut:]:
-                twin.process_round(rnd)
+                step(twin, rnd)
             assert_same_pass(twin, want)
             for rnd in rounds[cut:]:
-                policy.process_round(rnd)
-            assert_same_pass(policy, want)
+                step(run, rnd)
+            assert_same_pass(run, want)
 
     def test_shared_rows_are_read_only(self):
-        policy = UnknownPolicy(d=3, c=(1.0, 2.0, 1.5), a=1)
+        run = new_pass(d=3, c=(1.0, 2.0, 1.5), a=1)
         for _ in range(2):
-            policy.process_round(make_round(3, ()))
-        first, second = policy.trace
+            step(run, make_round(3, ()))
+        first, second = run.trace
         for arr in (first.x_bar, first.x_hat, first.y, first.z, first.emitted):
             with pytest.raises(ValueError):
                 arr[...] = 1.0
@@ -535,22 +552,9 @@ class TestVariantSolution:
             self.assert_same_solution(variant_solution(policy, variant), self.per_round(policy, variant))
 
     def test_empty_pass(self):
-        policy = UnknownPolicy(d=2, c=(1.0, 1.0), a=1)
+        policy = new_pass(d=2, c=(1.0, 1.0), a=1)
         for variant in unknown_policy.VARIANTS:
             self.assert_same_solution(variant_solution(policy, variant), self.per_round(policy, variant))
-
-
-@st.composite
-def tiny_instances(draw):
-    """Few dimensions and rounds: empty rounds, candidates without
-    attributes and dimensions without arrivals all turn up, and unequal
-    weights keep the levels off ties."""
-    d = draw(st.integers(1, 5))
-    candidate = st.lists(st.integers(0, d - 1), max_size=d, unique=True).map(sorted)
-    rounds = draw(st.lists(st.lists(candidate, max_size=4), max_size=8))
-    c = [1.0] + draw(st.lists(st.sampled_from([1.0, 1.3, 1.7, 2.5]), min_size=d - 1, max_size=d - 1))
-    a = draw(st.integers(1, 3))
-    return Instance.from_bit_lists(d, c, len(rounds) * a, rounds, a)
 
 
 class TestBlockPass:
@@ -562,7 +566,7 @@ class TestBlockPass:
     def test_block_pass_matches_round_by_round(self, inst, variant, topup, continue_after_cap, data):
         config = dict(d=inst.d, c=inst.c, a=inst.per_round_capacity, variant=variant, topup_enabled=topup,
                       continue_after_cap=continue_after_cap)
-        want = UnknownPolicy(**config)
+        want = new_pass(**config)
         want_rows = [full_arithmetic_round(want, rnd) for rnd in inst.rounds]
         cuts = sorted(data.draw(st.sets(st.integers(1, max(inst.n - 1, 1)), max_size=inst.n)) & set(range(1, inst.n)))
         feeds = {
@@ -571,13 +575,14 @@ class TestBlockPass:
             "random cuts": list(zip([0] + cuts, cuts + [inst.n])),
         }
         for name, spans in feeds.items():
-            got = UnknownPolicy(**config)
-            rows = [row for lo, hi in spans for row in got.process_rounds(RoundBlock.of_instance(inst, lo, hi))]
-            assert rows == want_rows, name
+            got = new_pass(**config)
+            for lo, hi in spans:
+                got.trace.extend(got.policy.process_rounds(RoundBlock.of_instance(inst, lo, hi)))
+            assert [rec.emitted.tolist() for rec in got.trace] == want_rows, name
             assert_same_pass(got, want)
         fed_by_round = UnknownPolicy(**config)
         assert [fed_by_round.process_round(rnd) for rnd in inst.rounds] == want_rows
-        assert_same_pass(fed_by_round, want)
+        assert_same_pass(UnknownPass(fed_by_round, want.trace), want)
         assert_same_pass(run_unknown_policy(inst, variant, topup, continue_after_cap), want)
 
     def test_blocks_of_a_long_instance_stay_bounded(self, monkeypatch):
@@ -596,31 +601,32 @@ class TestBlockPass:
 class TestFork:
     def test_fork_is_independent(self):
         inst = gen_random(d=5, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=3)
-        policy = UnknownPolicy(d=5, c=inst.c, a=2, topup_enabled=True)
+        run = new_pass(d=5, c=inst.c, a=2, topup_enabled=True)
         for rnd in inst.rounds[:3]:
-            policy.process_round(rnd)
-        twin = policy.fork()
-        assert_same_pass(twin, policy)
-        assert twin.trace[0] is policy.trace[0] and twin.trace is not policy.trace
-        before = (policy.u.tolist(), policy.emitted_total, policy.round_index, len(policy.trace))
+            step(run, rnd)
+        policy = run.policy
+        twin = UnknownPass(policy.fork(), list(run.trace))
+        assert_same_pass(twin, run)
+        assert twin.policy is not policy and twin.policy.u is policy.u
+        before = (policy.u.tolist(), policy.emitted_total, policy.round_index, len(run.trace))
         for rnd in inst.rounds[3:]:
-            twin.process_round(rnd)
-        assert (policy.u.tolist(), policy.emitted_total, policy.round_index, len(policy.trace)) == before
+            step(twin, rnd)
+        assert (policy.u.tolist(), policy.emitted_total, policy.round_index, len(run.trace)) == before
         assert_same_pass(twin, run_unknown_policy(inst, topup=True))
 
     def test_fork_u_survives_the_twin(self):
         inst = gen_random(d=5, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=4)
-        policy = UnknownPolicy(d=5, c=inst.c, a=2)
+        run = new_pass(d=5, c=inst.c, a=2)
         for rnd in inst.rounds[:2]:
-            policy.process_round(rnd)
-        twin = policy.fork()
-        u_fork = twin.u.tobytes()
+            step(run, rnd)
+        twin = UnknownPass(run.policy.fork(), list(run.trace))
+        u_fork = twin.policy.u.tobytes()
         for rnd in inst.rounds[2:]:
-            policy.process_round(rnd)
-        assert twin.u.tobytes() == u_fork and policy.u.tobytes() != u_fork
+            step(run, rnd)
+        assert twin.policy.u.tobytes() == u_fork and run.policy.u.tobytes() != u_fork
         for rnd in inst.rounds[2:]:
-            twin.process_round(rnd)
-        assert_same_pass(twin, policy)
+            step(twin, rnd)
+        assert_same_pass(twin, run)
 
 
 class TestFamilyPass:
