@@ -4,16 +4,21 @@ optimum and on the one-round adjustment LPs.
 
 A batch of fluid LPs is solved as one block-diagonal LP over candidate
 types, by sifting: HiGHS sees only a working set of type columns near each
-block's capacity edge, and the full LP's dual certificate is checked per
-block.  g(tau) comes from a Dantzig-Wolfe loop priced by a closed-form greedy
-fill.  Every value is certified on return.
+block's capacity edge, and each block's optimum is certified by a weak-duality
+bound from its duals.  g(tau) comes from a Dantzig-Wolfe loop priced by a
+closed-form greedy fill.  Every value is certified on return.  HiGHS is
+called directly (``linprog``), without scipy.optimize or scipy.sparse.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .core import (
     physical_memory,
     round_counts,
 )
-from .errors import ContractError, InvariantError, SizeError
+from .errors import ContractError, DivselError, InvariantError, SizeError
 from .rounding import capacity_safe
 
 #: Constraint/value re-validation tolerance for LP results.
@@ -50,15 +55,85 @@ FLUID_SAMPLE_STRIDE = 10
 FLUID_MAX_SOLVES = 50
 
 
-def linprog(*args, **kwargs):
-    """scipy's HiGHS ``linprog``; scipy.optimize is imported on the first
-    solve, so the commands and streams that solve no LP never load it.  An LP it refuses is an InvariantError."""
-    from scipy.optimize import linprog as scipy_linprog
+def _highs():
+    """scipy's compiled HiGHS core, loaded from ``scipy/optimize/_highspy/_core`` without importing
+    scipy.optimize or scipy.sparse and registered under its own name, so ``import scipy.optimize`` reuses it.
+    A scipy without that file (before 1.15) is a DivselError that names the path looked for."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")  # found, not imported
+        stem = os.path.join(scipy.submodule_search_locations[0] if scipy else "scipy", "optimize", "_highspy", "_core")
+        path = next((stem + suffix for suffix in EXTENSION_SUFFIXES if os.path.isfile(stem + suffix)), None)
+        if path is None:
+            raise DivselError(f"no HiGHS solver: {stem}{EXTENSION_SUFFIXES[0]} not found (scipy >= 1.15 ships it)")
+        spec = importlib.util.spec_from_file_location(name, path, loader=ExtensionFileLoader(name, path))
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
-    try:
-        return scipy_linprog(*args, **kwargs)
-    except ValueError as exc:
-        raise InvariantError(f"LP refused by the solver: {exc}") from exc
+
+@dataclass
+class LPSolve:
+    """x and the row duals (d objective / d row bound, scipy's ``ineqlin.marginals``), None unless optimal."""
+
+    x: Optional[np.ndarray]
+    duals: Optional[np.ndarray]
+    optimal: bool
+    message: str
+
+
+def linprog(cost, a, row_lower, row_upper, lower, upper, presolve: bool = False) -> LPSolve:
+    """min cost.x s.t. row_lower <= A x <= row_upper, lower <= x <= upper by HiGHS's dual simplex (Huangfu &
+    Hall, Math. Prog. Comp. 2018), A as CSC arrays ``(indptr, indices, data)`` with ascending row indices in
+    each column.  HiGHS gets the model and options scipy's ``linprog(method="highs")`` gives it, so both
+    return the same bits.  A matrix entry that is not finite is refused, an InvariantError."""
+    if not np.isfinite(a[2]).all():
+        raise InvariantError("LP refused by the solver: a constraint coefficient is not finite")
+    h = _highs()
+    lp, options, highs = h.HighsLp(), h.HighsOptions(), h._Highs()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(cost)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)  # a_matrix_ is column-wise by default
+    lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_ = cost, lower, upper, row_lower, row_upper
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a
+    options.presolve = "on" if presolve else "off"
+    options.simplex_strategy = 1  # the dual simplex
+    options.output_flag = options.log_to_console = False
+    highs.passOptions(options)
+    if highs.passModel(lp) == h.HighsStatus.kError:
+        return LPSolve(None, None, False, "HiGHS refused the model")
+    highs.run()
+    if (status := highs.getModelStatus()) != h.HighsModelStatus.kOptimal:
+        return LPSolve(None, None, False, f"model status {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    return LPSolve(np.array(solution.col_value), np.array(solution.row_dual), True, "optimal")
+
+
+def _columns(a, keep: np.ndarray):
+    """The columns of CSC arrays ``a`` where ``keep`` is True."""
+    indptr, indices, data = a
+    cols = np.flatnonzero(keep)
+    ptr = np.append(0, np.cumsum(indptr[cols + 1] - indptr[cols]))
+    entries = np.repeat(indptr[cols] - ptr[:-1], np.diff(ptr)) + np.arange(ptr[-1])
+    return ptr, indices[entries], data[entries]
+
+
+def _matvec(a, x: np.ndarray, n_rows: int) -> np.ndarray:
+    """A @ x, each row summed in column order as scipy's CSR product sums it, over the columns where x is not 0
+    only: a zero term changes no sum, which from +0.0 never reads -0.0."""
+    indptr, indices, data = _columns(a, x != 0.0)
+    return np.bincount(indices, weights=data * np.repeat(x[x != 0.0], np.diff(indptr)), minlength=n_rows)
+
+
+def _rmatvec(a, lam: np.ndarray) -> np.ndarray:
+    """A^T @ lam, each column summed in row order as scipy sums it, in runs of whole columns of about 2^18
+    entries so the temporaries stay small."""
+    indptr, indices, data = a
+    out = np.zeros(indptr.size - 1)
+    cuts = np.unique(np.searchsorted(indptr, np.arange(0, indptr[-1], 2**18), side="right") - 1)  # run starts
+    for lo, hi in zip(cuts, [*cuts[1:], indptr.size - 1]):
+        cols, run = np.repeat(np.arange(hi - lo), np.diff(indptr[lo : hi + 1])), slice(indptr[lo], indptr[hi])
+        out[lo:hi] = np.bincount(cols, weights=data[run] * lam[indices[run]], minlength=hi - lo)
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,42 +157,19 @@ class IntSolution:
     z: np.ndarray
 
 
-def _certify_optimal(
-    cost, a_ub, b_ub: np.ndarray, bounds: np.ndarray, x, lam, names: Sequence[str], row_starts, col_starts
-) -> None:
-    """Dual certificate of the point ``x`` with row multipliers ``lam`` for
-    min c.x s.t. A_ub x <= b_ub, l <= x <= u (Huangfu & Hall, Math. Prog.
-    Comp. 2018).
-
-    scipy reports marginals as d fun / d rhs, so dual feasibility means
-    lambda <= 0.  The bound multipliers are rebuilt from the reduced costs
-    r = c - A_ub^T lambda as mu_u = min(r, 0) and mu_l = max(r, 0), the best
-    for this lambda, and must vanish on infinite bounds; then the dual
-    objective b_ub.lambda + u.mu_u + l.mu_l bounds every point, and
-    optimality means it equals c.x.
-
-    The LP may be block-diagonal: block b owns the rows from ``row_starts[b]``
-    and the columns from ``col_starts[b]`` and is called ``names[b]``.  Every
-    check is made per block, so a failure names the block it found.
-    """
-    reduced = cost - a_ub.T @ lam
-
-    def check(values: np.ndarray, limits, message: str) -> None:
-        bad = np.flatnonzero(values > limits)
-        if bad.size:
-            raise InvariantError(f"{names[bad[0]]}: {message.format(values[bad[0]])}")
-
-    def by_col(ufunc, v: np.ndarray) -> np.ndarray:
-        return ufunc.reduceat(v, col_starts)
-
-    check(np.maximum.reduceat(lam, row_starts), LP_TOL, "dual multiplier of the wrong sign ({:.3g})")
-    dual = np.add.reduceat(b_ub * lam, row_starts)
-    for bound, mu in ((bounds[:, 1], np.minimum(reduced, 0.0)), (bounds[:, 0], np.maximum(reduced, 0.0))):
-        finite = np.isfinite(bound)
-        check(by_col(np.maximum, np.where(finite, 0.0, np.abs(mu))), LP_TOL, "nonzero multiplier on an infinite bound")
-        dual += by_col(np.add, np.where(finite, bound, 0.0) * mu)
-    primal = by_col(np.add, cost * x)
-    check(np.abs(primal - dual), LP_TOL * (1.0 + np.abs(primal)), "duality gap {:.3g} exceeds tolerance")
+def _fluid_bound(block, lam: np.ndarray, capacity: int) -> float:
+    """Weak-duality bound on a fluid block's optimum from its row duals ``lam`` (scipy's sign): for lambda =
+    the dimension rows' duals clipped at 0, t <= sum_k lambda_k c_k sum_{j ni k} x_j / sum lambda, so OPT is at
+    most the K largest type weights w_j = sum_{k in j} lambda_k c_k, each up to its multiplicity, over sum
+    lambda.  No sign error or tolerance makes it too low; it is infinite when every lambda_k is 0."""
+    indptr, indices, data, _, upper, _ = block
+    lam = np.maximum(-lam, 0.0)
+    lam[0] = 0.0  # the capacity row
+    weights = _rmatvec((indptr, indices, data), lam)  # -w_j per type, then sum lambda on the t column
+    order = np.argsort(weights[:-1], kind="stable")
+    mult = upper[order]
+    take = np.clip(capacity - (np.cumsum(mult) - mult), 0.0, mult)
+    return float(-(take * weights[order]).sum() / weights[-1]) if weights[-1] > 0.0 else math.inf  # no BLAS threads
 
 
 def _type_keys(inst: Instance, prev: Optional[tuple[Instance, np.ndarray]] = None) -> np.ndarray:
@@ -171,15 +223,18 @@ def _candidate_types(inst: Instance, keys: Optional[np.ndarray] = None) -> tuple
 
 def _fluid_block(inst: Instance, prev: Optional[tuple[Instance, np.ndarray]] = None):
     """One instance's type keys (``_type_keys(inst, prev)``) and its fluid
-    LP over its distinct types as the (row, column, value) triples of A_ub,
-    b_ub, the upper bounds and the type of every candidate; the LP is None
-    when some dimension can never be served, so the optimum is 0 (x = 0
-    allowed).  An instance whose type keys (and their sorted copy) and LP
-    triples cannot fit in memory is a SizeError, raised before either is
-    allocated."""
-    n_cands = inst.total_candidates
-    if (need := 16 * n_cands * ((inst.d + 63) // 64) + 24 * inst.bits.size) > physical_memory():
+    LP over its distinct types: A_ub as CSC arrays (indptr, int32 row
+    indices, data), b_ub, the upper bounds and the type of every candidate;
+    the LP is None when some dimension can never be served, so the optimum
+    is 0 (x = 0 allowed).  An instance whose type keys (and their sorted
+    copy) and CSC arrays cannot fit in memory, or whose LP has more entries
+    than int32 indexes, is a SizeError, raised before either is allocated."""
+    n_cands, entries = inst.total_candidates, inst.bits.size + inst.total_candidates + inst.d
+    # 16 B per key word; 12 B per entry (data and row index), 4 B of indptr per type.
+    if (need := 16 * n_cands * ((inst.d + 63) // 64) + 12 * entries + 4 * n_cands) > physical_memory():
         raise SizeError(f"the fluid LP needs {need / 2**30:.1f} GiB, more than the machine's memory")
+    if entries >= 2**31:
+        raise SizeError(f"the fluid LP has {entries:,} entries, more than int32 indexes")
     keys = _type_keys(inst, prev)
     first, mult, type_of = _candidate_types(inst, keys)
     n_types, d = len(first), inst.d
@@ -192,13 +247,14 @@ def _fluid_block(inst: Instance, prev: Optional[tuple[Instance, np.ndarray]] = N
         return keys, None
     # Variables: X_1..X_T (mass per type), t.
     # max t  s.t.  sum X <= K,  t - c_k sum_{types with k} X <= 0,  0 <= X <= mult.
-    c = np.asarray(inst.c)
-    row_idx = np.concatenate([np.zeros(n_types, dtype=np.intp), 1 + bits, 1 + np.arange(d)])
-    col_idx = np.concatenate([np.arange(n_types), np.repeat(np.arange(n_types), lens), np.full(d, n_types)])
-    vals = np.concatenate([np.ones(n_types), -c[bits], np.ones(d)])
+    # Type j's column holds row 0, then rows 1 + bits (increasing); t's holds rows 1..d.
+    c, heads = np.asarray(inst.c), np.cumsum(lens) - lens  # each type's first attribute
+    indptr = np.concatenate([[0], np.cumsum(lens + 1), [bits.size + n_types + d]]).astype(np.int32)
+    indices = np.concatenate([np.insert(bits + 1, heads, 0), np.arange(1, d + 1, dtype=np.int32)])
+    data = np.concatenate([np.insert(-c[bits], heads, 1.0), np.ones(d)])
     b_ub = np.zeros(1 + d)
     b_ub[0] = float(inst.capacity)
-    return keys, (row_idx, col_idx, vals, b_ub, np.append(mult, np.inf), type_of)
+    return keys, (indptr, indices, data, b_ub, np.append(mult, np.inf), type_of)
 
 
 def solve_fluid(inst: Instance) -> LPResult:
@@ -269,29 +325,30 @@ def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
 
     HiGHS runs without presolve: the blocks are small and presolve costs more
     than it saves.  An x* on the capacity edge is safe, as ``capacity_safe``
-    trims per type.  Each block gets its own dual certificate over all its
-    columns, and its x* is re-validated against its own instance.  x = 0 is feasible and every level
-    bounded, so a status other than optimal is the solver's failure, an InvariantError.
+    trims per type.  x = 0 is feasible and every level bounded, so a status
+    other than optimal is the solver's failure, an InvariantError.  Each
+    block is certified on its own (``_fluid_result``); one that fails is
+    solved once more, alone and with presolve, and must pass then.
     """
-    from scipy.sparse import csr_matrix
-
     results = {i: LPResult(0.0, FractionalSolution(np.zeros(inst.total_candidates), inst.round_ptr), "optimal", True)
                for i, (inst, block) in held.items() if block is None}
     blocks = {i: block for i, (_, block) in held.items() if block is not None}
     if not blocks:
         return list(results.values())
-    row_idx, col_idx, vals, b_ubs, uppers, _ = zip(*blocks.values())
+    indptrs, indices, data, b_ubs, uppers, _ = zip(*blocks.values())
     n_rows, n_cols = np.array([b.size for b in b_ubs]), np.array([u.size for u in uppers])
     row_starts, col_starts = np.cumsum(n_rows) - n_rows, np.cumsum(n_cols) - n_cols
     levels = col_starts + n_cols - 1  # each block's t column
-    rows = np.concatenate([r + start for r, start in zip(row_idx, row_starts)])
-    cols = np.concatenate([c + start for c, start in zip(col_idx, col_starts)])
-    a_ub = csr_matrix((np.concatenate(vals), (rows, cols)), shape=(n_rows.sum(), n_cols.sum()))
+    a = indptrs[0], indices[0], data[0]
+    if len(blocks) > 1:  # block-diagonal: each block's entries and rows follow the blocks before it
+        nnz = np.array([p[-1] for p in indptrs])
+        starts = np.repeat(np.cumsum(nnz) - nnz, n_cols)
+        a = (np.append(0, np.concatenate([p[1:] for p in indptrs]) + starts).astype(np.int32),
+             np.concatenate(indices) + np.repeat(row_starts, nnz).astype(np.int32), np.concatenate(data))
     b_ub = np.concatenate(b_ubs)
-    cost = np.zeros(a_ub.shape[1])
+    cost = np.zeros(n_cols.sum())
     cost[levels] = -1.0
-    bounds = np.zeros((a_ub.shape[1], 2))
-    upper = bounds[:, 1] = np.concatenate(uppers)
+    upper = np.concatenate(uppers)
     work, up = np.ones(upper.size, dtype=bool), np.zeros(upper.size, dtype=bool)
     sifted = np.flatnonzero(n_cols > 2 * FLUID_SIFT_WIDTH + 1)  # blocks of more than 2 FLUID_SIFT_WIDTH types
     seeds, rhs = [(row_starts[b], np.arange(col_starts[b], levels[b])) for b in sifted], b_ub.copy()
@@ -300,12 +357,12 @@ def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
         rhs[row] *= upper[types[work[types]]].sum() / upper[types].sum()
     for _ in range(FLUID_MAX_SOLVES):
         x = np.where(up, upper, 0.0)
-        res = linprog(cost[work], A_ub=a_ub[:, work], b_ub=rhs - a_ub @ x, bounds=bounds[work], method="highs",
-                      options={"presolve": False})
-        if res.status != 0:
+        res = linprog(cost[work], a if work.all() else _columns(a, work), np.full(b_ub.size, -np.inf),
+                      rhs - _matvec(a, x, b_ub.size), np.zeros(work.sum()), upper[work])
+        if not res.optimal:
             raise InvariantError(f"fluid LP: solve failed: {res.message}")
-        x[work], lam = res.x, res.ineqlin.marginals
-        reduced = cost - a_ub.T @ lam
+        x[work], lam = res.x, res.duals
+        reduced = cost - _rmatvec(a, lam)
         for row, types in seeds:  # fix the types far from the capacity edge
             order = types[np.argsort(reduced[types], kind="stable")]
             edge = np.searchsorted(np.cumsum(upper[order]), b_ub[row], side="right")
@@ -325,19 +382,37 @@ def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
         work[leave], work[wrong], up[wrong] = False, True, False
     else:
         raise InvariantError(f"fluid LP: no convergence in {FLUID_MAX_SOLVES} restricted solves")
-    names = {i: "fluid LP" if alone else f"fluid LP (member {i + 1})" for i in blocks}
-    _certify_optimal(cost, a_ub, b_ub, bounds, x, lam, list(names.values()), row_starts, col_starts)
 
-    for (i, (*_, bound, type_of)), start, level in zip(blocks.items(), col_starts, levels):
-        inst, mult = held[i][0], bound[:-1]
-        value = float(x[level])
-        per_type = capacity_safe(np.clip(x[start:level], 0.0, mult) / mult, inst.capacity, mult)
-        sol = FractionalSolution(per_type[type_of], inst.round_ptr)
-        lu, _ = least_utility(inst, sol)
-        if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
-            raise InvariantError(f"{names[i]} solution failed re-validation")
-        results[i] = LPResult(value=value, solution=sol, status="optimal", degenerate_zero=value <= EPS)
+    for (i, block), row, start, level in zip(blocks.items(), row_starts, col_starts, levels):
+        inst, name = held[i][0], "fluid LP" if alone else f"fluid LP (member {i + 1})"
+        result = _fluid_result(inst, block, x[start : level + 1], lam[row : row + inst.d + 1])
+        if isinstance(result, str):  # solved alone, with presolve: HiGHS's other path to the optimum
+            *matrix, rows, bound, _ = block
+            one = linprog(cost[start : level + 1], matrix, np.full(rows.size, -np.inf), rows, np.zeros(bound.size),
+                          bound, presolve=True)
+            result = _fluid_result(inst, block, one.x, one.duals) if one.optimal else f"solve failed: {one.message}"
+        if isinstance(result, str):
+            raise InvariantError(f"{name}: {result}")
+        results[i] = result
     return [results[i] for i in held]
+
+
+def _fluid_result(inst: Instance, block, x: np.ndarray, lam: np.ndarray):
+    """The ``LPResult`` of a fluid block's point ``x`` (its type columns, then t) and row duals ``lam``, or why
+    it fails: x* (each type's capacity-safe mass spread over its copies) must re-validate, and its least
+    utility and the level t must be within ``LP_TOL``, relative, of ``_fluid_bound``."""
+    *_, upper, type_of = block
+    mult, value = upper[:-1], float(x[-1])
+    per_type = capacity_safe(np.clip(x[:-1], 0.0, mult) / mult, inst.capacity, mult)
+    sol = FractionalSolution(per_type[type_of], inst.round_ptr)
+    lu, _ = least_utility(inst, sol)
+    if sol.total() > inst.capacity + LP_TOL or lu < value - LP_TOL:
+        return "solution failed re-validation"
+    bound = _fluid_bound(block, lam, inst.capacity)
+    gap = bound - min(value, lu)
+    if not gap <= LP_TOL * bound < math.inf:
+        return f"duality gap {gap:.3g} exceeds tolerance"
+    return LPResult(value=value, solution=sol, status="optimal", degenerate_zero=value <= EPS)
 
 
 def opt_bounds(inst: Instance) -> tuple[float, float]:
@@ -351,6 +426,7 @@ def opt_bounds_from_marginals(d: int, c: tuple[float, ...], capacity: int, phi: 
     return under, over
 
 
+@np.errstate(over="ignore")  # a weight near the float limit overflows to inf, which linprog refuses
 def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> LPResult:
     """Optimum g(tau) of the intermediate formulation truncated to the first
     ``prefix_rounds`` rounds (the full horizon when omitted).
@@ -378,11 +454,14 @@ def solve_int(inst: Instance, prefix_rounds: Optional[int] = None) -> LPResult:
     orders, columns, bounds = map(list, zip(*(_price(counts, budget, c, core_part, lam) for lam in np.eye(d))))
     for _ in range(INT_MAX_MASTER_SOLVES):
         pool, size = np.array(columns), len(columns)  # variables theta_p, then t (free); cost a_eq - 1 is -t
-        a_ub, a_eq = np.column_stack([-c[:, None] * pool.T, np.ones(d)]), np.append(np.ones(size), 0.0)
-        res = linprog(a_eq - 1.0, a_ub, c * core_part, a_eq[None], [1.0], [(0, None)] * size + [(None, None)])
-        if res.status != 0:  # the master is always feasible and bounded
+        a_eq = np.append(np.ones(size), 0.0)
+        cols = np.column_stack([np.column_stack([-c[:, None] * pool.T, np.ones(d)]).T, a_eq])  # rows <=, then = 1
+        csc = np.append(0, np.cumsum((cols != 0).sum(axis=1))), np.nonzero(cols)[1], cols[cols != 0]  # no zeros
+        res = linprog(a_eq - 1.0, csc, np.append(np.full(d, -np.inf), 1.0), np.append(c * core_part, 1.0),
+                      np.append(np.zeros(size), -np.inf), np.full(size + 1, np.inf), presolve=True)
+        if not res.optimal:  # the master is always feasible and bounded
             raise InvariantError(f"intermediate LP: master solve failed ({res.message})")
-        value, duals = float(res.x[-1]), -res.ineqlin.marginals  # t's reduced cost puts them on the simplex
+        value, duals = float(res.x[-1]), -res.duals[:d]  # t's reduced cost puts them on the simplex
         if duals.min() < -LP_TOL or abs(duals.sum() - 1.0) > LP_TOL:
             raise InvariantError("intermediate LP: master duals are off the simplex")
         utility = c * (core_part + res.x[:-1] @ pool)

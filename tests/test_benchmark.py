@@ -22,7 +22,7 @@ from divsel.core import (
     FractionalSolution, Instance, common_prefix_rounds, core_mask, instance_stats, least_utility, marginals,
     round_counts,
 )
-from divsel.errors import ContractError, InvariantError, SizeError
+from divsel.errors import ContractError, DivselError, InvariantError, SizeError
 from divsel.generators import fcs_kappa, fcs_members, fhc_members, gen_fcs, gen_fhc, gen_random
 from divsel.rounding import capacity_safe, max_selection_count
 from divsel.unknown_policy import run_unknown_policy, water_fill
@@ -119,9 +119,10 @@ def assert_rel_close(value, reference, rel=1e-9):
 
 def perturbing_linprog(monkeypatch, perturb):
     """Route benchmark's linprog through ``perturb(res)`` before returning."""
+    real = benchmark.linprog
 
     def patched(*args, **kwargs):
-        res = linprog(*args, **kwargs)
+        res = real(*args, **kwargs)
         perturb(res)
         return res
 
@@ -129,13 +130,12 @@ def perturbing_linprog(monkeypatch, perturb):
 
 
 def understate_optimum(res):
-    # A suboptimal primal point: the level t, and with it fun, falls by 10%.
+    # A suboptimal primal point: the level t falls by 10%.
     res.x[-1] *= 0.9
-    res.fun *= 0.9
 
 
 def flip_row_duals(res):
-    res.ineqlin.marginals = -res.ineqlin.marginals
+    res.duals = -res.duals
 
 
 class TestSolveFluid:
@@ -236,20 +236,21 @@ class TestFluidTypeAggregation:
             solve_fluid(inst)
 
     def test_certificate_rejects_wrong_sign_duals(self, monkeypatch):
+        # Flipped, every dimension dual clips to 0: the bound is infinite.
         inst = repetitive_random(2)
         perturbing_linprog(monkeypatch, flip_row_duals)
-        with pytest.raises(InvariantError, match="wrong sign"):
+        with pytest.raises(InvariantError, match="duality gap inf"):
             solve_fluid(inst)
 
-    def test_certificate_rejects_duals_off_the_simplex(self, monkeypatch):
-        # Halved level duals price the level t at -1/2: a multiplier on its
-        # infinite upper bound.
+    def test_certificate_is_scale_free(self, monkeypatch):
+        # Halved duals price the level t at -1/2, off the simplex, but the
+        # bound divides by sum lambda: the same optimum is certified.
         def halve(res):
-            res.ineqlin.marginals = res.ineqlin.marginals / 2
+            res.duals = res.duals / 2
 
+        want = solve_fluid(repetitive_random(2)).value
         perturbing_linprog(monkeypatch, halve)
-        with pytest.raises(InvariantError, match="infinite bound"):
-            solve_fluid(repetitive_random(2))
+        assert float.hex(solve_fluid(repetitive_random(2)).value) == float.hex(want)
 
 
 def spliced(head, tail, shared):
@@ -379,9 +380,11 @@ class TestSolveFluids:
         want = solve_fluids(batch)
         sizes = []
 
-        def recording_linprog(*args, **kwargs):
-            sizes.append(sum(kwargs["A_ub"].shape))
-            return linprog(*args, **kwargs)
+        real = benchmark.linprog
+
+        def recording_linprog(cost, a, row_lower, *args, **kwargs):
+            sizes.append(len(row_lower) + len(cost))
+            return real(cost, a, row_lower, *args, **kwargs)
 
         monkeypatch.setattr(benchmark, "FLUID_BATCH_SIZE", batch_size)
         monkeypatch.setattr(benchmark, "linprog", recording_linprog)
@@ -430,12 +433,20 @@ class TestSolveFluids:
     @staticmethod
     def tamper_member(monkeypatch, batch, member, tamper):
         """Apply ``tamper(res, rows, level)`` to one member's block: its row
-        slice and the column of its level t."""
+        slice and the column of its level t, in the batch's solve and in the
+        member's own re-solve."""
         rows = cols = 0
         for inst in batch[: member + 1]:
             row_start, rows = rows, rows + 1 + inst.d
-            cols += len(benchmark._candidate_types(inst)[0]) + 1
-        perturbing_linprog(monkeypatch, lambda res: tamper(res, slice(row_start, rows), cols - 1))
+            col_start, cols = cols, cols + len(benchmark._candidate_types(inst)[0]) + 1
+
+        def perturb(res):
+            if len(res.x) == cols - col_start:  # the member alone
+                tamper(res, slice(0, rows - row_start), len(res.x) - 1)
+            else:
+                tamper(res, slice(row_start, rows), cols - 1)
+
+        perturbing_linprog(monkeypatch, perturb)
 
     def test_certificate_names_member_with_understated_optimum(self, monkeypatch):
         batch = [repetitive_random(seed) for seed in range(3)]
@@ -451,15 +462,15 @@ class TestSolveFluids:
         batch = [repetitive_random(seed) for seed in range(3)]
 
         def flip(res, rows, level):
-            res.ineqlin.marginals[rows] = -res.ineqlin.marginals[rows]
+            res.duals[rows] = -res.duals[rows]
 
         self.tamper_member(monkeypatch, batch, 2, flip)
-        with pytest.raises(InvariantError, match=r"^fluid LP \(member 3\): dual multiplier of the wrong sign"):
+        with pytest.raises(InvariantError, match=r"^fluid LP \(member 3\): duality gap inf"):
             solve_fluids(batch)
 
     def test_failed_status_reaches_every_solved_member(self, monkeypatch):
         def infeasible(res):
-            res.status = 2
+            res.optimal, res.message = False, "model status Infeasible"
 
         # x = 0 is feasible and every level bounded, so a status other than
         # optimal is the solver's failure: the whole batch raises, no member
@@ -477,7 +488,9 @@ class TestSolveFluids:
         # No fixed candidate cap: a member past the former 50,000 solves.
         assert [lp.value for lp in solve_fluids([one_type(30_000)] * 2 + [one_type(50_001)])] == [1.0] * 3
         # The memory check is per member and runs before its type keys exist.
-        need = 16 * 50_001 + 24 * 50_001  # one key word per candidate, one attribute each
+        # One key word per candidate; 12 B per entry (one attribute and a
+        # capacity entry per candidate, the t column's one) and 4 B of indptr.
+        need = 16 * 50_001 + 12 * (2 * 50_001 + 1) + 4 * 50_001
         monkeypatch.setattr(benchmark, "physical_memory", lambda: need)
         assert solve_fluid(one_type(50_001)).value == 1.0
         keyed, real = [], benchmark._type_keys
@@ -553,7 +566,7 @@ class TestFluidSifting:
 
     def test_certificate_rejects_wrong_sign_duals(self, monkeypatch):
         perturbing_linprog(monkeypatch, flip_row_duals)
-        with pytest.raises(InvariantError, match="wrong sign"):
+        with pytest.raises(InvariantError, match="duality gap inf"):
             solve_fluid(sifted_instance())
 
     def test_sifted_block_shares_a_batch(self, monkeypatch):
@@ -572,7 +585,7 @@ class TestFluidSifting:
 
         def reseed(res):
             if not solves:
-                res.ineqlin.marginals[1:] = -np.asarray(level_duals, dtype=float)
+                res.duals[1:] = -np.asarray(level_duals, dtype=float)
             solves.append(res)
 
         perturbing_linprog(monkeypatch, reseed)
@@ -593,11 +606,13 @@ class TestFluidSifting:
         inst = sifted_instance()
         sizes = []
 
-        def uncapacitated(*args, **kwargs):
-            res = linprog(*args, **kwargs)
+        real = benchmark.linprog
+
+        def uncapacitated(cost, *args, **kwargs):
+            res = real(cost, *args, **kwargs)
             if not sizes:
-                res.ineqlin.marginals[0] = 0.0
-            sizes.append(kwargs["A_ub"].shape[1])
+                res.duals[0] = 0.0
+            sizes.append(len(cost))
             return res
 
         monkeypatch.setattr(benchmark, "linprog", uncapacitated)
@@ -610,6 +625,198 @@ class TestFluidSifting:
         with pytest.raises(InvariantError, match="no convergence in 2 restricted solves"):
             solve_fluid(sifted_instance())
         assert len(solves) == 2
+
+
+def scipy_twin(cost, a, row_lower, row_upper, lower, upper, presolve=False):
+    """The LP of a ``benchmark.linprog`` call through ``scipy.optimize.linprog(method="highs")``: its x and row
+    duals (rows with equal bounds are equalities)."""
+    from scipy.sparse import csc_matrix
+
+    matrix = csc_matrix((a[2], a[1], a[0]), shape=(len(row_upper), len(cost)))
+    eq = row_lower == row_upper
+    res = linprog(cost, A_ub=matrix[~eq], b_ub=row_upper[~eq], A_eq=matrix[eq] if eq.any() else None,
+                  b_eq=row_upper[eq] if eq.any() else None, bounds=np.column_stack([lower, upper]), method="highs",
+                  options={"presolve": presolve})
+    assert res.status == 0, res.message
+    duals = np.empty(len(row_upper))
+    duals[~eq] = res.ineqlin.marginals
+    duals[eq] = res.eqlin.marginals
+    return res.x, duals
+
+
+IMPORT_ORDER_SCRIPT = """
+import contextlib, io, sys
+scipy_first = sys.argv[2] == "1"
+if scipy_first:
+    import scipy.optimize
+from divsel import benchmark
+from divsel.cli import main
+from divsel.generators import gen_fcs
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--instance", sys.argv[1]]) == 0
+    assert main(["verify", "--family", "fhc", "--d", "8"]) == 0
+inst = gen_fcs(8)[1]
+values = benchmark.solve_fluid(inst).value, benchmark.solve_int(inst).value
+name = "scipy.optimize._highspy._core"
+core = sys.modules[name]
+if not scipy_first:
+    assert "scipy.optimize" not in sys.modules and "scipy.sparse" not in sys.modules
+    import scipy.optimize
+from scipy.optimize._highspy import _core
+assert _core is core is sys.modules[name]
+assert scipy.optimize.linprog([-1.0], A_ub=[[1.0]], b_ub=[2.0], method="highs").x[0] == 2.0
+assert (benchmark.solve_fluid(inst).value, benchmark.solve_int(inst).value) == values
+print(*map(float.hex, values))
+"""
+
+
+class TestHighsCall:
+    """``benchmark.linprog`` passes HiGHS the model and options scipy's
+    ``linprog(method="highs")`` passes, so both return the same bits."""
+
+    @staticmethod
+    def twin_checked(monkeypatch):
+        """Check every linprog call against scipy's; return the calls' presolve flags."""
+        real, calls = benchmark.linprog, []
+
+        def checked(*args, **kwargs):
+            res = real(*args, **kwargs)
+            x, duals = scipy_twin(*args, **kwargs)
+            assert res.x.tobytes() == x.tobytes() and res.duals.tobytes() == duals.tobytes()
+            calls.append(kwargs.get("presolve", False))
+            return res
+
+        monkeypatch.setattr(benchmark, "linprog", checked)
+        return calls
+
+    def test_products_match_scipy_bit_for_bit(self):
+        """A @ x and A^T @ lam sum in the order of scipy's CSR products, on
+        columns of 1 to 300 entries (``reduceat`` would sum those of 8 or
+        more pairwise) spanning 14 orders of magnitude, and on more than
+        2^18 entries, so A^T @ lam crosses its runs."""
+        from scipy.sparse import csc_matrix
+
+        rng = np.random.default_rng(3)
+        n_rows, lens = 400, rng.integers(1, 300, 3000)
+        indices = np.concatenate([np.sort(rng.choice(n_rows, k, replace=False)) for k in lens]).astype(np.int32)
+        data = rng.standard_normal(indices.size) * 10.0 ** rng.integers(-7, 7, indices.size)
+        a = np.append(0, np.cumsum(lens)).astype(np.int32), indices, data
+        matrix = csc_matrix((data, indices, a[0]), shape=(n_rows, lens.size)).tocsr()
+        x = np.where(rng.random(lens.size) < 0.3, rng.standard_normal(lens.size), 0.0)
+        lam = rng.standard_normal(n_rows)
+        assert indices.size > 2**18
+        assert benchmark._matvec(a, x, n_rows).tobytes() == (matrix @ x).tobytes()
+        assert benchmark._rmatvec(a, lam).tobytes() == (matrix.T @ lam).tobytes()
+
+    def test_fluid_batches_match_scipy(self, monkeypatch):
+        calls = self.twin_checked(monkeypatch)
+        solve_fluids(gen_fhc(27) + gen_fcs(27))
+        assert len(calls) == 2 and not any(calls)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sifted_solves_match_scipy(self, monkeypatch, seed):
+        calls = self.twin_checked(monkeypatch)
+        solve_fluid(gen_random(d=32, n=1000, a=4, density=0.2, min_arrivals=1, c_max=2.0, seed=seed))
+        assert len(calls) >= 2  # the seed LP and the restricted solves
+
+    def test_master_solves_match_scipy(self, monkeypatch):
+        calls = self.twin_checked(monkeypatch)
+        for inst in (gen_fcs(27)[1], repetitive_random(3), sifted_instance()):
+            solve_int(inst)
+        assert len(calls) > 3 and all(calls)
+
+    def test_both_import_orders(self, tmp_path):
+        """divsel's solver first and scipy.optimize after it, or the reverse:
+        one HiGHS module, the same values; a full ``verify`` loads neither
+        scipy.optimize nor scipy.sparse."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from divsel.core import serialize_instance
+
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(gen_random(d=4, n=6, a=2, density=0.4, min_arrivals=1, c_max=2.0, seed=3)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(benchmark.__file__).parents[1]),
+                                                           os.environ.get("PYTHONPATH", "")]))
+        outs = [subprocess.run([sys.executable, "-c", IMPORT_ORDER_SCRIPT, str(path), order], env=env,
+                               capture_output=True, text=True) for order in "01"]
+        assert [(p.returncode, p.stderr) for p in outs] == [(0, ""), (0, "")]
+        assert outs[0].stdout == outs[1].stdout
+
+    def test_missing_core_is_a_divsel_error(self, monkeypatch, tmp_path, capsys):
+        """A scipy without the compiled core ends in one error line naming
+        the file looked for, exit 3."""
+        from divsel.cli import main
+        from divsel.core import serialize_instance
+
+        monkeypatch.delitem(benchmark.sys.modules, "scipy.optimize._highspy._core", raising=False)
+        monkeypatch.setattr(benchmark, "EXTENSION_SUFFIXES", [".missing.so"])
+        path = tmp_path / "inst.json"
+        path.write_text(serialize_instance(repetitive_random(0)))
+        assert main(["offline", "--instance", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: no HiGHS solver: ") and err.count("\n") == 1
+        assert "/optimize/_highspy/_core.missing.so not found" in err
+
+
+def all_fit(d, rounds, c):
+    """An instance whose capacity takes every candidate: x = 1 is optimal,
+    so the fluid optimum is min_k c_k phi_k with no LP."""
+    return Instance.from_bit_lists(d, tuple(c), sum(map(len, rounds)), rounds)
+
+
+class TestFluidCertificate:
+    """The fluid optimum is certified by the lambda-only weak-duality bound,
+    which no dual sign error can lower (ROADMAP item 13)."""
+
+    WIDE = {"d": 3, "c": [1.0, 66.97599052074919, 6656215348449.323], "rounds": [
+        [[0, 1, 2], [0, 1], [2], [1, 2]], [[0, 1, 2], [0, 1, 2], [2], [1]], [[1, 2]], [[1, 2], [1], [0], [1]],
+        [[1, 2], [0, 1, 2]]]}
+
+    def test_wide_weights_solve_to_the_optimum(self, monkeypatch):
+        """Without presolve, HiGHS stops at level 2 with a dual of the wrong
+        sign (+1.5e-13 at c_2 = 6.7e12); the bound rejects that point and the
+        presolved re-solve finds OPT = 6 (dimension 0 is on 6 candidates)."""
+        real, calls = benchmark.linprog, []
+        monkeypatch.setattr(benchmark, "linprog", lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+        lp = solve_fluid(all_fit(**self.WIDE))
+        assert lp.value == pytest.approx(6.0, rel=1e-12)
+        assert [call.get("presolve", False) for call in calls] == [False, True]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_all_fit_optimum_at_wide_weights(self, data):
+        d = data.draw(st.integers(2, 6))
+        cand = st.sets(st.integers(0, d - 1), min_size=1).map(sorted)
+        rounds = data.draw(st.lists(st.lists(cand, min_size=1, max_size=4), min_size=1, max_size=6))
+        c = [10.0 ** data.draw(st.floats(0.0, 14.0)) for _ in range(d)]
+        c[data.draw(st.integers(0, d - 1))] = 1.0
+        inst = all_fit(d, rounds, c)
+        low, second = sorted([ck * phi for ck, phi in zip(c, marginals(inst))] + [math.inf])[:2]
+        try:
+            value = solve_fluid(inst).value
+        except DivselError:
+            return  # a weight range HiGHS cannot take ends in an error, never a wrong OPT
+        # Where two levels tie within LP_TOL, HiGHS's feasibility tolerance
+        # may lift t by as much: c = (1, 1, 1 + 2.3e-9) on phi = (2, 1, 1)
+        # reads 1 + 2.3e-9.  Elsewhere the optimum is exact to 1e-12.
+        near_tie = second - low <= benchmark.LP_TOL * low
+        assert abs(value - low) <= (benchmark.LP_TOL if near_tie else 1e-12) * low
+
+    def test_bound_holds_for_any_duals(self):
+        """Weak duality: every lambda >= 0 bounds the optimum from above, and
+        the optimal duals meet it."""
+        rng = np.random.default_rng(5)
+        for inst in gen_fcs(8)[:3] + [repetitive_random(seed) for seed in range(3)]:
+            _, block = benchmark._fluid_block(inst)
+            value = dense_fluid_value(inst)
+            for lam in [*np.eye(inst.d + 1)[1:], *rng.uniform(0.0, 1.0, (5, inst.d + 1))]:
+                assert benchmark._fluid_bound(block, -lam, inst.capacity) >= value * (1.0 - 1e-12)
+            # Only the capacity row has a dual: no dimension weighs anything.
+            assert benchmark._fluid_bound(block, -np.eye(inst.d + 1)[0], inst.capacity) == math.inf
 
 
 class TestOptBounds:

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -360,12 +361,15 @@ class TestHostileInput:
 
     def test_lp_scipy_refuses_is_an_invariant_error(self):
         # At 1e308 the intermediate LP's master matrix overflows to inf, which
-        # scipy refuses with a ValueError before HiGHS sees it.
+        # linprog refuses before HiGHS sees it; the overflow warns nothing.
         from divsel.benchmark import solve_int
 
         inst = Instance.from_bit_lists(2, (1.0, 1e308), 2, [[[0], [1]], [[0, 1]]], 1)
-        with np.errstate(over="ignore"), pytest.raises(InvariantError, match="^LP refused by the solver: "):
-            solve_int(inst)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvariantError, match="^LP refused by the solver: "):
+                solve_int(inst)
+        assert caught == []
 
 
 # ---------------------------------------------------------------------------

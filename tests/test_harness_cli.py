@@ -428,9 +428,9 @@ class TestVerify:
 
             return real_solve(tee())
 
-        def counting_linprog(*args, **kwargs):
-            lp_calls.append(kwargs["A_ub"].shape)
-            return real_linprog(*args, **kwargs)
+        def counting_linprog(cost, a, row_lower, *args, **kwargs):
+            lp_calls.append((len(row_lower), len(cost)))
+            return real_linprog(cost, a, row_lower, *args, **kwargs)
 
         for module in (benchmark, harness):
             monkeypatch.setattr(module, "fluid_results", counting_solve)
