@@ -328,7 +328,8 @@ def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
     trims per type.  x = 0 is feasible and every level bounded, so a status
     other than optimal is the solver's failure, an InvariantError.  Each
     block is certified on its own (``_fluid_result``); one that fails is
-    solved once more, alone and with presolve, and must pass then.
+    solved again alone, with presolve and then with its rows scaled, and
+    must pass one of them.
     """
     results = {i: LPResult(0.0, FractionalSolution(np.zeros(inst.total_candidates), inst.round_ptr), "optimal", True)
                for i, (inst, block) in held.items() if block is None}
@@ -386,11 +387,17 @@ def _solve_fluid_batch(held: dict, alone: bool) -> list[LPResult]:
     for (i, block), row, start, level in zip(blocks.items(), row_starts, col_starts, levels):
         inst, name = held[i][0], "fluid LP" if alone else f"fluid LP (member {i + 1})"
         result = _fluid_result(inst, block, x[start : level + 1], lam[row : row + inst.d + 1])
-        if isinstance(result, str):  # solved alone, with presolve: HiGHS's other path to the optimum
-            *matrix, rows, bound, _ = block
-            one = linprog(cost[start : level + 1], matrix, np.full(rows.size, -np.inf), rows, np.zeros(bound.size),
-                          bound, presolve=True)
-            result = _fluid_result(inst, block, one.x, one.duals) if one.optimal else f"solve failed: {one.message}"
+        if isinstance(result, str):  # solved alone: with presolve, then with each row k divided by c_k
+            indptr, indices, values, row_upper, bound, _ = block
+            scaled = np.where(indices == 0, 1.0, -1.0)  # so a dual's error weighs 1 in a type's weight, not c_k
+            scaled[indptr[-2] :] = 1.0 / np.asarray(inst.c)
+            for data, scale, presolve in ((values, 1.0, True), (scaled, np.append(1.0, inst.c), False)):
+                one = linprog(cost[start : level + 1], (indptr, indices, data), np.full(row_upper.size, -np.inf),
+                              row_upper, np.zeros(bound.size), bound, presolve=presolve)
+                result = (_fluid_result(inst, block, one.x, one.duals / scale) if one.optimal  # the rows' own duals
+                          else f"solve failed: {one.message}")
+                if not isinstance(result, str):
+                    break
         if isinstance(result, str):
             raise InvariantError(f"{name}: {result}")
         results[i] = result

@@ -786,6 +786,19 @@ class TestFluidCertificate:
         assert lp.value == pytest.approx(6.0, rel=1e-12)
         assert [call.get("presolve", False) for call in calls] == [False, True]
 
+    def test_sloppy_duals_are_rescued_by_scaled_rows(self, monkeypatch):
+        """At c up to 1e8 HiGHS may return a dual of the wrong sign by 1e-8,
+        which weighs 1 in the bound once clipped: with and without presolve
+        the bound stays 9 against an optimum of 8.  Solved with each row k
+        divided by c_k, a dual's error weighs 1e-8, and the optimum passes."""
+        inst = gen_random(d=35, n=2, a=4, density=0.24237060955592732, min_arrivals=1, c_max=1e8, seed=98)
+        real, calls = benchmark.linprog, []
+        monkeypatch.setattr(benchmark, "linprog", lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+        lp = solve_fluid(inst)
+        assert [call.get("presolve", False) for call in calls] == [False, True, False]
+        assert_rel_close(lp.value, type_fluid_lp(inst)[0], rel=benchmark.LP_TOL)
+        assert least_utility(inst, lp.solution)[0] >= lp.value - benchmark.LP_TOL
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_all_fit_optimum_at_wide_weights(self, data):
